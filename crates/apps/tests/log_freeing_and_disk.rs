@@ -1,12 +1,12 @@
-//! §6.2's storage story, end to end: log memory is freed when checkpoints
-//! commit (entries move to the stable archive), recovery replays from the
-//! archive transparently, and committed checkpoints can be mirrored to disk.
+//! §6.2's storage story, end to end: log memory is freed as checkpoints
+//! commit (receiver-checkpoint log GC), recovery still replays bitwise from
+//! the pruned log, and committed checkpoints can be mirrored to disk.
 
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
 use spbc_apps::{AppParams, Workload};
 use spbc_core::disk::DiskStore;
-use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider, Storage};
+use spbc_core::{ClusterMap, Metrics, SpbcConfig, SpbcProvider, Storage};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,16 +25,16 @@ fn native(w: Workload) -> RunReport {
 }
 
 #[test]
-fn freed_logs_still_recover_bitwise() {
+fn gcd_log_still_recovers_bitwise_after_wave_3() {
     let w = Workload::MiniGhost;
     let base = native(w);
     let provider = Arc::new(SpbcProvider::new(
         ClusterMap::blocks(WORLD, 4),
-        SpbcConfig { ckpt_interval: 3, free_logs_on_checkpoint: true, ..Default::default() },
+        SpbcConfig { ckpt_interval: 2, ..Default::default() },
     ));
-    // Fail after the second checkpoint wave: the replay the recovering
-    // cluster needs spans entries that were archived (and freed from
-    // memory) by wave 1 and 2.
+    // Fail after the third wave (iterations 2, 4, 6): by then every sender
+    // has pruned its log twice, and the replay the recovering cluster needs
+    // must still be there.
     let report = Runtime::builder(cfg())
         .provider(provider.clone())
         .app(w.build(params()))
@@ -44,35 +44,35 @@ fn freed_logs_still_recover_bitwise() {
         .ok()
         .unwrap();
     assert_eq!(report.failures_handled, 1);
-    assert_eq!(base.outputs, report.outputs, "archive-backed replay must be exact");
+    assert_eq!(base.outputs, report.outputs, "replay from the pruned log must be exact");
+    let m = provider.metrics();
+    assert!(Metrics::get(&m.log_pruned_msgs) > 0, "GC must have fired before the failure");
+    assert!(Metrics::get(&m.replayed_msgs) > 0);
 }
 
 #[test]
-fn freeing_actually_releases_node_memory() {
+fn live_log_stays_within_two_intervals_of_traffic() {
     let w = Workload::MiniGhost;
-    let run = |free: bool| {
-        let provider = Arc::new(SpbcProvider::new(
-            ClusterMap::blocks(WORLD, 4),
-            SpbcConfig { ckpt_interval: 3, free_logs_on_checkpoint: free, ..Default::default() },
-        ));
-        Runtime::builder(cfg())
-            .provider(provider.clone())
-            .app(w.build(params()))
-            .launch()
-            .unwrap()
-            .ok()
-            .unwrap();
-        provider.store().total_logged_bytes()
-    };
-    let kept = run(false);
-    let freed = run(true);
-    assert!(kept > 0);
-    // With freeing, only the entries logged after the last wave (iteration 9
-    // has a wave at 9 — the final call — so possibly zero) remain in memory.
-    assert!(
-        freed < kept / 2,
-        "freeing must shrink the in-memory log substantially: kept={kept} freed={freed}"
-    );
+    let every = 2;
+    let provider = Arc::new(SpbcProvider::new(
+        ClusterMap::blocks(WORLD, 4),
+        SpbcConfig { ckpt_interval: every, ..Default::default() },
+    ));
+    let app = w.build(AppParams { iters: 20, ..params() });
+    Runtime::builder(cfg()).provider(provider.clone()).app(app).launch().unwrap().ok().unwrap();
+    let store = provider.store();
+    let logged = store.appended_bytes_per_rank();
+    // Two intervals, plus the iteration or two neighbouring clusters drift.
+    for (r, (&peak, &total)) in store.peak_logged_bytes_per_rank().iter().zip(&logged).enumerate() {
+        let bound = total * (2 * every + 2) / 20;
+        assert!(total > 0 && peak <= bound, "rank {r}: held {peak} B > {bound} B of {total} B");
+    }
+    let m = provider.metrics();
+    assert_eq!(Metrics::get(&m.logged_bytes), logged.iter().sum::<u64>());
+    let peak = store.peak_logged_bytes_per_rank().into_iter().max().unwrap();
+    assert_eq!(Metrics::get(&m.log_live_bytes), peak);
+    let held_or_pruned = store.total_logged_bytes() + Metrics::get(&m.log_pruned_bytes);
+    assert_eq!(held_or_pruned, Metrics::get(&m.logged_bytes));
 }
 
 #[test]

@@ -57,6 +57,10 @@ pub const KIND_CKPT_HASHES: u16 = 15;
 /// [`CkptHashes`] push when some chunks are missing from its store — the
 /// owner replies with a [`CkptBlob`] carrying exactly those chunk bodies.
 pub const KIND_CKPT_CHUNK_REQ: u16 = 16;
+/// `kind` value of [`LogGc`]: a receiver whose cluster resumed from wave N
+/// tells an out-of-cluster sender which log entries no checkpoint the store
+/// still retains (N−1 and up) can ever ask for again.
+pub const KIND_LOG_GC: u16 = 17;
 
 /// Per-channel rollback entry: state of one incoming channel (peer → me) as
 /// restored from the checkpoint.
@@ -166,6 +170,28 @@ pub struct CkptChunkReq {
     pub epoch: u64,
     /// Manifest indices of the chunks whose bodies are needed.
     pub missing: Vec<u32>,
+}
+
+/// Receiver-checkpoint log GC notice (§6.2: logged messages are part of the
+/// checkpoints and "the associated memory can be freed afterwards"). Losing
+/// one only delays pruning until the next wave's notice.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+pub struct LogGc {
+    /// `(comm, upto)` per channel from the addressee to me: every logged
+    /// seqnum `<= upto` is covered by my oldest retained checkpoint — its
+    /// envelope is below that cut's `LR` and its payload is not owed.
+    pub channels: Vec<(u64, u64)>,
+}
+
+impl Encode for LogGc {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.channels.encode(out);
+    }
+}
+impl Decode for LogGc {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(LogGc { channels: Decode::decode(r)? })
+    }
 }
 
 impl Encode for RollbackChannel {
@@ -332,6 +358,13 @@ mod tests {
     }
 
     #[test]
+    fn log_gc_roundtrip() {
+        let gc = LogGc { channels: vec![(0, 41), (99, 7)] };
+        let back: LogGc = from_bytes(&to_bytes(&gc)).unwrap();
+        assert_eq!(back, gc);
+    }
+
+    #[test]
     fn counts_roundtrip() {
         let c = CkptCounts { epoch: 4, sent: 100, arrived: 99 };
         let back: CkptCounts = from_bytes(&to_bytes(&c)).unwrap();
@@ -379,6 +412,7 @@ mod tests {
             KIND_CKPT_BLOB_ACK,
             KIND_CKPT_HASHES,
             KIND_CKPT_CHUNK_REQ,
+            KIND_LOG_GC,
         ];
         let mut sorted = kinds.to_vec();
         sorted.sort_unstable();

@@ -5,13 +5,17 @@
 //! additionally records the total order in which send requests were posted —
 //! the §5.2.2 "send-order log" that replay follows.
 //!
-//! Rollback of the *logging* rank truncates the log back to the lengths
-//! recorded in its checkpoint; channel-determinism guarantees re-execution
-//! re-appends the identical entries.
+//! The log is bounded by checkpoint retention, not by run length (§6.2):
+//! each channel is a ring pruned at the front by [`MessageLog::gc`] — the
+//! receiver's cluster has committed a checkpoint and can never again ask for
+//! those messages — and at the back by [`MessageLog::truncate_to`], the
+//! rollback of the *logging* rank to the lengths recorded in its own
+//! checkpoint; channel-determinism guarantees re-execution re-appends the
+//! identical entries.
 
 use mini_mpi::envelope::{Envelope, Message};
 use mini_mpi::types::{ChannelId, RankId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// One logged message.
 #[derive(Clone, Debug)]
@@ -23,39 +27,52 @@ pub struct LogEntry {
     pub order: u64,
 }
 
-/// Per-rank sender-side log: a hot in-memory part plus an *archive* — the
-/// stable-storage copy created when a checkpoint commits ("logs are saved as
-/// part of the process checkpoints, and the associated memory can be freed
-/// afterwards", §6.2). Replay reads both transparently.
-/// Entries within a channel are strictly seqnum-ordered (enforced by a debug
-/// assert in [`MessageLog::append`]), and the archive prefix sorts entirely
-/// below the in-memory part, so every per-channel lookup — `find`, the
-/// `replay_set` watermark cut, the missing-seqnum pickup — is a binary
-/// search, never a scan. A destination index maps each peer to its channels
-/// so `replay_set` touches only the channels that can contribute.
+/// The retained window of one outgoing channel. Entries are strictly
+/// seqnum-ordered (debug-asserted in [`MessageLog::append`]), so every
+/// lookup is a binary search, never a scan.
+struct Ring {
+    chan: ChannelId,
+    /// Highest seqnum a GC notice has released: the receiver's cluster can
+    /// only restart from checkpoints that already hold everything at or
+    /// below it. Monotone — it survives every truncation.
+    floor: u64,
+    /// Logical entries no longer held at the front, so the channel's
+    /// *logical* length — what checkpoints record and `truncate_to` takes —
+    /// is `pruned + entries.len()` whatever GC has dropped.
+    pruned: usize,
+    entries: VecDeque<LogEntry>,
+}
+
+impl Ring {
+    /// First index with `seqnum > watermark`.
+    fn cut_above(&self, watermark: u64) -> usize {
+        self.entries.partition_point(|e| e.msg.env.seqnum <= watermark)
+    }
+
+    /// The entry with exactly `seqnum`, if retained.
+    fn get(&self, seqnum: u64) -> Option<&LogEntry> {
+        let i = self.entries.partition_point(|e| e.msg.env.seqnum < seqnum);
+        self.entries.get(i).filter(|e| e.msg.env.seqnum == seqnum)
+    }
+}
+
+/// Per-rank sender-side log: a dense per-destination table of per-channel
+/// rings, so an append is an index plus a probe of that destination's few
+/// communicators, and `replay_set` touches only the channels that can
+/// contribute.
 #[derive(Default)]
 pub struct MessageLog {
-    channels: HashMap<ChannelId, Vec<LogEntry>>,
-    /// Stable-storage prefix per channel (entries older than the last
-    /// archiving checkpoint). Logically these precede `channels`' entries.
-    archive: HashMap<ChannelId, Vec<LogEntry>>,
-    /// Channels (memory or archive) by destination rank; `BTreeSet` keeps
-    /// replay deterministic.
-    by_dst: HashMap<RankId, BTreeSet<ChannelId>>,
+    /// `by_dst[d]` holds the rings of the channels to rank `d`.
+    by_dst: Vec<Vec<Ring>>,
     next_order: u64,
     bytes: u64,
-    archived_bytes: u64,
+    peak_bytes: u64,
+    appended_bytes: u64,
 }
 
-/// First index in a seqnum-sorted slice with `seqnum > watermark`.
-fn cut_above(entries: &[LogEntry], watermark: u64) -> usize {
-    entries.partition_point(|e| e.msg.env.seqnum <= watermark)
-}
-
-/// Index of the entry with exactly `seqnum`, if present.
-fn find_seq(entries: &[LogEntry], seqnum: u64) -> Option<usize> {
-    let i = entries.partition_point(|e| e.msg.env.seqnum < seqnum);
-    (i < entries.len() && entries[i].msg.env.seqnum == seqnum).then_some(i)
+/// Payload size of one entry, as tracked by the byte counters.
+fn payload_len(e: &LogEntry) -> u64 {
+    e.msg.payload.len() as u64
 }
 
 impl MessageLog {
@@ -64,57 +81,84 @@ impl MessageLog {
         Self::default()
     }
 
-    /// Append a message (called at send time for inter-cluster messages).
-    pub fn append(&mut self, msg: Message) {
-        let chan = msg.env.channel();
-        let order = self.next_order;
-        self.next_order += 1;
-        self.bytes += msg.payload.len() as u64;
-        let entries = self.channels.entry(chan).or_default();
-        debug_assert!(
-            entries
-                .last()
-                .or_else(|| self.archive.get(&chan).and_then(|a| a.last()))
-                .is_none_or(|e| e.msg.env.seqnum < msg.env.seqnum),
-            "log must stay seqnum-ordered per channel"
-        );
-        entries.push(LogEntry { msg, order });
-        self.by_dst.entry(chan.dst).or_default().insert(chan);
+    fn ring_mut(&mut self, chan: ChannelId) -> &mut Ring {
+        let d = chan.dst.idx();
+        if d >= self.by_dst.len() {
+            self.by_dst.resize_with(d + 1, Vec::new);
+        }
+        let rings = &mut self.by_dst[d];
+        let i = rings.iter().position(|r| r.chan == chan).unwrap_or_else(|| {
+            rings.push(Ring { chan, floor: 0, pruned: 0, entries: VecDeque::new() });
+            rings.len() - 1
+        });
+        &mut rings[i]
     }
 
-    /// Payload bytes held in *node memory* (the Table-1 metric; archived
-    /// bytes live on stable storage and are excluded).
+    /// Append a message (called at send time for inter-cluster messages).
+    /// A seqnum at or below the channel's GC floor — a rolled-back sender
+    /// re-executing sends its receiver can never ask for again — is counted
+    /// (logical length, send order) but not retained.
+    pub fn append(&mut self, msg: Message) {
+        let order = self.next_order;
+        self.next_order += 1;
+        let len = msg.payload.len() as u64;
+        self.appended_bytes += len;
+        let ring = self.ring_mut(msg.env.channel());
+        if msg.env.seqnum <= ring.floor {
+            debug_assert!(ring.entries.is_empty(), "retained entries below the GC floor");
+            ring.pruned += 1;
+            return;
+        }
+        debug_assert!(
+            ring.entries.back().is_none_or(|e| e.msg.env.seqnum < msg.env.seqnum),
+            "log must stay seqnum-ordered per channel"
+        );
+        ring.entries.push_back(LogEntry { msg, order });
+        self.bytes += len;
+        self.peak_bytes = self.peak_bytes.max(self.bytes);
+    }
+
+    /// Receiver-checkpoint GC: the receiver of `chan` will never roll back
+    /// below `upto` again, so drop every entry with `seqnum <= upto` and
+    /// raise the channel's floor. Returns the entries and payload bytes
+    /// freed. Stale or repeated notices are harmless (the floor is monotone).
+    pub fn gc(&mut self, chan: ChannelId, upto: u64) -> (u64, u64) {
+        let ring = self.ring_mut(chan);
+        ring.floor = ring.floor.max(upto);
+        let n = ring.cut_above(upto);
+        let freed = ring.entries.drain(..n).map(|e| payload_len(&e)).sum::<u64>();
+        ring.pruned += n;
+        self.bytes -= freed;
+        (n as u64, freed)
+    }
+
+    /// Payload bytes currently held in node memory.
     pub fn total_bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Payload bytes moved to the stable-storage archive.
-    pub fn archived_bytes(&self) -> u64 {
-        self.archived_bytes
+    /// High-water mark of [`total_bytes`](Self::total_bytes).
+    pub fn peak_bytes(&self) -> u64 {
+        self.peak_bytes
     }
 
-    /// Total number of entries (memory + archive).
+    /// Cumulative payload bytes ever appended (the Table-1 log-growth
+    /// metric; unlike `total_bytes` it does not saw-tooth with GC).
+    pub fn appended_bytes(&self) -> u64 {
+        self.appended_bytes
+    }
+
+    /// Number of entries currently retained.
     pub fn total_entries(&self) -> usize {
-        self.channels.values().map(Vec::len).sum::<usize>()
-            + self.archive.values().map(Vec::len).sum::<usize>()
-    }
-
-    /// Move every in-memory entry to the stable-storage archive, freeing the
-    /// node memory (called when a checkpoint commits with
-    /// `free_logs_on_checkpoint`). Logical content is unchanged: `lengths`,
-    /// `replay_set` and `truncate_to` see archive + memory as one log.
-    pub fn archive_all(&mut self) {
-        for (chan, mut entries) in self.channels.drain() {
-            self.archived_bytes += entries.iter().map(|e| e.msg.payload.len() as u64).sum::<u64>();
-            self.archive.entry(chan).or_default().append(&mut entries);
-        }
-        self.bytes = 0;
+        self.by_dst.iter().flatten().map(|r| r.entries.len()).sum()
     }
 
     /// Entries destined to rank `dst` that must be replayed: those with
     /// `seqnum > lr` on any channel to `dst`, plus the explicitly `missing`
     /// seqnums (payload-less rendezvous announcements the receiver had seen
     /// but never completed). Sorted by the global send order (§5.2.2).
+    /// Panics if `lr` is below a channel's GC floor: the receiver lost a
+    /// checkpoint it promised to keep.
     ///
     /// Cost: O(log n) per channel for the watermark cut plus O(log n) per
     /// missing seqnum, plus the size of the output — never a scan of the
@@ -126,39 +170,27 @@ impl MessageLog {
         missing: &dyn Fn(ChannelId) -> Vec<u64>,
     ) -> Vec<Message> {
         let mut picked: Vec<&LogEntry> = Vec::new();
-        let Some(chans) = self.by_dst.get(&dst) else {
-            return Vec::new();
-        };
-        for &chan in chans {
-            let watermark = lr(chan);
-            let owed = missing(chan);
-            for entries in [self.archive.get(&chan), self.channels.get(&chan)].into_iter().flatten()
-            {
-                // Suffix above the receiver's watermark: replay wholesale.
-                let cut = cut_above(entries, watermark);
-                picked.extend(&entries[cut..]);
-                // Owed seqnums at or below the watermark: point lookups in
-                // the retained prefix.
-                for &seq in &owed {
-                    if let Some(i) = find_seq(&entries[..cut], seq) {
-                        picked.push(&entries[i]);
-                    }
-                }
-            }
+        for ring in self.by_dst.get(dst.idx()).into_iter().flatten() {
+            let watermark = lr(ring.chan);
+            // GC releases only what the receiver's retained checkpoints
+            // hold; replaying around a hole would silently diverge.
+            assert!(ring.floor <= watermark, "{:?} rolled back below its GC floor", ring.chan);
+            // Suffix above the receiver's watermark: replay wholesale.
+            picked.extend(ring.entries.range(ring.cut_above(watermark)..));
+            // Owed seqnums at or below the watermark: point lookups in the
+            // retained prefix.
+            let owed = missing(ring.chan);
+            picked.extend(owed.iter().filter(|&&s| s <= watermark).filter_map(|&s| ring.get(s)));
         }
         picked.sort_by_key(|e| e.order);
         picked.iter().map(|e| e.msg.clone()).collect()
     }
 
-    /// Current per-channel *logical* lengths (archive + memory; recorded
-    /// into checkpoints).
+    /// Current per-channel *logical* lengths (pruned prefix + retained;
+    /// recorded into checkpoints).
     pub fn lengths(&self) -> HashMap<ChannelId, usize> {
-        let mut out: HashMap<ChannelId, usize> =
-            self.archive.iter().map(|(&c, v)| (c, v.len())).collect();
-        for (&c, v) in &self.channels {
-            *out.entry(c).or_default() += v.len();
-        }
-        out
+        let logical = |r: &Ring| (r.chan, r.pruned + r.entries.len());
+        self.by_dst.iter().flatten().map(logical).filter(|&(_, len)| len > 0).collect()
     }
 
     /// The global order counter (recorded into checkpoints).
@@ -167,72 +199,36 @@ impl MessageLog {
     }
 
     /// Roll the log back to a checkpointed cut: truncate each channel to its
-    /// recorded length (unknown channels are dropped entirely) and restore
-    /// the order counter. Re-execution will regenerate the truncated suffix
-    /// identically (channel-determinism).
+    /// recorded logical length (unknown channels to zero) and restore the
+    /// order counter; `(&HashMap::new(), 0)` empties the log. A cut below the
+    /// pruned prefix empties the ring and lowers the prefix count with it;
+    /// GC floors always survive — they describe the receivers. Re-execution
+    /// will regenerate the truncated suffix identically
+    /// (channel-determinism).
     pub fn truncate_to(&mut self, lengths: &HashMap<ChannelId, usize>, order_counter: u64) {
-        // Byte counters are maintained incrementally: subtract exactly the
+        // The byte counter is maintained incrementally: subtract exactly the
         // dropped suffix of each channel instead of rescanning the survivors.
-        // Archive first (the stable prefix), then memory for the remainder.
-        let (mut bytes, mut archived_bytes) = (self.bytes, self.archived_bytes);
-        self.archive.retain(|chan, entries| {
-            let keep = lengths.get(chan).copied().unwrap_or(0);
-            archived_bytes -=
-                entries[keep.min(entries.len())..].iter().map(payload_len).sum::<u64>();
-            entries.truncate(keep);
-            !entries.is_empty()
-        });
-        self.channels.retain(|chan, entries| {
-            let logical_keep = lengths.get(chan).copied().unwrap_or(0);
-            let archived = self.archive.get(chan).map_or(0, Vec::len);
-            let keep = logical_keep.saturating_sub(archived);
-            bytes -= entries[keep.min(entries.len())..].iter().map(payload_len).sum::<u64>();
-            entries.truncate(keep);
-            !entries.is_empty()
-        });
-        self.bytes = bytes;
-        self.archived_bytes = archived_bytes;
+        for ring in self.by_dst.iter_mut().flatten() {
+            let keep = lengths.get(&ring.chan).copied().unwrap_or(0);
+            let held = keep.saturating_sub(ring.pruned).min(ring.entries.len());
+            self.bytes -= ring.entries.range(held..).map(payload_len).sum::<u64>();
+            ring.entries.truncate(held);
+            ring.pruned = ring.pruned.min(keep);
+        }
         self.next_order = order_counter;
-        self.by_dst.retain(|_, chans| {
-            chans.retain(|c| self.channels.contains_key(c) || self.archive.contains_key(c));
-            !chans.is_empty()
-        });
         debug_assert_eq!(
             self.bytes,
-            self.channels.values().flatten().map(payload_len).sum::<u64>(),
-            "incremental in-memory byte counter out of sync after truncate"
-        );
-        debug_assert_eq!(
-            self.archived_bytes,
-            self.archive.values().flatten().map(payload_len).sum::<u64>(),
-            "incremental archived byte counter out of sync after truncate"
+            self.by_dst.iter().flatten().flat_map(|r| &r.entries).map(payload_len).sum::<u64>(),
+            "incremental byte counter out of sync after truncate"
         );
     }
 
-    /// Look up a logged message by channel and seqnum (replay of individual
-    /// owed payloads, tests). Binary search in the archive prefix, then the
-    /// in-memory part.
+    /// Look up a retained message by channel and seqnum (replay of
+    /// individual owed payloads, tests).
     pub fn find(&self, chan: ChannelId, seqnum: u64) -> Option<&Message> {
-        [self.archive.get(&chan), self.channels.get(&chan)]
-            .into_iter()
-            .flatten()
-            .find_map(|v| find_seq(v, seqnum).map(|i| &v[i].msg))
+        let ring = self.by_dst.get(chan.dst.idx())?.iter().find(|r| r.chan == chan)?;
+        ring.get(seqnum).map(|e| &e.msg)
     }
-
-    /// Drop everything (memory and archive).
-    pub fn clear(&mut self) {
-        self.channels.clear();
-        self.archive.clear();
-        self.by_dst.clear();
-        self.next_order = 0;
-        self.bytes = 0;
-        self.archived_bytes = 0;
-    }
-}
-
-/// Payload size of one entry, as tracked by the byte counters.
-fn payload_len(e: &LogEntry) -> u64 {
-    e.msg.payload.len() as u64
 }
 
 /// Helper to fabricate a message (tests in this crate and dependents).
@@ -335,88 +331,19 @@ mod tests {
         let payloads: Vec<&[u8]> = set.iter().map(|m| m.payload.as_ref()).collect();
         assert_eq!(payloads, vec![b"a".as_ref(), b"b".as_ref(), b"c".as_ref()]);
     }
-}
-
-#[cfg(test)]
-mod archive_tests {
-    use super::*;
 
     #[test]
-    fn archive_frees_memory_but_keeps_content() {
+    fn gc_frees_the_prefix_but_not_the_logical_length() {
         let mut log = MessageLog::new();
-        log.append(make_msg(0, 1, 1, b"aa"));
-        log.append(make_msg(0, 2, 1, b"bbb"));
-        assert_eq!(log.total_bytes(), 5);
-        log.archive_all();
-        assert_eq!(log.total_bytes(), 0, "node memory freed");
-        assert_eq!(log.archived_bytes(), 5);
-        assert_eq!(log.total_entries(), 2);
-        // Replay still sees everything.
-        let set = log.replay_set(RankId(1), &|_| 0, &|_| Vec::new());
-        assert_eq!(set.len(), 1);
-        assert_eq!(set[0].payload.as_ref(), b"aa");
-    }
-
-    #[test]
-    fn replay_merges_archive_and_memory_in_order() {
-        let mut log = MessageLog::new();
-        log.append(make_msg(0, 1, 1, b"a"));
-        log.archive_all();
-        log.append(make_msg(0, 1, 2, b"b"));
-        let set = log.replay_set(RankId(1), &|_| 0, &|_| Vec::new());
-        let payloads: Vec<&[u8]> = set.iter().map(|m| m.payload.as_ref()).collect();
-        assert_eq!(payloads, vec![b"a".as_ref(), b"b".as_ref()]);
-        assert!(log.find(make_msg(0, 1, 1, b"").env.channel(), 1).is_some());
-        assert!(log.find(make_msg(0, 1, 1, b"").env.channel(), 2).is_some());
-    }
-
-    #[test]
-    fn lengths_are_logical_across_archive() {
-        let mut log = MessageLog::new();
-        log.append(make_msg(0, 1, 1, b"a"));
-        log.archive_all();
-        log.append(make_msg(0, 1, 2, b"b"));
-        let chan = make_msg(0, 1, 1, b"").env.channel();
-        assert_eq!(log.lengths()[&chan], 2);
-    }
-
-    #[test]
-    fn truncate_into_the_archive() {
-        let mut log = MessageLog::new();
-        log.append(make_msg(0, 1, 1, b"a"));
-        log.append(make_msg(0, 1, 2, b"b"));
-        let cut = log.lengths();
-        let order = log.order_counter();
-        log.archive_all();
-        log.append(make_msg(0, 1, 3, b"c"));
-        // Roll back to the pre-archive cut: memory entry dropped, archive
-        // intact.
-        log.truncate_to(&cut, order);
-        assert_eq!(log.total_entries(), 2);
-        let chan = make_msg(0, 1, 1, b"").env.channel();
-        assert!(log.find(chan, 3).is_none());
-        // Deeper rollback cuts into the archive itself.
-        let mut deep = HashMap::new();
-        deep.insert(chan, 1usize);
-        log.truncate_to(&deep, 1);
-        assert_eq!(log.total_entries(), 1);
-        assert!(log.find(chan, 2).is_none());
-        assert!(log.find(chan, 1).is_some());
-        // Re-execution appends the identical suffix after the rollback.
-        log.append(make_msg(0, 1, 2, b"b"));
-        assert_eq!(log.lengths()[&chan], 2);
-    }
-
-    #[test]
-    fn repeated_archiving_accumulates() {
-        let mut log = MessageLog::new();
-        for s in 1..=3u64 {
+        for s in 1..=5 {
             log.append(make_msg(0, 1, s, b"xy"));
-            log.archive_all();
         }
-        assert_eq!(log.total_entries(), 3);
-        assert_eq!(log.archived_bytes(), 6);
-        let set = log.replay_set(RankId(1), &|_| 1, &|_| Vec::new());
-        assert_eq!(set.len(), 2);
+        let chan = make_msg(0, 1, 1, b"").env.channel();
+        assert_eq!(log.gc(chan, 3), (3, 6));
+        assert_eq!(log.gc(chan, 2), (0, 0), "stale notice: the floor is monotone");
+        assert_eq!((log.total_entries(), log.total_bytes(), log.peak_bytes()), (2, 4, 10));
+        assert_eq!(log.lengths()[&chan], 5, "checkpoints record logical lengths");
+        assert!(log.find(chan, 3).is_none() && log.find(chan, 4).is_some());
+        assert_eq!(log.appended_bytes(), 10);
     }
 }

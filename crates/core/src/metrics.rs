@@ -82,6 +82,16 @@ pub struct Metrics {
     /// Blobs currently queued in the write pipeline (a gauge: last observed
     /// value, like `cas_unique_bytes`).
     pub store_queue_depth: AtomicU64,
+    /// Log GC notices sent by receivers at checkpoint resume (each is also
+    /// one of `ctrl_msgs`).
+    pub log_gc_notices: AtomicU64,
+    /// Log entries senders dropped on GC notices.
+    pub log_pruned_msgs: AtomicU64,
+    /// Payload bytes of those entries.
+    pub log_pruned_bytes: AtomicU64,
+    /// Largest payload byte count any one rank's log held at once (a
+    /// high-water gauge, published at wave boundaries and at exit).
+    pub log_live_bytes: AtomicU64,
     /// Per-checkpoint-phase latency histograms (lock-free, power-of-two
     /// buckets): where a wave's latency goes, not just how much of it.
     pub phase: PhaseHists,
@@ -113,12 +123,18 @@ impl Metrics {
         counter.store(v, Ordering::Relaxed);
     }
 
+    /// Raise a high-water gauge to at least `v`.
+    #[inline]
+    pub fn max(gauge: &AtomicU64, v: u64) {
+        gauge.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Human-readable one-line summary. Duplicate drops and out-of-order
     /// drops are distinct failure signatures (a healthy replay produces the
     /// former, a crash-window gap the latter), so they are reported apart.
     pub fn summary(&self) -> String {
         format!(
-            "logged {} msgs / {} B; replayed {} msgs / {} B; suppressed {}; dup-dropped {}; ooo-dropped {}; ckpts {}; rollbacks {}; ctrl {}; grants {}; repl {} pushes / {} B / {} acks; repairs {}; async-writes {} ({} us hidden); gc-pruned {}; ckpt-bytes {} logical / {} physical; repl-logical {} B; cas-hits {} epoch / {} rank / {} B; cas-unique {} B; ec-parity {} B / {} rebuilds; admission-waits {}; batched-fsyncs {}; queue-depth {}",
+            "logged {} msgs / {} B; replayed {} msgs / {} B; suppressed {}; dup-dropped {}; ooo-dropped {}; ckpts {}; rollbacks {}; ctrl {}; grants {}; repl {} pushes / {} B / {} acks; repairs {}; async-writes {} ({} us hidden); gc-pruned {}; ckpt-bytes {} logical / {} physical; repl-logical {} B; cas-hits {} epoch / {} rank / {} B; cas-unique {} B; ec-parity {} B / {} rebuilds; admission-waits {}; batched-fsyncs {}; queue-depth {}; log-gc {} notices / {} msgs / {} B pruned / {} B live-peak",
             Self::get(&self.logged_msgs),
             Self::get(&self.logged_bytes),
             Self::get(&self.replayed_msgs),
@@ -149,6 +165,10 @@ impl Metrics {
             Self::get(&self.store_admission_waits),
             Self::get(&self.store_batched_fsyncs),
             Self::get(&self.store_queue_depth),
+            Self::get(&self.log_gc_notices),
+            Self::get(&self.log_pruned_msgs),
+            Self::get(&self.log_pruned_bytes),
+            Self::get(&self.log_live_bytes),
         )
     }
 
@@ -185,6 +205,10 @@ impl Metrics {
             store_admission_waits: Self::get(&self.store_admission_waits),
             store_batched_fsyncs: Self::get(&self.store_batched_fsyncs),
             store_queue_depth: Self::get(&self.store_queue_depth),
+            log_gc_notices: Self::get(&self.log_gc_notices),
+            log_pruned_msgs: Self::get(&self.log_pruned_msgs),
+            log_pruned_bytes: Self::get(&self.log_pruned_bytes),
+            log_live_bytes: Self::get(&self.log_live_bytes),
             phases: self.phase.snapshot(),
         }
     }
@@ -254,13 +278,21 @@ pub struct MetricsSnapshot {
     pub store_batched_fsyncs: u64,
     /// Blobs currently queued in the write pipeline (gauge).
     pub store_queue_depth: u64,
+    /// Log GC notices sent by receivers at checkpoint resume.
+    pub log_gc_notices: u64,
+    /// Log entries senders dropped on GC notices.
+    pub log_pruned_msgs: u64,
+    /// Payload bytes of those entries.
+    pub log_pruned_bytes: u64,
+    /// Largest payload byte count any one rank's log held at once (gauge).
+    pub log_live_bytes: u64,
     /// Per-checkpoint-phase latency histograms at snapshot time.
     pub phases: PhaseSnapshot,
 }
 
 impl MetricsSnapshot {
     /// The counters as `(name, value)` pairs, in declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 30] {
+    pub fn fields(&self) -> [(&'static str, u64); 34] {
         [
             ("logged_bytes", self.logged_bytes),
             ("logged_msgs", self.logged_msgs),
@@ -292,6 +324,10 @@ impl MetricsSnapshot {
             ("store_admission_waits", self.store_admission_waits),
             ("store_batched_fsyncs", self.store_batched_fsyncs),
             ("store_queue_depth", self.store_queue_depth),
+            ("log_gc_notices", self.log_gc_notices),
+            ("log_pruned_msgs", self.log_pruned_msgs),
+            ("log_pruned_bytes", self.log_pruned_bytes),
+            ("log_live_bytes", self.log_live_bytes),
         ]
     }
 
@@ -374,6 +410,10 @@ impl MetricsSnapshot {
             d.store_admission_waits.saturating_sub(prev.store_admission_waits);
         d.store_batched_fsyncs = d.store_batched_fsyncs.saturating_sub(prev.store_batched_fsyncs);
         // store_queue_depth is a gauge like cas_unique_bytes: keep absolute.
+        d.log_gc_notices = d.log_gc_notices.saturating_sub(prev.log_gc_notices);
+        d.log_pruned_msgs = d.log_pruned_msgs.saturating_sub(prev.log_pruned_msgs);
+        d.log_pruned_bytes = d.log_pruned_bytes.saturating_sub(prev.log_pruned_bytes);
+        // log_live_bytes is a high-water gauge: keep absolute.
         d.phases = d.phases.delta_since(&prev.phases);
         d
     }
@@ -510,6 +550,10 @@ mod tests {
         Metrics::add(&m.store_admission_waits, 28);
         Metrics::add(&m.store_batched_fsyncs, 29);
         Metrics::add(&m.store_queue_depth, 30);
+        Metrics::add(&m.log_gc_notices, 31);
+        Metrics::add(&m.log_pruned_msgs, 32);
+        Metrics::add(&m.log_pruned_bytes, 33);
+        Metrics::max(&m.log_live_bytes, 34);
         let s = m.snapshot();
         for (i, (_, v)) in s.fields().iter().enumerate() {
             assert_eq!(*v, i as u64 + 1);
@@ -578,5 +622,19 @@ mod tests {
         let s = m.summary();
         assert!(s.contains("admission-waits 6"), "{s}");
         assert!(s.contains("queue-depth 3"), "{s}");
+    }
+
+    #[test]
+    fn log_gc_counters_delta_but_live_bytes_is_a_high_water_gauge() {
+        let m = Metrics::new();
+        Metrics::add(&m.log_pruned_msgs, 5);
+        Metrics::max(&m.log_live_bytes, 4096);
+        Metrics::max(&m.log_live_bytes, 1024);
+        let prev = m.snapshot();
+        Metrics::add(&m.log_pruned_msgs, 2);
+        let d = m.snapshot().delta_since(&prev);
+        assert_eq!(d.log_pruned_msgs, 2);
+        assert_eq!(d.log_live_bytes, 4096, "high-water mark, kept absolute");
+        assert!(m.summary().contains("7 msgs / 0 B pruned / 4096 B live-peak"), "{}", m.summary());
     }
 }

@@ -21,10 +21,10 @@
 use crate::cluster::ClusterMap;
 use crate::ctrl::{
     CkptBlob, CkptBlobAck, CkptChunkReq, CkptCounts, CkptHashes, LastMessage, LastMessageChannel,
-    Rollback, RollbackChannel, KIND_CKPT_ACK, KIND_CKPT_BLOB, KIND_CKPT_BLOB_ACK,
+    LogGc, Rollback, RollbackChannel, KIND_CKPT_ACK, KIND_CKPT_BLOB, KIND_CKPT_BLOB_ACK,
     KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_HASHES, KIND_CKPT_JOIN, KIND_CKPT_POLL,
     KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG,
-    KIND_ROLLBACK,
+    KIND_LOG_GC, KIND_ROLLBACK,
 };
 use crate::metrics::Metrics;
 use crate::replay::{ReplayEngine, DEFAULT_REPLAY_WINDOW};
@@ -80,10 +80,8 @@ pub struct SpbcConfig {
     pub enforce_ident: bool,
     /// Replay release policy (SPBC windowed vs HydEE coordinated).
     pub replay_policy: ReplayPolicy,
-    /// Free the log's node memory when a checkpoint commits, moving entries
-    /// to the stable-storage archive (§6.2: "logs are saved as part of the
-    /// process checkpoints, and the associated memory can be freed
-    /// afterwards"). Replay reads the archive transparently.
+    /// Inert: receiver-checkpoint GC ([`KIND_LOG_GC`]) always frees log
+    /// memory. Kept only until `spbc-perf`'s full struct literal drops it.
     pub free_logs_on_checkpoint: bool,
     /// How many partner ranks (in *other* clusters) receive a replica of
     /// each committed checkpoint. 0 disables replication (single-copy
@@ -686,24 +684,43 @@ impl SpbcLayer {
     /// cluster (Algorithm 1 lines 19-20, broadened to all potential channels
     /// since the restarted rank cannot know which peers hold logs for it).
     fn send_rollback_all(&mut self, ctx: &mut FtCtx<'_>) {
-        let epoch = ctx.epoch();
-        let recv_seen = ctx.recv_seen().clone();
         let peers: Vec<RankId> = self.clusters.other_ranks(self.me).collect();
         for peer in peers {
-            let mut channels: Vec<RollbackChannel> = Vec::new();
-            for (&(src, comm), &lr) in &recv_seen {
-                if src != peer {
-                    continue;
-                }
-                let missing: Vec<u64> = self
-                    .missing
-                    .get(&(src, comm))
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                channels.push(RollbackChannel { comm: comm.0, lr, missing });
-            }
-            let body = to_bytes(&Rollback { epoch, channels });
+            let body = self.rollback_for(ctx, peer);
             self.ctrl(ctx, peer, KIND_ROLLBACK, body);
+        }
+    }
+
+    /// Seqnums at or below the `(src, comm)` watermark whose payload is
+    /// still owed to me.
+    fn owed_from(&self, src: RankId, comm: CommId) -> Vec<u64> {
+        self.missing.get(&(src, comm)).map(|s| s.iter().copied().collect()).unwrap_or_default()
+    }
+
+    /// My Rollback announcement to `peer`: the state of every channel from
+    /// it to me (Algorithm 1 line 20).
+    fn rollback_for(&self, ctx: &FtCtx<'_>, peer: RankId) -> Vec<u8> {
+        let from_peer = ctx.recv_seen().iter().filter(|(&(src, _), _)| src == peer);
+        let channels = from_peer
+            .map(|(&(_, comm), &lr)| RollbackChannel {
+                comm: comm.0,
+                lr,
+                missing: self.owed_from(peer, comm),
+            })
+            .collect();
+        to_bytes(&Rollback { epoch: ctx.epoch(), channels })
+    }
+
+    /// Receiver-checkpoint log GC, run when wave `epoch` resumes: storage
+    /// now retains only waves `epoch - 1` and up, so what the `epoch - 1`
+    /// cut already holds can never be asked of a sender's log again. When
+    /// that cut is not cached (first wave after a process respawn) nothing
+    /// is sent: a notice is never needed for safety, only to free memory.
+    fn send_log_gc(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) {
+        let cut = self.persistent.lock().checkpoint(epoch - 1).map(CheckpointData::log_gc_notices);
+        for (src, gc) in cut.into_iter().flatten().filter(|(src, _)| !self.is_intra(*src)) {
+            Metrics::add(&self.metrics.log_gc_notices, 1);
+            self.ctrl(ctx, src, KIND_LOG_GC, to_bytes(&gc));
         }
     }
 
@@ -759,31 +776,19 @@ impl SpbcLayer {
         let comms: BTreeSet<CommId> =
             ctx.recv_seen().keys().filter(|&&(src, _)| src == from).map(|&(_, c)| c).collect();
         for comm in comms {
-            let incomplete: Vec<u64> = self
-                .missing
-                .get(&(from, comm))
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
             lm.channels.push(LastMessageChannel {
                 comm: comm.0,
                 last_recv: ctx.last_seen_on(from, comm),
-                incomplete,
+                incomplete: self.owed_from(from, comm),
             });
         }
         self.ctrl(ctx, from, KIND_LASTMSG, to_bytes(&lm));
 
         // 3. Replay set from our log, per channel in seqnum order, globally
         //    in send order; flow-controlled by the pre-post window.
-        let lr_of = |chan: ChannelId| {
-            rb.channels.iter().find(|c| c.comm == chan.comm.0).map_or(0, |c| c.lr)
-        };
-        let missing_of = |chan: ChannelId| {
-            rb.channels
-                .iter()
-                .find(|c| c.comm == chan.comm.0)
-                .map(|c| c.missing.clone())
-                .unwrap_or_default()
-        };
+        let listed = |chan: ChannelId| rb.channels.iter().find(|c| c.comm == chan.comm.0);
+        let lr_of = |chan| listed(chan).map_or(0, |c| c.lr);
+        let missing_of = |chan| listed(chan).map(|c| c.missing.clone()).unwrap_or_default();
         let set = self.persistent.lock().log.replay_set(from, &lr_of, &missing_of);
         if !set.is_empty() || self.replay.has_queued(from) {
             Metrics::add(&self.metrics.replayed_msgs, set.len() as u64);
@@ -803,20 +808,7 @@ impl SpbcLayer {
             let answered = self.answered_rollback.entry(from).or_insert(0);
             if *answered < rb.epoch {
                 *answered = rb.epoch;
-                let recv_seen = ctx.recv_seen().clone();
-                let mut channels = Vec::new();
-                for (&(src, comm), &lr) in &recv_seen {
-                    if src != from {
-                        continue;
-                    }
-                    let missing: Vec<u64> = self
-                        .missing
-                        .get(&(src, comm))
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
-                    channels.push(RollbackChannel { comm: comm.0, lr, missing });
-                }
-                let body = to_bytes(&Rollback { epoch: ctx.epoch(), channels });
+                let body = self.rollback_for(ctx, from);
                 self.ctrl(ctx, from, KIND_ROLLBACK, body);
             }
         }
@@ -1035,15 +1027,7 @@ impl SpbcLayer {
         } else {
             ck.to_blob()
         };
-        {
-            let mut p = self.persistent.lock();
-            p.push_checkpoint(ck);
-            if self.cfg.free_logs_on_checkpoint {
-                // §6.2: the log's node memory is released once the
-                // checkpoint holds it; replay reads the archive.
-                p.log.archive_all();
-            }
-        }
+        self.persistent.lock().push_checkpoint(ck);
         self.last_ckpt_epoch = epoch;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Written });
         let ec_on = self.service.as_ref().is_some_and(|s| s.config().ec.is_on())
@@ -1319,11 +1303,12 @@ impl FtLayer for SpbcLayer {
             for (chan, seq) in &ck.missing {
                 self.missing.entry((chan.src, chan.comm)).or_default().insert(*seq);
             }
-            self.persistent.lock().log.truncate_to(&ck.log_lens, ck.log_order);
-            ctx.recorder().record(|| Event::LogTruncate {
-                entries: self.persistent.lock().log.total_entries() as u64,
-                order: ck.log_order,
-            });
+            let entries = {
+                let mut p = self.persistent.lock();
+                p.log.truncate_to(&ck.log_lens, ck.log_order);
+                p.log.total_entries() as u64
+            };
+            ctx.recorder().record(|| Event::LogTruncate { entries, order: ck.log_order });
             self.ckpt_calls = ck.ckpt_calls;
             self.intra_sent = ck.intra_sent;
             self.intra_arrived = ck.intra_arrived;
@@ -1332,7 +1317,7 @@ impl FtLayer for SpbcLayer {
         } else {
             // No checkpoint yet: restart from the initial state; everything
             // sent so far will be replayed (LR defaults to 0) or regenerated.
-            self.persistent.lock().log.clear();
+            self.persistent.lock().log.truncate_to(&HashMap::new(), 0);
             ctx.restore_unexpected(Vec::new());
         }
         self.send_rollback_all(ctx);
@@ -1345,9 +1330,31 @@ impl FtLayer for SpbcLayer {
             self.intra_sent += 1;
             return SendAction::Forward;
         }
+        // Decide the route first, so the one `Message` built for the log
+        // is cloned only when the replay path needs a copy too.
+        let key = (dst, env.comm);
+        let ls = self.ls.get(&key).copied().unwrap_or(0);
+        let (via_replay, action) = if env.seqnum <= ls {
+            // Receiver already has this message — unless its payload never
+            // arrived (interrupted rendezvous exception), in which case it
+            // goes through the replay path to keep channel order.
+            let owed = self.ls_exceptions.get_mut(&key).is_some_and(|s| s.remove(&env.seqnum));
+            if !owed {
+                Metrics::add(&self.metrics.suppressed_sends, 1);
+            }
+            (owed, SendAction::Suppress)
+        } else if self.replay.has_queued(dst) {
+            // Ordering fence: never let a fresh envelope overtake queued
+            // replays on the same destination.
+            (true, SendAction::Suppress)
+        } else {
+            (false, SendAction::Forward)
+        };
+
         // Inter-cluster: log in the sender's memory (line 6).
         let msg = Message { env: *env, payload: payload.clone() };
-        self.persistent.lock().log.append(msg.clone());
+        let replayed = via_replay.then(|| msg.clone());
+        self.persistent.lock().log.append(msg);
         Metrics::add(&self.metrics.logged_msgs, 1);
         Metrics::add(&self.metrics.logged_bytes, payload.len() as u64);
         ctx.recorder().record(|| Event::LogAppend {
@@ -1356,31 +1363,11 @@ impl FtLayer for SpbcLayer {
             seqnum: env.seqnum,
             bytes: env.plen,
         });
-
-        let key = (dst, env.comm);
-        let ls = self.ls.get(&key).copied().unwrap_or(0);
-        if env.seqnum <= ls {
-            // Receiver already has this message — unless its payload never
-            // arrived (interrupted rendezvous exception).
-            let owed = self.ls_exceptions.get_mut(&key).is_some_and(|s| s.remove(&env.seqnum));
-            if owed {
-                // Deliver through the replay path to keep channel order.
-                self.replay.enqueue(dst, msg);
-                self.pump_replay(ctx);
-                SendAction::Suppress
-            } else {
-                Metrics::add(&self.metrics.suppressed_sends, 1);
-                SendAction::Suppress
-            }
-        } else if self.replay.has_queued(dst) {
-            // Ordering fence: never let a fresh envelope overtake queued
-            // replays on the same destination.
+        if let Some(msg) = replayed {
             self.replay.enqueue(dst, msg);
             self.pump_replay(ctx);
-            SendAction::Suppress
-        } else {
-            SendAction::Forward
         }
+        action
     }
 
     fn on_arrival(&mut self, ctx: &mut FtCtx<'_>, env: &Envelope) -> ArrivalAction {
@@ -1484,9 +1471,10 @@ impl FtLayer for SpbcLayer {
                 }
                 // The wave is globally committed inside the cluster: storage
                 // GC can drop everything older than the previous wave (the
-                // same last-two retention the in-memory store keeps).
-                if let Some(service) = &self.service {
-                    if epoch > 1 {
+                // same last-two retention the in-memory store keeps), and
+                // the senders' logs everything that wave already holds.
+                if epoch > 1 {
+                    if let Some(service) = &self.service {
                         let keep_from = epoch - 1;
                         let pruned = service.gc_local(self.me, keep_from)? as u64;
                         if pruned > 0 {
@@ -1494,6 +1482,7 @@ impl FtLayer for SpbcLayer {
                             ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
                         }
                     }
+                    self.send_log_gc(ctx, epoch);
                 }
                 Ok(())
             }
@@ -1585,6 +1574,20 @@ impl FtLayer for SpbcLayer {
                 }
                 Ok(())
             }
+            KIND_LOG_GC => {
+                let gc: LogGc = from_bytes(&msg.data)?;
+                let dst = msg.from;
+                let mut p = self.persistent.lock();
+                Metrics::max(&self.metrics.log_live_bytes, p.log.peak_bytes());
+                for (comm, upto) in gc.channels {
+                    let (entries, bytes) =
+                        p.log.gc(ChannelId::new(self.me, dst, CommId(comm)), upto);
+                    Metrics::add(&self.metrics.log_pruned_msgs, entries);
+                    Metrics::add(&self.metrics.log_pruned_bytes, bytes);
+                    ctx.recorder().record(|| Event::LogGc { dst, comm, upto, entries });
+                }
+                Ok(())
+            }
             KIND_GRANT => self.on_grant(ctx),
             other => Err(MpiError::invalid(format!("unknown SPBC ctrl kind {other}"))),
         }
@@ -1664,6 +1667,7 @@ impl FtLayer for SpbcLayer {
     }
 
     fn on_app_done(&mut self, _ctx: &mut FtCtx<'_>) -> Result<()> {
+        Metrics::max(&self.metrics.log_live_bytes, self.persistent.lock().log.peak_bytes());
         // Shutdown durability: the last wave's background write must be on
         // stable storage before the rank reports success.
         if let Some(service) = &self.service {

@@ -5,13 +5,14 @@
 //! are recreated on every restart, while logs and checkpoints survive — just
 //! like node memory and the PFS survive a process crash in the real system.
 
+use crate::ctrl::LogGc;
 use crate::log::MessageLog;
 use mini_mpi::envelope::Message;
 use mini_mpi::error::Result;
 use mini_mpi::types::{ChannelId, CommId, RankId};
 use mini_mpi::wire::{decode_map, encode_map, Decode, Encode, Reader};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A committed coordinated checkpoint of one rank (Algorithm 1 line 15:
@@ -66,6 +67,25 @@ impl CheckpointData {
     /// accepted for read-compat).
     pub fn from_blob(bytes: &[u8]) -> Result<Self> {
         mini_mpi::wire::from_bytes(spbc_ckptstore::unseal(bytes)?)
+    }
+
+    /// The log GC notices this cut justifies, per sender: on each incoming
+    /// channel, the highest seqnum a restart from here can never ask the
+    /// sender's log for — everything up to the cut's `LR`, stopping short
+    /// of the first payload still owed. Valid for as long as this is the
+    /// oldest checkpoint the store retains.
+    pub fn log_gc_notices(&self) -> BTreeMap<RankId, LogGc> {
+        let mut out: BTreeMap<RankId, LogGc> = BTreeMap::new();
+        for (&(src, comm), &seen) in &self.recv_seen {
+            let owed = self.missing.iter().filter(|(c, _)| c.src == src && c.comm == comm);
+            let first_owed = owed.map(|&(_, s)| s).min();
+            let upto = first_owed.map_or(seen, |s| seen.min(s.saturating_sub(1)));
+            if upto > 0 {
+                out.entry(src).or_default().channels.push((comm.0, upto));
+            }
+        }
+        out.values_mut().for_each(|gc| gc.channels.sort_unstable());
+        out
     }
 }
 
@@ -133,11 +153,16 @@ impl PersistentState {
         }
     }
 
+    /// The cached checkpoint with exactly `epoch`, if still held.
+    pub fn checkpoint(&self, epoch: u64) -> Option<&CheckpointData> {
+        self.checkpoints.iter().find(|c| c.ckpt_epoch == epoch)
+    }
+
     /// The checkpoint with exactly `epoch`, discarding any newer ones
     /// (restart converged on an older wave — newer partial waves are void).
     pub fn restore_epoch(&mut self, epoch: u64) -> Option<CheckpointData> {
         self.checkpoints.retain(|c| c.ckpt_epoch <= epoch);
-        self.checkpoints.iter().find(|c| c.ckpt_epoch == epoch).cloned()
+        self.checkpoint(epoch).cloned()
     }
 }
 
@@ -167,14 +192,29 @@ impl SharedStore {
         self.slots.is_empty()
     }
 
-    /// Total bytes currently logged across all ranks (Table 1's metric).
-    pub fn total_logged_bytes(&self) -> u64 {
-        self.slots.iter().map(|s| s.lock().log.total_bytes()).sum()
+    fn per_rank(&self, stat: impl Fn(&MessageLog) -> u64) -> Vec<u64> {
+        self.slots.iter().map(|s| stat(&s.lock().log)).collect()
     }
 
-    /// Logged bytes per rank.
+    /// Total bytes currently held in the logs of all ranks.
+    pub fn total_logged_bytes(&self) -> u64 {
+        self.logged_bytes_per_rank().iter().sum()
+    }
+
+    /// Bytes currently held in each rank's log (saw-tooths with log GC).
     pub fn logged_bytes_per_rank(&self) -> Vec<u64> {
-        self.slots.iter().map(|s| s.lock().log.total_bytes()).collect()
+        self.per_rank(MessageLog::total_bytes)
+    }
+
+    /// The most bytes each rank's log ever held at once.
+    pub fn peak_logged_bytes_per_rank(&self) -> Vec<u64> {
+        self.per_rank(MessageLog::peak_bytes)
+    }
+
+    /// Cumulative bytes each rank ever appended to its log (Table 1's
+    /// log-growth metric).
+    pub fn appended_bytes_per_rank(&self) -> Vec<u64> {
+        self.per_rank(MessageLog::appended_bytes)
     }
 
     /// Number of ranks holding a committed checkpoint.
@@ -223,12 +263,34 @@ mod tests {
     }
 
     #[test]
+    fn log_gc_notices_stop_below_the_first_owed_payload() {
+        let world = mini_mpi::types::COMM_WORLD;
+        let mut c = CheckpointData::default();
+        c.recv_seen.insert((RankId(2), world), 7);
+        c.recv_seen.insert((RankId(2), mini_mpi::types::CommId(5)), 0);
+        c.recv_seen.insert((RankId(3), world), 9);
+        c.missing.push((ChannelId::new(RankId(3), RankId(0), world), 6));
+        c.missing.push((ChannelId::new(RankId(3), RankId(0), world), 4));
+        let notices: Vec<_> = c.log_gc_notices().into_iter().collect();
+        assert_eq!(
+            notices,
+            vec![
+                (RankId(2), LogGc { channels: vec![(0, 7)] }),
+                (RankId(3), LogGc { channels: vec![(0, 3)] }),
+            ],
+            "nothing to release on a channel that has seen nothing"
+        );
+    }
+
+    #[test]
     fn store_slots_are_shared() {
         let store = SharedStore::new(2);
         let a = store.slot(RankId(0));
         a.lock().log.append(make_msg(0, 1, 1, b"xyz"));
         assert_eq!(store.total_logged_bytes(), 3);
         assert_eq!(store.logged_bytes_per_rank(), vec![3, 0]);
+        assert_eq!(store.appended_bytes_per_rank(), vec![3, 0]);
+        assert_eq!(store.peak_logged_bytes_per_rank(), vec![3, 0]);
         assert_eq!(store.checkpointed_ranks(), 0);
         a.lock().push_checkpoint(CheckpointData { ckpt_epoch: 1, ..Default::default() });
         assert_eq!(store.checkpointed_ranks(), 1);

@@ -80,7 +80,10 @@ fn merge_counters(counters: &mut BTreeMap<String, u64>, row: &Json) {
         let Some(n) = v.as_num() else { continue };
         let n = n as u64;
         let slot = counters.entry(k.clone()).or_insert(0);
-        if matches!(k.as_str(), "cas_unique_bytes" | "store_batched_fsyncs" | "store_queue_depth") {
+        if matches!(
+            k.as_str(),
+            "cas_unique_bytes" | "store_batched_fsyncs" | "store_queue_depth" | "log_live_bytes"
+        ) {
             *slot = (*slot).max(n);
         } else {
             *slot += n;
@@ -288,6 +291,27 @@ pub fn admission_table(agg: &RunAggregate) -> String {
     t.row(vec!["admission_waits".into(), agg.counter("store_admission_waits").to_string()]);
     t.row(vec!["admission_wait_p50_us".into(), p50.to_string()]);
     t.row(vec!["admission_wait_p99_us".into(), p99.to_string()]);
+    t.render()
+}
+
+/// Render the sender-log section: what was logged, what receiver-checkpoint
+/// GC released, and the most any one rank held at once (`log_live_bytes`).
+/// Empty for metrics files that predate log GC.
+pub fn log_table(agg: &RunAggregate) -> String {
+    if !agg.counters.contains_key("log_gc_notices") {
+        return String::new();
+    }
+    let mut t = crate::report::TextTable::new(&["sender log", "value"]);
+    for key in [
+        "logged_msgs",
+        "logged_bytes",
+        "log_gc_notices",
+        "log_pruned_msgs",
+        "log_pruned_bytes",
+        "log_live_bytes",
+    ] {
+        t.row(vec![key.into(), agg.counter(key).to_string()]);
+    }
     t.render()
 }
 
@@ -516,6 +540,28 @@ mod tests {
         // Pre-pipeline metrics files produce no section at all.
         let old = parse_jsonl("{\"sample\":0,\"t_us\":1,\"checkpoints\":1}\n").expect("parses");
         assert!(admission_table(&old).is_empty());
+    }
+
+    #[test]
+    fn log_section_sums_counters_and_keeps_the_live_peak() {
+        let row = |live: u64| {
+            let m = Metrics::new();
+            Metrics::add(&m.log_gc_notices, 4);
+            Metrics::add(&m.log_pruned_bytes, 1000);
+            Metrics::max(&m.log_live_bytes, live);
+            let mut obj = spbc_trace::JsonObj::new();
+            obj.field_str("label", "run");
+            m.snapshot().append_to(&mut obj);
+            obj.finish()
+        };
+        let agg = parse_jsonl(&format!("{}\n{}\n", row(700), row(300))).expect("parses");
+        assert_eq!(agg.counter("log_pruned_bytes"), 2000);
+        assert_eq!(agg.counter("log_live_bytes"), 700, "a gauge takes the max across rows");
+        let section = log_table(&agg);
+        assert!(section.contains("log_gc_notices"), "{section}");
+        assert!(section.contains("log_live_bytes"), "{section}");
+        let old = parse_jsonl("{\"sample\":0,\"t_us\":1,\"checkpoints\":1}\n").expect("parses");
+        assert!(log_table(&old).is_empty());
     }
 
     fn storm_fixture(sharded_tp: f64, fsyncs: f64) -> Vec<StormBenchRow> {

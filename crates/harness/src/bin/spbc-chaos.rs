@@ -7,11 +7,11 @@
 //! ```
 //!
 //! * `--seeds N` — base seeds (default 8). Each seed expands to
-//!   8 families × 2 workloads = 16 schedules, so `--seeds 8` runs 128.
+//!   9 families × 2 workloads = 18 schedules, so `--seeds 8` runs 144.
 //! * `--short` — CI-sized workloads (fewer iterations, smaller state).
 //! * `--family NAME` — restrict to one family
 //!   (`spread`, `same-cluster-repeat`, `during-recovery`, `ckpt-phases`,
-//!   `delta-chain`, `cas-gc`, `ec-rebuild`, `proc-kill`).
+//!   `delta-chain`, `cas-gc`, `ec-rebuild`, `proc-kill`, `log-gc`).
 //! * `--pinned` — additionally run the pinned regression schedules.
 //!
 //! Exit status 0 iff every schedule passed.
@@ -40,17 +40,8 @@ fn main() {
             }
             "--short" => cfg = ChaosConfig::short(),
             "--family" => {
-                family = Some(match args.next().as_deref() {
-                    Some("spread") => Family::Spread,
-                    Some("same-cluster-repeat") => Family::SameClusterRepeat,
-                    Some("during-recovery") => Family::DuringRecovery,
-                    Some("ckpt-phases") => Family::CkptPhases,
-                    Some("delta-chain") => Family::DeltaChain,
-                    Some("cas-gc") => Family::CasGc,
-                    Some("ec-rebuild") => Family::EcRebuild,
-                    Some("proc-kill") => Family::ProcKill,
-                    _ => usage(),
-                })
+                let named = args.next().and_then(|n| Family::by_name(&n));
+                family = Some(named.unwrap_or_else(|| usage()))
             }
             "--pinned" => pinned = true,
             _ => usage(),
@@ -69,6 +60,7 @@ fn main() {
             chaos::pinned::cas_gc(),
             chaos::pinned::ec_rebuild(),
             chaos::pinned::proc_kill(),
+            chaos::pinned::log_gc(),
         ] {
             total += 1;
             match oracle.run(&schedule) {

@@ -1,7 +1,7 @@
 //! Digest a metrics JSONL file (`SPBC_METRICS` output) into a human
 //! report: per-phase latency percentiles, the dedup/replication byte
-//! breakdown, and — given a Chrome trace — the critical path of the
-//! slowest checkpoint wave.
+//! breakdown, the sender-log GC counters, and — given a Chrome trace — the
+//! critical path of the slowest checkpoint wave.
 //!
 //! ```text
 //! spbc-report run.jsonl [--trace trace.json]
@@ -122,6 +122,11 @@ fn main() {
     print!("{}", analyze::phase_table(&agg));
     println!("\nbyte breakdown:");
     print!("{}", analyze::bytes_table(&agg));
+    let log = analyze::log_table(&agg);
+    if !log.is_empty() {
+        println!("\nsender log (receiver-checkpoint GC):");
+        print!("{log}");
+    }
     let admission = analyze::admission_table(&agg);
     if !admission.is_empty() {
         println!("\nwrite pipeline (admission / batching):");

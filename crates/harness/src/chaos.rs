@@ -2,7 +2,7 @@
 //! permanently fuzz the protocol's fragile windows.
 //!
 //! A *schedule* is a set of [`FailurePlan`]s generated from a seed by one of
-//! eight scenario families:
+//! nine scenario families:
 //!
 //! * [`Family::Spread`] — overlapping failures landing in different
 //!   clusters across the execution;
@@ -35,7 +35,14 @@
 //!   `spbc-node` OS process per cluster ([`crate::proc`]), plans abort the
 //!   whole hosting process and the schedule may `kill -9` another node
 //!   outright — recovery restores from shared disk into a fresh address
-//!   space.
+//!   space;
+//! * [`Family::LogGc`] — kills around receiver-checkpoint log GC
+//!   (`KIND_LOG_GC`), after at least two waves so senders have already
+//!   pruned: the *receiver* cluster dies right after the RESUME that sent
+//!   its notices, or inside the commit barrier of a later wave (restart
+//!   from the previous wave must still find its replay suffix), or the
+//!   *sender* cluster dies after pruning and rolls its log back to a cut at
+//!   the pruned prefix, followed by the receiver.
 //!
 //! Every schedule runs under SPBC and is verified **bitwise** against a
 //! native (fault-free) execution of the same workload. A failing schedule is
@@ -87,7 +94,7 @@ impl Rng {
     }
 }
 
-/// The eight scenario families a campaign cycles through.
+/// The nine scenario families a campaign cycles through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// Overlapping failures in different clusters.
@@ -115,11 +122,15 @@ pub enum Family {
     /// outside. Recovery crosses a genuine process boundary — restore comes
     /// off shared disk into a fresh address space.
     ProcKill,
+    /// Kills around receiver-checkpoint log GC: the receiver right after
+    /// the RESUME that sent its notices or inside a later wave's commit
+    /// barrier, or the sender after it pruned, then the receiver.
+    LogGc,
 }
 
 impl Family {
     /// Every family, in campaign order.
-    pub const ALL: [Family; 8] = [
+    pub const ALL: [Family; 9] = [
         Family::Spread,
         Family::SameClusterRepeat,
         Family::DuringRecovery,
@@ -128,7 +139,13 @@ impl Family {
         Family::CasGc,
         Family::EcRebuild,
         Family::ProcKill,
+        Family::LogGc,
     ];
+
+    /// The family `spbc-chaos --family NAME` selects.
+    pub fn by_name(name: &str) -> Option<Family> {
+        Family::ALL.into_iter().find(|f| f.to_string() == name)
+    }
 }
 
 impl fmt::Display for Family {
@@ -142,6 +159,7 @@ impl fmt::Display for Family {
             Family::CasGc => "cas-gc",
             Family::EcRebuild => "ec-rebuild",
             Family::ProcKill => "proc-kill",
+            Family::LogGc => "log-gc",
         };
         f.write_str(s)
     }
@@ -245,6 +263,7 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
         Family::CasGc => 6,
         Family::EcRebuild => 7,
         Family::ProcKill => 8,
+        Family::LogGc => 9,
     };
     let mut rng = Rng::new(seed.wrapping_mul(0x0100_0000_01b3) ^ salt ^ (workload as u64) << 32);
     let span = cfg.iters.saturating_sub(4).max(1);
@@ -410,6 +429,35 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
                 kills.push((c as u32, 100 + rng.below(300)));
             }
             plans
+        }
+        Family::LogGc => {
+            // Wave n >= 2, so the receivers' RESUME of wave n sends notices
+            // and the senders' logs are already pruned to the cut of wave
+            // n-1 (or n-2 for the commit-barrier kill, which lands before
+            // wave n's notices go out).
+            let waves = cfg.iters / cfg.ckpt_interval.max(1);
+            let n = 2 + rng.below(waves.saturating_sub(2).max(1));
+            let r = rng.below(cfg.clusters as u64) as usize;
+            let s = (r + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
+            match rng.below(3) {
+                // Receiver dies at the first failure point after wave n's
+                // RESUME: notices sent, then it rolls back to wave n.
+                0 => vec![FailurePlan::nth(cfg.rank_in(r, &mut rng), cfg.ckpt_interval * n + 1)],
+                // Receiver dies inside wave n's commit barrier: it may
+                // restart from n-1, whose replay suffix must still be there.
+                1 => vec![FailurePlan::at_phase(
+                    cfg.rank_in(r, &mut rng),
+                    CkptHook::CommitBarrier,
+                    n,
+                )],
+                // Sender dies one iteration later — wave n's notices have
+                // pruned its log up to the very cut it now truncates to —
+                // and the receiver dies while the sender re-executes.
+                _ => vec![
+                    FailurePlan::nth(cfg.rank_in(s, &mut rng), cfg.ckpt_interval * n + 2),
+                    FailurePlan::after_recovery(cfg.rank_in(r, &mut rng), s, 1),
+                ],
+            }
         }
     };
     Schedule { seed, family, workload, plans, kills }
@@ -896,6 +944,29 @@ pub mod pinned {
             plans: vec![
                 FailurePlan::nth(RankId(2), 10),
                 FailurePlan::at_phase(RankId(3), CkptHook::Replicate, 2),
+            ],
+            kills: Vec::new(),
+        }
+    }
+
+    /// Log-GC windows, all in one run of four waves (iterations 4, 8, 12,
+    /// 16). Cluster 2 (rank 4) dies at the first failure point after wave
+    /// 2's RESUME — its GC notices are out, then it rolls back. Cluster 1
+    /// (rank 2) dies inside the commit barrier of wave 3, after wave 2's
+    /// notices pruned its senders: a restart from wave 2 must still find
+    /// its replay suffix. Cluster 0 — a sender to both — dies at iteration
+    /// 13, its log pruned by wave 3's notices up to the very cut it
+    /// truncates to, and cluster 1 dies again while cluster 0 re-executes.
+    pub fn log_gc() -> Schedule {
+        Schedule {
+            seed: u64::MAX,
+            family: Family::LogGc,
+            workload: Workload::MiniGhost,
+            plans: vec![
+                FailurePlan::nth(RankId(4), 9),
+                FailurePlan::at_phase(RankId(2), CkptHook::CommitBarrier, 3),
+                FailurePlan::nth(RankId(0), 14),
+                FailurePlan::after_recovery(RankId(3), 0, 1),
             ],
             kills: Vec::new(),
         }

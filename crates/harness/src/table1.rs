@@ -48,7 +48,9 @@ pub fn run_workload(w: Workload, scale: &Scale) -> Result<Vec<Table1Row>> {
         let run_label = format!("table1/{}/k={k}", w.name());
         crate::obs::write_trace(&run_label, &report);
         crate::obs::emit_metrics(&run_label, &provider.metrics(), &report);
-        let per_rank = provider.store().logged_bytes_per_rank();
+        // Cumulative appended bytes: the bytes still *held* saw-tooth with
+        // log GC and would under-rate any run that checkpoints.
+        let per_rank = provider.store().appended_bytes_per_rank();
         let secs = report.wall_time.as_secs_f64().max(1e-9);
         let mbps: Vec<f64> = per_rank.iter().map(|&b| b as f64 / 1e6 / secs).collect();
         let avg = mbps.iter().sum::<f64>() / mbps.len().max(1) as f64;

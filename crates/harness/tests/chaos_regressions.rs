@@ -156,13 +156,24 @@ fn pinned_proc_kill() {
     assert_passes(&mut oracle, &chaos::pinned::proc_kill());
 }
 
+/// The log-GC windows: a receiver cluster killed right after the RESUME
+/// that sent its GC notices, another inside the commit barrier of the next
+/// wave (restart from the previous wave must still find its replay suffix
+/// in the pruned logs), and a sender cluster killed after pruning, with a
+/// receiver dying again while it re-executes.
+#[test]
+fn pinned_log_gc() {
+    let mut oracle = Oracle::new(ChaosConfig::short());
+    assert_passes(&mut oracle, &chaos::pinned::log_gc());
+}
+
 /// A fixed-seed campaign slice: every family, both workloads, seeds 0-1.
 /// Bitwise identical to native on every schedule.
 #[test]
 fn fixed_seed_campaign_slice() {
     std::env::set_var("SPBC_NODE_BIN", env!("CARGO_BIN_EXE_spbc-node"));
     let report = chaos::run_campaign(2, ChaosConfig::short());
-    assert_eq!(report.total, 32);
+    assert_eq!(report.total, 36);
     assert!(
         report.failures.is_empty(),
         "campaign failures:\n{}",

@@ -140,6 +140,17 @@ pub enum Event {
         /// Restored global send-order counter.
         order: u64,
     },
+    /// Log pruned at the front on a receiver's GC notice.
+    LogGc {
+        /// Destination world rank of the pruned channel (the notice's sender).
+        dst: RankId,
+        /// Communicator id.
+        comm: u64,
+        /// Highest seqnum the receiver released.
+        upto: u64,
+        /// Entries dropped.
+        entries: u64,
+    },
     /// Checkpoint wave phase transition.
     Ckpt {
         /// Checkpoint wave epoch.
@@ -292,6 +303,9 @@ impl fmt::Display for Event {
             }
             Event::LogTruncate { entries, order } => {
                 write!(f, "log-truncate keep={entries} order={order}")
+            }
+            Event::LogGc { dst, comm, upto, entries } => {
+                write!(f, "log-gc ->{dst} c{comm} upto=s{upto} dropped={entries}")
             }
             Event::Ckpt { epoch, phase } => write!(f, "ckpt e{epoch} {phase:?}"),
             Event::Rollback { epoch, restored_ckpt } => {
@@ -694,6 +708,10 @@ mod tests {
             (Event::CkptRepair { epoch: 2, from: RankId(5) }, "ckpt-repair e2 from 5"),
             (Event::CkptRebuild { epoch: 2, set_id: 1 }, "ckpt-rebuild e2 set 1"),
             (Event::CkptGc { pruned: 3, keep_from: 4 }, "ckpt-gc pruned=3 keep-from=e4"),
+            (
+                Event::LogGc { dst: RankId(5), comm: 0, upto: 40, entries: 12 },
+                "log-gc ->5 c0 upto=s40 dropped=12",
+            ),
             (
                 Event::CkptPhaseDone { epoch: 2, phase: "commit_barrier", us: 1500 },
                 "ckpt-phase e2 commit_barrier 1500us",

@@ -288,6 +288,7 @@ fn classify(ev: &Event) -> (&'static str, &'static str) {
         Event::CtrlRecv { .. } => ("ctrl-recv", "ctrl"),
         Event::LogAppend { .. } => ("log-append", "log"),
         Event::LogTruncate { .. } => ("log-truncate", "log"),
+        Event::LogGc { .. } => ("log-gc", "log"),
         Event::Rollback { .. } => ("rollback", "recovery"),
         Event::RollbackRecv { .. } => ("rollback-recv", "recovery"),
         Event::LsSet { .. } => ("ls-set", "recovery"),
@@ -379,6 +380,7 @@ mod tests {
                         },
                     ),
                     te(26, 18, Event::CkptGc { pruned: 1, keep_from: 1 }),
+                    te(27, 21, Event::LogGc { dst: RankId(1), comm: 0, upto: 1, entries: 1 }),
                     te(30, 7, Event::ReplayQueued { dst: RankId(1), msgs: 2 }),
                     te(31, 8, Event::Replay { dst: RankId(1), comm: 0, seqnum: 1 }),
                     te(32, 9, Event::Replay { dst: RankId(1), comm: 0, seqnum: 2 }),
@@ -498,6 +500,12 @@ mod tests {
         assert!(span_names.contains(&"ckpt-write e1"), "{span_names:?}");
         assert!(span_names.contains(&"repl->r1"), "{span_names:?}");
         assert!(span_names.contains(&"repl->r0"), "unacked push still opens");
+        let instants: Vec<&str> = evs
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+            .filter_map(|e| e.get("name").and_then(Json::as_str))
+            .collect();
+        assert!(instants.contains(&"log-gc"), "{instants:?}");
     }
 
     #[test]
