@@ -295,5 +295,17 @@ mod tests {
                 }
             }
         }
+
+        // V4's CRC covers only the frame: a flipped payload byte still
+        // routes through `unseal_any`, and is caught by the payload's
+        // address — in `verify` and in every read of the chunk.
+        let mut bad = v4.clone();
+        *bad.last_mut().unwrap() ^= 0x04;
+        let Ok(Unsealed::Cas(view)) = unseal_any(&bad) else {
+            panic!("V4 with an intact frame must route to its view");
+        };
+        assert!(view.inline_chunk(0).is_err());
+        assert!(view.materialize(&mut |_| None).is_err());
+        assert!(crate::chunk::verify(&bad).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! Refcounted content-addressed chunk store: the dedup substrate behind
 //! `SPBCCKP4` checkpoints.
 //!
-//! Chunks cut by [`crate::cdc`] are keyed by their SHA-256 digest and stored
-//! once per unique content, no matter how many jobs, epochs, or ranks
+//! Chunks cut by [`crate::cdc`] are keyed by their 128-bit [`ChunkHash`] and
+//! stored once per unique content, no matter how many jobs, epochs, or ranks
 //! reference them. References are tracked through a *registration ledger*:
 //! each committed manifest registers under a `(job, holder, owner, epoch)`
 //! key the ordered list of chunk hashes it references, and every occurrence
@@ -40,16 +40,29 @@
 //! coalesce away a blob that was never durably stored while its chunks are
 //! still referenced by the in-memory manifest of a later epoch.
 //!
-//! SHA-256 is hand-rolled (FIPS 180-4) because this workspace vendors no
-//! cryptographic dependency; the store additionally byte-confirms every
-//! hash hit, so even a collision cannot silently substitute chunk bodies.
+//! **The address is an index, not a security boundary.** [`ChunkHash::of`]
+//! is a hand-rolled, unkeyed 128-bit multiply-rotate hash (four xxh64-style
+//! lanes, both output words folded from every lane) running at memory
+//! speed. Collision *resistance* would buy nothing: every address enters the
+//! store through [`CasStore::commit_insert`], which rejects bytes that do not
+//! hash to their claimed address and byte-compares every hit against the
+//! stored body, so a collision fails the commit loudly and can never
+//! substitute content. The same hash is the integrity check on read: every
+//! inline payload of a V4 blob and every body returned by a store lookup is
+//! re-hashed against its manifest address ([`crate::chunk::CasView`]), which
+//! is how a bit-flip anywhere in a V4 body is detected on load.
+//!
+//! [`sha256`] (FIPS 180-4, hand-rolled because the workspace vendors no
+//! cryptographic dependency) is on no store path; it is kept only for the
+//! benchmark's `ckptstore.cas.sha256_mb_s` row.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 // ---------------------------------------------------------------------------
-// SHA-256 (FIPS 180-4)
+// SHA-256 (FIPS 180-4) — on no store path, see the module docs
 // ---------------------------------------------------------------------------
 
 const SHA256_K: [u32; 64] = [
@@ -106,7 +119,7 @@ fn sha256_compress(state: &mut [u32; 8], block: &[u8]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// SHA-256 digest of `data`.
+/// SHA-256 digest of `data`. Not the chunk address (see the module docs).
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut state: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -138,14 +151,101 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 // Chunk hashes
 // ---------------------------------------------------------------------------
 
-/// Strong content address of a chunk: its SHA-256 digest.
+// xxh64's primes: odd 64-bit multipliers with well-spread bits.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Bytes consumed per step: one little-endian u64 per lane.
+const STRIPE: usize = 32;
+
+/// One lane step; for a fixed `acc` it is a bijection of `input`, and for a
+/// fixed `input` a bijection of `acc`, so a lane never forgets a difference.
+#[inline(always)]
+fn round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// Fold one lane into an output word.
+#[inline(always)]
+fn merge(h: u64, lane: u64) -> u64 {
+    (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// Final bijective bit mix (xorshift-multiply).
+#[inline(always)]
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+#[inline(always)]
+fn stripe(v: &mut [u64; 4], s: &[u8]) {
+    for (i, lane) in v.iter_mut().enumerate() {
+        let word = u64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+        *lane = round(*lane, word);
+    }
+}
+
+/// The 128-bit chunk address: four independent xxh64-style lanes over
+/// 32-byte stripes (the tail zero-padded into one last stripe; the length
+/// is mixed into the output, so padding is unambiguous), then two output
+/// words each folded from all four lanes in a different order and with
+/// different rotations, with the length and the low word mixed into the
+/// high one.
+fn hash128(data: &[u8]) -> [u8; 16] {
+    let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = data.chunks_exact(STRIPE);
+    for s in &mut stripes {
+        stripe(&mut v, s);
+    }
+    let rem = stripes.remainder();
+    if !rem.is_empty() {
+        let mut last = [0u8; STRIPE];
+        last[..rem.len()].copy_from_slice(rem);
+        stripe(&mut v, &last);
+    }
+    let len = data.len() as u64;
+    let mut lo = v[0]
+        .rotate_left(1)
+        .wrapping_add(v[1].rotate_left(7))
+        .wrapping_add(v[2].rotate_left(12))
+        .wrapping_add(v[3].rotate_left(18));
+    let mut hi = v[3]
+        .rotate_left(5)
+        .wrapping_add(v[2].rotate_left(23))
+        .wrapping_add(v[1].rotate_left(37))
+        .wrapping_add(v[0].rotate_left(49))
+        ^ P5;
+    for &lane in &v {
+        lo = merge(lo, lane);
+    }
+    for &lane in v.iter().rev() {
+        hi = merge(hi, lane.rotate_left(17));
+    }
+    let lo = avalanche(lo ^ len.wrapping_mul(P5));
+    let hi = avalanche(hi ^ len.rotate_left(32) ^ lo.wrapping_mul(P3));
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&lo.to_le_bytes());
+    out[8..].copy_from_slice(&hi.to_le_bytes());
+    out
+}
+
+/// Content address of a chunk: a 128-bit non-cryptographic hash of its
+/// bytes. An index, not a security boundary — see the module docs for why
+/// every collision fails loudly instead of substituting content.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ChunkHash(pub [u8; 32]);
+pub struct ChunkHash(pub [u8; 16]);
 
 impl ChunkHash {
     /// Hash chunk bytes into their content address.
     pub fn of(bytes: &[u8]) -> Self {
-        ChunkHash(sha256(bytes))
+        ChunkHash(hash128(bytes))
     }
 }
 
@@ -226,6 +326,11 @@ pub struct CasStore {
     chunk_shards: Vec<RwLock<HashMap<ChunkHash, Entry>>>,
     reg_shards: Vec<Mutex<RegShard>>,
     mask: usize,
+    /// Residency gauges, maintained under the chunk-shard write lock by
+    /// every insert and every final decref, so reading them is O(1).
+    /// `Relaxed`: they are statistics and publish no other data.
+    unique_chunks: AtomicUsize,
+    unique_bytes: AtomicU64,
 }
 
 impl Default for CasStore {
@@ -247,6 +352,8 @@ impl CasStore {
             chunk_shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
             reg_shards: (0..n).map(|_| Mutex::new(RegShard::default())).collect(),
             mask: n - 1,
+            unique_chunks: AtomicUsize::new(0),
+            unique_bytes: AtomicU64::new(0),
         }
     }
 
@@ -255,10 +362,10 @@ impl CasStore {
         self.mask + 1
     }
 
-    /// Chunk shard index: the digest is already uniform, so its leading
+    /// Chunk shard index: the address is already uniform, so its leading
     /// bytes are the index.
     fn chunk_shard(&self, hash: &ChunkHash) -> &RwLock<HashMap<ChunkHash, Entry>> {
-        let k = u64::from_le_bytes(hash.0[..8].try_into().expect("digest has 8 leading bytes"));
+        let k = u64::from_le_bytes(hash.0[..8].try_into().expect("address has 8 leading bytes"));
         &self.chunk_shards[k as usize & self.mask]
     }
 
@@ -276,7 +383,9 @@ impl CasStore {
         if let Some(e) = shard.get_mut(hash) {
             e.refs -= 1;
             if e.refs == 0 {
-                shard.remove(hash);
+                let gone = shard.remove(hash).expect("entry just found");
+                self.unique_chunks.fetch_sub(1, Ordering::Relaxed);
+                self.unique_bytes.fetch_sub(gone.bytes.len() as u64, Ordering::Relaxed);
                 return true;
             }
         }
@@ -324,6 +433,8 @@ impl CasStore {
                 ));
             };
             shard.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner_key });
+            self.unique_chunks.fetch_add(1, Ordering::Relaxed);
+            self.unique_bytes.fetch_add(b.len() as u64, Ordering::Relaxed);
             Ok((ChunkFate::New, b.len() as u64))
         }
     }
@@ -475,17 +586,14 @@ impl CasStore {
             .collect()
     }
 
-    /// Number of unique chunks currently stored.
+    /// Number of unique chunks currently stored (O(1) gauge).
     pub fn unique_chunks(&self) -> usize {
-        self.chunk_shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.unique_chunks.load(Ordering::Relaxed)
     }
 
-    /// Total bytes of unique content currently stored.
+    /// Total bytes of unique content currently stored (O(1) gauge).
     pub fn unique_bytes(&self) -> u64 {
-        self.chunk_shards
-            .iter()
-            .map(|s| s.read().unwrap().values().map(|e| e.bytes.len() as u64).sum::<u64>())
-            .sum()
+        self.unique_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -494,8 +602,106 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn hex(digest: &[u8; 32]) -> String {
+    fn hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn addr(data: &[u8]) -> String {
+        hex(&ChunkHash::of(data).0)
+    }
+
+    /// Known answers pin the address function: a changed vector means
+    /// every address a store or a blob holds has changed meaning.
+    #[test]
+    fn chunk_address_matches_known_answers() {
+        assert_eq!(addr(b""), "621ecf9d5f45df3fe3ed07473a6a90f8");
+        assert_eq!(addr(b"abc"), "57e685ea9a214d52d1ae4c578ff2f522");
+        assert_eq!(addr(&vec![b'a'; 1 << 20]), "212a4e6cb938def482c61d3622db4581");
+        // Every length 0..=65 of one buffer: empty, every tail length of
+        // the first 32-byte stripe, exactly one and two stripes, and the
+        // tails after each.
+        const PREFIXES: [&str; 66] = [
+            "621ecf9d5f45df3fe3ed07473a6a90f8",
+            "f45d64bea5519ca803bbd6b247ed6c4e",
+            "3a1c2df5fc11f7a23018996155bcdcb5",
+            "b10b26f0b94f91fff2cb2bb25efe15c4",
+            "05148ff259f21fdd2a5130fd6f8fd8b4",
+            "2ce1c5e70a7fbde16857d7a662ae6832",
+            "29ae5876c7b50692615ae9d680cb1f1f",
+            "66f84a262a400c13eea167e0f08b48a1",
+            "772fec148f06ce127448c86691bbe5bd",
+            "bc6bfc12e427d8a89082c5a3c5bfef0b",
+            "d9dc48134c9d8a1f46499e41e946b333",
+            "d849897d8aa32b1de73b3d62e5367915",
+            "4f84b59defbe66da002b4a11aea049c4",
+            "895782d4b412b48a3516fcc232b98c56",
+            "d7fe509bf54c2d888b34b59080d5fc43",
+            "0d2b65984cd28de7b81001c081e0adf7",
+            "f2e79a664afb96a4e7c0adfaa780a8ff",
+            "f2b7b3b670219e9d6f62965ed218bd81",
+            "8f6235364f3e72ad747c0476a5c0ac73",
+            "82cebe953fa41c19625bfc92a4d99c68",
+            "f033ba5dfe5d00b50d25b99bd330ceef",
+            "c891c228523f89b8a1f3c617a6143238",
+            "82d494d1d6f1083211c36e1c91ea5898",
+            "e7a344dd5030deffa67efdc53086a7f6",
+            "fb1a721c4bfb160b6bf2cf7c0d5505df",
+            "45914ff141c5ac74a1bc7ecd2d8a928c",
+            "bab8c87433e714e978887d8ec6462fdc",
+            "90e094da0be9ab9d5d151bb722599808",
+            "3c14416022c623c9886cffc5ed698c74",
+            "8c67ee2f2df8e939a2793b6599f72013",
+            "cd5079608a971ba21c1d9b9e22ec6d78",
+            "f2540adee5e3d7fd973f2bae730cf1ec",
+            "e6555ecfdb24054d41b461692d40df8a",
+            "f153a4d677f25fb02c42c8df9d138574",
+            "ccba65df41ba5b9790de9a69ac812dfc",
+            "712710f4a9ffc64043b1f4c8a6a81f3a",
+            "09d41c934be22bf58e3460f57b7c7d67",
+            "89ad1c3ef42f93e040dc24539db9c33c",
+            "61b6282dddb4066ac69694d38765371c",
+            "7ab9b391381a3d828bfe8331d86824c9",
+            "c76f79264b64dc4b9170ae105b2a1c31",
+            "4f3e4c0ecf7e4797772b38b3ea1b7228",
+            "6621a489b94a6822f07bf108c1272da1",
+            "5861ec202458131d57c07cf0e910300f",
+            "f67c941c705f578da9a8e77411e6a1fc",
+            "1f225f0421b9f0b30b4de0c289d64b90",
+            "a433fb2326271bda112a964d0c043c80",
+            "59cbf2ac2276b5e9b59b1dcb795ba035",
+            "79ee2652ab899541cfc5a72fa8538571",
+            "1bfcbf7e821f1f0f0f51db733d90fc97",
+            "03900caad853aefa2988b2a6f3c403cb",
+            "7358481f197687ec0e84cd1db4a5049c",
+            "1c0ce154b9c56653939d602c7833dc54",
+            "d59b1432a059e923d4bffd58b32249ab",
+            "5d71b34ded2c3901f1cca782300d95a2",
+            "eec3b0983168d017a437f20db5802c39",
+            "0ba518ae482cbff7ab6c7d52d12f9a3e",
+            "9cfbb4bc0863751111b5b70a4ef1c7d7",
+            "7dd79838387e308a2448e6593e63b6a2",
+            "e978b576ec94c9ac70d433708ab2cbbd",
+            "9b94d9d90e6b3e8f5ff7fb71c774db8b",
+            "c62ff61546f26df6d866ebd78b4a9678",
+            "d11e816230176be32253668f5e0c9a8e",
+            "749183375b8619e385b8ae9e4cea4db7",
+            "fe26502f24ef2a6c1238a8da42625275",
+            "ea7ed48f414e18098f6d08b36ebe0fe8",
+        ];
+        let buf: Vec<u8> = (0..65u8).map(|i| i.wrapping_mul(7).wrapping_add(1)).collect();
+        for (n, want) in PREFIXES.iter().enumerate() {
+            assert_eq!(addr(&buf[..n]), *want, "length {n}");
+        }
+    }
+
+    /// A trailing zero byte is not padding: the length is part of the
+    /// address, so zero-padded tails of different lengths never collide.
+    #[test]
+    fn zero_padded_tails_do_not_collide() {
+        let mut seen = std::collections::HashSet::new();
+        for n in 0..=96 {
+            assert!(seen.insert(ChunkHash::of(&vec![0u8; n])), "zeros of length {n} collide");
+        }
     }
 
     #[test]
@@ -560,6 +766,42 @@ mod tests {
         assert_eq!(s.hits_cross_rank, 1);
         assert_eq!(cas.unique_chunks(), 3);
         assert_eq!(cas.unique_bytes(), 5 + 4 + 5);
+    }
+
+    /// The O(1) residency gauges track every insert, final decref and
+    /// rolled-back commit exactly — compared against a full shard scan.
+    #[test]
+    fn residency_gauges_match_a_full_scan() {
+        let scan = |cas: &CasStore| -> (usize, u64) {
+            cas.chunk_shards.iter().fold((0, 0), |(n, b), s| {
+                let s = s.read().unwrap();
+                (n + s.len(), b + s.values().map(|e| e.bytes.len() as u64).sum::<u64>())
+            })
+        };
+        let cas = CasStore::with_shards(4);
+        let check = |cas: &CasStore| {
+            assert_eq!((cas.unique_chunks(), cas.unique_bytes()), scan(cas));
+        };
+        commit(&cas, 0, 0, 1, &[b"one", b"two", b"two"]);
+        check(&cas);
+        commit(&cas, 1, 1, 1, &[b"two", b"three!"]);
+        check(&cas);
+        let good: &[u8] = b"fresh";
+        let bad = cas.commit_insert(
+            0,
+            2,
+            2,
+            1,
+            &[(ChunkHash::of(good), Some(good)), (ChunkHash::of(b"x"), None)],
+        );
+        assert!(bad.is_err());
+        check(&cas);
+        commit(&cas, 0, 0, 1, &[b"one"]); // re-registration releases "two"'s refs
+        check(&cas);
+        cas.unregister_below(0, 0, 0, u64::MAX);
+        cas.unregister(0, 1, 1, 1);
+        check(&cas);
+        assert_eq!((cas.unique_chunks(), cas.unique_bytes()), (0, 0));
     }
 
     #[test]

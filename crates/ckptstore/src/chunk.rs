@@ -54,8 +54,10 @@ use std::hash::Hasher;
 /// Delta format: magic, CRC32, chunked-manifest header, inline payloads.
 pub const MAGIC_V3: &[u8; 8] = b"SPBCCKP3";
 
-/// Content-addressed format: magic, CRC32, ordered chunk-hash manifest,
-/// inline payloads only for chunks the store didn't already hold.
+/// Content-addressed format: magic, CRC32 over the frame (header, manifest,
+/// inline index), ordered chunk-address manifest, inline payloads only for
+/// chunks the store didn't already hold — each integrity-checked by its
+/// 128-bit address rather than by the CRC.
 pub const MAGIC_V4: &[u8; 8] = b"SPBCCKP4";
 
 /// Default chunk size (64 KiB, `SPBC_CKPT_CHUNK`).
@@ -91,13 +93,14 @@ fn chunk_hash(chunk: &[u8]) -> u64 {
 }
 
 /// Structurally validate a sealed blob of **any** version (V1 header,
-/// V2/V3/V4 + parity checksum + framing). Used to decide whether a stored
-/// copy is worth loading or repairing from.
+/// V2/V3/V4 + parity checksum + framing; for V4 also every inline payload
+/// against its address). Used to decide whether a stored copy is worth
+/// loading or repairing from.
 pub fn verify(bytes: &[u8]) -> Result<()> {
     if is_delta(bytes) {
         DeltaView::parse(bytes).map(|_| ())
     } else if is_cas(bytes) {
-        CasView::parse(bytes).map(|_| ())
+        CasView::parse(bytes)?.verify_inline()
     } else if crate::ec::is_parity(bytes) {
         crate::ec::ParityView::parse(bytes).map(|_| ())
     } else {
@@ -213,8 +216,9 @@ fn chunk_len(total_len: usize, chunk_size: usize, idx: usize) -> usize {
 const V4_OFF_TOTAL_LEN: usize = 12;
 const V4_OFF_N_CHUNKS: usize = 20;
 const V4_OFF_MANIFEST: usize = 24;
-/// Bytes per V4 manifest entry: 32-byte hash + u32 length.
-const V4_ENTRY: usize = 36;
+/// Bytes per V4 manifest entry: 16-byte address + u32 length.
+const V4_ENTRY: usize = 20;
+const V4_HASH: usize = 16;
 
 /// One chunk of a V4 blob under construction: its content address, length,
 /// and — when the blob must carry the body (the store didn't hold it) — the
@@ -231,6 +235,10 @@ pub struct V4Chunk<'a> {
 /// Frame and seal a V4 content-addressed blob from an ordered chunk list.
 /// A manifest-only blob (every `inline` = `None`) is what replication
 /// pushes when the partner's store already holds every chunk.
+///
+/// The CRC covers the frame only (header, manifest, inline index): each
+/// inline payload is covered by its manifest address, which every reader
+/// re-hashes ([`CasView::inline_chunk`], [`verify`]).
 pub fn seal_v4(chunks: &[V4Chunk<'_>]) -> Vec<u8> {
     let total_len: u64 = chunks.iter().map(|c| c.len as u64).sum();
     let inline: Vec<(u32, &[u8])> =
@@ -252,11 +260,11 @@ pub fn seal_v4(chunks: &[V4Chunk<'_>]) -> Vec<u8> {
     for (idx, _) in &inline {
         framed.extend_from_slice(&idx.to_le_bytes());
     }
+    let crc = crc32(&framed[V4_OFF_TOTAL_LEN..]);
+    framed[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
     for (_, bytes) in &inline {
         framed.extend_from_slice(bytes);
     }
-    let crc = crc32(&framed[V4_OFF_TOTAL_LEN..]);
-    framed[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
     framed
 }
 
@@ -274,20 +282,30 @@ pub fn manifest_only_v4(sealed: &[u8]) -> Result<Vec<u8>> {
     Ok(seal_v4(&parts))
 }
 
-/// A parsed, checksum-verified view of a V4 content-addressed blob.
+/// One V4 manifest entry as parsed.
+#[derive(Clone, Copy)]
+struct Entry {
+    hash: ChunkHash,
+    len: usize,
+    /// Offset of the chunk's payload in the inline section, if inline.
+    inline_at: Option<usize>,
+}
+
+/// A parsed view of a V4 content-addressed blob whose frame (header,
+/// manifest, inline index) is checksum-verified. Inline payloads are
+/// verified against their addresses when read, not at parse time.
 pub struct CasView<'a> {
     /// Length of the materialized body.
     pub total_len: usize,
-    /// Ordered manifest: content address and length of every chunk.
-    chunks: Vec<(ChunkHash, usize)>,
-    /// Strictly ascending indices of chunks whose payload is inline.
-    inline_idx: Vec<u32>,
+    /// Ordered manifest, with each inline payload's offset precomputed.
+    chunks: Vec<Entry>,
     /// Concatenated inline payloads, in index order.
     payload: &'a [u8],
 }
 
 impl<'a> CasView<'a> {
-    /// Parse and verify a V4 blob (magic, CRC, structural consistency).
+    /// Parse a V4 blob: magic, frame CRC, structural consistency. The
+    /// payload section is bounds-checked but not scanned.
     pub fn parse(bytes: &'a [u8]) -> Result<CasView<'a>> {
         if !is_cas(bytes) {
             return Err(MpiError::Codec("not a content-addressed checkpoint blob".into()));
@@ -295,8 +313,20 @@ impl<'a> CasView<'a> {
         if bytes.len() < V4_OFF_MANIFEST {
             return Err(MpiError::Codec("cas blob truncated before header".into()));
         }
-        let stored = u32::from_le_bytes(bytes[OFF_CRC..OFF_CRC + 4].try_into().unwrap());
-        let actual = crc32(&bytes[V4_OFF_TOTAL_LEN..]);
+        let u32_at =
+            |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte field"));
+        let n_chunks = u32_at(V4_OFF_N_CHUNKS) as usize;
+        let manifest_end = V4_OFF_MANIFEST + n_chunks * V4_ENTRY;
+        if bytes.len() < manifest_end + 4 {
+            return Err(MpiError::Codec("cas manifest truncated".into()));
+        }
+        let n_inline = u32_at(manifest_end) as usize;
+        let idx_end = manifest_end + 4 + n_inline * 4;
+        if bytes.len() < idx_end {
+            return Err(MpiError::Codec("cas inline index truncated".into()));
+        }
+        let stored = u32_at(OFF_CRC);
+        let actual = crc32(&bytes[V4_OFF_TOTAL_LEN..idx_end]);
         if stored != actual {
             return Err(MpiError::Codec(format!(
                 "cas checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
@@ -305,46 +335,33 @@ impl<'a> CasView<'a> {
         let total_len =
             u64::from_le_bytes(bytes[V4_OFF_TOTAL_LEN..V4_OFF_TOTAL_LEN + 8].try_into().unwrap())
                 as usize;
-        let n_chunks =
-            u32::from_le_bytes(bytes[V4_OFF_N_CHUNKS..V4_OFF_N_CHUNKS + 4].try_into().unwrap())
-                as usize;
-        let manifest_end = V4_OFF_MANIFEST + n_chunks * V4_ENTRY;
-        if bytes.len() < manifest_end + 4 {
-            return Err(MpiError::Codec("cas manifest truncated".into()));
-        }
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut sum = 0usize;
         for i in 0..n_chunks {
             let off = V4_OFF_MANIFEST + i * V4_ENTRY;
-            let hash = ChunkHash(bytes[off..off + 32].try_into().unwrap());
-            let len = u32::from_le_bytes(bytes[off + 32..off + 36].try_into().unwrap()) as usize;
+            let hash = ChunkHash(bytes[off..off + V4_HASH].try_into().expect("16-byte address"));
+            let len = u32_at(off + V4_HASH) as usize;
             sum += len;
-            chunks.push((hash, len));
+            chunks.push(Entry { hash, len, inline_at: None });
         }
         if sum != total_len {
             return Err(MpiError::Codec(format!(
                 "cas manifest sums to {sum} bytes but header claims {total_len}"
             )));
         }
-        let n_inline =
-            u32::from_le_bytes(bytes[manifest_end..manifest_end + 4].try_into().unwrap()) as usize;
-        let idx_end = manifest_end + 4 + n_inline * 4;
-        if bytes.len() < idx_end {
-            return Err(MpiError::Codec("cas inline index truncated".into()));
-        }
-        let mut inline_idx = Vec::with_capacity(n_inline);
+        let mut last = None;
         let mut inline_bytes = 0usize;
         for i in 0..n_inline {
-            let off = manifest_end + 4 + i * 4;
-            let idx = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if idx as usize >= n_chunks {
-                return Err(MpiError::Codec(format!("cas inline index {idx} out of range")));
-            }
-            if inline_idx.last().is_some_and(|&last| idx <= last) {
+            let idx = u32_at(manifest_end + 4 + i * 4);
+            let entry = chunks
+                .get_mut(idx as usize)
+                .ok_or_else(|| MpiError::Codec(format!("cas inline index {idx} out of range")))?;
+            if last.is_some_and(|last| idx <= last) {
                 return Err(MpiError::Codec("cas inline indices not strictly ascending".into()));
             }
-            inline_bytes += chunks[idx as usize].1;
-            inline_idx.push(idx);
+            last = Some(idx);
+            entry.inline_at = Some(inline_bytes);
+            inline_bytes += entry.len;
         }
         let payload = &bytes[idx_end..];
         if payload.len() != inline_bytes {
@@ -353,7 +370,7 @@ impl<'a> CasView<'a> {
                 payload.len()
             )));
         }
-        Ok(CasView { total_len, chunks, inline_idx, payload })
+        Ok(CasView { total_len, chunks, payload })
     }
 
     /// Number of chunks in the manifest.
@@ -363,22 +380,20 @@ impl<'a> CasView<'a> {
 
     /// Content address and length of chunk `idx`.
     pub fn chunk(&self, idx: usize) -> Option<(ChunkHash, usize)> {
-        self.chunks.get(idx).copied()
+        self.chunks.get(idx).map(|e| (e.hash, e.len))
     }
 
     /// The ordered list of chunk hashes — what replication advertises.
     pub fn hashes(&self) -> Vec<ChunkHash> {
-        self.chunks.iter().map(|(h, _)| *h).collect()
+        self.chunks.iter().map(|e| e.hash).collect()
     }
 
     /// The inline payload of chunk `idx`, hash-verified, if this blob
     /// carries it.
     pub fn inline_chunk(&self, idx: usize) -> Result<Option<&'a [u8]>> {
-        let Ok(pos) = self.inline_idx.binary_search(&(idx as u32)) else {
+        let Some(&Entry { hash, len, inline_at: Some(off) }) = self.chunks.get(idx) else {
             return Ok(None);
         };
-        let off: usize = self.inline_idx[..pos].iter().map(|&i| self.chunks[i as usize].1).sum();
-        let (hash, len) = self.chunks[idx];
         let bytes = &self.payload[off..off + len];
         if ChunkHash::of(bytes) != hash {
             return Err(MpiError::Codec(format!(
@@ -388,6 +403,15 @@ impl<'a> CasView<'a> {
         Ok(Some(bytes))
     }
 
+    /// Hash-check every inline payload: with the frame CRC from
+    /// [`parse`](Self::parse), this covers every byte of the blob.
+    pub(crate) fn verify_inline(&self) -> Result<()> {
+        for idx in 0..self.chunks.len() {
+            self.inline_chunk(idx)?;
+        }
+        Ok(())
+    }
+
     /// Materialize the body: inline payloads (hash-verified) where present,
     /// `lookup` (the content-addressed store) for everything else.
     pub fn materialize(
@@ -395,7 +419,7 @@ impl<'a> CasView<'a> {
         lookup: &mut dyn FnMut(&ChunkHash) -> Option<Vec<u8>>,
     ) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(self.total_len);
-        for (idx, &(hash, len)) in self.chunks.iter().enumerate() {
+        for (idx, &Entry { hash, len, .. }) in self.chunks.iter().enumerate() {
             match self.inline_chunk(idx)? {
                 Some(bytes) => out.extend_from_slice(bytes),
                 None => {
@@ -943,14 +967,42 @@ mod tests {
         let c0 = body(100, 5);
         let c1 = body(60, 6);
         let blob = v4_blob(&[(&c0, true), (&c1, false)]);
+        // Frame = header + two 20-byte entries + inline count + one index.
+        let frame_end = V4_OFF_MANIFEST + 2 * V4_ENTRY + 4 + 4;
+        assert_eq!(blob.len(), frame_end + c0.len());
         for i in 0..blob.len() {
             let mut bad = blob.clone();
             bad[i] ^= 0x10;
             assert!(verify(&bad).is_err(), "flip at {i} undetected");
+            // The CRC covers the frame only; a payload flip parses and is
+            // caught by the payload's address instead.
+            let parsed = CasView::parse(&bad);
+            if i < frame_end {
+                assert!(parsed.is_err(), "frame flip at {i} passed the CRC");
+            } else {
+                let err = parsed.unwrap().inline_chunk(0).unwrap_err();
+                assert!(format!("{err}").contains("does not hash"), "{err}");
+            }
         }
-        for cut in [4, OFF_CRC, V4_OFF_MANIFEST - 1, V4_OFF_MANIFEST + 10, blob.len() - 1] {
+        for cut in
+            [4, OFF_CRC, V4_OFF_MANIFEST - 1, V4_OFF_MANIFEST + 10, frame_end, blob.len() - 1]
+        {
             assert!(CasView::parse(&blob[..cut]).is_err(), "cut at {cut} accepted");
         }
+        // A blob in the old layout (32-byte addresses, CRC over the whole
+        // body) fails loudly instead of misparsing.
+        let mut old = MAGIC_V4.to_vec();
+        old.extend_from_slice(&[0u8; 4]);
+        old.extend_from_slice(&(c0.len() as u64).to_le_bytes());
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&[0xAB; 32]);
+        old.extend_from_slice(&(c0.len() as u32).to_le_bytes());
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&0u32.to_le_bytes());
+        old.extend_from_slice(&c0);
+        let crc = crc32(&old[V4_OFF_TOTAL_LEN..]);
+        old[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+        assert!(verify(&old).is_err(), "old-layout V4 blob accepted");
         // V4 has no epoch references and cannot be epoch-materialized.
         assert!(referenced_epochs(&blob).unwrap().is_empty());
         let mut fetch = |_: u64| -> Result<Vec<u8>> { unreachable!() };

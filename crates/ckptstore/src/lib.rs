@@ -12,7 +12,11 @@
 //! The subsystem provides four guarantees (DESIGN.md §8):
 //!
 //! * **Integrity** — every stored blob is framed with a magic + CRC32 header
-//!   ([`blob`]); a bit-flip anywhere in the body is detected on load.
+//!   ([`blob`]); a bit-flip anywhere in the body is detected on load. Full
+//!   and delta blobs checksum their whole body; an `SPBCCKP4` blob
+//!   checksums its frame (header, manifest, inline index) and each inline
+//!   payload is re-hashed against its 128-bit manifest address
+//!   ([`chunk::verify`], [`cas`]).
 //! * **Partner replication** — [`service::CkptStoreService`] keeps, next to
 //!   each rank's local store, a partner store holding copies of *other*
 //!   ranks' checkpoints (ReStore-style, in-memory by default). A rank whose
@@ -37,7 +41,7 @@
 //!   content-defined boundaries (FastCDC gear hashing) and [`cas`] stores
 //!   each unique chunk once, refcounted, shared across epochs *and* ranks.
 //!   The `SPBCCKP4` manifest format ([`chunk::CasView`]) carries chunk
-//!   hashes plus payloads only for content the store didn't already hold.
+//!   addresses plus payloads only for content the store didn't already hold.
 //! * **Erasure-coded redundancy sets** — [`ec`] + [`set`] group each
 //!   cluster's ranks into SCR-style sets and compute XOR or GF(2^8)
 //!   Reed–Solomon parity (`SPBCPAR1` frames) over the set's sealed blobs

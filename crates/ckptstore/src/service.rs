@@ -493,10 +493,11 @@ impl CkptStoreService {
 
     /// Store a copy of `owner`'s checkpoint at `epoch` in `holder`'s partner
     /// store (synchronous — the pushing rank awaits the ACK this enables).
-    /// Old partner copies of the same owner beyond `partner_keep` waves are
-    /// pruned — except base epochs a retained delta manifest still
-    /// references, which must survive for chain repair. Returns how many
-    /// copies were dropped.
+    /// The copy is verified first, so a partner only ever acknowledges a
+    /// copy it could restore from. Old partner copies of the same owner
+    /// beyond `partner_keep` waves are pruned — except base epochs a
+    /// retained delta manifest still references, which must survive for
+    /// chain repair. Returns how many copies were dropped.
     pub fn store_partner_copy(
         &self,
         holder: RankId,
@@ -509,7 +510,8 @@ impl CkptStoreService {
             // A V4 partner copy pins its chunks in the shared store under
             // the holder's own registration: inline payloads are inserted,
             // everything else must already be held (the owner pushed hashes
-            // first and served whatever we reported missing).
+            // first and served whatever we reported missing). Inline
+            // payloads are hash-verified on the way in.
             let view = CasView::parse(blob)?;
             let mut manifest: Vec<(ChunkHash, Option<&[u8]>)> = Vec::with_capacity(view.n_chunks());
             for idx in 0..view.n_chunks() {
@@ -519,6 +521,8 @@ impl CkptStoreService {
             self.cas()
                 .commit_insert(self.job, holder.0, owner.0, epoch, &manifest)
                 .map_err(MpiError::Codec)?;
+        } else {
+            chunk::verify(blob)?;
         }
         partner.put(owner, epoch, blob)?;
         if is_parity_owner(owner) {
@@ -1486,6 +1490,38 @@ mod tests {
         partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &subset).unwrap();
         let (got, _) = partner_svc.load(RankId(0), 1).unwrap().unwrap();
         assert_eq!(got, body);
+    }
+
+    /// Every byte of a V4 blob is covered — header, manifest and inline
+    /// index by the frame CRC, payloads by their addresses — so a single
+    /// flip anywhere is rejected loudly by `verify`, by materialization and
+    /// by a partner adopting the copy, and a rejected partner copy leaves
+    /// neither a stored blob nor store references behind.
+    #[test]
+    fn v4_every_byte_flip_is_rejected_by_every_reader() {
+        let svc = CkptStoreService::in_memory(2, cdc_cfg());
+        commit_wave(&svc, RankId(0), RankId(1), 1, &cdc_body(83, 1, 4 * 1024, 512));
+        let body = cdc_body(83, 2, 4 * 1024, 512);
+        let (blob, stats) = svc.encode_commit(RankId(0), 2, &body).unwrap();
+        assert!(stats.inline_chunks > 0 && stats.inline_chunks < stats.chunks, "{stats:?}");
+        let resident = (svc.cas().unique_chunks(), svc.cas().unique_bytes());
+        let lookup = |h: &ChunkHash| svc.cas().get(h);
+        for i in 0..blob.len() {
+            let mut bad = blob.clone();
+            bad[i] ^= 0x10;
+            assert!(chunk::verify(&bad).is_err(), "verify accepted a flip at {i}");
+            let restored = CasView::parse(&bad).and_then(|v| v.materialize(&mut { lookup }));
+            assert!(restored.is_err(), "materialize accepted a flip at {i}");
+            let adopted = svc.store_partner_copy(RankId(1), RankId(0), 2, &bad);
+            assert!(adopted.is_err(), "partner adopted a flip at {i}");
+        }
+        let partner = &svc.stores(RankId(1)).unwrap().partner;
+        assert_eq!(partner.get(RankId(0), 2).unwrap(), None);
+        assert_eq!((svc.cas().unique_chunks(), svc.cas().unique_bytes()), resident);
+        // The intact blob passes every reader.
+        chunk::verify(&blob).unwrap();
+        assert_eq!(CasView::parse(&blob).unwrap().materialize(&mut { lookup }).unwrap(), body);
+        svc.store_partner_copy(RankId(1), RankId(0), 2, &blob).unwrap();
     }
 
     #[test]

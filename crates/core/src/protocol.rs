@@ -936,9 +936,11 @@ impl SpbcLayer {
             disk.save(self.me, &ck)?;
         }
         // Stable storage via the replicated checkpoint service: serialize
-        // once, delta-encode against the previous committed wave (only the
-        // changed chunks are written — spbc-ckptstore `SPBCCKP3`), and reuse
-        // the sealed blob for the local write and every partner push.
+        // once, encode (default: content-defined chunks deduped against the
+        // shared chunk store, sealed as an `SPBCCKP4` manifest carrying only
+        // new chunks inline; with CDC off, a fixed-grid `SPBCCKP3` delta),
+        // and reuse the sealed blob for the local write and every partner
+        // push.
         let mut logical = 0u64;
         let sealed = if let Some(service) = &self.service {
             // Double buffer: wait for the *previous* wave's background

@@ -13,11 +13,11 @@
 //! holds only sampler rows, their deltas are summed — histogram merge is
 //! additive, so both paths land in the same [`PhaseSnapshot`].
 //!
-//! [`compare`] implements the CI regression gate: per-phase p99 against a
-//! committed baseline, with a percentage threshold and an absolute floor
+//! [`compare`] implements `spbc-report --compare`: per-phase p99 against a
+//! baseline metrics file, with a percentage threshold and an absolute floor
 //! below which differences are noise (adjacent histogram buckets are 2×
-//! apart, so thresholds under ~100% are only meaningful for phases whose
-//! baseline was padded — see `BASELINE_metrics.jsonl`).
+//! apart, so thresholds under ~100% are only meaningful against a baseline
+//! recorded on the same host).
 
 use spbc_core::hist::{HistSnapshot, Phase, PhaseSnapshot, BUCKETS};
 use spbc_trace::json::{parse, Json};
