@@ -1,11 +1,12 @@
 //! §6.2's storage story, end to end: log memory is freed as checkpoints
 //! commit (receiver-checkpoint log GC), recovery still replays bitwise from
-//! the pruned log, and committed checkpoints can be mirrored to disk.
+//! the pruned log, and committed checkpoints land in the on-disk store.
 
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
+use mini_mpi::wire::from_bytes;
 use spbc_apps::{AppParams, Workload};
-use spbc_core::disk::DiskStore;
+use spbc_core::store::CheckpointData;
 use spbc_core::{ClusterMap, Metrics, SpbcConfig, SpbcProvider, Storage};
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,19 +76,22 @@ fn live_log_stays_within_two_intervals_of_traffic() {
     assert_eq!(held_or_pruned, Metrics::get(&m.logged_bytes));
 }
 
+/// A provider whose store service keeps local copies as files under `dir`.
+fn on_disk(dir: &std::path::Path, ckpt_interval: u64) -> Arc<SpbcProvider> {
+    let _ = std::fs::remove_dir_all(dir);
+    let cfg = SpbcConfig { ckpt_interval, ..Default::default() };
+    Arc::new(
+        SpbcProvider::new(ClusterMap::blocks(WORLD, 4), cfg)
+            .with_storage(Storage::disk_root(dir))
+            .unwrap(),
+    )
+}
+
 #[test]
-fn checkpoints_are_mirrored_to_disk() {
+fn checkpoints_are_committed_to_disk() {
     let dir = std::env::temp_dir().join(format!("spbc-disk-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::Cm1;
-    let provider = Arc::new(
-        SpbcProvider::new(
-            ClusterMap::blocks(WORLD, 4),
-            SpbcConfig { ckpt_interval: 4, ..Default::default() },
-        )
-        .with_storage(Storage::memory().mirror_to(DiskStore::open(&dir).unwrap()))
-        .unwrap(),
-    );
+    let provider = on_disk(&dir, 4);
     Runtime::builder(cfg())
         .provider(provider.clone())
         .app(w.build(params()))
@@ -96,33 +100,24 @@ fn checkpoints_are_mirrored_to_disk() {
         .ok()
         .unwrap();
     // 9 iterations, wave at calls 4 and 8: two epochs per rank on disk.
-    let disk = provider.disk().unwrap();
+    let store = provider.ckptstore();
     for r in 0..WORLD as u32 {
-        let epochs = disk.epochs_of(RankId(r)).unwrap();
-        assert_eq!(epochs, vec![1, 2], "rank {r}");
-        let ck = disk.load(RankId(r), 2).unwrap().unwrap();
+        assert_eq!(store.available_epochs(RankId(r)).unwrap(), vec![1, 2], "rank {r}");
+        let (body, _) = store.load(RankId(r), 2).unwrap().unwrap();
+        let ck: CheckpointData = from_bytes(&body).unwrap();
         assert!(!ck.app_state.is_empty());
     }
-    // The durable wave agreement matches the in-memory one.
     let ranks: Vec<RankId> = (0..WORLD as u32).map(RankId).collect();
-    assert_eq!(disk.common_epoch(&ranks).unwrap(), 2);
+    assert_eq!(store.common_epoch(&ranks).unwrap(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn disk_mirror_with_recovery_keeps_the_common_wave_consistent() {
+fn disk_store_with_recovery_keeps_the_common_wave_consistent() {
     let dir = std::env::temp_dir().join(format!("spbc-disk-rec-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::MiniGhost;
     let base = native(w);
-    let provider = Arc::new(
-        SpbcProvider::new(
-            ClusterMap::blocks(WORLD, 4),
-            SpbcConfig { ckpt_interval: 3, ..Default::default() },
-        )
-        .with_storage(Storage::memory().mirror_to(DiskStore::open(&dir).unwrap()))
-        .unwrap(),
-    );
+    let provider = on_disk(&dir, 3);
     let report = Runtime::builder(cfg())
         .provider(provider.clone())
         .app(w.build(params()))
@@ -132,10 +127,9 @@ fn disk_mirror_with_recovery_keeps_the_common_wave_consistent() {
         .ok()
         .unwrap();
     assert_eq!(base.outputs, report.outputs);
-    let disk = provider.disk().unwrap();
     let ranks: Vec<RankId> = (0..WORLD as u32).map(RankId).collect();
     // All three waves (iterations 3, 6, 9) committed everywhere despite the
     // mid-run rollback of cluster {4,5}.
-    assert_eq!(disk.common_epoch(&ranks).unwrap(), 3);
+    assert_eq!(provider.ckptstore().common_epoch(&ranks).unwrap(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -99,7 +99,7 @@ impl HydeeProvider {
         self.inner.metrics()
     }
 
-    /// Per-rank persistent stores.
+    /// Per-rank sender logs.
     pub fn store(&self) -> Arc<spbc_core::store::SharedStore> {
         self.inner.store()
     }

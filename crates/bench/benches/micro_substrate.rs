@@ -163,64 +163,6 @@ fn flight_recorder(c: &mut Criterion) {
     g.finish();
 }
 
-/// Commit-barrier cost of checkpoint storage: what a rank *waits on* per
-/// wave. `sync_fsync` is the pre-ckptstore path — seal + write + fsync,
-/// all on the barrier. `async_commit` is the double-buffered path's barrier
-/// share — seal + enqueue on the background writer; the fsync happens on
-/// the writer thread, overlapped with the next compute phase. `async_flush`
-/// adds the next wave's flush with *no* compute in between — the degenerate
-/// upper bound where there is nothing to hide the write behind.
-fn ckptstore(c: &mut Criterion) {
-    use mini_mpi::types::RankId;
-    use spbc_ckptstore::{CkptStoreService, StoreConfig};
-    use spbc_core::disk::DiskStore;
-    use spbc_core::store::CheckpointData;
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("spbc-bench-ckpt-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
-    let mut g = c.benchmark_group("ckptstore_commit");
-    g.sample_size(10).measurement_time(Duration::from_secs(8));
-    for &size in &[64 * 1024usize, 256 * 1024] {
-        let ck = CheckpointData { ckpt_epoch: 1, app_state: vec![7u8; size], ..Default::default() };
-        g.throughput(Throughput::Bytes(size as u64));
-
-        g.bench_with_input(BenchmarkId::new("sync_fsync", size), &size, |b, _| {
-            let disk = DiskStore::open(tmpdir(&format!("sync-{size}"))).unwrap();
-            b.iter(|| disk.save(RankId(0), &ck).unwrap())
-        });
-
-        g.bench_with_input(BenchmarkId::new("async_commit", size), &size, |b, _| {
-            let svc = CkptStoreService::on_disk(
-                tmpdir(&format!("async-{size}")),
-                1,
-                StoreConfig::default(),
-            )
-            .unwrap();
-            b.iter(|| svc.commit_local(RankId(0), 1, ck.to_blob(), None).unwrap());
-            svc.flush_all().unwrap();
-        });
-
-        g.bench_with_input(BenchmarkId::new("async_flush", size), &size, |b, _| {
-            let svc = CkptStoreService::on_disk(
-                tmpdir(&format!("flush-{size}")),
-                1,
-                StoreConfig::default(),
-            )
-            .unwrap();
-            b.iter(|| {
-                svc.flush_rank(RankId(0)).unwrap();
-                svc.commit_local(RankId(0), 1, ck.to_blob(), None).unwrap();
-            });
-            svc.flush_all().unwrap();
-        });
-    }
-    g.finish();
-}
-
 /// Sealing-checksum throughput: the slice-by-8 CRC32 vs the bytewise loop
 /// it replaced — the per-byte cost every sealed checkpoint blob pays on
 /// both the write and the verify path.
@@ -356,7 +298,6 @@ criterion_group!(
     matching,
     stats,
     flight_recorder,
-    ckptstore,
     crc,
     ckpt_delta,
     p2p,

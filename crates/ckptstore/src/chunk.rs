@@ -92,8 +92,8 @@ fn chunk_hash(chunk: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Structurally validate a sealed blob of **any** version (V1 header,
-/// V2/V3/V4 + parity checksum + framing; for V4 also every inline payload
+/// Structurally validate a sealed blob of **any** version (V2/V3/V4 +
+/// parity checksum + framing; for V4 also every inline payload
 /// against its address). Used to decide whether a stored copy is worth
 /// loading or repairing from.
 pub fn verify(bytes: &[u8]) -> Result<()> {
@@ -441,7 +441,7 @@ impl<'a> CasView<'a> {
     }
 }
 
-/// Every base epoch a sealed blob references — empty for V1/V2 full blobs
+/// Every base epoch a sealed blob references — empty for V2 full blobs
 /// and for V4 (content-addressed blobs reference hashes, not epochs).
 /// Storage GC keeps these alive while the referring blob is retained.
 pub fn referenced_epochs(bytes: &[u8]) -> Result<BTreeSet<u64>> {
@@ -707,7 +707,7 @@ impl DeltaEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blob::{MAGIC_V1, MAGIC_V2};
+    use crate::blob::MAGIC_V2;
     use std::collections::HashMap;
 
     /// In-test blob store: epoch → sealed blob, with a fetch closure.
@@ -885,9 +885,11 @@ mod tests {
     #[test]
     fn verify_accepts_all_versions_and_rejects_garbage() {
         assert!(verify(&seal(b"full")).is_ok());
-        let mut v1 = MAGIC_V1.to_vec();
+        // The retired V1 framing (V2's magic with version digit 1).
+        let mut v1 = MAGIC_V2.to_vec();
+        v1[7] = b'1';
         v1.extend_from_slice(b"legacy");
-        assert!(verify(&v1).is_ok());
+        assert!(verify(&v1).is_err());
         assert!(verify(b"SPBCCKP3short").is_err());
         assert!(verify(b"garbage").is_err());
         assert!(referenced_epochs(&seal(b"full")).unwrap().is_empty());

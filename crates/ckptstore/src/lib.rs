@@ -74,7 +74,7 @@ pub mod tier;
 pub mod writer;
 
 pub use backend::{BatchItem, BatchStats, CheckpointBackend, DirBackend, MemBackend, PutStats};
-pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V1, MAGIC_V2};
+pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V2};
 pub use cas::{CasStore, ChunkFate, ChunkHash};
 pub use cdc::{chunk_spans, CdcParams};
 pub use chunk::{seal_v4, CasView, DeltaEncoder, DeltaView, EncodeStats, MAGIC_V3, MAGIC_V4};

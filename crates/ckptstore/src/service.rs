@@ -7,7 +7,7 @@
 //!
 //! * its **local** store — the authoritative copy of its own checkpoints
 //!   (memory for in-process experiments, a `rank-<r>/own` directory when a
-//!   storage root is configured), written through the [`AsyncWriter`];
+//!   storage root is configured), written through the [`AsyncWriter`](crate::writer::AsyncWriter);
 //! * its **partner** store — copies of *other* ranks' checkpoints pushed to
 //!   it over the control plane at commit time. Partner copies are held in
 //!   memory by default (ReStore's insight: partner RAM beats the PFS by

@@ -1,7 +1,7 @@
 //! # spbc-clustering
 //!
 //! The communication-aware clustering tool of the paper's evaluation
-//! (reference [30]): given a profiled communication matrix, partition ranks
+//! (reference \[30\]): given a profiled communication matrix, partition ranks
 //! into `k` clusters so that the volume of inter-cluster traffic — which the
 //! hierarchical protocol must log — is minimized, with all ranks of a node
 //! kept together.

@@ -1,5 +1,5 @@
 //! Graph partitioning minimizing logged volume — the clustering tool of the
-//! paper's reference [30] (Ropars et al., Euro-Par'11).
+//! paper's reference \[30\] (Ropars et al., Euro-Par'11).
 //!
 //! Pipeline:
 //! 1. collapse ranks into nodes (a node never spans clusters);
@@ -19,7 +19,7 @@ use crate::graph::CommGraph;
 /// What the refinement optimizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Objective {
-    /// Total bytes logged (the [30] objective).
+    /// Total bytes logged (the \[30\] objective).
     MinTotal,
     /// Maximum bytes any single node logs (§6.6's suggestion).
     MinMax,

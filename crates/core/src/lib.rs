@@ -18,7 +18,7 @@
 //! equality.
 //!
 //! Entry points:
-//! * [`protocol::SpbcProvider`] — plug into [`mini_mpi::Runtime::run`];
+//! * [`protocol::SpbcProvider`] — plug into [`mini_mpi::Runtime::builder`];
 //! * [`pattern::Patterns`] — `DECLARE_PATTERN` / `BEGIN_ITERATION` /
 //!   `END_ITERATION`;
 //! * [`cluster::ClusterMap`] — how ranks group into clusters (use
@@ -28,7 +28,6 @@
 
 pub mod cluster;
 pub mod ctrl;
-pub mod disk;
 pub mod env;
 pub mod hist;
 pub mod log;

@@ -26,9 +26,10 @@ use crate::ctrl::{
     KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG,
     KIND_LOG_GC, KIND_ROLLBACK,
 };
+use crate::log::MessageLog;
 use crate::metrics::Metrics;
 use crate::replay::{ReplayEngine, DEFAULT_REPLAY_WINDOW};
-use crate::store::{CheckpointData, PersistentState, SharedStore};
+use crate::store::{CheckpointData, SharedStore};
 use bytes::Bytes;
 use mini_mpi::envelope::{CtrlMsg, Envelope, Message};
 use mini_mpi::error::{MpiError, Result};
@@ -43,7 +44,7 @@ use parking_lot::Mutex;
 use spbc_ckptstore::{
     Admission, CdcParams, CkptStoreService, EcScheme, LoadOutcome, SetMap, StoreConfig,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -302,43 +303,30 @@ pub struct SpbcProvider {
     store: Arc<SharedStore>,
     metrics: Arc<Metrics>,
     cfg: SpbcConfig,
-    disk: Option<Arc<crate::disk::DiskStore>>,
     ckptstore: Arc<CkptStoreService>,
     /// Background time-series sampler, held so it stops (and flushes its
     /// final row) when the provider is dropped at the end of the run.
     sampler: Option<crate::sampler::MetricsSampler>,
 }
 
-/// Where a run's checkpoint data lives — the one way to pick a storage
-/// backend for [`SpbcProvider`].
-///
-/// Two independent axes are folded into one value:
-///
-/// * **backend** — where the replicated checkpoint service
-///   ([`CkptStoreService`]) keeps local copies: node memory
-///   ([`Storage::memory`], the default; stable storage modeled as RAM like
-///   [`SharedStore`]) or real files under `root/rank-<r>/own`
-///   ([`Storage::disk_root`], the configuration the partner-repair path is
-///   designed around — local files can be lost or corrupted and restart
-///   still succeeds).
-/// * **mirror** — optionally mirror every committed checkpoint to a
-///   [`DiskStore`](crate::disk::DiskStore) of durable artifacts surviving
-///   the process ([`Storage::mirror_to`]).
+/// Where the replicated checkpoint service ([`CkptStoreService`]) — the one
+/// home of every committed checkpoint — keeps each rank's local copies: node
+/// memory ([`Storage::memory`], the default) or real files under
+/// `root/rank-<r>/own` ([`Storage::disk_root`], the configuration the
+/// partner-repair path is designed around — local files can be lost or
+/// corrupted and restart still succeeds).
 ///
 /// ```no_run
 /// # use spbc_core::protocol::{SpbcConfig, SpbcProvider, Storage};
 /// # use spbc_core::cluster::ClusterMap;
-/// # use spbc_core::disk::DiskStore;
 /// let provider = SpbcProvider::new(ClusterMap::blocks(8, 4), SpbcConfig::default())
-///     .with_storage(
-///         Storage::disk_root("/tmp/ckpts").mirror_to(DiskStore::open("/tmp/artifacts")?),
-///     )?;
+///     .with_storage(Storage::disk_root("/tmp/ckpts"))?;
+/// let committed = provider.ckptstore().available_epochs(mini_mpi::types::RankId(0))?;
 /// # Ok::<(), mini_mpi::error::MpiError>(())
 /// ```
 #[derive(Default)]
 pub struct Storage {
     root: Option<std::path::PathBuf>,
-    mirror: Option<crate::disk::DiskStore>,
 }
 
 impl Storage {
@@ -351,14 +339,7 @@ impl Storage {
     /// Keep each rank's local checkpoint copies on disk under
     /// `root/rank-<r>/own` (partner replicas stay in memory).
     pub fn disk_root(root: impl Into<std::path::PathBuf>) -> Self {
-        Storage { root: Some(root.into()), mirror: None }
-    }
-
-    /// Additionally mirror every committed checkpoint to an on-disk store
-    /// of durable artifacts.
-    pub fn mirror_to(mut self, disk: crate::disk::DiskStore) -> Self {
-        self.mirror = Some(disk);
-        self
+        Storage { root: Some(root.into()) }
     }
 }
 
@@ -378,14 +359,12 @@ impl SpbcProvider {
             store: Arc::new(SharedStore::new(world)),
             metrics,
             cfg,
-            disk: None,
             ckptstore: Arc::new(CkptStoreService::in_memory(world, store_cfg)),
             sampler,
         }
     }
 
-    /// Select the checkpoint storage configuration — see [`Storage`] for
-    /// the available backends and the mirror option.
+    /// Select the checkpoint storage backend — see [`Storage`].
     pub fn with_storage(mut self, storage: Storage) -> Result<Self> {
         if let Some(root) = storage.root {
             let world = self.clusters.world_size();
@@ -393,18 +372,11 @@ impl SpbcProvider {
             store_cfg.sets = sets_of(&self.clusters, &self.cfg, store_cfg.ec);
             self.ckptstore = Arc::new(CkptStoreService::on_disk(root, world, store_cfg)?);
         }
-        if let Some(disk) = storage.mirror {
-            self.disk = Some(Arc::new(disk));
-        }
         Ok(self)
     }
 
-    /// The disk store, if one is attached.
-    pub fn disk(&self) -> Option<Arc<crate::disk::DiskStore>> {
-        self.disk.clone()
-    }
-
-    /// The checkpoint-storage service backing this run.
+    /// The checkpoint-storage service backing this run: the only place a
+    /// committed checkpoint lives, and the only source a restart reads.
     pub fn ckptstore(&self) -> Arc<CkptStoreService> {
         Arc::clone(&self.ckptstore)
     }
@@ -422,7 +394,7 @@ impl SpbcProvider {
         self.sampler.take().map_or(0, crate::sampler::MetricsSampler::stop)
     }
 
-    /// The per-rank persistent stores (logs + checkpoints).
+    /// The per-rank sender logs.
     pub fn store(&self) -> Arc<SharedStore> {
         Arc::clone(&self.store)
     }
@@ -439,16 +411,14 @@ impl FtProvider for SpbcProvider {
     }
 
     fn make_layer(&self, rank: RankId, _epoch: u32) -> Box<dyn FtLayer> {
-        let mut layer = SpbcLayer::new(
+        Box::new(SpbcLayer::new(
             rank,
             Arc::clone(&self.clusters),
-            Arc::clone(&self.store),
+            &self.store,
             Arc::clone(&self.metrics),
             self.cfg.clone(),
-        );
-        layer.disk = self.disk.clone();
-        layer.service = Some(Arc::clone(&self.ckptstore));
-        Box::new(layer)
+            Arc::clone(&self.ckptstore),
+        ))
     }
 
     fn on_rank_failed(&self, rank: RankId) {
@@ -516,8 +486,8 @@ pub struct SpbcLayer {
     me: RankId,
     cluster: usize,
     clusters: Arc<ClusterMap>,
-    persistent: Arc<Mutex<PersistentState>>,
-    shared_store: Arc<SharedStore>,
+    /// My sender-side log; it outlives this incarnation of the layer.
+    log: Arc<Mutex<MessageLog>>,
     metrics: Arc<Metrics>,
     cfg: SpbcConfig,
 
@@ -553,11 +523,13 @@ pub struct SpbcLayer {
     /// Coordinated policy: rendezvous token of the granted in-flight replay.
     granted_token: Option<u64>,
 
-    /// Optional on-disk mirror for committed checkpoints.
-    pub(crate) disk: Option<Arc<crate::disk::DiskStore>>,
-    /// The replicated checkpoint-storage service (always set by the
-    /// provider; `Option` only so unit constructions stay cheap).
-    pub(crate) service: Option<Arc<CkptStoreService>>,
+    /// The replicated checkpoint-storage service: where every committed
+    /// checkpoint lives, and the only source a restart reads.
+    service: Arc<CkptStoreService>,
+    /// Log-GC notices ([`CheckpointData::log_gc_notices`]) of the last two
+    /// cuts this incarnation committed, or of the one it restored, keyed by
+    /// epoch: wave N's RESUME sends wave N−1's.
+    gc_cuts: Vec<(u64, BTreeMap<RankId, LogGc>)>,
     /// My partner ranks (other clusters) holding replica copies.
     partners: Vec<RankId>,
     /// Outstanding replication barrier for the wave being committed.
@@ -572,15 +544,15 @@ pub struct SpbcLayer {
 
 impl SpbcLayer {
     /// Build the layer for `me`.
-    pub fn new(
+    pub(crate) fn new(
         me: RankId,
         clusters: Arc<ClusterMap>,
-        store: Arc<SharedStore>,
+        store: &SharedStore,
         metrics: Arc<Metrics>,
         cfg: SpbcConfig,
+        service: Arc<CkptStoreService>,
     ) -> Self {
         let cluster = clusters.cluster_of(me);
-        let persistent = store.slot(me);
         let mut replay = ReplayEngine::new(cfg.replay_window);
         replay.set_metrics(Arc::clone(&metrics));
         let partners = clusters.replica_partners(me, cfg.replicas);
@@ -588,8 +560,7 @@ impl SpbcLayer {
             me,
             cluster,
             clusters,
-            persistent,
-            shared_store: store,
+            log: store.slot(me),
             metrics,
             cfg,
             ls: HashMap::new(),
@@ -608,8 +579,8 @@ impl SpbcLayer {
             answered_rollback: HashMap::new(),
             awaiting_grant: None,
             granted_token: None,
-            disk: None,
-            service: None,
+            service,
+            gc_cuts: Vec::new(),
             partners,
             repl: None,
             wave_open: None,
@@ -713,14 +684,16 @@ impl SpbcLayer {
 
     /// Receiver-checkpoint log GC, run when wave `epoch` resumes: storage
     /// now retains only waves `epoch - 1` and up, so what the `epoch - 1`
-    /// cut already holds can never be asked of a sender's log again. When
-    /// that cut is not cached (first wave after a process respawn) nothing
-    /// is sent: a notice is never needed for safety, only to free memory.
-    fn send_log_gc(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) {
-        let cut = self.persistent.lock().checkpoint(epoch - 1).map(CheckpointData::log_gc_notices);
-        for (src, gc) in cut.into_iter().flatten().filter(|(src, _)| !self.is_intra(*src)) {
+    /// cut already holds can never be asked of a sender's log again. That
+    /// cut is one this incarnation committed or restored from — including
+    /// the first wave after a process respawn.
+    fn send_log_gc(&self, ctx: &mut FtCtx<'_>, epoch: u64) {
+        let Some((_, notices)) = self.gc_cuts.iter().find(|(e, _)| *e == epoch - 1) else {
+            return;
+        };
+        for (&src, gc) in notices.iter().filter(|(src, _)| !self.is_intra(**src)) {
             Metrics::add(&self.metrics.log_gc_notices, 1);
-            self.ctrl(ctx, src, KIND_LOG_GC, to_bytes(&gc));
+            self.ctrl(ctx, src, KIND_LOG_GC, to_bytes(gc));
         }
     }
 
@@ -764,7 +737,7 @@ impl SpbcLayer {
             //    them) must bypass the fresh LS when re-sent.
             for &s in &ch.missing {
                 let chan = ChannelId::new(self.me, from, comm);
-                if self.persistent.lock().log.find(chan, s).is_none() {
+                if self.log.lock().find(chan, s).is_none() {
                     self.ls_exceptions.entry((from, comm)).or_default().insert(s);
                 }
             }
@@ -789,7 +762,7 @@ impl SpbcLayer {
         let listed = |chan: ChannelId| rb.channels.iter().find(|c| c.comm == chan.comm.0);
         let lr_of = |chan| listed(chan).map_or(0, |c| c.lr);
         let missing_of = |chan| listed(chan).map(|c| c.missing.clone()).unwrap_or_default();
-        let set = self.persistent.lock().log.replay_set(from, &lr_of, &missing_of);
+        let set = self.log.lock().replay_set(from, &lr_of, &missing_of);
         if !set.is_empty() || self.replay.has_queued(from) {
             Metrics::add(&self.metrics.replayed_msgs, set.len() as u64);
             Metrics::add(
@@ -829,7 +802,7 @@ impl SpbcLayer {
                     // Sent before our restart point (or re-sent already):
                     // replay straight from the log.
                     let chan = ChannelId::new(self.me, from, comm);
-                    if let Some(m) = self.persistent.lock().log.find(chan, s).cloned() {
+                    if let Some(m) = self.log.lock().find(chan, s).cloned() {
                         Metrics::add(&self.metrics.replayed_msgs, 1);
                         Metrics::add(&self.metrics.replayed_bytes, m.payload.len() as u64);
                         self.replay.enqueue(from, m);
@@ -914,8 +887,8 @@ impl SpbcLayer {
             }
         }
         let (log_lens, log_order) = {
-            let p = self.persistent.lock();
-            (p.log.lengths(), p.log.order_counter())
+            let log = self.log.lock();
+            (log.lengths(), log.order_counter())
         };
         let ck = CheckpointData {
             ckpt_epoch: epoch,
@@ -932,109 +905,99 @@ impl SpbcLayer {
             comms: ctx.comms_snapshot(),
             lamport: ctx.lamport(),
         };
-        if let Some(disk) = &self.disk {
-            disk.save(self.me, &ck)?;
-        }
         // Stable storage via the replicated checkpoint service: serialize
         // once, encode (default: content-defined chunks deduped against the
         // shared chunk store, sealed as an `SPBCCKP4` manifest carrying only
         // new chunks inline; with CDC off, a fixed-grid `SPBCCKP3` delta),
         // and reuse the sealed blob for the local write and every partner
         // push.
-        let mut logical = 0u64;
-        let sealed = if let Some(service) = &self.service {
-            // Double buffer: wait for the *previous* wave's background
-            // write, never our own — that is all the fsync latency the
-            // commit barrier ever pays.
-            service.flush_rank(self.me)?;
-            let encode_start = Instant::now();
-            let body = to_bytes(&ck);
-            let (blob, stats) = service.encode_commit(self.me, epoch, &body)?;
-            let encode_us = encode_start.elapsed().as_micros() as u64;
-            self.record_phase(ctx, epoch, crate::hist::Phase::Encode, encode_us);
-            logical = stats.logical;
-            Metrics::add(&self.metrics.ckpt_bytes_logical, stats.logical);
-            Metrics::add(&self.metrics.ckpt_bytes_physical, stats.physical);
-            Metrics::add(
-                &self.metrics.cas_hits_cross_epoch,
-                stats.cas_hit_chunks_same_owner as u64,
-            );
-            Metrics::add(&self.metrics.cas_hits_cross_rank, stats.cas_hit_chunks_cross_rank as u64);
-            Metrics::add(&self.metrics.cas_hit_bytes, stats.cas_hit_bytes);
-            Metrics::set(&self.metrics.cas_unique_bytes, service.cas().unique_bytes());
-            let bytes = blob.len() as u64;
-            ctx.recorder().record(|| Event::CkptWrite {
-                epoch,
-                bytes,
-                logical,
-                phase: WritePhase::Submitted,
-            });
-            let rec = ctx.recorder().clone();
-            let metrics = Arc::clone(&self.metrics);
-            let is_async = service.config().async_writes;
-            let admission = service.commit_local(
-                self.me,
-                epoch,
-                blob.clone(),
-                Some(Box::new(move |res, hidden| {
-                    if let Ok(put) = res {
-                        rec.record(|| Event::CkptWrite {
-                            epoch,
-                            bytes,
-                            logical,
-                            phase: WritePhase::Completed,
-                        });
-                        let write_us = hidden.as_micros() as u64;
-                        metrics.phase.record(crate::hist::Phase::Write, write_us);
+        let service = Arc::clone(&self.service);
+        // Double buffer: wait for the *previous* wave's background write,
+        // never our own — that is all the fsync latency the commit barrier
+        // ever pays.
+        service.flush_rank(self.me)?;
+        let encode_start = Instant::now();
+        let body = to_bytes(&ck);
+        let (sealed, stats) = service.encode_commit(self.me, epoch, &body)?;
+        let encode_us = encode_start.elapsed().as_micros() as u64;
+        self.record_phase(ctx, epoch, crate::hist::Phase::Encode, encode_us);
+        let logical = stats.logical;
+        Metrics::add(&self.metrics.ckpt_bytes_logical, stats.logical);
+        Metrics::add(&self.metrics.ckpt_bytes_physical, stats.physical);
+        Metrics::add(&self.metrics.cas_hits_cross_epoch, stats.cas_hit_chunks_same_owner as u64);
+        Metrics::add(&self.metrics.cas_hits_cross_rank, stats.cas_hit_chunks_cross_rank as u64);
+        Metrics::add(&self.metrics.cas_hit_bytes, stats.cas_hit_bytes);
+        Metrics::set(&self.metrics.cas_unique_bytes, service.cas().unique_bytes());
+        let bytes = sealed.len() as u64;
+        ctx.recorder().record(|| Event::CkptWrite {
+            epoch,
+            bytes,
+            logical,
+            phase: WritePhase::Submitted,
+        });
+        let rec = ctx.recorder().clone();
+        let metrics = Arc::clone(&self.metrics);
+        let is_async = service.config().async_writes;
+        let admission = service.commit_local(
+            self.me,
+            epoch,
+            sealed.clone(),
+            Some(Box::new(move |res, hidden| {
+                if let Ok(put) = res {
+                    rec.record(|| Event::CkptWrite {
+                        epoch,
+                        bytes,
+                        logical,
+                        phase: WritePhase::Completed,
+                    });
+                    let write_us = hidden.as_micros() as u64;
+                    metrics.phase.record(crate::hist::Phase::Write, write_us);
+                    rec.record(|| Event::CkptPhaseDone {
+                        epoch,
+                        phase: crate::hist::Phase::Write.name(),
+                        us: write_us,
+                    });
+                    if put.fsync_us > 0 {
+                        metrics.phase.record(crate::hist::Phase::Fsync, put.fsync_us);
                         rec.record(|| Event::CkptPhaseDone {
                             epoch,
-                            phase: crate::hist::Phase::Write.name(),
-                            us: write_us,
+                            phase: crate::hist::Phase::Fsync.name(),
+                            us: put.fsync_us,
                         });
-                        if put.fsync_us > 0 {
-                            metrics.phase.record(crate::hist::Phase::Fsync, put.fsync_us);
-                            rec.record(|| Event::CkptPhaseDone {
-                                epoch,
-                                phase: crate::hist::Phase::Fsync.name(),
-                                us: put.fsync_us,
-                            });
-                        }
-                        if put.drain_us > 0 {
-                            // Cold epochs demoted down the tier stack behind
-                            // the write — background cost, not barrier cost.
-                            metrics.phase.record(crate::hist::Phase::TierDrain, put.drain_us);
-                            rec.record(|| Event::CkptPhaseDone {
-                                epoch,
-                                phase: crate::hist::Phase::TierDrain.name(),
-                                us: put.drain_us,
-                            });
-                        }
-                        if is_async {
-                            Metrics::add(&metrics.ckpt_writes_async, 1);
-                            Metrics::add(&metrics.ckpt_write_hidden_us, write_us);
-                        }
                     }
-                })),
-            )?;
-            if let Admission::Delayed { waited_us } = admission {
-                // The bounded pipeline pushed back: the submit queue was at
-                // its hard depth and commit stalled until a slot drained.
-                self.record_phase(ctx, epoch, crate::hist::Phase::Admission, waited_us);
-                Metrics::add(&self.metrics.store_admission_waits, 1);
-            }
-            let ws = service.writer_stats();
-            Metrics::set(&self.metrics.store_batched_fsyncs, ws.batched_fsyncs);
-            Metrics::set(&self.metrics.store_queue_depth, ws.queue_depth);
-            blob
-        } else {
-            ck.to_blob()
-        };
-        self.persistent.lock().push_checkpoint(ck);
+                    if put.drain_us > 0 {
+                        // Cold epochs demoted down the tier stack behind the
+                        // write — background cost, not barrier cost.
+                        metrics.phase.record(crate::hist::Phase::TierDrain, put.drain_us);
+                        rec.record(|| Event::CkptPhaseDone {
+                            epoch,
+                            phase: crate::hist::Phase::TierDrain.name(),
+                            us: put.drain_us,
+                        });
+                    }
+                    if is_async {
+                        Metrics::add(&metrics.ckpt_writes_async, 1);
+                        Metrics::add(&metrics.ckpt_write_hidden_us, write_us);
+                    }
+                }
+            })),
+        )?;
+        if let Admission::Delayed { waited_us } = admission {
+            // The bounded pipeline pushed back: the submit queue was at
+            // its hard depth and commit stalled until a slot drained.
+            self.record_phase(ctx, epoch, crate::hist::Phase::Admission, waited_us);
+            Metrics::add(&self.metrics.store_admission_waits, 1);
+        }
+        let ws = service.writer_stats();
+        Metrics::set(&self.metrics.store_batched_fsyncs, ws.batched_fsyncs);
+        Metrics::set(&self.metrics.store_queue_depth, ws.queue_depth);
+        self.gc_cuts.push((epoch, ck.log_gc_notices()));
+        if self.gc_cuts.len() > 2 {
+            self.gc_cuts.remove(0);
+        }
         self.last_ckpt_epoch = epoch;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Written });
-        let ec_on = self.service.as_ref().is_some_and(|s| s.config().ec.is_on())
-            && !self.partners.is_empty();
-        if ec_on {
+        if service.config().ec.is_on() && !self.partners.is_empty() {
             // Erasure-coded replication: stage the sealed blob with the
             // redundancy set instead of pushing full copies. The last set
             // member to stage becomes the wave's encoder — it computes the
@@ -1042,7 +1005,6 @@ impl SpbcLayer {
             // physical replication cost is m/g of a blob per member rather
             // than k whole blobs.
             ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
-            let service = Arc::clone(self.service.as_ref().expect("ec_on implies service"));
             match service.stage_for_parity(self.me, epoch, &sealed)? {
                 None => {
                     // Not in a set, or not the encoder: nothing to wait for.
@@ -1078,7 +1040,7 @@ impl SpbcLayer {
                     self.ckpt_state = CkptState::AwaitRepl;
                 }
             }
-        } else if self.service.is_some() && !self.partners.is_empty() {
+        } else if !self.partners.is_empty() {
             // Push the sealed blob to every partner; the leader's ACK waits
             // for their store confirmations (the commit barrier includes
             // replication, not disk). In CDC mode only the chunk-hash
@@ -1181,6 +1143,44 @@ impl SpbcLayer {
         ctx.send_ctrl(partner, KIND_CKPT_BLOB, body);
     }
 
+    /// Load my checkpoint of wave `target` from the store service — the
+    /// only place a committed checkpoint lives — recording the restore
+    /// phases. A wave the store cannot load is a loud error.
+    fn load_cut(&self, ctx: &mut FtCtx<'_>, target: u64) -> Result<CheckpointData> {
+        let Some((body, outcome, lstats)) = self.service.load_with_stats(self.me, target)? else {
+            return Err(MpiError::InvalidState(format!(
+                "rank {} lacks checkpoint epoch {target}",
+                self.me
+            )));
+        };
+        self.record_phase(ctx, target, crate::hist::Phase::RestoreLoad, lstats.fetch_us);
+        self.record_phase(
+            ctx,
+            target,
+            crate::hist::Phase::RestoreMaterialize,
+            lstats.materialize_us,
+        );
+        match outcome {
+            LoadOutcome::Repaired { from } => {
+                Metrics::add(&self.metrics.ckpt_repairs, 1);
+                // Repair rode the fetch path, so its cost is the fetch time
+                // of a load that needed a partner scan.
+                self.record_phase(ctx, target, crate::hist::Phase::RestoreRepair, lstats.fetch_us);
+                ctx.recorder().record(|| Event::CkptRepair { epoch: target, from });
+            }
+            LoadOutcome::Rebuilt { set_id } => {
+                // The checkpoint was reconstructed from the redundancy set's
+                // parity (erasure decode).
+                Metrics::add(&self.metrics.ec_rebuilds, 1);
+                self.record_phase(ctx, target, crate::hist::Phase::RestoreRepair, lstats.fetch_us);
+                ctx.recorder().record(|| Event::CkptRebuild { epoch: target, set_id });
+            }
+            LoadOutcome::Local => {}
+        }
+        // CRC-verified: the service returns the unsealed body.
+        from_bytes(&body)
+    }
+
     /// Replication barrier cleared (or not required): tell the leader this
     /// member's checkpoint is committed and block for the resume broadcast.
     fn ack_commit(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) -> Result<()> {
@@ -1212,114 +1212,47 @@ impl FtLayer for SpbcLayer {
         // on the newest checkpoint wave everyone committed: a crash during a
         // commit broadcast can leave members one wave apart.
         let members: Vec<RankId> = self.clusters.members(self.cluster).to_vec();
-        if let Some(service) = &self.service {
-            // Settle in-flight background writes first so the storage
-            // service's epoch inventory is trustworthy (the writer thread
-            // survives rank kills, so this is a bounded wait).
-            for &m in &members {
-                service.flush_rank(m)?;
-            }
+        // Settle in-flight background writes first so the storage service's
+        // epoch inventory is trustworthy (the writer thread survives rank
+        // kills, so this is a bounded wait).
+        for &m in &members {
+            self.service.flush_rank(m)?;
         }
-        let target = {
-            let mem = self.shared_store.common_epoch(&members);
-            let svc = match &self.service {
-                // Partner-held copies count: a rank whose local store was
-                // destroyed still reaches the wave via repair.
-                Some(s) => s.common_epoch(&members)?,
-                None => 0,
-            };
-            mem.max(svc)
-        };
-        // Trim the in-memory cache to the restored wave (and use its copy as
-        // a fallback when the storage service has no surviving blob, e.g.
-        // replication disabled and local files lost mid-run).
-        let mut ck_opt =
-            if target == 0 { None } else { self.persistent.lock().restore_epoch(target) };
-        if target != 0 {
-            if let Some(service) = &self.service {
-                if let Some((body, outcome, lstats)) = service.load_with_stats(self.me, target)? {
-                    self.record_phase(
-                        ctx,
-                        target,
-                        crate::hist::Phase::RestoreLoad,
-                        lstats.fetch_us,
-                    );
-                    self.record_phase(
-                        ctx,
-                        target,
-                        crate::hist::Phase::RestoreMaterialize,
-                        lstats.materialize_us,
-                    );
-                    match outcome {
-                        LoadOutcome::Repaired { from } => {
-                            Metrics::add(&self.metrics.ckpt_repairs, 1);
-                            // Repair rode the fetch path, so its cost is the
-                            // fetch time of a load that needed a partner scan.
-                            self.record_phase(
-                                ctx,
-                                target,
-                                crate::hist::Phase::RestoreRepair,
-                                lstats.fetch_us,
-                            );
-                            ctx.recorder().record(|| Event::CkptRepair { epoch: target, from });
-                        }
-                        LoadOutcome::Rebuilt { set_id } => {
-                            // The checkpoint was reconstructed from the
-                            // redundancy set's parity (erasure decode).
-                            Metrics::add(&self.metrics.ec_rebuilds, 1);
-                            self.record_phase(
-                                ctx,
-                                target,
-                                crate::hist::Phase::RestoreRepair,
-                                lstats.fetch_us,
-                            );
-                            ctx.recorder().record(|| Event::CkptRebuild { epoch: target, set_id });
-                        }
-                        LoadOutcome::Local => {}
-                    }
-                    // The storage copy is authoritative: CRC-verified (the
-                    // service returns the unsealed body), and repairable
-                    // where the cache is not.
-                    ck_opt = Some(from_bytes::<CheckpointData>(&body)?);
-                }
-            }
-        }
-        if target != 0 && ck_opt.is_none() {
-            return Err(MpiError::InvalidState(format!(
-                "rank {} lacks checkpoint epoch {target}",
-                self.me
-            )));
-        }
+        // Partner-held copies count: a rank whose local store was destroyed
+        // still reaches the wave via repair.
+        let target = self.service.common_epoch(&members)?;
+        let ck = if target == 0 { None } else { Some(self.load_cut(ctx, target)?) };
         ctx.recorder().record(|| Event::Rollback { epoch: ctx.epoch(), restored_ckpt: target });
-        if let Some(ck) = ck_opt {
-            ctx.set_send_seq(ck.send_seq.clone());
-            ctx.set_recv_seen(ck.recv_seen.clone());
-            ctx.restore_comms(ck.comms.clone());
+        if let Some(ck) = ck {
+            self.gc_cuts = vec![(target, ck.log_gc_notices())];
+            ctx.set_send_seq(ck.send_seq);
+            ctx.set_recv_seen(ck.recv_seen);
+            ctx.restore_comms(ck.comms);
             ctx.set_lamport(ck.lamport);
             let restored: Vec<Arrived> = ck
                 .unexpected_full
-                .iter()
-                .map(|m| Arrived { env: m.env, body: ArrivedBody::Eager(m.payload.clone()) })
+                .into_iter()
+                .map(|m| Arrived { env: m.env, body: ArrivedBody::Eager(m.payload) })
                 .collect();
             ctx.restore_unexpected(restored);
-            for (chan, seq) in &ck.missing {
-                self.missing.entry((chan.src, chan.comm)).or_default().insert(*seq);
+            for (chan, seq) in ck.missing {
+                self.missing.entry((chan.src, chan.comm)).or_default().insert(seq);
             }
             let entries = {
-                let mut p = self.persistent.lock();
-                p.log.truncate_to(&ck.log_lens, ck.log_order);
-                p.log.total_entries() as u64
+                let mut log = self.log.lock();
+                log.truncate_to(&ck.log_lens, ck.log_order);
+                log.total_entries() as u64
             };
             ctx.recorder().record(|| Event::LogTruncate { entries, order: ck.log_order });
             self.ckpt_calls = ck.ckpt_calls;
             self.intra_sent = ck.intra_sent;
             self.intra_arrived = ck.intra_arrived;
             self.last_ckpt_epoch = ck.ckpt_epoch;
-            self.restored_app = Some(ck.app_state.clone());
+            self.restored_app = Some(ck.app_state);
         } else {
             // No checkpoint yet: restart from the initial state; everything
             // sent so far will be replayed (LR defaults to 0) or regenerated.
-            self.persistent.lock().log.truncate_to(&HashMap::new(), 0);
+            self.log.lock().truncate_to(&HashMap::new(), 0);
             ctx.restore_unexpected(Vec::new());
         }
         self.send_rollback_all(ctx);
@@ -1356,7 +1289,7 @@ impl FtLayer for SpbcLayer {
         // Inter-cluster: log in the sender's memory (line 6).
         let msg = Message { env: *env, payload: payload.clone() };
         let replayed = via_replay.then(|| msg.clone());
-        self.persistent.lock().log.append(msg);
+        self.log.lock().append(msg);
         Metrics::add(&self.metrics.logged_msgs, 1);
         Metrics::add(&self.metrics.logged_bytes, payload.len() as u64);
         ctx.recorder().record(|| Event::LogAppend {
@@ -1472,17 +1405,14 @@ impl FtLayer for SpbcLayer {
                     self.record_phase(ctx, epoch, crate::hist::Phase::CommitBarrier, us);
                 }
                 // The wave is globally committed inside the cluster: storage
-                // GC can drop everything older than the previous wave (the
-                // same last-two retention the in-memory store keeps), and
+                // GC can drop everything older than the previous wave, and
                 // the senders' logs everything that wave already holds.
                 if epoch > 1 {
-                    if let Some(service) = &self.service {
-                        let keep_from = epoch - 1;
-                        let pruned = service.gc_local(self.me, keep_from)? as u64;
-                        if pruned > 0 {
-                            Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
-                            ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
-                        }
+                    let keep_from = epoch - 1;
+                    let pruned = self.service.gc_local(self.me, keep_from)? as u64;
+                    if pruned > 0 {
+                        Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
+                        ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
                     }
                     self.send_log_gc(ctx, epoch);
                 }
@@ -1492,58 +1422,50 @@ impl FtLayer for SpbcLayer {
                 let cb: CkptBlob = from_bytes(&msg.data)?;
                 let owner = RankId(cb.owner);
                 let bytes = cb.blob.len() as u64;
-                if let Some(service) = &self.service {
-                    // Store synchronously: the ACK must mean "durable".
-                    // Re-pushed duplicates overwrite idempotently.
-                    let pruned = service.store_partner_copy(self.me, owner, cb.epoch, &cb.blob)?;
-                    if pruned > 0 {
-                        Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
-                    }
-                    let epoch = cb.epoch;
-                    ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
-                    ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&CkptBlobAck { epoch }));
+                // Store synchronously: the ACK must mean "durable".
+                // Re-pushed duplicates overwrite idempotently.
+                let pruned = self.service.store_partner_copy(self.me, owner, cb.epoch, &cb.blob)?;
+                if pruned > 0 {
+                    Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
                 }
+                let epoch = cb.epoch;
+                ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
+                ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&CkptBlobAck { epoch }));
                 Ok(())
             }
             KIND_CKPT_HASHES => {
                 let ch: CkptHashes = from_bytes(&msg.data)?;
                 let owner = RankId(ch.owner);
-                if let Some(service) = &self.service {
-                    let missing = service.missing_chunks(&ch.manifest)?;
-                    if missing.is_empty() {
-                        // Every chunk body is already resident in the CAS:
-                        // adopt the manifest as the partner copy and confirm
-                        // durability — no payload ever crossed the wire.
-                        let bytes = ch.manifest.len() as u64;
-                        let pruned =
-                            service.store_partner_copy(self.me, owner, ch.epoch, &ch.manifest)?;
-                        if pruned > 0 {
-                            Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
-                        }
-                        let epoch = ch.epoch;
-                        ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
-                        ctx.send_ctrl(
-                            msg.from,
-                            KIND_CKPT_BLOB_ACK,
-                            to_bytes(&CkptBlobAck { epoch }),
-                        );
-                    } else {
-                        // Ask the owner for the chunk bodies we lack; it
-                        // answers with a subset blob on the ordinary
-                        // KIND_CKPT_BLOB path, whose handler acks.
-                        let body = CkptChunkReq { owner: ch.owner, epoch: ch.epoch, missing };
-                        ctx.send_ctrl(msg.from, KIND_CKPT_CHUNK_REQ, to_bytes(&body));
+                let missing = self.service.missing_chunks(&ch.manifest)?;
+                if missing.is_empty() {
+                    // Every chunk body is already resident in the CAS: adopt
+                    // the manifest as the partner copy and confirm
+                    // durability — no payload ever crossed the wire.
+                    let bytes = ch.manifest.len() as u64;
+                    let pruned =
+                        self.service.store_partner_copy(self.me, owner, ch.epoch, &ch.manifest)?;
+                    if pruned > 0 {
+                        Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
                     }
+                    let epoch = ch.epoch;
+                    ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
+                    ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&CkptBlobAck { epoch }));
+                } else {
+                    // Ask the owner for the chunk bodies we lack; it answers
+                    // with a subset blob on the ordinary KIND_CKPT_BLOB path,
+                    // whose handler acks.
+                    let body = CkptChunkReq { owner: ch.owner, epoch: ch.epoch, missing };
+                    ctx.send_ctrl(msg.from, KIND_CKPT_CHUNK_REQ, to_bytes(&body));
                 }
                 Ok(())
             }
             KIND_CKPT_CHUNK_REQ => {
                 let req: CkptChunkReq = from_bytes(&msg.data)?;
-                if let (Some(service), Some(r)) = (&self.service, &self.repl) {
-                    // Stale requests (an earlier wave's retry) are dropped;
-                    // the retry timer re-pushes the current manifest anyway.
+                // Stale requests (an earlier wave's retry) are dropped; the
+                // retry timer re-pushes the current manifest anyway.
+                if let Some(r) = &self.repl {
                     if r.epoch == req.epoch && req.owner == self.me.0 {
-                        let subset = service.subset_blob(&r.blob, &req.missing)?;
+                        let subset = self.service.subset_blob(&r.blob, &req.missing)?;
                         // Logical bytes were already counted by the manifest
                         // push this subset completes.
                         self.push_blob_to(ctx, msg.from, req.epoch, &subset, 0);
@@ -1579,11 +1501,10 @@ impl FtLayer for SpbcLayer {
             KIND_LOG_GC => {
                 let gc: LogGc = from_bytes(&msg.data)?;
                 let dst = msg.from;
-                let mut p = self.persistent.lock();
-                Metrics::max(&self.metrics.log_live_bytes, p.log.peak_bytes());
+                let mut log = self.log.lock();
+                Metrics::max(&self.metrics.log_live_bytes, log.peak_bytes());
                 for (comm, upto) in gc.channels {
-                    let (entries, bytes) =
-                        p.log.gc(ChannelId::new(self.me, dst, CommId(comm)), upto);
+                    let (entries, bytes) = log.gc(ChannelId::new(self.me, dst, CommId(comm)), upto);
                     Metrics::add(&self.metrics.log_pruned_msgs, entries);
                     Metrics::add(&self.metrics.log_pruned_bytes, bytes);
                     ctx.recorder().record(|| Event::LogGc { dst, comm, upto, entries });
@@ -1669,12 +1590,9 @@ impl FtLayer for SpbcLayer {
     }
 
     fn on_app_done(&mut self, _ctx: &mut FtCtx<'_>) -> Result<()> {
-        Metrics::max(&self.metrics.log_live_bytes, self.persistent.lock().log.peak_bytes());
+        Metrics::max(&self.metrics.log_live_bytes, self.log.lock().peak_bytes());
         // Shutdown durability: the last wave's background write must be on
         // stable storage before the rank reports success.
-        if let Some(service) = &self.service {
-            service.flush_rank(self.me)?;
-        }
-        Ok(())
+        self.service.flush_rank(self.me)
     }
 }

@@ -1,9 +1,13 @@
-//! Per-rank persistent protocol state: the sender-side log ("node memory")
-//! and the latest committed checkpoint ("stable storage").
+//! Per-rank protocol state that outlives a layer incarnation: the
+//! sender-side message log ("node memory"), and the record a committed
+//! checkpoint is encoded from.
 //!
-//! This state intentionally lives *outside* the `FtLayer` instance: layers
-//! are recreated on every restart, while logs and checkpoints survive — just
-//! like node memory and the PFS survive a process crash in the real system.
+//! The logs live *outside* the `FtLayer` instance: layers are recreated on
+//! every restart, while logs survive — just like node memory survives a
+//! process crash in the real system. Committed checkpoints ("stable
+//! storage") have exactly one home, the replicated store service
+//! (`spbc_ckptstore::CkptStoreService`); a restart reads them only from
+//! there.
 
 use crate::ctrl::LogGc;
 use crate::log::MessageLog;
@@ -56,19 +60,6 @@ pub struct CheckpointData {
 }
 
 impl CheckpointData {
-    /// Serialize and frame as a sealed storage blob (`SPBCCKP2` magic +
-    /// CRC32 over the wire encoding) — the unit spbc-ckptstore stores,
-    /// replicates, and verifies.
-    pub fn to_blob(&self) -> Vec<u8> {
-        spbc_ckptstore::seal(&mini_mpi::wire::to_bytes(self))
-    }
-
-    /// Parse a sealed storage blob (V2 checksum-verified; legacy `SPBCCKP1`
-    /// accepted for read-compat).
-    pub fn from_blob(bytes: &[u8]) -> Result<Self> {
-        mini_mpi::wire::from_bytes(spbc_ckptstore::unseal(bytes)?)
-    }
-
     /// The log GC notices this cut justifies, per sender: on each incoming
     /// channel, the highest seqnum a restart from here can never ask the
     /// sender's log for — everything up to the cut's `LR`, stopping short
@@ -127,48 +118,9 @@ impl Decode for CheckpointData {
     }
 }
 
-/// Mutable persistent state of one rank.
-#[derive(Default)]
-pub struct PersistentState {
-    /// The sender-side message log.
-    pub log: MessageLog,
-    /// Committed checkpoints, oldest first. The last **two** are kept: a
-    /// crash can interrupt a commit wave after some members stored epoch
-    /// `N+1` but before others did; restart then agrees on the newest epoch
-    /// *every* member holds, which is at worst `N`.
-    pub checkpoints: Vec<CheckpointData>,
-}
-
-impl PersistentState {
-    /// Epoch of the newest stored checkpoint (0 = none).
-    pub fn latest_epoch(&self) -> u64 {
-        self.checkpoints.last().map_or(0, |c| c.ckpt_epoch)
-    }
-
-    /// Store a committed checkpoint, keeping at most the last two.
-    pub fn push_checkpoint(&mut self, ck: CheckpointData) {
-        self.checkpoints.push(ck);
-        if self.checkpoints.len() > 2 {
-            self.checkpoints.remove(0);
-        }
-    }
-
-    /// The cached checkpoint with exactly `epoch`, if still held.
-    pub fn checkpoint(&self, epoch: u64) -> Option<&CheckpointData> {
-        self.checkpoints.iter().find(|c| c.ckpt_epoch == epoch)
-    }
-
-    /// The checkpoint with exactly `epoch`, discarding any newer ones
-    /// (restart converged on an older wave — newer partial waves are void).
-    pub fn restore_epoch(&mut self, epoch: u64) -> Option<CheckpointData> {
-        self.checkpoints.retain(|c| c.ckpt_epoch <= epoch);
-        self.checkpoint(epoch).cloned()
-    }
-}
-
-/// Shared store of every rank's persistent state.
+/// Every rank's sender-side log, shared across layer incarnations.
 pub struct SharedStore {
-    slots: Vec<Arc<Mutex<PersistentState>>>,
+    slots: Vec<Arc<Mutex<MessageLog>>>,
 }
 
 impl SharedStore {
@@ -177,8 +129,8 @@ impl SharedStore {
         SharedStore { slots: (0..world).map(|_| Arc::default()).collect() }
     }
 
-    /// The slot of `rank` (cheap clone of the `Arc`).
-    pub fn slot(&self, rank: RankId) -> Arc<Mutex<PersistentState>> {
+    /// The log of `rank` (cheap clone of the `Arc`).
+    pub fn slot(&self, rank: RankId) -> Arc<Mutex<MessageLog>> {
         Arc::clone(&self.slots[rank.idx()])
     }
 
@@ -193,7 +145,7 @@ impl SharedStore {
     }
 
     fn per_rank(&self, stat: impl Fn(&MessageLog) -> u64) -> Vec<u64> {
-        self.slots.iter().map(|s| stat(&s.lock().log)).collect()
+        self.slots.iter().map(|s| stat(&s.lock())).collect()
     }
 
     /// Total bytes currently held in the logs of all ranks.
@@ -215,17 +167,6 @@ impl SharedStore {
     /// log-growth metric).
     pub fn appended_bytes_per_rank(&self) -> Vec<u64> {
         self.per_rank(MessageLog::appended_bytes)
-    }
-
-    /// Number of ranks holding a committed checkpoint.
-    pub fn checkpointed_ranks(&self) -> usize {
-        self.slots.iter().filter(|s| !s.lock().checkpoints.is_empty()).count()
-    }
-
-    /// The newest checkpoint epoch that *every* listed rank holds (0 when
-    /// any of them has none) — the wave a cluster restarts from.
-    pub fn common_epoch(&self, ranks: &[RankId]) -> u64 {
-        ranks.iter().map(|&r| self.slots[r.idx()].lock().latest_epoch()).min().unwrap_or(0)
     }
 }
 
@@ -285,48 +226,12 @@ mod tests {
     #[test]
     fn store_slots_are_shared() {
         let store = SharedStore::new(2);
-        let a = store.slot(RankId(0));
-        a.lock().log.append(make_msg(0, 1, 1, b"xyz"));
+        store.slot(RankId(0)).lock().append(make_msg(0, 1, 1, b"xyz"));
         assert_eq!(store.total_logged_bytes(), 3);
         assert_eq!(store.logged_bytes_per_rank(), vec![3, 0]);
         assert_eq!(store.appended_bytes_per_rank(), vec![3, 0]);
         assert_eq!(store.peak_logged_bytes_per_rank(), vec![3, 0]);
-        assert_eq!(store.checkpointed_ranks(), 0);
-        a.lock().push_checkpoint(CheckpointData { ckpt_epoch: 1, ..Default::default() });
-        assert_eq!(store.checkpointed_ranks(), 1);
-        assert_eq!(store.common_epoch(&[RankId(0), RankId(1)]), 0);
-        store
-            .slot(RankId(1))
-            .lock()
-            .push_checkpoint(CheckpointData { ckpt_epoch: 2, ..Default::default() });
-        assert_eq!(store.common_epoch(&[RankId(0), RankId(1)]), 1);
         assert_eq!(store.len(), 2);
         assert!(!store.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod history_tests {
-    use super::*;
-
-    #[test]
-    fn history_keeps_last_two() {
-        let mut p = PersistentState::default();
-        for e in 1..=4 {
-            p.push_checkpoint(CheckpointData { ckpt_epoch: e, ..Default::default() });
-        }
-        assert_eq!(p.checkpoints.len(), 2);
-        assert_eq!(p.latest_epoch(), 4);
-    }
-
-    #[test]
-    fn restore_epoch_discards_newer_waves() {
-        let mut p = PersistentState::default();
-        p.push_checkpoint(CheckpointData { ckpt_epoch: 3, ..Default::default() });
-        p.push_checkpoint(CheckpointData { ckpt_epoch: 4, ..Default::default() });
-        let got = p.restore_epoch(3).unwrap();
-        assert_eq!(got.ckpt_epoch, 3);
-        assert_eq!(p.latest_epoch(), 3, "partial wave 4 voided");
-        assert!(p.restore_epoch(9).is_none());
     }
 }

@@ -7,7 +7,7 @@
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
 use mini_mpi::wire::to_bytes;
-use spbc_core::{ClusterMap, Metrics, SpbcConfig, SpbcProvider, Storage};
+use spbc_core::{ClusterMap, Metrics, Phase, SpbcConfig, SpbcProvider, Storage};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,10 +71,11 @@ fn damaged_provider(root: &PathBuf, cfg: SpbcConfig) -> Arc<SpbcProvider> {
 }
 
 /// Run SPBC over on-disk storage with the victim killed right after the
-/// sabotage hook fires. `blocks(8, 4)` puts the victim in cluster `{2, 3}`;
-/// its replica partners live in the other three clusters and survive.
-fn run_damaged(provider: Arc<SpbcProvider>, hook: Hook) -> RunReport {
-    let plans = vec![FailurePlan::nth(RankId(VICTIM), SABOTAGE_AT + 1)];
+/// sabotage hook fires at iteration `sabotage_at`. `blocks(8, 4)` puts the
+/// victim in cluster `{2, 3}`; its replica partners live in the other three
+/// clusters and survive.
+fn run_damaged(provider: Arc<SpbcProvider>, hook: Hook, sabotage_at: u64) -> RunReport {
+    let plans = vec![FailurePlan::nth(RankId(VICTIM), sabotage_at + 1)];
     Runtime::builder(RuntimeConfig::new(WORLD).with_deadlock_timeout(Duration::from_secs(10)))
         .provider(provider)
         .app(Arc::new(ring_app(ITERS, hook)))
@@ -106,7 +107,7 @@ fn lost_local_files_are_repaired_from_partners() {
             fs::remove_dir_all(svc_root.join(format!("rank-{VICTIM}")).join("own")).unwrap();
         }
     });
-    let spbc = run_damaged(Arc::clone(&provider), hook);
+    let spbc = run_damaged(Arc::clone(&provider), hook, SABOTAGE_AT);
 
     assert_eq!(native.outputs, spbc.outputs, "repaired run must match bitwise");
     assert_eq!(spbc.failures_handled, 1);
@@ -140,7 +141,7 @@ fn corrupt_local_file_is_repaired_from_partners() {
             fs::write(&path, &bytes).unwrap();
         }
     });
-    let spbc = run_damaged(Arc::clone(&provider), hook);
+    let spbc = run_damaged(Arc::clone(&provider), hook, SABOTAGE_AT);
 
     assert_eq!(native.outputs, spbc.outputs, "corruption must not change the result");
     assert_eq!(spbc.failures_handled, 1);
@@ -157,7 +158,7 @@ fn replication_disabled_still_recovers_from_intact_storage() {
     let noop: Hook = Arc::new(|_, _| {});
     let cfg = SpbcConfig { ckpt_interval: 3, replicas: 0, ..Default::default() };
     let provider = damaged_provider(&root, cfg);
-    let spbc = run_damaged(Arc::clone(&provider), noop);
+    let spbc = run_damaged(Arc::clone(&provider), noop, SABOTAGE_AT);
 
     assert_eq!(native.outputs, spbc.outputs);
     assert_eq!(spbc.failures_handled, 1);
@@ -165,4 +166,35 @@ fn replication_disabled_still_recovers_from_intact_storage() {
     assert_eq!(Metrics::get(&m.repl_pushes), 0);
     assert_eq!(Metrics::get(&m.repl_acks), 0);
     assert_eq!(Metrics::get(&m.ckpt_repairs), 0);
+}
+
+#[test]
+fn lost_store_copy_is_not_restored_from_memory() {
+    // k = 0 and the victim wipes its only copy of wave 1 (iteration 3)
+    // before wave 2's RESUME, so no sender to cluster {2, 3} has pruned its
+    // log yet. The store can no longer load wave 1 for the victim: the
+    // cluster must restart from the initial state and replay everything,
+    // not resurrect wave 1 from process memory.
+    const LOST_AT: u64 = 4;
+    let native = run_native();
+    let root = tmpdir("store-loss");
+    let cfg = SpbcConfig { ckpt_interval: 3, replicas: 0, ..Default::default() };
+    let provider = damaged_provider(&root, cfg);
+    let svc = provider.ckptstore();
+    let svc_root = root.clone();
+    let hook: Hook = Arc::new(move |rank, step| {
+        if rank.world_rank() as u32 == VICTIM && rank.epoch() == 0 && step == LOST_AT {
+            svc.flush_rank(RankId(VICTIM)).unwrap();
+            fs::remove_dir_all(svc_root.join(format!("rank-{VICTIM}")).join("own")).unwrap();
+        }
+    });
+    let spbc = run_damaged(Arc::clone(&provider), hook, LOST_AT);
+
+    assert_eq!(native.outputs, spbc.outputs, "restart from scratch must match bitwise");
+    assert_eq!(spbc.failures_handled, 1);
+    assert_eq!(spbc.restarts, vec![0, 0, 1, 1, 0, 0, 0, 0]);
+    let m = provider.metrics();
+    let loads = m.phase.hist(Phase::RestoreLoad).snapshot().count();
+    assert_eq!(loads, 0, "cluster {{2, 3}} must restart from the initial state, not wave 1");
+    assert!(Metrics::get(&m.replayed_msgs) > 0, "the senders' logs replay from seqnum 1");
 }

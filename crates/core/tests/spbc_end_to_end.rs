@@ -103,7 +103,8 @@ fn checkpoints_commit_on_schedule() {
     let m = provider.metrics();
     // 12 iterations / interval 4 = 3 checkpoint waves × 8 members.
     assert_eq!(spbc_core::Metrics::get(&m.checkpoints), 3 * 8);
-    assert_eq!(provider.store().checkpointed_ranks(), 8);
+    let ranks: Vec<RankId> = (0..8).map(RankId).collect();
+    assert_eq!(provider.ckptstore().common_epoch(&ranks).unwrap(), 3);
 }
 
 #[test]

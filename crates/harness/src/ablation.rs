@@ -3,7 +3,7 @@
 //! * **A1** — §5.2.2's claim that ~50 pre-posted replays per process give
 //!   good recovery performance: sweep the window.
 //! * **A2** — §6.6's discussion of clustering strategy: compare naive
-//!   blocks, the min-total tool of [30], and a min-max variant on cut volume
+//!   blocks, the min-total tool of \[30\], and a min-max variant on cut volume
 //!   and per-rank logging balance.
 //! * **A3** — the cost of identifier-based matching (§5.2.1): failure-free
 //!   AMG with and without `(pattern_id, iteration_id)` enforcement.

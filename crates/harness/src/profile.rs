@@ -1,7 +1,7 @@
 //! Shared experiment plumbing: profiled native runs and clustering
 //! configurations (the paper's methodology, §6.1: "we ran each application
 //! for a few iterations and collected its communication statistics data,
-//! then use the clustering tool [30]").
+//! then use the clustering tool \[30\]").
 
 use crate::Scale;
 use mini_mpi::config::RuntimeConfig;
@@ -73,7 +73,7 @@ pub fn profile(w: Workload, scale: &Scale) -> Result<Profile> {
 }
 
 /// The clustering configuration for `k` clusters, computed from the profiled
-/// communication graph with the tool of [30] (node-granular, minimizing the
+/// communication graph with the tool of \[30\] (node-granular, minimizing the
 /// total logged volume).
 pub fn clustering_for(profile: &Profile, k: usize, scale: &Scale) -> ClusterMap {
     if k >= scale.world {

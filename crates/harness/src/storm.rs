@@ -12,7 +12,7 @@
 //!   drain as one group-committed `put_batch`, pushing fsyncs-per-blob
 //!   below 1.0; the unbatched control row stays at 1.0.
 //! * **Backpressure** — the bounded submission queue pushes back on
-//!   oversubscribed jobs ([`Admission::Delayed`]); admission delays land in
+//!   oversubscribed jobs ([`spbc_ckptstore::Admission::Delayed`]); admission delays land in
 //!   the p99 commit latency instead of unbounded buffering.
 //! * **GC interference** — concurrent `gc_local` sweeps contend with
 //!   committers on the CAS shard locks and the shared device; the `gc`

@@ -378,7 +378,7 @@ impl MatchEngine {
 
 pub mod reference {
     //! The pre-index linear matching engine, kept verbatim as the semantics
-    //! oracle: `tests/proptest_matching.rs` feeds it and [`MatchEngine`]
+    //! oracle: `tests/proptest_matching.rs` feeds it and [`super::MatchEngine`]
     //! identical random streams and requires identical decisions in identical
     //! order. Not for production use — every operation is O(queue length).
 
