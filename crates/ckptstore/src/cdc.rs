@@ -97,6 +97,53 @@ fn gear() -> &'static [u64; 256] {
     })
 }
 
+/// Roll the gear hash `h` over `data[start..end]`, four bytes per step, and
+/// return the cut length (`index + 1`) of the first byte after which
+/// `h & mask == 0`. On no hit, `h` has rolled over every byte of the range,
+/// exactly as the bytewise loop leaves it.
+///
+/// The four hashes of a step come straight from the step's entry `h`:
+/// `h_k = (h << k) + t_k` with `t_k = (t_{k-1} << 1) + gear[b_k]`. The `t`s
+/// do not depend on `h`, so the loop-carried chain is one shift and one add
+/// per four bytes instead of per byte; the cut points are the bytewise
+/// loop's by construction.
+#[inline(always)]
+fn scan(
+    data: &[u8],
+    gear: &[u64; 256],
+    h: &mut u64,
+    start: usize,
+    end: usize,
+    mask: u64,
+) -> Option<usize> {
+    let span = &data[start..end];
+    let quads = span.chunks_exact(4);
+    let tail = start + span.len() - quads.remainder().len();
+    for (q, b) in quads.enumerate() {
+        let t1 = gear[b[0] as usize];
+        let t2 = (t1 << 1).wrapping_add(gear[b[1] as usize]);
+        let t3 = (t2 << 1).wrapping_add(gear[b[2] as usize]);
+        let t4 = (t3 << 1).wrapping_add(gear[b[3] as usize]);
+        let hs = [
+            (*h << 1).wrapping_add(t1),
+            (*h << 2).wrapping_add(t2),
+            (*h << 3).wrapping_add(t3),
+            (*h << 4).wrapping_add(t4),
+        ];
+        if let Some(k) = hs.iter().position(|x| x & mask == 0) {
+            return Some(start + 4 * q + k + 1);
+        }
+        *h = hs[3];
+    }
+    for (i, &b) in data.iter().enumerate().take(end).skip(tail) {
+        *h = (*h << 1).wrapping_add(gear[b as usize]);
+        if *h & mask == 0 {
+            return Some(i + 1);
+        }
+    }
+    None
+}
+
 /// Length of the first chunk of `data` (all of it if no boundary fires
 /// before `max` or the end).
 fn first_cut(data: &[u8], p: &CdcParams, hard: u64, easy: u64) -> usize {
@@ -108,22 +155,9 @@ fn first_cut(data: &[u8], p: &CdcParams, hard: u64, easy: u64) -> usize {
     let cap = n.min(p.max);
     let center = cap.min(p.avg);
     let mut h: u64 = 0;
-    let mut i = p.min;
-    while i < center {
-        h = (h << 1).wrapping_add(gear[data[i] as usize]);
-        if h & hard == 0 {
-            return i + 1;
-        }
-        i += 1;
-    }
-    while i < cap {
-        h = (h << 1).wrapping_add(gear[data[i] as usize]);
-        if h & easy == 0 {
-            return i + 1;
-        }
-        i += 1;
-    }
-    cap
+    scan(data, gear, &mut h, p.min, center, hard)
+        .or_else(|| scan(data, gear, &mut h, center, cap, easy))
+        .unwrap_or(cap)
 }
 
 /// Split `data` into content-defined chunk spans, in order, covering every

@@ -9,15 +9,71 @@
 //!   reproduces the input (the property the CAS materialization path
 //!   stands on).
 //! * `small_edits_change_few_chunk_hashes` — inserting or deleting up to
-//!   64 bytes mid-buffer changes only a handful of chunk hashes: boundaries
-//!   are content-determined, so the cut points re-synchronize shortly after
-//!   the edit instead of shifting every downstream chunk (the failure mode
-//!   of the fixed grid, where a mid-buffer insert rewrites every chunk past
-//!   the edit point).
+//!   64 bytes mid-buffer changes at most 40 of the 512–768 chunk hashes:
+//!   boundaries are content-determined, so the cut points re-synchronize
+//!   shortly after the edit instead of shifting every downstream chunk (the
+//!   failure mode of the fixed grid, where a mid-buffer insert rewrites
+//!   every chunk past the edit point — over 200 here).
+//! * `strided_scan_equals_the_bytewise_scan` — the chunker rolls its gear
+//!   hash four bytes per step; its spans must be exactly those of the plain
+//!   one-byte-per-step FastCDC loop kept here as the reference, on random
+//!   data and random parameters (chunk boundaries are part of the dedup
+//!   contract across ranks and builds).
 
 use proptest::prelude::*;
 use spbc_ckptstore::{chunk_spans, CdcParams, ChunkHash};
 use std::collections::HashSet;
+use std::ops::Range;
+
+/// The gear table, generated exactly as the chunker documents it: a fixed
+/// SplitMix64 stream.
+fn gear() -> [u64; 256] {
+    let mut state: u64 = 0x5bbc_cdc0_4ea7_ab1e;
+    let mut table = [0u64; 256];
+    for slot in table.iter_mut() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        *slot = z ^ (z >> 31);
+    }
+    table
+}
+
+/// Reference chunker: the bytewise FastCDC loop (min-skip, hard mask below
+/// `avg`, easy mask past it, forced cut at `max`).
+fn bytewise_spans(data: &[u8], params: CdcParams) -> Vec<Range<usize>> {
+    let p = params.normalized();
+    let bits = (63 - (p.avg as u64).leading_zeros()).clamp(4, 48);
+    let mask = |b: u32| !0u64 << (64 - b);
+    let (hard, easy) = (mask((bits + 2).min(62)), mask(bits.saturating_sub(2).max(1)));
+    let gear = gear();
+    let first_cut = |data: &[u8]| -> usize {
+        let n = data.len();
+        if n <= p.min {
+            return n;
+        }
+        let cap = n.min(p.max);
+        let center = cap.min(p.avg);
+        let mut h: u64 = 0;
+        for (i, &b) in data.iter().enumerate().take(cap).skip(p.min) {
+            h = (h << 1).wrapping_add(gear[b as usize]);
+            let m = if i < center { hard } else { easy };
+            if h & m == 0 {
+                return i + 1;
+            }
+        }
+        cap
+    };
+    let mut spans = Vec::new();
+    let mut start = 0;
+    while start < data.len() {
+        let len = first_cut(&data[start..]);
+        spans.push(start..start + len);
+        start += len;
+    }
+    spans
+}
 
 /// Deterministic pseudo-random body (SplitMix64 stream).
 fn body(seed: u64, len: usize) -> Vec<u8> {
@@ -83,14 +139,18 @@ proptest! {
     #[test]
     fn small_edits_change_few_chunk_hashes(
         seed: u64,
-        len in 2048usize..5000,
-        pos_pct in 10usize..90,
+        len in 65_536usize..98_304,
+        pos_pct in 10usize..60,
         edit_len in 1usize..=64,
         insert: bool,
     ) {
+        const BOUND: usize = 40;
         let p = CdcParams { min: 32, avg: 128, max: 512 };
         let before = body(seed, len);
         let pos = len * pos_pct / 100;
+        // The bound only means something if a fixed grid of avg-sized chunks
+        // would blow through it: every grid chunk past the edit changes.
+        prop_assert!((len - pos) / p.avg >= 4 * BOUND);
         let mut after = before.clone();
         if insert {
             let patch = body(seed ^ 0xED17, edit_len);
@@ -104,16 +164,61 @@ proptest! {
         let dropped = old.difference(&new).count();
         // The min-skip makes cut points depend on the chunk *start*, so an
         // edit cascades until a new cut happens to land on an old boundary —
-        // a geometric tail, not a single chunk. Empirically the cascade tops
-        // out around 8 chunks for these parameters; a fixed grid would churn
-        // every chunk past the edit point (half the buffer on average).
+        // a geometric tail, not a single chunk. Over 200 000 random edits
+        // drawn as here, the cascade is 1–3 chunks in 59 % of them, exceeds
+        // 10 in 3.6 %, 32 in 4 and never exceeds 37; a fixed grid would churn
+        // every chunk past the edit point — over 200 of the 512–768 here.
         prop_assert!(
-            fresh <= 10 && dropped <= 10,
+            fresh <= BOUND && dropped <= BOUND,
             "a {}-byte {} changed {fresh} new / {dropped} dropped chunk hashes \
-             (expected <= 10 each; {} chunks total)",
+             (expected <= {BOUND} each; {} chunks total)",
             edit_len,
             if insert { "insert" } else { "delete" },
             new.len()
         );
+    }
+
+    #[test]
+    fn strided_scan_equals_the_bytewise_scan(
+        seed: u64,
+        len in 0usize..12_000,
+        min in 0usize..300,
+        avg in 0usize..1200,
+        max in 0usize..2400,
+        zeros_from in 0usize..12_000,
+    ) {
+        // Random bytes with an all-zero tail from a random point: the tail
+        // gear-hashes to a fixed point, so only the max cap cuts there.
+        let mut data = body(seed, len);
+        data.iter_mut().skip(zeros_from).for_each(|b| *b = 0);
+        let p = CdcParams { min, avg, max };
+        prop_assert_eq!(chunk_spans(&data, p), bytewise_spans(&data, p), "params {:?}", p);
+    }
+}
+
+/// The strided scan on the edge shapes: the minimum (all-16) bounds, odd
+/// bounds, lengths that are not a multiple of four, all-zero input and
+/// inputs within a few bytes of `min`.
+#[test]
+fn strided_scan_equals_the_bytewise_scan_on_edge_shapes() {
+    let params = [
+        CdcParams { min: 16, avg: 16, max: 16 },
+        CdcParams { min: 17, avg: 33, max: 70 },
+        CdcParams { min: 32, avg: 128, max: 512 },
+        CdcParams { min: 256, avg: 1024, max: 4096 },
+        CdcParams { min: 0, avg: 0, max: 0 },
+    ];
+    for p in params {
+        let min = p.normalized().min;
+        let mut lens: Vec<usize> = (min.saturating_sub(3)..=min + 3).collect();
+        lens.extend([0, 1, 2, 3, 4, 5, 4093, 4097, 9_999, 20_002]);
+        for len in lens {
+            for seed in 0..8u64 {
+                let data = body(seed, len);
+                assert_eq!(chunk_spans(&data, p), bytewise_spans(&data, p), "{p:?} len {len}");
+            }
+            let zeros = vec![0u8; len];
+            assert_eq!(chunk_spans(&zeros, p), bytewise_spans(&zeros, p), "{p:?} zeros {len}");
+        }
     }
 }

@@ -1530,7 +1530,11 @@ impl FtLayer for SpbcLayer {
         Ok(())
     }
 
-    fn checkpoint_begin(&mut self, ctx: &mut FtCtx<'_>, app_state: Vec<u8>) -> Result<CkptOutcome> {
+    fn checkpoint_begin(
+        &mut self,
+        ctx: &mut FtCtx<'_>,
+        app_state: &mut dyn FnMut() -> Vec<u8>,
+    ) -> Result<CkptOutcome> {
         self.ckpt_calls += 1;
         if self.cfg.ckpt_interval == 0 || !self.ckpt_calls.is_multiple_of(self.cfg.ckpt_interval) {
             return Ok(CkptOutcome::NotDue);
@@ -1539,8 +1543,9 @@ impl FtLayer for SpbcLayer {
             return Err(MpiError::InvalidState("overlapping checkpoint".into()));
         }
         ctx.chaos_ckpt_hook(CkptHook::WaveOpen)?;
+        // The wave is open: only now is the application state serialized.
+        self.pending_app_state = Some(app_state());
         self.wave_open = Some(Instant::now());
-        self.pending_app_state = Some(app_state);
         self.ckpt_state = CkptState::Waiting;
         let epoch = self.last_ckpt_epoch + 1;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Init });

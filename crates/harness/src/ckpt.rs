@@ -348,12 +348,16 @@ mod tests {
 
     #[test]
     fn workload_rows_count_bytes() {
+        // One node, so one cluster: no inter-cluster message can be pending
+        // at a cut, and both runs checkpoint exactly the same logical bytes
+        // (across clusters, a cut captures whatever unexpected messages the
+        // timing leaves in the queue).
         let scale = Scale {
             world: 8,
             iters: 6,
             elems: 128,
             sleep_us: 0,
-            ranks_per_node: 2,
+            ranks_per_node: 8,
             reps: 1,
             ..Default::default()
         };
@@ -362,6 +366,7 @@ mod tests {
                 .unwrap();
         assert!(delta.logical > 0 && delta.physical > 0, "{delta:?}");
         let fulls = run_workload(Workload::MiniGhost, &scale, 1, false, "partner_k2").unwrap();
+        assert_eq!(delta.logical, fulls.logical, "delta {delta:?} vs fulls {fulls:?}");
         // Sealing adds framing, so physical ≥ logical on the fulls path.
         assert!(fulls.physical >= fulls.logical, "{fulls:?}");
         // This workload rewrites its whole (sub-chunk) state every wave, so

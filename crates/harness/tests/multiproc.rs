@@ -12,7 +12,7 @@ use mini_mpi::Runtime;
 use spbc_apps::{AppParams, Workload};
 use spbc_harness::proc::{run_multiproc, ProcConfig};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn with_node_bin() {
     std::env::set_var("SPBC_NODE_BIN", env!("CARGO_BIN_EXE_spbc-node"));
@@ -59,11 +59,30 @@ fn planned_abort_respawns_and_matches_native() {
 #[test]
 fn external_sigkill_respawns_and_matches_native() {
     with_node_bin();
+    let kill_after = Duration::from_millis(250);
     let mut cfg = ProcConfig::new(Workload::Amg, 37);
+    // Long enough that the kill lands mid-run by construction, not by luck:
+    // the clean run must outlast the kill delay four times over (at 400
+    // iterations it takes ≈ 1.7 s in release, ≈ 3.9 s in debug, on a 2-vCPU
+    // VM; 18 iterations took ≈ 0.1–0.2 s and often finished before the kill).
+    // A faster stack fails this assertion — raise `iters` — instead of the
+    // respawn assertion at random.
+    cfg.iters = 400;
+    let native = native_outputs(&cfg);
+    let t0 = Instant::now();
+    let clean = run_multiproc(&cfg).unwrap().ok().unwrap();
+    let clean_wall = t0.elapsed();
+    assert_eq!(clean.respawns, 0, "no deaths scheduled");
+    assert_eq!(clean.outputs, native, "clean run must match native bitwise");
+    assert!(
+        clean_wall >= 4 * kill_after,
+        "a clean run takes {clean_wall:?}, under 4 x the {kill_after:?} kill delay: \
+         raise iters so the SIGKILL lands mid-run"
+    );
     // SIGKILL node 2 shortly after launch — mid-protocol, wherever it
     // happens to be. Nothing inside the node cooperates with this death.
-    cfg.kills = vec![(2, Duration::from_millis(250))];
+    cfg.kills = vec![(2, kill_after)];
     let report = run_multiproc(&cfg).unwrap().ok().unwrap();
     assert!(report.respawns >= 1, "the SIGKILL must land before the run finishes");
-    assert_eq!(report.outputs, native_outputs(&cfg), "recovery must be bitwise-identical");
+    assert_eq!(report.outputs, native, "recovery must be bitwise-identical");
 }

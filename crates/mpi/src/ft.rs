@@ -94,13 +94,15 @@ pub trait FtLayer: Send {
         Ok(())
     }
 
-    /// The application reached a checkpoint opportunity with serialized state
-    /// `app_state`. Return `NotDue` to skip, or `InProgress` to start
-    /// coordination (the caller then drives `checkpoint_poll`).
+    /// The application reached a checkpoint opportunity. Return `NotDue` to
+    /// skip, or `InProgress` to start coordination (the caller then drives
+    /// `checkpoint_poll`). `app_state` serializes the application state on
+    /// call: a layer calls it only once it opens a wave, so a checkpoint
+    /// opportunity that is not due serializes nothing.
     fn checkpoint_begin(
         &mut self,
         _ctx: &mut FtCtx<'_>,
-        _app_state: Vec<u8>,
+        _app_state: &mut dyn FnMut() -> Vec<u8>,
     ) -> Result<CkptOutcome> {
         Ok(CkptOutcome::NotDue)
     }

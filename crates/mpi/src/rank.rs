@@ -369,6 +369,10 @@ impl Rank {
     /// Offer the protocol a checkpoint opportunity with the application state
     /// `state`. Returns `true` if a checkpoint was actually taken.
     ///
+    /// `state` is serialized only when the protocol opens a wave here; a call
+    /// that is not due (and every call under native execution) encodes
+    /// nothing.
+    ///
     /// Must be called at an SPMD synchronization boundary with **no live
     /// requests** (all sends/receives waited); this is how coordinated
     /// checkpointing inside a cluster stays consistent.
@@ -380,10 +384,9 @@ impl Rank {
                 self.inner.reqs.live()
             )));
         }
-        let bytes = crate::wire::to_bytes(state);
         let outcome = {
             let mut ctx = FtCtx { inner: &mut self.inner };
-            self.ft.checkpoint_begin(&mut ctx, bytes)?
+            self.ft.checkpoint_begin(&mut ctx, &mut || crate::wire::to_bytes(state))?
         };
         match outcome {
             CkptOutcome::NotDue => Ok(false),

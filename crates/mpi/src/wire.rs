@@ -9,6 +9,12 @@
 //! length followed by elements; `Option<T>` is a `u8` discriminant followed by
 //! the value if present. There is no schema evolution — both ends are always
 //! the same binary.
+//!
+//! Slices of integers and floats are encoded and decoded in bulk — one
+//! reserve and one little-endian copy, one bounds check on the way back
+//! ([`Encode::encode_slice`], [`Decode::decode_vec`]) — so a multi-MiB
+//! checkpoint state costs about a memcpy. The bytes are exactly those of the
+//! element-by-element loop; the format is unchanged.
 
 use crate::error::{MpiError, Result};
 
@@ -31,12 +37,35 @@ pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
 pub trait Encode {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
+
+    /// Append the encodings of `items`, back to back (no length prefix).
+    /// Fixed-width scalars override this with one bulk copy; the result is
+    /// always byte-identical to encoding each item in turn.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
 }
 
 /// Types that can be read back from the wire.
 pub trait Decode: Sized {
     /// Decode a value from the reader.
     fn decode(r: &mut Reader<'_>) -> Result<Self>;
+
+    /// Decode `len` back-to-back values (the body of a `Vec<Self>`).
+    /// Fixed-width scalars override this with one bounds check and one bulk
+    /// conversion.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>> {
+        let mut v = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            v.push(Self::decode(r)?);
+        }
+        Ok(v)
+    }
 }
 
 /// Cursor over a byte slice with bounds-checked reads.
@@ -85,12 +114,32 @@ macro_rules! impl_wire_int {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                const W: usize = std::mem::size_of::<$t>();
+                let start = out.len();
+                out.resize(start + items.len() * W, 0);
+                for (dst, x) in out[start..].chunks_exact_mut(W).zip(items) {
+                    dst.copy_from_slice(&x.to_le_bytes());
+                }
+            }
         }
         impl Decode for $t {
             #[inline]
             fn decode(r: &mut Reader<'_>) -> Result<Self> {
                 let b = r.take(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(b.try_into().unwrap()))
+            }
+
+            fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>> {
+                const W: usize = std::mem::size_of::<$t>();
+                let n = len
+                    .checked_mul(W)
+                    .ok_or_else(|| MpiError::Codec(format!("length {len} overflows")))?;
+                let b = r.take(n)?;
+                Ok(b.chunks_exact(W)
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("W-byte chunk")))
+                    .collect())
             }
         }
     )*};
@@ -155,9 +204,7 @@ impl Decode for bytes::Bytes {
 impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
 }
 
@@ -170,11 +217,7 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let len = decode_len(r)?;
-        let mut v = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        T::decode_vec(r, len)
     }
 }
 
