@@ -134,8 +134,9 @@ pub fn app(p: AppParams) -> impl Fn(&mut Rank) -> Result<Vec<u8>> + Send + Sync 
                         }
                     }
                     if !progressed {
-                        // Nothing available: block briefly instead of
-                        // spinning (counts as communication wait time).
+                        // Nothing available: sleep until the next packet
+                        // arrives (200 us at most) instead of spinning;
+                        // counts as communication wait time.
                         rank.pump(std::time::Duration::from_micros(200))?;
                     }
                 }

@@ -62,12 +62,12 @@ fn external_sigkill_respawns_and_matches_native() {
     let kill_after = Duration::from_millis(250);
     let mut cfg = ProcConfig::new(Workload::Amg, 37);
     // Long enough that the kill lands mid-run by construction, not by luck:
-    // the clean run must outlast the kill delay four times over (at 400
-    // iterations it takes ≈ 1.7 s in release, ≈ 3.9 s in debug, on a 2-vCPU
+    // the clean run must outlast the kill delay four times over (at 800
+    // iterations it takes ≈ 2.5 s in release, ≈ 9 s in debug, on a 2-vCPU
     // VM; 18 iterations took ≈ 0.1–0.2 s and often finished before the kill).
     // A faster stack fails this assertion — raise `iters` — instead of the
     // respawn assertion at random.
-    cfg.iters = 400;
+    cfg.iters = 800;
     let native = native_outputs(&cfg);
     let t0 = Instant::now();
     let clean = run_multiproc(&cfg).unwrap().ok().unwrap();

@@ -103,6 +103,9 @@ pub struct RankInner {
     pub(crate) failure_points: u64,
     /// Lamport clock: incremented per send, advanced by arrivals.
     pub(crate) lamport: u64,
+    /// Packets dispatched so far; a blocking wait that is not tied to one
+    /// request (`pump`, `probe`) ends when this moves.
+    pub(crate) handled: u64,
     perturb_rng: Option<XorShift64>,
     /// Flight-recorder handle (disabled unless the runtime enabled it).
     pub recorder: Recorder,
@@ -161,6 +164,7 @@ impl RankInner {
             failure,
             failure_points: 0,
             lamport: 0,
+            handled: 0,
             perturb_rng,
             recorder: Recorder::disabled(),
         }
@@ -447,6 +451,7 @@ pub(crate) fn handle_packet(
     ft: &mut dyn FtLayer,
     pkt: Packet,
 ) -> Result<()> {
+    inner.handled += 1;
     match pkt {
         Packet::Msg(Transfer::Eager(msg)) => {
             arrival(inner, ft, msg.env, ArrivedBody::Eager(msg.payload))

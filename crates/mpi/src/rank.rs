@@ -342,7 +342,10 @@ impl Rank {
         Ok(self.inner.engine.probe(&spec, &admissible).map(Status::of))
     }
 
-    /// Blocking probe.
+    /// Blocking probe: wait until a matching message is available, without
+    /// consuming it (like `MPI_Probe`). Re-probes as soon as a packet is
+    /// handled; when no packet arrives for the configured deadlock timeout
+    /// the probe fails with [`MpiError::DeadlockSuspected`], like `wait`.
     pub fn probe(
         &mut self,
         comm: CommId,
@@ -353,14 +356,8 @@ impl Rank {
             if let Some(st) = self.iprobe(comm, src, tag)? {
                 return Ok(st);
             }
-            // Block for one packet (or poll interval) before re-probing.
-            let deadline = Instant::now() + self.inner.cfg.poll_interval;
-            block_until(
-                &mut self.inner,
-                self.ft.as_mut(),
-                |_| Ok(Instant::now() >= deadline),
-                "probe",
-            )?;
+            let seen = self.inner.handled;
+            block_until(&mut self.inner, self.ft.as_mut(), |i| Ok(i.handled != seen), "probe")?;
         }
     }
 
@@ -483,11 +480,18 @@ impl Rank {
         self.inner.global_done.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Drive progress for `dur` (service ranks / tests). Returns `Err(Killed)`
-    /// if the rank was killed while pumping.
+    /// Drive progress until a packet is handled or `dur` passes, whichever
+    /// comes first (service ranks, `Iprobe` loops, tests). Returns
+    /// `Err(Killed)` if the rank was killed while pumping.
     pub fn pump(&mut self, dur: Duration) -> Result<()> {
         let deadline = Instant::now() + dur;
-        block_until(&mut self.inner, self.ft.as_mut(), |_| Ok(Instant::now() >= deadline), "pump")
+        let seen = self.inner.handled;
+        block_until(
+            &mut self.inner,
+            self.ft.as_mut(),
+            |i| Ok(i.handled != seen || Instant::now() >= deadline),
+            "pump",
+        )
     }
 
     /// Internal: irecv with an already world-resolved source.

@@ -15,6 +15,9 @@
 //!   incarnation (conceptually "in flight at the moment of the crash") dies
 //!   with it; the protocol layer regenerates lost traffic from its
 //!   sender-side logs.
+//! * **Wake on arrival** — a blocked [`Mailbox::recv_timeout`] returns as
+//!   soon as a packet lands, not when its timeout expires: `Rank::pump` and
+//!   blocking `probe` end on the first handled packet.
 //!
 //! Two implementations ship: [`InProcTransport`] (crossbeam channels, every
 //! rank a thread — the allocation-lean fast path every existing test runs
@@ -46,7 +49,7 @@ pub trait Mailbox: Send {
     /// Take one packet if one is immediately available.
     fn try_recv(&self) -> Option<Packet>;
 
-    /// Wait up to `timeout` for one packet.
+    /// Wait up to `timeout` for one packet; return as soon as one arrives.
     fn recv_timeout(&self, timeout: Duration) -> Result<Packet, RecvTimeoutErr>;
 }
 

@@ -1,7 +1,8 @@
 //! Transport conformance suite: every [`Transport`] implementation must
 //! honor the contract documented in `mini_mpi::transport` — per-channel
-//! FIFO, discard on dead slot, repoint on restart. Each case runs against
-//! both shipped fabrics, so a new transport only has to add a factory line.
+//! FIFO, discard on dead slot, repoint on restart, wake on arrival. Each case
+//! runs against both shipped fabrics, so a new transport only has to add a
+//! factory line.
 
 use bytes::Bytes;
 use mini_mpi::envelope::{CtrlMsg, Packet};
@@ -9,7 +10,7 @@ use mini_mpi::transport::uds::UdsTransport;
 use mini_mpi::transport::{InProcTransport, RecvTimeoutErr, Transport};
 use mini_mpi::types::RankId;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const RECV: Duration = Duration::from_secs(10);
 
@@ -122,6 +123,29 @@ fn replace_strands_old_traffic_and_repoints() {
             Err(RecvTimeoutErr::Timeout),
             "{name}: no leakage across the restart"
         );
+    }
+}
+
+#[test]
+fn recv_timeout_wakes_on_arrival() {
+    // `Rank::pump` and blocking `probe` end on the first handled packet, so a
+    // blocked receive must return when a packet lands, not when it times out.
+    const WAIT: Duration = Duration::from_secs(5);
+    for (name, t) in fabrics(2) {
+        let mb = t.open(RankId(1));
+        let sender = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(t.send(RankId(1), ctrl(0, 3, &[])), "{name}: send");
+            })
+        };
+        let t0 = Instant::now();
+        let got = mb.recv_timeout(WAIT);
+        let elapsed = t0.elapsed();
+        sender.join().unwrap();
+        assert_eq!(parts(got.expect("packet before the timeout")).1, 3, "{name}");
+        assert!(elapsed < WAIT / 2, "{name}: woke after {elapsed:?}, not on arrival");
     }
 }
 
