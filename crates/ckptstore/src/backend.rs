@@ -22,9 +22,6 @@ pub struct PutStats {
     /// Microseconds spent in the durability barrier (`fsync`); 0 for
     /// memory-backed stores, which have none.
     pub fsync_us: u64,
-    /// Microseconds spent draining older epochs to slower tiers after the
-    /// write landed; 0 for single-level backends (see [`crate::tier`]).
-    pub drain_us: u64,
 }
 
 /// One write inside a [`CheckpointBackend::put_batch`] submission: the same
@@ -195,7 +192,7 @@ impl CheckpointBackend for DirBackend {
                 final_path.display()
             ))
         })?;
-        Ok(PutStats { fsync_us, drain_us: 0 })
+        Ok(PutStats { fsync_us })
     }
 
     fn put_batch(&self, items: &[BatchItem<'_>]) -> Result<BatchStats> {
@@ -240,7 +237,7 @@ impl CheckpointBackend for DirBackend {
         // Attribute the shared barrier evenly so per-item phase histograms
         // reflect the amortized cost batching buys (remainder on the last).
         let n = items.len() as u64;
-        let mut per_item = vec![PutStats { fsync_us: fsync_us / n, drain_us: 0 }; items.len()];
+        let mut per_item = vec![PutStats { fsync_us: fsync_us / n }; items.len()];
         if let Some(last) = per_item.last_mut() {
             last.fsync_us += fsync_us % n;
         }

@@ -9,14 +9,15 @@
 //! in a registered manifest holds one reference. A chunk's bytes live
 //! exactly as long as some registered manifest references them.
 //!
-//! The store is **sharded** for multi-tenant throughput: chunk bodies live
-//! in power-of-two hash-indexed shards behind `RwLock`s (lookups are
+//! The store is **sharded** for concurrent-rank throughput: chunk bodies
+//! live in power-of-two hash-indexed shards behind `RwLock`s (lookups are
 //! shared-read), and the registration ledger is sharded by `(job, holder,
 //! owner)` — every epoch of one rank's history lands on one ledger shard,
-//! so that rank's GC scans exactly one map and concurrent jobs never touch
-//! each other's ledger locks. Each ledger shard keeps a per-rank GC cursor
-//! (the highest `unregister_below` bound seen) so repeated GC sweeps skip
-//! the scan entirely when there is provably nothing left below the bound.
+//! so that rank's GC scans exactly one map. A [`crate::CkptStoreService`]
+//! is one job (id 0); the job id keeps two callers' rank 0 apart. Each
+//! ledger shard keeps a per-rank GC cursor (the highest `unregister_below`
+//! bound seen) so repeated GC sweeps skip the scan entirely when there is
+//! provably nothing left below the bound.
 //!
 //! Three structural decisions carry the correctness story:
 //!
@@ -294,7 +295,7 @@ pub struct CommitStats {
 struct Entry {
     bytes: Vec<u8>,
     refs: u64,
-    /// `(job, rank)` that first stored this content — two tenants' rank 0
+    /// `(job, rank)` that first stored this content — two jobs' rank 0
     /// are different ranks for dedup-fate accounting.
     first_owner: (u32, u32),
 }
@@ -318,10 +319,9 @@ pub const DEFAULT_CAS_SHARDS: usize = 8;
 
 /// Service-wide refcounted content-addressed chunk store.
 ///
-/// One instance is shared by every rank of every job on a
-/// [`crate::CkptStoreService`] hub (the in-memory hot tier, same durability
-/// class as partner copies), so identical chunks dedup across epochs,
-/// across ranks, *and* across tenant jobs.
+/// One instance is owned by a [`crate::CkptStoreService`] and shared by
+/// every rank it serves (in memory, the same durability class as partner
+/// copies), so identical chunks dedup across epochs *and* across ranks.
 pub struct CasStore {
     chunk_shards: Vec<RwLock<HashMap<ChunkHash, Entry>>>,
     reg_shards: Vec<Mutex<RegShard>>,
@@ -927,7 +927,7 @@ mod tests {
         assert_eq!(cas.unique_chunks(), 0, "all refs released leaves an empty store");
     }
 
-    /// Two tenant jobs share content bodies (dedup is cross-job) but have
+    /// Two jobs share content bodies (dedup is cross-job) but have
     /// fully isolated registration ledgers: one job's GC never releases the
     /// other job's references, even for the same (holder, owner, epoch).
     #[test]

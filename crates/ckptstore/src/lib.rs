@@ -47,16 +47,13 @@
 //!   Reed–Solomon parity (`SPBCPAR1` frames) over the set's sealed blobs
 //!   per wave, so a lost member rebuilds from `g-1` survivors plus parity
 //!   at far below the 2× physical cost of full partner copies.
-//! * **Tiered storage** — [`tier::TierStack`] chains memory → node-local →
-//!   global backends with per-level retention, draining cold epochs
-//!   downward asynchronously and healing hot reads upward.
-//! * **Multi-tenant sharding + admission control** — [`shard::ShardedStore`]
-//!   is the hub many concurrent jobs share: the CAS and the write pipeline
-//!   are sharded by `(job, rank)` (`SPBC_STORE_SHARDS`), the async writer
-//!   runs bounded per-shard submission queues (`SPBC_WRITE_QUEUE`) that
-//!   coalesce small blobs under one durability barrier (`SPBC_BATCH_BYTES`/
-//!   `SPBC_BATCH_LINGER_US`) and surface backpressure as
-//!   [`writer::Admission::Delayed`] instead of buffering unbounded memory.
+//! * **Sharded store + bounded write pipeline** — the CAS's chunk map and
+//!   registration ledger and the [`writer::AsyncWriter`]'s workers are
+//!   sharded (`SPBC_STORE_SHARDS`), so concurrent ranks rarely share a
+//!   lock; the writer runs bounded per-shard queues (`SPBC_WRITE_QUEUE`)
+//!   that coalesce small blobs under one durability barrier (group commit)
+//!   and surface backpressure as [`writer::Admission::Delayed`] instead of
+//!   buffering unbounded memory.
 
 #![warn(missing_docs)]
 
@@ -69,8 +66,6 @@ pub mod crc;
 pub mod ec;
 pub mod service;
 pub mod set;
-pub mod shard;
-pub mod tier;
 pub mod writer;
 
 pub use backend::{BatchItem, BatchStats, CheckpointBackend, DirBackend, MemBackend, PutStats};
@@ -81,6 +76,4 @@ pub use chunk::{seal_v4, CasView, DeltaEncoder, DeltaView, EncodeStats, MAGIC_V3
 pub use ec::{EcScheme, ParityView, MAGIC_PAR};
 pub use service::{CkptStoreService, LoadOutcome, LoadStats, ParityShards, StoreConfig};
 pub use set::SetMap;
-pub use shard::ShardedStore;
-pub use tier::{Keep, TierStack};
 pub use writer::{Admission, AsyncWriter, WriterConfig, WriterStats};

@@ -7,7 +7,8 @@
 //!
 //! * its **local** store — the authoritative copy of its own checkpoints
 //!   (memory for in-process experiments, a `rank-<r>/own` directory when a
-//!   storage root is configured), written through the [`AsyncWriter`](crate::writer::AsyncWriter);
+//!   storage root is configured), written through the service's
+//!   [`AsyncWriter`];
 //! * its **partner** store — copies of *other* ranks' checkpoints pushed to
 //!   it over the control plane at commit time. Partner copies are held in
 //!   memory by default (ReStore's insight: partner RAM beats the PFS by
@@ -19,7 +20,9 @@
 //! each wave's serialized body through a per-rank [`DeltaEncoder`], which
 //! diffs it against the previous wave in fixed-size chunks and produces
 //! either a full `SPBCCKP2` blob or an `SPBCCKP3` delta holding only the
-//! changed chunks (see [`crate::chunk`]). Everything downstream — the local
+//! changed chunks (see [`crate::chunk`]); in CDC mode the body is instead
+//! cut into content-defined chunks deduplicated in the service's sharded
+//! [`CasStore`] (`SPBCCKP4`). Everything downstream — the local
 //! write, the partner pushes, repair — moves the *encoded* blob, so a small
 //! dirty fraction shrinks disk and replication traffic alike.
 //!
@@ -39,9 +42,7 @@ use crate::chunk::{
 };
 use crate::ec::{self, EcScheme, ParityView};
 use crate::set::{is_parity_owner, parity_owner, SetMap};
-use crate::shard::ShardedStore;
-use crate::tier::{parse_policy, TierLevel, TierStack};
-use crate::writer::{Admission, OnDone, WriterStats};
+use crate::writer::{Admission, AsyncWriter, OnDone, WriterConfig, WriterStats};
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::types::RankId;
 use parking_lot::Mutex;
@@ -82,10 +83,11 @@ pub struct StoreConfig {
     /// The world's redundancy sets (required when `ec` is on; built by the
     /// protocol layer from the cluster map and `SPBC_EC_GROUP`).
     pub sets: Option<Arc<SetMap>>,
-    /// Tier policy for storage-rooted services (`SPBC_TIER_POLICY`, e.g.
-    /// `mem:2,local:8,global:all`). Level names: `mem`, `local`, `global`.
+    /// Inert: a storage-rooted service writes each rank's local copies
+    /// straight to its `rank-<r>/own` directory. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub tier_policy: String,
-    /// Shard count for the hub's CAS and write-pipeline state
+    /// Shard count for the service's CAS and write-pipeline state
     /// (`SPBC_STORE_SHARDS`, default 8, rounded up to a power of two).
     /// `1` reproduces the legacy single-lock layout bit-for-bit.
     pub shards: usize,
@@ -113,7 +115,7 @@ impl Default for StoreConfig {
             cdc_params: CdcParams::default(),
             ec: EcScheme::Off,
             sets: None,
-            tier_policy: "mem:0,local:all".to_string(),
+            tier_policy: String::new(),
             shards: 8,
             write_queue: 64,
             batch_bytes: 1 << 20,
@@ -181,17 +183,18 @@ type ParityStage = HashMap<(u64, u32), HashMap<u32, Vec<u8>>>;
 /// bytes, or `None` where the copy is lost.
 type CensusSlots = Vec<Option<Vec<u8>>>;
 
-/// One tenant job's view of a checkpoint storage [`ShardedStore`] hub.
-/// Cheap to share (`Arc`); outlives rank threads, so partner copies survive
-/// in-process cluster restarts the way surviving nodes' memory survives a
-/// peer's crash. The hub (CAS + write pipeline) is shared across every
-/// tenant attached to it; the rank backends, delta encoders, and parity
-/// staging area here are private to this job.
+/// The CAS ledger and the write pipeline key everything by job; one
+/// service is one job.
+const JOB: u32 = 0;
+
+/// The checkpoint storage service for one run. Cheap to share (`Arc`);
+/// outlives rank threads, so partner copies survive in-process cluster
+/// restarts the way surviving nodes' memory survives a peer's crash.
 pub struct CkptStoreService {
-    /// Shared multi-tenant state: sharded CAS + bounded write pipeline.
-    hub: Arc<ShardedStore>,
-    /// This tenant's job id within the hub (keys all shared state).
-    job: u32,
+    /// Sharded content-addressed chunk store (CDC mode).
+    cas: CasStore,
+    /// Bounded write pipeline for asynchronous local commits.
+    writer: AsyncWriter,
     ranks: Vec<RankStores>,
     /// Per-rank delta encoder (previous wave's chunk table); surviving the
     /// rank thread is fine because a restore resets it.
@@ -205,110 +208,55 @@ pub struct CkptStoreService {
 }
 
 impl CkptStoreService {
-    fn encoders(world: usize, cfg: &StoreConfig) -> Vec<Mutex<DeltaEncoder>> {
-        (0..world).map(|_| Mutex::new(DeltaEncoder::new(cfg.chunk_size, cfg.full_every))).collect()
+    /// Build the service over per-rank stores; `cfg.shards` sizes both the
+    /// CAS shards and the writer's queues.
+    fn with_stores(ranks: Vec<RankStores>, cfg: StoreConfig) -> Self {
+        let writer = AsyncWriter::with_config(WriterConfig {
+            shards: cfg.shards,
+            queue_depth: cfg.write_queue,
+            batch_bytes: cfg.batch_bytes,
+            linger_us: cfg.batch_linger_us,
+        });
+        let deltas = (0..ranks.len())
+            .map(|_| Mutex::new(DeltaEncoder::new(cfg.chunk_size, cfg.full_every)))
+            .collect();
+        CkptStoreService {
+            cas: CasStore::with_shards(cfg.shards),
+            writer,
+            ranks,
+            deltas,
+            parity_stage: Mutex::new(HashMap::new()),
+            cfg,
+        }
     }
 
     /// All stores in memory — the default for in-process experiments.
-    /// Builds a private single-tenant hub from `cfg`.
     pub fn in_memory(world: usize, cfg: StoreConfig) -> Self {
-        Self::tenant(&ShardedStore::new(cfg), world)
-    }
-
-    /// Attach a new tenant job (all stores in memory) to an existing hub.
-    /// The tenant inherits the hub's configuration; its job id keys every
-    /// piece of shared state, so tenants never see each other's epochs.
-    pub fn tenant(hub: &Arc<ShardedStore>, world: usize) -> Self {
-        Self::tenant_with(hub, world, |_| Arc::new(MemBackend::new()))
-    }
-
-    /// [`tenant`](Self::tenant) with caller-supplied local backends (rank
-    /// index → backend) — how `spbc-storm` plugs simulated-latency devices
-    /// under concurrent jobs. Partner stores stay in memory.
-    pub fn tenant_with(
-        hub: &Arc<ShardedStore>,
-        world: usize,
-        mut make_local: impl FnMut(usize) -> Arc<dyn CheckpointBackend>,
-    ) -> Self {
-        let cfg = hub.config().clone();
         let ranks = (0..world)
-            .map(|r| RankStores { local: make_local(r), partner: Arc::new(MemBackend::new()) })
+            .map(|_| RankStores {
+                local: Arc::new(MemBackend::new()),
+                partner: Arc::new(MemBackend::new()),
+            })
             .collect();
-        let deltas = Self::encoders(world, &cfg);
-        CkptStoreService {
-            hub: Arc::clone(hub),
-            job: hub.alloc_job(),
-            ranks,
-            deltas,
-            parity_stage: Mutex::new(HashMap::new()),
-            cfg,
-        }
+        Self::with_stores(ranks, cfg)
     }
 
-    /// Local storage on disk under `root`, arranged as the configured
-    /// [`TierStack`] (`cfg.tier_policy`): a per-rank memory level, the
-    /// node-local `rank-<r>/own` directory, and optionally a shared
-    /// `shared/global` directory standing in for the parallel filesystem.
-    /// Partner stores stay in memory unless `cfg.durable_partner_copies`
-    /// (`rank-<r>/partner`).
+    /// Local storage on disk under `root`: rank `r`'s own checkpoints go
+    /// straight to the `rank-<r>/own` directory. Partner stores stay in
+    /// memory unless `cfg.durable_partner_copies` (`rank-<r>/partner`).
     pub fn on_disk(root: impl AsRef<Path>, world: usize, cfg: StoreConfig) -> Result<Self> {
         let root = root.as_ref();
-        let specs = parse_policy(&cfg.tier_policy)?;
-        let global: Option<Arc<dyn CheckpointBackend>> = if specs.iter().any(|s| s.name == "global")
-        {
-            Some(Arc::new(DirBackend::open(root.join("shared").join("global"))?))
-        } else {
-            None
-        };
         let mut ranks = Vec::with_capacity(world);
         for r in 0..world {
-            let mut levels = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                let (backend, shared): (Arc<dyn CheckpointBackend>, bool) = match spec.name.as_str()
-                {
-                    "mem" => (Arc::new(MemBackend::new()), false),
-                    "local" => (
-                        Arc::new(DirBackend::open(root.join(format!("rank-{r}")).join("own"))?),
-                        false,
-                    ),
-                    "global" => (Arc::clone(global.as_ref().unwrap()), true),
-                    other => {
-                        return Err(MpiError::app(format!(
-                            "unknown tier level {other:?} (expected mem, local, global)"
-                        )))
-                    }
-                };
-                levels.push(TierLevel {
-                    name: spec.name.clone(),
-                    backend,
-                    keep: spec.keep,
-                    shared,
-                });
-            }
-            let local: Arc<dyn CheckpointBackend> = if levels.len() == 1 {
-                levels.pop().map(|l| l.backend).unwrap()
-            } else {
-                Arc::new(TierStack::new(levels))
-            };
+            let dir = root.join(format!("rank-{r}"));
             let partner: Arc<dyn CheckpointBackend> = if cfg.durable_partner_copies {
-                Arc::new(DirBackend::open(root.join(format!("rank-{r}")).join("partner"))?)
+                Arc::new(DirBackend::open(dir.join("partner"))?)
             } else {
                 Arc::new(MemBackend::new())
             };
-            ranks.push(RankStores { local, partner });
+            ranks.push(RankStores { local: Arc::new(DirBackend::open(dir.join("own"))?), partner });
         }
-        let hub = ShardedStore::new(cfg);
-        let cfg = hub.config().clone();
-        let deltas = Self::encoders(world, &cfg);
-        let job = hub.alloc_job();
-        Ok(CkptStoreService {
-            hub,
-            job,
-            ranks,
-            deltas,
-            parity_stage: Mutex::new(HashMap::new()),
-            cfg,
-        })
+        Ok(Self::with_stores(ranks, cfg))
     }
 
     /// World size this service was built for.
@@ -319,17 +267,6 @@ impl CkptStoreService {
     /// The active configuration.
     pub fn config(&self) -> &StoreConfig {
         &self.cfg
-    }
-
-    /// This tenant's job id within its hub.
-    pub fn job(&self) -> u32 {
-        self.job
-    }
-
-    /// The hub this tenant is attached to (for spawning sibling tenants
-    /// and reading hub-wide stats).
-    pub fn hub(&self) -> &Arc<ShardedStore> {
-        &self.hub
     }
 
     fn stores(&self, rank: RankId) -> Result<&RankStores> {
@@ -383,7 +320,7 @@ impl CkptStoreService {
         // a rollback replace the old registration without a refcount dip.
         let cas_stats = self
             .cas()
-            .commit_insert(self.job, rank.0, rank.0, epoch, &manifest)
+            .commit_insert(JOB, rank.0, rank.0, epoch, &manifest)
             .map_err(MpiError::Codec)?;
         let parts: Vec<V4Chunk<'_>> = hashed
             .iter()
@@ -410,10 +347,9 @@ impl CkptStoreService {
         Ok((framed, stats))
     }
 
-    /// The hub-wide content-addressed store (CDC mode), shared by every
-    /// tenant on this service's hub.
+    /// The service-wide content-addressed store (CDC mode).
     pub fn cas(&self) -> &CasStore {
-        self.hub.cas()
+        &self.cas
     }
 
     /// Indices of a V4 blob's chunks whose content the service-wide store
@@ -480,7 +416,7 @@ impl CkptStoreService {
     ) -> Result<Admission> {
         let local = Arc::clone(&self.stores(rank)?.local);
         if self.cfg.async_writes {
-            Ok(self.hub.writer().submit(self.job, rank, epoch, blob, local, on_done))
+            Ok(self.writer.submit(JOB, rank, epoch, blob, local, on_done))
         } else {
             let start = std::time::Instant::now();
             let res = local.put(rank, epoch, &blob);
@@ -519,7 +455,7 @@ impl CkptStoreService {
                 manifest.push((hash, view.inline_chunk(idx)?));
             }
             self.cas()
-                .commit_insert(self.job, holder.0, owner.0, epoch, &manifest)
+                .commit_insert(JOB, holder.0, owner.0, epoch, &manifest)
                 .map_err(MpiError::Codec)?;
         } else {
             chunk::verify(blob)?;
@@ -541,7 +477,7 @@ impl CkptStoreService {
             let referenced = Self::referenced_by(partner.as_ref(), owner, retained);
             for &e in old {
                 if !referenced.contains(&e) && partner.remove(owner, e)? {
-                    self.cas().unregister(self.job, holder.0, owner.0, e);
+                    self.cas().unregister(JOB, holder.0, owner.0, e);
                     pruned += 1;
                 }
             }
@@ -627,9 +563,9 @@ impl CkptStoreService {
 
     /// Simulate losing `rank`'s node-local storage (fault injection): its
     /// local store is cleared — including any parity shards it encoded —
-    /// and its delta encoder reset. Partner-held copies, shared tier
-    /// levels, and the service-wide chunk store survive, exactly like the
-    /// surviving nodes' memory survives a peer's crash.
+    /// and its delta encoder reset. Partner-held copies and the
+    /// service-wide chunk store survive, exactly like the surviving nodes'
+    /// memory survives a peer's crash.
     pub fn wipe_local(&self, rank: RankId) -> Result<()> {
         let stores = self.stores(rank)?;
         stores.local.clear()?;
@@ -744,18 +680,17 @@ impl CkptStoreService {
 
     /// Wait until `rank`'s outstanding local write (if any) is durable.
     pub fn flush_rank(&self, rank: RankId) -> Result<()> {
-        self.hub.writer().flush_owner(self.job, rank)
+        self.writer.flush_owner(JOB, rank)
     }
 
-    /// Wait for every outstanding write of *this job* (shutdown path).
-    /// Sibling tenants' in-flight writes are untouched.
+    /// Wait for every outstanding write (shutdown path).
     pub fn flush_all(&self) -> Result<()> {
-        self.hub.writer().flush_job(self.job)
+        self.writer.flush_job(JOB)
     }
 
-    /// Hub-wide write-pipeline counters (shared across every tenant).
+    /// Write-pipeline counters.
     pub fn writer_stats(&self) -> WriterStats {
-        self.hub.writer().stats()
+        self.writer.stats()
     }
 
     /// Fetch the raw verified blob of `(rank, epoch)`, repairing from a
@@ -933,7 +868,7 @@ impl CkptStoreService {
         // sweeping now could drop a base its delta manifest still needs.
         // Drain the rank's pipeline first so the retained-set computation
         // sees every landed epoch (any sticky write error surfaces here).
-        self.hub.writer().flush_owner(self.job, rank)?;
+        self.writer.flush_owner(JOB, rank)?;
         let local = &self.stores(rank)?.local;
         let epochs = local.epochs_of(rank)?;
         let retained: Vec<u64> = epochs.iter().copied().filter(|&e| e >= keep_from).collect();
@@ -949,7 +884,7 @@ impl CkptStoreService {
         // coalesced async write may have registered chunks for an epoch
         // whose blob was never stored. Chunks shared with a retained epoch
         // or another rank's registration survive by refcount.
-        self.cas().unregister_below(self.job, rank.0, rank.0, keep_from);
+        self.cas().unregister_below(JOB, rank.0, rank.0, keep_from);
         // EC mode: prune the parity shards this rank encoded (stored in
         // its local under synthetic owners) by the same window — except
         // parity of base epochs any set member's retained delta manifest
@@ -1113,23 +1048,9 @@ mod tests {
     }
 
     #[test]
-    fn tenants_share_the_hub_but_isolate_namespaces() {
-        let hub = ShardedStore::new(StoreConfig::default());
-        let a = CkptStoreService::tenant(&hub, 2);
-        let b = CkptStoreService::tenant(&hub, 2);
-        assert_ne!(a.job(), b.job());
-        // Same (rank, epoch) key in both jobs: namespaces never collide.
-        commit_sync(&a, RankId(0), 1, b"job-a");
-        commit_sync(&b, RankId(0), 1, b"job-b");
-        assert_eq!(a.load(RankId(0), 1).unwrap().unwrap().0, b"job-a");
-        assert_eq!(b.load(RankId(0), 1).unwrap().unwrap().0, b"job-b");
-        // Epoch inventories are per-tenant too.
-        commit_sync(&a, RankId(0), 2, b"job-a-2");
-        assert_eq!(a.available_epochs(RankId(0)).unwrap(), vec![1, 2]);
-        assert_eq!(b.available_epochs(RankId(0)).unwrap(), vec![1]);
-        // But the write pipeline is shared: both jobs' commits counted.
-        assert_eq!(a.writer_stats().completed, 3);
-        assert_eq!(b.writer_stats(), a.writer_stats());
+    fn shard_counts_follow_config() {
+        let svc = CkptStoreService::in_memory(1, StoreConfig { shards: 5, ..Default::default() });
+        assert_eq!(svc.cas().shards(), 8, "rounded up to a power of two");
     }
 
     #[test]
@@ -1444,8 +1365,8 @@ mod tests {
         let (body, _) = svc.load(RankId(0), 4).unwrap().unwrap();
         assert_eq!(body, last, "GC must never break a retained epoch");
         // Dropping every registration empties the store (no leaks).
-        svc.cas().unregister_below(svc.job(), 0, 0, u64::MAX);
-        svc.cas().unregister_below(svc.job(), 1, 0, u64::MAX);
+        svc.cas().unregister_below(JOB, 0, 0, u64::MAX);
+        svc.cas().unregister_below(JOB, 1, 0, u64::MAX);
         assert_eq!(svc.cas().unique_chunks(), 0, "refcount leak");
     }
 
@@ -1696,56 +1617,5 @@ mod tests {
         let v = ParityView::parse(&job.shards[0].2).unwrap();
         assert_eq!(v.epoch, 2);
         assert_eq!(v.members.len(), 2);
-    }
-
-    // ---- tiered storage through the service ----
-
-    #[test]
-    fn tiered_on_disk_drains_and_restores_across_levels() {
-        let root = tmpdir("tiers");
-        let cfg = StoreConfig {
-            tier_policy: "mem:1,local:2,global:all".to_string(),
-            ..Default::default()
-        };
-        let svc = CkptStoreService::on_disk(&root, 2, cfg).unwrap();
-        for e in 1..=5u64 {
-            commit_sync(&svc, RankId(0), e, format!("wave-{e}").as_bytes());
-        }
-        // Old epochs drained all the way to the shared global directory.
-        let global = root.join("shared").join("global");
-        assert!(global.join("rank-0.epoch-1.ckpt").exists());
-        assert!(global.join("rank-0.epoch-2.ckpt").exists());
-        // The newest stayed out of the local directory (it is in memory).
-        assert!(!root.join("rank-0").join("own").join("rank-0.epoch-5.ckpt").exists());
-        // Every epoch still loads, from whichever tier holds it.
-        for e in 1..=5u64 {
-            let (body, _) = svc.load(RankId(0), e).unwrap().unwrap();
-            assert_eq!(body, format!("wave-{e}").into_bytes());
-        }
-    }
-
-    #[test]
-    fn wipe_spares_the_global_tier() {
-        let root = tmpdir("wipe-global");
-        let cfg = StoreConfig { tier_policy: "mem:1,global:all".to_string(), ..Default::default() };
-        let svc = CkptStoreService::on_disk(&root, 2, cfg).unwrap();
-        commit_sync(&svc, RankId(0), 1, b"one");
-        commit_sync(&svc, RankId(0), 2, b"two");
-        svc.wipe_local(RankId(0)).unwrap();
-        // Epoch 1 drained to the global store before the wipe: survives.
-        let (body, _) = svc.load(RankId(0), 1).unwrap().unwrap();
-        assert_eq!(body, b"one");
-        // Epoch 2 was only in the wiped memory level: gone.
-        assert!(svc.load(RankId(0), 2).unwrap().is_none());
-    }
-
-    #[test]
-    fn unknown_tier_level_is_rejected() {
-        let cfg = StoreConfig { tier_policy: "mem:1,tape:all".to_string(), ..Default::default() };
-        let err = match CkptStoreService::on_disk(tmpdir("badtier"), 1, cfg) {
-            Err(e) => e,
-            Ok(_) => panic!("unknown tier level accepted"),
-        };
-        assert!(format!("{err}").contains("unknown tier level"), "{err}");
     }
 }

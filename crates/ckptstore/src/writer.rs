@@ -3,14 +3,14 @@
 //!
 //! The commit barrier must not pay fsync latency (ISSUE 3 / Section 5 of the
 //! paper measures this as the dominant synchronous cost), but "never block"
-//! alone is a memory bomb once many tenants share one store: a device that
-//! falls behind would buffer blobs without bound. This writer is therefore a
-//! *bounded* pipeline:
+//! alone is a memory bomb: a device that falls behind would buffer blobs
+//! without bound. This writer is therefore a *bounded* pipeline:
 //!
 //! * **Shards.** `shards` worker threads, each with its own queue and lock;
-//!   a submission is routed by its `(job, owner)` key, so concurrent jobs
-//!   and concurrent ranks of one job never contend on a global lock and
-//!   per-key write order is still total (a key always lands on one shard).
+//!   a submission is routed by its `(job, owner)` key (a
+//!   [`crate::CkptStoreService`] is one job, id 0), so concurrent ranks
+//!   never contend on a global lock and per-key write order is still total
+//!   (a key always lands on one shard).
 //! * **Double-buffering, per `(job, owner)` key:** at most one blob is
 //!   *queued* — a newer submission for the same key replaces an unstarted
 //!   older one (coalescing: only the newest wave matters once it supersedes
@@ -97,9 +97,8 @@ pub struct WriterStats {
     pub queue_depth: u64,
 }
 
-/// Pipeline shape knobs; see [`crate::StoreConfig`] for the env-var mapping
-/// (`SPBC_STORE_SHARDS`, `SPBC_WRITE_QUEUE`, `SPBC_BATCH_BYTES`,
-/// `SPBC_BATCH_LINGER_US`).
+/// Pipeline shape knobs; see [`crate::StoreConfig`] for the mapping
+/// (`SPBC_STORE_SHARDS` and `SPBC_WRITE_QUEUE` set the first two).
 #[derive(Clone, Copy, Debug)]
 pub struct WriterConfig {
     /// Worker threads / submission queues (rounded up to a power of two).
@@ -120,8 +119,8 @@ impl Default for WriterConfig {
     }
 }
 
-/// Submission key: which tenant's which rank. Two jobs' rank 0 must never
-/// coalesce into each other, so the job id is part of the key.
+/// Submission key: `(job, rank)`. Two jobs' rank 0 must never coalesce into
+/// each other, so the job id is part of the key.
 type Key = (u32, u32);
 
 struct Job {
@@ -160,7 +159,7 @@ struct Counters {
     admission_waits: AtomicU64,
 }
 
-/// Background writer service, shared by all jobs and ranks of a store hub.
+/// Background writer service, shared by every rank of a store service.
 /// Dropping the writer drains every queue and joins the worker threads.
 pub struct AsyncWriter {
     shards: Vec<Arc<Shard>>,
@@ -536,7 +535,7 @@ mod tests {
 
     #[test]
     fn same_rank_of_two_jobs_never_coalesces() {
-        // The double-buffer key is (job, owner): two tenants' rank 0 must
+        // The double-buffer key is (job, owner): two jobs' rank 0 must
         // both land, even when submitted back-to-back against a slow device.
         let w = AsyncWriter::with_config(serial());
         let backend = Arc::new(Slow(MemBackend::new(), Duration::from_millis(10)));
@@ -650,7 +649,7 @@ mod tests {
             fn put(&self, owner: RankId, epoch: u64, blob: &[u8]) -> Result<PutStats> {
                 std::thread::sleep(Duration::from_millis(30));
                 self.0.put(owner, epoch, blob)?;
-                Ok(PutStats { fsync_us: 1, drain_us: 0 })
+                Ok(PutStats { fsync_us: 1 })
             }
             fn put_batch(&self, items: &[BatchItem<'_>]) -> Result<BatchStats> {
                 let mut stats = self.0.put_batch(items)?;

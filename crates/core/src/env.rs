@@ -20,11 +20,8 @@
 //! | `SPBC_EC_SCHEME` | `off` | redundancy-set parity scheme: `off`, `xor`, or `rs` |
 //! | `SPBC_EC_GROUP` | `4` | redundancy-set size (ranks per set, within a cluster) |
 //! | `SPBC_EC_M` | `2` | parity shards per set for `rs` (losses survivable) |
-//! | `SPBC_TIER_POLICY` | `mem:0,local:all` | tier levels + retention, e.g. `mem:2,local:8,global:all` |
 //! | `SPBC_STORE_SHARDS` | `8` | store/CAS/write-pipeline shard count (power of two; 1 = legacy single-lock layout) |
 //! | `SPBC_WRITE_QUEUE` | `64` | write-pipeline submission-queue depth per shard (full queue delays admission) |
-//! | `SPBC_BATCH_BYTES` | `1048576` | coalesce queued small blobs under one durability barrier up to this many bytes |
-//! | `SPBC_BATCH_LINGER_US` | `0` | microseconds a write batch lingers for stragglers before sealing |
 //! | `SPBC_TRACE` | unset | write the last run's Chrome trace JSON here (`%` → run label) |
 //! | `SPBC_METRICS` | unset | append one metrics JSON line per run here |
 //! | `SPBC_METRICS_INTERVAL_MS` | `0` | background sampler period in ms (0 disables; rows go to `$SPBC_METRICS`) |
@@ -62,11 +59,6 @@ pub const VARS: &[(&str, &str, &str)] = &[
     ("SPBC_EC_GROUP", "4", "redundancy-set size (ranks per set, within a cluster)"),
     ("SPBC_EC_M", "2", "parity shards per set for rs (losses survivable)"),
     (
-        "SPBC_TIER_POLICY",
-        "mem:0,local:all",
-        "tier levels + retention, e.g. mem:2,local:8,global:all",
-    ),
-    (
         "SPBC_STORE_SHARDS",
         "8",
         "store/CAS/write-pipeline shard count (power of two; 1 = legacy single-lock layout)",
@@ -75,16 +67,6 @@ pub const VARS: &[(&str, &str, &str)] = &[
         "SPBC_WRITE_QUEUE",
         "64",
         "write-pipeline submission-queue depth per shard (full queue delays admission)",
-    ),
-    (
-        "SPBC_BATCH_BYTES",
-        "1048576",
-        "coalesce queued small blobs under one durability barrier up to this many bytes",
-    ),
-    (
-        "SPBC_BATCH_LINGER_US",
-        "0",
-        "microseconds a write batch lingers for stragglers before sealing",
     ),
     (
         "SPBC_TRACE",
@@ -251,11 +233,8 @@ mod tests {
             "SPBC_EC_SCHEME",
             "SPBC_EC_GROUP",
             "SPBC_EC_M",
-            "SPBC_TIER_POLICY",
             "SPBC_STORE_SHARDS",
             "SPBC_WRITE_QUEUE",
-            "SPBC_BATCH_BYTES",
-            "SPBC_BATCH_LINGER_US",
             "SPBC_TRACE",
             "SPBC_METRICS",
             "SPBC_METRICS_INTERVAL_MS",
@@ -266,6 +245,7 @@ mod tests {
         ] {
             assert!(names.contains(&required), "{required} missing from VARS");
         }
+        assert_eq!(VARS.len(), 26, "a new SPBC_* knob needs its row here and in the README");
     }
 
     #[test]

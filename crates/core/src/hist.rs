@@ -188,7 +188,6 @@ pub enum Phase {
     Write,
     Fsync,
     EncodeParity,
-    TierDrain,
     Replicate,
     CommitBarrier,
     RestoreLoad,
@@ -198,7 +197,7 @@ pub enum Phase {
 }
 
 /// Number of phases (and histograms in a [`PhaseHists`]).
-pub const PHASES: usize = 13;
+pub const PHASES: usize = 12;
 
 impl Phase {
     /// Every phase, in protocol order.
@@ -209,7 +208,6 @@ impl Phase {
         Phase::Write,
         Phase::Fsync,
         Phase::EncodeParity,
-        Phase::TierDrain,
         Phase::Replicate,
         Phase::CommitBarrier,
         Phase::RestoreLoad,
@@ -227,7 +225,6 @@ impl Phase {
             Phase::Write => "write",
             Phase::Fsync => "fsync",
             Phase::EncodeParity => "encode_parity",
-            Phase::TierDrain => "tier_drain",
             Phase::Replicate => "replicate",
             Phase::CommitBarrier => "commit_barrier",
             Phase::RestoreLoad => "restore_load",
@@ -405,7 +402,6 @@ mod tests {
                 "write",
                 "fsync",
                 "encode_parity",
-                "tier_drain",
                 "replicate",
                 "commit_barrier",
                 "restore_load",

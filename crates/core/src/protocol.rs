@@ -127,9 +127,9 @@ pub struct SpbcConfig {
     /// Parity shards per set for the `rs` scheme — the number of member
     /// losses one wave survives. Defaults to `$SPBC_EC_M` or 2.
     pub ec_m: usize,
-    /// Tiered-storage policy for the on-disk backend: comma-separated
-    /// `level:keep` pairs, fastest first (e.g. `mem:2,local:8,global:all`).
-    /// Defaults to `$SPBC_TIER_POLICY` or `mem:0,local:all`.
+    /// Inert: the on-disk store writes each rank's checkpoints straight to
+    /// its node-local directory. Kept only until `spbc-perf`'s full struct
+    /// literal drops it.
     pub tier_policy: String,
     /// Chaos-model switch: a rank that fails also loses its node-local
     /// checkpoint copies (node-loss semantics), forcing restore through the
@@ -145,10 +145,10 @@ pub struct SpbcConfig {
     /// `$SPBC_WRITE_QUEUE` or 64.
     pub write_queue: usize,
     /// Byte budget for coalescing queued small blobs under one durability
-    /// barrier. Defaults to `$SPBC_BATCH_BYTES` or 1 MiB.
+    /// barrier. Defaults to 1 MiB.
     pub batch_bytes: usize,
     /// Microseconds a write batch lingers for stragglers before sealing.
-    /// Defaults to `$SPBC_BATCH_LINGER_US` or 0 (seal immediately).
+    /// Defaults to 0 (seal immediately).
     pub batch_linger_us: u64,
 }
 
@@ -193,12 +193,6 @@ fn default_ec_m() -> usize {
     crate::env::get_or("SPBC_EC_M", 2usize)
 }
 
-/// Tier policy from `$SPBC_TIER_POLICY`, defaulting to write-through
-/// node-local files (the pre-tiering on-disk layout).
-fn default_tier_policy() -> String {
-    crate::env::get_or("SPBC_TIER_POLICY", "mem:0,local:all".to_string())
-}
-
 /// Store shard count from `$SPBC_STORE_SHARDS`, defaulting to 8.
 fn default_store_shards() -> usize {
     crate::env::get_or("SPBC_STORE_SHARDS", 8usize)
@@ -207,16 +201,6 @@ fn default_store_shards() -> usize {
 /// Write-queue depth from `$SPBC_WRITE_QUEUE`, defaulting to 64.
 fn default_write_queue() -> usize {
     crate::env::get_or("SPBC_WRITE_QUEUE", 64usize)
-}
-
-/// Batch byte budget from `$SPBC_BATCH_BYTES`, defaulting to 1 MiB.
-fn default_batch_bytes() -> usize {
-    crate::env::get_or("SPBC_BATCH_BYTES", 1usize << 20)
-}
-
-/// Batch linger from `$SPBC_BATCH_LINGER_US`, defaulting to 0.
-fn default_batch_linger_us() -> u64 {
-    crate::env::get_or("SPBC_BATCH_LINGER_US", 0u64)
 }
 
 /// CDC chunk bounds from `$SPBC_CDC_MIN` / `$SPBC_CDC_AVG` / `$SPBC_CDC_MAX`.
@@ -250,12 +234,12 @@ impl Default for SpbcConfig {
             ec_scheme: default_ec_scheme(),
             ec_group: default_ec_group(),
             ec_m: default_ec_m(),
-            tier_policy: default_tier_policy(),
+            tier_policy: String::new(),
             lose_local_on_failure: false,
             store_shards: default_store_shards(),
             write_queue: default_write_queue(),
-            batch_bytes: default_batch_bytes(),
-            batch_linger_us: default_batch_linger_us(),
+            batch_bytes: 1 << 20,
+            batch_linger_us: 0,
         }
     }
 }
@@ -275,7 +259,6 @@ fn store_cfg_of(cfg: &SpbcConfig) -> StoreConfig {
         cdc: cfg.ckpt_cdc,
         cdc_params: CdcParams { min: cfg.cdc_min, avg: cfg.cdc_avg, max: cfg.cdc_max },
         ec,
-        tier_policy: cfg.tier_policy.clone(),
         shards: cfg.store_shards,
         write_queue: cfg.write_queue,
         batch_bytes: cfg.batch_bytes,
@@ -963,16 +946,6 @@ impl SpbcLayer {
                             epoch,
                             phase: crate::hist::Phase::Fsync.name(),
                             us: put.fsync_us,
-                        });
-                    }
-                    if put.drain_us > 0 {
-                        // Cold epochs demoted down the tier stack behind the
-                        // write — background cost, not barrier cost.
-                        metrics.phase.record(crate::hist::Phase::TierDrain, put.drain_us);
-                        rec.record(|| Event::CkptPhaseDone {
-                            epoch,
-                            phase: crate::hist::Phase::TierDrain.name(),
-                            us: put.drain_us,
                         });
                     }
                     if is_async {

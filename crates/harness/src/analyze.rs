@@ -275,7 +275,7 @@ pub fn bytes_table(agg: &RunAggregate) -> String {
     t.render()
 }
 
-/// Render the storm/admission pipeline section: the bounded-writer gauges
+/// Render the write-pipeline section: the bounded-writer gauges
 /// and counters plus the admission-wait latency shape. Empty when the run
 /// never recorded pipeline counters (pre-pipeline metrics files).
 pub fn admission_table(agg: &RunAggregate) -> String {
@@ -313,101 +313,6 @@ pub fn log_table(agg: &RunAggregate) -> String {
         t.row(vec![key.into(), agg.counter(key).to_string()]);
     }
     t.render()
-}
-
-/// One row of a `BENCH_storm.json` baseline (see [`crate::storm`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StormBenchRow {
-    /// Scenario label.
-    pub scenario: String,
-    /// Store shards the row ran with.
-    pub shards: u64,
-    /// Concurrent jobs.
-    pub jobs: u64,
-    /// Aggregate commit throughput (commits per second).
-    pub throughput: f64,
-    /// Durability barriers per committed blob.
-    pub fsyncs_per_blob: f64,
-}
-
-/// Parse a `BENCH_storm.json` body into its rows.
-pub fn parse_storm(body: &str) -> Result<Vec<StormBenchRow>, String> {
-    let doc = parse(body).map_err(|e| format!("storm json: {e}"))?;
-    if doc.get("bench").and_then(Json::as_str) != Some("storm") {
-        return Err("not a storm bench file (\"bench\" != \"storm\")".into());
-    }
-    let rows = doc.get("rows").and_then(Json::as_arr).ok_or("storm json: no rows array")?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, r) in rows.iter().enumerate() {
-        let num = |k: &str| {
-            r.get(k).and_then(Json::as_num).ok_or_else(|| format!("storm row {i}: missing {k}"))
-        };
-        out.push(StormBenchRow {
-            scenario: r
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("storm row {i}: missing scenario"))?
-                .to_string(),
-            shards: num("shards")? as u64,
-            jobs: num("jobs")? as u64,
-            throughput: num("throughput")?,
-            fsyncs_per_blob: num("fsyncs_per_blob")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Structural acceptance gate over one storm file: the sharded scenario
-/// must beat single-shard aggregate throughput by `min_scaling`, and the
-/// batched small-blob scenario must amortize below one fsync per blob.
-/// Returns the violated claims (empty = pass).
-pub fn storm_gate(rows: &[StormBenchRow], min_scaling: f64) -> Vec<String> {
-    let mut fails = Vec::new();
-    let find = |name: &str| rows.iter().find(|r| r.scenario == name);
-    match (find("single-shard"), find("sharded")) {
-        (Some(single), Some(sharded)) => {
-            if sharded.throughput < min_scaling * single.throughput {
-                fails.push(format!(
-                    "sharded throughput {:.0}/s is under {min_scaling}x single-shard {:.0}/s",
-                    sharded.throughput, single.throughput
-                ));
-            }
-            if sharded.fsyncs_per_blob >= 1.0 {
-                fails.push(format!(
-                    "batched fsyncs-per-blob {:.2} did not drop below 1.0",
-                    sharded.fsyncs_per_blob
-                ));
-            }
-        }
-        _ => fails.push("storm file lacks single-shard/sharded scenario pair".into()),
-    }
-    fails
-}
-
-/// Cross-file storm gate: every scenario present in both files at the same
-/// job count must hold at least `(100 - max_regress_pct)%` of the baseline
-/// throughput. Rows whose job counts differ are skipped (different scale,
-/// not comparable). Returns the regressions (empty = pass).
-pub fn compare_storm(
-    current: &[StormBenchRow],
-    baseline: &[StormBenchRow],
-    max_regress_pct: f64,
-) -> Vec<String> {
-    let mut fails = Vec::new();
-    for base in baseline {
-        let Some(cur) = current.iter().find(|r| r.scenario == base.scenario) else { continue };
-        if cur.jobs != base.jobs {
-            continue;
-        }
-        let floor = base.throughput * (1.0 - max_regress_pct / 100.0);
-        if cur.throughput < floor {
-            fails.push(format!(
-                "{}: throughput {:.0}/s fell more than {max_regress_pct}% below baseline {:.0}/s",
-                cur.scenario, cur.throughput, base.throughput
-            ));
-        }
-    }
-    fails
 }
 
 /// Tiny adapter keeping the byte rows uniform.
@@ -530,7 +435,7 @@ mod tests {
         Metrics::set(&m.store_queue_depth, 5);
         m.phase.record(Phase::Admission, 800);
         let mut obj = spbc_trace::JsonObj::new();
-        obj.field_str("label", "storm/run");
+        obj.field_str("label", "run");
         m.snapshot().append_to(&mut obj);
         let agg = parse_jsonl(&obj.finish()).expect("parses");
         let section = admission_table(&agg);
@@ -562,74 +467,6 @@ mod tests {
         assert!(section.contains("log_live_bytes"), "{section}");
         let old = parse_jsonl("{\"sample\":0,\"t_us\":1,\"checkpoints\":1}\n").expect("parses");
         assert!(log_table(&old).is_empty());
-    }
-
-    fn storm_fixture(sharded_tp: f64, fsyncs: f64) -> Vec<StormBenchRow> {
-        vec![
-            StormBenchRow {
-                scenario: "single-shard".into(),
-                shards: 1,
-                jobs: 8,
-                throughput: 1000.0,
-                fsyncs_per_blob: 0.3,
-            },
-            StormBenchRow {
-                scenario: "sharded".into(),
-                shards: 8,
-                jobs: 8,
-                throughput: sharded_tp,
-                fsyncs_per_blob: fsyncs,
-            },
-        ]
-    }
-
-    #[test]
-    fn storm_json_round_trips_through_the_parser() {
-        let rows = crate::storm::to_json(&[crate::storm::StormRow {
-            scenario: "sharded".into(),
-            shards: 8,
-            jobs: 8,
-            batched: true,
-            gc: false,
-            commits: 960,
-            wall_ms: 180,
-            throughput: 5300.0,
-            p50_us: 500,
-            p99_us: 6000,
-            fsyncs_per_blob: 0.45,
-            admission_delays: 14,
-        }]);
-        let parsed = parse_storm(&rows).expect("parses");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].scenario, "sharded");
-        assert_eq!(parsed[0].shards, 8);
-        assert!((parsed[0].fsyncs_per_blob - 0.45).abs() < 1e-9);
-        assert!(parse_storm("{\"bench\": \"ckpt_delta\", \"rows\": []}").is_err());
-    }
-
-    #[test]
-    fn storm_gate_enforces_the_acceptance_pair() {
-        assert!(storm_gate(&storm_fixture(4000.0, 0.5), 1.5).is_empty());
-        let slow = storm_gate(&storm_fixture(1200.0, 0.5), 1.5);
-        assert!(slow.iter().any(|f| f.contains("single-shard")), "{slow:?}");
-        let unbatched = storm_gate(&storm_fixture(4000.0, 1.0), 1.5);
-        assert!(unbatched.iter().any(|f| f.contains("fsyncs-per-blob")), "{unbatched:?}");
-        assert!(!storm_gate(&[], 1.5).is_empty(), "missing scenarios must fail the gate");
-    }
-
-    #[test]
-    fn storm_compare_flags_throughput_regressions() {
-        let base = storm_fixture(4000.0, 0.5);
-        assert!(compare_storm(&storm_fixture(3500.0, 0.5), &base, 30.0).is_empty());
-        let regs = compare_storm(&storm_fixture(2000.0, 0.5), &base, 30.0);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].contains("sharded"), "{regs:?}");
-        // A different job count is a different scale, never compared.
-        let mut smoke = storm_fixture(100.0, 0.5);
-        for r in &mut smoke {
-            r.jobs = 4;
-        }
-        assert!(compare_storm(&smoke, &base, 30.0).is_empty());
     }
 
     #[test]

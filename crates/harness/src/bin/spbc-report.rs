@@ -6,20 +6,11 @@
 //! ```text
 //! spbc-report run.jsonl [--trace trace.json]
 //!             [--compare baseline.jsonl] [--max-regress <pct>] [--floor-us <us>]
-//!             [--storm BENCH_storm.json] [--compare-storm baseline.json]
-//!             [--storm-max-regress <pct>]
 //! ```
 //!
 //! With `--compare`, exits nonzero when any phase's p99 regressed past
 //! `--max-regress` percent (default 50) of the baseline's p99 and above
 //! the `--floor-us` noise floor (default 1000 µs) — the CI smoke gate.
-//!
-//! With `--storm`, prints the multi-tenant saturation rows and enforces
-//! the structural acceptance pair (sharded ≥ 1.5x single-shard aggregate
-//! throughput; batched fsyncs-per-blob < 1.0). `--compare-storm` further
-//! gates every same-scale scenario's aggregate throughput against a
-//! committed `BENCH_storm.json` baseline (default tolerance 40%, set with
-//! `--storm-max-regress`).
 
 use spbc_harness::analyze;
 
@@ -29,17 +20,12 @@ struct Args {
     compare: Option<String>,
     max_regress: f64,
     floor_us: u64,
-    storm: Option<String>,
-    compare_storm: Option<String>,
-    storm_max_regress: f64,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: spbc-report <metrics.jsonl> [--trace trace.json] \
-         [--compare baseline.jsonl] [--max-regress <pct>] [--floor-us <us>] \
-         [--storm BENCH_storm.json] [--compare-storm baseline.json] \
-         [--storm-max-regress <pct>]"
+         [--compare baseline.jsonl] [--max-regress <pct>] [--floor-us <us>]"
     );
     std::process::exit(2);
 }
@@ -51,9 +37,6 @@ fn parse_args() -> Args {
         compare: None,
         max_regress: 50.0,
         floor_us: 1000,
-        storm: None,
-        compare_storm: None,
-        storm_max_regress: 40.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -70,12 +53,6 @@ fn parse_args() -> Args {
                 args.max_regress = value("--max-regress").parse().unwrap_or_else(|_| usage())
             }
             "--floor-us" => args.floor_us = value("--floor-us").parse().unwrap_or_else(|_| usage()),
-            "--storm" => args.storm = Some(value("--storm")),
-            "--compare-storm" => args.compare_storm = Some(value("--compare-storm")),
-            "--storm-max-regress" => {
-                args.storm_max_regress =
-                    value("--storm-max-regress").parse().unwrap_or_else(|_| usage())
-            }
             "--help" | "-h" => usage(),
             _ if args.metrics.is_empty() && !a.starts_with('-') => args.metrics = a,
             _ => usage(),
@@ -85,17 +62,6 @@ fn parse_args() -> Args {
         usage();
     }
     args
-}
-
-fn load_storm(path: &str) -> Vec<analyze::StormBenchRow> {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("spbc-report: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    analyze::parse_storm(&body).unwrap_or_else(|e| {
-        eprintln!("spbc-report: {path}: {e}");
-        std::process::exit(2);
-    })
 }
 
 fn load(path: &str) -> analyze::RunAggregate {
@@ -172,31 +138,6 @@ fn main() {
                     r.current_p99,
                     r.pct
                 );
-            }
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(storm_path) = &args.storm {
-        let rows = load_storm(storm_path);
-        println!("\nstorm rows in {storm_path}:");
-        for r in &rows {
-            println!(
-                "  {:<20} shards {:>2}  jobs {:>2}  {:>9.2} commits/s  {:.2} fsyncs/blob",
-                r.scenario, r.shards, r.jobs, r.throughput, r.fsyncs_per_blob
-            );
-        }
-        let mut fails = analyze::storm_gate(&rows, 1.5);
-        if let Some(base_path) = &args.compare_storm {
-            let base = load_storm(base_path);
-            fails.extend(analyze::compare_storm(&rows, &base, args.storm_max_regress));
-        }
-        if fails.is_empty() {
-            println!("storm gate: OK");
-        } else {
-            println!("storm gate: FAILED");
-            for f in &fails {
-                println!("  {f}");
             }
             std::process::exit(1);
         }

@@ -11,7 +11,6 @@
 //! | Figure 6 (HydEE vs SPBC recovery)       | [`fig6`]   | `spbc-fig6` |
 //! | A1/A2/A3 ablations                      | [`ablation`] | `spbc-ablation` |
 //! | ckpt_delta (logical vs physical bytes)  | [`ckpt`]   | `spbc-ckpt` |
-//! | storm (multi-tenant saturation)         | [`storm`]  | `spbc-storm` |
 //! | metrics digest & regression gate        | [`analyze`] | `spbc-report` |
 //!
 //! Scale is controlled by environment variables (defaults in parentheses):
@@ -38,7 +37,6 @@ pub mod obs;
 pub mod proc;
 pub mod profile;
 pub mod report;
-pub mod storm;
 pub mod table1;
 pub mod table2;
 
