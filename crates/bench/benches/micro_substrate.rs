@@ -184,46 +184,6 @@ fn crc(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-wave cost of the V3 delta encoder vs the V2 full-blob path on a
-/// 32-chunk (2 MiB) body: the small-dirty-fraction regime the format
-/// targets, the all-dirty worst case (the encoder detects it and falls back
-/// to a plain full blob, so it must track `full_v2_baseline`), and the
-/// fulls-only cadence for reference. `spbc-ckpt` reports the corresponding
-/// byte counts as `BENCH_ckpt.json`.
-fn ckpt_delta(c: &mut Criterion) {
-    use mini_mpi::types::RankId;
-    use spbc_ckptstore::chunk::{DEFAULT_CHUNK_SIZE, DEFAULT_FULL_EVERY};
-    use spbc_ckptstore::{CkptStoreService, StoreConfig};
-
-    const CHUNKS: usize = 32;
-    let size = CHUNKS * DEFAULT_CHUNK_SIZE;
-
-    let mut g = c.benchmark_group("ckpt_delta");
-    g.measurement_time(Duration::from_secs(4));
-    g.throughput(Throughput::Bytes(size as u64));
-    let mut scenario = |name: &str, full_every: u64, dirty_chunks: usize| {
-        g.bench_function(name, |b| {
-            let svc = CkptStoreService::in_memory(
-                1,
-                StoreConfig { full_every, ..StoreConfig::default() },
-            );
-            let mut body = vec![7u8; size];
-            let mut epoch = 0u64;
-            b.iter(|| {
-                epoch += 1;
-                for d in 0..dirty_chunks {
-                    body[d * DEFAULT_CHUNK_SIZE] = (epoch % 251) as u8 + 1;
-                }
-                svc.encode_commit(RankId(0), epoch, &body).unwrap().1.physical
-            })
-        });
-    };
-    scenario("delta_1_of_32_dirty", DEFAULT_FULL_EVERY, 1);
-    scenario("delta_all_dirty", DEFAULT_FULL_EVERY, CHUNKS);
-    scenario("full_v2_baseline", 1, 1);
-    g.finish();
-}
-
 fn p2p(c: &mut Criterion) {
     let mut g = c.benchmark_group("p2p_roundtrip");
     g.sample_size(10).measurement_time(Duration::from_secs(8));
@@ -299,7 +259,6 @@ criterion_group!(
     stats,
     flight_recorder,
     crc,
-    ckpt_delta,
     p2p,
     collectives,
     spawn_overhead

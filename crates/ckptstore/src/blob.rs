@@ -1,9 +1,8 @@
 //! Checkpoint blob framing: `SPBCCKP2` = magic + CRC32 over the body.
 //!
-//! Full blobs written by this crate are V2; incremental delta blobs use the
-//! `SPBCCKP3` framing and content-addressed manifests the `SPBCCKP4` framing
-//! in [`crate::chunk`]. Anything else — including the retired, unchecksummed
-//! V1 — is rejected as an unknown version.
+//! Full blobs written by this crate are V2; content-addressed manifests use
+//! the `SPBCCKP4` framing in [`crate::chunk`]. Anything else — including the
+//! retired V1 and `SPBCCKP3` formats — is rejected as an unknown version.
 
 use crate::crc::crc32;
 use mini_mpi::error::{MpiError, Result};
@@ -26,9 +25,6 @@ pub fn seal(body: &[u8]) -> Vec<u8> {
 pub enum Unsealed<'a> {
     /// V2 full blob: the verified body bytes.
     Full(&'a [u8]),
-    /// V3 fixed-grid delta: needs [`crate::chunk::materialize`] with
-    /// epoch-addressed base fetches.
-    Delta(crate::chunk::DeltaView<'a>),
     /// V4 content-addressed manifest: needs
     /// [`crate::chunk::CasView::materialize`] against the chunk store.
     Cas(crate::chunk::CasView<'a>),
@@ -41,7 +37,6 @@ impl std::fmt::Debug for Unsealed<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Unsealed::Full(b) => write!(f, "Unsealed::Full({} bytes)", b.len()),
-            Unsealed::Delta(v) => write!(f, "Unsealed::Delta({} chunks)", v.n_chunks()),
             Unsealed::Cas(v) => write!(f, "Unsealed::Cas({} chunks)", v.n_chunks()),
             Unsealed::Parity(v) => {
                 write!(f, "Unsealed::Parity(set {} shard {}/{})", v.set_id, v.shard_idx, v.m)
@@ -51,16 +46,13 @@ impl std::fmt::Debug for Unsealed<'_> {
 }
 
 /// The single version dispatcher: route a sealed blob of **any** known
-/// version (V2 checksum, V3 delta, V4 content-addressed, parity)
+/// version (V2 checksum, V4 content-addressed, parity)
 /// through its verifier, or fail with one loud unknown-version error.
 ///
 /// Every read path funnels through here, so a blob from a newer build that
 /// this build cannot read is always reported as such — never misparsed as
 /// a different version's framing.
 pub fn unseal_any(bytes: &[u8]) -> Result<Unsealed<'_>> {
-    if crate::chunk::is_delta(bytes) {
-        return crate::chunk::DeltaView::parse(bytes).map(Unsealed::Delta);
-    }
     if crate::chunk::is_cas(bytes) {
         return crate::chunk::CasView::parse(bytes).map(Unsealed::Cas);
     }
@@ -83,24 +75,21 @@ pub fn unseal_any(bytes: &[u8]) -> Result<Unsealed<'_>> {
     }
     Err(MpiError::Codec(format!(
         "unknown checkpoint blob version (first bytes {:02x?}); \
-         this build reads SPBCCKP2-SPBCCKP4 and SPBCPAR1",
+         this build reads SPBCCKP2, SPBCCKP4 and SPBCPAR1",
         &bytes[..bytes.len().min(8)]
     )))
 }
 
 /// Validate a sealed blob and return its body.
 ///
-/// Accepts V2 (checksum verified). Any framing or checksum failure is a `Codec` error — callers treat it as
-/// a corrupt copy and fall back to a partner replica. V3 delta and V4
-/// content-addressed blobs are *not* body containers — they need chain or
-/// store materialization — so they are rejected here with a distinct error
-/// rather than silently misread.
+/// Accepts V2 (checksum verified). Any framing or checksum failure is a
+/// `Codec` error — callers treat it as a corrupt copy and fall back to a
+/// partner replica. A V4 content-addressed blob is *not* a body container —
+/// it needs store materialization — so it is rejected here with a distinct
+/// error rather than silently misread.
 pub fn unseal(bytes: &[u8]) -> Result<&[u8]> {
     match unseal_any(bytes)? {
         Unsealed::Full(body) => Ok(body),
-        Unsealed::Delta(_) => Err(MpiError::Codec(
-            "delta checkpoint blob (SPBCCKP3) requires chain materialization".into(),
-        )),
         Unsealed::Cas(_) => Err(MpiError::Codec(
             "content-addressed blob (SPBCCKP4) requires store materialization".into(),
         )),
@@ -177,24 +166,15 @@ mod tests {
         let sealed = seal(b"v2 body");
         assert!(matches!(unseal_any(&sealed).unwrap(), Unsealed::Full(b"v2 body")));
 
-        // V3: a real delta from the encoder round-trips through the view.
+        // V3: the retired delta format is an unknown version.
         let mut enc = DeltaEncoder::new(4, 8);
         let b1: Vec<u8> = (0u8..32).collect();
-        let (full1, _) = enc.encode(1, &b1);
+        enc.encode(1, &b1);
         let mut b2 = b1.clone();
         b2[9] ^= 0xFF;
         let (delta2, _) = enc.encode(2, &b2);
-        match unseal_any(&delta2).unwrap() {
-            Unsealed::Delta(view) => {
-                let mut fetch = |e: u64| {
-                    assert_eq!(e, 1);
-                    Ok(full1.clone())
-                };
-                assert_eq!(crate::chunk::materialize(&delta2, &mut fetch).unwrap(), b2);
-                assert!(view.n_chunks() > 0);
-            }
-            _ => panic!("V3 delta misrouted"),
-        }
+        let err = format!("{}", unseal_any(&delta2).unwrap_err());
+        assert!(err.contains("unknown checkpoint blob version"), "{err}");
 
         // V4: content-addressed manifest round-trips through its view.
         let chunk = b"v4 chunk body".to_vec();
@@ -221,29 +201,22 @@ mod tests {
         // Exactly one loud unknown-version error for anything else.
         let err = format!("{}", unseal_any(b"SPBCCKP9........").unwrap_err());
         assert!(err.contains("unknown checkpoint blob version"), "{err}");
-        // And V3/V4/parity are rejected by the body-only reader with
-        // distinct errors.
-        assert!(format!("{}", unseal(&delta2).unwrap_err()).contains("SPBCCKP3"));
+        // And V4/parity are rejected by the body-only reader with distinct
+        // errors.
         assert!(format!("{}", unseal(&v4).unwrap_err()).contains("SPBCCKP4"));
         assert!(format!("{}", unseal(&par).unwrap_err()).contains("SPBCPAR1"));
     }
 
     /// Truncated and corrupted headers of every framing this build knows
-    /// (V2, V3, V4, parity) fail loudly through `unseal_any` — the right
+    /// (V2, V4, parity) fail loudly through `unseal_any` — the right
     /// error kind, never a panic, and corrupt framings never misroute to a
     /// different version. The retired V1 is rejected whole and in part.
     #[test]
     fn unseal_any_rejects_damage_in_every_framing() {
         use crate::cas::ChunkHash;
-        use crate::chunk::{DeltaEncoder, V4Chunk};
+        use crate::chunk::V4Chunk;
 
         let v2 = seal(b"v2 body bytes");
-        let mut enc = DeltaEncoder::new(4, 8);
-        let base: Vec<u8> = (0u8..64).collect();
-        let (_, _) = enc.encode(1, &base);
-        let mut next = base.clone();
-        next[5] ^= 1;
-        let (v3, _) = enc.encode(2, &next);
         let chunk = b"v4 chunk".to_vec();
         let v4 = crate::chunk::seal_v4(&[V4Chunk {
             hash: ChunkHash::of(&chunk),
@@ -252,7 +225,7 @@ mod tests {
         }]);
         let par = crate::ec::seal_parity(1, 0, 2, 9, &[(0, 8), (1, 8)], b"parity!!");
 
-        let cases: [(&str, &[u8]); 4] = [("V2", &v2), ("V3", &v3), ("V4", &v4), ("parity", &par)];
+        let cases: [(&str, &[u8]); 3] = [("V2", &v2), ("V4", &v4), ("parity", &par)];
         for (name, sealed) in cases {
             // Sanity: the intact blob parses.
             assert!(unseal_any(sealed).is_ok(), "{name}: intact blob rejected");

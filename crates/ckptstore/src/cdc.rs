@@ -1,9 +1,9 @@
 //! FastCDC-style content-defined chunking: the boundary finder behind the
 //! `SPBCCKP4` content-addressed checkpoint format.
 //!
-//! The fixed-grid differ (`SPBCCKP3`, [`crate::chunk`]) earns nothing on
-//! real serialized state: inserting or removing a single byte shifts every
-//! later chunk boundary, so no chunk ever re-matches. Content-defined
+//! A fixed chunk grid earns nothing on real serialized state: inserting or
+//! removing a single byte shifts every later chunk boundary, so no chunk
+//! ever re-matches. Content-defined
 //! chunking cuts where the *content* says to cut — a rolling gear hash over
 //! a small window, with a boundary wherever the hash's top bits are zero —
 //! so an edit disturbs only the chunk it lands in (and at most its

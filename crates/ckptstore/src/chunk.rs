@@ -1,57 +1,28 @@
-//! Incremental chunk-deduplicated checkpoint blobs: the `SPBCCKP3` delta
-//! format and the per-rank encoder that produces it.
+//! Content-addressed checkpoint manifests (`SPBCCKP4`), the any-version
+//! blob verifier, and the commit-encode accounting.
 //!
-//! Iterative SPMD workloads mutate only a fraction of their state between
-//! checkpoint waves, yet a full blob re-writes (and k-replicates) every byte
-//! every wave. The delta path splits the serialized checkpoint body into
-//! fixed-size chunks, hashes each chunk with the Fx 64-bit hasher, diffs
-//! against the previous committed wave's chunk table, and emits only the
-//! changed chunks plus a manifest saying where every unchanged chunk's bytes
-//! live:
+//! With CDC on, the storage service cuts each wave's serialized body at
+//! content-defined boundaries ([`crate::cdc`]), dedups every chunk in the
+//! service-wide [`crate::cas::CasStore`], and seals the wave as a V4
+//! manifest: the ordered chunk addresses plus payloads only for chunks the
+//! store did not already hold ([`seal_v4`], [`CasView`]). With CDC off a
+//! wave is one sealed `SPBCCKP2` full blob ([`crate::blob`]). Neither form
+//! references another epoch, so storage GC never has to keep an old blob
+//! alive for a newer one.
 //!
-//! ```text
-//! "SPBCCKP3" | crc32 (LE, over everything after it) |
-//! chunk_size u32 | total_len u64 |
-//! manifest: n_chunks x u64  (0 = inline, else source epoch) |
-//! inline chunk payloads, concatenated in chunk order
-//! ```
-//!
-//! Manifest references are **flattened**: an unchanged chunk points at the
-//! epoch whose blob holds its bytes directly (a full blob, or the delta that
-//! last wrote the chunk inline) — never at an intermediate delta that itself
-//! only references the chunk. Materializing a delta therefore touches
-//! exactly the blobs named in its manifest, and storage GC only has to keep
-//! the epochs a live manifest names (no recursive chain walk).
-//!
-//! Correctness before compression: a 64-bit chunk hash can collide, so hash
-//! equality is only a prefilter — the encoder keeps the previous wave's body
-//! and confirms every "unchanged" verdict with a byte compare. Recovery is
-//! bitwise identical by construction, never probabilistically.
-//!
-//! Chain length is bounded two ways: a full blob is forced every
-//! `full_every`-th wave, and the encoder only extends a chain over an
-//! uninterrupted `epoch = prev + 1` sequence — any restart, rollback or
-//! reset starts a fresh chain with a full blob.
-//!
-//! Interaction with the bounded write pipeline (`writer.rs`): a manifest
-//! names *epochs*, so every epoch a chain references must actually land on
-//! the backend. The pipeline's small-blob coalescing may replace a queued,
-//! unstarted write with a newer one for the same `(job, owner)` key — safe
-//! for CDC blobs (chunk bodies live in the CAS), fatal for a delta chain
-//! whose base would silently vanish. The protocol therefore keeps the
-//! double-buffer discipline of flushing the previous wave before committing
-//! the next, and `gc_local` drains the rank's pipeline before computing the
-//! retained set so in-flight manifests are visible to it.
+//! [`DeltaEncoder`] is the retired fixed-grid `SPBCCKP3` differ. The store
+//! neither writes nor reads its output; it survives only as an encoder
+//! whose throughput `spbc-perf` still reports.
 
 use crate::blob::{seal, unseal};
 use crate::cas::ChunkHash;
 use crate::crc::crc32;
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::hash::FxHasher;
-use std::collections::BTreeSet;
 use std::hash::Hasher;
 
-/// Delta format: magic, CRC32, chunked-manifest header, inline payloads.
+/// Magic of the retired fixed-grid delta format [`DeltaEncoder`] emits.
+/// No store path reads it: [`verify`] rejects it as an unknown version.
 pub const MAGIC_V3: &[u8; 8] = b"SPBCCKP3";
 
 /// Content-addressed format: magic, CRC32 over the frame (header, manifest,
@@ -60,148 +31,41 @@ pub const MAGIC_V3: &[u8; 8] = b"SPBCCKP3";
 /// 128-bit address rather than by the CRC.
 pub const MAGIC_V4: &[u8; 8] = b"SPBCCKP4";
 
-/// Default chunk size (64 KiB, `SPBC_CKPT_CHUNK`).
+/// The retired [`DeltaEncoder`]'s grid (64 KiB): the default of the inert
+/// `chunk_size` config fields.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
-/// Default full-blob cadence (`SPBC_CKPT_FULL_EVERY`): one full blob, then
-/// up to seven deltas, then full again.
-pub const DEFAULT_FULL_EVERY: u64 = 8;
 
-/// Manifest sentinel: the chunk's payload is inline in this blob.
+/// V3 manifest sentinel: the chunk's payload is inline in this blob.
 const INLINE: u64 = 0;
 
-/// Fixed byte offsets of the V3 header.
+/// Fixed byte offsets shared by the V3 and V4 headers.
 const OFF_CRC: usize = 8;
 const OFF_CHUNK_SIZE: usize = 12;
-const OFF_TOTAL_LEN: usize = 16;
 const OFF_MANIFEST: usize = 24;
-
-/// Does `bytes` carry the V3 delta magic?
-pub fn is_delta(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC_V3.len() && &bytes[..MAGIC_V3.len()] == MAGIC_V3
-}
 
 /// Does `bytes` carry the V4 content-addressed magic?
 pub fn is_cas(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC_V4.len() && &bytes[..MAGIC_V4.len()] == MAGIC_V4
 }
 
-/// 64-bit Fx hash of one chunk (prefilter only — see module docs).
+/// 64-bit Fx hash of one chunk (the [`DeltaEncoder`]'s diff prefilter).
 fn chunk_hash(chunk: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(chunk);
     h.finish()
 }
 
-/// Structurally validate a sealed blob of **any** version (V2/V3/V4 +
-/// parity checksum + framing; for V4 also every inline payload
-/// against its address). Used to decide whether a stored copy is worth
-/// loading or repairing from.
+/// Structurally validate a sealed blob of **any** version the store
+/// holds (V2 checksum, V4 frame CRC plus every inline payload against its
+/// address, parity framing). Used to decide whether a stored copy is
+/// worth loading or repairing from.
 pub fn verify(bytes: &[u8]) -> Result<()> {
-    if is_delta(bytes) {
-        DeltaView::parse(bytes).map(|_| ())
-    } else if is_cas(bytes) {
+    if is_cas(bytes) {
         CasView::parse(bytes)?.verify_inline()
     } else if crate::ec::is_parity(bytes) {
         crate::ec::ParityView::parse(bytes).map(|_| ())
     } else {
         unseal(bytes).map(|_| ())
-    }
-}
-
-/// A parsed, checksum-verified view of a V3 delta blob.
-pub struct DeltaView<'a> {
-    /// Chunk size the manifest was built with.
-    pub chunk_size: usize,
-    /// Length of the materialized body.
-    pub total_len: usize,
-    /// Per-chunk source: [`INLINE`]'s `0` or the epoch holding the bytes.
-    sources: Vec<u64>,
-    /// Concatenated inline chunk payloads.
-    payload: &'a [u8],
-}
-
-impl<'a> DeltaView<'a> {
-    /// Parse and verify a V3 blob (magic, CRC, structural consistency).
-    pub fn parse(bytes: &'a [u8]) -> Result<DeltaView<'a>> {
-        if !is_delta(bytes) {
-            return Err(MpiError::Codec("not a delta checkpoint blob".into()));
-        }
-        if bytes.len() < OFF_MANIFEST {
-            return Err(MpiError::Codec("delta blob truncated before header".into()));
-        }
-        let stored = u32::from_le_bytes(bytes[OFF_CRC..OFF_CRC + 4].try_into().unwrap());
-        let actual = crc32(&bytes[OFF_CHUNK_SIZE..]);
-        if stored != actual {
-            return Err(MpiError::Codec(format!(
-                "delta checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        let chunk_size =
-            u32::from_le_bytes(bytes[OFF_CHUNK_SIZE..OFF_CHUNK_SIZE + 4].try_into().unwrap())
-                as usize;
-        let total_len =
-            u64::from_le_bytes(bytes[OFF_TOTAL_LEN..OFF_TOTAL_LEN + 8].try_into().unwrap())
-                as usize;
-        if chunk_size == 0 {
-            return Err(MpiError::Codec("delta blob with zero chunk size".into()));
-        }
-        let n_chunks = total_len.div_ceil(chunk_size);
-        let manifest_end = OFF_MANIFEST + n_chunks * 8;
-        if bytes.len() < manifest_end {
-            return Err(MpiError::Codec("delta manifest truncated".into()));
-        }
-        let mut sources = Vec::with_capacity(n_chunks);
-        let mut inline_bytes = 0usize;
-        for i in 0..n_chunks {
-            let off = OFF_MANIFEST + i * 8;
-            let src = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            if src == INLINE {
-                inline_bytes += chunk_len(total_len, chunk_size, i);
-            }
-            sources.push(src);
-        }
-        let payload = &bytes[manifest_end..];
-        if payload.len() != inline_bytes {
-            return Err(MpiError::Codec(format!(
-                "delta payload length {} does not match manifest ({inline_bytes} inline bytes)",
-                payload.len()
-            )));
-        }
-        Ok(DeltaView { chunk_size, total_len, sources, payload })
-    }
-
-    /// Number of chunks in the manifest.
-    pub fn n_chunks(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Every base epoch this manifest references (deduplicated, ascending).
-    pub fn referenced_epochs(&self) -> BTreeSet<u64> {
-        self.sources.iter().copied().filter(|&s| s != INLINE).collect()
-    }
-
-    /// The source epoch of chunk `idx` (`None` = inline in this blob).
-    pub fn source_of(&self, idx: usize) -> Option<u64> {
-        match self.sources.get(idx) {
-            Some(&s) if s != INLINE => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The inline payload of chunk `idx`, if the manifest stores it inline.
-    pub fn inline_chunk(&self, idx: usize) -> Option<&'a [u8]> {
-        if *self.sources.get(idx)? != INLINE {
-            return None;
-        }
-        // Inline payloads are concatenated in chunk order: sum the lengths
-        // of the inline chunks before this one.
-        let mut off = 0usize;
-        for (i, &s) in self.sources.iter().enumerate().take(idx) {
-            if s == INLINE {
-                off += chunk_len(self.total_len, self.chunk_size, i);
-            }
-        }
-        Some(&self.payload[off..off + chunk_len(self.total_len, self.chunk_size, idx)])
     }
 }
 
@@ -441,101 +305,13 @@ impl<'a> CasView<'a> {
     }
 }
 
-/// Every base epoch a sealed blob references — empty for V2 full blobs
-/// and for V4 (content-addressed blobs reference hashes, not epochs).
-/// Storage GC keeps these alive while the referring blob is retained.
-pub fn referenced_epochs(bytes: &[u8]) -> Result<BTreeSet<u64>> {
-    if is_delta(bytes) {
-        Ok(DeltaView::parse(bytes)?.referenced_epochs())
-    } else {
-        Ok(BTreeSet::new())
-    }
-}
-
-/// Materialize the full checkpoint body from a sealed blob of any version.
-///
-/// `fetch` resolves a referenced base epoch to its raw sealed blob (the
-/// caller routes it through local storage with partner repair). Because
-/// manifests are flattened, every referenced blob must hold the needed
-/// chunk directly — inline in a delta, or anywhere in a full blob.
-pub fn materialize(
-    sealed: &[u8],
-    fetch: &mut dyn FnMut(u64) -> Result<Vec<u8>>,
-) -> Result<Vec<u8>> {
-    if is_cas(sealed) {
-        return Err(MpiError::Codec(
-            "content-addressed blob (SPBCCKP4) requires store materialization".into(),
-        ));
-    }
-    if !is_delta(sealed) {
-        return Ok(unseal(sealed)?.to_vec());
-    }
-    let view = DeltaView::parse(sealed)?;
-    let mut out = vec![0u8; view.total_len];
-    // Fetch each referenced base once and fill every chunk it provides.
-    for base_epoch in view.referenced_epochs() {
-        let base_blob = fetch(base_epoch)?;
-        let base_view; // keep a parsed delta alive across the chunk loop
-        enum Base<'a> {
-            Full(&'a [u8]),
-            Delta(&'a DeltaView<'a>),
-        }
-        let base = if is_delta(&base_blob) {
-            base_view = DeltaView::parse(&base_blob)?;
-            Base::Delta(&base_view)
-        } else {
-            Base::Full(unseal(&base_blob)?)
-        };
-        for idx in 0..view.n_chunks() {
-            if view.source_of(idx) != Some(base_epoch) {
-                continue;
-            }
-            let start = idx * view.chunk_size;
-            let len = chunk_len(view.total_len, view.chunk_size, idx);
-            let src: &[u8] = match &base {
-                Base::Full(body) => {
-                    if body.len() < start + len {
-                        return Err(MpiError::Codec(format!(
-                            "base epoch {base_epoch} too short for chunk {idx}"
-                        )));
-                    }
-                    &body[start..start + len]
-                }
-                Base::Delta(d) => {
-                    let inline = d.inline_chunk(idx).ok_or_else(|| {
-                        MpiError::Codec(format!(
-                            "unflattened delta chain: epoch {base_epoch} does not hold \
-                             chunk {idx} inline"
-                        ))
-                    })?;
-                    if inline.len() < len {
-                        return Err(MpiError::Codec(format!(
-                            "base epoch {base_epoch} chunk {idx} shorter than referenced"
-                        )));
-                    }
-                    &inline[..len]
-                }
-            };
-            out[start..start + len].copy_from_slice(src);
-        }
-    }
-    for idx in 0..view.n_chunks() {
-        if let Some(inline) = view.inline_chunk(idx) {
-            let start = idx * view.chunk_size;
-            out[start..start + inline.len()].copy_from_slice(inline);
-        }
-    }
-    Ok(out)
-}
-
 /// What one commit encode produced — the dedup accounting the
-/// metrics/bench layers report (fixed-grid delta path and CDC/CAS path).
+/// metrics/bench layers report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EncodeStats {
-    /// A full (V2) blob was written (cadence, first wave, broken chain, or
-    /// every chunk changed). Always false on the CDC path.
+    /// A full (V2) blob was written. Always false on the CDC path.
     pub full: bool,
-    /// Chunks in the body.
+    /// Chunks in the body (a full blob counts as one).
     pub chunks: usize,
     /// Chunks whose payload this wave's blob carries.
     pub inline_chunks: usize,
@@ -567,10 +343,16 @@ struct PrevWave {
     deltas_since_full: u64,
 }
 
-/// Per-rank delta encoder: owns the previous wave's chunk table and decides
-/// full-vs-delta per commit. One instance per rank, driven by the storage
-/// service on the commit path (the async writer's double buffer then hides
-/// the write it produces).
+/// The retired fixed-grid delta encoder: owns the previous wave's chunk
+/// table and emits either a full V2 blob or an `SPBCCKP3` delta of the
+/// changed chunks plus a manifest naming the epoch that holds each
+/// unchanged one. The storage service does not use it and no reader of
+/// `SPBCCKP3` remains; only `spbc-perf`'s `delta_encode_mb_s` row drives it.
+///
+/// Manifest references are flattened (an unchanged chunk names the epoch
+/// whose blob holds its bytes directly), a 64-bit hash match is confirmed
+/// by a byte compare, a full blob is forced every `full_every`-th wave, and
+/// a chain only extends over consecutive epochs.
 pub struct DeltaEncoder {
     chunk_size: usize,
     full_every: u64,
@@ -708,14 +490,6 @@ impl DeltaEncoder {
 mod tests {
     use super::*;
     use crate::blob::MAGIC_V2;
-    use std::collections::HashMap;
-
-    /// In-test blob store: epoch → sealed blob, with a fetch closure.
-    fn fetch_from(map: &HashMap<u64, Vec<u8>>) -> impl FnMut(u64) -> Result<Vec<u8>> + '_ {
-        move |e| {
-            map.get(&e).cloned().ok_or_else(|| MpiError::Codec(format!("missing base epoch {e}")))
-        }
-    }
 
     fn body(len: usize, tag: u8) -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(tag)).collect()
@@ -734,45 +508,18 @@ mod tests {
     fn unchanged_chunks_are_referenced_not_stored() {
         let mut enc = DeltaEncoder::new(16, 8);
         let b1 = body(100, 1);
-        let (blob1, _) = enc.encode(1, &b1);
+        enc.encode(1, &b1);
         let mut b2 = b1.clone();
         b2[40] ^= 0xFF; // dirty exactly one 16-byte chunk (idx 2)
         let (blob2, stats) = enc.encode(2, &b2);
         assert!(!stats.full);
+        assert_eq!(&blob2[..8], MAGIC_V3);
         assert_eq!(stats.chunks, 7);
         assert_eq!(stats.inline_chunks, 1);
         assert!(stats.physical < stats.logical);
-        let view = DeltaView::parse(&blob2).unwrap();
-        assert_eq!(view.referenced_epochs().into_iter().collect::<Vec<_>>(), vec![1]);
-        assert!(view.inline_chunk(2).is_some());
-        assert_eq!(view.source_of(0), Some(1));
-
-        let mut store = HashMap::from([(1u64, blob1)]);
-        let got = materialize(&blob2, &mut fetch_from(&store)).unwrap();
-        assert_eq!(got, b2);
-        store.clear();
-        assert!(materialize(&blob2, &mut fetch_from(&store)).is_err(), "missing base detected");
-    }
-
-    #[test]
-    fn references_flatten_across_a_chain() {
-        let mut enc = DeltaEncoder::new(16, 8);
-        let b1 = body(128, 1);
-        let (blob1, _) = enc.encode(1, &b1);
-        let mut b2 = b1.clone();
-        b2[0] ^= 1; // chunk 0 dirty at wave 2
-        let (blob2, _) = enc.encode(2, &b2);
-        let mut b3 = b2.clone();
-        b3[17] ^= 1; // chunk 1 dirty at wave 3
-        let (blob3, _) = enc.encode(3, &b3);
-        let view = DeltaView::parse(&blob3).unwrap();
-        // Chunk 0's bytes live inline in epoch 2's delta; chunks 2.. in the
-        // epoch-1 full blob; never "via epoch 2's reference".
-        assert_eq!(view.source_of(0), Some(2));
-        assert_eq!(view.source_of(1), None, "dirty chunk is inline");
-        assert_eq!(view.source_of(2), Some(1));
-        let store = HashMap::from([(1u64, blob1), (2u64, blob2)]);
-        assert_eq!(materialize(&blob3, &mut fetch_from(&store)).unwrap(), b3);
+        // The store reads no V3 blob: it is an unknown version to it.
+        let err = format!("{}", verify(&blob2).unwrap_err());
+        assert!(err.contains("unknown checkpoint blob version"), "{err}");
     }
 
     #[test]
@@ -819,33 +566,26 @@ mod tests {
         // And the chain continues from the forced full.
         let mut b3 = body(64, 200);
         b3[0] ^= 1;
-        let (blob3, s3) = enc.encode(3, &b3);
+        let (_, s3) = enc.encode(3, &b3);
         assert!(!s3.full);
-        assert_eq!(
-            DeltaView::parse(&blob3).unwrap().referenced_epochs().into_iter().collect::<Vec<_>>(),
-            vec![2]
-        );
+        assert_eq!(s3.inline_chunks, 1);
     }
 
     #[test]
     fn body_length_changes_are_handled() {
         let mut enc = DeltaEncoder::new(16, 8);
         let b1 = body(100, 1); // 7 chunks, last short
-        let (blob1, _) = enc.encode(1, &b1);
-        // Grow: old chunks unchanged, new tail inline.
+        enc.encode(1, &b1);
+        // Grow: the old short tail and the new chunks are inline.
         let mut b2 = b1.clone();
         b2.extend_from_slice(&body(30, 7));
-        let (blob2, s2) = enc.encode(2, &b2);
+        let (_, s2) = enc.encode(2, &b2);
         assert!(!s2.full);
-        let store = HashMap::from([(1u64, blob1.clone())]);
-        assert_eq!(materialize(&blob2, &mut fetch_from(&store)).unwrap(), b2);
-        // Shrink below a chunk boundary: the short last chunk is inline
-        // (its length changed, so its bytes differ as a slice).
-        let b3 = b2[..90].to_vec();
-        let (blob3, s3) = enc.encode(3, &b3);
+        assert_eq!((s2.chunks, s2.inline_chunks), (9, 3));
+        // Shrink below a chunk boundary: only the new short tail is inline.
+        let (_, s3) = enc.encode(3, &b2[..90]);
         assert!(!s3.full);
-        let store = HashMap::from([(1u64, blob1), (2u64, blob2)]);
-        assert_eq!(materialize(&blob3, &mut fetch_from(&store)).unwrap(), b3);
+        assert_eq!((s3.chunks, s3.inline_chunks), (6, 1));
     }
 
     #[test]
@@ -853,7 +593,7 @@ mod tests {
         let mut enc = DeltaEncoder::new(1024, 8);
         let b = body(64 * 1024, 5);
         enc.encode(1, &b);
-        let (blob, stats) = enc.encode(2, &b);
+        let (_, stats) = enc.encode(2, &b);
         assert!(!stats.full);
         assert_eq!(stats.inline_chunks, 0);
         assert!(
@@ -862,24 +602,6 @@ mod tests {
             stats.physical,
             b.len()
         );
-        let store = HashMap::from([(1u64, seal(&b))]);
-        assert_eq!(materialize(&blob, &mut fetch_from(&store)).unwrap(), b);
-    }
-
-    #[test]
-    fn corruption_anywhere_is_detected() {
-        let mut enc = DeltaEncoder::new(16, 8);
-        let b1 = body(100, 1);
-        enc.encode(1, &b1);
-        let mut b2 = b1.clone();
-        b2[40] ^= 0xFF;
-        let (blob2, _) = enc.encode(2, &b2);
-        for i in 0..blob2.len() {
-            let mut bad = blob2.clone();
-            bad[i] ^= 0x20;
-            assert!(verify(&bad).is_err(), "flip at {i} undetected");
-        }
-        assert!(verify(&blob2).is_ok());
     }
 
     #[test]
@@ -892,20 +614,6 @@ mod tests {
         assert!(verify(&v1).is_err());
         assert!(verify(b"SPBCCKP3short").is_err());
         assert!(verify(b"garbage").is_err());
-        assert!(referenced_epochs(&seal(b"full")).unwrap().is_empty());
-    }
-
-    #[test]
-    fn truncated_manifest_and_payload_are_rejected() {
-        let mut enc = DeltaEncoder::new(16, 8);
-        let b1 = body(100, 1);
-        enc.encode(1, &b1);
-        let mut b2 = b1.clone();
-        b2[0] ^= 1;
-        let (blob2, _) = enc.encode(2, &b2);
-        for cut in [OFF_CRC, OFF_MANIFEST - 1, OFF_MANIFEST + 3, blob2.len() - 1] {
-            assert!(DeltaView::parse(&blob2[..cut]).is_err(), "cut at {cut} accepted");
-        }
     }
 
     fn v4_blob(chunks: &[(&[u8], bool)]) -> Vec<u8> {
@@ -1005,11 +713,6 @@ mod tests {
         let crc = crc32(&old[V4_OFF_TOTAL_LEN..]);
         old[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
         assert!(verify(&old).is_err(), "old-layout V4 blob accepted");
-        // V4 has no epoch references and cannot be epoch-materialized.
-        assert!(referenced_epochs(&blob).unwrap().is_empty());
-        let mut fetch = |_: u64| -> Result<Vec<u8>> { unreachable!() };
-        let err = materialize(&blob, &mut fetch).unwrap_err();
-        assert!(format!("{err}").contains("SPBCCKP4"), "{err}");
     }
 
     #[test]
@@ -1019,8 +722,7 @@ mod tests {
         assert!(s1.full);
         let (b2, s2) = enc.encode(2, &[]);
         assert!(s2.full, "zero chunks cannot delta");
-        let mut fetch = |_: u64| -> Result<Vec<u8>> { unreachable!() };
-        assert_eq!(materialize(&b1, &mut fetch).unwrap(), Vec::<u8>::new());
-        assert_eq!(materialize(&b2, &mut fetch).unwrap(), Vec::<u8>::new());
+        assert_eq!(unseal(&b1).unwrap(), &[] as &[u8]);
+        assert_eq!(unseal(&b2).unwrap(), &[] as &[u8]);
     }
 }

@@ -12,8 +12,8 @@
 //! The subsystem provides four guarantees (DESIGN.md §8):
 //!
 //! * **Integrity** — every stored blob is framed with a magic + CRC32 header
-//!   ([`blob`]); a bit-flip anywhere in the body is detected on load. Full
-//!   and delta blobs checksum their whole body; an `SPBCCKP4` blob
+//!   ([`blob`]); a bit-flip anywhere in the body is detected on load. A full
+//!   blob checksums its whole body; an `SPBCCKP4` blob
 //!   checksums its frame (header, manifest, inline index) and each inline
 //!   payload is re-hashed against its 128-bit manifest address
 //!   ([`chunk::verify`], [`cas`]).
@@ -28,20 +28,16 @@
 //!   wave's `flush` (or shutdown) is the only point that waits for it.
 //! * **Garbage collection** — the service prunes epochs older than the
 //!   newest globally-committed wave, both for local copies and partner-held
-//!   replicas, replacing manual `prune` calls. GC is refcount-aware: a base
-//!   epoch referenced by a live delta manifest is kept until the last
-//!   manifest naming it is pruned.
-//! * **Incremental deltas** — [`chunk`] adds the `SPBCCKP3` delta format:
-//!   the commit path diffs each wave against the previous one in fixed-size
-//!   chunks and writes (and replicates) only the changed chunks plus a
-//!   manifest, with a full blob every Nth wave to bound chain length.
-//!   Restore materializes the chain transparently, repairing any missing or
-//!   corrupt link from partners.
+//!   replicas, replacing manual `prune` calls. No blob references another
+//!   epoch, so pruning is a plain window; chunk bodies shared across
+//!   epochs live in the refcounted [`cas`] store and outlive a pruned
+//!   manifest only while a retained one still names them.
 //! * **Content-defined dedup** — [`cdc`] cuts checkpoint bodies at
 //!   content-defined boundaries (FastCDC gear hashing) and [`cas`] stores
 //!   each unique chunk once, refcounted, shared across epochs *and* ranks.
 //!   The `SPBCCKP4` manifest format ([`chunk::CasView`]) carries chunk
 //!   addresses plus payloads only for content the store didn't already hold.
+//!   With CDC off, every wave is one sealed `SPBCCKP2` full blob.
 //! * **Erasure-coded redundancy sets** — [`ec`] + [`set`] group each
 //!   cluster's ranks into SCR-style sets and compute XOR or GF(2^8)
 //!   Reed–Solomon parity (`SPBCPAR1` frames) over the set's sealed blobs
@@ -72,7 +68,7 @@ pub use backend::{BatchItem, BatchStats, CheckpointBackend, DirBackend, MemBacke
 pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V2};
 pub use cas::{CasStore, ChunkFate, ChunkHash};
 pub use cdc::{chunk_spans, CdcParams};
-pub use chunk::{seal_v4, CasView, DeltaEncoder, DeltaView, EncodeStats, MAGIC_V3, MAGIC_V4};
+pub use chunk::{seal_v4, CasView, DeltaEncoder, EncodeStats, MAGIC_V3, MAGIC_V4};
 pub use ec::{EcScheme, ParityView, MAGIC_PAR};
 pub use service::{CkptStoreService, LoadOutcome, LoadStats, ParityShards, StoreConfig};
 pub use set::SetMap;

@@ -1,6 +1,6 @@
 //! The checkpoint storage service: per-rank local stores, partner-held
-//! replica stores, asynchronous local commits, incremental delta encoding,
-//! chain-aware repair-on-load, and refcounting GC.
+//! replica stores, asynchronous local commits, content-addressed dedup,
+//! repair-on-load, and windowed GC.
 //!
 //! One `CkptStoreService` serves a whole world (all ranks of one run). Each
 //! rank owns two backends:
@@ -16,32 +16,29 @@
 //!   pushing rank's commit barrier already waits for the ACK, and a memory
 //!   put is cheap.
 //!
-//! The commit path is incremental: [`CkptStoreService::encode_commit`] runs
-//! each wave's serialized body through a per-rank [`DeltaEncoder`], which
-//! diffs it against the previous wave in fixed-size chunks and produces
-//! either a full `SPBCCKP2` blob or an `SPBCCKP3` delta holding only the
-//! changed chunks (see [`crate::chunk`]); in CDC mode the body is instead
-//! cut into content-defined chunks deduplicated in the service's sharded
-//! [`CasStore`] (`SPBCCKP4`). Everything downstream — the local
-//! write, the partner pushes, repair — moves the *encoded* blob, so a small
-//! dirty fraction shrinks disk and replication traffic alike.
+//! [`CkptStoreService::encode_commit`] seals each wave's serialized body in
+//! one of two forms. In CDC mode the body is cut into content-defined
+//! chunks deduplicated in the service's sharded [`CasStore`] and sealed as
+//! an `SPBCCKP4` manifest carrying only the chunks the store lacked (see
+//! [`crate::chunk`]); otherwise it is one `SPBCCKP2` full blob. Everything
+//! downstream — the local write, the partner pushes, repair — moves the
+//! sealed blob, so a small dirty fraction shrinks disk and replication
+//! traffic alike.
 //!
-//! Load is where replication pays off: a chain link (the requested epoch or
-//! any base epoch its manifest references) that is missing or corrupt
-//! locally is transparently repaired from any surviving partner copy and
-//! re-persisted, then the chain is materialized back into the full body.
-//! GC (local and partner-side pruning) is refcount-aware: base epochs named
-//! by a retained manifest survive until the last manifest naming them goes.
+//! Load is where replication pays off: a blob that is missing or corrupt
+//! locally is transparently repaired from any surviving partner copy (or
+//! rebuilt from its redundancy set) and re-persisted, then unsealed or
+//! resolved against the chunk store. No blob references another epoch, so
+//! GC (local and partner-side pruning) keeps a plain window of waves; the
+//! chunk store's refcounts keep every chunk a retained manifest names.
 
 use crate::backend::{CheckpointBackend, DirBackend, MemBackend};
+use crate::blob::{seal, unseal};
 use crate::cas::{CasStore, ChunkFate, ChunkHash};
 use crate::cdc::{chunk_spans, CdcParams};
-use crate::chunk::{
-    self, seal_v4, CasView, DeltaEncoder, EncodeStats, V4Chunk, DEFAULT_CHUNK_SIZE,
-    DEFAULT_FULL_EVERY,
-};
+use crate::chunk::{self, seal_v4, CasView, EncodeStats, V4Chunk, DEFAULT_CHUNK_SIZE};
 use crate::ec::{self, EcScheme, ParityView};
-use crate::set::{is_parity_owner, parity_owner, SetMap};
+use crate::set::{parity_owner, SetMap};
 use crate::writer::{Admission, AsyncWriter, OnDone, WriterConfig, WriterStats};
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::types::RankId;
@@ -60,20 +57,20 @@ pub struct StoreConfig {
     /// memory. Only meaningful with a storage root; costs an fsync on the
     /// partner's ctrl path.
     pub durable_partner_copies: bool,
-    /// How many waves of partner copies to retain per owner (newest first),
-    /// plus any base epoch their delta manifests still reference.
-    /// Matches the protocol's "last two waves" retention.
+    /// How many waves of partner copies to retain per owner (newest
+    /// first), parity frames included. Matches the protocol's "last two
+    /// waves" retention.
     pub partner_keep: usize,
-    /// Chunk size for incremental delta encoding (`SPBC_CKPT_CHUNK`,
-    /// default 64 KiB).
+    /// Inert: no store path chunks on a fixed grid. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub chunk_size: usize,
-    /// Write a full blob every Nth wave to bound delta-chain length
-    /// (`SPBC_CKPT_FULL_EVERY`, default 8; `1` disables deltas).
+    /// Inert: every non-CDC wave is a full blob. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub full_every: u64,
     /// Encode commits as `SPBCCKP4` content-addressed blobs (FastCDC
-    /// chunking + the service-wide refcounted store) instead of the
-    /// fixed-grid `SPBCCKP3` delta path (`SPBC_CKPT_CDC`; the protocol
-    /// layer defaults this on, the bare service defaults it off).
+    /// chunking + the service-wide refcounted store) instead of one sealed
+    /// `SPBCCKP2` full blob per wave (`SPBC_CKPT_CDC`; the protocol layer
+    /// defaults this on, the bare service defaults it off).
     pub cdc: bool,
     /// FastCDC chunk bounds (`SPBC_CDC_MIN`/`SPBC_CDC_AVG`/`SPBC_CDC_MAX`).
     pub cdc_params: CdcParams,
@@ -110,7 +107,7 @@ impl Default for StoreConfig {
             durable_partner_copies: false,
             partner_keep: 2,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            full_every: DEFAULT_FULL_EVERY,
+            full_every: 1,
             cdc: false,
             cdc_params: CdcParams::default(),
             ec: EcScheme::Off,
@@ -127,18 +124,17 @@ impl Default for StoreConfig {
 /// Where a successful load found the blob.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadOutcome {
-    /// Every chain link was present locally and passed its checksum.
+    /// The blob was present locally and passed its checksum.
     Local,
-    /// At least one chain link was missing or corrupt locally; the first
-    /// repaired link came from this partner rank's replica store and every
-    /// repaired link was re-persisted locally.
+    /// The blob was missing or corrupt locally; it came from this partner
+    /// rank's replica store and was re-persisted locally.
     Repaired {
         /// The partner rank whose copy survived.
         from: RankId,
     },
-    /// At least one chain link was reconstructed from its redundancy set's
-    /// surviving members plus parity shards (see [`crate::ec`]) and
-    /// re-persisted locally.
+    /// The blob was reconstructed from its redundancy set's surviving
+    /// members plus parity shards (see [`crate::ec`]) and re-persisted
+    /// locally.
     Rebuilt {
         /// The redundancy set whose parity closed the hole.
         set_id: u32,
@@ -162,11 +158,11 @@ pub struct ParityShards {
 /// Timing breakdown of a [`CkptStoreService::load_with_stats`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadStats {
-    /// Microseconds fetching (and, when needed, partner-repairing) the top
-    /// chain link.
+    /// Microseconds fetching (and, when needed, partner-repairing) the
+    /// sealed blob.
     pub fetch_us: u64,
-    /// Microseconds materializing the body — delta-chain or CAS resolution,
-    /// including any base-link fetches and repairs it triggers.
+    /// Microseconds materializing the body: resolving a manifest against
+    /// the chunk store, or unsealing a full blob.
     pub materialize_us: u64,
 }
 
@@ -196,9 +192,6 @@ pub struct CkptStoreService {
     /// Bounded write pipeline for asynchronous local commits.
     writer: AsyncWriter,
     ranks: Vec<RankStores>,
-    /// Per-rank delta encoder (previous wave's chunk table); surviving the
-    /// rank thread is fine because a restore resets it.
-    deltas: Vec<Mutex<DeltaEncoder>>,
     /// Parity staging area: `(epoch, set_id) -> rank -> sealed blob`. Set
     /// members deposit their sealed blobs here at replicate time; the last
     /// member to arrive computes the set's parity (see
@@ -217,14 +210,10 @@ impl CkptStoreService {
             batch_bytes: cfg.batch_bytes,
             linger_us: cfg.batch_linger_us,
         });
-        let deltas = (0..ranks.len())
-            .map(|_| Mutex::new(DeltaEncoder::new(cfg.chunk_size, cfg.full_every)))
-            .collect();
         CkptStoreService {
             cas: CasStore::with_shards(cfg.shards),
             writer,
             ranks,
-            deltas,
             parity_stage: Mutex::new(HashMap::new()),
             cfg,
         }
@@ -282,15 +271,12 @@ impl CkptStoreService {
     /// service-wide content-addressed store in one atomic step with its
     /// `(rank, rank, epoch)` registration, and the sealed blob is an
     /// `SPBCCKP4` manifest carrying payloads only for chunks the store had
-    /// never seen. Otherwise the fixed-grid path produces an incremental
-    /// `SPBCCKP3` delta against the previous committed wave when possible,
-    /// else a full `SPBCCKP2` blob.
+    /// never seen. Otherwise the body is sealed whole as an `SPBCCKP2` full
+    /// blob.
     ///
     /// The returned blob is what [`commit_local`](Self::commit_local) and
     /// every partner push must carry; the stats report the dedup ratio
-    /// (`logical` body bytes vs `physical` blob bytes). The per-rank diff
-    /// state advances on each call, so exactly one `encode_commit` per
-    /// committed wave, in epoch order.
+    /// (`logical` body bytes vs `physical` blob bytes).
     pub fn encode_commit(
         &self,
         rank: RankId,
@@ -301,7 +287,16 @@ impl CkptStoreService {
         if self.cfg.cdc {
             return self.encode_commit_cdc(rank, epoch, body);
         }
-        Ok(self.deltas[rank.0 as usize].lock().encode(epoch, body))
+        let framed = seal(body);
+        let stats = EncodeStats {
+            full: true,
+            chunks: 1,
+            inline_chunks: 1,
+            logical: body.len() as u64,
+            physical: framed.len() as u64,
+            ..Default::default()
+        };
+        Ok((framed, stats))
     }
 
     /// The CDC commit path: chunk, dedup-insert, frame as `SPBCCKP4`.
@@ -431,9 +426,8 @@ impl CkptStoreService {
     /// store (synchronous — the pushing rank awaits the ACK this enables).
     /// The copy is verified first, so a partner only ever acknowledges a
     /// copy it could restore from. Old partner copies of the same owner
-    /// beyond `partner_keep` waves are pruned — except base epochs a
-    /// retained delta manifest still references, which must survive for
-    /// chain repair. Returns how many copies were dropped.
+    /// (a parity owner included) beyond `partner_keep` waves are pruned.
+    /// Returns how many copies were dropped.
     pub fn store_partner_copy(
         &self,
         holder: RankId,
@@ -461,49 +455,16 @@ impl CkptStoreService {
             chunk::verify(blob)?;
         }
         partner.put(owner, epoch, blob)?;
-        if is_parity_owner(owner) {
-            // Partner-held parity shards are not window-pruned: a delta
-            // manifest may reference a base epoch far behind the keep
-            // window, and the parity protecting that base must survive as
-            // long as the manifest does. Parity retention is governed by
-            // the encoder-side reference-aware GC in
-            // [`gc_local`](Self::gc_local); frames are small.
-            return Ok(0);
-        }
         let epochs = partner.epochs_of(owner)?;
+        let old = &epochs[..epochs.len().saturating_sub(self.cfg.partner_keep)];
         let mut pruned = 0;
-        if epochs.len() > self.cfg.partner_keep {
-            let (old, retained) = epochs.split_at(epochs.len() - self.cfg.partner_keep);
-            let referenced = Self::referenced_by(partner.as_ref(), owner, retained);
-            for &e in old {
-                if !referenced.contains(&e) && partner.remove(owner, e)? {
-                    self.cas().unregister(JOB, holder.0, owner.0, e);
-                    pruned += 1;
-                }
+        for &e in old {
+            if partner.remove(owner, e)? {
+                self.cas().unregister(JOB, holder.0, owner.0, e);
+                pruned += 1;
             }
         }
         Ok(pruned)
-    }
-
-    /// Base epochs referenced by the manifests of `retained` epochs in
-    /// `store`. Unreadable or unparsable blobs contribute nothing (their
-    /// chains are already lost; repair happens at load time). One level is
-    /// enough: manifests are flattened, so a delta's references point at
-    /// blobs holding the chunk bytes directly (see [`crate::chunk`]).
-    fn referenced_by(
-        store: &dyn CheckpointBackend,
-        owner: RankId,
-        retained: &[u64],
-    ) -> BTreeSet<u64> {
-        let mut refs = BTreeSet::new();
-        for &e in retained {
-            if let Ok(Some(blob)) = store.get(owner, e) {
-                if let Ok(more) = chunk::referenced_epochs(&blob) {
-                    refs.extend(more);
-                }
-            }
-        }
-        refs
     }
 
     /// Deposit `me`'s sealed blob for `epoch` into its redundancy set's
@@ -562,15 +523,11 @@ impl CkptStoreService {
     }
 
     /// Simulate losing `rank`'s node-local storage (fault injection): its
-    /// local store is cleared — including any parity shards it encoded —
-    /// and its delta encoder reset. Partner-held copies and the
-    /// service-wide chunk store survive, exactly like the surviving nodes'
-    /// memory survives a peer's crash.
+    /// local store is cleared, including any parity shards it encoded.
+    /// Partner-held copies and the service-wide chunk store survive,
+    /// exactly like the surviving nodes' memory survives a peer's crash.
     pub fn wipe_local(&self, rank: RankId) -> Result<()> {
-        let stores = self.stores(rank)?;
-        stores.local.clear()?;
-        self.deltas[rank.0 as usize].lock().reset();
-        Ok(())
+        self.stores(rank)?.local.clear()
     }
 
     /// A verifiable copy of `(owner, epoch)` from anywhere in the world:
@@ -749,20 +706,16 @@ impl CkptStoreService {
 
     /// Load `rank`'s checkpoint at `epoch`, verify it, and materialize it.
     ///
-    /// Returns the full checkpoint *body* plus where it came from. Every
-    /// chain link — the epoch itself and any base epoch its delta manifest
-    /// references — is CRC-verified; a link that is missing or corrupt
-    /// locally triggers repair: every rank's partner store is scanned for a
-    /// verifiable copy, which is re-persisted locally before use, so one
-    /// load heals the whole chain. `Ok(None)` means the top link survives
-    /// nowhere; a lost *base* link is an error (the epoch exists but is no
-    /// longer materializable).
+    /// Returns the full checkpoint *body* plus where it came from. The
+    /// sealed blob is verified; one that is missing or corrupt locally
+    /// triggers repair: the rank's redundancy set is tried first, then
+    /// every rank's partner store is scanned for a verifiable copy, which
+    /// is re-persisted locally before use. `Ok(None)` means the blob
+    /// survives nowhere; a manifest chunk missing from the chunk store is
+    /// an error (the epoch exists but is no longer materializable).
     ///
     /// Callers should `flush_rank` first so an in-flight async write is not
-    /// misread as a missing copy. A successful load also resets the rank's
-    /// delta encoder: the next committed wave starts a fresh chain with a
-    /// full blob, so re-committed epochs after a rollback can never be
-    /// referenced by a stale manifest from the previous incarnation.
+    /// misread as a missing copy.
     pub fn load(&self, rank: RankId, epoch: u64) -> Result<Option<(Vec<u8>, LoadOutcome)>> {
         self.load_with_stats(rank, epoch).map(|o| o.map(|(body, outcome, _)| (body, outcome)))
     }
@@ -791,16 +744,9 @@ impl CkptStoreService {
                 MpiError::Codec(format!("rank {rank} epoch {epoch}: {e} (lost everywhere)"))
             })?
         } else {
-            chunk::materialize(&top, &mut |base| {
-                self.fetch_blob(rank, base, &mut outcome)?.ok_or_else(|| {
-                    MpiError::Codec(format!(
-                        "rank {rank} epoch {epoch}: chain base epoch {base} lost everywhere"
-                    ))
-                })
-            })?
+            unseal(&top)?.to_vec()
         };
         stats.materialize_us = mat_start.elapsed().as_micros() as u64;
-        self.deltas[rank.0 as usize].lock().reset();
         Ok(Some((body, outcome, stats)))
     }
 
@@ -859,23 +805,17 @@ impl CkptStoreService {
     }
 
     /// Drop `rank`'s local epochs older than `keep_from` (automatic GC once
-    /// a newer wave is globally committed) — except base epochs still
-    /// referenced by a retained wave's delta manifest, which must survive
-    /// until the last manifest naming them is itself pruned. Returns how
-    /// many were removed.
+    /// a newer wave is globally committed). Returns how many were removed.
     pub fn gc_local(&self, rank: RankId, keep_from: u64) -> Result<usize> {
         // A queued or in-flight async write is invisible to `epochs_of`:
-        // sweeping now could drop a base its delta manifest still needs.
-        // Drain the rank's pipeline first so the retained-set computation
-        // sees every landed epoch (any sticky write error surfaces here).
+        // sweeping now would leave an old epoch that lands afterwards.
+        // Drain the rank's pipeline first so the sweep sees every landed
+        // epoch (any sticky write error surfaces here).
         self.writer.flush_owner(JOB, rank)?;
         let local = &self.stores(rank)?.local;
-        let epochs = local.epochs_of(rank)?;
-        let retained: Vec<u64> = epochs.iter().copied().filter(|&e| e >= keep_from).collect();
-        let referenced = Self::referenced_by(local.as_ref(), rank, &retained);
         let mut removed = 0;
-        for e in epochs {
-            if e < keep_from && !referenced.contains(&e) && local.remove(rank, e)? {
+        for e in local.epochs_of(rank)? {
+            if e < keep_from && local.remove(rank, e)? {
                 removed += 1;
             }
         }
@@ -886,31 +826,13 @@ impl CkptStoreService {
         // or another rank's registration survive by refcount.
         self.cas().unregister_below(JOB, rank.0, rank.0, keep_from);
         // EC mode: prune the parity shards this rank encoded (stored in
-        // its local under synthetic owners) by the same window — except
-        // parity of base epochs any set member's retained delta manifest
-        // still references, which must survive for set rebuild of those
-        // bases.
+        // its local under synthetic owners) by the same window.
         if self.cfg.ec.is_on() {
-            if let Some((set_id, members, _)) = self.cfg.sets.as_ref().and_then(|s| s.set_of(rank))
-            {
-                let members = members.to_vec();
-                let mut set_refs = BTreeSet::new();
-                for &r in &members {
-                    if let Ok(stores) = self.stores(RankId(r)) {
-                        let epochs = stores.local.epochs_of(RankId(r))?;
-                        let kept: Vec<u64> =
-                            epochs.into_iter().filter(|&e| e >= keep_from).collect();
-                        set_refs.extend(Self::referenced_by(
-                            stores.local.as_ref(),
-                            RankId(r),
-                            &kept,
-                        ));
-                    }
-                }
+            if let Some((set_id, _, _)) = self.cfg.sets.as_ref().and_then(|s| s.set_of(rank)) {
                 for j in 0..self.cfg.ec.m() {
                     let owner = parity_owner(set_id, j);
                     for e in local.epochs_of(owner)? {
-                        if e < keep_from && !set_refs.contains(&e) {
+                        if e < keep_from {
                             local.remove(owner, e)?;
                         }
                     }
@@ -924,7 +846,6 @@ impl CkptStoreService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blob::seal;
     use std::fs;
     use std::path::PathBuf;
 
@@ -940,7 +861,7 @@ mod tests {
         svc.flush_rank(rank).unwrap();
     }
 
-    /// Encode through the delta path (like the protocol does) and commit
+    /// Encode through the service (like the protocol does) and commit
     /// locally + to one partner holder.
     fn commit_wave(
         svc: &CkptStoreService,
@@ -955,12 +876,6 @@ mod tests {
         svc.flush_rank(rank).unwrap();
         svc.store_partner_copy(holder, rank, epoch, &blob).unwrap();
         stats
-    }
-
-    fn wave_body(epoch: u64, dirty_chunk: usize, chunk: usize, chunks: usize) -> Vec<u8> {
-        let mut b = vec![7u8; chunk * chunks];
-        b[dirty_chunk * chunk..(dirty_chunk + 1) * chunk].fill(epoch as u8);
-        b
     }
 
     #[test]
@@ -1076,175 +991,15 @@ mod tests {
         assert!(root.join("rank-1").join("partner").join("rank-0.epoch-1.ckpt").exists());
     }
 
-    // ---- incremental delta path ----
-
     #[test]
-    fn delta_chain_loads_bitwise_identical() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 8, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        let mut bodies = Vec::new();
-        for e in 1..=5u64 {
-            let body = wave_body(e, (e as usize) % 4, 64, 4);
-            let stats = commit_wave(&svc, RankId(0), RankId(1), e, &body);
-            assert_eq!(stats.full, e == 1, "wave {e}");
-            bodies.push(body);
-        }
-        // Every wave in the chain materializes back exactly.
-        for (i, want) in bodies.iter().enumerate() {
-            let (got, outcome) = svc.load(RankId(0), i as u64 + 1).unwrap().unwrap();
-            assert_eq!(&got, want, "epoch {}", i + 1);
-            assert_eq!(outcome, LoadOutcome::Local);
-        }
-    }
-
-    #[test]
-    fn deltas_shrink_physical_bytes() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 64, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        // 32 chunks, 1 dirty per wave: physical must be far below logical.
-        let mut logical = 0u64;
-        let mut physical = 0u64;
-        for e in 1..=8u64 {
-            let body = wave_body(e, (e as usize) % 32, 64, 32);
-            let stats = commit_wave(&svc, RankId(0), RankId(1), e, &body);
-            if e > 1 {
-                logical += stats.logical;
-                physical += stats.physical;
-            }
-        }
-        assert!(
-            physical * 4 <= logical,
-            "expected >= 4x reduction, got {logical} logical vs {physical} physical"
-        );
-    }
-
-    #[test]
-    fn chain_link_deleted_locally_is_repaired_from_partner() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 8, ..Default::default() };
-        let svc = CkptStoreService::in_memory(3, cfg);
-        let mut last = Vec::new();
+    fn cdc_off_seals_one_full_blob_per_wave() {
+        let svc = CkptStoreService::in_memory(2, StoreConfig::default());
         for e in 1..=4u64 {
-            // Chunk 0 is the only dirty chunk, so chunks 1..3 always
-            // reference the epoch-1 full blob.
-            last = wave_body(e, 0, 64, 4);
-            commit_wave(&svc, RankId(0), RankId(1), e, &last);
-        }
-        // Destroy the local copy of the *base* link (epoch 1, the full
-        // blob): loading epoch 4 must repair the chain from the partner.
-        assert!(svc.stores(RankId(0)).unwrap().local.remove(RankId(0), 1).unwrap());
-        let (body, outcome) = svc.load(RankId(0), 4).unwrap().unwrap();
-        assert_eq!(body, last);
-        assert_eq!(outcome, LoadOutcome::Repaired { from: RankId(1) });
-        // The heal re-persisted the link: next load is fully local.
-        let (_, outcome) = svc.load(RankId(0), 4).unwrap().unwrap();
-        assert_eq!(outcome, LoadOutcome::Local);
-    }
-
-    #[test]
-    fn chain_link_corrupted_locally_is_repaired_from_partner() {
-        let root = tmpdir("chain-corrupt");
-        let cfg = StoreConfig { chunk_size: 64, full_every: 8, ..Default::default() };
-        let svc = CkptStoreService::on_disk(&root, 2, cfg).unwrap();
-        let mut last = Vec::new();
-        for e in 1..=3u64 {
-            last = wave_body(e, (e as usize) % 4, 64, 4);
-            commit_wave(&svc, RankId(0), RankId(1), e, &last);
-        }
-        // Corrupt the middle link's file (epoch 2, a delta).
-        let path = root.join("rank-0").join("own").join("rank-0.epoch-2.ckpt");
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        let (body, outcome) = svc.load(RankId(0), 3).unwrap().unwrap();
-        assert_eq!(body, last);
-        assert_eq!(outcome, LoadOutcome::Repaired { from: RankId(1) });
-    }
-
-    #[test]
-    fn lost_base_everywhere_is_an_error_not_garbage() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 8, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        for e in 1..=3u64 {
-            let body = wave_body(e, (e as usize) % 4, 64, 4);
-            // No partner copies at all: the chain exists only locally.
-            svc.flush_rank(RankId(0)).unwrap();
-            let (blob, _) = svc.encode_commit(RankId(0), e, &body).unwrap();
-            svc.commit_local(RankId(0), e, blob, None).unwrap();
-            svc.flush_rank(RankId(0)).unwrap();
-        }
-        assert!(svc.stores(RankId(0)).unwrap().local.remove(RankId(0), 1).unwrap());
-        let err = svc.load(RankId(0), 3).unwrap_err();
-        assert!(err.to_string().contains("lost everywhere"), "{err}");
-    }
-
-    #[test]
-    fn gc_keeps_bases_referenced_by_live_manifests() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 16, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        let mut last = Vec::new();
-        for e in 1..=6u64 {
-            // Chunk 0 dirty every wave: chunks 1..3 reference epoch 1
-            // forever, middle deltas hold nothing anyone references.
-            last = wave_body(e, 0, 64, 4);
-            commit_wave(&svc, RankId(0), RankId(1), e, &last);
-        }
-        // The protocol's retention: keep from epoch-1 = 5. Epoch 1 (the
-        // full base) is referenced by the manifests of 5 and 6 → kept;
-        // epochs 2..4 are unreferenced deltas → dropped.
-        let removed = svc.gc_local(RankId(0), 5).unwrap();
-        assert_eq!(removed, 3, "unreferenced middle links are dropped");
-        let left = svc.stores(RankId(0)).unwrap().local.epochs_of(RankId(0)).unwrap();
-        assert_eq!(left, vec![1, 5, 6], "referenced base survives GC");
-        // And the chain still materializes bitwise after GC.
-        let (body, _) = svc.load(RankId(0), 6).unwrap().unwrap();
-        assert_eq!(body, last);
-    }
-
-    #[test]
-    fn partner_prune_keeps_referenced_bases() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 16, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        for e in 1..=6u64 {
-            let body = wave_body(e, 0, 64, 4);
-            commit_wave(&svc, RankId(0), RankId(1), e, &body);
-        }
-        let held = svc.stores(RankId(1)).unwrap().partner.epochs_of(RankId(0)).unwrap();
-        // keep=2 retains {5, 6} plus the full base both reference.
-        assert_eq!(held, vec![1, 5, 6], "referenced base survives partner prune");
-        // Wipe rank 0's local store entirely: the partner window alone must
-        // rebuild the newest wave.
-        for e in svc.stores(RankId(0)).unwrap().local.epochs_of(RankId(0)).unwrap() {
-            svc.stores(RankId(0)).unwrap().local.remove(RankId(0), e).unwrap();
-        }
-        let (body, outcome) = svc.load(RankId(0), 6).unwrap().unwrap();
-        assert_eq!(body, wave_body(6, 0, 64, 4));
-        assert_eq!(outcome, LoadOutcome::Repaired { from: RankId(1) });
-    }
-
-    #[test]
-    fn load_resets_the_chain() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 8, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        for e in 1..=3u64 {
-            let body = wave_body(e, (e as usize) % 4, 64, 4);
-            commit_wave(&svc, RankId(0), RankId(1), e, &body);
-        }
-        svc.load(RankId(0), 3).unwrap().unwrap();
-        // A re-committed wave after a restore starts a fresh chain: full.
-        let body = wave_body(4, 0, 64, 4);
-        let stats = commit_wave(&svc, RankId(0), RankId(1), 4, &body);
-        assert!(stats.full, "first wave after a restore must be full");
-    }
-
-    #[test]
-    fn full_every_one_disables_deltas() {
-        let cfg = StoreConfig { chunk_size: 64, full_every: 1, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        for e in 1..=4u64 {
-            let body = wave_body(e, 0, 64, 4);
+            let body = vec![e as u8; 256];
             let stats = commit_wave(&svc, RankId(0), RankId(1), e, &body);
-            assert!(stats.full, "wave {e} must be full with full_every=1");
+            assert!(stats.full, "wave {e} must be a full blob with CDC off");
+            let stored = svc.stores(RankId(0)).unwrap().local.get(RankId(0), e).unwrap().unwrap();
+            assert_eq!(stored, seal(&body), "wave {e}");
         }
     }
 
@@ -1300,26 +1055,25 @@ mod tests {
         }
     }
 
-    /// The ISSUE's differential restore oracle: the same wave sequence
-    /// committed through the CDC service and the fixed-grid service must
-    /// materialize bitwise-equal bodies at every epoch.
+    /// Differential restore oracle: the same wave sequence committed
+    /// through the CDC service and the full-blob service must materialize
+    /// bitwise-equal bodies at every epoch.
     #[test]
-    fn cdc_vs_fixed_grid_differential_restore_oracle() {
+    fn cdc_vs_full_blob_differential_restore_oracle() {
         let cdc = CkptStoreService::in_memory(2, cdc_cfg());
-        let fixed =
-            CkptStoreService::in_memory(2, StoreConfig { chunk_size: 256, ..Default::default() });
+        let full = CkptStoreService::in_memory(2, StoreConfig::default());
         let waves: Vec<Vec<u8>> =
             (1..=6u64).map(|e| cdc_body(23, e, 4 * 1024, 700 + 13 * e as usize)).collect();
         for (i, body) in waves.iter().enumerate() {
             let e = i as u64 + 1;
             commit_wave(&cdc, RankId(0), RankId(1), e, body);
-            commit_wave(&fixed, RankId(0), RankId(1), e, body);
+            commit_wave(&full, RankId(0), RankId(1), e, body);
         }
         for (i, want) in waves.iter().enumerate() {
             let e = i as u64 + 1;
             let (v4, _) = cdc.load(RankId(0), e).unwrap().unwrap();
-            let (v3, _) = fixed.load(RankId(0), e).unwrap().unwrap();
-            assert_eq!(v4, v3, "epoch {e}: V4 and V3 materializations diverge");
+            let (v2, _) = full.load(RankId(0), e).unwrap().unwrap();
+            assert_eq!(v4, v2, "epoch {e}: V4 and V2 materializations diverge");
             assert_eq!(&v4, want, "epoch {e}: materialization diverges from the source body");
         }
     }
@@ -1601,6 +1355,28 @@ mod tests {
         // Wipe a member: the retained window still rebuilds.
         svc.wipe_local(RankId(0)).unwrap();
         let (_, outcome) = svc.load(RankId(0), 4).unwrap().unwrap();
+        assert_eq!(outcome, LoadOutcome::Rebuilt { set_id: 0 });
+    }
+
+    /// Partner-held parity frames follow `partner_keep` like any other
+    /// copy, and the retained frame still rebuilds a wiped encoder.
+    #[test]
+    fn partner_held_parity_follows_the_keep_window() {
+        let clusters = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
+        let svc = CkptStoreService::in_memory(8, ec_cfg(EcScheme::Xor, &clusters, 4));
+        let mut bodies = Vec::new();
+        for e in 1..=6 {
+            bodies = ec_wave(&svc, e, e as u8);
+        }
+        // Rank 3 encoded every wave and pushed shard 0 to rank 4.
+        let powner = parity_owner(0, 0);
+        let held = svc.stores(RankId(4)).unwrap().partner.epochs_of(powner).unwrap();
+        assert_eq!(held, vec![5, 6], "partner-held parity must be window-pruned");
+        // Wipe the encoder: its own parity copies go with it, so the
+        // rebuild must use the partner-held frame.
+        svc.wipe_local(RankId(3)).unwrap();
+        let (body, outcome) = svc.load(RankId(3), 6).unwrap().unwrap();
+        assert_eq!(body, bodies[3]);
         assert_eq!(outcome, LoadOutcome::Rebuilt { set_id: 0 });
     }
 

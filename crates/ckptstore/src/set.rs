@@ -21,11 +21,6 @@ pub fn parity_owner(set_id: u32, shard_idx: usize) -> RankId {
     RankId(PARITY_OWNER_BASE + set_id * 256 + shard_idx as u32)
 }
 
-/// Is this owner id a synthetic parity owner (vs a real rank)?
-pub fn is_parity_owner(owner: RankId) -> bool {
-    owner.0 >= PARITY_OWNER_BASE
-}
-
 /// Partition of the world's ranks into redundancy sets.
 #[derive(Clone, Debug, Default)]
 pub struct SetMap {
@@ -102,9 +97,8 @@ mod tests {
         let a = parity_owner(0, 0);
         let b = parity_owner(0, 1);
         let c = parity_owner(1, 0);
-        assert!(is_parity_owner(a) && is_parity_owner(b) && is_parity_owner(c));
+        assert!([a, b, c].iter().all(|o| o.0 >= PARITY_OWNER_BASE));
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert!(!is_parity_owner(RankId(4096)));
     }
 }

@@ -1,16 +1,15 @@
-//! Property tests of the replicated checkpoint store's delta-chain GC and
-//! repair paths.
+//! Property tests of the replicated checkpoint store's GC and repair
+//! paths, in both commit forms (CDC manifests and full blobs).
 //!
 //! * `gc_never_drops_referenced_bases` — random commit/GC/restore
 //!   sequences against the live service: storage GC and partner pruning
-//!   may drop anything *except* a base epoch still referenced by a
-//!   retained delta manifest, so every retained epoch must keep
-//!   materializing bitwise.
-//! * `damaged_chain_links_never_yield_wrong_bytes` — a random chain link's
-//!   local copy is corrupted or truncated (including mid-manifest); a load
-//!   must repair it from the partner copy bitwise, and once the partner
-//!   copy is damaged too, the load must fail loudly rather than return
-//!   wrong bytes.
+//!   drop whole epochs and their chunk-store registrations, and must never
+//!   release a chunk a retained manifest still names, so every retained
+//!   epoch must keep materializing bitwise.
+//! * `damaged_copies_never_yield_wrong_bytes` — a random wave's local copy
+//!   is corrupted or truncated (including mid-manifest); a load must repair
+//!   it from the partner copy bitwise, and once the partner copy is damaged
+//!   too, the wave must load as missing rather than as wrong bytes.
 //! * `batched_pipeline_is_bitwise_identical_to_sync_writes` — the same
 //!   random commit/flush/GC stream through a synchronous service and a
 //!   bounded async pipeline (small queue, batching, linger): every sealed
@@ -19,23 +18,36 @@
 
 use mini_mpi::types::RankId;
 use proptest::prelude::*;
-use spbc_ckptstore::{CkptStoreService, StoreConfig};
+use spbc_ckptstore::{CdcParams, CkptStoreService, StoreConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Small chunks so a handful of bytes spans several manifest entries.
+/// A commit dirties one byte at a multiple of `CHUNK`; small CDC bounds
+/// make a handful of bytes span several manifest entries.
 const CHUNK: usize = 64;
 const CHUNKS: usize = 8;
-/// Ragged tail: the last chunk is shorter than `CHUNK`.
+/// Ragged tail: the body is not a multiple of `CHUNK`.
 const TAIL: usize = 17;
 
-fn cfg(full_every: u64, partner_keep: usize) -> StoreConfig {
+fn cfg(cdc: bool, partner_keep: usize) -> StoreConfig {
     StoreConfig {
         async_writes: false,
-        chunk_size: CHUNK,
-        full_every,
+        cdc,
+        cdc_params: CdcParams { min: 32, avg: 128, max: 512 },
         partner_keep,
         ..StoreConfig::default()
     }
+}
+
+/// The first wave's body: stable pseudo-random bytes, so content-defined
+/// cuts land at varied offsets.
+fn first_body() -> Vec<u8> {
+    let mut x = 0x5eed_u64;
+    (0..CHUNKS * CHUNK + TAIL)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect()
 }
 
 #[derive(Clone, Debug)]
@@ -44,7 +56,7 @@ enum Op {
     Commit { dirty: usize },
     /// GC local copies, keeping the newest `back + 1` epochs.
     Gc { back: u64 },
-    /// Load the newest epoch (resets the delta chain, like a rollback).
+    /// Load the newest epoch.
     Restore,
 }
 
@@ -56,10 +68,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn drive(ops: &[Op], full_every: u64, partner_keep: usize) {
-    let svc = CkptStoreService::in_memory(2, cfg(full_every, partner_keep));
+fn drive(ops: &[Op], cdc: bool, partner_keep: usize) {
+    let svc = CkptStoreService::in_memory(2, cfg(cdc, partner_keep));
     let r0 = RankId(0);
-    let mut body = vec![0xAAu8; CHUNKS * CHUNK + TAIL];
+    let mut body = first_body();
     let mut committed: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut epoch = 0u64;
     let mut keep_from = 0u64;
@@ -86,8 +98,8 @@ fn drive(ops: &[Op], full_every: u64, partner_keep: usize) {
         }
     }
     // Every epoch GC promised to retain must still materialize bitwise —
-    // if GC (or partner pruning) ever dropped a referenced base, one of
-    // these loads fails or produces different bytes.
+    // if GC (or partner pruning) ever released a chunk a retained manifest
+    // names, one of these loads fails or produces different bytes.
     for (e, expect) in &committed {
         if *e >= keep_from {
             let (got, _) = svc.load(r0, *e).unwrap().expect("retained epoch must load");
@@ -102,10 +114,10 @@ proptest! {
     #[test]
     fn gc_never_drops_referenced_bases(
         ops in proptest::collection::vec(op_strategy(), 1..40),
-        full_every in 1u64..6,
+        cdc: bool,
         partner_keep in 1usize..5,
     ) {
-        drive(&ops, full_every, partner_keep);
+        drive(&ops, cdc, partner_keep);
     }
 }
 
@@ -138,16 +150,14 @@ proptest! {
     /// same op stream seal identical blobs and restore identical bodies.
     /// CDC mode runs without per-commit flushes (a superseded wave's blob
     /// may legitimately never land — its chunks stay materializable from
-    /// the CAS); fixed-grid delta mode keeps the protocol's double-buffer
-    /// discipline (flush before commit) because a delta chain needs every
-    /// base blob durable.
+    /// the CAS); full-blob mode keeps the protocol's double-buffer
+    /// discipline (flush before commit), so every wave's blob lands.
     #[test]
     fn batched_pipeline_is_bitwise_identical_to_sync_writes(
         ops in proptest::collection::vec(pipe_op_strategy(), 1..40),
         cdc: bool,
-        full_every in 1u64..6,
     ) {
-        let base = StoreConfig { cdc, ..cfg(full_every, 4) };
+        let base = cfg(cdc, 4);
         let sync_svc = CkptStoreService::in_memory(1, base.clone());
         let pipe_svc = CkptStoreService::in_memory(1, StoreConfig {
             async_writes: true,
@@ -158,7 +168,7 @@ proptest! {
             ..base
         });
         let r0 = RankId(0);
-        let mut body = vec![0xAAu8; CHUNKS * CHUNK + TAIL];
+        let mut body = first_body();
         let mut committed: Vec<(u64, Vec<u8>)> = Vec::new();
         let (mut epoch, mut keep_from) = (0u64, 0u64);
         for op in &ops {
@@ -234,19 +244,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn damaged_chain_links_never_yield_wrong_bytes(
+    fn damaged_copies_never_yield_wrong_bytes(
         waves in 2u64..9,
         dirties in proptest::collection::vec(0usize..CHUNKS, 8),
         victim_sel in 0u64..8,
         truncate_at in 0usize..40,
         truncate: bool,
+        cdc: bool,
     ) {
         let root = tmpdir();
         let _ = std::fs::remove_dir_all(&root);
-        let store_cfg = StoreConfig { durable_partner_copies: true, ..cfg(3, 16) };
+        let store_cfg = StoreConfig { durable_partner_copies: true, ..cfg(cdc, 16) };
         let svc = CkptStoreService::on_disk(&root, 2, store_cfg).unwrap();
         let r0 = RankId(0);
-        let mut body = vec![0xAAu8; CHUNKS * CHUNK + TAIL];
+        let mut body = first_body();
         let mut newest = Vec::new();
         for epoch in 1..=waves {
             body[dirties[(epoch as usize - 1) % dirties.len()] * CHUNK] = (epoch % 251) as u8;
@@ -256,9 +267,9 @@ proptest! {
             newest = body.clone();
         }
 
-        // Damage one chain link's local copy: flip a payload byte, or
-        // truncate (a cut inside the first 40 bytes usually lands in the
-        // V3 header or manifest — the truncated-manifest case).
+        // Damage one wave's local copy: flip a payload byte, or truncate
+        // (a cut inside the first 40 bytes lands in the V2 header or the
+        // V4 header and manifest — the truncated-manifest case).
         let victim = 1 + victim_sel % waves;
         let path = local_blob_path(&root, victim);
         let blob = std::fs::read(&path).unwrap();
@@ -271,22 +282,21 @@ proptest! {
             std::fs::write(&path, &bad).unwrap();
         }
 
-        // A load of the newest epoch must repair the damaged link from the
-        // partner copy and materialize bitwise.
-        let (got, _) = svc.load(r0, waves).unwrap().expect("chain must repair from partner");
+        // A load of the newest epoch must repair a damaged copy of it from
+        // the partner copy and materialize bitwise.
+        let (got, _) = svc.load(r0, waves).unwrap().expect("newest wave must load");
         prop_assert_eq!(&got, &newest);
 
         // Re-damage the healed local copy AND destroy the partner copy:
-        // the link is now lost everywhere. If the newest epoch's chain
-        // still needs it, the load must fail loudly — never return wrong
-        // bytes; if the (flattened) chain does not reference the victim,
-        // the load must still be bitwise identical.
+        // the victim wave is now lost everywhere and loads as missing —
+        // never as wrong bytes — while the newest wave, if it is another
+        // one, still loads bitwise (no wave references another).
         std::fs::write(&path, b"SPBCJUNK").unwrap();
         std::fs::write(partner_blob_path(&root, victim), b"SPBCJUNK").unwrap();
-        match svc.load(r0, waves) {
-            Ok(Some((again, _))) => prop_assert_eq!(&again, &newest),
-            Ok(None) => prop_assert!(victim == waves, "only a lost top link may load as None"),
-            Err(_) => prop_assert!(victim < waves, "a lost top link must load as None, not Err"),
+        prop_assert!(svc.load(r0, victim).unwrap().is_none(), "a lost wave must load as None");
+        if victim < waves {
+            let (again, _) = svc.load(r0, waves).unwrap().expect("newest wave must load");
+            prop_assert_eq!(&again, &newest);
         }
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -11,9 +11,7 @@
 //! | variable | default | meaning |
 //! |---|---|---|
 //! | `SPBC_REPL_K` | `2` | checkpoint replication factor (partner copies) |
-//! | `SPBC_CKPT_CHUNK` | `65536` | delta checkpoint chunk size in bytes |
-//! | `SPBC_CKPT_FULL_EVERY` | `8` | full checkpoint blob cadence (1 disables deltas) |
-//! | `SPBC_CKPT_CDC` | `1` | content-defined chunking + content-addressed dedup (0 = fixed grid) |
+//! | `SPBC_CKPT_CDC` | `1` | content-defined chunking + content-addressed dedup (0 = full blob every wave) |
 //! | `SPBC_CDC_MIN` | `256` | CDC minimum chunk length in bytes |
 //! | `SPBC_CDC_AVG` | `1024` | CDC target (average) chunk length in bytes |
 //! | `SPBC_CDC_MAX` | `4096` | CDC maximum chunk length in bytes |
@@ -49,9 +47,11 @@ pub const TRACE_RING_CAPACITY: usize = 4096;
 /// Drives `--help` output and keeps the README table honest.
 pub const VARS: &[(&str, &str, &str)] = &[
     ("SPBC_REPL_K", "2", "checkpoint replication factor (partner copies)"),
-    ("SPBC_CKPT_CHUNK", "65536", "delta checkpoint chunk size in bytes"),
-    ("SPBC_CKPT_FULL_EVERY", "8", "full checkpoint blob cadence (1 disables deltas)"),
-    ("SPBC_CKPT_CDC", "1", "content-defined chunking + content-addressed dedup (0 = fixed grid)"),
+    (
+        "SPBC_CKPT_CDC",
+        "1",
+        "content-defined chunking + content-addressed dedup (0 = full blob every wave)",
+    ),
     ("SPBC_CDC_MIN", "256", "CDC minimum chunk length in bytes"),
     ("SPBC_CDC_AVG", "1024", "CDC target (average) chunk length in bytes"),
     ("SPBC_CDC_MAX", "4096", "CDC maximum chunk length in bytes"),
@@ -224,8 +224,6 @@ mod tests {
         let names: Vec<&str> = VARS.iter().map(|(n, _, _)| *n).collect();
         for required in [
             "SPBC_REPL_K",
-            "SPBC_CKPT_CHUNK",
-            "SPBC_CKPT_FULL_EVERY",
             "SPBC_CKPT_CDC",
             "SPBC_CDC_MIN",
             "SPBC_CDC_AVG",
@@ -245,7 +243,7 @@ mod tests {
         ] {
             assert!(names.contains(&required), "{required} missing from VARS");
         }
-        assert_eq!(VARS.len(), 26, "a new SPBC_* knob needs its row here and in the README");
+        assert_eq!(VARS.len(), 24, "a new SPBC_* knob needs its row here and in the README");
     }
 
     #[test]

@@ -49,10 +49,10 @@ pub struct Metrics {
     /// Bytes of serialized checkpoint state (what a full write would cost;
     /// the numerator of the dedup ratio).
     pub ckpt_bytes_logical: AtomicU64,
-    /// Bytes of sealed checkpoint blobs actually written locally (full or
-    /// delta; the denominator of the dedup ratio).
+    /// Bytes of sealed checkpoint blobs actually written locally (full
+    /// blob or CDC manifest; the denominator of the dedup ratio).
     pub ckpt_bytes_physical: AtomicU64,
-    /// Bytes partner replication *would* have pushed without delta encoding
+    /// Bytes partner replication *would* have pushed as full blobs
     /// (serialized body × pushes; `repl_bytes` stays the physical count).
     pub repl_bytes_logical: AtomicU64,
     /// CDC chunks found already in the content-addressed store under the
@@ -256,9 +256,10 @@ pub struct MetricsSnapshot {
     pub ckpt_gc_pruned: u64,
     /// Bytes of serialized checkpoint state (full-write equivalent).
     pub ckpt_bytes_logical: u64,
-    /// Bytes of sealed checkpoint blobs actually written (full or delta).
+    /// Bytes of sealed checkpoint blobs actually written (full blob or CDC
+    /// manifest).
     pub ckpt_bytes_physical: u64,
-    /// Bytes replication would have pushed without delta encoding.
+    /// Bytes replication would have pushed as full blobs.
     pub repl_bytes_logical: u64,
     /// CDC chunks deduplicated against an earlier epoch of the same rank.
     pub cas_hits_cross_epoch: u64,

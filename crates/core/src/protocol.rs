@@ -92,18 +92,17 @@ pub struct SpbcConfig {
     /// commit barrier does not pay serialization + fsync latency. Disable to
     /// restore fully synchronous commits.
     pub async_ckpt_writes: bool,
-    /// Chunk size for incremental (delta) checkpoint encoding. Defaults to
-    /// `$SPBC_CKPT_CHUNK` or 64 KiB.
+    /// Inert: no store path chunks on a fixed grid. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub ckpt_chunk: usize,
-    /// Write a full checkpoint blob every Nth wave, deltas in between, to
-    /// bound delta-chain length. Defaults to `$SPBC_CKPT_FULL_EVERY` or 8;
-    /// 1 disables the delta path entirely.
+    /// Inert: with CDC off every wave is a full blob. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub ckpt_full_every: u64,
     /// Content-defined chunking + content-addressed dedup (`SPBCCKP4`):
     /// checkpoint bodies are cut at content-determined boundaries, chunks
     /// dedup across epochs *and* ranks, and replication pushes chunk-hash
     /// manifests instead of blobs. Defaults to `$SPBC_CKPT_CDC` or on;
-    /// off falls back to the fixed-grid delta encoder (`SPBCCKP3`).
+    /// off seals every wave as one `SPBCCKP2` full blob.
     pub ckpt_cdc: bool,
     /// CDC minimum chunk length. Defaults to `$SPBC_CDC_MIN` or 256.
     pub cdc_min: usize,
@@ -158,17 +157,7 @@ fn default_replicas() -> usize {
     crate::env::get_or("SPBC_REPL_K", 2)
 }
 
-/// Delta chunk size from `$SPBC_CKPT_CHUNK`, defaulting to 64 KiB.
-fn default_ckpt_chunk() -> usize {
-    crate::env::get_or("SPBC_CKPT_CHUNK", spbc_ckptstore::chunk::DEFAULT_CHUNK_SIZE)
-}
-
-/// Full-blob cadence from `$SPBC_CKPT_FULL_EVERY`, defaulting to 8.
-fn default_ckpt_full_every() -> u64 {
-    crate::env::get_or("SPBC_CKPT_FULL_EVERY", spbc_ckptstore::chunk::DEFAULT_FULL_EVERY)
-}
-
-/// CDC toggle from `$SPBC_CKPT_CDC` (0 = fixed-grid deltas), defaulting on.
+/// CDC toggle from `$SPBC_CKPT_CDC` (0 = full blobs), defaulting on.
 fn default_ckpt_cdc() -> bool {
     crate::env::get_or("SPBC_CKPT_CDC", 1u8) != 0
 }
@@ -224,8 +213,8 @@ impl Default for SpbcConfig {
             free_logs_on_checkpoint: false,
             replicas: default_replicas(),
             async_ckpt_writes: true,
-            ckpt_chunk: default_ckpt_chunk(),
-            ckpt_full_every: default_ckpt_full_every(),
+            ckpt_chunk: spbc_ckptstore::chunk::DEFAULT_CHUNK_SIZE,
+            ckpt_full_every: 1,
             ckpt_cdc: default_ckpt_cdc(),
             cdc_min,
             cdc_avg,
@@ -254,8 +243,6 @@ fn store_cfg_of(cfg: &SpbcConfig) -> StoreConfig {
     });
     StoreConfig {
         async_writes: cfg.async_ckpt_writes,
-        chunk_size: cfg.ckpt_chunk,
-        full_every: cfg.ckpt_full_every,
         cdc: cfg.ckpt_cdc,
         cdc_params: CdcParams { min: cfg.cdc_min, avg: cfg.cdc_avg, max: cfg.cdc_max },
         ec,
@@ -435,8 +422,8 @@ struct ReplWait {
     awaiting: HashSet<RankId>,
     blob: Vec<u8>,
     /// CDC mode: the manifest-only form of `blob` (chunk hashes, no
-    /// payloads) pushed to partners instead of the blob itself. Empty in
-    /// fixed-grid mode, where the full sealed blob is pushed.
+    /// payloads) pushed to partners instead of the blob itself. Empty with
+    /// CDC off, where the full sealed blob is pushed.
     manifest: Vec<u8>,
     /// Serialized body size behind `blob` (full-write equivalent), for the
     /// logical-bytes replication accounting on retries.
@@ -891,7 +878,7 @@ impl SpbcLayer {
         // Stable storage via the replicated checkpoint service: serialize
         // once, encode (default: content-defined chunks deduped against the
         // shared chunk store, sealed as an `SPBCCKP4` manifest carrying only
-        // new chunks inline; with CDC off, a fixed-grid `SPBCCKP3` delta),
+        // new chunks inline; with CDC off, an `SPBCCKP2` full blob),
         // and reuse the sealed blob for the local write and every partner
         // push.
         let service = Arc::clone(&self.service);
@@ -1051,8 +1038,8 @@ impl SpbcLayer {
     }
 
     /// Send one partner its replica copy (also used for retries). `logical`
-    /// is the serialized body size the sealed blob stands for — with delta
-    /// encoding `repl_bytes` (physical) can be far below `repl_bytes_logical`.
+    /// is the serialized body size the sealed blob stands for — with CDC
+    /// `repl_bytes` (physical) can be far below `repl_bytes_logical`.
     fn push_blob_to(
         &self,
         ctx: &mut FtCtx<'_>,

@@ -1,6 +1,7 @@
 //! Regenerate the `ckpt_delta` report (logical vs physical checkpoint
-//! bytes under the V3 delta encoder) and write the `BENCH_ckpt.json`
-//! baseline. An optional argument overrides the output path.
+//! bytes under CDC manifests and full blobs) and write the
+//! `BENCH_ckpt.json` baseline. An optional argument overrides the output
+//! path.
 
 fn main() {
     let scale = spbc_harness::Scale::from_env();

@@ -13,11 +13,10 @@
 //!           [--plan RANK:NTH]...
 //! ```
 //!
-//! Process-mode checkpoint storage is pinned to full blobs (`full_every=1`,
-//! CDC off, EC off): delta chains, CAS chunks, and parity shards live in
-//! process memory and die with the process, so a respawned node could not
-//! resolve them. Full blobs on shared disk are exactly what survives a real
-//! node crash.
+//! Process-mode checkpoint storage is pinned to full blobs (CDC off, EC
+//! off): CAS chunks and parity shards live in process memory and die with
+//! the process, so a respawned node could not resolve them. Full blobs on
+//! shared disk are exactly what survives a real node crash.
 
 use mini_mpi::config::RuntimeConfig;
 use mini_mpi::failure::FailurePlan;
@@ -129,7 +128,6 @@ fn main() {
     // process can restore without the dead incarnation's in-memory state.
     let cfg = SpbcConfig {
         ckpt_interval: a.ckpt_interval,
-        ckpt_full_every: 1,
         ckpt_cdc: false,
         ec_scheme: "off".into(),
         ..Default::default()

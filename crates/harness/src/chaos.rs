@@ -18,9 +18,10 @@
 //!   [`CkptHook::Replicate`], [`CkptHook::CommitBarrier`]) — the window of
 //!   the commit-barrier race;
 //! * [`Family::DeltaChain`] — kills timed so restore has to materialize a
-//!   delta checkpoint chain (several waves committed before the failure,
-//!   so the restored wave is an `SPBCCKP3` delta referencing earlier
-//!   epochs), plus kills mid-replication of a delta blob;
+//!   wave built on earlier ones (several waves committed before the
+//!   failure, so the restored wave is an `SPBCCKP4` manifest whose chunks
+//!   were inserted by earlier waves), plus kills mid-replication of a
+//!   later wave's manifest;
 //! * [`Family::CasGc`] — kills landing *inside* a commit (after chunks are
 //!   inserted into the content-addressed store, before the wave's resume)
 //!   while surviving ranks finish the wave and their storage GC prunes
@@ -106,8 +107,8 @@ pub enum Family {
     DuringRecovery,
     /// Kills keyed to checkpoint-protocol phases.
     CkptPhases,
-    /// Kills timed so restore crosses a delta checkpoint chain, plus kills
-    /// mid-replication of a delta blob.
+    /// Kills timed so restore materializes a manifest whose chunks earlier
+    /// waves inserted, plus kills mid-replication of a later wave.
     DeltaChain,
     /// Kills landing mid-commit while other ranks' storage GC prunes —
     /// the refcount window of the content-addressed chunk store.
@@ -178,8 +179,9 @@ pub struct ChaosConfig {
     pub elems: usize,
     /// Checkpoint every this many iterations.
     pub ckpt_interval: u64,
-    /// Full checkpoint blob cadence (1 disables delta chains entirely).
-    pub ckpt_full_every: u64,
+    /// Seal waves as `SPBCCKP4` CDC manifests (`true`) or as one full
+    /// blob each (`$SPBC_CKPT_CDC`, default on).
+    pub ckpt_cdc: bool,
     /// Deadlock watchdog per run — a hang is a finding, not a CI timeout.
     pub timeout: Duration,
     /// Workloads each seed × family pair runs under.
@@ -202,7 +204,7 @@ impl Default for ChaosConfig {
             iters: 30,
             elems: 192,
             ckpt_interval: 4,
-            ckpt_full_every: spbc_ckptstore::chunk::DEFAULT_FULL_EVERY,
+            ckpt_cdc: spbc_core::env::get_or("SPBC_CKPT_CDC", 1u8) != 0,
             timeout: Duration::from_secs(90),
             workloads: vec![Workload::MiniGhost, Workload::Amg],
             ec_scheme: spbc_core::env::get_or("SPBC_EC_SCHEME", "off".to_string()),
@@ -330,20 +332,19 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
             plans
         }
         Family::DeltaChain => {
-            // The restored wave must be a delta, not a full blob: with the
-            // default cadence wave 1 is full and waves 2+ are deltas, so the
-            // kill lands only after at least two waves committed. Restore
-            // then materializes a chain (delta + referenced bases), under
-            // partner repair if the local links died with the rank.
+            // The restored wave must build on earlier ones: the kill lands
+            // only after at least two waves committed, so the restored
+            // manifest names chunks earlier waves inserted into the store
+            // (under partner repair if the local copy died with the rank).
             let after_two_waves = 2 * cfg.ckpt_interval + 1;
             let late_span = cfg.iters.saturating_sub(after_two_waves + 2).max(1);
             let late = |rng: &mut Rng| after_two_waves + rng.below(late_span);
             let a = rng.below(cfg.clusters as u64) as usize;
             let mut plans = vec![FailurePlan::nth(cfg.rank_in(a, &mut rng), late(&mut rng))];
             if rng.below(2) == 1 {
-                // And/or die mid-replication of a delta blob: wave 2+ pushes
-                // carry SPBCCKP3 deltas, and the partner must still end up
-                // with a repairable chain.
+                // And/or die mid-replication of wave 2+: its push carries a
+                // manifest of mostly already-held chunks, and the partner
+                // must still end up with a restorable copy.
                 let b = (a + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
                 plans.push(FailurePlan::at_phase(
                     cfg.rank_in(b, &mut rng),
@@ -636,7 +637,7 @@ impl Oracle {
             ClusterMap::blocks(self.cfg.world, self.cfg.clusters),
             SpbcConfig {
                 ckpt_interval: self.cfg.ckpt_interval,
-                ckpt_full_every: self.cfg.ckpt_full_every,
+                ckpt_cdc: self.cfg.ckpt_cdc,
                 ec_scheme,
                 ec_group: self.cfg.ec_group,
                 ec_m: self.cfg.ec_m,
@@ -895,9 +896,10 @@ pub mod pinned {
     }
 
     /// Delta-chain restore window: a rank dies after three checkpoint waves
-    /// (the restored wave is an `SPBCCKP3` delta whose chain must
-    /// materialize bitwise, repairing links from partners), while a second
-    /// cluster dies mid-replication of a delta blob in a later wave.
+    /// (the restored wave is an `SPBCCKP4` manifest whose chunks earlier
+    /// waves inserted, and it must materialize bitwise, repaired from
+    /// partners), while a second cluster dies mid-replication of a later
+    /// wave.
     pub fn delta_chain() -> Schedule {
         Schedule {
             seed: u64::MAX,

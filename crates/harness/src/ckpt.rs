@@ -1,13 +1,14 @@
-//! `ckpt_delta` report: logical vs physical checkpoint bytes under the V3
-//! delta encoder — the storage-stack analogue of Table 1.
+//! `ckpt_delta` report: logical vs physical checkpoint bytes under CDC
+//! manifests and full blobs — the storage-stack analogue of Table 1.
 //!
 //! Two sections:
-//! * **workloads** — evaluation workloads run under SPBC with the delta
-//!   cadence on and off; logical vs physical bytes come straight from the
-//!   run's metrics counters.
-//! * **encoder sweep** — the encoder driven directly over synthetic bodies
-//!   with a controlled dirty fraction per wave, the regime the format
-//!   targets (a small working set touched between waves).
+//! * **workloads** — evaluation workloads run under SPBC with CDC on and
+//!   off (off = one full blob per wave), and under erasure-coded sets;
+//!   logical vs physical bytes come straight from the run's metrics
+//!   counters.
+//! * **CDC sweep** — the CDC encoder driven directly over synthetic bodies
+//!   with a controlled dirty fraction per wave (a small working set
+//!   touched between waves).
 //!
 //! `spbc-ckpt` renders the table and writes the rows as `BENCH_ckpt.json`.
 
@@ -17,7 +18,6 @@ use crate::Scale;
 use mini_mpi::error::Result;
 use mini_mpi::types::RankId;
 use spbc_apps::Workload;
-use spbc_ckptstore::chunk::{DEFAULT_CHUNK_SIZE, DEFAULT_FULL_EVERY};
 use spbc_ckptstore::{CkptStoreService, StoreConfig};
 use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider};
 use std::sync::Arc;
@@ -36,7 +36,7 @@ pub struct CkptRow {
     /// Replication bytes actually pushed to partners.
     pub repl_physical: u64,
     /// Whether this row ran with content-defined chunking + the
-    /// content-addressed store (`SPBCCKP4`) instead of fixed-grid deltas.
+    /// content-addressed store (`SPBCCKP4`) instead of full blobs.
     pub cdc: bool,
     /// Redundancy scheme the run replicated under: `partner_k2` (the legacy
     /// full-copy partner push), `xor`, or `rs2`.
@@ -67,24 +67,17 @@ impl CkptRow {
     }
 }
 
-/// Run `w` under SPBC with the given full-blob cadence, encoder choice
-/// (`cdc` on = content-defined chunking + CAS, off = fixed-grid deltas),
-/// and redundancy `scheme` (`"partner_k2"` = legacy full partner pushes;
+/// Run `w` under SPBC with the given commit form (`cdc` on =
+/// content-defined chunking + CAS, off = one full blob per wave) and
+/// redundancy `scheme` (`"partner_k2"` = legacy full partner pushes;
 /// `"xor"`/`"rs2"` = erasure-coded sets of 2), and collect the run-wide
 /// byte counters. Every knob is pinned explicitly so rows never depend on
 /// ambient `SPBC_*` variables.
-pub fn run_workload(
-    w: Workload,
-    scale: &Scale,
-    full_every: u64,
-    cdc: bool,
-    scheme: &str,
-) -> Result<CkptRow> {
+pub fn run_workload(w: Workload, scale: &Scale, cdc: bool, scheme: &str) -> Result<CkptRow> {
     let app = w.build(scale.params(w));
     let ec_on = scheme != "partner_k2";
     let cfg = SpbcConfig {
         ckpt_interval: (scale.iters / 6).max(1),
-        ckpt_full_every: full_every,
         ckpt_cdc: cdc,
         ec_scheme: if ec_on { scheme.to_string() } else { "off".to_string() },
         ec_group: 2,
@@ -95,7 +88,7 @@ pub fn run_workload(
     } else if cdc {
         format!("{}/cdc", w.name())
     } else {
-        format!("{}/full-every-{full_every}", w.name())
+        format!("{}/full", w.name())
     };
     let provider = Arc::new(SpbcProvider::new(ClusterMap::blocks(scale.world, scale.nodes()), cfg));
     let report = run_with(scale, provider.clone(), &app)?;
@@ -114,42 +107,18 @@ pub fn run_workload(
     })
 }
 
-/// Drive the delta encoder directly: `waves` consecutive epochs over a
-/// `chunks`-chunk body where the first `dirty` chunks change every wave.
-/// A replication push carries the same sealed blob, so the replication
-/// columns mirror the write columns here.
-pub fn encoder_sweep(chunks: usize, waves: u64, dirty: usize, full_every: u64) -> CkptRow {
-    let svc = CkptStoreService::in_memory(1, StoreConfig { full_every, ..StoreConfig::default() });
-    let mut body = vec![7u8; chunks * DEFAULT_CHUNK_SIZE];
-    let (mut logical, mut physical) = (0u64, 0u64);
-    for epoch in 1..=waves {
-        for d in 0..dirty.min(chunks) {
-            body[d * DEFAULT_CHUNK_SIZE] = (epoch % 251) as u8 + 1;
-        }
-        let (_, stats) = svc.encode_commit(RankId(0), epoch, &body).expect("encode");
-        logical += stats.logical;
-        physical += stats.physical;
-    }
-    CkptRow {
-        scenario: format!("synthetic/{dirty}-of-{chunks}-dirty/full-every-{full_every}"),
-        logical,
-        physical,
-        repl_logical: logical,
-        repl_physical: physical,
-        cdc: false,
-        scheme: "partner_k2".to_string(),
-    }
-}
+/// Size of one synthetic dirty region in [`cdc_sweep`].
+const REGION: usize = 64 * 1024;
 
-/// Drive the CDC + content-addressed encoder over the same synthetic
-/// regime as [`encoder_sweep`]: `waves` epochs over a body of
-/// `chunks × DEFAULT_CHUNK_SIZE` bytes, with one byte flipped inside each
-/// of the first `dirty` fixed-grid-chunk-sized regions per wave. Unlike the
-/// fixed grid, CDC pays only for the few content-defined chunks around each
-/// edit, every wave — no full-blob cadence resets the savings.
+/// Drive the CDC + content-addressed encoder directly: `waves` epochs over
+/// a body of `chunks × REGION` bytes, with one byte flipped inside each of
+/// the first `dirty` regions per wave. CDC pays only for the few
+/// content-defined chunks around each edit, every wave. A replication push
+/// carries the same sealed blob, so the replication columns mirror the
+/// write columns here.
 pub fn cdc_sweep(chunks: usize, waves: u64, dirty: usize) -> CkptRow {
     let svc = CkptStoreService::in_memory(1, StoreConfig { cdc: true, ..StoreConfig::default() });
-    let mut body = vec![7u8; chunks * DEFAULT_CHUNK_SIZE];
+    let mut body = vec![7u8; chunks * REGION];
     // A constant body would collapse into one repeated max-size chunk and
     // overstate dedup; give it incompressible-but-stable content.
     let mut x = 0x0be5_11e5_u64;
@@ -160,7 +129,7 @@ pub fn cdc_sweep(chunks: usize, waves: u64, dirty: usize) -> CkptRow {
     let (mut logical, mut physical) = (0u64, 0u64);
     for epoch in 1..=waves {
         for d in 0..dirty.min(chunks) {
-            body[d * DEFAULT_CHUNK_SIZE] = (epoch % 251) as u8 + 1;
+            body[d * REGION] = (epoch % 251) as u8 + 1;
         }
         let (_, stats) = svc.encode_commit(RankId(0), epoch, &body).expect("encode");
         logical += stats.logical;
@@ -177,22 +146,15 @@ pub fn cdc_sweep(chunks: usize, waves: u64, dirty: usize) -> CkptRow {
     }
 }
 
-/// The full report: both chaos workloads under the CDC encoder, fixed-grid
-/// deltas and fulls-only cadence, plus the synthetic dirty-fraction sweep
-/// in both encoders.
+/// The full report: both chaos workloads under CDC and under full blobs,
+/// the erasure-coded rows, plus the synthetic dirty-fraction sweep.
 pub fn run(scale: &Scale) -> Result<Vec<CkptRow>> {
     let mut rows = Vec::new();
     for w in [Workload::MiniGhost, Workload::Amg] {
-        rows.push(run_workload(w, scale, DEFAULT_FULL_EVERY, true, "partner_k2")?);
-        rows.push(run_workload(w, scale, DEFAULT_FULL_EVERY, false, "partner_k2")?);
-        rows.push(run_workload(w, scale, 1, false, "partner_k2")?);
+        rows.push(run_workload(w, scale, true, "partner_k2")?);
+        rows.push(run_workload(w, scale, false, "partner_k2")?);
     }
     rows.extend(run_ec(scale)?);
-    for (dirty, full_every) in
-        [(1usize, DEFAULT_FULL_EVERY), (8, DEFAULT_FULL_EVERY), (32, DEFAULT_FULL_EVERY), (32, 1)]
-    {
-        rows.push(encoder_sweep(32, 24, dirty, full_every));
-    }
     for dirty in [1usize, 8, 32] {
         rows.push(cdc_sweep(32, 24, dirty));
     }
@@ -200,15 +162,15 @@ pub fn run(scale: &Scale) -> Result<Vec<CkptRow>> {
 }
 
 /// The erasure-coded redundancy rows alone: both evaluation workloads under
-/// `xor` and `rs(2)` sets of 2, fixed-grid encoder (`cdc` off) so the
-/// replication ratio isolates the scheme rather than mixing in CAS dedup.
+/// `xor` and `rs(2)` sets of 2, full blobs (`cdc` off) so the replication
+/// ratio isolates the scheme rather than mixing in CAS dedup.
 /// Against the legacy partner push's 2.0, xor lands near 0.5 and rs2 near
 /// 1.0 — both strictly below 2x physical.
 pub fn run_ec(scale: &Scale) -> Result<Vec<CkptRow>> {
     let mut rows = Vec::new();
     for w in [Workload::MiniGhost, Workload::Amg] {
         for scheme in ["xor", "rs2"] {
-            rows.push(run_workload(w, scale, DEFAULT_FULL_EVERY, false, scheme)?);
+            rows.push(run_workload(w, scale, false, scheme)?);
         }
     }
     Ok(rows)
@@ -245,9 +207,7 @@ pub fn render(rows: &[CkptRow]) -> String {
 
 /// Machine-readable rows — the `BENCH_ckpt.json` baseline format.
 pub fn to_json(rows: &[CkptRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"ckpt_delta\",\n");
-    out.push_str(&format!("  \"chunk_size\": {DEFAULT_CHUNK_SIZE},\n"));
-    out.push_str(&format!("  \"full_every\": {DEFAULT_FULL_EVERY},\n  \"rows\": [\n"));
+    let mut out = String::from("{\n  \"bench\": \"ckpt_delta\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"scenario\": \"{}\", \"cdc\": {}, \"scheme\": \"{}\", \"logical\": {}, \
@@ -274,26 +234,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_hits_the_acceptance_targets() {
-        // Small dirty fraction: ≥ 4x physical-byte reduction.
-        let small = encoder_sweep(32, 24, 1, DEFAULT_FULL_EVERY);
-        assert!(small.dedup() >= 4.0, "{small:?}");
-        // All chunks dirty every wave: within 10% of the fulls-only path.
-        let worst = encoder_sweep(32, 24, 32, DEFAULT_FULL_EVERY);
-        let fulls = encoder_sweep(32, 24, 32, 1);
-        assert!(
-            worst.physical as f64 <= 1.10 * fulls.physical as f64,
-            "worst {worst:?} vs fulls {fulls:?}"
-        );
-        // Fulls-only cadence writes every logical byte.
-        assert!(fulls.physical >= fulls.logical, "{fulls:?}");
-    }
-
-    #[test]
     fn cdc_sweep_hits_the_acceptance_targets() {
-        // CDC pays only for the chunks around each edit, every wave — the
-        // 1-of-32 regime must clear 6x (the fixed grid manages ~4x because
-        // the full-blob cadence keeps rewriting everything).
+        // CDC pays only for the chunks around each edit, every wave: the
+        // 1-of-32 regime must clear 6x.
         let small = cdc_sweep(32, 24, 1);
         assert!(small.dedup() >= 6.0, "{small:?}");
         // All regions edited: still far above 1.0 (each edit is one byte, so
@@ -314,10 +257,8 @@ mod tests {
             ..Default::default()
         };
         // The rank-shared coefficient tables dedup across ranks and the
-        // unchanged regions across epochs: real-workload dedup > 1.0, which
-        // the fixed grid never achieves here (sub-chunk states force fulls).
-        let row = run_workload(Workload::MiniGhost, &scale, DEFAULT_FULL_EVERY, true, "partner_k2")
-            .unwrap();
+        // unchanged regions across epochs: real-workload dedup > 1.0.
+        let row = run_workload(Workload::MiniGhost, &scale, true, "partner_k2").unwrap();
         assert!(row.dedup() > 1.0, "{row:?}");
         assert!(row.cdc && row.scenario.ends_with("/cdc"), "{row:?}");
     }
@@ -333,13 +274,10 @@ mod tests {
             reps: 1,
             ..Default::default()
         };
-        let legacy =
-            run_workload(Workload::MiniGhost, &scale, DEFAULT_FULL_EVERY, false, "partner_k2")
-                .unwrap();
+        let legacy = run_workload(Workload::MiniGhost, &scale, false, "partner_k2").unwrap();
         assert!(legacy.repl_ratio() >= 1.9, "legacy pushes every blob twice: {legacy:?}");
         for scheme in ["xor", "rs2"] {
-            let row = run_workload(Workload::MiniGhost, &scale, DEFAULT_FULL_EVERY, false, scheme)
-                .unwrap();
+            let row = run_workload(Workload::MiniGhost, &scale, false, scheme).unwrap();
             assert!(row.repl_physical > 0, "parity must actually be pushed: {row:?}");
             assert!(row.repl_ratio() < 2.0, "{scheme} must beat 2x physical: {row:?}");
             assert_eq!(row.scheme, scheme);
@@ -361,26 +299,27 @@ mod tests {
             reps: 1,
             ..Default::default()
         };
-        let delta =
-            run_workload(Workload::MiniGhost, &scale, DEFAULT_FULL_EVERY, false, "partner_k2")
-                .unwrap();
-        assert!(delta.logical > 0 && delta.physical > 0, "{delta:?}");
-        let fulls = run_workload(Workload::MiniGhost, &scale, 1, false, "partner_k2").unwrap();
-        assert_eq!(delta.logical, fulls.logical, "delta {delta:?} vs fulls {fulls:?}");
-        // Sealing adds framing, so physical ≥ logical on the fulls path.
-        assert!(fulls.physical >= fulls.logical, "{fulls:?}");
-        // This workload rewrites its whole (sub-chunk) state every wave, so
-        // deltas cannot help — the worst-case bound is that they stay within
-        // 10% of the fulls-only path.
-        assert!(
-            delta.physical as f64 <= 1.10 * fulls.physical as f64,
-            "delta {delta:?} vs fulls {fulls:?}"
-        );
+        let cdc = run_workload(Workload::MiniGhost, &scale, true, "partner_k2").unwrap();
+        let full = run_workload(Workload::MiniGhost, &scale, false, "partner_k2").unwrap();
+        assert!(cdc.logical > 0 && cdc.physical > 0, "{cdc:?}");
+        assert_eq!(cdc.logical, full.logical, "cdc {cdc:?} vs full {full:?}");
+        assert!(full.scenario.ends_with("/full"), "{full:?}");
+        // Sealing adds framing, so physical ≥ logical on the full path.
+        assert!(full.physical >= full.logical, "{full:?}");
     }
 
     #[test]
     fn render_and_json_carry_every_row() {
-        let rows = vec![encoder_sweep(4, 3, 1, DEFAULT_FULL_EVERY), cdc_sweep(4, 3, 4)];
+        let full = CkptRow {
+            scenario: "MiniGhost/full".into(),
+            logical: 10,
+            physical: 22,
+            repl_logical: 20,
+            repl_physical: 44,
+            cdc: false,
+            scheme: "partner_k2".into(),
+        };
+        let rows = vec![full, cdc_sweep(4, 3, 4)];
         let table = render(&rows);
         let json = to_json(&rows);
         for r in &rows {

@@ -59,22 +59,23 @@ fn pinned_replay_resume_after_replayer_death() {
     assert_passes(&mut oracle, &schedule);
 }
 
-/// The delta-chain restore window: the restored wave is an `SPBCCKP3`
-/// delta whose chain must materialize bitwise (repairing lost links from
-/// partners), with a second cluster dying mid-replication of a delta blob.
+/// The delta-chain restore window: the restored wave is an `SPBCCKP4`
+/// manifest whose chunks earlier waves inserted, and it must materialize
+/// bitwise (repaired from partners), with a second cluster dying
+/// mid-replication of a later wave.
 #[test]
 fn pinned_delta_chain_restore() {
     let mut oracle = Oracle::new(ChaosConfig::short());
     assert_passes(&mut oracle, &chaos::pinned::delta_chain());
 }
 
-/// Same window with deltas on every wave disabled entirely: full-blob-only
-/// cadence must survive the identical schedule, so any pinned_delta_chain
-/// failure isolates to the delta path.
+/// Same window with CDC off, so every wave is one full blob (the node-mode
+/// format, here in-process): it must survive the identical schedule, so any
+/// pinned_delta_chain failure isolates to the CDC path.
 #[test]
 fn pinned_delta_chain_restore_fulls_only() {
     let mut cfg = ChaosConfig::short();
-    cfg.ckpt_full_every = 1;
+    cfg.ckpt_cdc = false;
     let mut oracle = Oracle::new(cfg);
     assert_passes(&mut oracle, &chaos::pinned::delta_chain());
 }
