@@ -252,6 +252,11 @@ impl<'a> CasView<'a> {
         self.chunks.iter().map(|e| e.hash).collect()
     }
 
+    /// Whether this blob carries chunk `idx`'s payload inline.
+    pub(crate) fn is_inline(&self, idx: usize) -> bool {
+        self.chunks.get(idx).is_some_and(|e| e.inline_at.is_some())
+    }
+
     /// The inline payload of chunk `idx`, hash-verified, if this blob
     /// carries it.
     pub fn inline_chunk(&self, idx: usize) -> Result<Option<&'a [u8]>> {

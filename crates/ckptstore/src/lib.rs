@@ -70,6 +70,6 @@ pub use cas::{CasStore, ChunkFate, ChunkHash};
 pub use cdc::{chunk_spans, CdcParams};
 pub use chunk::{seal_v4, CasView, DeltaEncoder, EncodeStats, MAGIC_V3, MAGIC_V4};
 pub use ec::{EcScheme, ParityView, MAGIC_PAR};
-pub use service::{CkptStoreService, LoadOutcome, LoadStats, ParityShards, StoreConfig};
+pub use service::{CkptStoreService, LoadOutcome, LoadStats, Replica, Replication, StoreConfig};
 pub use set::SetMap;
 pub use writer::{Admission, AsyncWriter, WriterConfig, WriterStats};

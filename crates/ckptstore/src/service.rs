@@ -22,8 +22,10 @@
 //! an `SPBCCKP4` manifest carrying only the chunks the store lacked (see
 //! [`crate::chunk`]); otherwise it is one `SPBCCKP2` full blob. Everything
 //! downstream — the local write, the partner pushes, repair — moves the
-//! sealed blob, so a small dirty fraction shrinks disk and replication
-//! traffic alike.
+//! sealed blob or frames derived from it, so a small dirty fraction
+//! shrinks disk and replication traffic alike. The service alone decides
+//! what a replica is ([`CkptStoreService::replicas`]): the blob itself,
+//! its chunk-hash manifest, or the redundancy set's parity frames.
 //!
 //! Load is where replication pays off: a blob that is missing or corrupt
 //! locally is transparently repaired from any surviving partner copy (or
@@ -141,18 +143,40 @@ pub enum LoadOutcome {
     },
 }
 
-/// The sealed parity frames one wave's set encoding produced, returned by
-/// [`CkptStoreService::stage_for_parity`] to the member that completed the
-/// set (the "encoder"), which stores one copy locally and pushes each
-/// shard to a replication partner.
-pub struct ParityShards {
-    /// The redundancy set the shards protect.
-    pub set_id: u32,
+/// One replica push: `frame` travels to `partner`, which stores it under
+/// `owner`. The frame is opaque to the protocol: a sealed full blob, a
+/// manifest-only `SPBCCKP4` blob, or an `SPBCPAR1` parity frame.
+#[derive(Clone, Debug)]
+pub struct Replica {
+    /// The partner rank that stores the frame.
+    pub partner: RankId,
+    /// The key the frame is stored under: the committing rank, or a
+    /// synthetic parity owner ([`crate::set::parity_owner`]).
+    pub owner: RankId,
+    /// The bytes that travel.
+    pub frame: Arc<Vec<u8>>,
+    /// Serialized body bytes the push stands for (0 for parity frames) —
+    /// the logical side of the replication accounting.
+    pub logical: u64,
+}
+
+/// What one committed wave owes its partners, as decided by
+/// [`CkptStoreService::replicas`].
+#[derive(Clone, Debug, Default)]
+pub struct Replication {
+    /// Every frame to push; empty when the wave needs no partner copy.
+    pub pushes: Vec<Replica>,
+    /// `(encode_us, bytes)` when this rank encoded its set's parity.
+    pub parity: Option<(u64, u64)>,
+}
+
+/// The sealed parity frames one wave's set encoding produced, returned to
+/// the member that completed the set (the "encoder").
+struct ParityShards {
     /// `(shard index, synthetic owner rank, sealed SPBCPAR1 frame)`.
-    pub shards: Vec<(u32, RankId, Vec<u8>)>,
-    /// Microseconds spent in [`crate::ec::encode`] (the `encode_parity`
-    /// phase).
-    pub encode_us: u64,
+    shards: Vec<(u32, RankId, Vec<u8>)>,
+    /// Microseconds spent in [`crate::ec::encode`].
+    encode_us: u64,
 }
 
 /// Timing breakdown of a [`CkptStoreService::load_with_stats`] call.
@@ -347,12 +371,18 @@ impl CkptStoreService {
         &self.cas
     }
 
-    /// Indices of a V4 blob's chunks whose content the service-wide store
-    /// does not hold — what a replication partner answers to a hash-only
-    /// push (`CKPT_CHUNK_REQ`).
+    /// Indices of a V4 blob's chunks that are neither carried inline nor
+    /// held by the service-wide store — what a replication partner asks the
+    /// owner for (`CKPT_CHUNK_REQ`). Empty for any other frame: full blobs
+    /// and parity frames are self-contained.
     pub fn missing_chunks(&self, sealed: &[u8]) -> Result<Vec<u32>> {
+        if !chunk::is_cas(sealed) {
+            return Ok(Vec::new());
+        }
         let view = CasView::parse(sealed)?;
-        Ok(self.cas().missing(&view.hashes()))
+        let mut missing = self.cas().missing(&view.hashes());
+        missing.retain(|&idx| !view.is_inline(idx as usize));
+        Ok(missing)
     }
 
     /// Rebuild a sealed V4 blob carrying inline payloads only for the
@@ -467,16 +497,65 @@ impl CkptStoreService {
         Ok(pruned)
     }
 
+    /// What `rank`'s sealed wave `epoch` owes `partners`.
+    ///
+    /// * Erasure coding on: the blob is staged with the rank's redundancy
+    ///   set; the member that completes the set encodes its parity and gets
+    ///   one push per parity shard (shard `j` to `partners[j % k]`), every
+    ///   other member gets none.
+    /// * A V4 manifest: one push per partner carrying only the hash list;
+    ///   the partner asks for whatever chunk bodies it lacks.
+    /// * A full blob: one push per partner carrying the blob itself.
+    pub fn replicas(
+        &self,
+        rank: RankId,
+        epoch: u64,
+        sealed: &Arc<Vec<u8>>,
+        logical: u64,
+        partners: &[RankId],
+    ) -> Result<Replication> {
+        if partners.is_empty() {
+            return Ok(Replication::default());
+        }
+        if self.cfg.ec.is_on() {
+            let Some(job) = self.stage_for_parity(rank, epoch, sealed)? else {
+                return Ok(Replication::default());
+            };
+            let bytes = job.shards.iter().map(|(_, _, f)| f.len() as u64).sum();
+            let pushes = job
+                .shards
+                .into_iter()
+                .map(|(j, owner, frame)| Replica {
+                    partner: partners[j as usize % partners.len()],
+                    owner,
+                    frame: Arc::new(frame),
+                    logical: 0,
+                })
+                .collect();
+            return Ok(Replication { pushes, parity: Some((job.encode_us, bytes)) });
+        }
+        let frame = if chunk::is_cas(sealed) {
+            Arc::new(chunk::manifest_only_v4(sealed)?)
+        } else {
+            Arc::clone(sealed)
+        };
+        let pushes = partners
+            .iter()
+            .map(|&partner| Replica { partner, owner: rank, frame: Arc::clone(&frame), logical })
+            .collect();
+        Ok(Replication { pushes, parity: None })
+    }
+
     /// Deposit `me`'s sealed blob for `epoch` into its redundancy set's
     /// staging area. The *last* member of the set to stage computes the
     /// set's parity: the returned [`ParityShards`] carries one sealed
     /// `SPBCPAR1` frame per parity shard, already persisted in the
-    /// encoder's local store under its synthetic owner, ready for the
-    /// caller to push to replication partners. Everyone else gets `None`.
+    /// encoder's local store under its synthetic owner. Everyone else gets
+    /// `None`.
     ///
     /// Stale staging entries of the same set from older epochs (waves that
     /// rolled back before the set completed) are dropped on the way in.
-    pub fn stage_for_parity(
+    fn stage_for_parity(
         &self,
         me: RankId,
         epoch: u64,
@@ -519,7 +598,7 @@ impl CkptStoreService {
             local.put(owner, epoch, &sealed)?;
             shards.push((j as u32, owner, sealed));
         }
-        Ok(Some(ParityShards { set_id, shards, encode_us }))
+        Ok(Some(ParityShards { shards, encode_us }))
     }
 
     /// Simulate losing `rank`'s node-local storage (fault injection): its
@@ -530,19 +609,17 @@ impl CkptStoreService {
         self.stores(rank)?.local.clear()
     }
 
-    /// A verifiable copy of `(owner, epoch)` from anywhere in the world:
-    /// any rank's local store (parity shards live under synthetic owners
-    /// in their encoder's local store) or any partner store.
-    fn find_copy(&self, owner: RankId, epoch: u64) -> Result<Option<Vec<u8>>> {
-        for stores in &self.ranks {
-            if let Some(b) = stores.local.get(owner, epoch)? {
-                if chunk::verify(&b).is_ok() {
-                    return Ok(Some(b));
-                }
-            }
-            if let Some(b) = stores.partner.get(owner, epoch)? {
-                if chunk::verify(&b).is_ok() {
-                    return Ok(Some(b));
+    /// A verifiable copy of `(owner, epoch)` from anywhere in the world and
+    /// the rank holding it: any rank's local store (parity shards live
+    /// under synthetic owners in their encoder's local store) or any
+    /// partner store.
+    fn find_copy(&self, owner: RankId, epoch: u64) -> Result<Option<(RankId, Vec<u8>)>> {
+        for (holder, stores) in self.ranks.iter().enumerate() {
+            for store in [&stores.local, &stores.partner] {
+                if let Some(b) = store.get(owner, epoch)? {
+                    if chunk::verify(&b).is_ok() {
+                        return Ok(Some((RankId(holder as u32), b)));
+                    }
                 }
             }
         }
@@ -559,11 +636,11 @@ impl CkptStoreService {
     ) -> Result<(CensusSlots, CensusSlots)> {
         let mut data = Vec::with_capacity(members.len());
         for &r in members {
-            data.push(self.find_copy(RankId(r), epoch)?);
+            data.push(self.find_copy(RankId(r), epoch)?.map(|(_, b)| b));
         }
         let mut parity = Vec::with_capacity(self.cfg.ec.m());
         for j in 0..self.cfg.ec.m() {
-            let found = self.find_copy(parity_owner(set_id, j), epoch)?.filter(
+            let found = self.find_copy(parity_owner(set_id, j), epoch)?.map(|(_, b)| b).filter(
                 |b| matches!(ParityView::parse(b), Ok(v) if v.set_id == set_id && v.epoch == epoch),
             );
             parity.push(found);
@@ -572,10 +649,10 @@ impl CkptStoreService {
     }
 
     /// Try to rebuild `rank`'s sealed blob at `epoch` from its redundancy
-    /// set (survivors + parity). `Ok(None)` means the EC path has nothing
-    /// to offer (EC off, no parity survives, or a partner copy of the rank
-    /// itself exists — the caller's partner scan will find it). Losses
-    /// beyond the surviving parity budget are the distinct loud error.
+    /// set (survivors + parity); the caller has already found no copy of
+    /// the rank itself. `Ok(None)` means the EC path has nothing to offer
+    /// (EC off or no parity survives). Losses beyond the surviving parity
+    /// budget are the distinct loud error.
     fn try_rebuild(&self, rank: RankId, epoch: u64) -> Result<Option<(Vec<u8>, u32)>> {
         if !self.cfg.ec.is_on() {
             return Ok(None);
@@ -588,11 +665,6 @@ impl CkptStoreService {
         };
         let members = members.to_vec();
         let (mut data, parity) = self.set_census(&members, set_id, epoch)?;
-        if data[pos].is_some() {
-            // A surviving copy of the rank itself (a partner replica):
-            // repair, not rebuild.
-            return Ok(None);
-        }
         let n_parity = parity.iter().filter(|p| p.is_some()).count();
         if n_parity == 0 {
             return Ok(None);
@@ -650,67 +722,37 @@ impl CkptStoreService {
         self.writer.stats()
     }
 
-    /// Fetch the raw verified blob of `(rank, epoch)`, repairing from a
-    /// partner copy when the local one is missing or corrupt. Records the
-    /// first repair source in `outcome`.
-    fn fetch_blob(
-        &self,
-        rank: RankId,
-        epoch: u64,
-        outcome: &mut LoadOutcome,
-    ) -> Result<Option<Vec<u8>>> {
+    /// Fetch the raw verified blob of `(rank, epoch)` and where it came
+    /// from: the local copy, else any surviving copy elsewhere (repair),
+    /// else a rebuild from the rank's redundancy set. A repaired or rebuilt
+    /// blob is re-persisted locally so the next failure does not depend on
+    /// the same source surviving again.
+    fn fetch_blob(&self, rank: RankId, epoch: u64) -> Result<Option<(Vec<u8>, LoadOutcome)>> {
         let own = self.stores(rank)?;
         if let Some(blob) = own.local.get(rank, epoch)? {
             if chunk::verify(&blob).is_ok() {
-                return Ok(Some(blob));
+                return Ok(Some((blob, LoadOutcome::Local)));
             }
             // Corrupt local copy: fall through to repair.
         }
-        // Set rebuild before partner repair: survivors plus parity are the
-        // cheap, node-local path; a full partner copy is the cross-cluster
-        // fallback. An over-budget loss is remembered and surfaced only if
-        // the partner scan also comes up empty.
-        let mut budget_err = None;
-        match self.try_rebuild(rank, epoch) {
-            Ok(Some((blob, set_id))) => {
-                own.local.put(rank, epoch, &blob)?;
-                if *outcome == LoadOutcome::Local {
-                    *outcome = LoadOutcome::Rebuilt { set_id };
-                }
-                return Ok(Some(blob));
-            }
-            Ok(None) => {}
-            Err(e) => budget_err = Some(e),
-        }
-        for (holder, stores) in self.ranks.iter().enumerate() {
-            if holder == rank.0 as usize {
-                continue;
-            }
-            if let Some(blob) = stores.partner.get(rank, epoch)? {
-                if chunk::verify(&blob).is_ok() {
-                    // Heal the local store so the next failure does not
-                    // depend on the same partner surviving again.
-                    own.local.put(rank, epoch, &blob)?;
-                    if *outcome == LoadOutcome::Local {
-                        *outcome = LoadOutcome::Repaired { from: RankId(holder as u32) };
-                    }
-                    return Ok(Some(blob));
-                }
-            }
-        }
-        if let Some(e) = budget_err {
-            return Err(e);
-        }
-        Ok(None)
+        let fetched = if let Some((from, blob)) = self.find_copy(rank, epoch)? {
+            (blob, LoadOutcome::Repaired { from })
+        } else if let Some((blob, set_id)) = self.try_rebuild(rank, epoch)? {
+            (blob, LoadOutcome::Rebuilt { set_id })
+        } else {
+            return Ok(None);
+        };
+        own.local.put(rank, epoch, &fetched.0)?;
+        Ok(Some(fetched))
     }
 
     /// Load `rank`'s checkpoint at `epoch`, verify it, and materialize it.
     ///
     /// Returns the full checkpoint *body* plus where it came from. The
     /// sealed blob is verified; one that is missing or corrupt locally
-    /// triggers repair: the rank's redundancy set is tried first, then
-    /// every rank's partner store is scanned for a verifiable copy, which
-    /// is re-persisted locally before use. `Ok(None)` means the blob
+    /// triggers repair: every store is scanned for a verifiable copy, and
+    /// only when none survives is the blob rebuilt from the rank's
+    /// redundancy set. Either is re-persisted locally before use. `Ok(None)` means the blob
     /// survives nowhere; a manifest chunk missing from the chunk store is
     /// an error (the epoch exists but is no longer materializable).
     ///
@@ -728,11 +770,10 @@ impl CkptStoreService {
         epoch: u64,
     ) -> Result<Option<(Vec<u8>, LoadOutcome, LoadStats)>> {
         let mut stats = LoadStats::default();
-        let mut outcome = LoadOutcome::Local;
         let fetch_start = std::time::Instant::now();
-        let top = self.fetch_blob(rank, epoch, &mut outcome)?;
+        let fetched = self.fetch_blob(rank, epoch)?;
         stats.fetch_us = fetch_start.elapsed().as_micros() as u64;
-        let Some(top) = top else {
+        let Some((top, outcome)) = fetched else {
             return Ok(None);
         };
         let mat_start = std::time::Instant::now();
@@ -1160,11 +1201,39 @@ mod tests {
         let missing = partner_svc.missing_chunks(&manifest_only).unwrap();
         assert_eq!(missing.len(), CasView::parse(&blob).unwrap().n_chunks());
         assert!(partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &manifest_only).is_err());
-        // Owner serves the subset; the partner adopts and can materialize.
+        // Owner serves the subset; it carries every chunk the partner
+        // lacks inline, so nothing is missing any more.
         let subset = owner_svc.subset_blob(&blob, &missing).unwrap();
+        assert!(partner_svc.missing_chunks(&subset).unwrap().is_empty());
+        // The partner adopts and can materialize.
         partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &subset).unwrap();
         let (got, _) = partner_svc.load(RankId(0), 1).unwrap().unwrap();
         assert_eq!(got, body);
+    }
+
+    /// Without parity the store replicates a full blob as itself and a V4
+    /// blob as its manifest, one push per partner; no partners, no pushes.
+    #[test]
+    fn replicas_follow_the_commit_form() {
+        let partners = [RankId(2), RankId(3)];
+        for cfg in [StoreConfig::default(), cdc_cfg()] {
+            let svc = CkptStoreService::in_memory(4, cfg.clone());
+            let body = cdc_body(89, 1, 4 * 1024, 128);
+            let (blob, stats) = svc.encode_commit(RankId(0), 1, &body).unwrap();
+            let blob = Arc::new(blob);
+            let rep = svc.replicas(RankId(0), 1, &blob, stats.logical, &partners).unwrap();
+            assert!(rep.parity.is_none());
+            let want = if cfg.cdc { chunk::manifest_only_v4(&blob).unwrap() } else { seal(&body) };
+            let got: Vec<_> = rep.pushes.iter().map(|p| (p.partner, p.owner, p.logical)).collect();
+            let l = stats.logical;
+            assert_eq!(got, vec![(RankId(2), RankId(0), l), (RankId(3), RankId(0), l)]);
+            assert!(rep.pushes.iter().all(|p| *p.frame == want), "cdc = {}", cfg.cdc);
+            assert!(svc
+                .replicas(RankId(0), 1, &blob, stats.logical, &[])
+                .unwrap()
+                .pushes
+                .is_empty());
+        }
     }
 
     /// Every byte of a V4 blob is covered — header, manifest and inline
@@ -1236,25 +1305,28 @@ mod tests {
         }
     }
 
-    /// Commit a full wave for every rank of one 4-rank set and run the
-    /// parity staging protocol; returns each rank's body.
+    /// Commit a full wave for every rank of one 4-rank set and push what
+    /// [`CkptStoreService::replicas`] decides; returns each rank's body.
     fn ec_wave(svc: &CkptStoreService, epoch: u64, seed: u8) -> Vec<Vec<u8>> {
+        let partners: Vec<RankId> = (4..8).map(RankId).collect();
         let mut bodies = Vec::new();
         let mut encoded = 0;
         for r in 0..4u32 {
             let body: Vec<u8> =
                 (0..200 + 40 * r as usize).map(|i| seed ^ (r as u8) ^ (i as u8)).collect();
-            let blob = seal(&body);
-            svc.commit_local(RankId(r), epoch, blob.clone(), None).unwrap();
+            let blob = Arc::new(seal(&body));
+            svc.commit_local(RankId(r), epoch, blob.to_vec(), None).unwrap();
             svc.flush_rank(RankId(r)).unwrap();
-            if let Some(job) = svc.stage_for_parity(RankId(r), epoch, &blob).unwrap() {
+            // Push each replica to its partner in the other cluster, like
+            // the protocol does.
+            let rep = svc.replicas(RankId(r), epoch, &blob, body.len() as u64, &partners).unwrap();
+            assert_eq!(rep.pushes.is_empty(), rep.parity.is_none());
+            if rep.parity.is_some() {
                 encoded += 1;
-                // Push each shard to a "partner" in the other cluster,
-                // like the protocol does.
-                for (j, owner, sealed) in &job.shards {
-                    let holder = RankId(4 + (j % 4));
-                    svc.store_partner_copy(holder, *owner, epoch, sealed).unwrap();
-                }
+            }
+            for push in &rep.pushes {
+                assert_eq!(push.logical, 0, "parity frames stand for no body bytes");
+                svc.store_partner_copy(push.partner, push.owner, epoch, &push.frame).unwrap();
             }
             bodies.push(body);
         }
@@ -1321,14 +1393,15 @@ mod tests {
         let clusters = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
         let svc = CkptStoreService::in_memory(8, ec_cfg(EcScheme::Xor, &clusters, 4));
         let bodies = ec_wave(&svc, 1, 0x21);
-        // A legacy full partner copy of rank 0 exists (mixed deployment).
+        // A full copy of rank 0 survives in a partner store (stored
+        // directly: under EC the protocol pushes only parity).
         let blob0 = seal(&bodies[0]);
         svc.store_partner_copy(RankId(5), RankId(0), 1, &blob0).unwrap();
         for r in [0u32, 1] {
             svc.wipe_local(RankId(r)).unwrap(); // 2 local losses, m = 1
         }
-        // Rank 0's own surviving partner copy makes it a repair, not a
-        // rebuild — the set's parity budget is preserved for rank 1.
+        // The copy scan runs before any rebuild: rank 0 is repaired from
+        // its surviving copy, and the parity budget stays for rank 1.
         let (body, outcome) = svc.load(RankId(0), 1).unwrap().unwrap();
         assert_eq!(body, bodies[0]);
         assert_eq!(outcome, LoadOutcome::Repaired { from: RankId(5) });

@@ -4,10 +4,11 @@
 //! Sets never straddle clusters — a whole-cluster failure (the SPBC fault
 //! model) must not be able to take out two members of the same set's
 //! *replacement* data, and the parity shards themselves are pushed to
-//! partner clusters exactly like full blobs. Parity shards are stored under
+//! partner clusters like any other replica. Parity shards are stored under
 //! synthetic "owner" ranks derived from the set id so they ride the
-//! existing `(owner, epoch)` keyed backends and the k13 blob push path
-//! unchanged.
+//! existing `(owner, epoch)` keyed backends unchanged, and
+//! [`crate::service::CkptStoreService::replicas`] hands them to the
+//! protocol as opaque frames for its one push path.
 
 use mini_mpi::types::RankId;
 use std::collections::HashMap;

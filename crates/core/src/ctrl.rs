@@ -38,24 +38,19 @@ pub const KIND_GRANT: u16 = 11;
 /// Coordinated replay: replayer reports the granted replay as delivered
 /// (empty body).
 pub const KIND_GRANT_DONE: u16 = 12;
-/// `kind` value of [`CkptBlob`]: a committing rank pushes its sealed
-/// checkpoint blob to a partner rank in another cluster for replicated
-/// storage (spbc-ckptstore). Unlike the other control messages this one is
-/// *storage* traffic — it carries the checkpoint payload and is counted
+/// `kind` value of [`CkptBlob`]: a committing rank pushes one replica frame
+/// to a partner rank in another cluster for replicated storage
+/// (spbc-ckptstore decides the frame: the sealed blob, its chunk-hash
+/// manifest, or a parity shard). Unlike the other control messages this
+/// one is *storage* traffic — it carries checkpoint bytes and is counted
 /// under replication metrics, not `ctrl_msgs`.
 pub const KIND_CKPT_BLOB: u16 = 13;
 /// `kind` value of [`CkptBlobAck`]: the partner has durably stored the
 /// pushed copy. The owner's commit barrier waits for all of these.
 pub const KIND_CKPT_BLOB_ACK: u16 = 14;
-/// `kind` value of [`CkptHashes`]: in CDC mode the committing rank pushes a
-/// manifest-only `SPBCCKP4` blob (ordered chunk hashes, no payloads) first.
-/// A partner whose content-addressed store holds every chunk stores the
-/// manifest and acks ([`CkptBlobAck`]) without any payload ever crossing —
-/// the dedup savings on the replication path.
-pub const KIND_CKPT_HASHES: u16 = 15;
-/// `kind` value of [`CkptChunkReq`]: the partner's answer to a
-/// [`CkptHashes`] push when some chunks are missing from its store — the
-/// owner replies with a [`CkptBlob`] carrying exactly those chunk bodies.
+/// `kind` value of [`CkptChunkReq`]: the partner's answer to a manifest
+/// [`CkptBlob`] naming chunks missing from its store — the owner replies
+/// with a [`CkptBlob`] carrying exactly those chunk bodies.
 pub const KIND_CKPT_CHUNK_REQ: u16 = 16;
 /// `kind` value of [`LogGc`]: a receiver whose cluster resumed from wave N
 /// tells an out-of-cluster sender which log entries no checkpoint the store
@@ -127,37 +122,31 @@ pub struct CkptCounts {
 /// Alias: a join announcement carries the same body as a report.
 pub type CkptJoin = CkptCounts;
 
-/// A sealed checkpoint blob pushed to a partner rank for replicated storage.
-/// The blob is opaque to the receiver (framed + checksummed by
+/// A replica frame pushed to a partner rank for replicated storage. The
+/// frame is opaque to the receiver (framed + checksummed by
 /// spbc-ckptstore); it stores the copy keyed by `(owner, epoch)` and acks.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct CkptBlob {
-    /// World rank that owns (committed) this checkpoint.
+    /// The key the copy is stored under: the rank that committed the
+    /// checkpoint, or a synthetic parity owner.
     pub owner: u32,
-    /// Checkpoint wave the blob belongs to.
+    /// Checkpoint wave the frame belongs to.
     pub epoch: u64,
-    /// The sealed bytes (`SPBCCKP2` framing, CRC32-protected).
+    /// The sealed frame: an `SPBCCKP2` full blob, an `SPBCCKP4` manifest
+    /// (with or without inline chunk bodies), or an `SPBCPAR1` parity
+    /// shard.
     pub blob: Vec<u8>,
 }
 
 /// Acknowledgement of a stored [`CkptBlob`] copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct CkptBlobAck {
+    /// The [`CkptBlob::owner`] being acknowledged: one partner can hold
+    /// several of a wave's frames (parity shards when `m > k`).
+    pub owner: u32,
     /// Checkpoint wave being acknowledged (guards against stale acks from a
     /// previous wave's retries).
     pub epoch: u64,
-}
-
-/// A manifest-only checkpoint push (CDC mode): the ordered chunk-hash list
-/// of the committed wave, framed as a payload-free `SPBCCKP4` blob.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct CkptHashes {
-    /// World rank that owns (committed) this checkpoint.
-    pub owner: u32,
-    /// Checkpoint wave the manifest belongs to.
-    pub epoch: u64,
-    /// Manifest-only `SPBCCKP4` blob (hashes + lengths, no payloads).
-    pub manifest: Vec<u8>,
 }
 
 /// The partner's request for chunk bodies its store is missing, answered
@@ -287,29 +276,13 @@ impl Decode for CkptBlob {
 
 impl Encode for CkptBlobAck {
     fn encode(&self, out: &mut Vec<u8>) {
+        self.owner.encode(out);
         self.epoch.encode(out);
     }
 }
 impl Decode for CkptBlobAck {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(CkptBlobAck { epoch: Decode::decode(r)? })
-    }
-}
-
-impl Encode for CkptHashes {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.owner.encode(out);
-        self.epoch.encode(out);
-        self.manifest.encode(out);
-    }
-}
-impl Decode for CkptHashes {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(CkptHashes {
-            owner: Decode::decode(r)?,
-            epoch: Decode::decode(r)?,
-            manifest: Decode::decode(r)?,
-        })
+        Ok(CkptBlobAck { owner: Decode::decode(r)?, epoch: Decode::decode(r)? })
     }
 }
 
@@ -376,16 +349,13 @@ mod tests {
         let b = CkptBlob { owner: 3, epoch: 7, blob: vec![0xAA; 1000] };
         let back: CkptBlob = from_bytes(&to_bytes(&b)).unwrap();
         assert_eq!(back, b);
-        let a = CkptBlobAck { epoch: 7 };
+        let a = CkptBlobAck { owner: 3, epoch: 7 };
         let back: CkptBlobAck = from_bytes(&to_bytes(&a)).unwrap();
         assert_eq!(back, a);
     }
 
     #[test]
-    fn ckpt_hashes_and_chunk_req_roundtrip() {
-        let h = CkptHashes { owner: 5, epoch: 9, manifest: vec![0x42; 200] };
-        let back: CkptHashes = from_bytes(&to_bytes(&h)).unwrap();
-        assert_eq!(back, h);
+    fn chunk_req_roundtrip() {
         let r = CkptChunkReq { owner: 5, epoch: 9, missing: vec![0, 3, 17] };
         let back: CkptChunkReq = from_bytes(&to_bytes(&r)).unwrap();
         assert_eq!(back, r);
@@ -410,7 +380,6 @@ mod tests {
             KIND_GRANT_DONE,
             KIND_CKPT_BLOB,
             KIND_CKPT_BLOB_ACK,
-            KIND_CKPT_HASHES,
             KIND_CKPT_CHUNK_REQ,
             KIND_LOG_GC,
         ];

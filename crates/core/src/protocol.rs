@@ -20,11 +20,11 @@
 
 use crate::cluster::ClusterMap;
 use crate::ctrl::{
-    CkptBlob, CkptBlobAck, CkptChunkReq, CkptCounts, CkptHashes, LastMessage, LastMessageChannel,
-    LogGc, Rollback, RollbackChannel, KIND_CKPT_ACK, KIND_CKPT_BLOB, KIND_CKPT_BLOB_ACK,
-    KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_HASHES, KIND_CKPT_JOIN, KIND_CKPT_POLL,
-    KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG,
-    KIND_LOG_GC, KIND_ROLLBACK,
+    CkptBlob, CkptBlobAck, CkptChunkReq, CkptCounts, LastMessage, LastMessageChannel, LogGc,
+    Rollback, RollbackChannel, KIND_CKPT_ACK, KIND_CKPT_BLOB, KIND_CKPT_BLOB_ACK,
+    KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL, KIND_CKPT_REPORT,
+    KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG, KIND_LOG_GC,
+    KIND_ROLLBACK,
 };
 use crate::log::MessageLog;
 use crate::metrics::Metrics;
@@ -42,7 +42,7 @@ use mini_mpi::types::{ChannelId, CommId, RankId};
 use mini_mpi::wire::{from_bytes, to_bytes};
 use parking_lot::Mutex;
 use spbc_ckptstore::{
-    Admission, CdcParams, CkptStoreService, EcScheme, LoadOutcome, SetMap, StoreConfig,
+    Admission, CdcParams, CkptStoreService, EcScheme, LoadOutcome, Replica, SetMap, StoreConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -414,25 +414,17 @@ enum CkptState {
     Committed,
 }
 
-/// Owner-side replication barrier: partners whose [`KIND_CKPT_BLOB_ACK`] for
-/// `epoch` is still outstanding. The blob is kept for re-pushes (a partner
-/// killed mid-wave acks from its next incarnation).
+/// Owner-side replication barrier: the `(partner, owner)` slots whose
+/// [`KIND_CKPT_BLOB_ACK`] for `epoch` is still outstanding. The pushes are
+/// kept for re-sends (a partner killed mid-wave acks from its next
+/// incarnation).
 struct ReplWait {
     epoch: u64,
-    awaiting: HashSet<RankId>,
-    blob: Vec<u8>,
-    /// CDC mode: the manifest-only form of `blob` (chunk hashes, no
-    /// payloads) pushed to partners instead of the blob itself. Empty with
-    /// CDC off, where the full sealed blob is pushed.
-    manifest: Vec<u8>,
-    /// Serialized body size behind `blob` (full-write equivalent), for the
-    /// logical-bytes replication accounting on retries.
-    logical: u64,
-    /// EC mode (this rank was the wave's parity encoder): the sealed parity
-    /// frames pushed instead of any blob/manifest, as
-    /// `(partner, parity owner, frame)` — kept for re-pushes to partners
-    /// killed mid-wave. Empty in legacy partner-copy mode.
-    parity: Vec<(RankId, RankId, Vec<u8>)>,
+    awaiting: HashSet<(RankId, RankId)>,
+    /// Every replica the wave owes, as the store decided.
+    pushes: Vec<Replica>,
+    /// The sealed blob, which serves a partner's [`KIND_CKPT_CHUNK_REQ`].
+    sealed: Arc<Vec<u8>>,
     last_push: Instant,
     /// When the first push went out — the replicate-phase timer.
     started: Instant,
@@ -879,8 +871,8 @@ impl SpbcLayer {
         // once, encode (default: content-defined chunks deduped against the
         // shared chunk store, sealed as an `SPBCCKP4` manifest carrying only
         // new chunks inline; with CDC off, an `SPBCCKP2` full blob),
-        // and reuse the sealed blob for the local write and every partner
-        // push.
+        // and reuse the sealed blob for the local write and as the source
+        // of every replica.
         let service = Arc::clone(&self.service);
         // Double buffer: wait for the *previous* wave's background write,
         // never our own — that is all the fsync latency the commit barrier
@@ -957,149 +949,51 @@ impl SpbcLayer {
         }
         self.last_ckpt_epoch = epoch;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Written });
-        if service.config().ec.is_on() && !self.partners.is_empty() {
-            // Erasure-coded replication: stage the sealed blob with the
-            // redundancy set instead of pushing full copies. The last set
-            // member to stage becomes the wave's encoder — it computes the
-            // parity shards and pushes those (only) to partners, so the
-            // physical replication cost is m/g of a blob per member rather
-            // than k whole blobs.
-            ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
-            match service.stage_for_parity(self.me, epoch, &sealed)? {
-                None => {
-                    // Not in a set, or not the encoder: nothing to wait for.
-                    self.ack_commit(ctx, epoch)?;
-                }
-                Some(shards) => {
-                    self.record_phase(
-                        ctx,
-                        epoch,
-                        crate::hist::Phase::EncodeParity,
-                        shards.encode_us,
-                    );
-                    let total: u64 = shards.shards.iter().map(|(_, _, f)| f.len() as u64).sum();
-                    Metrics::add(&self.metrics.ec_parity_bytes, total);
-                    let mut awaiting = HashSet::new();
-                    let mut parity = Vec::new();
-                    for (j, owner, frame) in shards.shards {
-                        let partner = self.partners[j as usize % self.partners.len()];
-                        self.push_parity_to(ctx, partner, owner, epoch, &frame);
-                        awaiting.insert(partner);
-                        parity.push((partner, owner, frame));
-                    }
-                    self.repl = Some(ReplWait {
-                        epoch,
-                        awaiting,
-                        blob: Vec::new(),
-                        manifest: Vec::new(),
-                        logical: 0,
-                        parity,
-                        last_push: Instant::now(),
-                        started: Instant::now(),
-                    });
-                    self.ckpt_state = CkptState::AwaitRepl;
-                }
-            }
-        } else if !self.partners.is_empty() {
-            // Push the sealed blob to every partner; the leader's ACK waits
-            // for their store confirmations (the commit barrier includes
-            // replication, not disk). In CDC mode only the chunk-hash
-            // manifest travels — a partner whose store lacks a chunk body
-            // answers with a `CkptChunkReq` and receives a subset blob.
-            ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
-            let manifest = if self.cfg.ckpt_cdc {
-                spbc_ckptstore::chunk::manifest_only_v4(&sealed)?
-            } else {
-                Vec::new()
-            };
-            let partners = self.partners.clone();
-            for &p in &partners {
-                if manifest.is_empty() {
-                    self.push_blob_to(ctx, p, epoch, &sealed, logical);
-                } else {
-                    self.push_hashes_to(ctx, p, epoch, &manifest, logical);
-                }
-            }
-            self.repl = Some(ReplWait {
-                epoch,
-                awaiting: partners.into_iter().collect(),
-                blob: sealed,
-                manifest,
-                logical,
-                parity: Vec::new(),
-                last_push: Instant::now(),
-                started: Instant::now(),
-            });
-            self.ckpt_state = CkptState::AwaitRepl;
-        } else {
-            self.ack_commit(ctx, epoch)?;
+        if self.partners.is_empty() {
+            return self.ack_commit(ctx, epoch);
         }
+        // Replicate: the store decides what each partner receives (the
+        // blob, its chunk-hash manifest, or — when this rank completed its
+        // redundancy set — parity frames); the leader's ACK waits for every
+        // partner's store confirmation (the commit barrier includes
+        // replication, not disk).
+        ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
+        let sealed = Arc::new(sealed);
+        let rep = service.replicas(self.me, epoch, &sealed, logical, &self.partners)?;
+        if let Some((encode_us, bytes)) = rep.parity {
+            self.record_phase(ctx, epoch, crate::hist::Phase::EncodeParity, encode_us);
+            Metrics::add(&self.metrics.ec_parity_bytes, bytes);
+        }
+        if rep.pushes.is_empty() {
+            return self.ack_commit(ctx, epoch);
+        }
+        for r in &rep.pushes {
+            self.push(ctx, epoch, r);
+        }
+        self.repl = Some(ReplWait {
+            epoch,
+            awaiting: rep.pushes.iter().map(|r| (r.partner, r.owner)).collect(),
+            pushes: rep.pushes,
+            sealed,
+            last_push: Instant::now(),
+            started: Instant::now(),
+        });
+        self.ckpt_state = CkptState::AwaitRepl;
         Ok(())
     }
 
-    /// Send one partner its replica copy (also used for retries). `logical`
-    /// is the serialized body size the sealed blob stands for — with CDC
-    /// `repl_bytes` (physical) can be far below `repl_bytes_logical`.
-    fn push_blob_to(
-        &self,
-        ctx: &mut FtCtx<'_>,
-        partner: RankId,
-        epoch: u64,
-        sealed: &[u8],
-        logical: u64,
-    ) {
-        let bytes = sealed.len() as u64;
+    /// Send one replica frame to its partner (also used for retries and
+    /// chunk-request answers). `repl_bytes` counts what travels,
+    /// `repl_bytes_logical` the body bytes it stands for.
+    fn push(&self, ctx: &mut FtCtx<'_>, epoch: u64, r: &Replica) {
+        let (partner, bytes) = (r.partner, r.frame.len() as u64);
         ctx.recorder().record(|| Event::CkptReplPush { partner, epoch, bytes });
         Metrics::add(&self.metrics.repl_pushes, 1);
         Metrics::add(&self.metrics.repl_bytes, bytes);
-        Metrics::add(&self.metrics.repl_bytes_logical, logical);
-        let body = to_bytes(&CkptBlob { owner: self.me.0, epoch, blob: sealed.to_vec() });
+        Metrics::add(&self.metrics.repl_bytes_logical, r.logical);
+        let body = to_bytes(&CkptBlob { owner: r.owner.0, epoch, blob: r.frame.to_vec() });
         // Storage traffic, not protocol control: bypass `self.ctrl` so
         // `ctrl_msgs` keeps measuring coordination cost only.
-        ctx.send_ctrl(partner, KIND_CKPT_BLOB, body);
-    }
-
-    /// CDC replication: send a partner the chunk-hash manifest instead of
-    /// the sealed blob. The partner adopts it directly when its store
-    /// already holds every chunk body, or answers [`KIND_CKPT_CHUNK_REQ`]
-    /// naming the chunk indices it lacks. `repl_bytes` counts what actually
-    /// travels (the manifest), `repl_bytes_logical` the full-body cost it
-    /// stands in for.
-    fn push_hashes_to(
-        &self,
-        ctx: &mut FtCtx<'_>,
-        partner: RankId,
-        epoch: u64,
-        manifest: &[u8],
-        logical: u64,
-    ) {
-        let bytes = manifest.len() as u64;
-        ctx.recorder().record(|| Event::CkptReplPush { partner, epoch, bytes });
-        Metrics::add(&self.metrics.repl_pushes, 1);
-        Metrics::add(&self.metrics.repl_bytes, bytes);
-        Metrics::add(&self.metrics.repl_bytes_logical, logical);
-        let body = to_bytes(&CkptHashes { owner: self.me.0, epoch, manifest: manifest.to_vec() });
-        ctx.send_ctrl(partner, KIND_CKPT_HASHES, body);
-    }
-
-    /// EC replication: push one sealed parity frame to the partner holding
-    /// it. The owner is the *synthetic* parity-owner rank
-    /// (`spbc_ckptstore::set::parity_owner`), not `self.me` — the partner
-    /// stores the frame under that key so any set member's rebuild census
-    /// finds it regardless of which member encoded the wave.
-    fn push_parity_to(
-        &self,
-        ctx: &mut FtCtx<'_>,
-        partner: RankId,
-        owner: RankId,
-        epoch: u64,
-        frame: &[u8],
-    ) {
-        let bytes = frame.len() as u64;
-        ctx.recorder().record(|| Event::CkptReplPush { partner, epoch, bytes });
-        Metrics::add(&self.metrics.repl_pushes, 1);
-        Metrics::add(&self.metrics.repl_bytes, bytes);
-        let body = to_bytes(&CkptBlob { owner: owner.0, epoch, blob: frame.to_vec() });
         ctx.send_ctrl(partner, KIND_CKPT_BLOB, body);
     }
 
@@ -1380,43 +1274,25 @@ impl FtLayer for SpbcLayer {
             }
             KIND_CKPT_BLOB => {
                 let cb: CkptBlob = from_bytes(&msg.data)?;
-                let owner = RankId(cb.owner);
-                let bytes = cb.blob.len() as u64;
+                let (owner, epoch) = (RankId(cb.owner), cb.epoch);
+                let missing = self.service.missing_chunks(&cb.blob)?;
+                if !missing.is_empty() {
+                    // A manifest naming chunk bodies our store lacks: ask
+                    // the owner for them; its answer arrives here again.
+                    let body = CkptChunkReq { owner: cb.owner, epoch, missing };
+                    ctx.send_ctrl(msg.from, KIND_CKPT_CHUNK_REQ, to_bytes(&body));
+                    return Ok(());
+                }
                 // Store synchronously: the ACK must mean "durable".
                 // Re-pushed duplicates overwrite idempotently.
-                let pruned = self.service.store_partner_copy(self.me, owner, cb.epoch, &cb.blob)?;
+                let bytes = cb.blob.len() as u64;
+                let pruned = self.service.store_partner_copy(self.me, owner, epoch, &cb.blob)?;
                 if pruned > 0 {
                     Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
                 }
-                let epoch = cb.epoch;
                 ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
-                ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&CkptBlobAck { epoch }));
-                Ok(())
-            }
-            KIND_CKPT_HASHES => {
-                let ch: CkptHashes = from_bytes(&msg.data)?;
-                let owner = RankId(ch.owner);
-                let missing = self.service.missing_chunks(&ch.manifest)?;
-                if missing.is_empty() {
-                    // Every chunk body is already resident in the CAS: adopt
-                    // the manifest as the partner copy and confirm
-                    // durability — no payload ever crossed the wire.
-                    let bytes = ch.manifest.len() as u64;
-                    let pruned =
-                        self.service.store_partner_copy(self.me, owner, ch.epoch, &ch.manifest)?;
-                    if pruned > 0 {
-                        Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
-                    }
-                    let epoch = ch.epoch;
-                    ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
-                    ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&CkptBlobAck { epoch }));
-                } else {
-                    // Ask the owner for the chunk bodies we lack; it answers
-                    // with a subset blob on the ordinary KIND_CKPT_BLOB path,
-                    // whose handler acks.
-                    let body = CkptChunkReq { owner: ch.owner, epoch: ch.epoch, missing };
-                    ctx.send_ctrl(msg.from, KIND_CKPT_CHUNK_REQ, to_bytes(&body));
-                }
+                let ack = CkptBlobAck { owner: cb.owner, epoch };
+                ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&ack));
                 Ok(())
             }
             KIND_CKPT_CHUNK_REQ => {
@@ -1425,10 +1301,16 @@ impl FtLayer for SpbcLayer {
                 // retry timer re-pushes the current manifest anyway.
                 if let Some(r) = &self.repl {
                     if r.epoch == req.epoch && req.owner == self.me.0 {
-                        let subset = self.service.subset_blob(&r.blob, &req.missing)?;
+                        let subset = self.service.subset_blob(&r.sealed, &req.missing)?;
                         // Logical bytes were already counted by the manifest
                         // push this subset completes.
-                        self.push_blob_to(ctx, msg.from, req.epoch, &subset, 0);
+                        let answer = Replica {
+                            partner: msg.from,
+                            owner: self.me,
+                            frame: Arc::new(subset),
+                            logical: 0,
+                        };
+                        self.push(ctx, req.epoch, &answer);
                     }
                 }
                 Ok(())
@@ -1436,21 +1318,19 @@ impl FtLayer for SpbcLayer {
             KIND_CKPT_BLOB_ACK => {
                 let ack: CkptBlobAck = from_bytes(&msg.data)?;
                 Metrics::add(&self.metrics.repl_acks, 1);
-                let done = match &mut self.repl {
-                    // Guard on the epoch: a retry can produce a duplicate ack
-                    // for an already-finished wave.
-                    Some(r) if r.epoch == ack.epoch => {
-                        r.awaiting.remove(&msg.from);
-                        let partner = msg.from;
-                        let epoch = ack.epoch;
-                        ctx.recorder().record(|| Event::CkptReplAck { partner, epoch });
-                        r.awaiting.is_empty()
-                    }
-                    _ => false,
+                let (partner, epoch) = (msg.from, ack.epoch);
+                // Guard on the epoch and the slot: a retry can produce a
+                // duplicate ack, for this wave or an already-finished one.
+                let slot = (partner, RankId(ack.owner));
+                let Some(r) = self.repl.as_mut().filter(|r| r.epoch == epoch) else {
+                    return Ok(());
                 };
-                if done {
+                if !r.awaiting.remove(&slot) {
+                    return Ok(());
+                }
+                ctx.recorder().record(|| Event::CkptReplAck { partner, epoch });
+                if r.awaiting.is_empty() {
                     let wait = self.repl.take().expect("checked above");
-                    let epoch = wait.epoch;
                     let us = wait.started.elapsed().as_micros() as u64;
                     self.record_phase(ctx, epoch, crate::hist::Phase::Replicate, us);
                     debug_assert_eq!(self.ckpt_state, CkptState::AwaitRepl);
@@ -1517,28 +1397,20 @@ impl FtLayer for SpbcLayer {
 
     fn checkpoint_poll(&mut self, ctx: &mut FtCtx<'_>) -> Result<bool> {
         // Replication barrier liveness: a partner killed mid-wave lost the
-        // pushed blob with its mailbox. Re-push to still-silent partners so
-        // the restarted incarnation stores the copy and acks.
+        // pushed frame with its mailbox. Re-push every still-unacked slot
+        // so the restarted incarnation stores the copy and acks.
         if let Some(r) = &mut self.repl {
             if r.last_push.elapsed() >= REPL_RETRY && !r.awaiting.is_empty() {
                 r.last_push = Instant::now();
-                let targets: Vec<RankId> = r.awaiting.iter().copied().collect();
-                let (epoch, blob, manifest, logical) =
-                    (r.epoch, r.blob.clone(), r.manifest.clone(), r.logical);
-                let parity = r.parity.clone();
-                for p in targets {
-                    if !parity.is_empty() {
-                        // EC mode: re-push this partner's parity frames.
-                        for (partner, owner, frame) in &parity {
-                            if *partner == p {
-                                self.push_parity_to(ctx, p, *owner, epoch, frame);
-                            }
-                        }
-                    } else if manifest.is_empty() {
-                        self.push_blob_to(ctx, p, epoch, &blob, logical);
-                    } else {
-                        self.push_hashes_to(ctx, p, epoch, &manifest, logical);
-                    }
+                let epoch = r.epoch;
+                let due: Vec<Replica> = r
+                    .pushes
+                    .iter()
+                    .filter(|p| r.awaiting.contains(&(p.partner, p.owner)))
+                    .cloned()
+                    .collect();
+                for p in &due {
+                    self.push(ctx, epoch, p);
                 }
             }
         }

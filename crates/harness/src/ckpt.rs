@@ -154,24 +154,17 @@ pub fn run(scale: &Scale) -> Result<Vec<CkptRow>> {
         rows.push(run_workload(w, scale, true, "partner_k2")?);
         rows.push(run_workload(w, scale, false, "partner_k2")?);
     }
-    rows.extend(run_ec(scale)?);
-    for dirty in [1usize, 8, 32] {
-        rows.push(cdc_sweep(32, 24, dirty));
-    }
-    Ok(rows)
-}
-
-/// The erasure-coded redundancy rows alone: both evaluation workloads under
-/// `xor` and `rs(2)` sets of 2, full blobs (`cdc` off) so the replication
-/// ratio isolates the scheme rather than mixing in CAS dedup.
-/// Against the legacy partner push's 2.0, xor lands near 0.5 and rs2 near
-/// 1.0 — both strictly below 2x physical.
-pub fn run_ec(scale: &Scale) -> Result<Vec<CkptRow>> {
-    let mut rows = Vec::new();
+    // Erasure-coded sets of 2 over full blobs (`cdc` off), so the
+    // replication ratio isolates the scheme rather than mixing in CAS
+    // dedup: against the partner push's 2.0, xor lands near 0.5 and rs2
+    // near 1.0.
     for w in [Workload::MiniGhost, Workload::Amg] {
         for scheme in ["xor", "rs2"] {
             rows.push(run_workload(w, scale, false, scheme)?);
         }
+    }
+    for dirty in [1usize, 8, 32] {
+        rows.push(cdc_sweep(32, 24, dirty));
     }
     Ok(rows)
 }
@@ -274,13 +267,15 @@ mod tests {
             reps: 1,
             ..Default::default()
         };
-        let legacy = run_workload(Workload::MiniGhost, &scale, false, "partner_k2").unwrap();
-        assert!(legacy.repl_ratio() >= 1.9, "legacy pushes every blob twice: {legacy:?}");
-        for scheme in ["xor", "rs2"] {
-            let row = run_workload(Workload::MiniGhost, &scale, false, scheme).unwrap();
-            assert!(row.repl_physical > 0, "parity must actually be pushed: {row:?}");
-            assert!(row.repl_ratio() < 2.0, "{scheme} must beat 2x physical: {row:?}");
-            assert_eq!(row.scheme, scheme);
+        for w in [Workload::MiniGhost, Workload::Amg] {
+            let legacy = run_workload(w, &scale, false, "partner_k2").unwrap();
+            assert!(legacy.repl_ratio() >= 1.9, "legacy pushes every blob twice: {legacy:?}");
+            for scheme in ["xor", "rs2"] {
+                let row = run_workload(w, &scale, false, scheme).unwrap();
+                assert!(row.repl_physical > 0, "parity must actually be pushed: {row:?}");
+                assert!(row.repl_ratio() < 2.0, "{scheme} must beat 2x physical: {row:?}");
+                assert_eq!(row.scheme, scheme);
+            }
         }
     }
 

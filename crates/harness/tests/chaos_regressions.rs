@@ -126,16 +126,17 @@ fn ec_losses_beyond_budget_fail_loudly() {
         ..Default::default()
     };
     let svc = CkptStoreService::in_memory(8, cfg);
-    // One full wave with parity staged and pushed, like the protocol does.
+    // One full wave with its replicas pushed, like the protocol does.
+    let partners: Vec<RankId> = (4..8).map(RankId).collect();
     for r in 0..4u32 {
         let body: Vec<u8> = (0..256 + 32 * r as usize).map(|i| (r as u8) ^ (i as u8)).collect();
-        let (blob, _) = svc.encode_commit(RankId(r), 1, &body).unwrap();
-        svc.commit_local(RankId(r), 1, blob.clone(), None).unwrap();
+        let (blob, stats) = svc.encode_commit(RankId(r), 1, &body).unwrap();
+        let blob = Arc::new(blob);
+        svc.commit_local(RankId(r), 1, blob.to_vec(), None).unwrap();
         svc.flush_rank(RankId(r)).unwrap();
-        if let Some(job) = svc.stage_for_parity(RankId(r), 1, &blob).unwrap() {
-            for (j, owner, frame) in &job.shards {
-                svc.store_partner_copy(RankId(4 + (j % 4)), *owner, 1, frame).unwrap();
-            }
+        let rep = svc.replicas(RankId(r), 1, &blob, stats.logical, &partners).unwrap();
+        for push in &rep.pushes {
+            svc.store_partner_copy(push.partner, push.owner, 1, &push.frame).unwrap();
         }
     }
     for r in [0u32, 1] {
