@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Timing facts about a completed [`CheckpointBackend::put`], reported so
 /// the protocol layer can attribute write latency to its durability
@@ -25,16 +26,16 @@ pub struct PutStats {
 }
 
 /// One write inside a [`CheckpointBackend::put_batch`] submission: the same
-/// `(owner, epoch) -> blob` triple [`CheckpointBackend::put`] takes, borrowed
-/// so the batching writer never clones blobs just to group them.
+/// `(owner, epoch) -> blob` triple [`CheckpointBackend::put_shared`] takes,
+/// borrowed so the batching writer never clones blobs just to group them.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchItem<'a> {
     /// Rank whose checkpoint this is.
     pub owner: RankId,
     /// Epoch the blob commits.
     pub epoch: u64,
-    /// The sealed blob bytes.
-    pub blob: &'a [u8],
+    /// The sealed blob, shared with whoever else holds it.
+    pub blob: &'a Arc<Vec<u8>>,
 }
 
 /// Outcome of a [`CheckpointBackend::put_batch`]: per-item timing in
@@ -58,6 +59,12 @@ pub struct BatchStats {
 pub trait CheckpointBackend: Send + Sync {
     /// Store `blob` as `owner`'s checkpoint at `epoch` (overwrites).
     fn put(&self, owner: RankId, epoch: u64, blob: &[u8]) -> Result<PutStats>;
+    /// [`put`](Self::put) for a blob the caller already shares: a backend
+    /// that keeps blobs in memory keeps this `Arc` instead of copying the
+    /// bytes. The default writes the bytes through `put`.
+    fn put_shared(&self, owner: RankId, epoch: u64, blob: &Arc<Vec<u8>>) -> Result<PutStats> {
+        self.put(owner, epoch, blob)
+    }
     /// Store a batch of blobs, amortizing the durability barrier across the
     /// whole batch where the backend can (group commit). The default is the
     /// unbatched loop — one barrier per item — so narrow backends and test
@@ -65,7 +72,7 @@ pub trait CheckpointBackend: Send + Sync {
     fn put_batch(&self, items: &[BatchItem<'_>]) -> Result<BatchStats> {
         let mut per_item = Vec::with_capacity(items.len());
         for it in items {
-            per_item.push(self.put(it.owner, it.epoch, it.blob)?);
+            per_item.push(self.put_shared(it.owner, it.epoch, it.blob)?);
         }
         Ok(BatchStats { fsyncs: items.len() as u64, per_item })
     }
@@ -85,11 +92,16 @@ pub trait CheckpointBackend: Send + Sync {
 }
 
 /// In-memory backend: a mutex-guarded map. Survives in-process cluster
-/// restarts (the service outlives rank threads), not the process.
+/// restarts (the service outlives rank threads), not the process. A shared
+/// blob ([`CheckpointBackend::put_shared`]) is kept by reference, not
+/// copied.
 #[derive(Default)]
 pub struct MemBackend {
-    blobs: Mutex<BTreeMap<(u32, u64), Vec<u8>>>,
+    blobs: Mutex<BTreeMap<(u32, u64), SharedBlob>>,
 }
+
+/// A blob held by reference, shared with whoever handed it over.
+type SharedBlob = Arc<Vec<u8>>;
 
 impl MemBackend {
     /// An empty in-memory backend.
@@ -105,7 +117,11 @@ impl MemBackend {
 
 impl CheckpointBackend for MemBackend {
     fn put(&self, owner: RankId, epoch: u64, blob: &[u8]) -> Result<PutStats> {
-        self.blobs.lock().insert((owner.0, epoch), blob.to_vec());
+        self.put_shared(owner, epoch, &Arc::new(blob.to_vec()))
+    }
+
+    fn put_shared(&self, owner: RankId, epoch: u64, blob: &Arc<Vec<u8>>) -> Result<PutStats> {
+        self.blobs.lock().insert((owner.0, epoch), Arc::clone(blob));
         Ok(PutStats::default())
     }
 
@@ -114,13 +130,13 @@ impl CheckpointBackend for MemBackend {
         // durability barrier, so the batch pays zero fsyncs.
         let mut blobs = self.blobs.lock();
         for it in items {
-            blobs.insert((it.owner.0, it.epoch), it.blob.to_vec());
+            blobs.insert((it.owner.0, it.epoch), Arc::clone(it.blob));
         }
         Ok(BatchStats { per_item: vec![PutStats::default(); items.len()], fsyncs: 0 })
     }
 
     fn get(&self, owner: RankId, epoch: u64) -> Result<Option<Vec<u8>>> {
-        Ok(self.blobs.lock().get(&(owner.0, epoch)).cloned())
+        Ok(self.blobs.lock().get(&(owner.0, epoch)).map(|b| b.to_vec()))
     }
 
     fn epochs_of(&self, owner: RankId) -> Result<Vec<u64>> {
@@ -403,10 +419,11 @@ mod tests {
             [(&mem as &dyn CheckpointBackend, 0u64), (&dir as &dyn CheckpointBackend, 1u64)]
         {
             backend.put(RankId(0), 1, b"old").unwrap();
+            let blobs = [b"one'".to_vec(), b"two".to_vec(), b"other".to_vec()].map(Arc::new);
             let items = [
-                BatchItem { owner: RankId(0), epoch: 1, blob: b"one'" },
-                BatchItem { owner: RankId(0), epoch: 2, blob: b"two" },
-                BatchItem { owner: RankId(3), epoch: 2, blob: b"other" },
+                BatchItem { owner: RankId(0), epoch: 1, blob: &blobs[0] },
+                BatchItem { owner: RankId(0), epoch: 2, blob: &blobs[1] },
+                BatchItem { owner: RankId(3), epoch: 2, blob: &blobs[2] },
             ];
             let stats = backend.put_batch(&items).unwrap();
             assert_eq!(stats.per_item.len(), 3);
@@ -442,9 +459,10 @@ mod tests {
             }
         }
         let thin = Thin(MemBackend::new());
+        let (a, b) = (Arc::new(b"a".to_vec()), Arc::new(b"b".to_vec()));
         let items = [
-            BatchItem { owner: RankId(1), epoch: 4, blob: b"a" },
-            BatchItem { owner: RankId(2), epoch: 4, blob: b"b" },
+            BatchItem { owner: RankId(1), epoch: 4, blob: &a },
+            BatchItem { owner: RankId(2), epoch: 4, blob: &b },
         ];
         let stats = thin.put_batch(&items).unwrap();
         assert_eq!(stats.fsyncs, 2);

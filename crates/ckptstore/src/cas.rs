@@ -44,20 +44,23 @@
 //! **The address is an index, not a security boundary.** [`ChunkHash::of`]
 //! is a hand-rolled, unkeyed 128-bit multiply-rotate hash (four xxh64-style
 //! lanes, both output words folded from every lane) running at memory
-//! speed. Collision *resistance* would buy nothing: every address enters the
-//! store through [`CasStore::commit_insert`], which rejects bytes that do not
-//! hash to their claimed address and byte-compares every hit against the
-//! stored body, so a collision fails the commit loudly and can never
-//! substitute content. The same hash is the integrity check on read: every
-//! inline payload of a V4 blob and every body returned by a store lookup is
-//! re-hashed against its manifest address ([`crate::chunk::CasView`]), which
-//! is how a bit-flip anywhere in a V4 body is detected on load.
+//! speed. Collision *resistance* would buy nothing: an address from outside
+//! the process is hashed again before it enters the store
+//! ([`CasStore::commit_insert`] hashes every payload it is given, a partner
+//! adoption hashes every inline payload), an address the process computed
+//! itself is not hashed twice, and every hit is byte-compared against the
+//! stored body — so a collision fails the commit loudly and can never
+//! substitute content, and every stored body hashes to its key. The same
+//! hash is the integrity check on read: every inline payload of a V4 blob
+//! and every body returned by a store lookup is re-hashed against its
+//! manifest address ([`crate::chunk::CasView`]), which is how a bit-flip
+//! anywhere in a V4 body is detected on load.
 //!
 //! [`sha256`] (FIPS 180-4, hand-rolled because the workspace vendors no
 //! cryptographic dependency) is on no store path; it is kept only for the
 //! benchmark's `ckptstore.cas.sha256_mb_s` row.
 
-use std::collections::HashMap;
+use mini_mpi::hash::FxHashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -292,6 +295,26 @@ pub struct CommitStats {
     pub hits_cross_rank: u64,
 }
 
+/// Why [`CasStore::commit_addressed`] took no reference.
+#[derive(Debug)]
+pub(crate) enum Refused {
+    /// These manifest indices have no bytes and are not stored.
+    Missing(Vec<u32>),
+    /// A payload differs from the stored body of its address.
+    Mismatch(String),
+}
+
+impl fmt::Display for Refused {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Refused::Missing(idx) => {
+                write!(f, "cas: chunks {idx:?} have no bytes and are not in the store")
+            }
+            Refused::Mismatch(e) => f.write_str(e),
+        }
+    }
+}
+
 struct Entry {
     bytes: Vec<u8>,
     refs: u64,
@@ -306,13 +329,17 @@ type RegKey = (u32, u32, u32, u64); // (job, holder, owner, epoch)
 /// owner)` lands here, so a rank's GC scans exactly one map.
 #[derive(Default)]
 struct RegShard {
-    regs: HashMap<RegKey, Vec<ChunkHash>>,
+    regs: FxHashMap<RegKey, Vec<ChunkHash>>,
     /// Highest `unregister_below` bound applied per `(job, holder, owner)`:
     /// nothing with a smaller epoch is still registered, so a GC sweep at
     /// or below the cursor skips the scan. A commit below the cursor (a
     /// restarted rank re-walking old waves) lowers it again.
-    cursors: HashMap<(u32, u32, u32), u64>,
+    cursors: FxHashMap<(u32, u32, u32), u64>,
 }
+
+/// One chunk shard: address → entry. Keyed with the Fx hasher, since the
+/// address is already a uniform hash and SipHash over it only costs time.
+type ChunkMap = FxHashMap<ChunkHash, Entry>;
 
 /// Default shard count for both the chunk map and the registration ledger.
 pub const DEFAULT_CAS_SHARDS: usize = 8;
@@ -323,7 +350,7 @@ pub const DEFAULT_CAS_SHARDS: usize = 8;
 /// every rank it serves (in memory, the same durability class as partner
 /// copies), so identical chunks dedup across epochs *and* across ranks.
 pub struct CasStore {
-    chunk_shards: Vec<RwLock<HashMap<ChunkHash, Entry>>>,
+    chunk_shards: Vec<RwLock<ChunkMap>>,
     reg_shards: Vec<Mutex<RegShard>>,
     mask: usize,
     /// Residency gauges, maintained under the chunk-shard write lock by
@@ -349,7 +376,7 @@ impl CasStore {
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         CasStore {
-            chunk_shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            chunk_shards: (0..n).map(|_| RwLock::new(ChunkMap::default())).collect(),
             reg_shards: (0..n).map(|_| Mutex::new(RegShard::default())).collect(),
             mask: n - 1,
             unique_chunks: AtomicUsize::new(0),
@@ -364,7 +391,7 @@ impl CasStore {
 
     /// Chunk shard index: the address is already uniform, so its leading
     /// bytes are the index.
-    fn chunk_shard(&self, hash: &ChunkHash) -> &RwLock<HashMap<ChunkHash, Entry>> {
+    fn chunk_shard(&self, hash: &ChunkHash) -> &RwLock<ChunkMap> {
         let k = u64::from_le_bytes(hash.0[..8].try_into().expect("address has 8 leading bytes"));
         &self.chunk_shards[k as usize & self.mask]
     }
@@ -392,22 +419,17 @@ impl CasStore {
         false
     }
 
-    /// Incref/insert one manifest occurrence, validating as it goes.
-    /// Returns the chunk's fate and byte count, or an error message.
+    /// Incref/insert one manifest occurrence. The address is taken as
+    /// matching `bytes` (see [`commit_addressed`](Self::commit_addressed));
+    /// a hit is byte-compared against the stored body. `Ok(None)`: the
+    /// chunk has no bytes here and is not stored.
     fn take_ref(
         &self,
         index: usize,
         hash: &ChunkHash,
         bytes: Option<&[u8]>,
         owner_key: (u32, u32),
-    ) -> Result<(ChunkFate, u64), String> {
-        if let Some(b) = bytes {
-            if ChunkHash::of(b) != *hash {
-                return Err(format!(
-                    "cas: chunk {index} bytes do not match their claimed hash {hash:?}"
-                ));
-            }
-        }
+    ) -> Result<Option<(ChunkFate, u64)>, String> {
         let mut shard = self.chunk_shard(hash).write().unwrap();
         if let Some(e) = shard.get_mut(hash) {
             if let Some(b) = bytes {
@@ -425,32 +447,31 @@ impl CasStore {
             } else {
                 ChunkFate::HitCrossRank
             };
-            Ok((fate, len))
+            Ok(Some((fate, len)))
         } else {
             let Some(b) = bytes else {
-                return Err(format!(
-                    "cas: chunk {index} {hash:?} has no bytes and is not in the store"
-                ));
+                return Ok(None);
             };
             shard.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner_key });
             self.unique_chunks.fetch_add(1, Ordering::Relaxed);
             self.unique_bytes.fetch_add(b.len() as u64, Ordering::Relaxed);
-            Ok((ChunkFate::New, b.len() as u64))
+            Ok(Some((ChunkFate::New, b.len() as u64)))
         }
     }
 
     /// Insert a manifest's chunks and register the reference list under
-    /// `(job, holder, owner, epoch)`. Every reference is taken *before* the
-    /// registration swap, so the chunks are pinned (refs ≥ 1, owned by this
-    /// in-flight commit) throughout — a concurrent GC can never free them
-    /// in the window between insert and register.
+    /// `(job, holder, owner, epoch)`, first checking that every `Some`
+    /// payload hashes to its claimed address. Every reference is taken
+    /// *before* the registration swap, so the chunks are pinned (refs ≥ 1,
+    /// owned by this in-flight commit) throughout — a concurrent GC can
+    /// never free them in the window between insert and register.
     ///
     /// Each element pairs a chunk hash with its bytes (`Some` when the
-    /// caller has them — always, on the local commit path) or `None` (a
-    /// partner adopting a manifest whose body the store must already hold,
-    /// possibly via an earlier `Some` in this same list). Re-registering an
-    /// existing key replaces it: new references are taken before old ones
-    /// are released, so shared chunks never transit refcount zero.
+    /// caller has them) or `None` (a manifest whose body the store must
+    /// already hold, possibly via an earlier `Some` in this same list).
+    /// Re-registering an existing key replaces it: new references are taken
+    /// before old ones are released, so shared chunks never transit
+    /// refcount zero.
     ///
     /// Errors (store rolled back to its prior state): missing bytes for an
     /// unknown hash, bytes that do not hash to their claimed address, or a
@@ -463,12 +484,38 @@ impl CasStore {
         epoch: u64,
         manifest: &[(ChunkHash, Option<&[u8]>)],
     ) -> Result<CommitStats, String> {
+        for (i, (hash, bytes)) in manifest.iter().enumerate() {
+            if bytes.is_some_and(|b| ChunkHash::of(b) != *hash) {
+                return Err(format!(
+                    "cas: chunk {i} bytes do not match their claimed hash {hash:?}"
+                ));
+            }
+        }
+        self.commit_addressed(job, holder, owner, epoch, manifest).map_err(|r| r.to_string())
+    }
+
+    /// [`commit_insert`](Self::commit_insert) for a manifest whose every
+    /// `Some` payload is already known to hash to its address — hashed from
+    /// those bytes by the caller, or byte-compared against this store's
+    /// entry for it — so it is not hashed again. Every hit is still
+    /// byte-compared. The walk visits every chunk: it either registers the
+    /// whole manifest or takes no reference at all and says why, listing
+    /// *every* index that has no bytes and is not stored.
+    pub(crate) fn commit_addressed(
+        &self,
+        job: u32,
+        holder: u32,
+        owner: u32,
+        epoch: u64,
+        manifest: &[(ChunkHash, Option<&[u8]>)],
+    ) -> Result<CommitStats, Refused> {
         let owner_key = (job, owner);
         let mut stats = CommitStats::default();
         let mut hashes = Vec::with_capacity(manifest.len());
+        let mut missing = Vec::new();
         for (i, (hash, bytes)) in manifest.iter().enumerate() {
             match self.take_ref(i, hash, *bytes, owner_key) {
-                Ok((fate, len)) => {
+                Ok(Some((fate, len))) => {
                     match fate {
                         ChunkFate::New => stats.new_bytes += len,
                         ChunkFate::HitSameOwner => {
@@ -483,15 +530,18 @@ impl CasStore {
                     stats.fates.push(fate);
                     hashes.push(*hash);
                 }
+                Ok(None) => missing.push(i as u32),
                 Err(e) => {
-                    // Roll back every reference this walk took (removing
-                    // chunks it inserted), leaving the store untouched.
-                    for h in &hashes {
-                        self.decref(h);
-                    }
-                    return Err(e);
+                    self.release(&hashes);
+                    return Err(Refused::Mismatch(e));
                 }
             }
+        }
+        if !missing.is_empty() {
+            // Roll back every reference this walk took (removing chunks it
+            // inserted), leaving the store untouched.
+            self.release(&hashes);
+            return Err(Refused::Missing(missing));
         }
         let old = {
             let mut reg = self.reg_shard(job, holder, owner).lock().unwrap();
@@ -502,11 +552,16 @@ impl CasStore {
             reg.regs.insert((job, holder, owner, epoch), hashes)
         };
         if let Some(old_hashes) = old {
-            for h in &old_hashes {
-                self.decref(h);
-            }
+            self.release(&old_hashes);
         }
         Ok(stats)
+    }
+
+    /// Release one reference per listed address.
+    fn release(&self, hashes: &[ChunkHash]) {
+        for h in hashes {
+            self.decref(h);
+        }
     }
 
     /// Drop one registration and release its references. Returns whether
@@ -519,9 +574,7 @@ impl CasStore {
         match removed {
             None => false,
             Some(hashes) => {
-                for h in &hashes {
-                    self.decref(h);
-                }
+                self.release(&hashes);
                 true
             }
         }
@@ -570,6 +623,12 @@ impl CasStore {
         self.chunk_shard(hash).read().unwrap().get(hash).map(|e| e.bytes.clone())
     }
 
+    /// Whether the store holds `hash` with exactly these bytes (a
+    /// shared-read lookup and one byte compare, no copy and no hash).
+    pub fn matches(&self, hash: &ChunkHash, bytes: &[u8]) -> bool {
+        self.chunk_shard(hash).read().unwrap().get(hash).is_some_and(|e| e.bytes == bytes)
+    }
+
     /// Whether the store currently holds content for `hash`.
     pub fn contains(&self, hash: &ChunkHash) -> bool {
         self.chunk_shard(hash).read().unwrap().contains_key(hash)
@@ -600,6 +659,7 @@ impl CasStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::CasView;
     use std::sync::Arc;
 
     fn hex(digest: &[u8]) -> String {
@@ -877,6 +937,74 @@ mod tests {
         commit(&cas, 0, 0, 1, &[b"here"]);
         let hashes = [ChunkHash::of(b"here"), ChunkHash::of(b"absent"), ChunkHash::of(b"gone")];
         assert_eq!(cas.missing(&hashes), vec![1, 2]);
+    }
+
+    /// Every stored body hashes to its key, however local commits (which
+    /// skip re-hashing addresses they computed or byte-confirmed), partner
+    /// adoptions of manifests and of inline payloads, GC and same-epoch
+    /// re-commits interleave.
+    #[test]
+    fn every_stored_entry_hashes_to_its_key() {
+        use crate::cdc::CdcParams;
+        use crate::service::{Adoption, CkptStoreService, StoreConfig};
+        use mini_mpi::types::RankId;
+        let audit = |cas: &CasStore, step: usize| {
+            for shard in &cas.chunk_shards {
+                for (key, e) in shard.read().unwrap().iter() {
+                    assert_eq!(ChunkHash::of(&e.bytes), *key, "step {step}: entry under {key:?}");
+                }
+            }
+        };
+        let cfg = StoreConfig {
+            cdc: true,
+            cdc_params: CdcParams { min: 64, avg: 256, max: 1024 },
+            ..Default::default()
+        };
+        let svc = CkptStoreService::in_memory(3, cfg);
+        let mut rng = 0x5bd1_e995_u64;
+        let mut next = move |n: u64| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        // Every rank starts from the same 8 KiB of SPMD state.
+        let base: Vec<u8> =
+            (0..8192u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        let mut bodies = vec![base.clone(); 3];
+        let mut epochs = [0u64; 3];
+        for step in 0..120 {
+            let r = next(3) as usize;
+            let (me, holder) = (RankId(r as u32), RankId(((r + 1) % 3) as u32));
+            match next(4) {
+                // A local wave (or, one time in four, a re-commit of the
+                // last one), replicated the way the protocol does it.
+                0 | 1 => {
+                    let at = next(bodies[r].len() as u64 - 64) as usize;
+                    let tag = next(256) as u8;
+                    bodies[r][at..at + 64].iter_mut().for_each(|b| *b ^= tag);
+                    if epochs[r] == 0 || next(4) != 0 {
+                        epochs[r] += 1;
+                    }
+                    let (blob, _) = svc.encode_commit(me, epochs[r], &bodies[r]).unwrap();
+                    let manifest = crate::chunk::manifest_only_v4(&blob).unwrap();
+                    match svc.store_partner_copy(holder, me, epochs[r], &manifest).unwrap() {
+                        Adoption::Stored { .. } => {}
+                        Adoption::Missing(idx) => panic!("shared store misses {idx:?}"),
+                    }
+                }
+                // A partner adopting every chunk inline.
+                2 if epochs[r] > 0 => {
+                    let (blob, _) = svc.encode_commit(me, epochs[r], &bodies[r]).unwrap();
+                    let n = CasView::parse(&blob).unwrap().n_chunks() as u32;
+                    let full = svc.subset_blob(&blob, &(0..n).collect::<Vec<_>>()).unwrap();
+                    svc.store_partner_copy(holder, me, epochs[r], &full).unwrap();
+                }
+                // GC of everything below the rank's newest wave.
+                _ => {
+                    svc.gc_local(me, epochs[r]).unwrap();
+                }
+            }
+            audit(svc.cas(), step);
+        }
     }
 
     /// The cas-gc race, distilled: one thread commits manifests that share

@@ -28,7 +28,17 @@
 //! Determinism: the gear table is generated from a fixed SplitMix64 seed at
 //! first use, so every build of this crate cuts identically — chunk
 //! boundaries are part of the on-wire dedup contract across ranks.
+//!
+//! **Reusing clean cuts.** Most of a checkpoint body does not change from
+//! one wave to the next, so [`chunk_reusing`] walks the new body with the
+//! previous wave's [`Cuts`] as a hint: wherever the previous wave cut a
+//! chunk at the current cut point and the caller confirms the new bytes
+//! there equal that chunk's stored bytes, the chunk's cut and address are
+//! taken as they are, with no gear scan and no hash. Everywhere else the
+//! walk runs [`chunk_spans`]' own `first_cut` and hashes the chunk. The
+//! cut points are `chunk_spans`' by construction (see [`chunk_reusing`]).
 
+use crate::cas::ChunkHash;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -173,6 +183,93 @@ pub fn chunk_spans(data: &[u8], params: CdcParams) -> Vec<Range<usize>> {
         start += len;
     }
     spans
+}
+
+/// One chunk of a cut body: where it starts, how long it is, and its
+/// content address.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cut {
+    /// Offset of the chunk's first byte in the body.
+    pub start: usize,
+    /// Chunk length in bytes.
+    pub len: usize,
+    /// Content address of the chunk's bytes ([`ChunkHash::of`]).
+    pub hash: ChunkHash,
+}
+
+impl Cut {
+    /// The chunk's byte range in the body.
+    pub fn span(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// A body's complete cut: its chunks in order, the body length and the
+/// bounds it was cut with. What [`chunk_reusing`] returns, and the hint it
+/// takes for the next body.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Cuts {
+    /// Length of the body that was cut.
+    pub body_len: usize,
+    /// The (normalized) bounds the body was cut with.
+    pub params: CdcParams,
+    /// The chunks, in order, covering every byte exactly once.
+    pub cuts: Vec<Cut>,
+}
+
+/// Cut `data` exactly as [`chunk_spans`] does and address every chunk
+/// exactly as [`ChunkHash::of`] does, reusing what `prev` — an earlier cut,
+/// typically the previous wave's of the same rank — already computed.
+///
+/// At each cut point the walk looks for a `prev` chunk starting at the same
+/// offset. It takes that chunk's cut and address without scanning or
+/// hashing when three things hold:
+///
+/// * `prev` was cut with the same bounds;
+/// * the bytes left from here, capped at `max`, number the same in both
+///   bodies — `first_cut` depends on the remaining length only through
+///   `cap = min(remaining, max)`, and on the bytes only up to the cut;
+/// * `same(hash, bytes)` confirms the new bytes under that span equal the
+///   stored bytes of `hash`. The caller byte-compares against its store,
+///   whose entries hash to their keys, so the confirmed bytes hash to
+///   `hash` and cut where the old bytes did.
+///
+/// Otherwise it runs `first_cut` and hashes the chunk, as `chunk_spans`
+/// plus `ChunkHash::of` would. A stale hint (another rank's, a body before
+/// a rollback, chunks since freed) costs one failed lookup or compare per
+/// cut point and changes no result.
+pub fn chunk_reusing(
+    data: &[u8],
+    params: CdcParams,
+    prev: &Cuts,
+    mut same: impl FnMut(&ChunkHash, &[u8]) -> bool,
+) -> Cuts {
+    let p = params.normalized();
+    let (hard, easy) = p.masks();
+    let hints = if prev.params == p { prev.cuts.as_slice() } else { &[] };
+    let mut hints = hints.iter().peekable();
+    let mut cuts = Vec::with_capacity(data.len() / p.avg + 1);
+    let mut start = 0;
+    while start < data.len() {
+        let rest = data.len() - start;
+        while hints.next_if(|c| c.start < start).is_some() {}
+        let reused = hints.peek().copied().filter(|c| {
+            c.start == start
+                && (1..=rest).contains(&c.len)
+                && rest.min(p.max) == prev.body_len.saturating_sub(start).min(p.max)
+                && same(&c.hash, &data[c.span()])
+        });
+        let cut = match reused {
+            Some(c) => *c,
+            None => {
+                let len = first_cut(&data[start..], &p, hard, easy);
+                Cut { start, len, hash: ChunkHash::of(&data[start..start + len]) }
+            }
+        };
+        cuts.push(cut);
+        start += cut.len;
+    }
+    Cuts { body_len: data.len(), params: p, cuts }
 }
 
 #[cfg(test)]

@@ -67,9 +67,11 @@ pub mod writer;
 pub use backend::{BatchItem, BatchStats, CheckpointBackend, DirBackend, MemBackend, PutStats};
 pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V2};
 pub use cas::{CasStore, ChunkFate, ChunkHash};
-pub use cdc::{chunk_spans, CdcParams};
+pub use cdc::{chunk_reusing, chunk_spans, CdcParams, Cut, Cuts};
 pub use chunk::{seal_v4, CasView, DeltaEncoder, EncodeStats, MAGIC_V3, MAGIC_V4};
 pub use ec::{EcScheme, ParityView, MAGIC_PAR};
-pub use service::{CkptStoreService, LoadOutcome, LoadStats, Replica, Replication, StoreConfig};
+pub use service::{
+    Adoption, CkptStoreService, LoadOutcome, LoadStats, Replica, Replication, StoreConfig,
+};
 pub use set::SetMap;
 pub use writer::{Admission, AsyncWriter, WriterConfig, WriterStats};

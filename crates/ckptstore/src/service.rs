@@ -20,7 +20,9 @@
 //! one of two forms. In CDC mode the body is cut into content-defined
 //! chunks deduplicated in the service's sharded [`CasStore`] and sealed as
 //! an `SPBCCKP4` manifest carrying only the chunks the store lacked (see
-//! [`crate::chunk`]); otherwise it is one `SPBCCKP2` full blob. Everything
+//! [`crate::chunk`]); the cut reuses the rank's previous one wherever the
+//! bytes did not change ([`crate::cdc::chunk_reusing`]). Otherwise it is
+//! one `SPBCCKP2` full blob. Everything
 //! downstream — the local write, the partner pushes, repair — moves the
 //! sealed blob or frames derived from it, so a small dirty fraction
 //! shrinks disk and replication traffic alike. The service alone decides
@@ -36,8 +38,8 @@
 
 use crate::backend::{CheckpointBackend, DirBackend, MemBackend};
 use crate::blob::{seal, unseal};
-use crate::cas::{CasStore, ChunkFate, ChunkHash};
-use crate::cdc::{chunk_spans, CdcParams};
+use crate::cas::{CasStore, ChunkFate, ChunkHash, Refused};
+use crate::cdc::{chunk_reusing, CdcParams, Cuts};
 use crate::chunk::{self, seal_v4, CasView, EncodeStats, V4Chunk, DEFAULT_CHUNK_SIZE};
 use crate::ec::{self, EcScheme, ParityView};
 use crate::set::{parity_owner, SetMap};
@@ -193,6 +195,30 @@ pub struct LoadStats {
 struct RankStores {
     local: Arc<dyn CheckpointBackend>,
     partner: Arc<dyn CheckpointBackend>,
+    /// The rank's last committed CDC cut: the hint the next wave's
+    /// [`chunk_reusing`] walk reuses clean chunks from.
+    cuts: Mutex<Cuts>,
+}
+
+impl RankStores {
+    fn new(local: Arc<dyn CheckpointBackend>, partner: Arc<dyn CheckpointBackend>) -> Self {
+        RankStores { local, partner, cuts: Mutex::new(Cuts::default()) }
+    }
+}
+
+/// What a partner made of a pushed replica frame
+/// ([`CkptStoreService::store_partner_copy`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Adoption {
+    /// The frame was verified and stored; `pruned` older copies of the same
+    /// owner were dropped.
+    Stored {
+        /// Copies dropped by the `partner_keep` window.
+        pruned: usize,
+    },
+    /// A manifest names chunk bodies that neither ride inline nor are held
+    /// by the store: these indices. Nothing was stored or referenced.
+    Missing(Vec<u32>),
 }
 
 /// Parity staging area shape: `(epoch, set_id) -> member rank -> sealed
@@ -246,10 +272,7 @@ impl CkptStoreService {
     /// All stores in memory — the default for in-process experiments.
     pub fn in_memory(world: usize, cfg: StoreConfig) -> Self {
         let ranks = (0..world)
-            .map(|_| RankStores {
-                local: Arc::new(MemBackend::new()),
-                partner: Arc::new(MemBackend::new()),
-            })
+            .map(|_| RankStores::new(Arc::new(MemBackend::new()), Arc::new(MemBackend::new())))
             .collect();
         Self::with_stores(ranks, cfg)
     }
@@ -267,7 +290,7 @@ impl CkptStoreService {
             } else {
                 Arc::new(MemBackend::new())
             };
-            ranks.push(RankStores { local: Arc::new(DirBackend::open(dir.join("own"))?), partner });
+            ranks.push(RankStores::new(Arc::new(DirBackend::open(dir.join("own"))?), partner));
         }
         Ok(Self::with_stores(ranks, cfg))
     }
@@ -324,30 +347,38 @@ impl CkptStoreService {
     }
 
     /// The CDC commit path: chunk, dedup-insert, frame as `SPBCCKP4`.
+    ///
+    /// The cut reuses the rank's previous cut wherever the store confirms
+    /// the bytes are unchanged ([`chunk_reusing`]), so a clean chunk is
+    /// neither scanned nor hashed; every other chunk is hashed once, here.
+    /// Those addresses are therefore known to match their bytes, and the
+    /// insert only byte-compares hits.
     fn encode_commit_cdc(
         &self,
         rank: RankId,
         epoch: u64,
         body: &[u8],
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let spans = chunk_spans(body, self.cfg.cdc_params);
-        let hashed: Vec<(ChunkHash, &[u8])> =
-            spans.iter().map(|s| (ChunkHash::of(&body[s.clone()]), &body[s.clone()])).collect();
+        let stores = self.stores(rank)?;
+        let cuts = chunk_reusing(body, self.cfg.cdc_params, &stores.cuts.lock(), |h, b| {
+            self.cas().matches(h, b)
+        });
         let manifest: Vec<(ChunkHash, Option<&[u8]>)> =
-            hashed.iter().map(|(h, b)| (*h, Some(*b))).collect();
+            cuts.cuts.iter().map(|c| (c.hash, Some(&body[c.span()]))).collect();
         // Insert + register atomically: re-commits of the same epoch after
         // a rollback replace the old registration without a refcount dip.
         let cas_stats = self
             .cas()
-            .commit_insert(JOB, rank.0, rank.0, epoch, &manifest)
-            .map_err(MpiError::Codec)?;
-        let parts: Vec<V4Chunk<'_>> = hashed
+            .commit_addressed(JOB, rank.0, rank.0, epoch, &manifest)
+            .map_err(|r| MpiError::Codec(r.to_string()))?;
+        let parts: Vec<V4Chunk<'_>> = cuts
+            .cuts
             .iter()
             .zip(&cas_stats.fates)
-            .map(|((h, b), fate)| V4Chunk {
-                hash: *h,
-                len: b.len() as u32,
-                inline: (*fate == ChunkFate::New).then_some(*b),
+            .map(|(c, fate)| V4Chunk {
+                hash: c.hash,
+                len: c.len as u32,
+                inline: (*fate == ChunkFate::New).then(|| &body[c.span()]),
             })
             .collect();
         let inline_chunks = parts.iter().filter(|p| p.inline.is_some()).count();
@@ -363,6 +394,7 @@ impl CkptStoreService {
             cas_hit_bytes: cas_stats.hit_bytes,
             cas_new_bytes: cas_stats.new_bytes,
         };
+        *stores.cuts.lock() = cuts;
         Ok((framed, stats))
     }
 
@@ -420,6 +452,10 @@ impl CkptStoreService {
 
     /// Commit `rank`'s own sealed checkpoint at `epoch`.
     ///
+    /// The blob is shared, not copied: pass the `Arc` the caller already
+    /// holds for its replicas (or a `Vec`, which moves in), and an
+    /// in-memory local store keeps that same allocation.
+    ///
     /// With async writes (default) this enqueues on the background writer
     /// and returns immediately; `on_done` fires from the writer thread with
     /// the hidden write latency. Call [`flush_rank`](Self::flush_rank) first
@@ -436,7 +472,7 @@ impl CkptStoreService {
         &self,
         rank: RankId,
         epoch: u64,
-        blob: Vec<u8>,
+        blob: impl Into<Arc<Vec<u8>>>,
         on_done: Option<OnDone>,
     ) -> Result<Admission> {
         let local = Arc::clone(&self.stores(rank)?.local);
@@ -444,7 +480,7 @@ impl CkptStoreService {
             Ok(self.writer.submit(JOB, rank, epoch, blob, local, on_done))
         } else {
             let start = std::time::Instant::now();
-            let res = local.put(rank, epoch, &blob);
+            let res = local.put_shared(rank, epoch, &blob.into());
             if let Some(cb) = on_done {
                 cb(&res, start.elapsed());
             }
@@ -452,39 +488,43 @@ impl CkptStoreService {
         }
     }
 
-    /// Store a copy of `owner`'s checkpoint at `epoch` in `holder`'s partner
-    /// store (synchronous — the pushing rank awaits the ACK this enables).
-    /// The copy is verified first, so a partner only ever acknowledges a
-    /// copy it could restore from. Old partner copies of the same owner
-    /// (a parity owner included) beyond `partner_keep` waves are pruned.
-    /// Returns how many copies were dropped.
+    /// Store a replica frame pushed by `owner` as `holder`'s partner copy
+    /// of wave `epoch` (synchronous — the pushing rank awaits the ACK this
+    /// enables). The frame is verified first, so a partner only ever
+    /// acknowledges a copy it could restore from.
+    ///
+    /// A V4 manifest is parsed once and walked over the store once: its
+    /// inline payloads — bytes from outside this process — are hashed
+    /// against their addresses, and every chunk is pinned under the
+    /// holder's own registration. If some chunk is neither inline nor
+    /// stored, the walk takes no reference, nothing is stored, and the
+    /// result names every such index ([`Adoption::Missing`]) — what the
+    /// holder asks the owner for. Any other framing is checked whole.
+    ///
+    /// Old partner copies of the same owner (a parity owner included)
+    /// beyond `partner_keep` waves are pruned.
     pub fn store_partner_copy(
         &self,
         holder: RankId,
         owner: RankId,
         epoch: u64,
-        blob: &[u8],
-    ) -> Result<usize> {
+        frame: &[u8],
+    ) -> Result<Adoption> {
         let partner = &self.stores(holder)?.partner;
-        if chunk::is_cas(blob) {
-            // A V4 partner copy pins its chunks in the shared store under
-            // the holder's own registration: inline payloads are inserted,
-            // everything else must already be held (the owner pushed hashes
-            // first and served whatever we reported missing). Inline
-            // payloads are hash-verified on the way in.
-            let view = CasView::parse(blob)?;
-            let mut manifest: Vec<(ChunkHash, Option<&[u8]>)> = Vec::with_capacity(view.n_chunks());
-            for idx in 0..view.n_chunks() {
-                let (hash, _) = view.chunk(idx).expect("idx in range");
-                manifest.push((hash, view.inline_chunk(idx)?));
+        if chunk::is_cas(frame) {
+            let view = CasView::parse(frame)?;
+            let manifest = (0..view.n_chunks())
+                .map(|idx| Ok((view.chunk(idx).expect("idx in range").0, view.inline_chunk(idx)?)))
+                .collect::<Result<Vec<(ChunkHash, Option<&[u8]>)>>>()?;
+            match self.cas().commit_addressed(JOB, holder.0, owner.0, epoch, &manifest) {
+                Ok(_) => {}
+                Err(Refused::Missing(idx)) => return Ok(Adoption::Missing(idx)),
+                Err(refused) => return Err(MpiError::Codec(refused.to_string())),
             }
-            self.cas()
-                .commit_insert(JOB, holder.0, owner.0, epoch, &manifest)
-                .map_err(MpiError::Codec)?;
         } else {
-            chunk::verify(blob)?;
+            chunk::verify(frame)?;
         }
-        partner.put(owner, epoch, blob)?;
+        partner.put(owner, epoch, frame)?;
         let epochs = partner.epochs_of(owner)?;
         let old = &epochs[..epochs.len().saturating_sub(self.cfg.partner_keep)];
         let mut pruned = 0;
@@ -494,7 +534,7 @@ impl CkptStoreService {
                 pruned += 1;
             }
         }
-        Ok(pruned)
+        Ok(Adoption::Stored { pruned })
     }
 
     /// What `rank`'s sealed wave `epoch` owes `partners`.
@@ -976,7 +1016,9 @@ mod tests {
         let svc = CkptStoreService::in_memory(2, StoreConfig::default());
         let mut pruned = 0;
         for e in 1..=5 {
-            pruned += svc.store_partner_copy(RankId(1), RankId(0), e, &seal(b"x")).unwrap();
+            let stored = svc.store_partner_copy(RankId(1), RankId(0), e, &seal(b"x")).unwrap();
+            let Adoption::Stored { pruned: p } = stored else { panic!("{stored:?}") };
+            pruned += p;
         }
         assert_eq!(pruned, 3); // keeps newest 2 of 5 (full blobs: no refs)
         assert_eq!(svc.available_epochs(RankId(0)).unwrap(), vec![4, 5]);
@@ -1200,7 +1242,8 @@ mod tests {
         // rejected (its chunks are nowhere).
         let missing = partner_svc.missing_chunks(&manifest_only).unwrap();
         assert_eq!(missing.len(), CasView::parse(&blob).unwrap().n_chunks());
-        assert!(partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &manifest_only).is_err());
+        let got = partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &manifest_only).unwrap();
+        assert_eq!(got, Adoption::Missing(missing.clone()));
         // Owner serves the subset; it carries every chunk the partner
         // lacks inline, so nothing is missing any more.
         let subset = owner_svc.subset_blob(&blob, &missing).unwrap();
@@ -1209,6 +1252,83 @@ mod tests {
         partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &subset).unwrap();
         let (got, _) = partner_svc.load(RankId(0), 1).unwrap().unwrap();
         assert_eq!(got, body);
+    }
+
+    /// A manifest naming chunks the partner's store lacks is refused as a
+    /// whole: exactly those indices are reported, and neither the store's
+    /// chunks and references nor the partner backend change.
+    #[test]
+    fn adoption_with_missing_chunks_changes_nothing_and_names_them() {
+        let owner_svc = CkptStoreService::in_memory(2, cdc_cfg());
+        let partner_svc = CkptStoreService::in_memory(2, cdc_cfg());
+        // The partner already holds the stable half of the body.
+        let body = cdc_body(97, 1, 4 * 1024, 2 * 1024);
+        commit_wave(&partner_svc, RankId(1), RankId(0), 1, &body[..4 * 1024]);
+        let (blob, _) = owner_svc.encode_commit(RankId(0), 1, &body).unwrap();
+        let manifest = chunk::manifest_only_v4(&blob).unwrap();
+        let view = CasView::parse(&manifest).unwrap();
+        let want: Vec<u32> = (0..view.n_chunks() as u32)
+            .filter(|&i| !partner_svc.cas().contains(&view.chunk(i as usize).unwrap().0))
+            .collect();
+        assert!(!want.is_empty() && want.len() < view.n_chunks(), "{want:?}");
+        let resident = (partner_svc.cas().unique_chunks(), partner_svc.cas().unique_bytes());
+        let got = partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &manifest);
+        assert_eq!(got.unwrap(), Adoption::Missing(want.clone()));
+        assert_eq!(partner_svc.missing_chunks(&manifest).unwrap(), want);
+        assert_eq!((partner_svc.cas().unique_chunks(), partner_svc.cas().unique_bytes()), resident);
+        let partner = &partner_svc.stores(RankId(1)).unwrap().partner;
+        assert_eq!(partner.get(RankId(0), 1).unwrap(), None);
+        assert!(!partner_svc.cas().unregister(JOB, 1, 0, 1), "no registration was left");
+        // Served the subset, the partner adopts.
+        let subset = owner_svc.subset_blob(&blob, &want).unwrap();
+        let got = partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &subset).unwrap();
+        assert_eq!(got, Adoption::Stored { pruned: 0 });
+        assert_eq!(partner_svc.load(RankId(0), 1).unwrap().unwrap().0, body);
+    }
+
+    /// An inline payload that does not hash to its address came from
+    /// outside the process: the partner hashes it and refuses the frame
+    /// loudly, leaving the store as it was.
+    #[test]
+    fn partner_payload_under_a_wrong_address_is_refused() {
+        let svc = CkptStoreService::in_memory(2, cdc_cfg());
+        let (good, evil) = (vec![1u8; 300], vec![2u8; 300]);
+        let frame =
+            seal_v4(&[V4Chunk { hash: ChunkHash::of(&good), len: 300, inline: Some(&evil) }]);
+        let err = svc.store_partner_copy(RankId(1), RankId(0), 1, &frame).unwrap_err();
+        assert!(format!("{err}").contains("does not hash to its manifest address"), "{err}");
+        assert_eq!(svc.cas().unique_chunks(), 0);
+        assert_eq!(svc.stores(RankId(1)).unwrap().partner.get(RankId(0), 1).unwrap(), None);
+    }
+
+    /// The encode path reuses the previous wave's cut: the manifest of a
+    /// wave equals the fresh cut of its body, whether the body is
+    /// unchanged, edited, or follows a rollback to an older wave.
+    #[test]
+    fn cdc_manifest_is_the_fresh_cut_whatever_the_hint() {
+        let p = CdcParams { min: 64, avg: 256, max: 1024 };
+        let svc = CkptStoreService::in_memory(2, cdc_cfg());
+        let fresh = |body: &[u8]| -> Vec<(ChunkHash, usize)> {
+            crate::cdc::chunk_spans(body, p)
+                .into_iter()
+                .map(|s| (ChunkHash::of(&body[s.clone()]), s.len()))
+                .collect()
+        };
+        let manifest = |blob: &[u8]| -> Vec<(ChunkHash, usize)> {
+            let v = CasView::parse(blob).unwrap();
+            (0..v.n_chunks()).map(|i| v.chunk(i).unwrap()).collect()
+        };
+        let waves = [
+            cdc_body(5, 1, 6 * 1024, 512),
+            cdc_body(5, 1, 6 * 1024, 512),
+            cdc_body(5, 2, 6 * 1024, 700),
+            cdc_body(5, 1, 6 * 1024, 512),
+            cdc_body(6, 1, 3 * 1024, 512),
+        ];
+        for (e, body) in waves.iter().enumerate() {
+            let (blob, _) = svc.encode_commit(RankId(0), e as u64 + 1, body).unwrap();
+            assert_eq!(manifest(&blob), fresh(body), "wave {}", e + 1);
+        }
     }
 
     /// Without parity the store replicates a full blob as itself and a V4

@@ -125,7 +125,7 @@ type Key = (u32, u32);
 
 struct Job {
     epoch: u64,
-    blob: Vec<u8>,
+    blob: Arc<Vec<u8>>,
     backend: Arc<dyn CheckpointBackend>,
     submitted: Instant,
     on_done: Option<OnDone>,
@@ -287,7 +287,7 @@ impl AsyncWriter {
             if idxs.len() == 1 {
                 let i = idxs[0];
                 let (key, job) = &batch[i];
-                let res = backend.put(RankId(key.1), job.epoch, &job.blob);
+                let res = backend.put_shared(RankId(key.1), job.epoch, &job.blob);
                 if matches!(&res, Ok(s) if s.fsync_us > 0) {
                     counters.batched_fsyncs.fetch_add(1, Ordering::Relaxed);
                 }
@@ -314,7 +314,7 @@ impl AsyncWriter {
                     // each individually so sticky errors name the right key.
                     for &i in idxs {
                         let (key, job) = &batch[i];
-                        let res = backend.put(RankId(key.1), job.epoch, &job.blob);
+                        let res = backend.put_shared(RankId(key.1), job.epoch, &job.blob);
                         if matches!(&res, Ok(s) if s.fsync_us > 0) {
                             counters.batched_fsyncs.fetch_add(1, Ordering::Relaxed);
                         }
@@ -343,24 +343,27 @@ impl AsyncWriter {
     }
 
     /// Enqueue a write of `blob` as `(job, owner)`'s checkpoint at `epoch`
-    /// on `backend`. If an older job for the same key is still queued (not
-    /// yet started), it is replaced — its write never happens and its
-    /// completion callback is dropped — and the submission is admitted
-    /// immediately (memory did not grow). Otherwise, a full shard queue
-    /// blocks the caller until the device drains, reported as
-    /// [`Admission::Delayed`].
+    /// on `backend`. The blob is shared, not copied: pass the `Arc` the
+    /// caller already holds (or a `Vec`, which moves in), and a memory
+    /// backend keeps that same allocation.
+    ///
+    /// If an older job for the same key is still queued (not yet started),
+    /// it is replaced — its write never happens and its completion
+    /// callback is dropped — and the submission is admitted immediately
+    /// (memory did not grow). Otherwise, a full shard queue blocks the
+    /// caller until the device drains, reported as [`Admission::Delayed`].
     pub fn submit(
         &self,
         job: u32,
         owner: RankId,
         epoch: u64,
-        blob: Vec<u8>,
+        blob: impl Into<Arc<Vec<u8>>>,
         backend: Arc<dyn CheckpointBackend>,
         on_done: Option<OnDone>,
     ) -> Admission {
         let key = (job, owner.0);
         let shard = self.shard_of(key);
-        let rec = Job { epoch, blob, backend, submitted: Instant::now(), on_done };
+        let rec = Job { epoch, blob: blob.into(), backend, submitted: Instant::now(), on_done };
         let mut st = shard.state.lock().unwrap();
         let mut admission = Admission::Accepted;
         if !st.pending.contains_key(&key) && st.pending.len() >= self.cfg.queue_depth {

@@ -19,9 +19,17 @@
 //!   one-byte-per-step FastCDC loop kept here as the reference, on random
 //!   data and random parameters (chunk boundaries are part of the dedup
 //!   contract across ranks and builds).
+//! * `reuse_walk_equals_a_fresh_cut` — [`chunk_reusing`] with an earlier
+//!   cut as its hint and a real [`CasStore`] confirming bytes must cut
+//!   exactly as `chunk_spans` and address exactly as `ChunkHash::of`, for
+//!   every kind of (previous, new) body pair: overwritten runs, inserts,
+//!   deletes, length changes within `max` of the end (over zero runs, where
+//!   only the cap cuts), identical and empty bodies, a hint cut from
+//!   another rank's body, and a hint whose chunks were freed from the
+//!   store.
 
 use proptest::prelude::*;
-use spbc_ckptstore::{chunk_spans, CdcParams, ChunkHash};
+use spbc_ckptstore::{chunk_reusing, chunk_spans, CasStore, CdcParams, ChunkHash, Cut, Cuts};
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -91,6 +99,88 @@ fn body(seed: u64, len: usize) -> Vec<u8> {
 
 fn hashes(data: &[u8], p: CdcParams) -> HashSet<ChunkHash> {
     chunk_spans(data, p).into_iter().map(|s| ChunkHash::of(&data[s])).collect()
+}
+
+/// How the new body is derived from the previous one.
+#[derive(Clone, Copy, Debug)]
+enum Edit {
+    Overwrite,
+    Insert,
+    Delete,
+    /// Grow or shrink by up to `max` bytes at the end.
+    Tail,
+    Identical,
+    Empty,
+}
+
+const EDITS: [Edit; 6] =
+    [Edit::Overwrite, Edit::Insert, Edit::Delete, Edit::Tail, Edit::Identical, Edit::Empty];
+
+fn edit(prev: &[u8], how: Edit, pos: usize, n: usize, seed: u64, max: usize) -> Vec<u8> {
+    let mut new = prev.to_vec();
+    let pos = pos.min(prev.len());
+    let patch = body(seed ^ 0x5EED, n);
+    match how {
+        Edit::Overwrite => {
+            let end = (pos + n).min(new.len());
+            new[pos..end].copy_from_slice(&patch[..end - pos]);
+        }
+        Edit::Insert => drop(new.splice(pos..pos, patch)),
+        Edit::Delete => drop(new.drain(pos..(pos + n).min(prev.len()))),
+        Edit::Tail => {
+            // `n` in 0..2·max+1 maps to a length change in -max..=max.
+            let delta = n as isize - max as isize;
+            if delta < 0 {
+                new.truncate(prev.len().saturating_sub(delta.unsigned_abs()));
+            } else {
+                new.extend(std::iter::repeat_n(0u8, delta as usize));
+            }
+        }
+        Edit::Identical => {}
+        Edit::Empty => new.clear(),
+    }
+    new
+}
+
+/// Cut `data` from scratch (`chunk_spans` + `ChunkHash::of`) and store
+/// every chunk whose per-chunk coin (`keep_pct` percent) comes up, under
+/// one registration: the hint plus the store a later walk confirms bytes
+/// against.
+fn cut_and_store(cas: &CasStore, owner: u32, data: &[u8], p: CdcParams, keep_pct: u64) -> Cuts {
+    let cuts = Cuts {
+        body_len: data.len(),
+        params: p.normalized(),
+        cuts: chunk_spans(data, p)
+            .into_iter()
+            .map(|s| Cut { start: s.start, len: s.len(), hash: ChunkHash::of(&data[s]) })
+            .collect(),
+    };
+    let manifest: Vec<(ChunkHash, Option<&[u8]>)> = cuts
+        .cuts
+        .iter()
+        .filter(|c| (c.hash.0[0] as u64 * 100) / 256 < keep_pct)
+        .map(|c| (c.hash, Some(&data[c.span()])))
+        .collect();
+    cas.commit_insert(0, owner, owner, 1, &manifest).expect("store the hint's chunks");
+    cuts
+}
+
+/// The reuse walk's cut of `new` must be the fresh cut; returns how many
+/// chunks it reused.
+fn check_reuse(new: &[u8], p: CdcParams, hint: &Cuts, cas: &CasStore) -> usize {
+    let mut reused = 0;
+    let cuts = chunk_reusing(new, p, hint, |h, b| {
+        let same = cas.matches(h, b);
+        reused += same as usize;
+        same
+    });
+    let spans: Vec<Range<usize>> = cuts.cuts.iter().map(|c| c.span()).collect();
+    assert_eq!(spans, chunk_spans(new, p), "cut points differ from a fresh cut");
+    for c in &cuts.cuts {
+        assert_eq!(c.hash, ChunkHash::of(&new[c.span()]), "address of {:?}", c.span());
+    }
+    assert_eq!(cuts.body_len, new.len());
+    reused
 }
 
 proptest! {
@@ -194,6 +284,69 @@ proptest! {
         let p = CdcParams { min, avg, max };
         prop_assert_eq!(chunk_spans(&data, p), bytewise_spans(&data, p), "params {:?}", p);
     }
+
+    #[test]
+    fn reuse_walk_equals_a_fresh_cut(
+        seed: u64,
+        len in 0usize..12_000,
+        zeros_from in 0usize..12_000,
+        min in 16usize..200,
+        avg in 16usize..800,
+        max in 16usize..1600,
+        how in 0usize..6,
+        pos in 0usize..12_000,
+        n in 0usize..3_200,
+        from_other_rank: bool,
+        keep_pct in 0u64..=100,
+    ) {
+        let p = CdcParams { min, avg, max };
+        let mut prev = body(seed, len);
+        prev.iter_mut().skip(zeros_from).for_each(|b| *b = 0);
+        let max = p.normalized().max;
+        let how = EDITS[how];
+        let n = if matches!(how, Edit::Tail) { n % (2 * max + 1) } else { n % 600 };
+        let new = edit(&prev, how, pos, n, seed, max);
+        // The hint comes from this rank's previous body or from another
+        // rank's (the same body with its first kilobyte rewritten), and
+        // only `keep_pct` percent of its chunks are still stored.
+        let source = if from_other_rank {
+            let mut other = prev.clone();
+            let head = other.len().min(1024);
+            other[..head].copy_from_slice(&body(!seed, head));
+            other
+        } else {
+            prev.clone()
+        };
+        let cas = CasStore::new();
+        let hint = cut_and_store(&cas, from_other_rank as u32, &source, p, keep_pct);
+        let reused = check_reuse(&new, p, &hint, &cas);
+        if matches!(how, Edit::Identical) && !from_other_rank && keep_pct == 100 {
+            prop_assert_eq!(reused, hint.cuts.len(), "an unchanged body reuses every chunk");
+        }
+    }
+}
+
+/// On an unchanged body with every chunk stored, the walk reuses every
+/// chunk (nothing is scanned or hashed); with every chunk freed, or under
+/// different bounds, it reuses none and still cuts identically.
+#[test]
+fn reuse_walk_reuses_every_clean_chunk_and_only_those() {
+    let p = CdcParams { min: 64, avg: 256, max: 1024 };
+    let data = body(7, 40_000);
+    let cas = CasStore::new();
+    let hint = cut_and_store(&cas, 0, &data, p, 100);
+    assert_eq!(check_reuse(&data, p, &hint, &cas), hint.cuts.len());
+    let other = CdcParams { min: 64, avg: 512, max: 1024 };
+    assert_eq!(check_reuse(&data, other, &hint, &cas), 0, "a hint cut with other bounds");
+    cas.unregister(0, 0, 0, 1);
+    assert_eq!(check_reuse(&data, p, &hint, &cas), 0, "every hinted chunk was freed");
+    // An edit in the middle costs only the chunks around it.
+    let mut edited = data.clone();
+    edited[20_000] ^= 0xFF;
+    let cas = CasStore::new();
+    let hint = cut_and_store(&cas, 0, &data, p, 100);
+    let reused = check_reuse(&edited, p, &hint, &cas);
+    assert!(reused + 4 >= hint.cuts.len(), "{reused} of {} reused", hint.cuts.len());
 }
 
 /// The strided scan on the edge shapes: the minimum (all-16) bounds, odd

@@ -257,11 +257,20 @@ impl Decode for CkptCounts {
     }
 }
 
+impl CkptBlob {
+    /// Append the encoding of a `CkptBlob { owner, epoch, blob }` to `out`
+    /// from a borrowed frame: the same bytes as encoding the owned message,
+    /// without first copying the frame into one.
+    pub fn encode_frame(owner: u32, epoch: u64, blob: &[u8], out: &mut Vec<u8>) {
+        owner.encode(out);
+        epoch.encode(out);
+        blob.encode(out);
+    }
+}
+
 impl Encode for CkptBlob {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.owner.encode(out);
-        self.epoch.encode(out);
-        self.blob.encode(out);
+        Self::encode_frame(self.owner, self.epoch, &self.blob, out);
     }
 }
 impl Decode for CkptBlob {
@@ -349,6 +358,9 @@ mod tests {
         let b = CkptBlob { owner: 3, epoch: 7, blob: vec![0xAA; 1000] };
         let back: CkptBlob = from_bytes(&to_bytes(&b)).unwrap();
         assert_eq!(back, b);
+        let mut borrowed = Vec::new();
+        CkptBlob::encode_frame(3, 7, &b.blob, &mut borrowed);
+        assert_eq!(borrowed, to_bytes(&b), "a borrowed frame encodes like the owned message");
         let a = CkptBlobAck { owner: 3, epoch: 7 };
         let back: CkptBlobAck = from_bytes(&to_bytes(&a)).unwrap();
         assert_eq!(back, a);

@@ -42,7 +42,8 @@ use mini_mpi::types::{ChannelId, CommId, RankId};
 use mini_mpi::wire::{from_bytes, to_bytes};
 use parking_lot::Mutex;
 use spbc_ckptstore::{
-    Admission, CdcParams, CkptStoreService, EcScheme, LoadOutcome, Replica, SetMap, StoreConfig,
+    Admission, Adoption, CdcParams, CkptStoreService, EcScheme, LoadOutcome, Replica, SetMap,
+    StoreConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -470,7 +471,13 @@ pub struct SpbcLayer {
     intra_arrived: u64,
     last_ckpt_epoch: u64,
     ckpt_state: CkptState,
-    pending_app_state: Option<Vec<u8>>,
+    /// The open wave's checkpoint body, built in place: the head
+    /// ([`CheckpointData::encode_head`], the application state serialized
+    /// straight into it) at wave open, the tail at commit. The allocation
+    /// is reused from one wave to the next.
+    body: Vec<u8>,
+    /// The wave whose head `body` holds, until its commit.
+    body_epoch: Option<u64>,
     leader: Option<LeaderState>,
     resume: Option<ResumeBarrier>,
 
@@ -535,7 +542,8 @@ impl SpbcLayer {
             intra_arrived: 0,
             last_ckpt_epoch: 0,
             ckpt_state: CkptState::Idle,
-            pending_app_state: None,
+            body: Vec::new(),
+            body_epoch: None,
             leader: None,
             resume: None,
             answered_rollback: HashMap::new(),
@@ -817,10 +825,9 @@ impl SpbcLayer {
             let us = t0.elapsed().as_micros() as u64;
             self.record_phase(ctx, epoch, crate::hist::Phase::Quiesce, us);
         }
-        let app_state = self
-            .pending_app_state
-            .take()
-            .ok_or_else(|| MpiError::InvalidState("commit without pending state".into()))?;
+        if self.body_epoch.take() != Some(epoch) {
+            return Err(MpiError::InvalidState(format!("commit of wave {epoch} it never opened")));
+        }
         let mut unexpected_full = Vec::new();
         let mut missing_markers: Vec<(ChannelId, u64)> = Vec::new();
         for a in ctx.unexpected_snapshot() {
@@ -852,9 +859,11 @@ impl SpbcLayer {
             let log = self.log.lock();
             (log.lengths(), log.order_counter())
         };
+        // Everything but the application state, which is already in the
+        // body's head.
         let ck = CheckpointData {
             ckpt_epoch: epoch,
-            app_state,
+            app_state: Vec::new(),
             send_seq: ctx.send_seq().clone(),
             recv_seen: ctx.recv_seen().clone(),
             unexpected_full,
@@ -867,20 +876,21 @@ impl SpbcLayer {
             comms: ctx.comms_snapshot(),
             lamport: ctx.lamport(),
         };
-        // Stable storage via the replicated checkpoint service: serialize
-        // once, encode (default: content-defined chunks deduped against the
-        // shared chunk store, sealed as an `SPBCCKP4` manifest carrying only
-        // new chunks inline; with CDC off, an `SPBCCKP2` full blob),
-        // and reuse the sealed blob for the local write and as the source
-        // of every replica.
+        // Stable storage via the replicated checkpoint service: finish the
+        // body in place, encode it (default: content-defined chunks deduped
+        // against the shared chunk store, sealed as an `SPBCCKP4` manifest
+        // carrying only new chunks inline; with CDC off, an `SPBCCKP2` full
+        // blob), and share the sealed blob between the local write and
+        // every replica.
         let service = Arc::clone(&self.service);
         // Double buffer: wait for the *previous* wave's background write,
         // never our own — that is all the fsync latency the commit barrier
         // ever pays.
         service.flush_rank(self.me)?;
         let encode_start = Instant::now();
-        let body = to_bytes(&ck);
-        let (sealed, stats) = service.encode_commit(self.me, epoch, &body)?;
+        ck.encode_tail(&mut self.body);
+        let (sealed, stats) = service.encode_commit(self.me, epoch, &self.body)?;
+        let sealed = Arc::new(sealed);
         let encode_us = encode_start.elapsed().as_micros() as u64;
         self.record_phase(ctx, epoch, crate::hist::Phase::Encode, encode_us);
         let logical = stats.logical;
@@ -903,7 +913,7 @@ impl SpbcLayer {
         let admission = service.commit_local(
             self.me,
             epoch,
-            sealed.clone(),
+            Arc::clone(&sealed),
             Some(Box::new(move |res, hidden| {
                 if let Ok(put) = res {
                     rec.record(|| Event::CkptWrite {
@@ -958,7 +968,6 @@ impl SpbcLayer {
         // partner's store confirmation (the commit barrier includes
         // replication, not disk).
         ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
-        let sealed = Arc::new(sealed);
         let rep = service.replicas(self.me, epoch, &sealed, logical, &self.partners)?;
         if let Some((encode_us, bytes)) = rep.parity {
             self.record_phase(ctx, epoch, crate::hist::Phase::EncodeParity, encode_us);
@@ -991,7 +1000,8 @@ impl SpbcLayer {
         Metrics::add(&self.metrics.repl_pushes, 1);
         Metrics::add(&self.metrics.repl_bytes, bytes);
         Metrics::add(&self.metrics.repl_bytes_logical, r.logical);
-        let body = to_bytes(&CkptBlob { owner: r.owner.0, epoch, blob: r.frame.to_vec() });
+        let mut body = Vec::with_capacity(r.frame.len() + 24);
+        CkptBlob::encode_frame(r.owner.0, epoch, &r.frame, &mut body);
         // Storage traffic, not protocol control: bypass `self.ctrl` so
         // `ctrl_msgs` keeps measuring coordination cost only.
         ctx.send_ctrl(partner, KIND_CKPT_BLOB, body);
@@ -1274,25 +1284,26 @@ impl FtLayer for SpbcLayer {
             }
             KIND_CKPT_BLOB => {
                 let cb: CkptBlob = from_bytes(&msg.data)?;
-                let (owner, epoch) = (RankId(cb.owner), cb.epoch);
-                let missing = self.service.missing_chunks(&cb.blob)?;
-                if !missing.is_empty() {
-                    // A manifest naming chunk bodies our store lacks: ask
-                    // the owner for them; its answer arrives here again.
-                    let body = CkptChunkReq { owner: cb.owner, epoch, missing };
-                    ctx.send_ctrl(msg.from, KIND_CKPT_CHUNK_REQ, to_bytes(&body));
-                    return Ok(());
-                }
+                let (owner, epoch, bytes) = (RankId(cb.owner), cb.epoch, cb.blob.len() as u64);
                 // Store synchronously: the ACK must mean "durable".
                 // Re-pushed duplicates overwrite idempotently.
-                let bytes = cb.blob.len() as u64;
-                let pruned = self.service.store_partner_copy(self.me, owner, epoch, &cb.blob)?;
-                if pruned > 0 {
-                    Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
+                match self.service.store_partner_copy(self.me, owner, epoch, &cb.blob)? {
+                    Adoption::Missing(missing) => {
+                        // A manifest naming chunk bodies our store lacks:
+                        // ask the owner for them; its answer arrives here
+                        // again.
+                        let body = CkptChunkReq { owner: cb.owner, epoch, missing };
+                        ctx.send_ctrl(msg.from, KIND_CKPT_CHUNK_REQ, to_bytes(&body));
+                    }
+                    Adoption::Stored { pruned } => {
+                        if pruned > 0 {
+                            Metrics::add(&self.metrics.ckpt_gc_pruned, pruned as u64);
+                        }
+                        ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
+                        let ack = CkptBlobAck { owner: cb.owner, epoch };
+                        ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&ack));
+                    }
                 }
-                ctx.recorder().record(|| Event::CkptReplStore { owner, epoch, bytes });
-                let ack = CkptBlobAck { owner: cb.owner, epoch };
-                ctx.send_ctrl(msg.from, KIND_CKPT_BLOB_ACK, to_bytes(&ack));
                 Ok(())
             }
             KIND_CKPT_CHUNK_REQ => {
@@ -1373,7 +1384,7 @@ impl FtLayer for SpbcLayer {
     fn checkpoint_begin(
         &mut self,
         ctx: &mut FtCtx<'_>,
-        app_state: &mut dyn FnMut() -> Vec<u8>,
+        app_state: &mut dyn FnMut(&mut Vec<u8>),
     ) -> Result<CkptOutcome> {
         self.ckpt_calls += 1;
         if self.cfg.ckpt_interval == 0 || !self.ckpt_calls.is_multiple_of(self.cfg.ckpt_interval) {
@@ -1383,11 +1394,14 @@ impl FtLayer for SpbcLayer {
             return Err(MpiError::InvalidState("overlapping checkpoint".into()));
         }
         ctx.chaos_ckpt_hook(CkptHook::WaveOpen)?;
-        // The wave is open: only now is the application state serialized.
-        self.pending_app_state = Some(app_state());
+        // The wave is open: only now is the application state serialized,
+        // straight into the body's head.
+        let epoch = self.last_ckpt_epoch + 1;
+        self.body.clear();
+        CheckpointData::encode_head(epoch, app_state, &mut self.body);
+        self.body_epoch = Some(epoch);
         self.wave_open = Some(Instant::now());
         self.ckpt_state = CkptState::Waiting;
-        let epoch = self.last_ckpt_epoch + 1;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Init });
         let leader = self.clusters.leader_of(self.me);
         let body = CkptCounts { epoch, sent: self.intra_sent, arrived: self.intra_arrived };

@@ -80,10 +80,28 @@ impl CheckpointData {
     }
 }
 
-impl Encode for CheckpointData {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ckpt_epoch.encode(out);
-        self.app_state.encode(out);
+impl CheckpointData {
+    /// Append the head of a checkpoint body to `out`: `epoch`, then the
+    /// application state as `app` encodes it, under the same `u64` length
+    /// prefix the `app_state` field carries (written as a placeholder and
+    /// patched once `app` is done). This is how a layer serializes the
+    /// application state once, straight into the body; [`encode_tail`]
+    /// appends the rest.
+    ///
+    /// [`encode_tail`]: Self::encode_tail
+    pub fn encode_head(epoch: u64, app: &mut dyn FnMut(&mut Vec<u8>), out: &mut Vec<u8>) {
+        epoch.encode(out);
+        let at = out.len();
+        0u64.encode(out);
+        app(out);
+        let len = (out.len() - at - 8) as u64;
+        out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Append every field after `app_state` to `out`, in encoding order.
+    /// After [`encode_head`](Self::encode_head) this completes a body
+    /// byte-identical to encoding the whole record.
+    pub fn encode_tail(&self, out: &mut Vec<u8>) {
         encode_map(&self.send_seq, out);
         encode_map(&self.recv_seen, out);
         self.unexpected_full.encode(out);
@@ -95,6 +113,13 @@ impl Encode for CheckpointData {
         self.intra_arrived.encode(out);
         self.comms.encode(out);
         self.lamport.encode(out);
+    }
+}
+
+impl Encode for CheckpointData {
+    fn encode(&self, out: &mut Vec<u8>) {
+        Self::encode_head(self.ckpt_epoch, &mut |o| o.extend_from_slice(&self.app_state), out);
+        self.encode_tail(out);
     }
 }
 
@@ -201,6 +226,48 @@ mod tests {
         assert_eq!(back.missing, c.missing);
         assert_eq!(back.log_lens, c.log_lens);
         assert_eq!(back.intra_sent, 9);
+    }
+
+    /// The body a layer builds in place — head with the application state
+    /// encoded straight into it, then the tail — is byte-for-byte the
+    /// encoding of the whole record, so the stored format is unchanged.
+    #[test]
+    fn in_place_body_is_byte_identical_to_the_record() {
+        let world = mini_mpi::types::COMM_WORLD;
+        let app: (u64, Vec<f64>) = (11, vec![0.5, -2.25, 1e300]);
+        let mut c = CheckpointData {
+            ckpt_epoch: 4,
+            app_state: to_bytes(&app),
+            log_order: 19,
+            ckpt_calls: 8,
+            intra_sent: 3,
+            intra_arrived: 2,
+            lamport: 77,
+            ..Default::default()
+        };
+        c.send_seq.insert((RankId(1), world), 42);
+        c.recv_seen.insert((RankId(2), world), 7);
+        c.unexpected_full.push(make_msg(2, 0, 7, b"pending"));
+        c.unexpected_full.push(make_msg(3, 0, 1, b""));
+        c.missing.push((ChannelId::new(RankId(3), RankId(0), world), 4));
+        c.log_lens.insert(ChannelId::new(RankId(0), RankId(1), world), 2);
+        c.comms.push((0, vec![RankId(0), RankId(1)], 0, 1, 5));
+        c.comms.push((9, vec![RankId(1)], 0, 0, 2));
+        let mut body = vec![0xEE; 3]; // a reused buffer is cleared first
+        body.clear();
+        CheckpointData::encode_head(c.ckpt_epoch, &mut |out| app.encode(out), &mut body);
+        let tail = CheckpointData { app_state: Vec::new(), ..c.clone() };
+        tail.encode_tail(&mut body);
+        assert_eq!(body, to_bytes(&c));
+        let back: CheckpointData = from_bytes(&body).unwrap();
+        assert_eq!(back.app_state, c.app_state);
+        assert_eq!(back.comms, c.comms);
+        // An empty application state still carries its length prefix.
+        let mut empty = Vec::new();
+        CheckpointData::encode_head(1, &mut |_| {}, &mut empty);
+        let bare = CheckpointData { ckpt_epoch: 1, ..Default::default() };
+        bare.encode_tail(&mut empty);
+        assert_eq!(empty, to_bytes(&bare));
     }
 
     #[test]

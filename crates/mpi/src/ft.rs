@@ -96,13 +96,15 @@ pub trait FtLayer: Send {
 
     /// The application reached a checkpoint opportunity. Return `NotDue` to
     /// skip, or `InProgress` to start coordination (the caller then drives
-    /// `checkpoint_poll`). `app_state` serializes the application state on
-    /// call: a layer calls it only once it opens a wave, so a checkpoint
-    /// opportunity that is not due serializes nothing.
+    /// `checkpoint_poll`). `app_state` appends the application state's
+    /// encoding to the buffer it is handed: a layer calls it only once it
+    /// opens a wave, with the buffer the checkpoint body is built in, so a
+    /// checkpoint opportunity that is not due serializes nothing and a due
+    /// one serializes straight into the body, once.
     fn checkpoint_begin(
         &mut self,
         _ctx: &mut FtCtx<'_>,
-        _app_state: &mut dyn FnMut() -> Vec<u8>,
+        _app_state: &mut dyn FnMut(&mut Vec<u8>),
     ) -> Result<CkptOutcome> {
         Ok(CkptOutcome::NotDue)
     }

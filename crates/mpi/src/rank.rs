@@ -366,9 +366,10 @@ impl Rank {
     /// Offer the protocol a checkpoint opportunity with the application state
     /// `state`. Returns `true` if a checkpoint was actually taken.
     ///
-    /// `state` is serialized only when the protocol opens a wave here; a call
-    /// that is not due (and every call under native execution) encodes
-    /// nothing.
+    /// `state` is serialized only when the protocol opens a wave here, once,
+    /// straight into the buffer the protocol builds its checkpoint in; a
+    /// call that is not due (and every call under native execution)
+    /// encodes nothing.
     ///
     /// Must be called at an SPMD synchronization boundary with **no live
     /// requests** (all sends/receives waited); this is how coordinated
@@ -383,7 +384,7 @@ impl Rank {
         }
         let outcome = {
             let mut ctx = FtCtx { inner: &mut self.inner };
-            self.ft.checkpoint_begin(&mut ctx, &mut || crate::wire::to_bytes(state))?
+            self.ft.checkpoint_begin(&mut ctx, &mut |out| state.encode(out))?
         };
         match outcome {
             CkptOutcome::NotDue => Ok(false),
