@@ -83,6 +83,14 @@ pub trait CheckpointBackend: Send + Sync {
     /// Remove `owner`'s blob at `epoch` (no-op if absent). Returns whether a
     /// blob was removed.
     fn remove(&self, owner: RankId, epoch: u64) -> Result<bool>;
+    /// Whether a content-addressed wave stored here must carry its new
+    /// chunk bodies inline. `true` (the default) for a store whose bytes
+    /// leave the process, such as a file; `false` for one that keeps a wave
+    /// as its manifest over the owning service's chunk store, where each
+    /// chunk body already lives once.
+    fn self_contained(&self) -> bool {
+        true
+    }
     /// Drop every blob this backend holds — the storage-loss hook used by
     /// fault injection to model a rank losing its node-local store. The
     /// default is a no-op so narrow test doubles need not implement it.
@@ -94,7 +102,9 @@ pub trait CheckpointBackend: Send + Sync {
 /// In-memory backend: a mutex-guarded map. Survives in-process cluster
 /// restarts (the service outlives rank threads), not the process. A shared
 /// blob ([`CheckpointBackend::put_shared`]) is kept by reference, not
-/// copied.
+/// copied, and a content-addressed wave is kept as its manifest
+/// ([`CheckpointBackend::self_contained`] is `false`): its chunk bodies
+/// live in the service's chunk store, in the same process.
 #[derive(Default)]
 pub struct MemBackend {
     blobs: Mutex<BTreeMap<(u32, u64), SharedBlob>>,
@@ -150,6 +160,10 @@ impl CheckpointBackend for MemBackend {
 
     fn remove(&self, owner: RankId, epoch: u64) -> Result<bool> {
         Ok(self.blobs.lock().remove(&(owner.0, epoch)).is_some())
+    }
+
+    fn self_contained(&self) -> bool {
+        false
     }
 
     fn clear(&self) -> Result<()> {

@@ -325,11 +325,19 @@ struct Entry {
 
 type RegKey = (u32, u32, u32, u64); // (job, holder, owner, epoch)
 
+/// One registered manifest: the references it holds, and which of its
+/// indices brought their chunk into the store ([`ChunkFate::New`]) — the
+/// chunks a self-contained copy of the wave carries inline.
+struct Registration {
+    hashes: Vec<ChunkHash>,
+    inserted: Vec<u32>,
+}
+
 /// One registration-ledger shard: every epoch of a given `(job, holder,
 /// owner)` lands here, so a rank's GC scans exactly one map.
 #[derive(Default)]
 struct RegShard {
-    regs: FxHashMap<RegKey, Vec<ChunkHash>>,
+    regs: FxHashMap<RegKey, Registration>,
     /// Highest `unregister_below` bound applied per `(job, holder, owner)`:
     /// nothing with a smaller epoch is still registered, so a GC sweep at
     /// or below the cursor skips the scan. A commit below the cursor (a
@@ -512,12 +520,16 @@ impl CasStore {
         let owner_key = (job, owner);
         let mut stats = CommitStats::default();
         let mut hashes = Vec::with_capacity(manifest.len());
+        let mut inserted = Vec::new();
         let mut missing = Vec::new();
         for (i, (hash, bytes)) in manifest.iter().enumerate() {
             match self.take_ref(i, hash, *bytes, owner_key) {
                 Ok(Some((fate, len))) => {
                     match fate {
-                        ChunkFate::New => stats.new_bytes += len,
+                        ChunkFate::New => {
+                            stats.new_bytes += len;
+                            inserted.push(i as u32);
+                        }
                         ChunkFate::HitSameOwner => {
                             stats.hit_bytes += len;
                             stats.hits_same_owner += 1;
@@ -549,12 +561,30 @@ impl CasStore {
             if let Some(cur) = reg.cursors.get_mut(&(job, holder, owner)) {
                 *cur = (*cur).min(epoch);
             }
-            reg.regs.insert((job, holder, owner, epoch), hashes)
+            reg.regs.insert((job, holder, owner, epoch), Registration { hashes, inserted })
         };
-        if let Some(old_hashes) = old {
-            self.release(&old_hashes);
+        if let Some(old) = old {
+            self.release(&old.hashes);
         }
         Ok(stats)
+    }
+
+    /// The indices of `manifest` whose chunks the registration `(job,
+    /// holder, owner, epoch)` inserted into the store, in ascending order —
+    /// provided that registration holds exactly this manifest. `None` when
+    /// there is no such registration or it names other chunks (a copy of a
+    /// different commit of the same epoch).
+    pub(crate) fn inserted_by(
+        &self,
+        job: u32,
+        holder: u32,
+        owner: u32,
+        epoch: u64,
+        manifest: &[ChunkHash],
+    ) -> Option<Vec<u32>> {
+        let reg = self.reg_shard(job, holder, owner).lock().unwrap();
+        let r = reg.regs.get(&(job, holder, owner, epoch))?;
+        (r.hashes == manifest).then(|| r.inserted.clone())
     }
 
     /// Release one reference per listed address.
@@ -573,8 +603,8 @@ impl CasStore {
         };
         match removed {
             None => false,
-            Some(hashes) => {
-                self.release(&hashes);
+            Some(r) => {
+                self.release(&r.hashes);
                 true
             }
         }
@@ -592,7 +622,7 @@ impl CasStore {
         owner: u32,
         epoch_lt: u64,
     ) -> (usize, usize) {
-        let doomed: Vec<Vec<ChunkHash>> = {
+        let doomed: Vec<Registration> = {
             let mut reg = self.reg_shard(job, holder, owner).lock().unwrap();
             let cursor = reg.cursors.get(&(job, holder, owner)).copied().unwrap_or(0);
             if epoch_lt <= cursor {
@@ -608,8 +638,8 @@ impl CasStore {
             keys.iter().map(|k| reg.regs.remove(k).expect("key just listed")).collect()
         };
         let mut freed = 0;
-        for hashes in &doomed {
-            for h in hashes {
+        for r in &doomed {
+            for h in &r.hashes {
                 if self.decref(h) {
                     freed += 1;
                 }

@@ -107,10 +107,7 @@ pub fn seal_v4(chunks: &[V4Chunk<'_>]) -> Vec<u8> {
     let total_len: u64 = chunks.iter().map(|c| c.len as u64).sum();
     let inline: Vec<(u32, &[u8])> =
         chunks.iter().enumerate().filter_map(|(i, c)| c.inline.map(|b| (i as u32, b))).collect();
-    let payload_len: usize = inline.iter().map(|(_, b)| b.len()).sum();
-    let mut framed = Vec::with_capacity(
-        V4_OFF_MANIFEST + chunks.len() * V4_ENTRY + 4 + inline.len() * 4 + payload_len,
-    );
+    let mut framed = Vec::with_capacity(sealed_v4_len(chunks));
     framed.extend_from_slice(MAGIC_V4);
     framed.extend_from_slice(&[0u8; 4]); // CRC patched below
     framed.extend_from_slice(&total_len.to_le_bytes());
@@ -130,6 +127,28 @@ pub fn seal_v4(chunks: &[V4Chunk<'_>]) -> Vec<u8> {
         framed.extend_from_slice(bytes);
     }
     framed
+}
+
+/// Length of [`seal_v4`]'s output for `chunks`, without building it: the
+/// frame plus every inline payload.
+pub(crate) fn sealed_v4_len(chunks: &[V4Chunk<'_>]) -> usize {
+    let (n_inline, payload) = chunks
+        .iter()
+        .filter_map(|c| c.inline.map(<[u8]>::len))
+        .fold((0, 0), |(n, bytes), len| (n + 1, bytes + len));
+    V4_OFF_MANIFEST + chunks.len() * V4_ENTRY + 4 + n_inline * 4 + payload
+}
+
+/// Whether a V4 blob carries any chunk payload inline — `false` for a
+/// manifest-only frame (and for anything too short to tell). Reads one
+/// header field; the frame is not verified.
+pub(crate) fn carries_payload(bytes: &[u8]) -> bool {
+    let field = |off: usize| {
+        bytes.get(off..off + 4).map(|b| u32::from_le_bytes(b.try_into().expect("4-byte field")))
+    };
+    let Some(n_chunks) = field(V4_OFF_N_CHUNKS) else { return false };
+    let manifest_end = V4_OFF_MANIFEST.saturating_add((n_chunks as usize).saturating_mul(V4_ENTRY));
+    field(manifest_end).is_some_and(|n_inline| n_inline > 0)
 }
 
 /// Strip a sealed V4 blob down to its manifest: same ordered hash list, no

@@ -11,6 +11,13 @@
 //! must fail loudly — [`reconstruct`] returns a distinct
 //! "erasure budget exceeded" error rather than fabricating bytes.
 //!
+//! A member's shard is its wave's *self-contained* sealed blob: for a
+//! content-addressed wave, the manifest plus the chunk bodies that wave
+//! brought into the store, so parity covers those bodies and not only
+//! their addresses. The storage service builds that form from its chunk
+//! store where a member keeps only the manifest, both before encoding and
+//! before reconstructing.
+//!
 //! Shards may be ragged (each rank's sealed blob has its own length); the
 //! codec pads to the longest shard and the parity frame records every
 //! member's true length so reconstruction trims exactly.

@@ -19,15 +19,24 @@
 //! [`CkptStoreService::encode_commit`] seals each wave's serialized body in
 //! one of two forms. In CDC mode the body is cut into content-defined
 //! chunks deduplicated in the service's sharded [`CasStore`] and sealed as
-//! an `SPBCCKP4` manifest carrying only the chunks the store lacked (see
-//! [`crate::chunk`]); the cut reuses the rank's previous one wherever the
-//! bytes did not change ([`crate::cdc::chunk_reusing`]). Otherwise it is
-//! one `SPBCCKP2` full blob. Everything
-//! downstream — the local write, the partner pushes, repair — moves the
-//! sealed blob or frames derived from it, so a small dirty fraction
-//! shrinks disk and replication traffic alike. The service alone decides
-//! what a replica is ([`CkptStoreService::replicas`]): the blob itself,
-//! its chunk-hash manifest, or the redundancy set's parity frames.
+//! an `SPBCCKP4` manifest (see [`crate::chunk`]); the cut reuses the rank's
+//! previous one wherever the bytes did not change
+//! ([`crate::cdc::chunk_reusing`]). Otherwise it is one `SPBCCKP2` full
+//! blob. Everything downstream — the local write, the partner pushes,
+//! repair — moves the sealed blob or frames derived from it, so a small
+//! dirty fraction shrinks disk and replication traffic alike. The service
+//! alone decides what a replica is ([`CkptStoreService::replicas`]): the
+//! blob itself, its chunk-hash manifest, or the redundancy set's parity
+//! frames.
+//!
+//! A CDC chunk body lives once in the process, in the [`CasStore`]. A
+//! rank's in-memory local store keeps each wave as its manifest, pinned by
+//! the rank's own registration; a disk store keeps the **self-contained**
+//! form — the manifest plus, inline, every chunk that wave brought into the
+//! store. The self-contained form is built only where bytes leave the
+//! process: at encode for a disk store, from the chunk store for parity
+//! (staging and the rebuild census) and for a partner's chunk request
+//! ([`CkptStoreService::subset_blob`]).
 //!
 //! Load is where replication pays off: a blob that is missing or corrupt
 //! locally is transparently repaired from any surviving partner copy (or
@@ -316,14 +325,17 @@ impl CkptStoreService {
     /// In CDC mode (`cfg.cdc`) the body is cut at content-defined
     /// boundaries, every chunk is inserted into (or deduped against) the
     /// service-wide content-addressed store in one atomic step with its
-    /// `(rank, rank, epoch)` registration, and the sealed blob is an
-    /// `SPBCCKP4` manifest carrying payloads only for chunks the store had
-    /// never seen. Otherwise the body is sealed whole as an `SPBCCKP2` full
-    /// blob.
+    /// `(rank, rank, epoch)` registration, and the wave is sealed as an
+    /// `SPBCCKP4` manifest in the form the rank's local store keeps: the
+    /// bare manifest in memory, where the chunk store holds every body;
+    /// the self-contained blob on disk, carrying inline the chunks the
+    /// store had never seen. Otherwise the body is sealed whole as an
+    /// `SPBCCKP2` full blob.
     ///
     /// The returned blob is what [`commit_local`](Self::commit_local) and
-    /// every partner push must carry; the stats report the dedup ratio
-    /// (`logical` body bytes vs `physical` blob bytes).
+    /// [`replicas`](Self::replicas) take; the stats report the dedup ratio
+    /// (`logical` body bytes vs `physical` bytes of the self-contained
+    /// blob, whichever form was returned).
     pub fn encode_commit(
         &self,
         rank: RankId,
@@ -371,7 +383,7 @@ impl CkptStoreService {
             .cas()
             .commit_addressed(JOB, rank.0, rank.0, epoch, &manifest)
             .map_err(|r| MpiError::Codec(r.to_string()))?;
-        let parts: Vec<V4Chunk<'_>> = cuts
+        let mut parts: Vec<V4Chunk<'_>> = cuts
             .cuts
             .iter()
             .zip(&cas_stats.fates)
@@ -382,13 +394,18 @@ impl CkptStoreService {
             })
             .collect();
         let inline_chunks = parts.iter().filter(|p| p.inline.is_some()).count();
+        let physical = chunk::sealed_v4_len(&parts) as u64;
+        if !stores.local.self_contained() {
+            // The chunk store already holds every body: keep the manifest.
+            parts.iter_mut().for_each(|p| p.inline = None);
+        }
         let framed = seal_v4(&parts);
         let stats = EncodeStats {
             full: false,
             chunks: parts.len(),
             inline_chunks,
             logical: body.len() as u64,
-            physical: framed.len() as u64,
+            physical,
             cas_hit_chunks_same_owner: cas_stats.hits_same_owner as usize,
             cas_hit_chunks_cross_rank: cas_stats.hits_cross_rank as usize,
             cas_hit_bytes: cas_stats.hit_bytes,
@@ -420,7 +437,8 @@ impl CkptStoreService {
     /// Rebuild a sealed V4 blob carrying inline payloads only for the
     /// requested chunk indices (the partner's missing set), sourcing bytes
     /// from the original blob's payloads or the store. This is what the
-    /// owner serves in reply to a `CKPT_CHUNK_REQ`.
+    /// owner serves in reply to a `CKPT_CHUNK_REQ`, and how a kept
+    /// manifest regains its self-contained form.
     pub fn subset_blob(&self, sealed: &[u8], wanted: &[u32]) -> Result<Vec<u8>> {
         let view = CasView::parse(sealed)?;
         let want: BTreeSet<u32> = wanted.iter().copied().collect();
@@ -513,9 +531,7 @@ impl CkptStoreService {
         let partner = &self.stores(holder)?.partner;
         if chunk::is_cas(frame) {
             let view = CasView::parse(frame)?;
-            let manifest = (0..view.n_chunks())
-                .map(|idx| Ok((view.chunk(idx).expect("idx in range").0, view.inline_chunk(idx)?)))
-                .collect::<Result<Vec<(ChunkHash, Option<&[u8]>)>>>()?;
+            let manifest = addressed(&view)?;
             match self.cas().commit_addressed(JOB, holder.0, owner.0, epoch, &manifest) {
                 Ok(_) => {}
                 Err(Refused::Missing(idx)) => return Ok(Adoption::Missing(idx)),
@@ -539,12 +555,13 @@ impl CkptStoreService {
 
     /// What `rank`'s sealed wave `epoch` owes `partners`.
     ///
-    /// * Erasure coding on: the blob is staged with the rank's redundancy
-    ///   set; the member that completes the set encodes its parity and gets
-    ///   one push per parity shard (shard `j` to `partners[j % k]`), every
-    ///   other member gets none.
-    /// * A V4 manifest: one push per partner carrying only the hash list;
-    ///   the partner asks for whatever chunk bodies it lacks.
+    /// * Erasure coding on: the wave's self-contained form is staged with
+    ///   the rank's redundancy set; the member that completes the set
+    ///   encodes its parity and gets one push per parity shard (shard `j`
+    ///   to `partners[j % k]`), every other member gets none.
+    /// * A V4 blob: one push per partner carrying only the hash list — the
+    ///   manifest an in-memory store already keeps, shared as it is; the
+    ///   partner asks for whatever chunk bodies it lacks.
     /// * A full blob: one push per partner carrying the blob itself.
     pub fn replicas(
         &self,
@@ -574,7 +591,7 @@ impl CkptStoreService {
                 .collect();
             return Ok(Replication { pushes, parity: Some((job.encode_us, bytes)) });
         }
-        let frame = if chunk::is_cas(sealed) {
+        let frame = if chunk::is_cas(sealed) && chunk::carries_payload(sealed) {
             Arc::new(chunk::manifest_only_v4(sealed)?)
         } else {
             Arc::clone(sealed)
@@ -586,12 +603,13 @@ impl CkptStoreService {
         Ok(Replication { pushes, parity: None })
     }
 
-    /// Deposit `me`'s sealed blob for `epoch` into its redundancy set's
-    /// staging area. The *last* member of the set to stage computes the
-    /// set's parity: the returned [`ParityShards`] carries one sealed
-    /// `SPBCPAR1` frame per parity shard, already persisted in the
-    /// encoder's local store under its synthetic owner. Everyone else gets
-    /// `None`.
+    /// Deposit the self-contained form of `me`'s sealed wave `epoch` into
+    /// its redundancy set's staging area, so parity covers the chunk bodies
+    /// the wave brought into the store. The *last* member of the set to
+    /// stage computes the set's parity: the returned [`ParityShards`]
+    /// carries one sealed `SPBCPAR1` frame per parity shard, already
+    /// persisted in the encoder's local store under its synthetic owner.
+    /// Everyone else gets `None`.
     ///
     /// Stale staging entries of the same set from older epochs (waves that
     /// rolled back before the set completed) are dropped on the way in.
@@ -614,11 +632,12 @@ impl CkptStoreService {
             return Ok(None);
         };
         let members = members.to_vec();
+        let mine = self.self_contained(me, epoch, blob.to_vec())?;
         let staged = {
             let mut stage = self.parity_stage.lock();
             stage.retain(|&(e, s), _| s != set_id || e >= epoch);
             let entry = stage.entry((epoch, set_id)).or_default();
-            entry.insert(me.0, blob.to_vec());
+            entry.insert(me.0, mine);
             if entry.len() < members.len() {
                 return Ok(None);
             }
@@ -639,6 +658,49 @@ impl CkptStoreService {
             shards.push((j as u32, owner, sealed));
         }
         Ok(Some(ParityShards { shards, encode_us }))
+    }
+
+    /// The self-contained form of `owner`'s copy `blob` of wave `epoch`:
+    /// what a disk store holds and what parity covers. A bare manifest
+    /// regains, from the chunk store, the bodies of the chunks its commit
+    /// inserted — exactly the blob [`seal_v4`] built at encode. Any other
+    /// copy (a full blob, a V4 blob with payloads, a manifest that no
+    /// registration of the owner matches) is already as self-contained as
+    /// it gets and is returned unchanged.
+    fn self_contained(&self, owner: RankId, epoch: u64, blob: Vec<u8>) -> Result<Vec<u8>> {
+        if !chunk::is_cas(&blob) || chunk::carries_payload(&blob) {
+            return Ok(blob);
+        }
+        let hashes = CasView::parse(&blob)?.hashes();
+        match self.cas().inserted_by(JOB, owner.0, owner.0, epoch, &hashes) {
+            Some(inserted) if !inserted.is_empty() => self.subset_blob(&blob, &inserted),
+            _ => Ok(blob),
+        }
+    }
+
+    /// What `rank`'s local store keeps of a fetched copy of its wave
+    /// `epoch`. An in-memory store keeps a V4 blob as its manifest; a
+    /// rebuilt blob's chunks are registered under the rank again first if
+    /// that registration is gone, so the manifest's bodies stay pinned.
+    fn local_form(&self, rank: RankId, epoch: u64, blob: &[u8]) -> Result<Vec<u8>> {
+        let local = &self.stores(rank)?.local;
+        if local.self_contained() || !chunk::is_cas(blob) || !chunk::carries_payload(blob) {
+            return Ok(blob.to_vec());
+        }
+        let view = CasView::parse(blob)?;
+        if self.cas().inserted_by(JOB, rank.0, rank.0, epoch, &view.hashes()).is_none() {
+            self.cas()
+                .commit_addressed(JOB, rank.0, rank.0, epoch, &addressed(&view)?)
+                .map_err(|r| MpiError::Codec(r.to_string()))?;
+        }
+        chunk::manifest_only_v4(blob)
+    }
+
+    /// The bytes `rank`'s local store holds for its wave `epoch`, as stored:
+    /// a bare manifest in memory, the self-contained blob on disk. For
+    /// inspection; a restore goes through [`load`](Self::load).
+    pub fn local_copy(&self, rank: RankId, epoch: u64) -> Result<Option<Vec<u8>>> {
+        self.stores(rank)?.local.get(rank, epoch)
     }
 
     /// Simulate losing `rank`'s node-local storage (fault injection): its
@@ -666,8 +728,10 @@ impl CkptStoreService {
         Ok(None)
     }
 
-    /// For one set at one epoch: every member's surviving sealed blob and
-    /// every surviving (set- and epoch-matching) sealed parity frame.
+    /// For one set at one epoch: every member's surviving copy as stored
+    /// (a bare manifest in memory; [`try_rebuild`](Self::try_rebuild)
+    /// makes it self-contained before decoding) and every surviving (set-
+    /// and epoch-matching) sealed parity frame.
     fn set_census(
         &self,
         members: &[u32],
@@ -716,6 +780,12 @@ impl CkptStoreService {
                  {epoch} with only {n_parity} surviving parity shard(s) (budget m={})",
                 self.cfg.ec.m()
             )));
+        }
+        // Parity was computed over each member's self-contained form.
+        for (slot, &r) in data.iter_mut().zip(&members) {
+            if let Some(copy) = slot.take() {
+                *slot = Some(self.self_contained(RankId(r), epoch, copy)?);
+            }
         }
         // True (unpadded) lengths come from any surviving frame's table.
         let mut lens = vec![0usize; members.len()];
@@ -782,7 +852,7 @@ impl CkptStoreService {
         } else {
             return Ok(None);
         };
-        own.local.put(rank, epoch, &fetched.0)?;
+        own.local.put(rank, epoch, &self.local_form(rank, epoch, &fetched.0)?)?;
         Ok(Some(fetched))
     }
 
@@ -922,6 +992,18 @@ impl CkptStoreService {
         }
         Ok(removed)
     }
+}
+
+/// A chunk store commit input: each address with its payload, if carried.
+type Addressed<'a> = Vec<(ChunkHash, Option<&'a [u8]>)>;
+
+/// A parsed V4 blob as the chunk store's commit input: each address with
+/// its inline payload, hash-verified (bytes from outside the process), or
+/// `None`.
+fn addressed<'a>(view: &CasView<'a>) -> Result<Addressed<'a>> {
+    (0..view.n_chunks())
+        .map(|idx| Ok((view.chunk(idx).expect("idx in range").0, view.inline_chunk(idx)?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1216,10 +1298,11 @@ mod tests {
         svc.commit_local(RankId(0), 1, blob.clone(), None).unwrap();
         svc.flush_rank(RankId(0)).unwrap();
         // The shared store holds every chunk: the partner misses nothing,
-        // and a manifest-only copy (no payloads) is enough to replicate.
+        // and a manifest-only copy (no payloads) is enough to replicate —
+        // the very form an in-memory local store keeps.
         assert!(svc.missing_chunks(&blob).unwrap().is_empty());
         let manifest_only = chunk::manifest_only_v4(&blob).unwrap();
-        assert!(manifest_only.len() < blob.len());
+        assert_eq!(manifest_only, blob);
         svc.store_partner_copy(RankId(1), RankId(0), 1, &manifest_only).unwrap();
         // Wipe rank 0's local store: the manifest-only partner copy plus
         // the shared store must still rebuild the wave.
@@ -1386,6 +1469,175 @@ mod tests {
         chunk::verify(&blob).unwrap();
         assert_eq!(CasView::parse(&blob).unwrap().materialize(&mut { lookup }).unwrap(), body);
         svc.store_partner_copy(RankId(1), RankId(0), 2, &blob).unwrap();
+    }
+
+    /// A CDC wave's bytes live once: after 6 waves x 4 ranks with k = 2
+    /// partner pushes and the protocol's GC window, every local store holds
+    /// exactly its retained manifests, the chunk store exactly the distinct
+    /// chunks they name, and `physical` still counts the self-contained
+    /// blob.
+    #[test]
+    fn no_chunk_body_is_held_twice() {
+        // `in_memory`, keeping a handle on each local `MemBackend`.
+        let locals: Vec<Arc<MemBackend>> = (0..4).map(|_| Arc::new(MemBackend::new())).collect();
+        let ranks = locals
+            .iter()
+            .map(|l| RankStores::new(Arc::clone(l) as _, Arc::new(MemBackend::new())))
+            .collect();
+        let svc = CkptStoreService::with_stores(ranks, cdc_cfg());
+        let p = svc.config().cdc_params;
+        let mut manifests: HashMap<(u32, u64), Vec<u8>> = HashMap::new();
+        for e in 1..=6u64 {
+            for r in 0..4u32 {
+                let me = RankId(r);
+                // A stable region shared by every rank, a per-rank region
+                // and a per-wave tail: same-owner and cross-rank hits.
+                let mut body = cdc_body(101, 1, 3 * 1024, 0);
+                body.extend(cdc_body(200 + r as u64, 1, 2 * 1024, 0));
+                body.extend(cdc_body(300 + r as u64, e, 0, 700));
+                svc.flush_rank(me).unwrap();
+                let (sealed, stats) = svc.encode_commit(me, e, &body).unwrap();
+                let sealed = Arc::new(sealed);
+                // The manifest of the fresh cut, built independently.
+                let cut: Vec<V4Chunk<'_>> = crate::cdc::chunk_spans(&body, p)
+                    .into_iter()
+                    .map(|s| V4Chunk {
+                        hash: ChunkHash::of(&body[s.clone()]),
+                        len: s.len() as u32,
+                        inline: None,
+                    })
+                    .collect();
+                assert_eq!(*sealed, seal_v4(&cut), "rank {r} wave {e}: keeps the bare manifest");
+                let full = svc.self_contained(me, e, sealed.to_vec()).unwrap();
+                assert_eq!(stats.physical, full.len() as u64, "rank {r} wave {e}");
+                let v = CasView::parse(&full).unwrap();
+                let inline = (0..v.n_chunks()).filter(|&i| v.is_inline(i)).count();
+                assert_eq!(inline, stats.inline_chunks, "rank {r} wave {e}");
+                svc.commit_local(me, e, Arc::clone(&sealed), None).unwrap();
+                let partners = [RankId((r + 1) % 4), RankId((r + 2) % 4)];
+                let rep = svc.replicas(me, e, &sealed, stats.logical, &partners).unwrap();
+                assert_eq!(rep.pushes.len(), 2);
+                for push in &rep.pushes {
+                    assert!(Arc::ptr_eq(&push.frame, &sealed), "the kept manifest is pushed");
+                    let got = svc.store_partner_copy(push.partner, me, e, &push.frame).unwrap();
+                    assert!(matches!(got, Adoption::Stored { .. }), "{got:?}");
+                }
+                manifests.insert((r, e), sealed.to_vec());
+            }
+            if e > 1 {
+                for r in 0..4u32 {
+                    svc.gc_local(RankId(r), e - 1).unwrap();
+                }
+            }
+        }
+        let mut named: HashMap<ChunkHash, usize> = HashMap::new();
+        for (r, local) in locals.iter().enumerate() {
+            let kept: Vec<&Vec<u8>> = (5..=6).map(|e| &manifests[&(r as u32, e)]).collect();
+            assert_eq!(local.epochs_of(RankId(r as u32)).unwrap(), vec![5, 6]);
+            let frames: u64 = kept.iter().map(|m| m.len() as u64).sum();
+            assert_eq!(local.stored_bytes(), frames, "rank {r} holds only its manifests");
+            for m in kept {
+                let v = CasView::parse(m).unwrap();
+                named.extend((0..v.n_chunks()).map(|i| v.chunk(i).unwrap()));
+            }
+        }
+        let distinct: u64 = named.values().map(|&len| len as u64).sum();
+        assert_eq!(svc.cas().unique_bytes(), distinct, "each named body once, nothing else");
+        assert_eq!(svc.cas().unique_chunks(), named.len());
+    }
+
+    /// An xor set over CDC waves: parity covers each member's
+    /// self-contained form, so the member whose local copy is lost is
+    /// rebuilt byte for byte as the blob a disk store holds, and its local
+    /// store keeps that blob's manifest again.
+    #[test]
+    fn xor_over_cdc_rebuilds_the_self_contained_blob() {
+        let clusters = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
+        let cfg = StoreConfig {
+            cdc: true,
+            cdc_params: cdc_cfg().cdc_params,
+            ..ec_cfg(EcScheme::Xor, &clusters, 4)
+        };
+        let mem = CkptStoreService::in_memory(8, cfg.clone());
+        let root = tmpdir("xor-over-cdc");
+        let disk = CkptStoreService::on_disk(&root, 8, cfg).unwrap();
+        let partners: Vec<RankId> = (4..8).map(RankId).collect();
+        let mut bodies = Vec::new();
+        for e in 1..=3u64 {
+            bodies.clear();
+            for r in 0..4u32 {
+                let mut body = cdc_body(41, 1, 2 * 1024, 0);
+                body.extend(cdc_body(50 + r as u64, e, 1024, 300 + 64 * r as usize));
+                for svc in [&mem, &disk] {
+                    svc.flush_rank(RankId(r)).unwrap();
+                    let (sealed, stats) = svc.encode_commit(RankId(r), e, &body).unwrap();
+                    let sealed = Arc::new(sealed);
+                    svc.commit_local(RankId(r), e, Arc::clone(&sealed), None).unwrap();
+                    svc.flush_rank(RankId(r)).unwrap();
+                    let rep = svc.replicas(RankId(r), e, &sealed, stats.logical, &partners);
+                    for push in &rep.unwrap().pushes {
+                        svc.store_partner_copy(push.partner, push.owner, e, &push.frame).unwrap();
+                    }
+                }
+                bodies.push(body);
+            }
+        }
+        let file = disk.local_copy(RankId(2), 3).unwrap().unwrap();
+        assert!(chunk::carries_payload(&file), "wave 3 brought new chunks");
+        assert_eq!(mem.local_copy(RankId(2), 3).unwrap().unwrap(), manifest_of(&file));
+        // Both services computed the same parity.
+        let powner = parity_owner(0, 0);
+        assert_eq!(
+            mem.stores(RankId(3)).unwrap().local.get(powner, 3).unwrap(),
+            disk.stores(RankId(3)).unwrap().local.get(powner, 3).unwrap()
+        );
+        mem.wipe_local(RankId(2)).unwrap();
+        let (rebuilt, set_id) = mem.try_rebuild(RankId(2), 3).unwrap().unwrap();
+        assert_eq!((rebuilt == file, set_id), (true, 0), "rebuild is the self-contained blob");
+        let (body, outcome) = mem.load(RankId(2), 3).unwrap().unwrap();
+        assert_eq!((body, outcome), (bodies[2].clone(), LoadOutcome::Rebuilt { set_id: 0 }));
+        assert_eq!(mem.local_copy(RankId(2), 3).unwrap().unwrap(), manifest_of(&file));
+        assert_eq!(mem.load(RankId(2), 3).unwrap().unwrap().1, LoadOutcome::Local);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn manifest_of(blob: &[u8]) -> Vec<u8> {
+        chunk::manifest_only_v4(blob).unwrap()
+    }
+
+    /// A rebuilt wave whose own chunk registration is gone (GC'd) is kept
+    /// as its manifest only after its chunks are registered again — else
+    /// the kept manifest would name bodies nothing pins.
+    #[test]
+    fn rebuilt_wave_without_its_registration_is_pinned_again() {
+        let clusters = vec![vec![0, 1], vec![2, 3]];
+        let cfg = StoreConfig {
+            cdc: true,
+            cdc_params: cdc_cfg().cdc_params,
+            ..ec_cfg(EcScheme::Xor, &clusters, 2)
+        };
+        let svc = CkptStoreService::in_memory(4, cfg);
+        let bodies: Vec<Vec<u8>> = (0..2).map(|r| cdc_body(61 + r, 1, 2 * 1024, 0)).collect();
+        for (r, body) in bodies.iter().enumerate() {
+            let me = RankId(r as u32);
+            let (sealed, stats) = svc.encode_commit(me, 1, body).unwrap();
+            let sealed = Arc::new(sealed);
+            svc.commit_local(me, 1, Arc::clone(&sealed), None).unwrap();
+            svc.flush_rank(me).unwrap();
+            let rep = svc.replicas(me, 1, &sealed, stats.logical, &[RankId(2)]).unwrap();
+            for push in &rep.pushes {
+                svc.store_partner_copy(push.partner, push.owner, 1, &push.frame).unwrap();
+            }
+        }
+        // Rank 0 loses its local copy; its registration was dropped too.
+        svc.wipe_local(RankId(0)).unwrap();
+        svc.cas().unregister(JOB, 0, 0, 1);
+        let (body, outcome) = svc.load(RankId(0), 1).unwrap().unwrap();
+        assert_eq!((body, outcome), (bodies[0].clone(), LoadOutcome::Rebuilt { set_id: 0 }));
+        let kept = svc.local_copy(RankId(0), 1).unwrap().unwrap();
+        assert!(!chunk::carries_payload(&kept), "the local store keeps the manifest");
+        let (body, outcome) = svc.load(RankId(0), 1).unwrap().unwrap();
+        assert_eq!((body, outcome), (bodies[0].clone(), LoadOutcome::Local));
     }
 
     #[test]

@@ -15,11 +15,20 @@
 //!   bounded async pipeline (small queue, batching, linger): every sealed
 //!   blob and every retained restore must be bitwise identical however
 //!   the pipeline batches, lingers, or coalesces.
+//! * `memory_and_disk_keep_one_wave_in_two_forms` — random body histories
+//!   through an in-memory and a disk-rooted service side by side: every
+//!   file is the self-contained `SPBCCKP4` blob of the fresh cut, carrying
+//!   inline exactly the chunks the store lacked, every in-memory copy is
+//!   that file's bare manifest, and both restore bitwise before and after
+//!   GC and after losing the local store.
 
 use mini_mpi::types::RankId;
 use proptest::prelude::*;
-use spbc_ckptstore::{CdcParams, CkptStoreService, StoreConfig};
+use spbc_ckptstore::chunk::{manifest_only_v4, V4Chunk};
+use spbc_ckptstore::{chunk_spans, seal_v4, CdcParams, ChunkHash, CkptStoreService, StoreConfig};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A commit dirties one byte at a multiple of `CHUNK`; small CDC bounds
 /// make a handful of bytes span several manifest entries.
@@ -297,6 +306,184 @@ proptest! {
         if victim < waves {
             let (again, _) = svc.load(r0, waves).unwrap().expect("newest wave must load");
             prop_assert_eq!(&again, &newest);
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// One step of a body history.
+#[derive(Clone, Debug)]
+enum Edit {
+    /// Overwrite `len` bytes at `at` (modulo the body) with `byte`.
+    Overwrite { at: usize, len: usize, byte: u8 },
+    /// Insert `len` pseudo-random bytes at `at`.
+    Insert { at: usize, len: usize, seed: u8 },
+    /// Leave the body as it is.
+    Identical,
+}
+
+#[derive(Clone, Debug)]
+enum HistOp {
+    /// Commit the next epoch after `edit`.
+    Commit(Edit),
+    /// Commit the newest epoch again after `edit` (a rollback re-commit).
+    Recommit(Edit),
+    /// GC local copies, keeping the newest `back + 1` epochs.
+    Gc { back: u64 },
+    /// Lose the local store; the next loads repair from the partner copy.
+    Wipe,
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (0usize..4096, 1usize..300, any::<u8>()).prop_map(|(at, len, byte)| Edit::Overwrite {
+            at,
+            len,
+            byte
+        }),
+        (0usize..4096, 1usize..300, any::<u8>()).prop_map(|(at, len, seed)| Edit::Insert {
+            at,
+            len,
+            seed
+        }),
+        Just(Edit::Identical),
+    ]
+}
+
+fn hist_op_strategy() -> impl Strategy<Value = HistOp> {
+    prop_oneof![
+        edit_strategy().prop_map(HistOp::Commit),
+        edit_strategy().prop_map(HistOp::Commit),
+        edit_strategy().prop_map(HistOp::Commit),
+        edit_strategy().prop_map(HistOp::Recommit),
+        (0u64..3).prop_map(|back| HistOp::Gc { back }),
+        Just(HistOp::Wipe),
+    ]
+}
+
+fn apply(body: &mut Vec<u8>, edit: &Edit) {
+    match *edit {
+        Edit::Overwrite { at, len, byte } => {
+            let at = at % body.len().max(1);
+            let end = (at + len).min(body.len());
+            body[at..end].fill(byte);
+        }
+        Edit::Insert { at, len, seed } => {
+            let at = at % (body.len() + 1);
+            let mut x = seed as u64 | 1;
+            let new = (0..len).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            });
+            body.splice(at..at, new);
+        }
+        Edit::Identical => {}
+    }
+}
+
+/// The self-contained blob of `body`'s fresh cut, with inline payloads for
+/// exactly the chunks `held` lacks (first occurrence only) — what
+/// `seal_v4` over the commit's parts is when `inline = (fate == New)`.
+fn expected_file(body: &[u8], params: CdcParams, held: impl Fn(&ChunkHash) -> bool) -> Vec<u8> {
+    let mut seen = HashSet::new();
+    let parts: Vec<V4Chunk<'_>> = chunk_spans(body, params)
+        .into_iter()
+        .map(|s| {
+            let hash = ChunkHash::of(&body[s.clone()]);
+            let new = !held(&hash) && seen.insert(hash);
+            V4Chunk { hash, len: s.len() as u32, inline: new.then(|| &body[s]) }
+        })
+        .collect();
+    seal_v4(&parts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn memory_and_disk_keep_one_wave_in_two_forms(
+        ops in proptest::collection::vec(hist_op_strategy(), 1..24),
+    ) {
+        let base = cfg(true, 2);
+        let params = base.cdc_params;
+        let root = tmpdir();
+        let _ = std::fs::remove_dir_all(&root);
+        let mem = CkptStoreService::in_memory(2, base.clone());
+        let disk = CkptStoreService::on_disk(&root, 2, base).unwrap();
+        let (r0, holder) = (RankId(0), RankId(1));
+        let mut body = first_body();
+        let mut committed: Vec<(u64, Vec<u8>)> = Vec::new();
+        let (mut epoch, mut keep_from) = (0u64, 0u64);
+        let check_loads = |committed: &[(u64, Vec<u8>)], keep_from: u64| {
+            for (e, expect) in committed.iter().filter(|(e, _)| *e >= keep_from) {
+                let (m, d) = (mem.load(r0, *e).unwrap(), disk.load(r0, *e).unwrap());
+                prop_assert_eq!(m.is_some(), d.is_some(), "epoch {}", e);
+                if let (Some((m, _)), Some((d, _))) = (m, d) {
+                    prop_assert_eq!(&m, expect, "memory, epoch {}", e);
+                    prop_assert_eq!(&d, expect, "disk, epoch {}", e);
+                }
+            }
+            if let Some((e, _)) = committed.last() {
+                prop_assert!(mem.load(r0, *e).unwrap().is_some(), "newest epoch {} loads", e);
+            }
+        };
+        for op in &ops {
+            let edit = match op {
+                HistOp::Commit(edit) => {
+                    epoch += 1;
+                    edit
+                }
+                HistOp::Recommit(edit) if epoch > 0 => {
+                    committed.pop();
+                    edit
+                }
+                HistOp::Recommit(_) => continue,
+                HistOp::Gc { back } => {
+                    keep_from = keep_from.max(epoch.saturating_sub(*back));
+                    mem.gc_local(r0, keep_from).unwrap();
+                    disk.gc_local(r0, keep_from).unwrap();
+                    check_loads(&committed, keep_from);
+                    continue;
+                }
+                HistOp::Wipe => {
+                    mem.wipe_local(r0).unwrap();
+                    disk.wipe_local(r0).unwrap();
+                    check_loads(&committed, keep_from);
+                    continue;
+                }
+            };
+            apply(&mut body, edit);
+            let want = expected_file(&body, params, |h| disk.cas().contains(h));
+            let mut frames = Vec::new();
+            for svc in [&mem, &disk] {
+                let (sealed, stats) = svc.encode_commit(r0, epoch, &body).unwrap();
+                prop_assert_eq!(stats.physical, want.len() as u64);
+                let sealed = Arc::new(sealed);
+                svc.commit_local(r0, epoch, Arc::clone(&sealed), None).unwrap();
+                let rep = svc.replicas(r0, epoch, &sealed, stats.logical, &[holder]).unwrap();
+                for push in &rep.pushes {
+                    svc.store_partner_copy(push.partner, push.owner, epoch, &push.frame).unwrap();
+                }
+                frames.push(rep.pushes[0].frame.to_vec());
+            }
+            let file = std::fs::read(local_blob_path(&root, epoch)).unwrap();
+            prop_assert_eq!(&file, &want, "file of epoch {}", epoch);
+            let manifest = manifest_only_v4(&file).unwrap();
+            prop_assert_eq!(mem.local_copy(r0, epoch).unwrap(), Some(manifest.clone()));
+            prop_assert_eq!(&frames[0], &manifest, "memory pushes the manifest it keeps");
+            prop_assert_eq!(&frames[1], &manifest, "disk pushes the file's manifest");
+            prop_assert_eq!(mem.cas().unique_bytes(), disk.cas().unique_bytes());
+            committed.push((epoch, body.clone()));
+            check_loads(&committed, keep_from);
+        }
+        // Every retained local copy: the memory one is the disk one's
+        // manifest, whether a commit or a repair wrote it.
+        for (e, _) in committed.iter().filter(|(e, _)| *e >= keep_from) {
+            let on_disk = disk.local_copy(r0, *e).unwrap();
+            let want = on_disk.map(|f| manifest_only_v4(&f).unwrap());
+            prop_assert_eq!(mem.local_copy(r0, *e).unwrap(), want, "epoch {}", e);
         }
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -422,10 +422,10 @@ enum CkptState {
 struct ReplWait {
     epoch: u64,
     awaiting: HashSet<(RankId, RankId)>,
-    /// Every replica the wave owes, as the store decided.
+    /// Every replica the wave owes, as the store decided. A CDC wave's
+    /// pushes carry its manifest, which also serves a partner's
+    /// [`KIND_CKPT_CHUNK_REQ`] from the chunk store.
     pushes: Vec<Replica>,
-    /// The sealed blob, which serves a partner's [`KIND_CKPT_CHUNK_REQ`].
-    sealed: Arc<Vec<u8>>,
     last_push: Instant,
     /// When the first push went out — the replicate-phase timer.
     started: Instant,
@@ -878,10 +878,10 @@ impl SpbcLayer {
         };
         // Stable storage via the replicated checkpoint service: finish the
         // body in place, encode it (default: content-defined chunks deduped
-        // against the shared chunk store, sealed as an `SPBCCKP4` manifest
-        // carrying only new chunks inline; with CDC off, an `SPBCCKP2` full
-        // blob), and share the sealed blob between the local write and
-        // every replica.
+        // against the shared chunk store, sealed as an `SPBCCKP4` manifest —
+        // bare for an in-memory store, with the new chunks inline for a disk
+        // store; with CDC off, an `SPBCCKP2` full blob), and share the
+        // sealed blob between the local write and every replica.
         let service = Arc::clone(&self.service);
         // Double buffer: wait for the *previous* wave's background write,
         // never our own — that is all the fsync latency the commit barrier
@@ -983,7 +983,6 @@ impl SpbcLayer {
             epoch,
             awaiting: rep.pushes.iter().map(|r| (r.partner, r.owner)).collect(),
             pushes: rep.pushes,
-            sealed,
             last_push: Instant::now(),
             started: Instant::now(),
         });
@@ -1310,19 +1309,22 @@ impl FtLayer for SpbcLayer {
                 let req: CkptChunkReq = from_bytes(&msg.data)?;
                 // Stale requests (an earlier wave's retry) are dropped; the
                 // retry timer re-pushes the current manifest anyway.
-                if let Some(r) = &self.repl {
-                    if r.epoch == req.epoch && req.owner == self.me.0 {
-                        let subset = self.service.subset_blob(&r.sealed, &req.missing)?;
-                        // Logical bytes were already counted by the manifest
-                        // push this subset completes.
-                        let answer = Replica {
-                            partner: msg.from,
-                            owner: self.me,
-                            frame: Arc::new(subset),
-                            logical: 0,
-                        };
-                        self.push(ctx, req.epoch, &answer);
-                    }
+                let manifest = self
+                    .repl
+                    .as_ref()
+                    .filter(|r| r.epoch == req.epoch && req.owner == self.me.0)
+                    .and_then(|r| r.pushes.iter().find(|p| p.owner == self.me));
+                if let Some(manifest) = manifest {
+                    let subset = self.service.subset_blob(&manifest.frame, &req.missing)?;
+                    // Logical bytes were already counted by the manifest
+                    // push this subset completes.
+                    let answer = Replica {
+                        partner: msg.from,
+                        owner: self.me,
+                        frame: Arc::new(subset),
+                        logical: 0,
+                    };
+                    self.push(ctx, req.epoch, &answer);
                 }
                 Ok(())
             }

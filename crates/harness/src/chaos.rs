@@ -575,6 +575,7 @@ impl Oracle {
                 .iter()
                 .map(|&(node, ms)| (node, Duration::from_millis(ms)))
                 .collect(),
+            node_bin: None,
         };
         match crate::proc::run_multiproc(&pc) {
             Err(e) => Verdict::Fail { reason: format!("proc coordinator: {e}"), flight_dump: None },

@@ -16,13 +16,18 @@
 //! Determinism makes verification simple: the workloads are bit-reproducible,
 //! so whatever moment a node dies, the run must end with outputs identical to
 //! a native in-process baseline of the same seed.
+//!
+//! Each node incarnation writes its stderr to `node-<n>-e<epoch>.stderr` in
+//! the run directory. A run that ends unclean keeps that directory and its
+//! first error carries the directory's path and the tail of every node's
+//! stderr, so a failure in one node is not lost among the others.
 
 use mini_mpi::transport::frame::{read_frame, write_frame, Frame, NodeEvent};
 use spbc_apps::Workload;
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -56,6 +61,8 @@ pub struct ProcConfig {
     /// External `kill -9`s: `(node, delay)` — SIGKILL the node process that
     /// long after launch, however deep in the protocol it happens to be.
     pub kills: Vec<(u32, Duration)>,
+    /// The node executable; `None` locates `spbc-node` with [`node_bin`].
+    pub node_bin: Option<PathBuf>,
 }
 
 impl ProcConfig {
@@ -73,6 +80,7 @@ impl ProcConfig {
             deadline: Duration::from_secs(180),
             plans: Vec::new(),
             kills: Vec::new(),
+            node_bin: None,
         }
     }
 
@@ -182,18 +190,75 @@ pub fn node_bin() -> Result<PathBuf, String> {
     Err("spbc-node binary not found (set SPBC_NODE_BIN)".into())
 }
 
+/// How many trailing lines of each node's stderr an unclean run's error
+/// carries.
+const STDERR_TAIL_LINES: usize = 40;
+
+/// Where node `node`'s incarnation `epoch` writes its stderr.
+fn stderr_path(dir: &Path, node: usize, epoch: u32) -> PathBuf {
+    dir.join(format!("node-{node}-e{epoch}.stderr"))
+}
+
+/// How many of a node's incarnations (the newest that wrote anything) an
+/// unclean run's error quotes; a respawn loop must not bury the rest.
+const STDERR_INCARNATIONS: usize = 3;
+
+/// The last [`STDERR_TAIL_LINES`] lines of the newest
+/// [`STDERR_INCARNATIONS`] non-empty stderr files of each node in `dir`
+/// (`epochs[n]` is node `n`'s latest incarnation), each under a header
+/// naming the file.
+fn stderr_tails(dir: &Path, epochs: &[u32]) -> String {
+    let mut out = String::new();
+    for (node, &last) in epochs.iter().enumerate() {
+        let written: Vec<(PathBuf, String)> = (0..=last)
+            .rev()
+            .map(|epoch| stderr_path(dir, node, epoch))
+            .filter_map(|path| {
+                let text = std::fs::read_to_string(&path).ok()?;
+                (!text.is_empty()).then_some((path, text))
+            })
+            .take(STDERR_INCARNATIONS)
+            .collect();
+        if written.is_empty() {
+            out.push_str(&format!("\n--- node {node}: no stderr output ---"));
+        }
+        for (path, text) in written.iter().rev() {
+            let lines: Vec<&str> = text.lines().collect();
+            let tail = &lines[lines.len().saturating_sub(STDERR_TAIL_LINES)..];
+            out.push_str(&format!(
+                "\n--- node {node} stderr, last {} of {} lines ({}) ---",
+                tail.len(),
+                lines.len(),
+                path.display()
+            ));
+            for line in tail {
+                out.push('\n');
+                out.push_str(line);
+            }
+        }
+    }
+    out
+}
+
+/// The coordinator's socket and the shared checkpoint storage, in the run
+/// directory.
+const SOCK: &str = "coord.sock";
+const STORAGE: &str = "ckpts";
+
 fn spawn_node(
-    bin: &PathBuf,
+    bin: &Path,
     cfg: &ProcConfig,
-    sock: &PathBuf,
-    storage: &PathBuf,
+    dir: &Path,
     node: usize,
     epoch: u32,
     with_plans: bool,
 ) -> Result<Child, String> {
+    let log = stderr_path(dir, node, epoch);
+    let stderr = std::fs::File::create(&log)
+        .map_err(|e| format!("create node stderr {}: {e}", log.display()))?;
     let mut cmd = Command::new(bin);
     cmd.arg("--sock")
-        .arg(sock)
+        .arg(dir.join(SOCK))
         .args(["--node", &node.to_string()])
         .args(["--epoch", &epoch.to_string()])
         .args(["--world", &cfg.world.to_string()])
@@ -204,9 +269,10 @@ fn spawn_node(
         .args(["--seed", &cfg.seed.to_string()])
         .args(["--ckpt-interval", &cfg.ckpt_interval.to_string()])
         .arg("--storage")
-        .arg(storage)
+        .arg(dir.join(STORAGE))
         .args(["--timeout", &cfg.node_timeout.as_secs().max(1).to_string()])
         .stdout(Stdio::null())
+        .stderr(stderr)
         .stdin(Stdio::null());
     if with_plans {
         for &(rank, nth) in &cfg.plans {
@@ -223,20 +289,24 @@ static RUN_ID: AtomicU64 = AtomicU64::new(0);
 /// Run `cfg` as real processes and collect the outputs. Node deaths —
 /// scheduled aborts and external SIGKILLs alike — are survived by respawning
 /// the dead node one epoch up; anything else (rank error, deadline) lands in
-/// the report's `errors`.
+/// the report's `errors`, the first of which then names the kept run
+/// directory and ends with the tail of every node's stderr.
 pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
     if cfg.clusters == 0 || !cfg.world.is_multiple_of(cfg.clusters) {
         return Err("world must divide evenly into clusters".into());
     }
-    let bin = node_bin()?;
+    let bin = match &cfg.node_bin {
+        Some(bin) => bin.clone(),
+        None => node_bin()?,
+    };
     let dir = std::env::temp_dir().join(format!(
         "spbc-proc-{}-{}",
         std::process::id(),
         RUN_ID.fetch_add(1, Ordering::Relaxed)
     ));
-    let storage = dir.join("ckpts");
+    let storage = dir.join(STORAGE);
     std::fs::create_dir_all(&storage).map_err(|e| format!("mkdir {}: {e}", storage.display()))?;
-    let sock = dir.join("coord.sock");
+    let sock = dir.join(SOCK);
     let listener =
         UnixListener::bind(&sock).map_err(|e| format!("bind {}: {e}", sock.display()))?;
     listener.set_nonblocking(true).map_err(|e| format!("nonblocking listener: {e}"))?;
@@ -306,7 +376,7 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
     let mut children: Vec<Child> = Vec::with_capacity(cfg.clusters);
     let mut epochs: Vec<u32> = vec![0; cfg.clusters];
     for node in 0..cfg.clusters {
-        children.push(spawn_node(&bin, cfg, &sock, &storage, node, 0, true)?);
+        children.push(spawn_node(&bin, cfg, &dir, node, 0, true)?);
     }
 
     let start = Instant::now();
@@ -360,7 +430,7 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
                 done[node * per..(node + 1) * per].fill(false);
                 epochs[node] += 1;
                 report.respawns += 1;
-                match spawn_node(&bin, cfg, &sock, &storage, node, epochs[node], false) {
+                match spawn_node(&bin, cfg, &dir, node, epochs[node], false) {
                     Ok(c) => children[node] = c,
                     Err(e) => {
                         report.errors.push((u32::MAX, format!("respawn node {node}: {e}")));
@@ -373,7 +443,6 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    let _ = outcome;
 
     // Release lingering nodes, then make sure every child is really gone.
     hub.broadcast(&Frame::Shutdown);
@@ -393,7 +462,15 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
     }
     stop.store(true, Ordering::SeqCst);
     let _ = accept.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    match (outcome, report.errors.first_mut()) {
+        (Err(()), Some((_, msg))) => {
+            msg.push_str(&format!("\n(run directory kept: {})", dir.display()));
+            msg.push_str(&stderr_tails(&dir, &epochs));
+        }
+        _ => {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
     Ok(report)
 }
 

@@ -86,3 +86,42 @@ fn external_sigkill_respawns_and_matches_native() {
     assert!(report.respawns >= 1, "the SIGKILL must land before the run finishes");
     assert_eq!(report.outputs, native, "recovery must be bitwise-identical");
 }
+
+/// A node that fails is loud: node 2 is replaced by a script that writes
+/// one line to stderr and never connects, so the run hits its deadline. The
+/// error names the kept run directory and carries node 2's stderr, and the
+/// other nodes (real ones) keep their own files.
+#[test]
+fn failing_node_stderr_lands_in_the_error() {
+    use std::os::unix::fs::PermissionsExt;
+    let marker = "node 2: injected failure, refusing to start";
+    let script = std::env::temp_dir().join(format!("spbc-failing-node-{}.sh", std::process::id()));
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\ncase \" $* \" in\n  *\" --node 2 \"*) echo '{marker}' >&2; exec sleep 3 ;;\n\
+             esac\nexec '{}' \"$@\"\n",
+            env!("CARGO_BIN_EXE_spbc-node")
+        ),
+    )
+    .unwrap();
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let mut cfg = ProcConfig::new(Workload::MiniGhost, 5);
+    cfg.node_bin = Some(script.clone());
+    cfg.deadline = Duration::from_secs(2);
+    let err = run_multiproc(&cfg).unwrap().ok().unwrap_err();
+    let _ = std::fs::remove_file(&script);
+    assert!(err.contains("coordinator deadline exceeded"), "{err}");
+    assert!(err.contains(marker), "node 2's stderr is missing from: {err}");
+    assert!(err.contains("node-2-e0.stderr"), "{err}");
+    let dir = err
+        .split("(run directory kept: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no run directory in: {err}"));
+    let dir = std::path::Path::new(dir);
+    let kept = std::fs::read_to_string(dir.join("node-2-e0.stderr")).unwrap();
+    assert_eq!(kept.trim(), marker);
+    assert!(dir.join("node-0-e0.stderr").is_file());
+    std::fs::remove_dir_all(dir).unwrap();
+}
