@@ -23,9 +23,10 @@
 //!   local copies are lost or corrupted repairs transparently from a
 //!   surviving partner at load time.
 //! * **Asynchronous writes** — [`writer::AsyncWriter`] moves checksumming and
-//!   disk I/O off the commit path with per-owner double-buffering: a wave's
-//!   write overlaps the application's next compute phase, and the *next*
-//!   wave's `flush` (or shutdown) is the only point that waits for it.
+//!   disk I/O off the encode path, one queued and one in-flight job per
+//!   owner: a wave's write overlaps its replication, and the member's
+//!   `flush` before it acknowledges the commit is the only point that
+//!   waits for it, so an acknowledged wave is durable.
 //! * **Garbage collection** — the service prunes epochs older than the
 //!   newest globally-committed wave, both for local copies and partner-held
 //!   replicas, replacing manual `prune` calls. No blob references another

@@ -476,10 +476,9 @@ impl CkptStoreService {
     ///
     /// With async writes (default) this enqueues on the background writer
     /// and returns immediately; `on_done` fires from the writer thread with
-    /// the hidden write latency. Call [`flush_rank`](Self::flush_rank) first
-    /// to implement double-buffering (wait for the *previous* wave, never
-    /// the current one). With `async_writes = false` the write (and
-    /// `on_done`) happen inline.
+    /// the hidden write latency; [`flush_rank`](Self::flush_rank) waits
+    /// until the write is durable. With `async_writes = false` the write
+    /// (and `on_done`) happen inline.
     ///
     /// The returned [`Admission`] reports whether the bounded pipeline had
     /// room immediately or the caller was delayed by backpressure (a full

@@ -1,4 +1,4 @@
-//! Bounded asynchronous write pipeline with per-owner double-buffering,
+//! Bounded asynchronous write pipeline with per-owner coalescing,
 //! shard-parallel workers, small-blob batching, and explicit backpressure.
 //!
 //! The commit barrier must not pay fsync latency (ISSUE 3 / Section 5 of the
@@ -27,10 +27,12 @@
 //!   memory. Coalescing submissions are always admitted immediately — they
 //!   replace a queued blob, so memory does not grow.
 //!
-//! The protocol calls `flush_owner` at the *start* of the next wave's commit
-//! (so a wave never waits on its own write, only — rarely — on the previous
-//! one) and at shutdown/restart (so durability is guaranteed before the
-//! process exits or a restored rank trusts the store's epoch inventory).
+//! The protocol calls `flush_owner` once a wave's replicas are acked and
+//! before the member acknowledges the commit (so the write overlaps
+//! replication, and an acknowledged wave is durable: its RESUME may free
+//! everything older), and at shutdown/restart (so durability is guaranteed
+//! before the process exits or a restored rank trusts the store's epoch
+//! inventory).
 //!
 //! Uses `std::sync::{Mutex, Condvar}` rather than `parking_lot`: the
 //! vendored parking_lot stand-in has no condition variables.

@@ -21,8 +21,8 @@ pub const KIND_CKPT_POLL: u16 = 5;
 /// `kind` value of a leader commit (body: checkpoint epoch).
 pub const KIND_CKPT_COMMIT: u16 = 6;
 /// `kind` value of a member's commit acknowledgement (body: checkpoint
-/// epoch). The member has written its checkpoint and now blocks until the
-/// leader's resume.
+/// epoch). The member's own copy is durable and its replicas are acked; it
+/// now blocks until the leader's resume.
 pub const KIND_CKPT_ACK: u16 = 7;
 /// `kind` value of the leader's resume broadcast (body: checkpoint epoch):
 /// every member has committed, the application may continue. Without this
@@ -54,7 +54,8 @@ pub const KIND_CKPT_BLOB_ACK: u16 = 14;
 pub const KIND_CKPT_CHUNK_REQ: u16 = 16;
 /// `kind` value of [`LogGc`]: a receiver whose cluster resumed from wave N
 /// tells an out-of-cluster sender which log entries no checkpoint the store
-/// still retains (N−1 and up) can ever ask for again.
+/// still retains (N, durable on every member, and up) can ever ask for
+/// again.
 pub const KIND_LOG_GC: u16 = 17;
 
 /// Per-channel rollback entry: state of one incoming channel (peer → me) as

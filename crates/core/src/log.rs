@@ -157,24 +157,37 @@ impl MessageLog {
     /// `seqnum > lr` on any channel to `dst`, plus the explicitly `missing`
     /// seqnums (payload-less rendezvous announcements the receiver had seen
     /// but never completed). Sorted by the global send order (§5.2.2).
-    /// Panics if `lr` is below a channel's GC floor: the receiver lost a
-    /// checkpoint it promised to keep.
-    ///
-    /// Cost: O(log n) per channel for the watermark cut plus O(log n) per
-    /// missing seqnum, plus the size of the output — never a scan of the
-    /// retained prefix.
+    /// Panics if `lr` is below a channel's GC floor; a rollback handler
+    /// takes [`try_replay_set`](Self::try_replay_set) and reports it.
     pub fn replay_set(
         &self,
         dst: RankId,
         lr: &dyn Fn(ChannelId) -> u64,
         missing: &dyn Fn(ChannelId) -> Vec<u64>,
     ) -> Vec<Message> {
+        self.try_replay_set(dst, lr, missing).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`replay_set`](Self::replay_set), or the first channel whose `lr`
+    /// is below its GC floor: the receiver restarted from a checkpoint
+    /// older than the cut it released this log with, so the entries it
+    /// needs are gone and replaying around the hole would diverge.
+    ///
+    /// Cost: O(log n) per channel for the watermark cut plus O(log n) per
+    /// missing seqnum, plus the size of the output — never a scan of the
+    /// retained prefix.
+    pub fn try_replay_set(
+        &self,
+        dst: RankId,
+        lr: &dyn Fn(ChannelId) -> u64,
+        missing: &dyn Fn(ChannelId) -> Vec<u64>,
+    ) -> Result<Vec<Message>, BelowFloor> {
         let mut picked: Vec<&LogEntry> = Vec::new();
         for ring in self.by_dst.get(dst.idx()).into_iter().flatten() {
             let watermark = lr(ring.chan);
-            // GC releases only what the receiver's retained checkpoints
-            // hold; replaying around a hole would silently diverge.
-            assert!(ring.floor <= watermark, "{:?} rolled back below its GC floor", ring.chan);
+            if watermark < ring.floor {
+                return Err(BelowFloor { chan: ring.chan, floor: ring.floor, lr: watermark });
+            }
             // Suffix above the receiver's watermark: replay wholesale.
             picked.extend(ring.entries.range(ring.cut_above(watermark)..));
             // Owed seqnums at or below the watermark: point lookups in the
@@ -183,7 +196,7 @@ impl MessageLog {
             picked.extend(owed.iter().filter(|&&s| s <= watermark).filter_map(|&s| ring.get(s)));
         }
         picked.sort_by_key(|e| e.order);
-        picked.iter().map(|e| e.msg.clone()).collect()
+        Ok(picked.iter().map(|e| e.msg.clone()).collect())
     }
 
     /// Current per-channel *logical* lengths (pruned prefix + retained;
@@ -228,6 +241,29 @@ impl MessageLog {
     pub fn find(&self, chan: ChannelId, seqnum: u64) -> Option<&Message> {
         let ring = self.by_dst.get(chan.dst.idx())?.iter().find(|r| r.chan == chan)?;
         ring.get(seqnum).map(|e| &e.msg)
+    }
+}
+
+/// A rollback below a channel's GC floor ([`MessageLog::try_replay_set`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BelowFloor {
+    /// The channel whose retained window no longer reaches `lr`.
+    pub chan: ChannelId,
+    /// The highest seqnum a GC notice released on it.
+    pub floor: u64,
+    /// The receiver's announced rollback watermark.
+    pub lr: u64,
+}
+
+impl std::fmt::Display for BelowFloor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let BelowFloor { chan, floor, lr } = self;
+        write!(
+            f,
+            "channel {}->{} (comm {}) rolled back to lr {lr}, below its GC floor {floor}: \
+             the receiver lost the checkpoint it released this log with",
+            chan.src, chan.dst, chan.comm.0
+        )
     }
 }
 
@@ -345,5 +381,22 @@ mod tests {
         assert_eq!(log.lengths()[&chan], 5, "checkpoints record logical lengths");
         assert!(log.find(chan, 3).is_none() && log.find(chan, 4).is_some());
         assert_eq!(log.appended_bytes(), 10);
+    }
+
+    #[test]
+    fn rollback_below_the_floor_names_the_channel() {
+        let mut log = MessageLog::new();
+        for s in 1..=5 {
+            log.append(make_msg(0, 1, s, b"xy"));
+        }
+        let chan = make_msg(0, 1, 1, b"").env.channel();
+        log.gc(chan, 3);
+        let err = log.try_replay_set(RankId(1), &|_| 2, &|_| Vec::new()).unwrap_err();
+        assert_eq!(err, BelowFloor { chan, floor: 3, lr: 2 });
+        assert!(err.to_string().contains("channel 0->1 (comm 0) rolled back to lr 2"), "{err}");
+        assert!(err.to_string().contains("GC floor 3"), "{err}");
+        let seqs = |set: Vec<Message>| set.iter().map(|m| m.env.seqnum).collect::<Vec<_>>();
+        let at_floor = log.try_replay_set(RankId(1), &|_| 3, &|_| Vec::new()).unwrap();
+        assert_eq!(seqs(at_floor), vec![4, 5]);
     }
 }

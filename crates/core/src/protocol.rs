@@ -89,9 +89,10 @@ pub struct SpbcConfig {
     /// each committed checkpoint. 0 disables replication (single-copy
     /// storage, the pre-subsystem behavior). Defaults to `$SPBC_REPL_K` or 2.
     pub replicas: usize,
-    /// Write local checkpoint copies through the background writer so the
-    /// commit barrier does not pay serialization + fsync latency. Disable to
-    /// restore fully synchronous commits.
+    /// Write local checkpoint copies through the background writer, so the
+    /// write overlaps replication and the commit barrier pays only what is
+    /// left of it when the member flushes before its ACK. Disable to write
+    /// synchronously at commit.
     pub async_ckpt_writes: bool,
     /// Inert: no store path chunks on a fixed grid. Kept only until
     /// `spbc-perf`'s full struct literal drops it.
@@ -409,8 +410,8 @@ enum CkptState {
     /// Local checkpoint captured; blocked until every partner rank has
     /// acknowledged its pushed replica copy.
     AwaitRepl,
-    /// Local checkpoint written; blocked until the leader's resume barrier
-    /// confirms every sibling has committed too.
+    /// Local checkpoint durable and acknowledged; blocked until the
+    /// leader's resume barrier confirms every sibling has committed too.
     AwaitResume,
     Committed,
 }
@@ -495,10 +496,9 @@ pub struct SpbcLayer {
     /// The replicated checkpoint-storage service: where every committed
     /// checkpoint lives, and the only source a restart reads.
     service: Arc<CkptStoreService>,
-    /// Log-GC notices ([`CheckpointData::log_gc_notices`]) of the last two
-    /// cuts this incarnation committed, or of the one it restored, keyed by
-    /// epoch: wave N's RESUME sends wave N−1's.
-    gc_cuts: Vec<(u64, BTreeMap<RankId, LogGc>)>,
+    /// Log-GC notices ([`CheckpointData::log_gc_notices`]) of the cut this
+    /// member committed last: its wave's RESUME sends them.
+    gc_notices: BTreeMap<RankId, LogGc>,
     /// My partner ranks (other clusters) holding replica copies.
     partners: Vec<RankId>,
     /// Outstanding replication barrier for the wave being committed.
@@ -506,8 +506,9 @@ pub struct SpbcLayer {
     /// Wave-open time of the in-progress checkpoint (the quiesce-phase
     /// timer: wave open to state capture).
     wave_open: Option<Instant>,
-    /// When this member sent its ACK (the commit-barrier-phase timer:
-    /// ACK to the leader's RESUME broadcast).
+    /// When this member's replicas were all acked (the commit-barrier-phase
+    /// timer: the flush of its own write, its ACK, and the wait for the
+    /// leader's RESUME broadcast).
     barrier_start: Option<Instant>,
 }
 
@@ -550,7 +551,7 @@ impl SpbcLayer {
             awaiting_grant: None,
             granted_token: None,
             service,
-            gc_cuts: Vec::new(),
+            gc_notices: BTreeMap::new(),
             partners,
             repl: None,
             wave_open: None,
@@ -652,15 +653,12 @@ impl SpbcLayer {
         to_bytes(&Rollback { epoch: ctx.epoch(), channels })
     }
 
-    /// Receiver-checkpoint log GC, run when wave `epoch` resumes: storage
-    /// now retains only waves `epoch - 1` and up, so what the `epoch - 1`
-    /// cut already holds can never be asked of a sender's log again. That
-    /// cut is one this incarnation committed or restored from — including
-    /// the first wave after a process respawn.
-    fn send_log_gc(&self, ctx: &mut FtCtx<'_>, epoch: u64) {
-        let Some((_, notices)) = self.gc_cuts.iter().find(|(e, _)| *e == epoch - 1) else {
-            return;
-        };
+    /// Receiver-checkpoint log GC, run when this member's wave resumes:
+    /// every member's copy of the wave is durable (the ACK meant so) and
+    /// storage keeps only that wave, so what its cut holds can never be
+    /// asked of a sender's log again.
+    fn send_log_gc(&mut self, ctx: &mut FtCtx<'_>) {
+        let notices = std::mem::take(&mut self.gc_notices);
         for (&src, gc) in notices.iter().filter(|(src, _)| !self.is_intra(**src)) {
             Metrics::add(&self.metrics.log_gc_notices, 1);
             self.ctrl(ctx, src, KIND_LOG_GC, to_bytes(gc));
@@ -732,7 +730,11 @@ impl SpbcLayer {
         let listed = |chan: ChannelId| rb.channels.iter().find(|c| c.comm == chan.comm.0);
         let lr_of = |chan| listed(chan).map_or(0, |c| c.lr);
         let missing_of = |chan| listed(chan).map(|c| c.missing.clone()).unwrap_or_default();
-        let set = self.log.lock().replay_set(from, &lr_of, &missing_of);
+        let set = self
+            .log
+            .lock()
+            .try_replay_set(from, &lr_of, &missing_of)
+            .map_err(|e| MpiError::InvalidState(format!("rollback from rank {from}: {e}")))?;
         if !set.is_empty() || self.replay.has_queued(from) {
             Metrics::add(&self.metrics.replayed_msgs, set.len() as u64);
             Metrics::add(
@@ -883,10 +885,6 @@ impl SpbcLayer {
         // store; with CDC off, an `SPBCCKP2` full blob), and share the
         // sealed blob between the local write and every replica.
         let service = Arc::clone(&self.service);
-        // Double buffer: wait for the *previous* wave's background write,
-        // never our own — that is all the fsync latency the commit barrier
-        // ever pays.
-        service.flush_rank(self.me)?;
         let encode_start = Instant::now();
         ck.encode_tail(&mut self.body);
         let (sealed, stats) = service.encode_commit(self.me, epoch, &self.body)?;
@@ -953,10 +951,7 @@ impl SpbcLayer {
         let ws = service.writer_stats();
         Metrics::set(&self.metrics.store_batched_fsyncs, ws.batched_fsyncs);
         Metrics::set(&self.metrics.store_queue_depth, ws.queue_depth);
-        self.gc_cuts.push((epoch, ck.log_gc_notices()));
-        if self.gc_cuts.len() > 2 {
-            self.gc_cuts.remove(0);
-        }
+        self.gc_notices = ck.log_gc_notices();
         self.last_ckpt_epoch = epoch;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Written });
         if self.partners.is_empty() {
@@ -965,8 +960,8 @@ impl SpbcLayer {
         // Replicate: the store decides what each partner receives (the
         // blob, its chunk-hash manifest, or — when this rank completed its
         // redundancy set — parity frames); the leader's ACK waits for every
-        // partner's store confirmation (the commit barrier includes
-        // replication, not disk).
+        // partner's store confirmation, and then for this member's own
+        // write to be durable.
         ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
         let rep = service.replicas(self.me, epoch, &sealed, logical, &self.partners)?;
         if let Some((encode_us, bytes)) = rep.parity {
@@ -1044,15 +1039,21 @@ impl SpbcLayer {
         from_bytes(&body)
     }
 
-    /// Replication barrier cleared (or not required): tell the leader this
-    /// member's checkpoint is committed and block for the resume broadcast.
+    /// Replication barrier cleared (or not required): once this member's
+    /// own copy is durable, tell the leader its checkpoint is committed and
+    /// block for the resume broadcast.
     fn ack_commit(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) -> Result<()> {
+        // The ACK means "durable": the resume it unblocks lets storage and
+        // the senders' logs drop everything this wave covers. The local
+        // write ran behind replication; what is left of it is paid here,
+        // inside the barrier.
+        self.barrier_start = Some(Instant::now());
+        self.service.flush_rank(self.me)?;
         // Do not resume yet: wait for the leader's barrier so no post-commit
         // send can land in a sibling's still-open checkpoint (see
         // [`KIND_CKPT_RESUME`]).
         ctx.chaos_ckpt_hook(CkptHook::CommitBarrier)?;
         self.ckpt_state = CkptState::AwaitResume;
-        self.barrier_start = Some(Instant::now());
         let leader = self.clusters.leader_of(self.me);
         self.ctrl(ctx, leader, KIND_CKPT_ACK, to_bytes(&epoch));
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Ack });
@@ -1087,7 +1088,6 @@ impl FtLayer for SpbcLayer {
         let ck = if target == 0 { None } else { Some(self.load_cut(ctx, target)?) };
         ctx.recorder().record(|| Event::Rollback { epoch: ctx.epoch(), restored_ckpt: target });
         if let Some(ck) = ck {
-            self.gc_cuts = vec![(target, ck.log_gc_notices())];
             ctx.set_send_seq(ck.send_seq);
             ctx.set_recv_seen(ck.recv_seen);
             ctx.restore_comms(ck.comms);
@@ -1267,18 +1267,16 @@ impl FtLayer for SpbcLayer {
                     let us = t.elapsed().as_micros() as u64;
                     self.record_phase(ctx, epoch, crate::hist::Phase::CommitBarrier, us);
                 }
-                // The wave is globally committed inside the cluster: storage
-                // GC can drop everything older than the previous wave, and
-                // the senders' logs everything that wave already holds.
-                if epoch > 1 {
-                    let keep_from = epoch - 1;
-                    let pruned = self.service.gc_local(self.me, keep_from)? as u64;
-                    if pruned > 0 {
-                        Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
-                        ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
-                    }
-                    self.send_log_gc(ctx, epoch);
+                // The wave is committed and durable on every member: storage
+                // keeps only it, and the senders' logs drop everything it
+                // holds.
+                let keep_from = epoch;
+                let pruned = self.service.gc_local(self.me, keep_from)? as u64;
+                if pruned > 0 {
+                    Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
+                    ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
                 }
+                self.send_log_gc(ctx);
                 Ok(())
             }
             KIND_CKPT_BLOB => {

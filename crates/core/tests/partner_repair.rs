@@ -171,12 +171,13 @@ fn replication_disabled_still_recovers_from_intact_storage() {
 #[test]
 fn lost_store_copy_is_not_restored_from_memory() {
     // k = 0 and the victim wipes its only copy of wave 1 (iteration 3)
-    // before wave 2's RESUME, so no sender to cluster {2, 3} has pruned its
-    // log yet. The store can no longer load wave 1 for the victim: the
-    // cluster must restart from the initial state and replay everything,
-    // not resurrect wave 1 from process memory.
+    // after wave 1's RESUME, which already released the senders' log
+    // entries that wave covers. The store can no longer load wave 1 for the
+    // victim, and no process-memory copy stands in for it: the cluster
+    // restarts from the initial state, its rollback asks for entries below
+    // the senders' GC floor, and the run ends at once with the floor error
+    // instead of resurrecting wave 1 or waiting for the deadlock timeout.
     const LOST_AT: u64 = 4;
-    let native = run_native();
     let root = tmpdir("store-loss");
     let cfg = SpbcConfig { ckpt_interval: 3, replicas: 0, ..Default::default() };
     let provider = damaged_provider(&root, cfg);
@@ -188,13 +189,24 @@ fn lost_store_copy_is_not_restored_from_memory() {
             fs::remove_dir_all(svc_root.join(format!("rank-{VICTIM}")).join("own")).unwrap();
         }
     });
-    let spbc = run_damaged(Arc::clone(&provider), hook, LOST_AT);
+    let timeout = Duration::from_secs(10);
+    let report = Runtime::builder(RuntimeConfig::new(WORLD).with_deadlock_timeout(timeout))
+        .provider(provider.clone())
+        .app(Arc::new(ring_app(ITERS, hook)))
+        .plans(vec![FailurePlan::nth(RankId(VICTIM), LOST_AT + 1)])
+        .launch()
+        .unwrap();
 
-    assert_eq!(native.outputs, spbc.outputs, "restart from scratch must match bitwise");
-    assert_eq!(spbc.failures_handled, 1);
-    assert_eq!(spbc.restarts, vec![0, 0, 1, 1, 0, 0, 0, 0]);
+    // Rank 1 logs the ring's channel into the victim; wave 1's notice
+    // raised its floor to the 3 messages that wave holds.
+    let (rank, err) = report.errors.first().expect("the run must fail loudly");
+    assert_eq!(*rank, RankId(VICTIM - 1), "{err}");
+    let want = format!("channel 1->{VICTIM} (comm 0) rolled back to lr 0, below its GC floor 3");
+    assert!(err.contains(&want), "{err}");
+    assert!(report.wall_time < timeout / 2, "took {:?}: {err}", report.wall_time);
+    assert_eq!(report.restarts, vec![0, 0, 1, 1, 0, 0, 0, 0]);
     let m = provider.metrics();
     let loads = m.phase.hist(Phase::RestoreLoad).snapshot().count();
-    assert_eq!(loads, 0, "cluster {{2, 3}} must restart from the initial state, not wave 1");
-    assert!(Metrics::get(&m.replayed_msgs) > 0, "the senders' logs replay from seqnum 1");
+    assert_eq!(loads, 0, "cluster {{2, 3}} must not resurrect wave 1");
+    assert_eq!(Metrics::get(&m.replayed_msgs), 0, "nothing replays around the hole");
 }

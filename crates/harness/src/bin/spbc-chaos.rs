@@ -3,23 +3,31 @@
 //! reproducer.
 //!
 //! ```text
-//! spbc-chaos [--seeds N] [--short] [--family NAME] [--pinned]
+//! spbc-chaos [--seeds N | --seed S] [--short] [--family NAME] [--pinned] [--repeat N]
 //! ```
 //!
-//! * `--seeds N` — base seeds (default 8). Each seed expands to
+//! * `--seeds N` — base seeds 0..N (default 8). Each seed expands to
 //!   9 families × 2 workloads = 18 schedules, so `--seeds 8` runs 144.
+//! * `--seed S` — base seed S only.
 //! * `--short` — CI-sized workloads (fewer iterations, smaller state).
 //! * `--family NAME` — restrict to one family
 //!   (`spread`, `same-cluster-repeat`, `during-recovery`, `ckpt-phases`,
 //!   `delta-chain`, `cas-gc`, `ec-rebuild`, `proc-kill`, `log-gc`).
 //! * `--pinned` — additionally run the pinned regression schedules.
+//! * `--repeat N` — run each selected schedule N times instead of once,
+//!   without minimizing, and print its failure count: the rate of a
+//!   schedule that fails only now and then
+//!   (`--family proc-kill --seed 7 --repeat 20`).
 //!
-//! Exit status 0 iff every schedule passed.
+//! Exit status 0 iff every run passed.
 
 use spbc_harness::chaos::{self, ChaosConfig, Family};
 
 fn usage() -> ! {
-    eprintln!("usage: spbc-chaos [--seeds N] [--short] [--family NAME] [--pinned]");
+    eprintln!(
+        "usage: spbc-chaos [--seeds N | --seed S] [--short] [--family NAME] [--pinned] \
+         [--repeat N]"
+    );
     eprintln!("environment: see the SPBC_* table in spbc_core::env");
     for (name, default, meaning) in spbc_core::env::VARS {
         eprintln!("  {name:<18} (default {default}): {meaning}");
@@ -28,20 +36,25 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut seeds: u64 = 8;
+    let mut seeds = 0..8u64;
     let mut cfg = ChaosConfig::default();
-    let mut family: Option<Family> = None;
+    let mut families: Vec<Family> = Family::ALL.to_vec();
     let mut pinned = false;
+    let mut repeat: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut num = || args.next().and_then(|v| v.parse::<u64>().ok()).unwrap_or_else(|| usage());
         match a.as_str() {
-            "--seeds" => {
-                seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+            "--seeds" => seeds = 0..num(),
+            "--seed" => {
+                let s = num();
+                seeds = s..s + 1
             }
+            "--repeat" => repeat = Some(num()),
             "--short" => cfg = ChaosConfig::short(),
             "--family" => {
                 let named = args.next().and_then(|n| Family::by_name(&n));
-                family = Some(named.unwrap_or_else(|| usage()))
+                families = vec![named.unwrap_or_else(|| usage())]
             }
             "--pinned" => pinned = true,
             _ => usage(),
@@ -61,6 +74,8 @@ fn main() {
             chaos::pinned::ec_rebuild(),
             chaos::pinned::proc_kill(),
             chaos::pinned::log_gc(),
+            chaos::pinned::log_gc_first_wave(),
+            chaos::pinned::log_gc_commit_barrier(),
         ] {
             total += 1;
             match oracle.run(&schedule) {
@@ -75,53 +90,33 @@ fn main() {
         }
     }
 
-    let report = if let Some(f) = family {
-        // Single-family sweep: reuse the campaign loop shape by hand.
+    if let Some(n) = repeat {
         let workloads = cfg.workloads.clone();
         let mut oracle = chaos::Oracle::new(cfg);
-        let mut rep = chaos::CampaignReport::default();
-        for seed in 0..seeds {
-            for &workload in &workloads {
-                let schedule = chaos::generate(seed, f, workload, oracle.cfg());
-                rep.total += 1;
-                match oracle.run(&schedule) {
-                    chaos::Verdict::Pass => {
-                        rep.passed += 1;
-                        eprintln!("chaos: PASS seed={seed} family={f} workload={workload:?}");
-                    }
-                    chaos::Verdict::Fail { reason, flight_dump } => {
-                        let minimized = if f == Family::ProcKill {
-                            chaos::minimize(&schedule.plans, |cand| {
-                                let probe =
-                                    chaos::Schedule { plans: cand.to_vec(), ..schedule.clone() };
-                                oracle.run_proc(&probe).failed()
-                            })
-                        } else {
-                            let node_loss = f == Family::EcRebuild;
-                            chaos::minimize(&schedule.plans, |cand| {
-                                oracle.run_plans_with(workload, seed, cand, node_loss).failed()
-                            })
-                        };
-                        let case = chaos::FailureCase { schedule, reason, minimized, flight_dump };
-                        eprint!("{}", case.reproducer());
-                        rep.failures.push(case);
-                    }
+        for seed in seeds {
+            for &family in &families {
+                for &workload in &workloads {
+                    let schedule = chaos::generate(seed, family, workload, oracle.cfg());
+                    let failed = chaos::repeat(&mut oracle, &schedule, n);
+                    failures += failed as usize;
+                    println!(
+                        "chaos repeat: seed={seed} family={family} workload={workload:?}: \
+                         {failed}/{n} runs failed"
+                    );
                 }
             }
         }
-        rep
     } else {
-        chaos::run_campaign(seeds, cfg)
-    };
-
-    total += report.total;
-    failures += report.failures.len();
-    println!(
-        "chaos campaign: {}/{} schedules passed ({} pinned+campaign runs total)",
-        report.passed, report.total, total
-    );
-    for case in &report.failures {
-        println!("{}", case.reproducer());
+        let report = chaos::run_campaign_over(seeds, &families, cfg);
+        total += report.total;
+        failures += report.failures.len();
+        println!(
+            "chaos campaign: {}/{} schedules passed ({} pinned+campaign runs total)",
+            report.passed, report.total, total
+        );
+        for case in &report.failures {
+            println!("{}", case.reproducer());
+        }
     }
     if failures > 0 {
         std::process::exit(1);

@@ -38,12 +38,12 @@
 //!   outright — recovery restores from shared disk into a fresh address
 //!   space;
 //! * [`Family::LogGc`] — kills around receiver-checkpoint log GC
-//!   (`KIND_LOG_GC`), after at least two waves so senders have already
-//!   pruned: the *receiver* cluster dies right after the RESUME that sent
-//!   its notices, or inside the commit barrier of a later wave (restart
-//!   from the previous wave must still find its replay suffix), or the
-//!   *sender* cluster dies after pruning and rolls its log back to a cut at
-//!   the pruned prefix, followed by the receiver.
+//!   (`KIND_LOG_GC`), after at least one wave so senders have already
+//!   pruned to that wave's cut: the *receiver* cluster dies right after the
+//!   RESUME that sent its notices, or inside the commit barrier of the next
+//!   wave (restart from the pruned-to wave must still find its replay
+//!   suffix), or the *sender* cluster dies after pruning and rolls its log
+//!   back to a cut at the pruned prefix, followed by the receiver.
 //!
 //! Every schedule runs under SPBC and is verified **bitwise** against a
 //! native (fault-free) execution of the same workload. A failing schedule is
@@ -432,24 +432,27 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
             plans
         }
         Family::LogGc => {
-            // Wave n >= 2, so the receivers' RESUME of wave n sends notices
-            // and the senders' logs are already pruned to the cut of wave
-            // n-1 (or n-2 for the commit-barrier kill, which lands before
-            // wave n's notices go out).
+            // Wave n >= 1, one before the last: the receivers' RESUME of
+            // wave n has pruned the senders' logs to exactly the cut of
+            // wave n, which every member holds durably (a member ACKs only
+            // once its own copy is), and storage keeps nothing older.
             let waves = cfg.iters / cfg.ckpt_interval.max(1);
-            let n = 2 + rng.below(waves.saturating_sub(2).max(1));
+            let n = 1 + rng.below(waves.saturating_sub(1).max(1));
             let r = rng.below(cfg.clusters as u64) as usize;
             let s = (r + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
             match rng.below(3) {
                 // Receiver dies at the first failure point after wave n's
-                // RESUME: notices sent, then it rolls back to wave n.
+                // RESUME: notices sent, then it rolls back to wave n, its
+                // `lr` exactly at the senders' floors.
                 0 => vec![FailurePlan::nth(cfg.rank_in(r, &mut rng), cfg.ckpt_interval * n + 1)],
-                // Receiver dies inside wave n's commit barrier: it may
-                // restart from n-1, whose replay suffix must still be there.
+                // Receiver dies inside wave n+1's commit barrier, before
+                // that wave's notices go out: it restarts from n (or n+1,
+                // once every member's copy is durable), and its replay
+                // suffix must still be in logs pruned to exactly n.
                 1 => vec![FailurePlan::at_phase(
                     cfg.rank_in(r, &mut rng),
                     CkptHook::CommitBarrier,
-                    n,
+                    n + 1,
                 )],
                 // Sender dies one iteration later — wave n's notices have
                 // pruned its log up to the very cut it now truncates to —
@@ -813,11 +816,20 @@ pub struct CampaignReport {
 /// every failure.
 /// Progress goes to stderr; the returned report holds the reproducers.
 pub fn run_campaign(seeds: u64, cfg: ChaosConfig) -> CampaignReport {
+    run_campaign_over(0..seeds, &Family::ALL, cfg)
+}
+
+/// [`run_campaign`] over the given base seeds and families.
+pub fn run_campaign_over(
+    seeds: std::ops::Range<u64>,
+    families: &[Family],
+    cfg: ChaosConfig,
+) -> CampaignReport {
     let workloads = cfg.workloads.clone();
     let mut oracle = Oracle::new(cfg);
     let mut report = CampaignReport::default();
-    for seed in 0..seeds {
-        for family in Family::ALL {
+    for seed in seeds {
+        for &family in families {
             for &workload in &workloads {
                 let schedule = generate(seed, family, workload, oracle.cfg());
                 report.total += 1;
@@ -855,6 +867,26 @@ pub fn run_campaign(seeds: u64, cfg: ChaosConfig) -> CampaignReport {
         }
     }
     report
+}
+
+/// Run one schedule `n` times (no minimizing), print every failure, and
+/// return how many runs failed: a failure rate, for schedules that fail
+/// only now and then.
+pub fn repeat(oracle: &mut Oracle, schedule: &Schedule, n: u64) -> u64 {
+    let mut failed = 0;
+    for i in 0..n {
+        if let Verdict::Fail { reason, .. } = oracle.run(schedule) {
+            eprintln!(
+                "chaos: FAIL repeat {}/{n} seed={} family={} workload={:?} — {reason}",
+                i + 1,
+                schedule.seed,
+                schedule.family,
+                schedule.workload
+            );
+            failed += 1;
+        }
+    }
+    failed
 }
 
 /// The pinned regression schedules: seeds and families that exercise the
@@ -954,12 +986,13 @@ pub mod pinned {
 
     /// Log-GC windows, all in one run of four waves (iterations 4, 8, 12,
     /// 16). Cluster 2 (rank 4) dies at the first failure point after wave
-    /// 2's RESUME — its GC notices are out, then it rolls back. Cluster 1
-    /// (rank 2) dies inside the commit barrier of wave 3, after wave 2's
-    /// notices pruned its senders: a restart from wave 2 must still find
-    /// its replay suffix. Cluster 0 — a sender to both — dies at iteration
-    /// 13, its log pruned by wave 3's notices up to the very cut it
-    /// truncates to, and cluster 1 dies again while cluster 0 re-executes.
+    /// 2's RESUME — its GC notices are out, then it rolls back to wave 2.
+    /// Cluster 1 (rank 2) dies inside the commit barrier of wave 3, after
+    /// wave 2's notices pruned its senders to exactly cut 2: a restart from
+    /// wave 2 must still find its replay suffix. Cluster 0 — a sender to
+    /// both — dies at iteration 13, its log pruned by wave 3's notices up
+    /// to the very cut it truncates to, and cluster 1 dies again while
+    /// cluster 0 re-executes.
     pub fn log_gc() -> Schedule {
         Schedule {
             seed: u64::MAX,
@@ -970,6 +1003,39 @@ pub mod pinned {
                 FailurePlan::at_phase(RankId(2), CkptHook::CommitBarrier, 3),
                 FailurePlan::nth(RankId(0), 14),
                 FailurePlan::after_recovery(RankId(3), 0, 1),
+            ],
+            kills: Vec::new(),
+        }
+    }
+
+    /// The first wave that prunes: cluster 1 (rank 2) dies at the first
+    /// failure point after wave 1's RESUME (iteration 4), whose notices
+    /// released its senders' logs up to cut 1. It restarts from wave 1 with
+    /// every `lr` exactly at its senders' floors.
+    pub fn log_gc_first_wave() -> Schedule {
+        Schedule {
+            seed: u64::MAX,
+            family: Family::LogGc,
+            workload: Workload::MiniGhost,
+            plans: vec![FailurePlan::nth(RankId(2), 5)],
+            kills: Vec::new(),
+        }
+    }
+
+    /// A kill inside wave n+1's commit barrier, n = 1: rank 5 dies after
+    /// its own copy of wave 2 is durable, before its ACK, and rank 4 dies
+    /// on reaching wave 2's write, whichever comes first. Rank 4 never
+    /// holds wave 2 before its kill, so cluster 2 restarts from wave 1 at
+    /// least once, with its senders' logs pruned to exactly cut 1 and rank
+    /// 5's durable, never-acked wave 2 beside it in the store.
+    pub fn log_gc_commit_barrier() -> Schedule {
+        Schedule {
+            seed: u64::MAX,
+            family: Family::LogGc,
+            workload: Workload::MiniGhost,
+            plans: vec![
+                FailurePlan::at_phase(RankId(5), CkptHook::CommitBarrier, 2),
+                FailurePlan::at_phase(RankId(4), CkptHook::Write, 2),
             ],
             kills: Vec::new(),
         }

@@ -286,11 +286,12 @@ fn spawn_node(
 
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Run `cfg` as real processes and collect the outputs. Node deaths —
-/// scheduled aborts and external SIGKILLs alike — are survived by respawning
-/// the dead node one epoch up; anything else (rank error, deadline) lands in
-/// the report's `errors`, the first of which then names the kept run
-/// directory and ends with the tail of every node's stderr.
+/// Run `cfg` as real processes and collect the outputs. Node deaths by a
+/// signal — scheduled aborts and external SIGKILLs alike — are survived by
+/// respawning the dead node one epoch up; anything else (a node exiting
+/// with a status, a rank error, the deadline) lands in the report's
+/// `errors`, the first of which then names the kept run directory and ends
+/// with the tail of every node's stderr.
 pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
     if cfg.clusters == 0 || !cfg.world.is_multiple_of(cfg.clusters) {
         return Err("world must divide evenly into clusters".into());
@@ -419,11 +420,20 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
                 true
             }
         });
-        // Death watch: respawn any node that vanished, one epoch up, sans
-        // plans. Its ranks' Done flags reset — they will re-run from their
-        // restored checkpoint and report again (bit-identically).
+        // Death watch: respawn any node that died by a signal (a planned
+        // abort, an external SIGKILL), one epoch up, sans plans. Its ranks'
+        // Done flags reset — they will re-run from their restored
+        // checkpoint and report again (bit-identically). A node that exits
+        // with a status failed on its own: respawning it would only repeat
+        // the failure, so the run ends with its stderr.
         for node in 0..cfg.clusters {
-            if let Ok(Some(_status)) = children[node].try_wait() {
+            if let Ok(Some(status)) = children[node].try_wait() {
+                if status.code().is_some() {
+                    let msg =
+                        format!("node {node} (incarnation {}) exited: {status}", epochs[node]);
+                    report.errors.push((u32::MAX, msg));
+                    break;
+                }
                 if let Some(link) = hub.links.get(node) {
                     link.lock().unwrap().stream = None;
                 }
@@ -445,8 +455,10 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
     };
 
     // Release lingering nodes, then make sure every child is really gone.
+    // After a failure, a node may not have connected yet to hear the
+    // shutdown, and nothing it still does matters: give it a moment only.
     hub.broadcast(&Frame::Shutdown);
-    let grace = Instant::now() + Duration::from_secs(10);
+    let grace = Instant::now() + Duration::from_secs(if outcome.is_ok() { 10 } else { 1 });
     for child in &mut children {
         loop {
             match child.try_wait() {

@@ -160,13 +160,31 @@ fn pinned_proc_kill() {
 
 /// The log-GC windows: a receiver cluster killed right after the RESUME
 /// that sent its GC notices, another inside the commit barrier of the next
-/// wave (restart from the previous wave must still find its replay suffix
-/// in the pruned logs), and a sender cluster killed after pruning, with a
-/// receiver dying again while it re-executes.
+/// wave (a restart from the last resumed wave must still find its replay
+/// suffix in logs pruned to exactly that wave), and a sender cluster killed
+/// after pruning, with a receiver dying again while it re-executes.
 #[test]
 fn pinned_log_gc() {
     let mut oracle = Oracle::new(ChaosConfig::short());
     assert_passes(&mut oracle, &chaos::pinned::log_gc());
+}
+
+/// The first wave that prunes: a receiver cluster killed right after
+/// RESUME(1) rolls back to wave 1 with its senders' logs pruned to exactly
+/// that cut.
+#[test]
+fn pinned_log_gc_first_wave() {
+    let mut oracle = Oracle::new(ChaosConfig::short());
+    assert_passes(&mut oracle, &chaos::pinned::log_gc_first_wave());
+}
+
+/// A kill inside wave 2's commit barrier, beside a sibling that never
+/// writes wave 2: the cluster restarts from wave 1, which every sender's
+/// log is pruned to exactly, and still replays bitwise.
+#[test]
+fn pinned_log_gc_commit_barrier() {
+    let mut oracle = Oracle::new(ChaosConfig::short());
+    assert_passes(&mut oracle, &chaos::pinned::log_gc_commit_barrier());
 }
 
 /// A fixed-seed campaign slice: every family, both workloads, seeds 0-1.

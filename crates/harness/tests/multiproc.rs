@@ -125,3 +125,45 @@ fn failing_node_stderr_lands_in_the_error() {
     assert!(dir.join("node-0-e0.stderr").is_file());
     std::fs::remove_dir_all(dir).unwrap();
 }
+
+/// A node that exits with a status failed on its own and ends the run: node
+/// 2 is replaced by a script that writes one line to stderr and exits 1.
+/// The coordinator does not respawn it (a respawn would only repeat the
+/// failure, in a loop until the deadline); the error names the exit status
+/// and carries the line, well before the deadline.
+#[test]
+fn node_exiting_with_a_status_ends_the_run() {
+    use std::os::unix::fs::PermissionsExt;
+    let marker = "node 2: injected failure, exiting 1";
+    let script = std::env::temp_dir().join(format!("spbc-exit1-node-{}.sh", std::process::id()));
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\ncase \" $* \" in\n  *\" --node 2 \"*) echo '{marker}' >&2; exit 1 ;;\n\
+             esac\nexec '{}' \"$@\"\n",
+            env!("CARGO_BIN_EXE_spbc-node")
+        ),
+    )
+    .unwrap();
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let mut cfg = ProcConfig::new(Workload::MiniGhost, 5);
+    cfg.node_bin = Some(script.clone());
+    let t0 = Instant::now();
+    let report = run_multiproc(&cfg).unwrap();
+    let took = t0.elapsed();
+    let _ = std::fs::remove_file(&script);
+    assert_eq!(report.respawns, 0, "a node that exits with a status is not respawned");
+    let err = report.ok().unwrap_err();
+    assert!(took < Duration::from_secs(5), "took {took:?}: {err}");
+    assert!(err.contains("node 2 (incarnation 0) exited: exit status: 1"), "{err}");
+    assert!(err.contains(marker), "node 2's stderr is missing from: {err}");
+    let dir = err
+        .split("(run directory kept: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no run directory in: {err}"));
+    let dir = std::path::Path::new(dir);
+    assert!(dir.join("node-2-e0.stderr").is_file());
+    assert!(!dir.join("node-2-e1.stderr").exists(), "node 2 was spawned twice");
+    std::fs::remove_dir_all(dir).unwrap();
+}

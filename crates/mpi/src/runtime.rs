@@ -595,7 +595,13 @@ fn linger(rank: &mut Rank) {
         }
         match rank.inner.mailbox.recv_timeout(rank.inner.cfg.poll_interval) {
             Ok(pkt) => {
-                if handle_packet(&mut rank.inner, rank.ft.as_mut(), pkt).is_err() {
+                if let Err(e) = handle_packet(&mut rank.inner, rank.ft.as_mut(), pkt) {
+                    // A lingering rank still serves recovery (replay from its
+                    // log): a failure there ends the run, it is not silence.
+                    let me = rank.inner.me;
+                    rank.inner
+                        .failure
+                        .report(RuntimeEvent::Error { rank: me, message: e.to_string() });
                     return;
                 }
             }
