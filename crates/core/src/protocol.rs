@@ -35,6 +35,7 @@ use mini_mpi::envelope::{CtrlMsg, Envelope, Message};
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::failure::CkptHook;
 use mini_mpi::ft::{ArrivalAction, CkptOutcome, FtCtx, FtLayer, FtProvider, SendAction};
+use mini_mpi::hash::FxHashMap;
 use mini_mpi::matching::{Arrived, ArrivedBody};
 use mini_mpi::recorder::{CkptPhase, Event, WritePhase};
 use mini_mpi::request::RecvSpec;
@@ -457,13 +458,13 @@ pub struct SpbcLayer {
 
     /// `LS` of Algorithm 1: per outgoing channel, the last seqnum the
     /// receiver confirmed having; re-sends at or below it are suppressed.
-    ls: HashMap<(RankId, CommId), u64>,
+    ls: FxHashMap<(RankId, CommId), u64>,
     /// Exceptions to `LS` suppression: envelopes the receiver saw whose
     /// payload never arrived (interrupted rendezvous) — must be re-sent.
-    ls_exceptions: HashMap<(RankId, CommId), BTreeSet<u64>>,
+    ls_exceptions: FxHashMap<(RankId, CommId), BTreeSet<u64>>,
     /// Incoming seqnums at or below the watermark whose payload is still
     /// owed to us — deliver instead of dropping as duplicate.
-    missing: HashMap<(RankId, CommId), BTreeSet<u64>>,
+    missing: FxHashMap<(RankId, CommId), BTreeSet<u64>>,
     replay: ReplayEngine,
     restored_app: Option<Vec<u8>>,
 
@@ -533,9 +534,9 @@ impl SpbcLayer {
             log: store.slot(me),
             metrics,
             cfg,
-            ls: HashMap::new(),
-            ls_exceptions: HashMap::new(),
-            missing: HashMap::new(),
+            ls: FxHashMap::default(),
+            ls_exceptions: FxHashMap::default(),
+            missing: FxHashMap::default(),
             replay,
             restored_app: None,
             ckpt_calls: 0,
@@ -774,7 +775,7 @@ impl SpbcLayer {
                     // Sent before our restart point (or re-sent already):
                     // replay straight from the log.
                     let chan = ChannelId::new(self.me, from, comm);
-                    if let Some(m) = self.log.lock().find(chan, s).cloned() {
+                    if let Some(m) = self.log.lock().find(chan, s) {
                         Metrics::add(&self.metrics.replayed_msgs, 1);
                         Metrics::add(&self.metrics.replayed_bytes, m.payload.len() as u64);
                         self.replay.enqueue(from, m);
@@ -1128,8 +1129,8 @@ impl FtLayer for SpbcLayer {
             self.intra_sent += 1;
             return SendAction::Forward;
         }
-        // Decide the route first, so the one `Message` built for the log
-        // is cloned only when the replay path needs a copy too.
+        // Decide the route first: a `Message` is built only when the
+        // replay path needs one.
         let key = (dst, env.comm);
         let ls = self.ls.get(&key).copied().unwrap_or(0);
         let (via_replay, action) = if env.seqnum <= ls {
@@ -1150,9 +1151,7 @@ impl FtLayer for SpbcLayer {
         };
 
         // Inter-cluster: log in the sender's memory (line 6).
-        let msg = Message { env: *env, payload: payload.clone() };
-        let replayed = via_replay.then(|| msg.clone());
-        self.log.lock().append(msg);
+        self.log.lock().append_send(env, payload);
         Metrics::add(&self.metrics.logged_msgs, 1);
         Metrics::add(&self.metrics.logged_bytes, payload.len() as u64);
         ctx.recorder().record(|| Event::LogAppend {
@@ -1161,8 +1160,8 @@ impl FtLayer for SpbcLayer {
             seqnum: env.seqnum,
             bytes: env.plen,
         });
-        if let Some(msg) = replayed {
-            self.replay.enqueue(dst, msg);
+        if via_replay {
+            self.replay.enqueue(dst, Message { env: *env, payload: payload.clone() });
             self.pump_replay(ctx);
         }
         action
@@ -1437,7 +1436,7 @@ impl FtLayer for SpbcLayer {
     }
 
     fn restored_app_state(&mut self) -> Option<Vec<u8>> {
-        self.restored_app.clone()
+        self.restored_app.take()
     }
 
     fn on_app_done(&mut self, _ctx: &mut FtCtx<'_>) -> Result<()> {

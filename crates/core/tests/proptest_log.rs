@@ -8,11 +8,17 @@
 //! counter, every lookup and every replay set — so pruning is invisible
 //! except as freed memory, including across a rollback that cuts below the
 //! pruned prefix and the re-execution that re-appends it.
+//!
+//! Payload lengths straddle both storage forms — empty, small, exactly
+//! [`COPY_MAX`] (copied into segments), one byte more and larger (pinned) —
+//! and fill segments fast enough that payloads straddle segment boundaries
+//! and cuts land inside segments; payload bytes depend on their position,
+//! so a payload read from the wrong offset cannot compare equal.
 
 use mini_mpi::envelope::Message;
 use mini_mpi::types::{ChannelId, CommId, RankId, COMM_WORLD};
 use proptest::prelude::*;
-use spbc_core::log::{make_msg, MessageLog};
+use spbc_core::log::{make_msg, MessageLog, COPY_MAX, SEGMENT};
 use std::collections::HashMap;
 
 const DSTS: u32 = 3;
@@ -23,10 +29,25 @@ fn chan(i: usize) -> ChannelId {
     ChannelId::new(RankId(0), RankId(1 + i as u32 % DSTS), COMMS[i / DSTS as usize])
 }
 
+/// Payload length of `(channel, seqnum)`: every storage form and both
+/// sides of the copy bound.
+fn payload_len(i: usize, seq: u64) -> usize {
+    let k = seq as usize * 7 + i;
+    match k % 8 {
+        0 => 0,
+        1 => COPY_MAX,
+        2 => COPY_MAX + 1,
+        3 => 2 * COPY_MAX + 5,
+        4 | 5 => 2_900 + k % 97,
+        _ => 1 + k % 13,
+    }
+}
+
 /// The message `(channel, seqnum)` always carries: re-execution after a
 /// rollback regenerates it identically (channel-determinism).
 fn message(i: usize, seq: u64) -> Message {
-    let payload = vec![seq as u8 ^ i as u8; 1 + (seq as usize * 7 + i) % 13];
+    let payload: Vec<u8> =
+        (0..payload_len(i, seq)).map(|b| (b as u64 * 31 + seq * 7 + i as u64) as u8).collect();
     let mut m = make_msg(0, chan(i).dst.0, seq, &payload);
     m.env.comm = chan(i).comm;
     m
@@ -93,8 +114,22 @@ fn check_agreement(log: &MessageLog, model: &Reference) {
     prop_assert_eq!(log.lengths(), model.lengths(), "logical lengths ignore pruning");
     prop_assert_eq!(log.order_counter(), model.order);
     prop_assert_eq!(log.total_entries(), model.live().count());
-    let live_bytes: u64 = model.live().map(|e| message(e.0, e.1).payload.len() as u64).sum();
-    prop_assert_eq!(log.total_bytes(), live_bytes, "bytes held = retained payload sum");
+    let live_bytes: usize = model.live().map(|e| payload_len(e.0, e.1)).sum();
+    prop_assert_eq!(log.total_bytes(), live_bytes as u64, "bytes held = retained payload sum");
+    // Memory: pinned payloads exactly; segments only around copied bytes,
+    // at most one partial segment at each end of a channel's window.
+    let (mut pinned, mut copied) = (0, [0usize; CHANNELS]);
+    for e in model.live() {
+        match payload_len(e.0, e.1) {
+            len if len > COPY_MAX => pinned += len,
+            len => copied[e.0] += len,
+        }
+    }
+    let held = log.held();
+    prop_assert_eq!(held.pinned, pinned);
+    let bound: usize =
+        copied.iter().filter(|&&c| c > 0).map(|c| (c.div_ceil(SEGMENT) + 1) * SEGMENT).sum();
+    prop_assert!(held.segments <= bound, "{} segment bytes for {:?}", held.segments, copied);
     prop_assert_eq!(log.appended_bytes(), model.appended_bytes);
     prop_assert!(log.peak_bytes() >= log.total_bytes());
 }
@@ -144,10 +179,7 @@ proptest! {
                     let seq = rng.below(model.last_seq(i) + 2);
                     let want = model.live().any(|e| e.0 == i && e.1 == seq);
                     let got = log.find(chan(i), seq);
-                    prop_assert_eq!(got.is_some(), want, "find {:?} s{}", chan(i), seq);
-                    if let Some(m) = got {
-                        prop_assert_eq!(m, &message(i, seq));
-                    }
+                    prop_assert_eq!(got, want.then(|| message(i, seq)), "find {:?} s{}", chan(i), seq);
                 }
                 _ => {
                     // A receiver's Rollback: per channel an `lr` at or above
@@ -217,10 +249,44 @@ fn truncate_below_the_pruned_prefix_then_reexecute_restores_lengths() {
     let kept: Vec<u64> =
         log.replay_set(c.dst, &|_| 8, &|_| Vec::new()).iter().map(|m| m.env.seqnum).collect();
     assert_eq!(kept, vec![9, 10]);
-    let kept_bytes: u64 = (9..=10).map(|s| message(0, s).payload.len() as u64).sum();
-    assert_eq!(log.total_bytes(), kept_bytes);
+    let kept_bytes: usize = (9..=10).map(|s| payload_len(0, s)).sum();
+    assert_eq!(log.total_bytes(), kept_bytes as u64);
     // The floor describes the receiver, so it survives even the empty cut.
     log.truncate_to(&HashMap::new(), 0);
     log.append(message(0, 1));
     assert_eq!((log.total_entries(), log.lengths()[&c]), (0, 1));
+}
+
+#[test]
+fn rollback_inside_a_segment_then_reexecute_rebuilds_every_payload() {
+    // 3,000-byte payloads: five fill most of a segment, the sixth straddles
+    // into the next one.
+    let msg = |seq: u64| {
+        let payload: Vec<u8> = (0..3_000u64).map(|b| (b * 13 + seq) as u8).collect();
+        make_msg(0, 1, seq, &payload)
+    };
+    let c = msg(1).env.channel();
+    let mut log = MessageLog::new();
+    for s in 1..=4 {
+        log.append(msg(s));
+    }
+    let (cut, order) = (log.lengths(), log.order_counter());
+    for s in 5..=16 {
+        log.append(msg(s));
+    }
+    assert_eq!(log.held().segments, 3 * SEGMENT, "48,000 bytes in three segments");
+    // Roll back into the first segment, then regenerate across two boundaries.
+    log.truncate_to(&cut, order);
+    assert_eq!((log.held().segments, log.total_bytes()), (SEGMENT, 12_000));
+    for s in 5..=16 {
+        log.append(msg(s));
+    }
+    for s in 1..=16 {
+        assert_eq!(log.find(c, s), Some(msg(s)), "seqnum {s}");
+    }
+    // GC past the first segment's payloads releases it, and only it.
+    log.gc(c, 6);
+    assert_eq!(log.held().segments, 2 * SEGMENT);
+    let set = log.replay_set(c.dst, &|_| 6, &|_| Vec::new());
+    assert_eq!(set, (7..=16).map(msg).collect::<Vec<_>>());
 }

@@ -2,6 +2,7 @@
 //! and genuine crash-recovery (kill a cluster mid-run, restore, replay) with
 //! bitwise output comparison against the native execution.
 
+use mini_mpi::error::MpiError;
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
 use mini_mpi::wire::to_bytes;
@@ -122,6 +123,34 @@ fn recovery_with_checkpoint_matches_native() {
     let m = provider.metrics();
     assert!(spbc_core::Metrics::get(&m.rollbacks) >= 2);
     assert!(spbc_core::Metrics::get(&m.replayed_msgs) > 0, "logs were replayed");
+}
+
+#[test]
+fn restored_state_is_consumed_by_the_first_restore() {
+    // The layer hands a restarted rank its checkpointed state once and keeps
+    // no copy: a second `restore` after the run finds nothing.
+    let native = run_native(8, 15);
+    let ring = ring_app(15);
+    let app = move |rank: &mut Rank| {
+        let out = ring(rank)?;
+        match rank.restore::<(u64, f64)>()? {
+            None => Ok(out),
+            Some(_) => Err(MpiError::InvalidState("restored state handed out twice".into())),
+        }
+    };
+    let cfg = SpbcConfig { ckpt_interval: 5, ..Default::default() };
+    let provider = Arc::new(SpbcProvider::new(ClusterMap::blocks(8, 4), cfg));
+    let spbc =
+        Runtime::builder(RuntimeConfig::new(8).with_deadlock_timeout(Duration::from_secs(10)))
+            .provider(provider)
+            .app(Arc::new(app))
+            .plans(vec![FailurePlan::nth(RankId(2), 9)])
+            .launch()
+            .unwrap()
+            .ok()
+            .unwrap();
+    assert_eq!(native.outputs, spbc.outputs);
+    assert_eq!(spbc.restarts, vec![0, 0, 1, 1, 0, 0, 0, 0], "ranks 2 and 3 restored once");
 }
 
 #[test]
