@@ -83,7 +83,6 @@ impl HydeeProvider {
             // replication is an SPBC-side storage upgrade, so keep it off to
             // preserve the comparison.
             replicas: 0,
-            async_ckpt_writes: true,
             ..SpbcConfig::default()
         };
         HydeeProvider {

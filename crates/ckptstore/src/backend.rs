@@ -4,7 +4,7 @@
 //! with no knowledge of replication, framing, or the protocol. The two
 //! implementations mirror the deployment split ReStore describes: node-local
 //! memory ([`MemBackend`]) and a filesystem directory ([`DirBackend`], atomic
-//! tmp + fsync + rename writes).
+//! tmp + fsync + rename writes, then a directory fsync).
 
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::types::RankId;
@@ -20,36 +20,9 @@ use std::sync::Arc;
 /// barrier separately from the bulk copy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PutStats {
-    /// Microseconds spent in the durability barrier (`fsync`); 0 for
-    /// memory-backed stores, which have none.
+    /// Microseconds spent in the durability barriers (the file's `fsync`
+    /// and its directory's); 0 for memory-backed stores, which have none.
     pub fsync_us: u64,
-}
-
-/// One write inside a [`CheckpointBackend::put_batch`] submission: the same
-/// `(owner, epoch) -> blob` triple [`CheckpointBackend::put_shared`] takes,
-/// borrowed so the batching writer never clones blobs just to group them.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchItem<'a> {
-    /// Rank whose checkpoint this is.
-    pub owner: RankId,
-    /// Epoch the blob commits.
-    pub epoch: u64,
-    /// The sealed blob, shared with whoever else holds it.
-    pub blob: &'a Arc<Vec<u8>>,
-}
-
-/// Outcome of a [`CheckpointBackend::put_batch`]: per-item timing in
-/// submission order plus how many durability barriers the whole batch
-/// actually paid — the number the `store_batched_fsyncs` metric counts, and
-/// the denominator-beater behind "fsyncs per committed blob < 1".
-#[derive(Clone, Debug, Default)]
-pub struct BatchStats {
-    /// Per-item [`PutStats`], index-aligned with the submitted items.
-    pub per_item: Vec<PutStats>,
-    /// Durability barriers paid for the entire batch (0 for memory backends,
-    /// 1 for a group-committed directory batch, `items.len()` for the
-    /// unbatched default).
-    pub fsyncs: u64,
 }
 
 /// A keyed blob store for sealed checkpoints.
@@ -64,17 +37,6 @@ pub trait CheckpointBackend: Send + Sync {
     /// bytes. The default writes the bytes through `put`.
     fn put_shared(&self, owner: RankId, epoch: u64, blob: &Arc<Vec<u8>>) -> Result<PutStats> {
         self.put(owner, epoch, blob)
-    }
-    /// Store a batch of blobs, amortizing the durability barrier across the
-    /// whole batch where the backend can (group commit). The default is the
-    /// unbatched loop — one barrier per item — so narrow backends and test
-    /// doubles stay correct without opting in.
-    fn put_batch(&self, items: &[BatchItem<'_>]) -> Result<BatchStats> {
-        let mut per_item = Vec::with_capacity(items.len());
-        for it in items {
-            per_item.push(self.put_shared(it.owner, it.epoch, it.blob)?);
-        }
-        Ok(BatchStats { fsyncs: items.len() as u64, per_item })
     }
     /// Fetch `owner`'s blob at `epoch`; `None` if absent.
     fn get(&self, owner: RankId, epoch: u64) -> Result<Option<Vec<u8>>>;
@@ -135,16 +97,6 @@ impl CheckpointBackend for MemBackend {
         Ok(PutStats::default())
     }
 
-    fn put_batch(&self, items: &[BatchItem<'_>]) -> Result<BatchStats> {
-        // One lock acquisition for the whole batch; memory has no
-        // durability barrier, so the batch pays zero fsyncs.
-        let mut blobs = self.blobs.lock();
-        for it in items {
-            blobs.insert((it.owner.0, it.epoch), Arc::clone(it.blob));
-        }
-        Ok(BatchStats { per_item: vec![PutStats::default(); items.len()], fsyncs: 0 })
-    }
-
     fn get(&self, owner: RankId, epoch: u64) -> Result<Option<Vec<u8>>> {
         Ok(self.blobs.lock().get(&(owner.0, epoch)).map(|b| b.to_vec()))
     }
@@ -173,8 +125,9 @@ impl CheckpointBackend for MemBackend {
 }
 
 /// Filesystem backend rooted at a directory; one `rank-<r>.epoch-<e>.ckpt`
-/// file per blob, written atomically (tmp + fsync + rename) so a torn write
-/// can never be mistaken for a committed checkpoint.
+/// file per blob, written atomically (tmp + fsync + rename + directory
+/// fsync) so a torn write can never be mistaken for a committed checkpoint
+/// and a committed one keeps its name.
 pub struct DirBackend {
     root: PathBuf,
 }
@@ -211,67 +164,25 @@ impl CheckpointBackend for DirBackend {
         f.write_all(blob).map_err(|e| {
             MpiError::app(format!("write checkpoint {} (epoch {epoch}): {e}", tmp.display()))
         })?;
-        let fsync_start = std::time::Instant::now();
+        let file_sync = std::time::Instant::now();
         f.sync_all().map_err(|e| {
             MpiError::app(format!("fsync checkpoint {} (epoch {epoch}): {e}", final_path.display()))
         })?;
-        let fsync_us = fsync_start.elapsed().as_micros() as u64;
+        let mut fsync_us = file_sync.elapsed().as_micros() as u64;
         fs::rename(&tmp, &final_path).map_err(|e| {
             MpiError::app(format!(
                 "commit checkpoint {} (epoch {epoch}): {e}",
                 final_path.display()
             ))
         })?;
+        // The new name is durable only once the directory is: without this
+        // second barrier a committed wave can vanish at power loss.
+        let dir_sync = std::time::Instant::now();
+        fs::File::open(&self.root).and_then(|d| d.sync_all()).map_err(|e| {
+            MpiError::app(format!("fsync dir {} (epoch {epoch}): {e}", self.root.display()))
+        })?;
+        fsync_us += dir_sync.elapsed().as_micros() as u64;
         Ok(PutStats { fsync_us })
-    }
-
-    fn put_batch(&self, items: &[BatchItem<'_>]) -> Result<BatchStats> {
-        if items.is_empty() {
-            return Ok(BatchStats::default());
-        }
-        fs::create_dir_all(&self.root)
-            .map_err(|e| MpiError::app(format!("create {}: {e}", self.root.display())))?;
-        // Group commit: write and rename every member without a per-file
-        // barrier, then pay ONE directory-level barrier for the whole batch.
-        // Durability is all-or-nothing at batch granularity — the same trade
-        // a database group commit makes — and the failure model this repo
-        // verifies (process kill, page cache survives) still can never
-        // observe a torn blob because the rename is atomic either way.
-        for it in items {
-            let final_path = self.path_for(it.owner, it.epoch);
-            let tmp = final_path.with_extension("tmp");
-            let mut f = fs::File::create(&tmp).map_err(|e| {
-                MpiError::app(format!("create {} (epoch {}): {e}", tmp.display(), it.epoch))
-            })?;
-            f.write_all(it.blob).map_err(|e| {
-                MpiError::app(format!(
-                    "write checkpoint {} (epoch {}): {e}",
-                    tmp.display(),
-                    it.epoch
-                ))
-            })?;
-            fs::rename(&tmp, &final_path).map_err(|e| {
-                MpiError::app(format!(
-                    "commit checkpoint {} (epoch {}): {e}",
-                    final_path.display(),
-                    it.epoch
-                ))
-            })?;
-        }
-        let fsync_start = std::time::Instant::now();
-        let dir = fs::File::open(&self.root)
-            .map_err(|e| MpiError::app(format!("open dir {}: {e}", self.root.display())))?;
-        dir.sync_all()
-            .map_err(|e| MpiError::app(format!("fsync dir {}: {e}", self.root.display())))?;
-        let fsync_us = fsync_start.elapsed().as_micros() as u64;
-        // Attribute the shared barrier evenly so per-item phase histograms
-        // reflect the amortized cost batching buys (remainder on the last).
-        let n = items.len() as u64;
-        let mut per_item = vec![PutStats { fsync_us: fsync_us / n }; items.len()];
-        if let Some(last) = per_item.last_mut() {
-            last.fsync_us += fsync_us % n;
-        }
-        Ok(BatchStats { per_item, fsyncs: 1 })
     }
 
     fn get(&self, owner: RankId, epoch: u64) -> Result<Option<Vec<u8>>> {
@@ -419,69 +330,6 @@ mod tests {
         let msg = format!("{err}");
         assert!(msg.contains("rank-4.epoch-9"), "path missing from: {msg}");
         assert!(msg.contains("epoch 9"), "epoch missing from: {msg}");
-    }
-
-    /// The batched path must be observationally identical to per-item puts
-    /// (same bytes readable afterwards, overwrites included) while paying at
-    /// most one durability barrier for the whole batch on every backend
-    /// that opts in.
-    #[test]
-    fn put_batch_matches_put_and_amortizes_the_barrier() {
-        let mem = MemBackend::new();
-        let dir = DirBackend::open(tmpdir("batch")).unwrap();
-        for (backend, max_fsyncs) in
-            [(&mem as &dyn CheckpointBackend, 0u64), (&dir as &dyn CheckpointBackend, 1u64)]
-        {
-            backend.put(RankId(0), 1, b"old").unwrap();
-            let blobs = [b"one'".to_vec(), b"two".to_vec(), b"other".to_vec()].map(Arc::new);
-            let items = [
-                BatchItem { owner: RankId(0), epoch: 1, blob: &blobs[0] },
-                BatchItem { owner: RankId(0), epoch: 2, blob: &blobs[1] },
-                BatchItem { owner: RankId(3), epoch: 2, blob: &blobs[2] },
-            ];
-            let stats = backend.put_batch(&items).unwrap();
-            assert_eq!(stats.per_item.len(), 3);
-            assert!(stats.fsyncs <= max_fsyncs, "batch paid {} barriers", stats.fsyncs);
-            assert_eq!(backend.get(RankId(0), 1).unwrap().unwrap(), b"one'");
-            assert_eq!(backend.get(RankId(0), 2).unwrap().unwrap(), b"two");
-            assert_eq!(backend.get(RankId(3), 2).unwrap().unwrap(), b"other");
-            assert_eq!(backend.epochs_of(RankId(0)).unwrap(), vec![1, 2]);
-            // Empty batches are free.
-            let empty = backend.put_batch(&[]).unwrap();
-            assert_eq!(empty.fsyncs, 0);
-            assert!(empty.per_item.is_empty());
-        }
-    }
-
-    /// A narrow backend that does not override `put_batch` still works via
-    /// the default per-item loop (and honestly reports one barrier each).
-    #[test]
-    fn put_batch_default_falls_back_to_put() {
-        struct Thin(MemBackend);
-        impl CheckpointBackend for Thin {
-            fn put(&self, owner: RankId, epoch: u64, blob: &[u8]) -> Result<PutStats> {
-                self.0.put(owner, epoch, blob)
-            }
-            fn get(&self, owner: RankId, epoch: u64) -> Result<Option<Vec<u8>>> {
-                self.0.get(owner, epoch)
-            }
-            fn epochs_of(&self, owner: RankId) -> Result<Vec<u64>> {
-                self.0.epochs_of(owner)
-            }
-            fn remove(&self, owner: RankId, epoch: u64) -> Result<bool> {
-                self.0.remove(owner, epoch)
-            }
-        }
-        let thin = Thin(MemBackend::new());
-        let (a, b) = (Arc::new(b"a".to_vec()), Arc::new(b"b".to_vec()));
-        let items = [
-            BatchItem { owner: RankId(1), epoch: 4, blob: &a },
-            BatchItem { owner: RankId(2), epoch: 4, blob: &b },
-        ];
-        let stats = thin.put_batch(&items).unwrap();
-        assert_eq!(stats.fsyncs, 2);
-        assert_eq!(thin.get(RankId(1), 4).unwrap().unwrap(), b"a");
-        assert_eq!(thin.get(RankId(2), 4).unwrap().unwrap(), b"b");
     }
 
     #[test]

@@ -2,44 +2,38 @@
 //! `SPBCCKP4` checkpoints.
 //!
 //! Chunks cut by [`crate::cdc`] are keyed by their 128-bit [`ChunkHash`] and
-//! stored once per unique content, no matter how many jobs, epochs, or ranks
+//! stored once per unique content, no matter how many epochs or ranks
 //! reference them. References are tracked through a *registration ledger*:
-//! each committed manifest registers under a `(job, holder, owner, epoch)`
-//! key the ordered list of chunk hashes it references, and every occurrence
-//! in a registered manifest holds one reference. A chunk's bytes live
-//! exactly as long as some registered manifest references them.
+//! each committed manifest registers under a `(holder, owner, epoch)` key
+//! the ordered list of chunk hashes it references, and every occurrence in
+//! a registered manifest holds one reference. A chunk's bytes live exactly
+//! as long as some registered manifest references them.
 //!
-//! The store is **sharded** for concurrent-rank throughput: chunk bodies
-//! live in power-of-two hash-indexed shards behind `RwLock`s (lookups are
-//! shared-read), and the registration ledger is sharded by `(job, holder,
-//! owner)` — every epoch of one rank's history lands on one ledger shard,
-//! so that rank's GC scans exactly one map. A [`crate::CkptStoreService`]
-//! is one job (id 0); the job id keeps two callers' rank 0 apart. Each
-//! ledger shard keeps a per-rank GC cursor (the highest `unregister_below`
-//! bound seen) so repeated GC sweeps skip the scan entirely when there is
-//! provably nothing left below the bound.
+//! One lock guards the chunk map, the ledger and the residency gauges. A
+//! [`crate::CkptStoreService`] serves one run, and a run's ranks commit a
+//! few times per checkpoint interval, so there is nothing for finer locks
+//! to win; lookups take the lock shared. The ledger keeps each
+//! `(holder, owner)` pair's registrations in epoch order, so a GC sweep is
+//! one `split_off`.
 //!
 //! Three structural decisions carry the correctness story:
 //!
-//! * **References are taken before anything can observe them missing.** A
-//!   committing rank increfs (or inserts) every chunk of its manifest
-//!   *first*, so from that point each chunk carries references owned by the
-//!   in-flight commit itself; only then is the registration swapped in (one
-//!   ledger-shard critical section). A concurrent GC can decref other
-//!   registrations, but can never take a chunk below the commit's own refs
-//!   — the cas-gc chaos family holds because the refs protect the chunks,
-//!   not because one global lock serializes everything.
-//! * **Re-registration replaces.** Committing the same `(job, holder,
-//!   owner, epoch)` key again (a restarted rank re-walking its waves)
-//!   increfs the new manifest first and only then decrefs the old one, so
-//!   shared chunks never transit through refcount zero.
+//! * **A commit is one critical section.** Taking every reference of a
+//!   manifest, swapping its registration in and releasing the one it
+//!   replaced happen under the lock, and so does a GC sweep: a concurrent
+//!   GC can never observe a chunk between insert and register.
+//! * **Re-registration replaces.** Committing the same `(holder, owner,
+//!   epoch)` key again (a restarted rank re-walking its waves) increfs the
+//!   new manifest first and only then decrefs the old one, so shared
+//!   chunks never transit through refcount zero.
 //! * **Failed commits roll back.** Validation is interleaved with the
 //!   incref walk; on a mismatch every reference the walk took is released
 //!   (removing chunks it inserted), leaving the store as it was.
 //!
-//! The ledger — not blob parsing — drives GC, because the async writer may
-//! coalesce away a blob that was never durably stored while its chunks are
-//! still referenced by the in-memory manifest of a later epoch.
+//! The ledger — not blob parsing — drives GC: a wave registers its chunks
+//! at encode, before its blob reaches any store, so a rank that dies (or
+//! whose write fails) in between leaves registrations that no stored blob
+//! names.
 //!
 //! **The address is an index, not a security boundary.** [`ChunkHash::of`]
 //! is a hand-rolled, unkeyed 128-bit multiply-rotate hash (four xxh64-style
@@ -61,9 +55,9 @@
 //! benchmark's `ckptstore.cas.sha256_mb_s` row.
 
 use mini_mpi::hash::FxHashMap;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4) — on no store path, see the module docs
@@ -318,12 +312,9 @@ impl fmt::Display for Refused {
 struct Entry {
     bytes: Vec<u8>,
     refs: u64,
-    /// `(job, rank)` that first stored this content — two jobs' rank 0
-    /// are different ranks for dedup-fate accounting.
-    first_owner: (u32, u32),
+    /// The rank that first stored this content.
+    first_owner: u32,
 }
-
-type RegKey = (u32, u32, u32, u64); // (job, holder, owner, epoch)
 
 /// One registered manifest: the references it holds, and which of its
 /// indices brought their chunk into the store ([`ChunkFate::New`]) — the
@@ -333,146 +324,93 @@ struct Registration {
     inserted: Vec<u32>,
 }
 
-/// One registration-ledger shard: every epoch of a given `(job, holder,
-/// owner)` lands here, so a rank's GC scans exactly one map.
+/// Everything behind the store's one lock.
 #[derive(Default)]
-struct RegShard {
-    regs: FxHashMap<RegKey, Registration>,
-    /// Highest `unregister_below` bound applied per `(job, holder, owner)`:
-    /// nothing with a smaller epoch is still registered, so a GC sweep at
-    /// or below the cursor skips the scan. A commit below the cursor (a
-    /// restarted rank re-walking old waves) lowers it again.
-    cursors: FxHashMap<(u32, u32, u32), u64>,
+struct Inner {
+    /// Address → entry. Keyed with the Fx hasher, since the address is
+    /// already a uniform hash and SipHash over it only costs time.
+    chunks: FxHashMap<ChunkHash, Entry>,
+    /// `(holder, owner)` → epoch → registration.
+    regs: FxHashMap<(u32, u32), BTreeMap<u64, Registration>>,
+    /// Bytes of every stored body, kept by every insert and final decref.
+    unique_bytes: u64,
 }
 
-/// One chunk shard: address → entry. Keyed with the Fx hasher, since the
-/// address is already a uniform hash and SipHash over it only costs time.
-type ChunkMap = FxHashMap<ChunkHash, Entry>;
+impl Inner {
+    /// Incref/insert one manifest occurrence. The address is taken as
+    /// matching `bytes` (see [`CasStore::commit_addressed`]); a hit is
+    /// byte-compared against the stored body. `Ok(None)`: the chunk has no
+    /// bytes here and is not stored.
+    fn take_ref(
+        &mut self,
+        index: usize,
+        hash: &ChunkHash,
+        bytes: Option<&[u8]>,
+        owner: u32,
+    ) -> Result<Option<(ChunkFate, u64)>, String> {
+        if let Some(e) = self.chunks.get_mut(hash) {
+            if bytes.is_some_and(|b| b != e.bytes.as_slice()) {
+                return Err(format!(
+                    "cas: chunk {index} content mismatch on hash hit {hash:?} \
+                     (corruption or hash collision)"
+                ));
+            }
+            e.refs += 1;
+            let fate = if e.first_owner == owner {
+                ChunkFate::HitSameOwner
+            } else {
+                ChunkFate::HitCrossRank
+            };
+            return Ok(Some((fate, e.bytes.len() as u64)));
+        }
+        let Some(b) = bytes else {
+            return Ok(None);
+        };
+        self.chunks.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner });
+        self.unique_bytes += b.len() as u64;
+        Ok(Some((ChunkFate::New, b.len() as u64)))
+    }
 
-/// Default shard count for both the chunk map and the registration ledger.
-pub const DEFAULT_CAS_SHARDS: usize = 8;
+    /// Release one reference per listed address; returns how many chunks
+    /// lost their last reference (bytes freed).
+    fn release(&mut self, hashes: &[ChunkHash]) -> usize {
+        let mut freed = 0;
+        for hash in hashes {
+            let Some(e) = self.chunks.get_mut(hash) else { continue };
+            e.refs -= 1;
+            if e.refs == 0 {
+                let gone = self.chunks.remove(hash).expect("entry just found");
+                self.unique_bytes -= gone.bytes.len() as u64;
+                freed += 1;
+            }
+        }
+        freed
+    }
+}
+
+/// Why a lock can fail: a thread panicked while holding it, a bug.
+const POISONED: &str = "cas lock poisoned: a thread panicked holding it";
 
 /// Service-wide refcounted content-addressed chunk store.
 ///
 /// One instance is owned by a [`crate::CkptStoreService`] and shared by
 /// every rank it serves (in memory, the same durability class as partner
 /// copies), so identical chunks dedup across epochs *and* across ranks.
+#[derive(Default)]
 pub struct CasStore {
-    chunk_shards: Vec<RwLock<ChunkMap>>,
-    reg_shards: Vec<Mutex<RegShard>>,
-    mask: usize,
-    /// Residency gauges, maintained under the chunk-shard write lock by
-    /// every insert and every final decref, so reading them is O(1).
-    /// `Relaxed`: they are statistics and publish no other data.
-    unique_chunks: AtomicUsize,
-    unique_bytes: AtomicU64,
-}
-
-impl Default for CasStore {
-    fn default() -> Self {
-        Self::new()
-    }
+    inner: RwLock<Inner>,
 }
 
 impl CasStore {
-    /// New empty store with the default shard count.
+    /// New empty store.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_CAS_SHARDS)
-    }
-
-    /// New empty store with `shards` shards (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        CasStore {
-            chunk_shards: (0..n).map(|_| RwLock::new(ChunkMap::default())).collect(),
-            reg_shards: (0..n).map(|_| Mutex::new(RegShard::default())).collect(),
-            mask: n - 1,
-            unique_chunks: AtomicUsize::new(0),
-            unique_bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// How many shards this store was built with (for tests and reporting).
-    pub fn shards(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Chunk shard index: the address is already uniform, so its leading
-    /// bytes are the index.
-    fn chunk_shard(&self, hash: &ChunkHash) -> &RwLock<ChunkMap> {
-        let k = u64::from_le_bytes(hash.0[..8].try_into().expect("address has 8 leading bytes"));
-        &self.chunk_shards[k as usize & self.mask]
-    }
-
-    /// Ledger shard index for `(job, holder, owner)` (multiply-shift hash).
-    fn reg_shard(&self, job: u32, holder: u32, owner: u32) -> &Mutex<RegShard> {
-        let k = ((job as u64) << 40) ^ ((holder as u64) << 20) ^ owner as u64;
-        let idx = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & self.mask;
-        &self.reg_shards[idx]
-    }
-
-    /// Release one reference to `hash`; returns whether the chunk's last
-    /// reference went away (bytes freed).
-    fn decref(&self, hash: &ChunkHash) -> bool {
-        let mut shard = self.chunk_shard(hash).write().unwrap();
-        if let Some(e) = shard.get_mut(hash) {
-            e.refs -= 1;
-            if e.refs == 0 {
-                let gone = shard.remove(hash).expect("entry just found");
-                self.unique_chunks.fetch_sub(1, Ordering::Relaxed);
-                self.unique_bytes.fetch_sub(gone.bytes.len() as u64, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Incref/insert one manifest occurrence. The address is taken as
-    /// matching `bytes` (see [`commit_addressed`](Self::commit_addressed));
-    /// a hit is byte-compared against the stored body. `Ok(None)`: the
-    /// chunk has no bytes here and is not stored.
-    fn take_ref(
-        &self,
-        index: usize,
-        hash: &ChunkHash,
-        bytes: Option<&[u8]>,
-        owner_key: (u32, u32),
-    ) -> Result<Option<(ChunkFate, u64)>, String> {
-        let mut shard = self.chunk_shard(hash).write().unwrap();
-        if let Some(e) = shard.get_mut(hash) {
-            if let Some(b) = bytes {
-                if b != e.bytes.as_slice() {
-                    return Err(format!(
-                        "cas: chunk {index} content mismatch on hash hit {hash:?} \
-                         (corruption or hash collision)"
-                    ));
-                }
-            }
-            e.refs += 1;
-            let len = e.bytes.len() as u64;
-            let fate = if e.first_owner == owner_key {
-                ChunkFate::HitSameOwner
-            } else {
-                ChunkFate::HitCrossRank
-            };
-            Ok(Some((fate, len)))
-        } else {
-            let Some(b) = bytes else {
-                return Ok(None);
-            };
-            shard.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner_key });
-            self.unique_chunks.fetch_add(1, Ordering::Relaxed);
-            self.unique_bytes.fetch_add(b.len() as u64, Ordering::Relaxed);
-            Ok(Some((ChunkFate::New, b.len() as u64)))
-        }
+        Self::default()
     }
 
     /// Insert a manifest's chunks and register the reference list under
-    /// `(job, holder, owner, epoch)`, first checking that every `Some`
-    /// payload hashes to its claimed address. Every reference is taken
-    /// *before* the registration swap, so the chunks are pinned (refs ≥ 1,
-    /// owned by this in-flight commit) throughout — a concurrent GC can
-    /// never free them in the window between insert and register.
+    /// `(holder, owner, epoch)`, first checking that every `Some` payload
+    /// hashes to its claimed address. `job` is ignored: a store serves one
+    /// run. Kept only until `spbc-perf`'s calls drop it.
     ///
     /// Each element pairs a chunk hash with its bytes (`Some` when the
     /// caller has them) or `None` (a manifest whose body the store must
@@ -486,7 +424,7 @@ impl CasStore {
     /// byte mismatch against stored content (corruption or hash collision).
     pub fn commit_insert(
         &self,
-        job: u32,
+        _job: u32,
         holder: u32,
         owner: u32,
         epoch: u64,
@@ -499,7 +437,7 @@ impl CasStore {
                 ));
             }
         }
-        self.commit_addressed(job, holder, owner, epoch, manifest).map_err(|r| r.to_string())
+        self.commit_addressed(holder, owner, epoch, manifest).map_err(|r| r.to_string())
     }
 
     /// [`commit_insert`](Self::commit_insert) for a manifest whose every
@@ -511,19 +449,18 @@ impl CasStore {
     /// *every* index that has no bytes and is not stored.
     pub(crate) fn commit_addressed(
         &self,
-        job: u32,
         holder: u32,
         owner: u32,
         epoch: u64,
         manifest: &[(ChunkHash, Option<&[u8]>)],
     ) -> Result<CommitStats, Refused> {
-        let owner_key = (job, owner);
+        let mut inner = self.inner.write().expect(POISONED);
         let mut stats = CommitStats::default();
         let mut hashes = Vec::with_capacity(manifest.len());
         let mut inserted = Vec::new();
         let mut missing = Vec::new();
         for (i, (hash, bytes)) in manifest.iter().enumerate() {
-            match self.take_ref(i, hash, *bytes, owner_key) {
+            match inner.take_ref(i, hash, *bytes, owner) {
                 Ok(Some((fate, len))) => {
                     match fate {
                         ChunkFate::New => {
@@ -544,7 +481,7 @@ impl CasStore {
                 }
                 Ok(None) => missing.push(i as u32),
                 Err(e) => {
-                    self.release(&hashes);
+                    inner.release(&hashes);
                     return Err(Refused::Mismatch(e));
                 }
             }
@@ -552,137 +489,91 @@ impl CasStore {
         if !missing.is_empty() {
             // Roll back every reference this walk took (removing chunks it
             // inserted), leaving the store untouched.
-            self.release(&hashes);
+            inner.release(&hashes);
             return Err(Refused::Missing(missing));
         }
-        let old = {
-            let mut reg = self.reg_shard(job, holder, owner).lock().unwrap();
-            // A commit below the GC cursor re-opens that range for GC.
-            if let Some(cur) = reg.cursors.get_mut(&(job, holder, owner)) {
-                *cur = (*cur).min(epoch);
-            }
-            reg.regs.insert((job, holder, owner, epoch), Registration { hashes, inserted })
-        };
-        if let Some(old) = old {
-            self.release(&old.hashes);
+        let reg = Registration { hashes, inserted };
+        if let Some(old) = inner.regs.entry((holder, owner)).or_default().insert(epoch, reg) {
+            inner.release(&old.hashes);
         }
         Ok(stats)
     }
 
-    /// The indices of `manifest` whose chunks the registration `(job,
-    /// holder, owner, epoch)` inserted into the store, in ascending order —
+    /// The indices of `manifest` whose chunks the registration `(holder,
+    /// owner, epoch)` inserted into the store, in ascending order —
     /// provided that registration holds exactly this manifest. `None` when
     /// there is no such registration or it names other chunks (a copy of a
     /// different commit of the same epoch).
     pub(crate) fn inserted_by(
         &self,
-        job: u32,
         holder: u32,
         owner: u32,
         epoch: u64,
         manifest: &[ChunkHash],
     ) -> Option<Vec<u32>> {
-        let reg = self.reg_shard(job, holder, owner).lock().unwrap();
-        let r = reg.regs.get(&(job, holder, owner, epoch))?;
+        let inner = self.inner.read().expect(POISONED);
+        let r = inner.regs.get(&(holder, owner))?.get(&epoch)?;
         (r.hashes == manifest).then(|| r.inserted.clone())
-    }
-
-    /// Release one reference per listed address.
-    fn release(&self, hashes: &[ChunkHash]) {
-        for h in hashes {
-            self.decref(h);
-        }
     }
 
     /// Drop one registration and release its references. Returns whether
     /// the key existed.
-    pub fn unregister(&self, job: u32, holder: u32, owner: u32, epoch: u64) -> bool {
-        let removed = {
-            let mut reg = self.reg_shard(job, holder, owner).lock().unwrap();
-            reg.regs.remove(&(job, holder, owner, epoch))
+    pub fn unregister(&self, holder: u32, owner: u32, epoch: u64) -> bool {
+        let mut inner = self.inner.write().expect(POISONED);
+        let Some(r) = inner.regs.get_mut(&(holder, owner)).and_then(|m| m.remove(&epoch)) else {
+            return false;
         };
-        match removed {
-            None => false,
-            Some(r) => {
-                self.release(&r.hashes);
-                true
-            }
-        }
+        inner.release(&r.hashes);
+        true
     }
 
-    /// GC: drop every `(job, holder, owner, *)` registration with epoch
-    /// below `epoch_lt`. Returns `(registrations dropped, chunks freed)` —
-    /// a chunk is freed only when its *last* reference anywhere goes away.
-    /// The per-rank cursor makes a repeat sweep at or below a previous
-    /// bound O(1): there is provably nothing left to scan for.
-    pub fn unregister_below(
-        &self,
-        job: u32,
-        holder: u32,
-        owner: u32,
-        epoch_lt: u64,
-    ) -> (usize, usize) {
-        let doomed: Vec<Registration> = {
-            let mut reg = self.reg_shard(job, holder, owner).lock().unwrap();
-            let cursor = reg.cursors.get(&(job, holder, owner)).copied().unwrap_or(0);
-            if epoch_lt <= cursor {
-                return (0, 0);
-            }
-            reg.cursors.insert((job, holder, owner), epoch_lt);
-            let keys: Vec<RegKey> = reg
-                .regs
-                .keys()
-                .filter(|(j, h, o, e)| *j == job && *h == holder && *o == owner && *e < epoch_lt)
-                .copied()
-                .collect();
-            keys.iter().map(|k| reg.regs.remove(k).expect("key just listed")).collect()
+    /// GC: drop every `(holder, owner, *)` registration with epoch below
+    /// `epoch_lt`. Returns `(registrations dropped, chunks freed)` — a
+    /// chunk is freed only when its *last* reference anywhere goes away.
+    pub fn unregister_below(&self, holder: u32, owner: u32, epoch_lt: u64) -> (usize, usize) {
+        let mut inner = self.inner.write().expect(POISONED);
+        let Some(regs) = inner.regs.get_mut(&(holder, owner)) else {
+            return (0, 0);
         };
-        let mut freed = 0;
-        for r in &doomed {
-            for h in &r.hashes {
-                if self.decref(h) {
-                    freed += 1;
-                }
-            }
-        }
+        let kept = regs.split_off(&epoch_lt);
+        let doomed = std::mem::replace(regs, kept);
+        let freed = doomed.values().map(|r| inner.release(&r.hashes)).sum();
         (doomed.len(), freed)
     }
 
-    /// Bytes of a stored chunk, if present (a shared-read lookup).
+    /// Bytes of a stored chunk, if present.
     pub fn get(&self, hash: &ChunkHash) -> Option<Vec<u8>> {
-        self.chunk_shard(hash).read().unwrap().get(hash).map(|e| e.bytes.clone())
+        self.inner.read().expect(POISONED).chunks.get(hash).map(|e| e.bytes.clone())
     }
 
-    /// Whether the store holds `hash` with exactly these bytes (a
-    /// shared-read lookup and one byte compare, no copy and no hash).
+    /// Whether the store holds `hash` with exactly these bytes (one byte
+    /// compare, no copy and no hash).
     pub fn matches(&self, hash: &ChunkHash, bytes: &[u8]) -> bool {
-        self.chunk_shard(hash).read().unwrap().get(hash).is_some_and(|e| e.bytes == bytes)
+        self.inner.read().expect(POISONED).chunks.get(hash).is_some_and(|e| e.bytes == bytes)
     }
 
     /// Whether the store currently holds content for `hash`.
     pub fn contains(&self, hash: &ChunkHash) -> bool {
-        self.chunk_shard(hash).read().unwrap().contains_key(hash)
+        self.inner.read().expect(POISONED).chunks.contains_key(hash)
     }
 
     /// Indices into `hashes` whose content the store does not hold — the
     /// set a replication partner would request via `CKPT_CHUNK_REQ`.
     pub fn missing(&self, hashes: &[ChunkHash]) -> Vec<u32> {
-        hashes
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !self.contains(h))
-            .map(|(i, _)| i as u32)
+        let inner = self.inner.read().expect(POISONED);
+        (0..hashes.len() as u32)
+            .filter(|&i| !inner.chunks.contains_key(&hashes[i as usize]))
             .collect()
     }
 
-    /// Number of unique chunks currently stored (O(1) gauge).
+    /// Number of unique chunks currently stored.
     pub fn unique_chunks(&self) -> usize {
-        self.unique_chunks.load(Ordering::Relaxed)
+        self.inner.read().expect(POISONED).chunks.len()
     }
 
-    /// Total bytes of unique content currently stored (O(1) gauge).
+    /// Total bytes of unique content currently stored.
     pub fn unique_bytes(&self) -> u64 {
-        self.unique_bytes.load(Ordering::Relaxed)
+        self.inner.read().expect(POISONED).unique_bytes
     }
 }
 
@@ -825,21 +716,10 @@ mod tests {
     }
 
     fn commit(cas: &CasStore, holder: u32, owner: u32, epoch: u64, pairs: &[&[u8]]) -> CommitStats {
-        commit_job(cas, 0, holder, owner, epoch, pairs)
-    }
-
-    fn commit_job(
-        cas: &CasStore,
-        job: u32,
-        holder: u32,
-        owner: u32,
-        epoch: u64,
-        pairs: &[&[u8]],
-    ) -> CommitStats {
         let owned = m(pairs);
         let view: Vec<(ChunkHash, Option<&[u8]>)> =
             owned.iter().map(|(h, b)| (*h, b.as_deref())).collect();
-        cas.commit_insert(job, holder, owner, epoch, &view).unwrap()
+        cas.commit_insert(0, holder, owner, epoch, &view).unwrap()
     }
 
     #[test]
@@ -859,16 +739,14 @@ mod tests {
     }
 
     /// The O(1) residency gauges track every insert, final decref and
-    /// rolled-back commit exactly — compared against a full shard scan.
+    /// rolled-back commit exactly — compared against a full scan.
     #[test]
     fn residency_gauges_match_a_full_scan() {
         let scan = |cas: &CasStore| -> (usize, u64) {
-            cas.chunk_shards.iter().fold((0, 0), |(n, b), s| {
-                let s = s.read().unwrap();
-                (n + s.len(), b + s.values().map(|e| e.bytes.len() as u64).sum::<u64>())
-            })
+            let inner = cas.inner.read().unwrap();
+            (inner.chunks.len(), inner.chunks.values().map(|e| e.bytes.len() as u64).sum())
         };
-        let cas = CasStore::with_shards(4);
+        let cas = CasStore::new();
         let check = |cas: &CasStore| {
             assert_eq!((cas.unique_chunks(), cas.unique_bytes()), scan(cas));
         };
@@ -888,8 +766,8 @@ mod tests {
         check(&cas);
         commit(&cas, 0, 0, 1, &[b"one"]); // re-registration releases "two"'s refs
         check(&cas);
-        cas.unregister_below(0, 0, 0, u64::MAX);
-        cas.unregister(0, 1, 1, 1);
+        cas.unregister_below(0, 0, u64::MAX);
+        cas.unregister(1, 1, 1);
         check(&cas);
         assert_eq!((cas.unique_chunks(), cas.unique_bytes()), (0, 0));
     }
@@ -899,11 +777,11 @@ mod tests {
         let cas = CasStore::new();
         commit(&cas, 0, 0, 1, &[b"shared", b"only-e1"]);
         commit(&cas, 0, 0, 2, &[b"shared", b"only-e2"]);
-        let (dropped, freed) = cas.unregister_below(0, 0, 0, 2);
+        let (dropped, freed) = cas.unregister_below(0, 0, 2);
         assert_eq!((dropped, freed), (1, 1), "e1 dropped; `shared` survives via e2");
         assert!(cas.contains(&ChunkHash::of(b"shared")));
         assert!(!cas.contains(&ChunkHash::of(b"only-e1")));
-        assert!(cas.unregister(0, 0, 0, 2));
+        assert!(cas.unregister(0, 0, 2));
         assert_eq!(cas.unique_chunks(), 0);
     }
 
@@ -917,7 +795,7 @@ mod tests {
         assert!(cas.contains(&ChunkHash::of(b"keep")));
         assert!(!cas.contains(&ChunkHash::of(b"old")), "replaced manifest's refs released");
         assert!(cas.contains(&ChunkHash::of(b"new")));
-        cas.unregister(0, 0, 0, 1);
+        cas.unregister(0, 0, 1);
         assert_eq!(cas.unique_chunks(), 0);
     }
 
@@ -927,7 +805,7 @@ mod tests {
         let s = commit(&cas, 0, 0, 1, &[b"twin", b"twin"]);
         assert_eq!(s.fates, vec![ChunkFate::New, ChunkFate::HitSameOwner]);
         // One unregister of the (single) registration releases both refs.
-        cas.unregister(0, 0, 0, 1);
+        cas.unregister(0, 0, 1);
         assert_eq!(cas.unique_chunks(), 0);
     }
 
@@ -979,10 +857,8 @@ mod tests {
         use crate::service::{Adoption, CkptStoreService, StoreConfig};
         use mini_mpi::types::RankId;
         let audit = |cas: &CasStore, step: usize| {
-            for shard in &cas.chunk_shards {
-                for (key, e) in shard.read().unwrap().iter() {
-                    assert_eq!(ChunkHash::of(&e.bytes), *key, "step {step}: entry under {key:?}");
-                }
+            for (key, e) in cas.inner.read().unwrap().chunks.iter() {
+                assert_eq!(ChunkHash::of(&e.bytes), *key, "step {step}: entry under {key:?}");
             }
         };
         let cfg = StoreConfig {
@@ -1060,7 +936,7 @@ mod tests {
                         cas.get(&ChunkHash::of(&shared)).is_some(),
                         "registered chunk vanished at epoch {epoch}"
                     );
-                    cas.unregister_below(0, 0, 0, epoch);
+                    cas.unregister_below(0, 0, epoch);
                 }
             })
         };
@@ -1071,59 +947,35 @@ mod tests {
                 for epoch in 1..200u64 {
                     let manifest = [(ChunkHash::of(&shared), Some(shared.as_slice()))];
                     cas.commit_insert(0, 1, 1, epoch, &manifest).unwrap();
-                    cas.unregister_below(0, 1, 1, epoch);
+                    cas.unregister_below(1, 1, epoch);
                     assert!(cas.get(&ChunkHash::of(&shared)).is_some());
                 }
-                cas.unregister_below(0, 1, 1, u64::MAX);
+                cas.unregister_below(1, 1, u64::MAX);
             })
         };
         committer.join().unwrap();
         gcer.join().unwrap();
         // Rank 0's final epoch registration is still live.
         assert!(cas.contains(&ChunkHash::of(&shared)));
-        cas.unregister_below(0, 0, 0, u64::MAX);
+        cas.unregister_below(0, 0, u64::MAX);
         assert_eq!(cas.unique_chunks(), 0, "all refs released leaves an empty store");
     }
 
-    /// Two jobs share content bodies (dedup is cross-job) but have
-    /// fully isolated registration ledgers: one job's GC never releases the
-    /// other job's references, even for the same (holder, owner, epoch).
+    /// A commit below a previous GC bound (a restarted rank re-walking
+    /// old waves) is freed by the next sweep at that bound.
     #[test]
-    fn cross_job_content_shares_but_registrations_isolate() {
-        let cas = CasStore::new();
-        let a = commit_job(&cas, 0, 0, 0, 1, &[b"common"]);
-        assert_eq!(a.fates, vec![ChunkFate::New]);
-        // Job 1's rank 0 is a *different* owner: its hit is cross-rank.
-        let b = commit_job(&cas, 1, 0, 0, 1, &[b"common"]);
-        assert_eq!(b.fates, vec![ChunkFate::HitCrossRank]);
-        assert_eq!(cas.unique_chunks(), 1, "content stored once across jobs");
-        // Job 1 GCs everything; job 0's reference keeps the bytes alive.
-        let (dropped, freed) = cas.unregister_below(1, 0, 0, u64::MAX);
-        assert_eq!((dropped, freed), (1, 0));
-        assert!(cas.contains(&ChunkHash::of(b"common")));
-        // Job 0's GC releases the last reference.
-        let (dropped, freed) = cas.unregister_below(0, 0, 0, u64::MAX);
-        assert_eq!((dropped, freed), (1, 1));
-        assert_eq!(cas.unique_chunks(), 0);
-    }
-
-    /// The per-rank GC cursor short-circuits redundant sweeps, and a commit
-    /// below the cursor (restarted rank) re-opens the range for GC.
-    #[test]
-    fn gc_cursor_skips_redundant_sweeps_until_a_lower_commit() {
+    fn commit_below_a_previous_gc_bound_is_freed_by_the_next_sweep() {
         let cas = CasStore::new();
         for e in 1..=3u64 {
             commit(&cas, 0, 0, e, &[e.to_le_bytes().as_slice()]);
         }
-        assert_eq!(cas.unregister_below(0, 0, 0, 3).0, 2);
-        // Nothing below 3 remains: the cursor makes this sweep free.
-        assert_eq!(cas.unregister_below(0, 0, 0, 3), (0, 0));
-        assert_eq!(cas.unregister_below(0, 0, 0, 2), (0, 0));
+        assert_eq!(cas.unregister_below(0, 0, 3).0, 2);
+        assert_eq!(cas.unregister_below(0, 0, 3), (0, 0));
         // A restarted rank re-commits epoch 1; GC below 3 must see it.
         commit(&cas, 0, 0, 1, &[b"reborn"]);
-        let (dropped, freed) = cas.unregister_below(0, 0, 0, 3);
+        let (dropped, freed) = cas.unregister_below(0, 0, 3);
         assert_eq!((dropped, freed), (1, 1));
         // Epoch 3's registration is untouched throughout.
-        assert!(cas.unregister(0, 0, 0, 3));
+        assert!(cas.unregister(0, 0, 3));
     }
 }

@@ -1,6 +1,6 @@
 //! # spbc-ckptstore
 //!
-//! Replicated asynchronous checkpoint-storage subsystem.
+//! Replicated checkpoint-storage subsystem.
 //!
 //! SPBC's protocol layer (`spbc-core`) decides *when* a checkpoint wave
 //! commits; this crate decides *where the bytes live* and *how much of the
@@ -22,11 +22,11 @@
 //!   ranks' checkpoints (ReStore-style, in-memory by default). A rank whose
 //!   local copies are lost or corrupted repairs transparently from a
 //!   surviving partner at load time.
-//! * **Asynchronous writes** — [`writer::AsyncWriter`] moves checksumming and
-//!   disk I/O off the encode path, one queued and one in-flight job per
-//!   owner: a wave's write overlaps its replication, and the member's
-//!   `flush` before it acknowledges the commit is the only point that
-//!   waits for it, so an acknowledged wave is durable.
+//! * **Off-thread disk writes** — a disk store's put runs on the one
+//!   [`writer::AsyncWriter`] thread, so a wave's write overlaps its
+//!   replication, and the member's flush before it acknowledges the commit
+//!   is the only point that waits for it: an acknowledged wave is durable.
+//!   A store that keeps its waves in memory puts on the rank's thread.
 //! * **Garbage collection** — the service prunes epochs older than the
 //!   newest globally-committed wave, both for local copies and partner-held
 //!   replicas, replacing manual `prune` calls. No blob references another
@@ -44,13 +44,9 @@
 //!   Reed–Solomon parity (`SPBCPAR1` frames) over the set's sealed blobs
 //!   per wave, so a lost member rebuilds from `g-1` survivors plus parity
 //!   at far below the 2× physical cost of full partner copies.
-//! * **Sharded store + bounded write pipeline** — the CAS's chunk map and
-//!   registration ledger and the [`writer::AsyncWriter`]'s workers are
-//!   sharded (`SPBC_STORE_SHARDS`), so concurrent ranks rarely share a
-//!   lock; the writer runs bounded per-shard queues (`SPBC_WRITE_QUEUE`)
-//!   that coalesce small blobs under one durability barrier (group commit)
-//!   and surface backpressure as [`writer::Admission::Delayed`] instead of
-//!   buffering unbounded memory.
+//!
+//! One service serves one run: one lock guards its [`cas`] store, and only
+//! a disk-rooted service runs a writer thread.
 
 #![warn(missing_docs)]
 
@@ -65,7 +61,7 @@ pub mod service;
 pub mod set;
 pub mod writer;
 
-pub use backend::{BatchItem, BatchStats, CheckpointBackend, DirBackend, MemBackend, PutStats};
+pub use backend::{CheckpointBackend, DirBackend, MemBackend, PutStats};
 pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V2};
 pub use cas::{CasStore, ChunkFate, ChunkHash};
 pub use cdc::{chunk_reusing, chunk_spans, CdcParams, Cut, Cuts};
@@ -75,4 +71,4 @@ pub use service::{
     Adoption, CkptStoreService, LoadOutcome, LoadStats, Replica, Replication, StoreConfig,
 };
 pub use set::SetMap;
-pub use writer::{Admission, AsyncWriter, WriterConfig, WriterStats};
+pub use writer::{AsyncWriter, WriterStats};

@@ -5,10 +5,10 @@
 //! One `CkptStoreService` serves a whole world (all ranks of one run). Each
 //! rank owns two backends:
 //!
-//! * its **local** store — the authoritative copy of its own checkpoints
-//!   (memory for in-process experiments, a `rank-<r>/own` directory when a
-//!   storage root is configured), written through the service's
-//!   [`AsyncWriter`];
+//! * its **local** store — the authoritative copy of its own checkpoints:
+//!   memory for in-process experiments, put on the committing rank's
+//!   thread; or a `rank-<r>/own` directory when a storage root is
+//!   configured, written by the service's one [`AsyncWriter`] thread;
 //! * its **partner** store — copies of *other* ranks' checkpoints pushed to
 //!   it over the control plane at commit time. Partner copies are held in
 //!   memory by default (ReStore's insight: partner RAM beats the PFS by
@@ -18,7 +18,7 @@
 //!
 //! [`CkptStoreService::encode_commit`] seals each wave's serialized body in
 //! one of two forms. In CDC mode the body is cut into content-defined
-//! chunks deduplicated in the service's sharded [`CasStore`] and sealed as
+//! chunks deduplicated in the service's [`CasStore`] and sealed as
 //! an `SPBCCKP4` manifest (see [`crate::chunk`]); the cut reuses the rank's
 //! previous one wherever the bytes did not change
 //! ([`crate::cdc::chunk_reusing`]). Otherwise it is one `SPBCCKP2` full
@@ -52,7 +52,7 @@ use crate::cdc::{chunk_reusing, CdcParams, Cuts};
 use crate::chunk::{self, seal_v4, CasView, EncodeStats, V4Chunk, DEFAULT_CHUNK_SIZE};
 use crate::ec::{self, EcScheme, ParityView};
 use crate::set::{parity_owner, SetMap};
-use crate::writer::{Admission, AsyncWriter, OnDone, WriterConfig, WriterStats};
+use crate::writer::{AsyncWriter, OnDone};
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::types::RankId;
 use parking_lot::Mutex;
@@ -63,8 +63,9 @@ use std::sync::Arc;
 /// How the service stores and writes checkpoints.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Write local commits through the background writer (`true`, default)
-    /// or inline and synchronously (`false`).
+    /// Inert: the local store decides — a disk store is written by the
+    /// background writer, an in-memory one on the caller's thread. Kept
+    /// only until `spbc-perf`'s full struct literal drops it.
     pub async_writes: bool,
     /// Keep partner copies on disk next to the local store instead of in
     /// memory. Only meaningful with a storage root; costs an fsync on the
@@ -97,19 +98,18 @@ pub struct StoreConfig {
     /// straight to its `rank-<r>/own` directory. Kept only until
     /// `spbc-perf`'s full struct literal drops it.
     pub tier_policy: String,
-    /// Shard count for the service's CAS and write-pipeline state
-    /// (`SPBC_STORE_SHARDS`, default 8, rounded up to a power of two).
-    /// `1` reproduces the legacy single-lock layout bit-for-bit.
+    /// Inert: the chunk store is one map behind one lock. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub shards: usize,
-    /// Hard depth of each write-pipeline submission queue
-    /// (`SPBC_WRITE_QUEUE`, default 64). A full queue delays admission
-    /// ([`Admission::Delayed`]) instead of buffering unbounded memory.
+    /// Inert: each rank has at most one write outstanding, so the writer's
+    /// queue needs no bound of its own. Kept only until `spbc-perf`'s full
+    /// struct literal drops it.
     pub write_queue: usize,
-    /// Target batch size for coalescing small blobs under one durability
-    /// barrier (`SPBC_BATCH_BYTES`, default 1 MiB).
+    /// Inert: every write is its own put, with its own barriers. Kept only
+    /// until `spbc-perf`'s full struct literal drops it.
     pub batch_bytes: usize,
-    /// How long a write batch lingers for stragglers before sealing
-    /// (`SPBC_BATCH_LINGER_US`, default 0 = seal immediately).
+    /// Inert, as `batch_bytes`. Kept only until `spbc-perf`'s full struct
+    /// literal drops it.
     pub batch_linger_us: u64,
 }
 
@@ -238,18 +238,15 @@ type ParityStage = HashMap<(u64, u32), HashMap<u32, Vec<u8>>>;
 /// bytes, or `None` where the copy is lost.
 type CensusSlots = Vec<Option<Vec<u8>>>;
 
-/// The CAS ledger and the write pipeline key everything by job; one
-/// service is one job.
-const JOB: u32 = 0;
-
 /// The checkpoint storage service for one run. Cheap to share (`Arc`);
 /// outlives rank threads, so partner copies survive in-process cluster
 /// restarts the way surviving nodes' memory survives a peer's crash.
 pub struct CkptStoreService {
-    /// Sharded content-addressed chunk store (CDC mode).
+    /// Content-addressed chunk store (CDC mode).
     cas: CasStore,
-    /// Bounded write pipeline for asynchronous local commits.
-    writer: AsyncWriter,
+    /// The writer of the local stores that write to disk; `None` when
+    /// every local store keeps its waves in memory.
+    writer: Option<AsyncWriter>,
     ranks: Vec<RankStores>,
     /// Parity staging area: `(epoch, set_id) -> rank -> sealed blob`. Set
     /// members deposit their sealed blobs here at replicate time; the last
@@ -260,17 +257,12 @@ pub struct CkptStoreService {
 }
 
 impl CkptStoreService {
-    /// Build the service over per-rank stores; `cfg.shards` sizes both the
-    /// CAS shards and the writer's queues.
+    /// Build the service over per-rank stores. Only stores whose bytes
+    /// leave the process get a writer thread.
     fn with_stores(ranks: Vec<RankStores>, cfg: StoreConfig) -> Self {
-        let writer = AsyncWriter::with_config(WriterConfig {
-            shards: cfg.shards,
-            queue_depth: cfg.write_queue,
-            batch_bytes: cfg.batch_bytes,
-            linger_us: cfg.batch_linger_us,
-        });
+        let writer = ranks.iter().any(|r| r.local.self_contained()).then(AsyncWriter::new);
         CkptStoreService {
-            cas: CasStore::with_shards(cfg.shards),
+            cas: CasStore::new(),
             writer,
             ranks,
             parity_stage: Mutex::new(HashMap::new()),
@@ -381,7 +373,7 @@ impl CkptStoreService {
         // a rollback replace the old registration without a refcount dip.
         let cas_stats = self
             .cas()
-            .commit_addressed(JOB, rank.0, rank.0, epoch, &manifest)
+            .commit_addressed(rank.0, rank.0, epoch, &manifest)
             .map_err(|r| MpiError::Codec(r.to_string()))?;
         let mut parts: Vec<V4Chunk<'_>> = cuts
             .cuts
@@ -474,35 +466,42 @@ impl CkptStoreService {
     /// holds for its replicas (or a `Vec`, which moves in), and an
     /// in-memory local store keeps that same allocation.
     ///
-    /// With async writes (default) this enqueues on the background writer
-    /// and returns immediately; `on_done` fires from the writer thread with
-    /// the hidden write latency; [`flush_rank`](Self::flush_rank) waits
-    /// until the write is durable. With `async_writes = false` the write
-    /// (and `on_done`) happen inline.
-    ///
-    /// The returned [`Admission`] reports whether the bounded pipeline had
-    /// room immediately or the caller was delayed by backpressure (a full
-    /// submission queue) — real device lag surfaced at the commit barrier
-    /// instead of unbounded buffering. Synchronous writes are always
-    /// `Accepted` (the device wait *is* the call).
+    /// A store that keeps the wave in memory stores it before this returns,
+    /// on the caller's thread, and `on_done` runs inline. A disk store's
+    /// write goes to the background writer and this returns at once;
+    /// `on_done` fires from the writer thread with the submit-to-durable
+    /// latency, and [`flush_rank`](Self::flush_rank) waits until the write
+    /// is durable.
     pub fn commit_local(
         &self,
         rank: RankId,
         epoch: u64,
         blob: impl Into<Arc<Vec<u8>>>,
         on_done: Option<OnDone>,
-    ) -> Result<Admission> {
-        let local = Arc::clone(&self.stores(rank)?.local);
-        if self.cfg.async_writes {
-            Ok(self.writer.submit(JOB, rank, epoch, blob, local, on_done))
-        } else {
-            let start = std::time::Instant::now();
-            let res = local.put_shared(rank, epoch, &blob.into());
-            if let Some(cb) = on_done {
-                cb(&res, start.elapsed());
-            }
-            res.map(|_| Admission::Accepted)
+    ) -> Result<()> {
+        let local = &self.stores(rank)?.local;
+        if let Some(writer) = self.writer_of(local) {
+            writer.submit(0, rank, epoch, blob, Arc::clone(local), on_done);
+            return Ok(());
         }
+        let start = std::time::Instant::now();
+        let res = local.put_shared(rank, epoch, &blob.into());
+        if let Some(cb) = on_done {
+            cb(&res, start.elapsed());
+        }
+        res.map(drop)
+    }
+
+    /// The writer a local store's commits go to: `None` for a store that
+    /// keeps its waves in memory.
+    fn writer_of(&self, local: &Arc<dyn CheckpointBackend>) -> Option<&AsyncWriter> {
+        self.writer.as_ref().filter(|_| local.self_contained())
+    }
+
+    /// Whether `rank`'s local commits are written off the caller's thread
+    /// (a disk store), so their latency hides behind replication.
+    pub fn writes_off_thread(&self, rank: RankId) -> bool {
+        self.stores(rank).is_ok_and(|s| self.writer_of(&s.local).is_some())
     }
 
     /// Store a replica frame pushed by `owner` as `holder`'s partner copy
@@ -531,7 +530,7 @@ impl CkptStoreService {
         if chunk::is_cas(frame) {
             let view = CasView::parse(frame)?;
             let manifest = addressed(&view)?;
-            match self.cas().commit_addressed(JOB, holder.0, owner.0, epoch, &manifest) {
+            match self.cas().commit_addressed(holder.0, owner.0, epoch, &manifest) {
                 Ok(_) => {}
                 Err(Refused::Missing(idx)) => return Ok(Adoption::Missing(idx)),
                 Err(refused) => return Err(MpiError::Codec(refused.to_string())),
@@ -545,7 +544,7 @@ impl CkptStoreService {
         let mut pruned = 0;
         for &e in old {
             if partner.remove(owner, e)? {
-                self.cas().unregister(JOB, holder.0, owner.0, e);
+                self.cas().unregister(holder.0, owner.0, e);
                 pruned += 1;
             }
         }
@@ -671,7 +670,7 @@ impl CkptStoreService {
             return Ok(blob);
         }
         let hashes = CasView::parse(&blob)?.hashes();
-        match self.cas().inserted_by(JOB, owner.0, owner.0, epoch, &hashes) {
+        match self.cas().inserted_by(owner.0, owner.0, epoch, &hashes) {
             Some(inserted) if !inserted.is_empty() => self.subset_blob(&blob, &inserted),
             _ => Ok(blob),
         }
@@ -687,9 +686,9 @@ impl CkptStoreService {
             return Ok(blob.to_vec());
         }
         let view = CasView::parse(blob)?;
-        if self.cas().inserted_by(JOB, rank.0, rank.0, epoch, &view.hashes()).is_none() {
+        if self.cas().inserted_by(rank.0, rank.0, epoch, &view.hashes()).is_none() {
             self.cas()
-                .commit_addressed(JOB, rank.0, rank.0, epoch, &addressed(&view)?)
+                .commit_addressed(rank.0, rank.0, epoch, &addressed(&view)?)
                 .map_err(|r| MpiError::Codec(r.to_string()))?;
         }
         chunk::manifest_only_v4(blob)
@@ -818,17 +817,12 @@ impl CkptStoreService {
 
     /// Wait until `rank`'s outstanding local write (if any) is durable.
     pub fn flush_rank(&self, rank: RankId) -> Result<()> {
-        self.writer.flush_owner(JOB, rank)
+        self.writer.as_ref().map_or(Ok(()), |w| w.flush_owner(0, rank))
     }
 
     /// Wait for every outstanding write (shutdown path).
     pub fn flush_all(&self) -> Result<()> {
-        self.writer.flush_job(JOB)
-    }
-
-    /// Write-pipeline counters.
-    pub fn writer_stats(&self) -> WriterStats {
-        self.writer.stats()
+        self.writer.as_ref().map_or(Ok(()), AsyncWriter::flush_all)
     }
 
     /// Fetch the raw verified blob of `(rank, epoch)` and where it came
@@ -957,11 +951,11 @@ impl CkptStoreService {
     /// Drop `rank`'s local epochs older than `keep_from` (automatic GC once
     /// a newer wave is globally committed). Returns how many were removed.
     pub fn gc_local(&self, rank: RankId, keep_from: u64) -> Result<usize> {
-        // A queued or in-flight async write is invisible to `epochs_of`:
+        // A queued or in-flight disk write is invisible to `epochs_of`:
         // sweeping now would leave an old epoch that lands afterwards.
-        // Drain the rank's pipeline first so the sweep sees every landed
+        // Wait for the rank's write first so the sweep sees every landed
         // epoch (any sticky write error surfaces here).
-        self.writer.flush_owner(JOB, rank)?;
+        self.flush_rank(rank)?;
         let local = &self.stores(rank)?.local;
         let mut removed = 0;
         for e in local.epochs_of(rank)? {
@@ -970,11 +964,12 @@ impl CkptStoreService {
             }
         }
         // CDC mode: release the rank's own chunk registrations for the
-        // pruned epochs. Ledger-driven (not blob parsing) because a
-        // coalesced async write may have registered chunks for an epoch
-        // whose blob was never stored. Chunks shared with a retained epoch
-        // or another rank's registration survive by refcount.
-        self.cas().unregister_below(JOB, rank.0, rank.0, keep_from);
+        // pruned epochs. Ledger-driven (not blob parsing) because a wave
+        // registers its chunks at encode, before its blob is stored: a rank
+        // that died (or whose write failed) in between left registrations
+        // no stored blob names. Chunks shared with a retained epoch or
+        // another rank's registration survive by refcount.
+        self.cas().unregister_below(rank.0, rank.0, keep_from);
         // EC mode: prune the parity shards this rank encoded (stored in
         // its local under synthetic owners) by the same window.
         if self.cfg.ec.is_on() {
@@ -1115,33 +1110,27 @@ mod tests {
         assert_eq!(svc.available_epochs(RankId(0)).unwrap(), vec![3, 4]);
     }
 
+    /// An in-memory service starts no writer thread, and its
+    /// `commit_local` has stored the copy (and run `on_done`) before it
+    /// returns, with no flush; a disk-rooted service hands the write to
+    /// its writer.
     #[test]
-    fn sync_write_mode_is_immediate() {
-        let cfg = StoreConfig { async_writes: false, ..Default::default() };
-        let svc = CkptStoreService::in_memory(1, cfg);
-        svc.commit_local(RankId(0), 1, seal(b"now"), None).unwrap();
-        // No flush needed: the write already happened.
-        let (body, _) = svc.load(RankId(0), 1).unwrap().unwrap();
-        assert_eq!(body, b"now");
-        assert_eq!(svc.writer_stats().completed, 0);
-    }
-
-    #[test]
-    fn shard_counts_follow_config() {
-        let svc = CkptStoreService::in_memory(1, StoreConfig { shards: 5, ..Default::default() });
-        assert_eq!(svc.cas().shards(), 8, "rounded up to a power of two");
-    }
-
-    #[test]
-    fn single_shard_config_behaves_identically() {
-        let cfg = StoreConfig { shards: 1, write_queue: 2, ..Default::default() };
-        let svc = CkptStoreService::in_memory(2, cfg);
-        for e in 1..=4u64 {
-            commit_sync(&svc, RankId(0), e, format!("w{e}").as_bytes());
-        }
-        assert_eq!(svc.available_epochs(RankId(0)).unwrap(), vec![1, 2, 3, 4]);
-        let (body, _) = svc.load(RankId(0), 4).unwrap().unwrap();
-        assert_eq!(body, b"w4");
+    fn in_memory_commit_is_stored_on_the_callers_thread() {
+        let svc = CkptStoreService::in_memory(2, StoreConfig::default());
+        assert!(svc.writer.is_none(), "an in-memory service spawned a writer");
+        assert!(!svc.writes_off_thread(RankId(0)));
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(Mutex::new(None));
+        let seen = Arc::clone(&ran_on);
+        let on_done: OnDone = Box::new(move |res, _| {
+            assert!(res.is_ok());
+            *seen.lock() = Some(std::thread::current().id());
+        });
+        svc.commit_local(RankId(0), 1, seal(b"now"), Some(on_done)).unwrap();
+        assert_eq!(*ran_on.lock(), Some(caller));
+        assert_eq!(svc.local_copy(RankId(0), 1).unwrap().unwrap(), seal(b"now"));
+        let disk = CkptStoreService::on_disk(tmpdir("writer"), 1, StoreConfig::default()).unwrap();
+        assert!(disk.writer.is_some() && disk.writes_off_thread(RankId(0)));
     }
 
     #[test]
@@ -1283,8 +1272,8 @@ mod tests {
         let (body, _) = svc.load(RankId(0), 4).unwrap().unwrap();
         assert_eq!(body, last, "GC must never break a retained epoch");
         // Dropping every registration empties the store (no leaks).
-        svc.cas().unregister_below(JOB, 0, 0, u64::MAX);
-        svc.cas().unregister_below(JOB, 1, 0, u64::MAX);
+        svc.cas().unregister_below(0, 0, u64::MAX);
+        svc.cas().unregister_below(1, 0, u64::MAX);
         assert_eq!(svc.cas().unique_chunks(), 0, "refcount leak");
     }
 
@@ -1360,7 +1349,7 @@ mod tests {
         assert_eq!((partner_svc.cas().unique_chunks(), partner_svc.cas().unique_bytes()), resident);
         let partner = &partner_svc.stores(RankId(1)).unwrap().partner;
         assert_eq!(partner.get(RankId(0), 1).unwrap(), None);
-        assert!(!partner_svc.cas().unregister(JOB, 1, 0, 1), "no registration was left");
+        assert!(!partner_svc.cas().unregister(1, 0, 1), "no registration was left");
         // Served the subset, the partner adopts.
         let subset = owner_svc.subset_blob(&blob, &want).unwrap();
         let got = partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &subset).unwrap();
@@ -1630,7 +1619,7 @@ mod tests {
         }
         // Rank 0 loses its local copy; its registration was dropped too.
         svc.wipe_local(RankId(0)).unwrap();
-        svc.cas().unregister(JOB, 0, 0, 1);
+        svc.cas().unregister(0, 0, 1);
         let (body, outcome) = svc.load(RankId(0), 1).unwrap().unwrap();
         assert_eq!((body, outcome), (bodies[0].clone(), LoadOutcome::Rebuilt { set_id: 0 }));
         let kept = svc.local_copy(RankId(0), 1).unwrap().unwrap();

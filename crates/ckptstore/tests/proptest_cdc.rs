@@ -338,7 +338,7 @@ fn reuse_walk_reuses_every_clean_chunk_and_only_those() {
     assert_eq!(check_reuse(&data, p, &hint, &cas), hint.cuts.len());
     let other = CdcParams { min: 64, avg: 512, max: 1024 };
     assert_eq!(check_reuse(&data, other, &hint, &cas), 0, "a hint cut with other bounds");
-    cas.unregister(0, 0, 0, 1);
+    cas.unregister(0, 0, 1);
     assert_eq!(check_reuse(&data, p, &hint, &cas), 0, "every hinted chunk was freed");
     // An edit in the middle costs only the chunks around it.
     let mut edited = data.clone();

@@ -10,11 +10,12 @@
 //!   is corrupted or truncated (including mid-manifest); a load must repair
 //!   it from the partner copy bitwise, and once the partner copy is damaged
 //!   too, the wave must load as missing rather than as wrong bytes.
-//! * `batched_pipeline_is_bitwise_identical_to_sync_writes` — the same
-//!   random commit/flush/GC stream through a synchronous service and a
-//!   bounded async pipeline (small queue, batching, linger): every sealed
-//!   blob and every retained restore must be bitwise identical however
-//!   the pipeline batches, lingers, or coalesces.
+//! * `writer_puts_are_bitwise_identical_to_rank_thread_puts` — the same
+//!   random commit/flush/GC stream through an in-memory service (puts on
+//!   the committing thread) and a disk-rooted one (puts on its writer
+//!   thread): every sealed blob agrees (the disk file is the self-contained
+//!   form of the in-memory manifest) and every retained restore is bitwise
+//!   identical however the writer's puts interleave with flushes and GC.
 //! * `memory_and_disk_keep_one_wave_in_two_forms` — random body histories
 //!   through an in-memory and a disk-rooted service side by side: every
 //!   file is the self-contained `SPBCCKP4` blob of the fresh cut, carrying
@@ -39,7 +40,6 @@ const TAIL: usize = 17;
 
 fn cfg(cdc: bool, partner_keep: usize) -> StoreConfig {
     StoreConfig {
-        async_writes: false,
         cdc,
         cdc_params: CdcParams { min: 32, avg: 128, max: 512 },
         partner_keep,
@@ -130,13 +130,13 @@ proptest! {
     }
 }
 
-/// Differential ops: the pipeline side also gets explicit flush points so
-/// the stream interleaves submissions, drains, and GC sweeps.
+/// Differential ops: the disk side also gets explicit flush points so the
+/// stream interleaves writer puts, drains, and GC sweeps.
 #[derive(Clone, Debug)]
 enum PipeOp {
     /// Commit the next epoch with one chunk dirtied.
     Commit { dirty: usize },
-    /// Drain the pipeline for the committing rank.
+    /// Wait for the committing rank's disk write.
     Flush,
     /// GC local copies, keeping the newest `back + 1` epochs.
     Gc { back: u64 },
@@ -154,28 +154,21 @@ fn pipe_op_strategy() -> impl Strategy<Value = PipeOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batching/coalescing/linger must be invisible in the bytes: a
-    /// synchronous unbatched service and a bounded async pipeline fed the
-    /// same op stream seal identical blobs and restore identical bodies.
-    /// CDC mode runs without per-commit flushes (a superseded wave's blob
-    /// may legitimately never land — its chunks stay materializable from
-    /// the CAS); full-blob mode keeps the protocol's double-buffer
-    /// discipline (flush before commit), so every wave's blob lands.
+    /// Where a put runs must be invisible in the bytes: an in-memory
+    /// service (puts on the committing thread) and a disk-rooted one (puts
+    /// on its writer thread) fed the same op stream seal the same wave —
+    /// the in-memory copy is the disk blob's manifest — and restore
+    /// identical bodies. Every commit's write lands: nothing coalesces.
     #[test]
-    fn batched_pipeline_is_bitwise_identical_to_sync_writes(
+    fn writer_puts_are_bitwise_identical_to_rank_thread_puts(
         ops in proptest::collection::vec(pipe_op_strategy(), 1..40),
         cdc: bool,
     ) {
         let base = cfg(cdc, 4);
-        let sync_svc = CkptStoreService::in_memory(1, base.clone());
-        let pipe_svc = CkptStoreService::in_memory(1, StoreConfig {
-            async_writes: true,
-            shards: 2,
-            write_queue: 2,
-            batch_bytes: 1 << 20,
-            batch_linger_us: 50,
-            ..base
-        });
+        let root = tmpdir();
+        let _ = std::fs::remove_dir_all(&root);
+        let mem = CkptStoreService::in_memory(1, base.clone());
+        let disk = CkptStoreService::on_disk(&root, 1, base).unwrap();
         let r0 = RankId(0);
         let mut body = first_body();
         let mut committed: Vec<(u64, Vec<u8>)> = Vec::new();
@@ -185,49 +178,31 @@ proptest! {
                 PipeOp::Commit { dirty } => {
                     epoch += 1;
                     body[dirty * CHUNK] = (epoch % 251) as u8;
-                    if !cdc {
-                        pipe_svc.flush_rank(r0).unwrap();
-                    }
-                    let (a, _) = sync_svc.encode_commit(r0, epoch, &body).unwrap();
-                    let (b, _) = pipe_svc.encode_commit(r0, epoch, &body).unwrap();
-                    prop_assert_eq!(&a, &b, "sealed blobs diverge at epoch {}", epoch);
-                    sync_svc.commit_local(r0, epoch, a, None).unwrap();
-                    pipe_svc.commit_local(r0, epoch, b, None).unwrap();
+                    let (a, _) = mem.encode_commit(r0, epoch, &body).unwrap();
+                    let (b, _) = disk.encode_commit(r0, epoch, &body).unwrap();
+                    let b_kept = if cdc { manifest_only_v4(&b).unwrap() } else { b.clone() };
+                    prop_assert_eq!(&a, &b_kept, "sealed waves diverge at epoch {}", epoch);
+                    mem.commit_local(r0, epoch, a, None).unwrap();
+                    disk.commit_local(r0, epoch, b, None).unwrap();
                     committed.push((epoch, body.clone()));
                 }
-                PipeOp::Flush => pipe_svc.flush_rank(r0).unwrap(),
+                PipeOp::Flush => disk.flush_rank(r0).unwrap(),
                 PipeOp::Gc { back } => {
                     keep_from = keep_from.max(epoch.saturating_sub(*back));
-                    sync_svc.gc_local(r0, keep_from).unwrap();
-                    pipe_svc.gc_local(r0, keep_from).unwrap();
+                    mem.gc_local(r0, keep_from).unwrap();
+                    disk.gc_local(r0, keep_from).unwrap();
                 }
             }
         }
-        sync_svc.flush_all().unwrap();
-        pipe_svc.flush_all().unwrap();
-        for (e, expect) in &committed {
-            if *e < keep_from {
-                continue;
-            }
-            let (got, _) = sync_svc.load(r0, *e).unwrap().expect("sync retained epoch loads");
+        mem.flush_all().unwrap();
+        disk.flush_all().unwrap();
+        for (e, expect) in committed.iter().filter(|(e, _)| *e >= keep_from) {
+            let (got, _) = mem.load(r0, *e).unwrap().expect("retained epoch loads from memory");
             prop_assert_eq!(&got, expect);
-            // The pipeline may have coalesced a superseded epoch's blob
-            // away entirely — but whatever it stored must be bitwise right.
-            match pipe_svc.load(r0, *e).unwrap() {
-                Some((got, _)) => prop_assert_eq!(&got, expect),
-                None => prop_assert!(
-                    cdc && Some(*e) != committed.last().map(|&(e, _)| e),
-                    "only a superseded CDC epoch may be coalesced away (epoch {})", e
-                ),
-            }
+            let (got, _) = disk.load(r0, *e).unwrap().expect("retained epoch loads from disk");
+            prop_assert_eq!(&got, expect);
         }
-        if let Some((e, expect)) = committed.last() {
-            if *e >= keep_from {
-                let (got, _) =
-                    pipe_svc.load(r0, *e).unwrap().expect("newest epoch survives the pipeline");
-                prop_assert_eq!(&got, expect);
-            }
-        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
@@ -272,6 +247,7 @@ proptest! {
             body[dirties[(epoch as usize - 1) % dirties.len()] * CHUNK] = (epoch % 251) as u8;
             let (blob, _) = svc.encode_commit(r0, epoch, &body).unwrap();
             svc.commit_local(r0, epoch, blob.clone(), None).unwrap();
+            svc.flush_rank(r0).unwrap();
             svc.store_partner_copy(RankId(1), r0, epoch, &blob).unwrap();
             newest = body.clone();
         }
@@ -462,6 +438,7 @@ proptest! {
                 prop_assert_eq!(stats.physical, want.len() as u64);
                 let sealed = Arc::new(sealed);
                 svc.commit_local(r0, epoch, Arc::clone(&sealed), None).unwrap();
+                svc.flush_rank(r0).unwrap();
                 let rep = svc.replicas(r0, epoch, &sealed, stats.logical, &[holder]).unwrap();
                 for push in &rep.pushes {
                     svc.store_partner_copy(push.partner, push.owner, epoch, &push.frame).unwrap();

@@ -18,8 +18,6 @@
 //! | `SPBC_EC_SCHEME` | `off` | redundancy-set parity scheme: `off`, `xor`, or `rs` |
 //! | `SPBC_EC_GROUP` | `4` | redundancy-set size (ranks per set, within a cluster) |
 //! | `SPBC_EC_M` | `2` | parity shards per set for `rs` (losses survivable) |
-//! | `SPBC_STORE_SHARDS` | `8` | store/CAS/write-pipeline shard count (power of two; 1 = legacy single-lock layout) |
-//! | `SPBC_WRITE_QUEUE` | `64` | write-pipeline submission-queue depth per shard (full queue delays admission) |
 //! | `SPBC_TRACE` | unset | write the last run's Chrome trace JSON here (`%` → run label) |
 //! | `SPBC_METRICS` | unset | append one metrics JSON line per run here |
 //! | `SPBC_METRICS_INTERVAL_MS` | `0` | background sampler period in ms (0 disables; rows go to `$SPBC_METRICS`) |
@@ -58,16 +56,6 @@ pub const VARS: &[(&str, &str, &str)] = &[
     ("SPBC_EC_SCHEME", "off", "redundancy-set parity scheme: off, xor, or rs"),
     ("SPBC_EC_GROUP", "4", "redundancy-set size (ranks per set, within a cluster)"),
     ("SPBC_EC_M", "2", "parity shards per set for rs (losses survivable)"),
-    (
-        "SPBC_STORE_SHARDS",
-        "8",
-        "store/CAS/write-pipeline shard count (power of two; 1 = legacy single-lock layout)",
-    ),
-    (
-        "SPBC_WRITE_QUEUE",
-        "64",
-        "write-pipeline submission-queue depth per shard (full queue delays admission)",
-    ),
     (
         "SPBC_TRACE",
         "(unset)",
@@ -231,8 +219,6 @@ mod tests {
             "SPBC_EC_SCHEME",
             "SPBC_EC_GROUP",
             "SPBC_EC_M",
-            "SPBC_STORE_SHARDS",
-            "SPBC_WRITE_QUEUE",
             "SPBC_TRACE",
             "SPBC_METRICS",
             "SPBC_METRICS_INTERVAL_MS",
@@ -243,7 +229,29 @@ mod tests {
         ] {
             assert!(names.contains(&required), "{required} missing from VARS");
         }
-        assert_eq!(VARS.len(), 24, "a new SPBC_* knob needs its row here and in the README");
+    }
+
+    /// The `SPBC_*` names of a markdown table's rows whose first cell is
+    /// a code span; `prefix` is what each table line starts with.
+    fn table_names(text: &str, prefix: &str) -> Vec<String> {
+        text.lines()
+            .filter_map(|l| l.strip_prefix(prefix)?.trim_start().strip_prefix("| `SPBC_"))
+            .map(|rest| format!("SPBC_{}", &rest[..rest.find('`').expect("closing backtick")]))
+            .collect()
+    }
+
+    /// The README's variable table and this module's own table each name
+    /// exactly the registry's variables.
+    #[test]
+    fn env_tables_match_the_registry() {
+        let mut sorted: Vec<String> = VARS.iter().map(|(n, _, _)| n.to_string()).collect();
+        let mut readme_rows = table_names(include_str!("../../../README.md"), "");
+        let mut doc_rows = table_names(include_str!("env.rs"), "//!");
+        for names in [&mut readme_rows, &mut doc_rows, &mut sorted] {
+            names.sort();
+        }
+        assert_eq!(readme_rows, sorted, "README.md's SPBC_* table drifted from env::VARS");
+        assert_eq!(doc_rows, sorted, "env.rs's module-doc table drifted from env::VARS");
     }
 
     #[test]

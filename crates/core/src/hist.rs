@@ -184,6 +184,8 @@ impl HistSnapshot {
 pub enum Phase {
     Quiesce,
     Encode,
+    /// Inert: nothing records it since the write queue lost its bound.
+    /// Kept only until `spbc-perf`'s phase table drops it.
     Admission,
     Write,
     Fsync,

@@ -39,7 +39,8 @@ pub struct Metrics {
     pub repl_acks: AtomicU64,
     /// Checkpoints repaired from a partner copy (local copy lost/corrupt).
     pub ckpt_repairs: AtomicU64,
-    /// Local checkpoint writes completed by the background writer.
+    /// Local checkpoint writes completed by the background writer (disk
+    /// stores; an in-memory put runs on the rank thread).
     pub ckpt_writes_async: AtomicU64,
     /// Microseconds of checkpoint write latency hidden behind the
     /// application by asynchronous writes (submit-to-durable, summed).
@@ -72,16 +73,6 @@ pub struct Metrics {
     /// Checkpoints reconstructed from redundancy-set parity (erasure
     /// decode), as opposed to `ckpt_repairs` from a full partner copy.
     pub ec_rebuilds: AtomicU64,
-    /// Commit submissions delayed by write-pipeline backpressure (a full
-    /// bounded submission queue); the wait itself lands in the `admission`
-    /// phase histogram.
-    pub store_admission_waits: AtomicU64,
-    /// Durability barriers (fsyncs) issued by the batching write pipeline —
-    /// below the completed-write count when coalescing amortizes barriers.
-    pub store_batched_fsyncs: AtomicU64,
-    /// Blobs currently queued in the write pipeline (a gauge: last observed
-    /// value, like `cas_unique_bytes`).
-    pub store_queue_depth: AtomicU64,
     /// Log GC notices sent by receivers at checkpoint resume (each is also
     /// one of `ctrl_msgs`).
     pub log_gc_notices: AtomicU64,
@@ -134,7 +125,7 @@ impl Metrics {
     /// former, a crash-window gap the latter), so they are reported apart.
     pub fn summary(&self) -> String {
         format!(
-            "logged {} msgs / {} B; replayed {} msgs / {} B; suppressed {}; dup-dropped {}; ooo-dropped {}; ckpts {}; rollbacks {}; ctrl {}; grants {}; repl {} pushes / {} B / {} acks; repairs {}; async-writes {} ({} us hidden); gc-pruned {}; ckpt-bytes {} logical / {} physical; repl-logical {} B; cas-hits {} epoch / {} rank / {} B; cas-unique {} B; ec-parity {} B / {} rebuilds; admission-waits {}; batched-fsyncs {}; queue-depth {}; log-gc {} notices / {} msgs / {} B pruned / {} B live-peak",
+            "logged {} msgs / {} B; replayed {} msgs / {} B; suppressed {}; dup-dropped {}; ooo-dropped {}; ckpts {}; rollbacks {}; ctrl {}; grants {}; repl {} pushes / {} B / {} acks; repairs {}; async-writes {} ({} us hidden); gc-pruned {}; ckpt-bytes {} logical / {} physical; repl-logical {} B; cas-hits {} epoch / {} rank / {} B; cas-unique {} B; ec-parity {} B / {} rebuilds; log-gc {} notices / {} msgs / {} B pruned / {} B live-peak",
             Self::get(&self.logged_msgs),
             Self::get(&self.logged_bytes),
             Self::get(&self.replayed_msgs),
@@ -162,9 +153,6 @@ impl Metrics {
             Self::get(&self.cas_unique_bytes),
             Self::get(&self.ec_parity_bytes),
             Self::get(&self.ec_rebuilds),
-            Self::get(&self.store_admission_waits),
-            Self::get(&self.store_batched_fsyncs),
-            Self::get(&self.store_queue_depth),
             Self::get(&self.log_gc_notices),
             Self::get(&self.log_pruned_msgs),
             Self::get(&self.log_pruned_bytes),
@@ -202,9 +190,6 @@ impl Metrics {
             cas_unique_bytes: Self::get(&self.cas_unique_bytes),
             ec_parity_bytes: Self::get(&self.ec_parity_bytes),
             ec_rebuilds: Self::get(&self.ec_rebuilds),
-            store_admission_waits: Self::get(&self.store_admission_waits),
-            store_batched_fsyncs: Self::get(&self.store_batched_fsyncs),
-            store_queue_depth: Self::get(&self.store_queue_depth),
             log_gc_notices: Self::get(&self.log_gc_notices),
             log_pruned_msgs: Self::get(&self.log_pruned_msgs),
             log_pruned_bytes: Self::get(&self.log_pruned_bytes),
@@ -273,12 +258,6 @@ pub struct MetricsSnapshot {
     pub ec_parity_bytes: u64,
     /// Checkpoints reconstructed from redundancy-set parity.
     pub ec_rebuilds: u64,
-    /// Commit submissions delayed by write-pipeline backpressure.
-    pub store_admission_waits: u64,
-    /// Durability barriers issued by the batching write pipeline.
-    pub store_batched_fsyncs: u64,
-    /// Blobs currently queued in the write pipeline (gauge).
-    pub store_queue_depth: u64,
     /// Log GC notices sent by receivers at checkpoint resume.
     pub log_gc_notices: u64,
     /// Log entries senders dropped on GC notices.
@@ -293,7 +272,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The counters as `(name, value)` pairs, in declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 34] {
+    pub fn fields(&self) -> [(&'static str, u64); 31] {
         [
             ("logged_bytes", self.logged_bytes),
             ("logged_msgs", self.logged_msgs),
@@ -322,9 +301,6 @@ impl MetricsSnapshot {
             ("cas_unique_bytes", self.cas_unique_bytes),
             ("ec_parity_bytes", self.ec_parity_bytes),
             ("ec_rebuilds", self.ec_rebuilds),
-            ("store_admission_waits", self.store_admission_waits),
-            ("store_batched_fsyncs", self.store_batched_fsyncs),
-            ("store_queue_depth", self.store_queue_depth),
             ("log_gc_notices", self.log_gc_notices),
             ("log_pruned_msgs", self.log_pruned_msgs),
             ("log_pruned_bytes", self.log_pruned_bytes),
@@ -407,10 +383,6 @@ impl MetricsSnapshot {
         d.cas_hit_bytes = d.cas_hit_bytes.saturating_sub(prev.cas_hit_bytes);
         d.ec_parity_bytes = d.ec_parity_bytes.saturating_sub(prev.ec_parity_bytes);
         d.ec_rebuilds = d.ec_rebuilds.saturating_sub(prev.ec_rebuilds);
-        d.store_admission_waits =
-            d.store_admission_waits.saturating_sub(prev.store_admission_waits);
-        d.store_batched_fsyncs = d.store_batched_fsyncs.saturating_sub(prev.store_batched_fsyncs);
-        // store_queue_depth is a gauge like cas_unique_bytes: keep absolute.
         d.log_gc_notices = d.log_gc_notices.saturating_sub(prev.log_gc_notices);
         d.log_pruned_msgs = d.log_pruned_msgs.saturating_sub(prev.log_pruned_msgs);
         d.log_pruned_bytes = d.log_pruned_bytes.saturating_sub(prev.log_pruned_bytes);
@@ -548,13 +520,10 @@ mod tests {
         Metrics::add(&m.cas_unique_bytes, 25);
         Metrics::add(&m.ec_parity_bytes, 26);
         Metrics::add(&m.ec_rebuilds, 27);
-        Metrics::add(&m.store_admission_waits, 28);
-        Metrics::add(&m.store_batched_fsyncs, 29);
-        Metrics::add(&m.store_queue_depth, 30);
-        Metrics::add(&m.log_gc_notices, 31);
-        Metrics::add(&m.log_pruned_msgs, 32);
-        Metrics::add(&m.log_pruned_bytes, 33);
-        Metrics::max(&m.log_live_bytes, 34);
+        Metrics::add(&m.log_gc_notices, 28);
+        Metrics::add(&m.log_pruned_msgs, 29);
+        Metrics::add(&m.log_pruned_bytes, 30);
+        Metrics::max(&m.log_live_bytes, 31);
         let s = m.snapshot();
         for (i, (_, v)) in s.fields().iter().enumerate() {
             assert_eq!(*v, i as u64 + 1);
@@ -605,24 +574,6 @@ mod tests {
         assert_eq!(d.ctrl_msgs, 7);
         assert_eq!(d.cas_unique_bytes, 512, "gauges stay absolute");
         assert_eq!(d.checkpoints, 0);
-    }
-
-    #[test]
-    fn store_pipeline_counters_delta_but_depth_gauges() {
-        let m = Metrics::new();
-        Metrics::add(&m.store_admission_waits, 4);
-        Metrics::add(&m.store_batched_fsyncs, 9);
-        Metrics::set(&m.store_queue_depth, 17);
-        let prev = m.snapshot();
-        Metrics::add(&m.store_admission_waits, 2);
-        Metrics::set(&m.store_queue_depth, 3);
-        let d = m.snapshot().delta_since(&prev);
-        assert_eq!(d.store_admission_waits, 2);
-        assert_eq!(d.store_batched_fsyncs, 0);
-        assert_eq!(d.store_queue_depth, 3, "queue depth is a gauge");
-        let s = m.summary();
-        assert!(s.contains("admission-waits 6"), "{s}");
-        assert!(s.contains("queue-depth 3"), "{s}");
     }
 
     #[test]

@@ -43,8 +43,7 @@ use mini_mpi::types::{ChannelId, CommId, RankId};
 use mini_mpi::wire::{from_bytes, to_bytes};
 use parking_lot::Mutex;
 use spbc_ckptstore::{
-    Admission, Adoption, CdcParams, CkptStoreService, EcScheme, LoadOutcome, Replica, SetMap,
-    StoreConfig,
+    Adoption, CdcParams, CkptStoreService, EcScheme, LoadOutcome, Replica, SetMap, StoreConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -90,10 +89,10 @@ pub struct SpbcConfig {
     /// each committed checkpoint. 0 disables replication (single-copy
     /// storage, the pre-subsystem behavior). Defaults to `$SPBC_REPL_K` or 2.
     pub replicas: usize,
-    /// Write local checkpoint copies through the background writer, so the
-    /// write overlaps replication and the commit barrier pays only what is
-    /// left of it when the member flushes before its ACK. Disable to write
-    /// synchronously at commit.
+    /// Inert: the store decides — a disk store's write overlaps
+    /// replication on the background writer, an in-memory store's put runs
+    /// on the rank thread. Kept only until `spbc-perf`'s full struct literal
+    /// drops it.
     pub async_ckpt_writes: bool,
     /// Inert: no store path chunks on a fixed grid. Kept only until
     /// `spbc-perf`'s full struct literal drops it.
@@ -138,19 +137,17 @@ pub struct SpbcConfig {
     /// EC rebuild or partner repair paths. Defaults off (process-kill
     /// semantics: local files survive the respawn).
     pub lose_local_on_failure: bool,
-    /// Shard count for the store hub's CAS and write pipeline (rounded up
-    /// to a power of two; 1 reproduces the legacy single-lock layout).
-    /// Defaults to `$SPBC_STORE_SHARDS` or 8.
+    /// Inert: the chunk store is one map behind one lock. Kept only until
+    /// `spbc-perf`'s full struct literal drops it.
     pub store_shards: usize,
-    /// Hard depth of each write-pipeline submission queue; a full queue
-    /// delays admission instead of buffering unbounded memory. Defaults to
-    /// `$SPBC_WRITE_QUEUE` or 64.
+    /// Inert: each rank has at most one checkpoint write outstanding. Kept
+    /// only until `spbc-perf`'s full struct literal drops it.
     pub write_queue: usize,
-    /// Byte budget for coalescing queued small blobs under one durability
-    /// barrier. Defaults to 1 MiB.
+    /// Inert: every write is its own put. Kept only until `spbc-perf`'s
+    /// full struct literal drops it.
     pub batch_bytes: usize,
-    /// Microseconds a write batch lingers for stragglers before sealing.
-    /// Defaults to 0 (seal immediately).
+    /// Inert, as `batch_bytes`. Kept only until `spbc-perf`'s full struct
+    /// literal drops it.
     pub batch_linger_us: u64,
 }
 
@@ -183,16 +180,6 @@ fn default_ec_group() -> usize {
 /// RS parity count from `$SPBC_EC_M`, defaulting to 2.
 fn default_ec_m() -> usize {
     crate::env::get_or("SPBC_EC_M", 2usize)
-}
-
-/// Store shard count from `$SPBC_STORE_SHARDS`, defaulting to 8.
-fn default_store_shards() -> usize {
-    crate::env::get_or("SPBC_STORE_SHARDS", 8usize)
-}
-
-/// Write-queue depth from `$SPBC_WRITE_QUEUE`, defaulting to 64.
-fn default_write_queue() -> usize {
-    crate::env::get_or("SPBC_WRITE_QUEUE", 64usize)
 }
 
 /// CDC chunk bounds from `$SPBC_CDC_MIN` / `$SPBC_CDC_AVG` / `$SPBC_CDC_MAX`.
@@ -228,8 +215,8 @@ impl Default for SpbcConfig {
             ec_m: default_ec_m(),
             tier_policy: String::new(),
             lose_local_on_failure: false,
-            store_shards: default_store_shards(),
-            write_queue: default_write_queue(),
+            store_shards: 8,
+            write_queue: 64,
             batch_bytes: 1 << 20,
             batch_linger_us: 0,
         }
@@ -245,14 +232,9 @@ fn store_cfg_of(cfg: &SpbcConfig) -> StoreConfig {
         panic!("invalid SPBC_EC_SCHEME {:?} (expected off, xor, or rs[<m>])", cfg.ec_scheme)
     });
     StoreConfig {
-        async_writes: cfg.async_ckpt_writes,
         cdc: cfg.ckpt_cdc,
         cdc_params: CdcParams { min: cfg.cdc_min, avg: cfg.cdc_avg, max: cfg.cdc_max },
         ec,
-        shards: cfg.store_shards,
-        write_queue: cfg.write_queue,
-        batch_bytes: cfg.batch_bytes,
-        batch_linger_us: cfg.batch_linger_us,
         ..StoreConfig::default()
     }
 }
@@ -908,8 +890,8 @@ impl SpbcLayer {
         });
         let rec = ctx.recorder().clone();
         let metrics = Arc::clone(&self.metrics);
-        let is_async = service.config().async_writes;
-        let admission = service.commit_local(
+        let is_async = service.writes_off_thread(self.me);
+        service.commit_local(
             self.me,
             epoch,
             Arc::clone(&sealed),
@@ -943,15 +925,6 @@ impl SpbcLayer {
                 }
             })),
         )?;
-        if let Admission::Delayed { waited_us } = admission {
-            // The bounded pipeline pushed back: the submit queue was at
-            // its hard depth and commit stalled until a slot drained.
-            self.record_phase(ctx, epoch, crate::hist::Phase::Admission, waited_us);
-            Metrics::add(&self.metrics.store_admission_waits, 1);
-        }
-        let ws = service.writer_stats();
-        Metrics::set(&self.metrics.store_batched_fsyncs, ws.batched_fsyncs);
-        Metrics::set(&self.metrics.store_queue_depth, ws.queue_depth);
         self.gc_notices = ck.log_gc_notices();
         self.last_ckpt_epoch = epoch;
         ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Written });
@@ -1045,9 +1018,9 @@ impl SpbcLayer {
     /// block for the resume broadcast.
     fn ack_commit(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) -> Result<()> {
         // The ACK means "durable": the resume it unblocks lets storage and
-        // the senders' logs drop everything this wave covers. The local
-        // write ran behind replication; what is left of it is paid here,
-        // inside the barrier.
+        // the senders' logs drop everything this wave covers. A disk
+        // store's write ran behind replication; what is left of it is paid
+        // here, inside the barrier (an in-memory put is already done).
         self.barrier_start = Some(Instant::now());
         self.service.flush_rank(self.me)?;
         // Do not resume yet: wait for the leader's barrier so no post-commit
@@ -1077,7 +1050,7 @@ impl FtLayer for SpbcLayer {
         // on the newest checkpoint wave everyone committed: a crash during a
         // commit broadcast can leave members one wave apart.
         let members: Vec<RankId> = self.clusters.members(self.cluster).to_vec();
-        // Settle in-flight background writes first so the storage service's
+        // Settle in-flight disk writes first so the storage service's
         // epoch inventory is trustworthy (the writer thread survives rank
         // kills, so this is a bounded wait).
         for &m in &members {
@@ -1441,7 +1414,7 @@ impl FtLayer for SpbcLayer {
 
     fn on_app_done(&mut self, _ctx: &mut FtCtx<'_>) -> Result<()> {
         Metrics::max(&self.metrics.log_live_bytes, self.log.lock().peak_bytes());
-        // Shutdown durability: the last wave's background write must be on
+        // Shutdown durability: the last wave's disk write must be on
         // stable storage before the rank reports success.
         self.service.flush_rank(self.me)
     }

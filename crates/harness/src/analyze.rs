@@ -80,10 +80,7 @@ fn merge_counters(counters: &mut BTreeMap<String, u64>, row: &Json) {
         let Some(n) = v.as_num() else { continue };
         let n = n as u64;
         let slot = counters.entry(k.clone()).or_insert(0);
-        if matches!(
-            k.as_str(),
-            "cas_unique_bytes" | "store_batched_fsyncs" | "store_queue_depth" | "log_live_bytes"
-        ) {
+        if matches!(k.as_str(), "cas_unique_bytes" | "log_live_bytes") {
             *slot = (*slot).max(n);
         } else {
             *slot += n;
@@ -275,25 +272,6 @@ pub fn bytes_table(agg: &RunAggregate) -> String {
     t.render()
 }
 
-/// Render the write-pipeline section: the bounded-writer gauges
-/// and counters plus the admission-wait latency shape. Empty when the run
-/// never recorded pipeline counters (pre-pipeline metrics files).
-pub fn admission_table(agg: &RunAggregate) -> String {
-    let keys = ["store_queue_depth", "store_batched_fsyncs", "store_admission_waits"];
-    if !keys.iter().any(|k| agg.counters.contains_key(*k)) {
-        return String::new();
-    }
-    let h = agg.phases.get(Phase::Admission);
-    let (p50, p99) = if h.is_empty() { (0, 0) } else { (h.p50(), h.p99()) };
-    let mut t = crate::report::TextTable::new(&["pipeline", "value"]);
-    t.row(vec!["queue_depth (peak)".into(), agg.counter("store_queue_depth").to_string()]);
-    t.row(vec!["batched_fsyncs".into(), agg.counter("store_batched_fsyncs").to_string()]);
-    t.row(vec!["admission_waits".into(), agg.counter("store_admission_waits").to_string()]);
-    t.row(vec!["admission_wait_p50_us".into(), p50.to_string()]);
-    t.row(vec!["admission_wait_p99_us".into(), p99.to_string()]);
-    t.render()
-}
-
 /// Render the sender-log section: what was logged, what receiver-checkpoint
 /// GC released, and the most any one rank held at once (`log_live_bytes`).
 /// Empty for metrics files that predate log GC.
@@ -425,26 +403,6 @@ mod tests {
         assert_eq!(w.tid, 4);
         assert_eq!(w.total_us, 100);
         assert_eq!(w.phases[0], ("encode".to_string(), 70));
-    }
-
-    #[test]
-    fn admission_section_renders_pipeline_counters() {
-        let m = Metrics::new();
-        Metrics::add(&m.store_admission_waits, 3);
-        Metrics::set(&m.store_batched_fsyncs, 40);
-        Metrics::set(&m.store_queue_depth, 5);
-        m.phase.record(Phase::Admission, 800);
-        let mut obj = spbc_trace::JsonObj::new();
-        obj.field_str("label", "run");
-        m.snapshot().append_to(&mut obj);
-        let agg = parse_jsonl(&obj.finish()).expect("parses");
-        let section = admission_table(&agg);
-        assert!(section.contains("queue_depth (peak)"), "{section}");
-        assert!(section.contains("admission_waits"), "{section}");
-        assert!(section.contains("batched_fsyncs"), "{section}");
-        // Pre-pipeline metrics files produce no section at all.
-        let old = parse_jsonl("{\"sample\":0,\"t_us\":1,\"checkpoints\":1}\n").expect("parses");
-        assert!(admission_table(&old).is_empty());
     }
 
     #[test]

@@ -73,6 +73,7 @@ fn main() {
             chaos::pinned::cas_gc(),
             chaos::pinned::ec_rebuild(),
             chaos::pinned::proc_kill(),
+            chaos::pinned::proc_kill_amg(),
             chaos::pinned::log_gc(),
             chaos::pinned::log_gc_first_wave(),
             chaos::pinned::log_gc_commit_barrier(),

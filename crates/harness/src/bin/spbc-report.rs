@@ -93,11 +93,6 @@ fn main() {
         println!("\nsender log (receiver-checkpoint GC):");
         print!("{log}");
     }
-    let admission = analyze::admission_table(&agg);
-    if !admission.is_empty() {
-        println!("\nwrite pipeline (admission / batching):");
-        print!("{admission}");
-    }
 
     if let Some(trace_path) = &args.trace {
         match std::fs::read_to_string(trace_path) {

@@ -1055,6 +1055,21 @@ pub mod pinned {
             kills: vec![(3, 200)],
         }
     }
+
+    /// The node-mode hang schedule: `proc-kill` seed 7 on AMG under
+    /// [`ChaosConfig::short`] — ranks 2 and 6 abort their nodes at their
+    /// 5th failure point, and node 2 is `kill -9`ed from outside at
+    /// 363 ms. It hung now and then (a survivor or a restarted rank
+    /// waiting on a collective-tag message until the deadlock timeout).
+    pub fn proc_kill_amg() -> Schedule {
+        Schedule {
+            seed: 7,
+            family: Family::ProcKill,
+            workload: Workload::Amg,
+            plans: vec![FailurePlan::nth(RankId(2), 5), FailurePlan::nth(RankId(6), 5)],
+            kills: vec![(2, 363)],
+        }
+    }
 }
 
 #[cfg(test)]

@@ -245,6 +245,11 @@ fn stderr_tails(dir: &Path, epochs: &[u32]) -> String {
 const SOCK: &str = "coord.sock";
 const STORAGE: &str = "ckpts";
 
+/// Respawns one node gets in one run. A schedule kills a node a few times
+/// at most; a node that keeps dying is failing on its own, and respawning
+/// it again would only loop until the deadline.
+pub const MAX_RESPAWNS: u32 = 4;
+
 fn spawn_node(
     bin: &Path,
     cfg: &ProcConfig,
@@ -288,8 +293,9 @@ static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Run `cfg` as real processes and collect the outputs. Node deaths by a
 /// signal — scheduled aborts and external SIGKILLs alike — are survived by
-/// respawning the dead node one epoch up; anything else (a node exiting
-/// with a status, a rank error, the deadline) lands in the report's
+/// respawning the dead node one epoch up, up to [`MAX_RESPAWNS`] times per
+/// node; anything else (a node exiting with a status, a node past its
+/// respawn cap, a rank error, the deadline) lands in the report's
 /// `errors`, the first of which then names the kept run directory and ends
 /// with the tail of every node's stderr.
 pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
@@ -425,12 +431,22 @@ pub fn run_multiproc(cfg: &ProcConfig) -> Result<ProcReport, String> {
         // Done flags reset — they will re-run from their restored
         // checkpoint and report again (bit-identically). A node that exits
         // with a status failed on its own: respawning it would only repeat
-        // the failure, so the run ends with its stderr.
+        // the failure, so the run ends with its stderr. So does a node that
+        // has used up its respawns.
         for node in 0..cfg.clusters {
             if let Ok(Some(status)) = children[node].try_wait() {
                 if status.code().is_some() {
                     let msg =
                         format!("node {node} (incarnation {}) exited: {status}", epochs[node]);
+                    report.errors.push((u32::MAX, msg));
+                    break;
+                }
+                if epochs[node] >= MAX_RESPAWNS {
+                    let msg = format!(
+                        "node {node} died ({status}) in each of its {} incarnations: \
+                         respawn cap of {MAX_RESPAWNS} per node per run reached",
+                        epochs[node] + 1
+                    );
                     report.errors.push((u32::MAX, msg));
                     break;
                 }

@@ -158,6 +158,21 @@ fn pinned_proc_kill() {
     assert_passes(&mut oracle, &chaos::pinned::proc_kill());
 }
 
+/// The node-mode hang schedule (seed 7 `proc-kill` on AMG) ends bitwise
+/// against native on every one of several repeats: it used to hang only
+/// now and then, so one pass proves little.
+#[test]
+fn pinned_proc_kill_amg_repeated() {
+    std::env::set_var("SPBC_NODE_BIN", env!("CARGO_BIN_EXE_spbc-node"));
+    let mut oracle = Oracle::new(ChaosConfig::short());
+    let schedule = chaos::pinned::proc_kill_amg();
+    let generated = chaos::generate(7, Family::ProcKill, Workload::Amg, oracle.cfg());
+    assert_eq!(format!("{schedule:?}"), format!("{generated:?}"), "the pin is the seed's schedule");
+    for _ in 0..3 {
+        assert_passes(&mut oracle, &schedule);
+    }
+}
+
 /// The log-GC windows: a receiver cluster killed right after the RESUME
 /// that sent its GC notices, another inside the commit barrier of the next
 /// wave (a restart from the last resumed wave must still find its replay

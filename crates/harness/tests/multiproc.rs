@@ -10,7 +10,7 @@ use mini_mpi::config::RuntimeConfig;
 use mini_mpi::ft::NativeProvider;
 use mini_mpi::Runtime;
 use spbc_apps::{AppParams, Workload};
-use spbc_harness::proc::{run_multiproc, ProcConfig};
+use spbc_harness::proc::{run_multiproc, ProcConfig, MAX_RESPAWNS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,5 +165,52 @@ fn node_exiting_with_a_status_ends_the_run() {
     let dir = std::path::Path::new(dir);
     assert!(dir.join("node-2-e0.stderr").is_file());
     assert!(!dir.join("node-2-e1.stderr").exists(), "node 2 was spawned twice");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A node that keeps dying by a signal is not respawned forever: node 2 is
+/// replaced by a script that SIGKILLs itself on every start. The run ends
+/// with an error naming the node, its incarnation count and the cap, well
+/// inside its deadline, after at most `MAX_RESPAWNS + 1` spawns of node 2.
+#[test]
+fn node_killed_on_every_start_hits_the_respawn_cap() {
+    use std::os::unix::fs::PermissionsExt;
+    let script = std::env::temp_dir().join(format!("spbc-sigkill-node-{}.sh", std::process::id()));
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\ncase \" $* \" in\n  *\" --node 2 \"*) kill -9 $$ ;;\n\
+             esac\nexec '{}' \"$@\"\n",
+            env!("CARGO_BIN_EXE_spbc-node")
+        ),
+    )
+    .unwrap();
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let mut cfg = ProcConfig::new(Workload::MiniGhost, 5);
+    cfg.node_bin = Some(script.clone());
+    cfg.deadline = Duration::from_secs(60);
+    let t0 = Instant::now();
+    let report = run_multiproc(&cfg).unwrap();
+    let took = t0.elapsed();
+    let _ = std::fs::remove_file(&script);
+    assert_eq!(report.respawns, MAX_RESPAWNS as usize, "node 2 is respawned up to the cap");
+    let err = report.ok().unwrap_err();
+    assert!(took < Duration::from_secs(20), "took {took:?}: {err}");
+    let want = format!(
+        "node 2 died (signal: 9 (SIGKILL)) in each of its {} incarnations: \
+         respawn cap of {MAX_RESPAWNS} per node per run reached",
+        MAX_RESPAWNS + 1
+    );
+    assert!(err.contains(&want), "{err}");
+    let dir = err
+        .split("(run directory kept: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no run directory in: {err}"));
+    let dir = std::path::Path::new(dir);
+    let spawns = (0..=MAX_RESPAWNS + 1)
+        .filter(|e| dir.join(format!("node-2-e{e}.stderr")).is_file())
+        .count();
+    assert_eq!(spawns, MAX_RESPAWNS as usize + 1, "node 2's spawns");
     std::fs::remove_dir_all(dir).unwrap();
 }

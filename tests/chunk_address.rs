@@ -2,12 +2,9 @@
 //! the chunks a checkpoint store actually sees: every content-defined chunk
 //! of structured bodies (zeros, counters) and of two real `ckpt-store`
 //! checkpoint bodies (MiniGhost, 131072 elements per rank, epochs 1 and 2
-//! of rank 0). Distinct contents must get distinct addresses — in the full
-//! 128 bits and in the 8-byte prefix that picks the store shard — and the
-//! prefix must spread distinct chunks evenly over the shards.
+//! of rank 0). Distinct contents must get distinct addresses.
 
 use spbc::apps::{AppParams, Workload};
-use spbc::ckptstore::cas::DEFAULT_CAS_SHARDS;
 use spbc::ckptstore::{chunk_spans, CdcParams, ChunkHash};
 use spbc::core::{ClusterMap, SpbcConfig, SpbcProvider};
 use spbc::mpi::ft::FtProvider;
@@ -54,7 +51,7 @@ fn ckpt_store_bodies() -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn chunk_addresses_never_collide_and_spread_over_shards() {
+fn chunk_addresses_never_collide() {
     let mut bodies = vec![
         vec![0u8; BODY_LEN],
         (0..BODY_LEN as u64 / 8).flat_map(u64::to_le_bytes).collect(),
@@ -64,31 +61,13 @@ fn chunk_addresses_never_collide_and_spread_over_shards() {
     assert!(bodies[3].len() > 1 << 20 && bodies[3] != bodies[4], "real bodies are 2 MiB states");
 
     let mut full: HashMap<u128, &[u8]> = HashMap::new();
-    let mut prefix: HashMap<u64, &[u8]> = HashMap::new();
     for body in &bodies {
         for span in chunk_spans(body, CDC) {
             let chunk = &body[span];
             let addr = ChunkHash::of(chunk).0;
             let seen = *full.entry(u128::from_le_bytes(addr)).or_insert(chunk);
             assert_eq!(seen, chunk, "128-bit address collision");
-            let p = u64::from_le_bytes(addr[..8].try_into().unwrap());
-            let seen = *prefix.entry(p).or_insert(chunk);
-            assert_eq!(seen, chunk, "8-byte shard-prefix collision");
         }
     }
-
-    let shards = DEFAULT_CAS_SHARDS as u64;
-    let mut load = vec![0usize; DEFAULT_CAS_SHARDS];
-    for p in prefix.keys() {
-        load[(p % shards) as usize] += 1;
-    }
-    let n = prefix.len();
-    assert!(n > 4_000, "too few distinct chunks ({n}) for a spread check");
-    let mean = n / DEFAULT_CAS_SHARDS;
-    for (shard, &got) in load.iter().enumerate() {
-        assert!(
-            got * 10 >= mean * 8 && got * 10 <= mean * 12,
-            "shard {shard} holds {got} of {n} distinct chunks (mean {mean}): {load:?}"
-        );
-    }
+    assert!(full.len() > 4_000, "too few distinct chunks ({}) to mean anything", full.len());
 }
