@@ -42,7 +42,10 @@
 //! locally is transparently repaired from any surviving partner copy (or
 //! rebuilt from its redundancy set) and re-persisted, then unsealed or
 //! resolved against the chunk store. No blob references another epoch, so
-//! GC (local and partner-side pruning) keeps a plain window of waves; the
+//! GC drops whole waves: local copies below a resumed wave
+//! ([`CkptStoreService::gc_local`]), a holder's partner copies below the
+//! owner's last resumed wave ([`CkptStoreService::release_partner_copies`]),
+//! and partner copies beyond the `partner_keep` window on every push. The
 //! chunk store's refcounts keep every chunk a retained manifest names.
 
 use crate::backend::{CheckpointBackend, DirBackend, MemBackend};
@@ -72,8 +75,11 @@ pub struct StoreConfig {
     /// partner's ctrl path.
     pub durable_partner_copies: bool,
     /// How many waves of partner copies to retain per owner (newest
-    /// first), parity frames included. Matches the protocol's "last two
-    /// waves" retention.
+    /// first), parity frames included, pruned on every push. The protocol
+    /// frees an owner's older copies sooner, once the owner's wave resumes
+    /// ([`CkptStoreService::release_partner_copies`]); this window bounds
+    /// what a holder keeps when that release never reaches it, and is the
+    /// only bound on parity frames.
     pub partner_keep: usize,
     /// Inert: no store path chunks on a fixed grid. Kept only until
     /// `spbc-perf`'s full struct literal drops it.
@@ -518,7 +524,9 @@ impl CkptStoreService {
     /// holder asks the owner for. Any other framing is checked whole.
     ///
     /// Old partner copies of the same owner (a parity owner included)
-    /// beyond `partner_keep` waves are pruned.
+    /// beyond `partner_keep` waves are pruned, as
+    /// [`release_partner_copies`](Self::release_partner_copies) would
+    /// below the oldest wave kept.
     pub fn store_partner_copy(
         &self,
         holder: RankId,
@@ -540,15 +548,41 @@ impl CkptStoreService {
         }
         partner.put(owner, epoch, frame)?;
         let epochs = partner.epochs_of(owner)?;
-        let old = &epochs[..epochs.len().saturating_sub(self.cfg.partner_keep)];
-        let mut pruned = 0;
-        for &e in old {
-            if partner.remove(owner, e)? {
-                self.cas().unregister(holder.0, owner.0, e);
-                pruned += 1;
+        let pruned = match epochs.len().saturating_sub(self.cfg.partner_keep) {
+            0 => 0,
+            old => {
+                let keep_from = epochs.get(old).copied().unwrap_or(u64::MAX);
+                self.release_partner_copies(holder, owner, keep_from)?
+            }
+        };
+        Ok(Adoption::Stored { pruned })
+    }
+
+    /// Drop `holder`'s partner copies of `owner` older than `keep_from`,
+    /// and the chunk-store registrations they held. Returns how many copies
+    /// were removed; a repeated or stale release removes nothing.
+    ///
+    /// The protocol calls this once `owner`'s wave `keep_from` has resumed:
+    /// every member of its cluster holds that wave durably, and the
+    /// senders' logs no longer reach anything older, so no rollback can
+    /// restore an older copy. Registrations go by the ledger, as in
+    /// [`gc_local`](Self::gc_local): one whose copy was never stored goes
+    /// too.
+    pub fn release_partner_copies(
+        &self,
+        holder: RankId,
+        owner: RankId,
+        keep_from: u64,
+    ) -> Result<usize> {
+        let partner = &self.stores(holder)?.partner;
+        let mut removed = 0;
+        for e in partner.epochs_of(owner)? {
+            if e < keep_from && partner.remove(owner, e)? {
+                removed += 1;
             }
         }
-        Ok(Adoption::Stored { pruned })
+        self.cas().unregister_below(holder.0, owner.0, keep_from);
+        Ok(removed)
     }
 
     /// What `rank`'s sealed wave `epoch` owes `partners`.
@@ -1275,6 +1309,68 @@ mod tests {
         svc.cas().unregister_below(0, 0, u64::MAX);
         svc.cas().unregister_below(1, 0, u64::MAX);
         assert_eq!(svc.cas().unique_chunks(), 0, "refcount leak");
+    }
+
+    /// Owners 0 and 1 commit waves 1..=3, each held by partners 2 and 3;
+    /// owner 0's wave 3 resumed, so its local copies below 3 are gone.
+    /// `released` lists the holders that have since released owner 0's
+    /// older copies: there, only wave 3 was ever stored. Returns the
+    /// service and every committed body by `(owner, epoch)`.
+    fn release_world(released: &[u32]) -> (CkptStoreService, HashMap<(u32, u64), Vec<u8>>) {
+        let svc = CkptStoreService::in_memory(4, StoreConfig { partner_keep: 4, ..cdc_cfg() });
+        let mut bodies = HashMap::new();
+        for e in 1..=3u64 {
+            for owner in [0u32, 1] {
+                let body = cdc_body(71 + owner as u64, e, 4 * 1024, 512);
+                let (blob, _) = svc.encode_commit(RankId(owner), e, &body).unwrap();
+                svc.commit_local(RankId(owner), e, blob.clone(), None).unwrap();
+                for holder in [2u32, 3] {
+                    if owner == 0 && e < 3 && released.contains(&holder) {
+                        continue;
+                    }
+                    svc.store_partner_copy(RankId(holder), RankId(owner), e, &blob).unwrap();
+                }
+                bodies.insert((owner, e), body);
+            }
+        }
+        svc.gc_local(RankId(0), 3).unwrap();
+        (svc, bodies)
+    }
+
+    /// A release frees, at one holder, only one owner's copies below the
+    /// wave it names, and exactly the chunks no other registration pins:
+    /// the chunk store ends as if those copies had never been stored. A
+    /// repeated or stale release changes nothing.
+    #[test]
+    fn release_frees_only_that_owners_older_copies_at_that_holder() {
+        let (svc, bodies) = release_world(&[]);
+        let partner_epochs = |holder: u32, owner: u32| {
+            svc.stores(RankId(holder)).unwrap().partner.epochs_of(RankId(owner)).unwrap()
+        };
+        let cas_of = |svc: &CkptStoreService| (svc.cas().unique_bytes(), svc.cas().unique_chunks());
+        assert_eq!(svc.release_partner_copies(RankId(2), RankId(0), 3).unwrap(), 2);
+        assert_eq!(partner_epochs(2, 0), vec![3]);
+        assert_eq!(partner_epochs(2, 1), vec![1, 2, 3], "another owner's copies stay");
+        assert_eq!(partner_epochs(3, 0), vec![1, 2, 3], "another holder's copies stay");
+        assert_eq!(cas_of(&svc), cas_of(&release_world(&[2]).0));
+        assert_eq!(svc.release_partner_copies(RankId(3), RankId(0), 3).unwrap(), 2);
+        let freed = cas_of(&svc);
+        assert_eq!(freed, cas_of(&release_world(&[2, 3]).0));
+        assert!(freed.0 < cas_of(&release_world(&[2]).0).0, "the last pins of waves 1-2 went");
+        // Repeated and stale releases are no-ops.
+        assert_eq!(svc.release_partner_copies(RankId(3), RankId(0), 3).unwrap(), 0);
+        assert_eq!(svc.release_partner_copies(RankId(2), RankId(0), 2).unwrap(), 0);
+        assert_eq!(cas_of(&svc), freed);
+        // Every retained wave still loads bitwise; owner 0's older ones are
+        // gone everywhere.
+        for ((owner, e), want) in &bodies {
+            let got = svc.load(RankId(*owner), *e).unwrap();
+            if *owner == 0 && *e < 3 {
+                assert!(got.is_none(), "owner 0 wave {e} survived its release");
+            } else {
+                assert_eq!(&got.unwrap().0, want, "owner {owner} wave {e}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests of the replicated checkpoint store's GC and repair
 //! paths, in both commit forms (CDC manifests and full blobs).
 //!
-//! * `gc_never_drops_referenced_bases` — random commit/GC/restore
-//!   sequences against the live service: storage GC and partner pruning
-//!   drop whole epochs and their chunk-store registrations, and must never
+//! * `gc_never_drops_referenced_bases` — random commit/GC/release/restore
+//!   sequences against the live service: storage GC, partner pruning and
+//!   the partner release a resumed wave sends drop whole epochs and their
+//!   chunk-store registrations, and must never
 //!   release a chunk a retained manifest still names, so every retained
 //!   epoch must keep materializing bitwise.
 //! * `damaged_copies_never_yield_wrong_bytes` — a random wave's local copy
@@ -65,6 +66,9 @@ enum Op {
     Commit { dirty: usize },
     /// GC local copies, keeping the newest `back + 1` epochs.
     Gc { back: u64 },
+    /// What a resumed wave does: GC local copies and release the partner's
+    /// copies below the same epoch, keeping the newest `back + 1`.
+    Release { back: u64 },
     /// Load the newest epoch.
     Restore,
 }
@@ -73,6 +77,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..CHUNKS).prop_map(|dirty| Op::Commit { dirty }),
         (0u64..4).prop_map(|back| Op::Gc { back }),
+        (0u64..4).prop_map(|back| Op::Release { back }),
         Just(Op::Restore),
     ]
 }
@@ -97,6 +102,11 @@ fn drive(ops: &[Op], cdc: bool, partner_keep: usize) {
             Op::Gc { back } => {
                 keep_from = keep_from.max(epoch.saturating_sub(*back));
                 svc.gc_local(r0, keep_from).unwrap();
+            }
+            Op::Release { back } => {
+                keep_from = keep_from.max(epoch.saturating_sub(*back));
+                svc.gc_local(r0, keep_from).unwrap();
+                svc.release_partner_copies(RankId(1), r0, keep_from).unwrap();
             }
             Op::Restore => {
                 if let Some((e, expect)) = committed.last() {

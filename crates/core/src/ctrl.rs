@@ -57,6 +57,15 @@ pub const KIND_CKPT_CHUNK_REQ: u16 = 16;
 /// still retains (N, durable on every member, and up) can ever ask for
 /// again.
 pub const KIND_LOG_GC: u16 = 17;
+/// `kind` value of a member's partner-copy release (body: checkpoint epoch
+/// N). Sent after the member's wave N resumed, at its next checkpoint call,
+/// to every partner that holds its copies: N is durable on every member of
+/// its cluster and the senders' logs no longer reach anything older. The
+/// partner drops the sender's copies below N and their chunk-store
+/// registrations. Like [`KIND_CKPT_BLOB`] it is storage traffic, not
+/// counted in `ctrl_msgs`. Losing one only delays the drop: the next push
+/// prunes to the store's `partner_keep` window.
+pub const KIND_CKPT_RELEASE: u16 = 18;
 
 /// Per-channel rollback entry: state of one incoming channel (peer → me) as
 /// restored from the checkpoint.
@@ -395,6 +404,7 @@ mod tests {
             KIND_CKPT_BLOB_ACK,
             KIND_CKPT_CHUNK_REQ,
             KIND_LOG_GC,
+            KIND_CKPT_RELEASE,
         ];
         let mut sorted = kinds.to_vec();
         sorted.sort_unstable();

@@ -22,9 +22,9 @@ use crate::cluster::ClusterMap;
 use crate::ctrl::{
     CkptBlob, CkptBlobAck, CkptChunkReq, CkptCounts, LastMessage, LastMessageChannel, LogGc,
     Rollback, RollbackChannel, KIND_CKPT_ACK, KIND_CKPT_BLOB, KIND_CKPT_BLOB_ACK,
-    KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL, KIND_CKPT_REPORT,
-    KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG, KIND_LOG_GC,
-    KIND_ROLLBACK,
+    KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL, KIND_CKPT_RELEASE,
+    KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG,
+    KIND_LOG_GC, KIND_ROLLBACK,
 };
 use crate::log::MessageLog;
 use crate::metrics::Metrics;
@@ -457,11 +457,18 @@ pub struct SpbcLayer {
     ckpt_state: CkptState,
     /// The open wave's checkpoint body, built in place: the head
     /// ([`CheckpointData::encode_head`], the application state serialized
-    /// straight into it) at wave open, the tail at commit. The allocation
-    /// is reused from one wave to the next.
+    /// straight into it) at wave open, in a buffer sized to the last
+    /// wave's body; the tail, reserved exactly, at commit. It is dropped as
+    /// soon as the store has encoded it: from then on the store holds every
+    /// byte of the wave, so between waves no body is resident.
     body: Vec<u8>,
     /// The wave whose head `body` holds, until its commit.
     body_epoch: Option<u64>,
+    /// Length of the last committed body: the next wave's buffer capacity.
+    last_body_len: usize,
+    /// The wave that resumed last, until the next checkpoint call tells
+    /// the partners to drop my copies below it ([`KIND_CKPT_RELEASE`]).
+    release_due: Option<u64>,
     leader: Option<LeaderState>,
     resume: Option<ResumeBarrier>,
 
@@ -528,6 +535,8 @@ impl SpbcLayer {
             ckpt_state: CkptState::Idle,
             body: Vec::new(),
             body_epoch: None,
+            last_body_len: 0,
+            release_due: None,
             leader: None,
             resume: None,
             answered_rollback: HashMap::new(),
@@ -869,8 +878,13 @@ impl SpbcLayer {
         // sealed blob between the local write and every replica.
         let service = Arc::clone(&self.service);
         let encode_start = Instant::now();
-        ck.encode_tail(&mut self.body);
-        let (sealed, stats) = service.encode_commit(self.me, epoch, &self.body)?;
+        let mut body = std::mem::take(&mut self.body);
+        ck.encode_tail(&mut body);
+        let (sealed, stats) = service.encode_commit(self.me, epoch, &body)?;
+        // The store holds the wave now (chunks, or a sealed blob): the body
+        // goes.
+        self.last_body_len = body.len();
+        drop(body);
         let sealed = Arc::new(sealed);
         let encode_us = encode_start.elapsed().as_micros() as u64;
         self.record_phase(ctx, epoch, crate::hist::Phase::Encode, encode_us);
@@ -1240,8 +1254,14 @@ impl FtLayer for SpbcLayer {
                     self.record_phase(ctx, epoch, crate::hist::Phase::CommitBarrier, us);
                 }
                 // The wave is committed and durable on every member: storage
-                // keeps only it, and the senders' logs drop everything it
+                // keeps only it (the partners' older copies go at the next
+                // checkpoint call), and the senders' logs drop everything it
                 // holds.
+                // Under erasure coding the partners hold parity frames only,
+                // which their keep window bounds.
+                if !self.service.config().ec.is_on() {
+                    self.release_due = Some(epoch);
+                }
                 let keep_from = epoch;
                 let pruned = self.service.gc_local(self.me, keep_from)? as u64;
                 if pruned > 0 {
@@ -1249,6 +1269,16 @@ impl FtLayer for SpbcLayer {
                     ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
                 }
                 self.send_log_gc(ctx);
+                Ok(())
+            }
+            KIND_CKPT_RELEASE => {
+                let keep_from: u64 = from_bytes(&msg.data)?;
+                let owner = msg.from;
+                let pruned = self.service.release_partner_copies(self.me, owner, keep_from)? as u64;
+                if pruned > 0 {
+                    Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
+                    ctx.recorder().record(|| Event::CkptRelease { owner, pruned, keep_from });
+                }
                 Ok(())
             }
             KIND_CKPT_BLOB => {
@@ -1359,6 +1389,16 @@ impl FtLayer for SpbcLayer {
         app_state: &mut dyn FnMut(&mut Vec<u8>),
     ) -> Result<CkptOutcome> {
         self.ckpt_calls += 1;
+        // The release waits for the application's next checkpoint call,
+        // due or not: a run that ends at a wave's resume keeps that wave's
+        // predecessor loadable from the partners, and the release still
+        // lands long before the next wave's chunks.
+        if let Some(keep_from) = self.release_due.take() {
+            for &partner in &self.partners {
+                // Storage traffic: bypasses `self.ctrl`, like the push.
+                ctx.send_ctrl(partner, KIND_CKPT_RELEASE, to_bytes(&keep_from));
+            }
+        }
         if self.cfg.ckpt_interval == 0 || !self.ckpt_calls.is_multiple_of(self.cfg.ckpt_interval) {
             return Ok(CkptOutcome::NotDue);
         }
@@ -1369,7 +1409,7 @@ impl FtLayer for SpbcLayer {
         // The wave is open: only now is the application state serialized,
         // straight into the body's head.
         let epoch = self.last_ckpt_epoch + 1;
-        self.body.clear();
+        self.body = Vec::with_capacity(self.last_body_len);
         CheckpointData::encode_head(epoch, app_state, &mut self.body);
         self.body_epoch = Some(epoch);
         self.wave_open = Some(Instant::now());

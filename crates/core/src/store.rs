@@ -101,18 +101,25 @@ impl CheckpointData {
     /// Append every field after `app_state` to `out`, in encoding order.
     /// After [`encode_head`](Self::encode_head) this completes a body
     /// byte-identical to encoding the whole record.
+    ///
+    /// `out` grows by exactly the tail's length: the tail (a few hundred
+    /// bytes) is encoded apart first, so a full MiB-sized head is not
+    /// doubled to make room for it.
     pub fn encode_tail(&self, out: &mut Vec<u8>) {
-        encode_map(&self.send_seq, out);
-        encode_map(&self.recv_seen, out);
-        self.unexpected_full.encode(out);
-        self.missing.encode(out);
-        encode_map(&self.log_lens, out);
-        self.log_order.encode(out);
-        self.ckpt_calls.encode(out);
-        self.intra_sent.encode(out);
-        self.intra_arrived.encode(out);
-        self.comms.encode(out);
-        self.lamport.encode(out);
+        let mut tail = Vec::new();
+        encode_map(&self.send_seq, &mut tail);
+        encode_map(&self.recv_seen, &mut tail);
+        self.unexpected_full.encode(&mut tail);
+        self.missing.encode(&mut tail);
+        encode_map(&self.log_lens, &mut tail);
+        self.log_order.encode(&mut tail);
+        self.ckpt_calls.encode(&mut tail);
+        self.intra_sent.encode(&mut tail);
+        self.intra_arrived.encode(&mut tail);
+        self.comms.encode(&mut tail);
+        self.lamport.encode(&mut tail);
+        out.reserve_exact(tail.len());
+        out.extend_from_slice(&tail);
     }
 }
 
@@ -268,6 +275,28 @@ mod tests {
         let bare = CheckpointData { ckpt_epoch: 1, ..Default::default() };
         bare.encode_tail(&mut empty);
         assert_eq!(empty, to_bytes(&bare));
+    }
+
+    /// A MiB-sized body is held in an allocation of its own size: the
+    /// tail appended after a full head reserves exactly what it needs
+    /// instead of doubling the head's buffer.
+    #[test]
+    fn body_with_a_large_app_state_is_allocated_exactly() {
+        let state = vec![0x5Au8; 2 << 20];
+        let mut c =
+            CheckpointData { ckpt_epoch: 1, log_order: 3, lamport: 9, ..Default::default() };
+        c.send_seq.insert((RankId(1), mini_mpi::types::COMM_WORLD), 42);
+        c.recv_seen.insert((RankId(2), mini_mpi::types::COMM_WORLD), 7);
+        c.comms.push((0, (0..8).map(RankId).collect(), 0, 1, 5));
+        let mut body = Vec::new();
+        CheckpointData::encode_head(1, &mut |out| out.extend_from_slice(&state), &mut body);
+        assert_eq!(body.capacity(), body.len(), "the head alone is exact");
+        c.encode_tail(&mut body);
+        assert!(body.len() > state.len() + 16, "the tail was appended");
+        assert_eq!(body.capacity(), body.len(), "the tail reserved exactly its length");
+        let back: CheckpointData = from_bytes(&body).unwrap();
+        assert_eq!(back.app_state, state);
+        assert_eq!(back.comms, c.comms);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use spbc_core::{ClusterMap, Metrics, Phase, SpbcConfig, SpbcProvider, Storage};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WORLD: usize = 8;
 const ITERS: u64 = 12;
@@ -116,6 +116,46 @@ fn lost_local_files_are_repaired_from_partners() {
     assert!(Metrics::get(&m.ckpt_repairs) >= 1, "restore must have used a partner copy");
     assert!(Metrics::get(&m.repl_pushes) > 0, "blobs were replicated at commit");
     assert!(Metrics::get(&m.repl_acks) > 0, "partners acknowledged the copies");
+}
+
+#[test]
+fn released_partners_still_restore_the_last_committed_wave() {
+    // Wave 2 resumes at iteration 6; the victim's next checkpoint call
+    // tells its partners to drop its copies below wave 2. Once every
+    // partner has applied that release, the victim dies and takes its
+    // node-local copies with it. The cluster must restart from wave 2 as
+    // the partners hold it: a release may drop only copies older than the
+    // wave that resumed.
+    const RELEASED: u64 = 7;
+    let native = run_native();
+    let cfg = SpbcConfig {
+        ckpt_interval: 3,
+        replicas: 2,
+        ckpt_cdc: true,
+        lose_local_on_failure: true,
+        ..Default::default()
+    };
+    let provider = Arc::new(SpbcProvider::new(ClusterMap::blocks(WORLD, 4), cfg));
+    let svc = provider.ckptstore();
+    let hook: Hook = Arc::new(move |rank, step| {
+        if rank.world_rank() as u32 == VICTIM && rank.epoch() == 0 && step == RELEASED {
+            // Wave 1 is gone from the victim's local store (wave 2's GC)
+            // and from every partner (the release) once only wave 2 is
+            // left anywhere.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while svc.available_epochs(RankId(VICTIM)).unwrap() != [2] {
+                assert!(Instant::now() < deadline, "the release never reached the partners");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    });
+    let spbc = run_damaged(Arc::clone(&provider), hook, RELEASED);
+
+    assert_eq!(native.outputs, spbc.outputs, "wave 2 restored from partners must match bitwise");
+    assert_eq!(spbc.failures_handled, 1);
+    assert_eq!(spbc.restarts, vec![0, 0, 1, 1, 0, 0, 0, 0], "only the victim's cluster restarts");
+    let m = provider.metrics();
+    assert!(Metrics::get(&m.ckpt_repairs) >= 1, "the victim's wave 2 came from a partner");
 }
 
 #[test]

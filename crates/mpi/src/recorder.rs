@@ -267,6 +267,16 @@ pub enum Event {
         /// Oldest epoch retained.
         keep_from: u64,
     },
+    /// A partner holder dropped an owner's replica copies on the owner's
+    /// release (its wave `keep_from` resumed).
+    CkptRelease {
+        /// The rank whose copies were dropped.
+        owner: RankId,
+        /// Copies removed.
+        pruned: u64,
+        /// Oldest epoch of the owner's retained.
+        keep_from: u64,
+    },
     /// A timed checkpoint-lifecycle phase completed with the given measured
     /// latency (the same sample the protocol's per-phase histograms record).
     /// A stuck wave is diagnosed by the newest of these: it names the last
@@ -337,6 +347,9 @@ impl fmt::Display for Event {
             }
             Event::CkptGc { pruned, keep_from } => {
                 write!(f, "ckpt-gc pruned={pruned} keep-from=e{keep_from}")
+            }
+            Event::CkptRelease { owner, pruned, keep_from } => {
+                write!(f, "ckpt-release <-{owner} pruned={pruned} keep-from=e{keep_from}")
             }
             Event::CkptPhaseDone { epoch, phase, us } => {
                 write!(f, "ckpt-phase e{epoch} {phase} {us}us")
@@ -708,6 +721,10 @@ mod tests {
             (Event::CkptRepair { epoch: 2, from: RankId(5) }, "ckpt-repair e2 from 5"),
             (Event::CkptRebuild { epoch: 2, set_id: 1 }, "ckpt-rebuild e2 set 1"),
             (Event::CkptGc { pruned: 3, keep_from: 4 }, "ckpt-gc pruned=3 keep-from=e4"),
+            (
+                Event::CkptRelease { owner: RankId(5), pruned: 1, keep_from: 4 },
+                "ckpt-release <-5 pruned=1 keep-from=e4",
+            ),
             (
                 Event::LogGc { dst: RankId(5), comm: 0, upto: 40, entries: 12 },
                 "log-gc ->5 c0 upto=s40 dropped=12",

@@ -298,6 +298,7 @@ fn classify(ev: &Event) -> (&'static str, &'static str) {
         Event::CkptRepair { .. } => ("ckpt-repair", "ckptstore"),
         Event::CkptRebuild { .. } => ("ckpt-rebuild", "ckptstore"),
         Event::CkptGc { .. } => ("ckpt-gc", "ckptstore"),
+        Event::CkptRelease { .. } => ("ckpt-release", "ckptstore"),
         Event::CkptPhaseDone { .. } => ("ckpt-phase", "ckpt"),
         // Span-forming kinds are handled by the caller; keep a fallback so
         // the match stays exhaustive.
@@ -411,6 +412,8 @@ mod tests {
                         },
                     ),
                     te(15, 8, Event::CkptReplStore { owner: RankId(0), epoch: 1, bytes: 96 }),
+                    // Rank 0's wave resumed: its older copy here goes.
+                    te(22, 10, Event::CkptRelease { owner: RankId(0), pruned: 1, keep_from: 1 }),
                     // Interrupted checkpoint: Init with no Resume, and a
                     // replica push the dead partner never acked.
                     te(45, 5, Event::Ckpt { epoch: 2, phase: CkptPhase::Init }),
@@ -506,6 +509,7 @@ mod tests {
             .filter_map(|e| e.get("name").and_then(Json::as_str))
             .collect();
         assert!(instants.contains(&"log-gc"), "{instants:?}");
+        assert!(instants.contains(&"ckpt-release"), "{instants:?}");
     }
 
     #[test]
