@@ -42,11 +42,11 @@ use crate::cas::ChunkHash;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Default minimum chunk length (`SPBC_CDC_MIN`).
+/// Default minimum chunk length.
 pub const DEFAULT_CDC_MIN: usize = 256;
-/// Default target (average) chunk length (`SPBC_CDC_AVG`).
+/// Default target (average) chunk length.
 pub const DEFAULT_CDC_AVG: usize = 1024;
-/// Default maximum chunk length (`SPBC_CDC_MAX`).
+/// Default maximum chunk length.
 pub const DEFAULT_CDC_MAX: usize = 4096;
 
 /// Content-defined chunking bounds: every emitted chunk has

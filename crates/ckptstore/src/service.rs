@@ -92,7 +92,7 @@ pub struct StoreConfig {
     /// `SPBCCKP2` full blob per wave (`SPBC_CKPT_CDC`; the protocol layer
     /// defaults this on, the bare service defaults it off).
     pub cdc: bool,
-    /// FastCDC chunk bounds (`SPBC_CDC_MIN`/`SPBC_CDC_AVG`/`SPBC_CDC_MAX`).
+    /// FastCDC chunk bounds (`SpbcConfig::cdc_*`, default [`CdcParams::default`]).
     pub cdc_params: CdcParams,
     /// Erasure-coding scheme over redundancy sets (`SPBC_EC_SCHEME`;
     /// default off = full partner copies only).

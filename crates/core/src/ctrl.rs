@@ -8,27 +8,38 @@
 use mini_mpi::error::Result;
 use mini_mpi::wire::{Decode, Encode, Reader};
 
+// The wave kinds below (JOIN, REPORT, POLL, COMMIT, ACK, RESUME, and the
+// storage kinds BLOB, BLOB_ACK, CHUNK_REQ and RELEASE) are the inputs and
+// outputs of the transition table in `wave.rs` (DESIGN.md §5, "The
+// checkpoint wave as a transition table").
+
 /// `kind` value of [`Rollback`].
 pub const KIND_ROLLBACK: u16 = 1;
 /// `kind` value of [`LastMessage`].
 pub const KIND_LASTMSG: u16 = 2;
-/// `kind` value of [`CkptJoin`].
+/// `kind` value of [`CkptJoin`]: a member opens a wave (member
+/// `Idle`/`Resumed` → `Quiescing`).
 pub const KIND_CKPT_JOIN: u16 = 3;
-/// `kind` value of [`CkptCounts`] sent as a poll response.
+/// `kind` value of [`CkptCounts`] sent as a poll response (leader
+/// `Counting`).
 pub const KIND_CKPT_REPORT: u16 = 4;
-/// `kind` value of a leader poll (body: checkpoint epoch).
+/// `kind` value of a leader poll (body: checkpoint epoch): the counters
+/// did not balance; member `Quiescing` answers with a report.
 pub const KIND_CKPT_POLL: u16 = 5;
-/// `kind` value of a leader commit (body: checkpoint epoch).
+/// `kind` value of a leader commit (body: checkpoint epoch): member
+/// `Quiescing` → `Writing`, leader `Counting` → `Committing`.
 pub const KIND_CKPT_COMMIT: u16 = 6;
 /// `kind` value of a member's commit acknowledgement (body: checkpoint
 /// epoch). The member's own copy is durable and its replicas are acked; it
-/// now blocks until the leader's resume.
+/// now blocks until the leader's resume (member `AwaitingResume`; the last
+/// ACK moves the leader from `Committing` to `Idle`).
 pub const KIND_CKPT_ACK: u16 = 7;
 /// `kind` value of the leader's resume broadcast (body: checkpoint epoch):
 /// every member has committed, the application may continue. Without this
 /// barrier a committed member's next sends could reach a sibling that has
 /// not committed yet and be captured in its checkpoint — an inconsistent
-/// cut, since the send is not in the sender's.
+/// cut, since the send is not in the sender's. Member `AwaitingResume` →
+/// `Resumed`.
 pub const KIND_CKPT_RESUME: u16 = 8;
 /// Coordinated replay (HydEE model): replayer asks permission to re-send its
 /// next logged message (body: Lamport timestamp of that message).

@@ -12,9 +12,6 @@
 //! |---|---|---|
 //! | `SPBC_REPL_K` | `2` | checkpoint replication factor (partner copies) |
 //! | `SPBC_CKPT_CDC` | `1` | content-defined chunking + content-addressed dedup (0 = full blob every wave) |
-//! | `SPBC_CDC_MIN` | `256` | CDC minimum chunk length in bytes |
-//! | `SPBC_CDC_AVG` | `1024` | CDC target (average) chunk length in bytes |
-//! | `SPBC_CDC_MAX` | `4096` | CDC maximum chunk length in bytes |
 //! | `SPBC_EC_SCHEME` | `off` | redundancy-set parity scheme: `off`, `xor`, or `rs` |
 //! | `SPBC_EC_GROUP` | `4` | redundancy-set size (ranks per set, within a cluster) |
 //! | `SPBC_EC_M` | `2` | parity shards per set for `rs` (losses survivable) |
@@ -50,9 +47,6 @@ pub const VARS: &[(&str, &str, &str)] = &[
         "1",
         "content-defined chunking + content-addressed dedup (0 = full blob every wave)",
     ),
-    ("SPBC_CDC_MIN", "256", "CDC minimum chunk length in bytes"),
-    ("SPBC_CDC_AVG", "1024", "CDC target (average) chunk length in bytes"),
-    ("SPBC_CDC_MAX", "4096", "CDC maximum chunk length in bytes"),
     ("SPBC_EC_SCHEME", "off", "redundancy-set parity scheme: off, xor, or rs"),
     ("SPBC_EC_GROUP", "4", "redundancy-set size (ranks per set, within a cluster)"),
     ("SPBC_EC_M", "2", "parity shards per set for rs (losses survivable)"),
@@ -213,9 +207,6 @@ mod tests {
         for required in [
             "SPBC_REPL_K",
             "SPBC_CKPT_CDC",
-            "SPBC_CDC_MIN",
-            "SPBC_CDC_AVG",
-            "SPBC_CDC_MAX",
             "SPBC_EC_SCHEME",
             "SPBC_EC_GROUP",
             "SPBC_EC_M",

@@ -37,6 +37,7 @@ pub mod protocol;
 pub mod replay;
 pub mod sampler;
 pub mod store;
+mod wave;
 
 pub use cluster::ClusterMap;
 pub use hist::{Hist, HistSnapshot, Phase, PhaseHists, PhaseSnapshot};

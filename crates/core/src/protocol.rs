@@ -26,33 +26,30 @@ use crate::ctrl::{
     KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG,
     KIND_LOG_GC, KIND_ROLLBACK,
 };
+use crate::hist::Phase;
 use crate::log::MessageLog;
 use crate::metrics::Metrics;
 use crate::replay::{ReplayEngine, DEFAULT_REPLAY_WINDOW};
 use crate::store::{CheckpointData, SharedStore};
+use crate::wave::{Action, Input, Member, Wave};
 use bytes::Bytes;
 use mini_mpi::envelope::{CtrlMsg, Envelope, Message};
 use mini_mpi::error::{MpiError, Result};
-use mini_mpi::failure::CkptHook;
 use mini_mpi::ft::{ArrivalAction, CkptOutcome, FtCtx, FtLayer, FtProvider, SendAction};
 use mini_mpi::hash::FxHashMap;
 use mini_mpi::matching::{Arrived, ArrivedBody};
-use mini_mpi::recorder::{CkptPhase, Event, WritePhase};
+use mini_mpi::recorder::{Event, WritePhase};
 use mini_mpi::request::RecvSpec;
 use mini_mpi::types::{ChannelId, CommId, RankId};
 use mini_mpi::wire::{from_bytes, to_bytes};
 use parking_lot::Mutex;
 use spbc_ckptstore::{
-    Adoption, CdcParams, CkptStoreService, EcScheme, LoadOutcome, Replica, SetMap, StoreConfig,
+    Adoption, CdcParams, CkptStoreService, EcScheme, LoadOutcome, PutStats, Replica, SetMap,
+    StoreConfig,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long a committing rank waits for a partner's blob ACK before
-/// re-pushing (covers partners that died mid-wave: their restarted
-/// incarnation stores the retried copy).
-const REPL_RETRY: Duration = Duration::from_millis(250);
 
 /// How replayed messages are released during recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,11 +103,11 @@ pub struct SpbcConfig {
     /// manifests instead of blobs. Defaults to `$SPBC_CKPT_CDC` or on;
     /// off seals every wave as one `SPBCCKP2` full blob.
     pub ckpt_cdc: bool,
-    /// CDC minimum chunk length. Defaults to `$SPBC_CDC_MIN` or 256.
+    /// CDC minimum chunk length (default [`CdcParams::default`]'s 256).
     pub cdc_min: usize,
-    /// CDC target (average) chunk length. Defaults to `$SPBC_CDC_AVG` or 1024.
+    /// CDC target (average) chunk length (default 1024).
     pub cdc_avg: usize,
-    /// CDC maximum chunk length. Defaults to `$SPBC_CDC_MAX` or 4096.
+    /// CDC maximum chunk length (default 4096).
     pub cdc_max: usize,
     /// Background metrics-sampler period in milliseconds; 0 (the default)
     /// disables sampling. When nonzero and `$SPBC_METRICS` names a file,
@@ -151,68 +148,30 @@ pub struct SpbcConfig {
     pub batch_linger_us: u64,
 }
 
-/// Replication factor from `$SPBC_REPL_K`, defaulting to 2 (one surviving
-/// copy even if the owner's cluster *and* one partner fail together).
-fn default_replicas() -> usize {
-    crate::env::get_or("SPBC_REPL_K", 2)
-}
-
-/// CDC toggle from `$SPBC_CKPT_CDC` (0 = full blobs), defaulting on.
-fn default_ckpt_cdc() -> bool {
-    crate::env::get_or("SPBC_CKPT_CDC", 1u8) != 0
-}
-
-/// Sampler period from `$SPBC_METRICS_INTERVAL_MS`, defaulting off.
-fn default_metrics_interval_ms() -> u64 {
-    crate::env::get_or("SPBC_METRICS_INTERVAL_MS", 0u64)
-}
-
-/// Parity scheme from `$SPBC_EC_SCHEME`, defaulting off.
-fn default_ec_scheme() -> String {
-    crate::env::get_or("SPBC_EC_SCHEME", "off".to_string())
-}
-
-/// Redundancy-set size from `$SPBC_EC_GROUP`, defaulting to 4.
-fn default_ec_group() -> usize {
-    crate::env::get_or("SPBC_EC_GROUP", 4usize)
-}
-
-/// RS parity count from `$SPBC_EC_M`, defaulting to 2.
-fn default_ec_m() -> usize {
-    crate::env::get_or("SPBC_EC_M", 2usize)
-}
-
-/// CDC chunk bounds from `$SPBC_CDC_MIN` / `$SPBC_CDC_AVG` / `$SPBC_CDC_MAX`.
-fn default_cdc_bounds() -> (usize, usize, usize) {
-    let d = CdcParams::default();
-    (
-        crate::env::get_or("SPBC_CDC_MIN", d.min),
-        crate::env::get_or("SPBC_CDC_AVG", d.avg),
-        crate::env::get_or("SPBC_CDC_MAX", d.max),
-    )
-}
-
+/// Every default that is not a constant comes from its `SPBC_*` variable.
 impl Default for SpbcConfig {
     fn default() -> Self {
-        let (cdc_min, cdc_avg, cdc_max) = default_cdc_bounds();
+        use crate::env::get_or;
+        let cdc = CdcParams::default();
         SpbcConfig {
             ckpt_interval: 0,
             replay_window: DEFAULT_REPLAY_WINDOW,
             enforce_ident: true,
             replay_policy: ReplayPolicy::Windowed,
             free_logs_on_checkpoint: false,
-            replicas: default_replicas(),
+            // k = 2: one copy survives the owner's cluster and a partner.
+            replicas: get_or("SPBC_REPL_K", 2),
             async_ckpt_writes: true,
             ckpt_chunk: spbc_ckptstore::chunk::DEFAULT_CHUNK_SIZE,
             ckpt_full_every: 1,
-            ckpt_cdc: default_ckpt_cdc(),
-            cdc_min,
-            cdc_avg,
-            cdc_max,
-            metrics_interval_ms: default_metrics_interval_ms(),
-            ec_scheme: default_ec_scheme(),
-            ec_group: default_ec_group(),
-            ec_m: default_ec_m(),
+            ckpt_cdc: get_or("SPBC_CKPT_CDC", 1u8) != 0,
+            cdc_min: cdc.min,
+            cdc_avg: cdc.avg,
+            cdc_max: cdc.max,
+            metrics_interval_ms: get_or("SPBC_METRICS_INTERVAL_MS", 0),
+            ec_scheme: get_or("SPBC_EC_SCHEME", "off".to_string()),
+            ec_group: get_or("SPBC_EC_GROUP", 4),
+            ec_m: get_or("SPBC_EC_M", 2),
             tier_policy: String::new(),
             lose_local_on_failure: false,
             store_shards: 8,
@@ -386,48 +345,6 @@ impl FtProvider for SpbcProvider {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
-enum CkptState {
-    Idle,
-    Waiting,
-    /// Local checkpoint captured; blocked until every partner rank has
-    /// acknowledged its pushed replica copy.
-    AwaitRepl,
-    /// Local checkpoint durable and acknowledged; blocked until the
-    /// leader's resume barrier confirms every sibling has committed too.
-    AwaitResume,
-    Committed,
-}
-
-/// Owner-side replication barrier: the `(partner, owner)` slots whose
-/// [`KIND_CKPT_BLOB_ACK`] for `epoch` is still outstanding. The pushes are
-/// kept for re-sends (a partner killed mid-wave acks from its next
-/// incarnation).
-struct ReplWait {
-    epoch: u64,
-    awaiting: HashSet<(RankId, RankId)>,
-    /// Every replica the wave owes, as the store decided. A CDC wave's
-    /// pushes carry its manifest, which also serves a partner's
-    /// [`KIND_CKPT_CHUNK_REQ`] from the chunk store.
-    pushes: Vec<Replica>,
-    last_push: Instant,
-    /// When the first push went out — the replicate-phase timer.
-    started: Instant,
-}
-
-struct LeaderState {
-    epoch: u64,
-    joins: HashMap<RankId, (u64, u64)>,
-    awaiting: HashSet<RankId>,
-}
-
-/// Leader-side commit barrier: members whose [`KIND_CKPT_ACK`] for `epoch`
-/// is still outstanding; resume broadcasts when it empties.
-struct ResumeBarrier {
-    epoch: u64,
-    awaiting: HashSet<RankId>,
-}
-
 /// Per-rank SPBC protocol state.
 pub struct SpbcLayer {
     me: RankId,
@@ -454,23 +371,10 @@ pub struct SpbcLayer {
     intra_sent: u64,
     intra_arrived: u64,
     last_ckpt_epoch: u64,
-    ckpt_state: CkptState,
-    /// The open wave's checkpoint body, built in place: the head
-    /// ([`CheckpointData::encode_head`], the application state serialized
-    /// straight into it) at wave open, in a buffer sized to the last
-    /// wave's body; the tail, reserved exactly, at commit. It is dropped as
-    /// soon as the store has encoded it: from then on the store holds every
-    /// byte of the wave, so between waves no body is resident.
-    body: Vec<u8>,
-    /// The wave whose head `body` holds, until its commit.
-    body_epoch: Option<u64>,
+    /// The checkpoint wave, as member and (on the leader) as coordinator.
+    wave: Wave,
     /// Length of the last committed body: the next wave's buffer capacity.
     last_body_len: usize,
-    /// The wave that resumed last, until the next checkpoint call tells
-    /// the partners to drop my copies below it ([`KIND_CKPT_RELEASE`]).
-    release_due: Option<u64>,
-    leader: Option<LeaderState>,
-    resume: Option<ResumeBarrier>,
 
     /// Highest restart epoch of each peer whose Rollback we have already
     /// mirrored with our own (terminates the mutual exchange under
@@ -486,20 +390,8 @@ pub struct SpbcLayer {
     /// The replicated checkpoint-storage service: where every committed
     /// checkpoint lives, and the only source a restart reads.
     service: Arc<CkptStoreService>,
-    /// Log-GC notices ([`CheckpointData::log_gc_notices`]) of the cut this
-    /// member committed last: its wave's RESUME sends them.
-    gc_notices: BTreeMap<RankId, LogGc>,
     /// My partner ranks (other clusters) holding replica copies.
     partners: Vec<RankId>,
-    /// Outstanding replication barrier for the wave being committed.
-    repl: Option<ReplWait>,
-    /// Wave-open time of the in-progress checkpoint (the quiesce-phase
-    /// timer: wave open to state capture).
-    wave_open: Option<Instant>,
-    /// When this member's replicas were all acked (the commit-barrier-phase
-    /// timer: the flush of its own write, its ACK, and the wait for the
-    /// leader's RESUME broadcast).
-    barrier_start: Option<Instant>,
 }
 
 impl SpbcLayer {
@@ -516,6 +408,10 @@ impl SpbcLayer {
         let mut replay = ReplayEngine::new(cfg.replay_window);
         replay.set_metrics(Arc::clone(&metrics));
         let partners = clusters.replica_partners(me, cfg.replicas);
+        // Under erasure coding the partners hold parity frames only, which
+        // their keep window bounds: nothing to release.
+        let release = !service.config().ec.is_on();
+        let wave = Wave::new(clusters.members(cluster).to_vec(), !partners.is_empty(), release);
         SpbcLayer {
             me,
             cluster,
@@ -532,29 +428,20 @@ impl SpbcLayer {
             intra_sent: 0,
             intra_arrived: 0,
             last_ckpt_epoch: 0,
-            ckpt_state: CkptState::Idle,
-            body: Vec::new(),
-            body_epoch: None,
+            wave,
             last_body_len: 0,
-            release_due: None,
-            leader: None,
-            resume: None,
             answered_rollback: HashMap::new(),
             awaiting_grant: None,
             granted_token: None,
             service,
-            gc_notices: BTreeMap::new(),
             partners,
-            repl: None,
-            wave_open: None,
-            barrier_start: None,
         }
     }
 
     /// Record one phase latency sample into the run-wide histograms and the
     /// flight recorder (so a hang dump names the last completed phase and
     /// the chrome trace can attach latencies to the wave's write span).
-    fn record_phase(&self, ctx: &mut FtCtx<'_>, epoch: u64, phase: crate::hist::Phase, us: u64) {
+    fn record_phase(&self, ctx: &mut FtCtx<'_>, epoch: u64, phase: Phase, us: u64) {
         self.metrics.phase.record(phase, us);
         ctx.recorder().record(|| Event::CkptPhaseDone { epoch, phase: phase.name(), us });
     }
@@ -643,18 +530,6 @@ impl SpbcLayer {
             })
             .collect();
         to_bytes(&Rollback { epoch: ctx.epoch(), channels })
-    }
-
-    /// Receiver-checkpoint log GC, run when this member's wave resumes:
-    /// every member's copy of the wave is durable (the ACK meant so) and
-    /// storage keeps only that wave, so what its cut holds can never be
-    /// asked of a sender's log again.
-    fn send_log_gc(&mut self, ctx: &mut FtCtx<'_>) {
-        let notices = std::mem::take(&mut self.gc_notices);
-        for (&src, gc) in notices.iter().filter(|(src, _)| !self.is_intra(**src)) {
-            Metrics::add(&self.metrics.log_gc_notices, 1);
-            self.ctrl(ctx, src, KIND_LOG_GC, to_bytes(gc));
-        }
     }
 
     /// Handle a peer's Rollback: purge dangling rendezvous state, reply
@@ -782,46 +657,81 @@ impl SpbcLayer {
         Ok(())
     }
 
-    /// Leader: (re)evaluate quiescence once every member has reported.
-    fn leader_evaluate(&mut self, ctx: &mut FtCtx<'_>) {
-        let members: Vec<RankId> = self.clusters.members(self.cluster).to_vec();
-        let Some(ls) = &mut self.leader else { return };
-        if ls.joins.len() < members.len() || !ls.awaiting.is_empty() {
-            return;
-        }
-        let sent: u64 = ls.joins.values().map(|&(s, _)| s).sum();
-        let arrived: u64 = ls.joins.values().map(|&(_, a)| a).sum();
-        if sent == arrived {
-            let epoch = ls.epoch;
-            self.leader = None;
-            self.resume =
-                Some(ResumeBarrier { epoch, awaiting: members.iter().copied().collect() });
-            for &m in &members {
-                self.ctrl(ctx, m, KIND_CKPT_COMMIT, to_bytes(&epoch));
-            }
-        } else {
-            // Not quiescent yet: intra-cluster messages still in flight.
-            // Poll the members again; they drain while waiting.
-            ls.awaiting.extend(members.iter().copied());
-            let epoch = ls.epoch;
-            for &m in &members {
-                self.ctrl(ctx, m, KIND_CKPT_POLL, to_bytes(&epoch));
+    /// Step the wave with `input` and execute the actions. An action that
+    /// yields an input (the encoded cut, the replica frames) steps it next.
+    fn drive(&mut self, ctx: &mut FtCtx<'_>, input: Input) -> Result<()> {
+        let mut next = Some(input);
+        while let Some(input) = next.take() {
+            let (wave, actions) = std::mem::take(&mut self.wave).step(input, Instant::now())?;
+            self.wave = wave;
+            for action in actions {
+                next = self.exec(ctx, action)?.or(next);
             }
         }
+        Ok(())
     }
 
-    /// Member: commit the local checkpoint (Algorithm 1 line 15).
-    fn take_checkpoint(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) -> Result<()> {
-        ctx.chaos_ckpt_hook(CkptHook::Write)?;
-        // Quiesce phase ends here: the cluster agreed the cut is consistent
-        // and the commit itself starts.
-        if let Some(t0) = self.wave_open.take() {
-            let us = t0.elapsed().as_micros() as u64;
-            self.record_phase(ctx, epoch, crate::hist::Phase::Quiesce, us);
+    fn exec(&mut self, ctx: &mut FtCtx<'_>, action: Action) -> Result<Option<Input>> {
+        match action {
+            Action::Ctrl(to, kind, body) => self.ctrl(ctx, to, kind, body),
+            Action::Hook(hook) => ctx.chaos_ckpt_hook(hook)?,
+            Action::Record(event) => ctx.recorder().record(|| event),
+            Action::Phase(epoch, phase, us) => self.record_phase(ctx, epoch, phase, us),
+            Action::Encode(epoch, body) => return self.encode_cut(ctx, epoch, body).map(Some),
+            Action::Replicate(epoch, sealed, logical) => {
+                // The store picks each partner's frame: the blob, its
+                // manifest, or parity (from the rank completing its set).
+                let (me, partners) = (self.me, &self.partners);
+                let rep = self.service.replicas(me, epoch, &sealed, logical, partners)?;
+                if let Some((encode_us, bytes)) = rep.parity {
+                    self.record_phase(ctx, epoch, Phase::EncodeParity, encode_us);
+                    Metrics::add(&self.metrics.ec_parity_bytes, bytes);
+                }
+                return Ok(Some(Input::Replicas(rep.pushes)));
+            }
+            Action::Push(epoch, r) => self.push(ctx, epoch, &r),
+            Action::Chunks(partner, epoch, manifest, missing) => {
+                let frame = Arc::new(self.service.subset_blob(&manifest, &missing)?);
+                // The manifest push this subset completes counted its bytes.
+                self.push(ctx, epoch, &Replica { partner, owner: self.me, frame, logical: 0 });
+            }
+            // The ACK means "durable": its RESUME lets storage and the logs
+            // drop what the wave covers. What is left of a disk store's
+            // write, which ran behind replication, is paid here.
+            Action::Flush => self.service.flush_rank(self.me)?,
+            Action::Ack(leader, epoch) => {
+                self.ctrl(ctx, leader, KIND_CKPT_ACK, to_bytes(&epoch));
+                Metrics::add(&self.metrics.checkpoints, 1);
+            }
+            Action::GcLocal(keep_from) => {
+                let pruned = self.service.gc_local(self.me, keep_from)? as u64;
+                if pruned > 0 {
+                    Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
+                    ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
+                }
+            }
+            // Receiver-checkpoint log GC: every member's copy of the wave is
+            // durable, and storage keeps only it, so what its cut holds can
+            // never be asked of a sender's log again.
+            Action::LogGc(notices) => {
+                for (&src, gc) in notices.iter().filter(|(src, _)| !self.is_intra(**src)) {
+                    Metrics::add(&self.metrics.log_gc_notices, 1);
+                    self.ctrl(ctx, src, KIND_LOG_GC, to_bytes(gc));
+                }
+            }
+            Action::Release(keep_from) => {
+                for &partner in &self.partners {
+                    // Storage traffic: bypasses `self.ctrl`, like the push.
+                    ctx.send_ctrl(partner, KIND_CKPT_RELEASE, to_bytes(&keep_from));
+                }
+            }
         }
-        if self.body_epoch.take() != Some(epoch) {
-            return Err(MpiError::InvalidState(format!("commit of wave {epoch} it never opened")));
-        }
+        Ok(None)
+    }
+
+    /// Member: capture the cut of wave `epoch` (Algorithm 1 line 15),
+    /// finish `body` with it, and encode and commit it locally.
+    fn encode_cut(&mut self, ctx: &mut FtCtx<'_>, epoch: u64, mut body: Vec<u8>) -> Result<Input> {
         let mut unexpected_full = Vec::new();
         let mut missing_markers: Vec<(ChannelId, u64)> = Vec::new();
         for a in ctx.unexpected_snapshot() {
@@ -849,10 +759,9 @@ impl SpbcLayer {
                 missing_markers.push((ChannelId::new(src, self.me, comm), s));
             }
         }
-        let (log_lens, log_order) = {
-            let log = self.log.lock();
-            (log.lengths(), log.order_counter())
-        };
+        let log = self.log.lock();
+        let (log_lens, log_order) = (log.lengths(), log.order_counter());
+        drop(log);
         // Everything but the application state, which is already in the
         // body's head.
         let ck = CheckpointData {
@@ -870,107 +779,53 @@ impl SpbcLayer {
             comms: ctx.comms_snapshot(),
             lamport: ctx.lamport(),
         };
-        // Stable storage via the replicated checkpoint service: finish the
-        // body in place, encode it (default: content-defined chunks deduped
-        // against the shared chunk store, sealed as an `SPBCCKP4` manifest —
-        // bare for an in-memory store, with the new chunks inline for a disk
-        // store; with CDC off, an `SPBCCKP2` full blob), and share the
-        // sealed blob between the local write and every replica.
-        let service = Arc::clone(&self.service);
+        // Finish the body in place and encode it: CDC chunks deduped against
+        // the chunk store, sealed as an `SPBCCKP4` manifest (new chunks inline
+        // on disk), or with CDC off an `SPBCCKP2` full blob. The local write
+        // and every replica share the sealed blob.
         let encode_start = Instant::now();
-        let mut body = std::mem::take(&mut self.body);
         ck.encode_tail(&mut body);
-        let (sealed, stats) = service.encode_commit(self.me, epoch, &body)?;
+        let (sealed, stats) = self.service.encode_commit(self.me, epoch, &body)?;
         // The store holds the wave now (chunks, or a sealed blob): the body
         // goes.
         self.last_body_len = body.len();
         drop(body);
         let sealed = Arc::new(sealed);
         let encode_us = encode_start.elapsed().as_micros() as u64;
-        self.record_phase(ctx, epoch, crate::hist::Phase::Encode, encode_us);
+        self.record_phase(ctx, epoch, Phase::Encode, encode_us);
         let logical = stats.logical;
         Metrics::add(&self.metrics.ckpt_bytes_logical, stats.logical);
         Metrics::add(&self.metrics.ckpt_bytes_physical, stats.physical);
         Metrics::add(&self.metrics.cas_hits_cross_epoch, stats.cas_hit_chunks_same_owner as u64);
         Metrics::add(&self.metrics.cas_hits_cross_rank, stats.cas_hit_chunks_cross_rank as u64);
         Metrics::add(&self.metrics.cas_hit_bytes, stats.cas_hit_bytes);
-        Metrics::set(&self.metrics.cas_unique_bytes, service.cas().unique_bytes());
-        let bytes = sealed.len() as u64;
-        ctx.recorder().record(|| Event::CkptWrite {
-            epoch,
-            bytes,
-            logical,
-            phase: WritePhase::Submitted,
-        });
+        Metrics::set(&self.metrics.cas_unique_bytes, self.service.cas().unique_bytes());
+        let (bytes, phase) = (sealed.len() as u64, WritePhase::Submitted);
+        ctx.recorder().record(|| Event::CkptWrite { epoch, bytes, logical, phase });
         let rec = ctx.recorder().clone();
         let metrics = Arc::clone(&self.metrics);
-        let is_async = service.writes_off_thread(self.me);
-        service.commit_local(
-            self.me,
-            epoch,
-            Arc::clone(&sealed),
-            Some(Box::new(move |res, hidden| {
-                if let Ok(put) = res {
-                    rec.record(|| Event::CkptWrite {
-                        epoch,
-                        bytes,
-                        logical,
-                        phase: WritePhase::Completed,
-                    });
-                    let write_us = hidden.as_micros() as u64;
-                    metrics.phase.record(crate::hist::Phase::Write, write_us);
-                    rec.record(|| Event::CkptPhaseDone {
-                        epoch,
-                        phase: crate::hist::Phase::Write.name(),
-                        us: write_us,
-                    });
-                    if put.fsync_us > 0 {
-                        metrics.phase.record(crate::hist::Phase::Fsync, put.fsync_us);
-                        rec.record(|| Event::CkptPhaseDone {
-                            epoch,
-                            phase: crate::hist::Phase::Fsync.name(),
-                            us: put.fsync_us,
-                        });
-                    }
-                    if is_async {
-                        Metrics::add(&metrics.ckpt_writes_async, 1);
-                        Metrics::add(&metrics.ckpt_write_hidden_us, write_us);
-                    }
-                }
-            })),
-        )?;
-        self.gc_notices = ck.log_gc_notices();
+        let is_async = self.service.writes_off_thread(self.me);
+        let written = move |res: &Result<PutStats>, hidden: Duration| {
+            let Ok(put) = res else { return };
+            let phase = WritePhase::Completed;
+            rec.record(|| Event::CkptWrite { epoch, bytes, logical, phase });
+            let done = |phase: Phase, us: u64| {
+                metrics.phase.record(phase, us);
+                rec.record(|| Event::CkptPhaseDone { epoch, phase: phase.name(), us });
+            };
+            let write_us = hidden.as_micros() as u64;
+            done(Phase::Write, write_us);
+            if put.fsync_us > 0 {
+                done(Phase::Fsync, put.fsync_us);
+            }
+            if is_async {
+                Metrics::add(&metrics.ckpt_writes_async, 1);
+                Metrics::add(&metrics.ckpt_write_hidden_us, write_us);
+            }
+        };
+        self.service.commit_local(self.me, epoch, Arc::clone(&sealed), Some(Box::new(written)))?;
         self.last_ckpt_epoch = epoch;
-        ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Written });
-        if self.partners.is_empty() {
-            return self.ack_commit(ctx, epoch);
-        }
-        // Replicate: the store decides what each partner receives (the
-        // blob, its chunk-hash manifest, or — when this rank completed its
-        // redundancy set — parity frames); the leader's ACK waits for every
-        // partner's store confirmation, and then for this member's own
-        // write to be durable.
-        ctx.chaos_ckpt_hook(CkptHook::Replicate)?;
-        let rep = service.replicas(self.me, epoch, &sealed, logical, &self.partners)?;
-        if let Some((encode_us, bytes)) = rep.parity {
-            self.record_phase(ctx, epoch, crate::hist::Phase::EncodeParity, encode_us);
-            Metrics::add(&self.metrics.ec_parity_bytes, bytes);
-        }
-        if rep.pushes.is_empty() {
-            return self.ack_commit(ctx, epoch);
-        }
-        for r in &rep.pushes {
-            self.push(ctx, epoch, r);
-        }
-        self.repl = Some(ReplWait {
-            epoch,
-            awaiting: rep.pushes.iter().map(|r| (r.partner, r.owner)).collect(),
-            pushes: rep.pushes,
-            last_push: Instant::now(),
-            started: Instant::now(),
-        });
-        self.ckpt_state = CkptState::AwaitRepl;
-        Ok(())
+        Ok(Input::Encoded(ck.log_gc_notices(), sealed, logical))
     }
 
     /// Send one replica frame to its partner (also used for retries and
@@ -999,54 +854,27 @@ impl SpbcLayer {
                 self.me
             )));
         };
-        self.record_phase(ctx, target, crate::hist::Phase::RestoreLoad, lstats.fetch_us);
-        self.record_phase(
-            ctx,
-            target,
-            crate::hist::Phase::RestoreMaterialize,
-            lstats.materialize_us,
-        );
+        self.record_phase(ctx, target, Phase::RestoreLoad, lstats.fetch_us);
+        self.record_phase(ctx, target, Phase::RestoreMaterialize, lstats.materialize_us);
         match outcome {
             LoadOutcome::Repaired { from } => {
                 Metrics::add(&self.metrics.ckpt_repairs, 1);
                 // Repair rode the fetch path, so its cost is the fetch time
                 // of a load that needed a partner scan.
-                self.record_phase(ctx, target, crate::hist::Phase::RestoreRepair, lstats.fetch_us);
+                self.record_phase(ctx, target, Phase::RestoreRepair, lstats.fetch_us);
                 ctx.recorder().record(|| Event::CkptRepair { epoch: target, from });
             }
             LoadOutcome::Rebuilt { set_id } => {
                 // The checkpoint was reconstructed from the redundancy set's
                 // parity (erasure decode).
                 Metrics::add(&self.metrics.ec_rebuilds, 1);
-                self.record_phase(ctx, target, crate::hist::Phase::RestoreRepair, lstats.fetch_us);
+                self.record_phase(ctx, target, Phase::RestoreRepair, lstats.fetch_us);
                 ctx.recorder().record(|| Event::CkptRebuild { epoch: target, set_id });
             }
             LoadOutcome::Local => {}
         }
         // CRC-verified: the service returns the unsealed body.
         from_bytes(&body)
-    }
-
-    /// Replication barrier cleared (or not required): once this member's
-    /// own copy is durable, tell the leader its checkpoint is committed and
-    /// block for the resume broadcast.
-    fn ack_commit(&mut self, ctx: &mut FtCtx<'_>, epoch: u64) -> Result<()> {
-        // The ACK means "durable": the resume it unblocks lets storage and
-        // the senders' logs drop everything this wave covers. A disk
-        // store's write ran behind replication; what is left of it is paid
-        // here, inside the barrier (an in-memory put is already done).
-        self.barrier_start = Some(Instant::now());
-        self.service.flush_rank(self.me)?;
-        // Do not resume yet: wait for the leader's barrier so no post-commit
-        // send can land in a sibling's still-open checkpoint (see
-        // [`KIND_CKPT_RESUME`]).
-        ctx.chaos_ckpt_hook(CkptHook::CommitBarrier)?;
-        self.ckpt_state = CkptState::AwaitResume;
-        let leader = self.clusters.leader_of(self.me);
-        self.ctrl(ctx, leader, KIND_CKPT_ACK, to_bytes(&epoch));
-        ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Ack });
-        Metrics::add(&self.metrics.checkpoints, 1);
-        Ok(())
     }
 }
 
@@ -1198,79 +1026,16 @@ impl FtLayer for SpbcLayer {
                 let lm: LastMessage = from_bytes(&msg.data)?;
                 self.on_lastmessage(ctx, msg.from, lm)
             }
-            KIND_CKPT_JOIN => {
-                let c: CkptCounts = from_bytes(&msg.data)?;
-                let ls = self.leader.get_or_insert_with(|| LeaderState {
-                    epoch: c.epoch,
-                    joins: HashMap::new(),
-                    awaiting: HashSet::new(),
-                });
-                debug_assert_eq!(ls.epoch, c.epoch, "overlapping checkpoint waves");
-                ls.joins.insert(msg.from, (c.sent, c.arrived));
-                self.leader_evaluate(ctx);
-                Ok(())
-            }
-            KIND_CKPT_REPORT => {
-                let c: CkptCounts = from_bytes(&msg.data)?;
-                if let Some(ls) = &mut self.leader {
-                    ls.joins.insert(msg.from, (c.sent, c.arrived));
-                    ls.awaiting.remove(&msg.from);
-                }
-                self.leader_evaluate(ctx);
-                Ok(())
-            }
+            KIND_CKPT_JOIN => self.drive(ctx, Input::Join(msg.from, from_bytes(&msg.data)?)),
+            KIND_CKPT_REPORT => self.drive(ctx, Input::Report(msg.from, from_bytes(&msg.data)?)),
             KIND_CKPT_POLL => {
-                let epoch: u64 = from_bytes(&msg.data)?;
+                let epoch = from_bytes(&msg.data)?;
                 let body = CkptCounts { epoch, sent: self.intra_sent, arrived: self.intra_arrived };
-                self.ctrl(ctx, msg.from, KIND_CKPT_REPORT, to_bytes(&body));
-                Ok(())
+                self.drive(ctx, Input::Poll(body))
             }
-            KIND_CKPT_COMMIT => {
-                let epoch: u64 = from_bytes(&msg.data)?;
-                self.take_checkpoint(ctx, epoch)
-            }
-            KIND_CKPT_ACK => {
-                let epoch: u64 = from_bytes(&msg.data)?;
-                if let Some(rb) = &mut self.resume {
-                    debug_assert_eq!(rb.epoch, epoch, "ack for a different wave");
-                    rb.awaiting.remove(&msg.from);
-                    if rb.awaiting.is_empty() {
-                        self.resume = None;
-                        let members: Vec<RankId> = self.clusters.members(self.cluster).to_vec();
-                        for m in members {
-                            self.ctrl(ctx, m, KIND_CKPT_RESUME, to_bytes(&epoch));
-                        }
-                    }
-                }
-                Ok(())
-            }
-            KIND_CKPT_RESUME => {
-                debug_assert_eq!(self.ckpt_state, CkptState::AwaitResume);
-                self.ckpt_state = CkptState::Committed;
-                let epoch: u64 = from_bytes(&msg.data)?;
-                ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Resume });
-                if let Some(t) = self.barrier_start.take() {
-                    let us = t.elapsed().as_micros() as u64;
-                    self.record_phase(ctx, epoch, crate::hist::Phase::CommitBarrier, us);
-                }
-                // The wave is committed and durable on every member: storage
-                // keeps only it (the partners' older copies go at the next
-                // checkpoint call), and the senders' logs drop everything it
-                // holds.
-                // Under erasure coding the partners hold parity frames only,
-                // which their keep window bounds.
-                if !self.service.config().ec.is_on() {
-                    self.release_due = Some(epoch);
-                }
-                let keep_from = epoch;
-                let pruned = self.service.gc_local(self.me, keep_from)? as u64;
-                if pruned > 0 {
-                    Metrics::add(&self.metrics.ckpt_gc_pruned, pruned);
-                    ctx.recorder().record(|| Event::CkptGc { pruned, keep_from });
-                }
-                self.send_log_gc(ctx);
-                Ok(())
-            }
+            KIND_CKPT_COMMIT => self.drive(ctx, Input::Commit(from_bytes(&msg.data)?)),
+            KIND_CKPT_ACK => self.drive(ctx, Input::Ack(msg.from, from_bytes(&msg.data)?)),
+            KIND_CKPT_RESUME => self.drive(ctx, Input::Resume(from_bytes(&msg.data)?)),
             KIND_CKPT_RELEASE => {
                 let keep_from: u64 = from_bytes(&msg.data)?;
                 let owner = msg.from;
@@ -1306,50 +1071,13 @@ impl FtLayer for SpbcLayer {
                 Ok(())
             }
             KIND_CKPT_CHUNK_REQ => {
-                let req: CkptChunkReq = from_bytes(&msg.data)?;
-                // Stale requests (an earlier wave's retry) are dropped; the
-                // retry timer re-pushes the current manifest anyway.
-                let manifest = self
-                    .repl
-                    .as_ref()
-                    .filter(|r| r.epoch == req.epoch && req.owner == self.me.0)
-                    .and_then(|r| r.pushes.iter().find(|p| p.owner == self.me));
-                if let Some(manifest) = manifest {
-                    let subset = self.service.subset_blob(&manifest.frame, &req.missing)?;
-                    // Logical bytes were already counted by the manifest
-                    // push this subset completes.
-                    let answer = Replica {
-                        partner: msg.from,
-                        owner: self.me,
-                        frame: Arc::new(subset),
-                        logical: 0,
-                    };
-                    self.push(ctx, req.epoch, &answer);
-                }
-                Ok(())
+                let r: CkptChunkReq = from_bytes(&msg.data)?;
+                self.drive(ctx, Input::ChunkReq(msg.from, RankId(r.owner), r.epoch, r.missing))
             }
             KIND_CKPT_BLOB_ACK => {
                 let ack: CkptBlobAck = from_bytes(&msg.data)?;
                 Metrics::add(&self.metrics.repl_acks, 1);
-                let (partner, epoch) = (msg.from, ack.epoch);
-                // Guard on the epoch and the slot: a retry can produce a
-                // duplicate ack, for this wave or an already-finished one.
-                let slot = (partner, RankId(ack.owner));
-                let Some(r) = self.repl.as_mut().filter(|r| r.epoch == epoch) else {
-                    return Ok(());
-                };
-                if !r.awaiting.remove(&slot) {
-                    return Ok(());
-                }
-                ctx.recorder().record(|| Event::CkptReplAck { partner, epoch });
-                if r.awaiting.is_empty() {
-                    let wait = self.repl.take().expect("checked above");
-                    let us = wait.started.elapsed().as_micros() as u64;
-                    self.record_phase(ctx, epoch, crate::hist::Phase::Replicate, us);
-                    debug_assert_eq!(self.ckpt_state, CkptState::AwaitRepl);
-                    self.ack_commit(ctx, epoch)?;
-                }
-                Ok(())
+                self.drive(ctx, Input::BlobAck(msg.from, RankId(ack.owner), ack.epoch))
             }
             KIND_LOG_GC => {
                 let gc: LogGc = from_bytes(&msg.data)?;
@@ -1389,63 +1117,23 @@ impl FtLayer for SpbcLayer {
         app_state: &mut dyn FnMut(&mut Vec<u8>),
     ) -> Result<CkptOutcome> {
         self.ckpt_calls += 1;
-        // The release waits for the application's next checkpoint call,
-        // due or not: a run that ends at a wave's resume keeps that wave's
-        // predecessor loadable from the partners, and the release still
-        // lands long before the next wave's chunks.
-        if let Some(keep_from) = self.release_due.take() {
-            for &partner in &self.partners {
-                // Storage traffic: bypasses `self.ctrl`, like the push.
-                ctx.send_ctrl(partner, KIND_CKPT_RELEASE, to_bytes(&keep_from));
-            }
-        }
-        if self.cfg.ckpt_interval == 0 || !self.ckpt_calls.is_multiple_of(self.cfg.ckpt_interval) {
-            return Ok(CkptOutcome::NotDue);
-        }
-        if self.ckpt_state != CkptState::Idle {
-            return Err(MpiError::InvalidState("overlapping checkpoint".into()));
-        }
-        ctx.chaos_ckpt_hook(CkptHook::WaveOpen)?;
-        // The wave is open: only now is the application state serialized,
-        // straight into the body's head.
-        let epoch = self.last_ckpt_epoch + 1;
-        self.body = Vec::with_capacity(self.last_body_len);
-        CheckpointData::encode_head(epoch, app_state, &mut self.body);
-        self.body_epoch = Some(epoch);
-        self.wave_open = Some(Instant::now());
-        self.ckpt_state = CkptState::Waiting;
-        ctx.recorder().record(|| Event::Ckpt { epoch, phase: CkptPhase::Init });
-        let leader = self.clusters.leader_of(self.me);
-        let body = CkptCounts { epoch, sent: self.intra_sent, arrived: self.intra_arrived };
-        self.ctrl(ctx, leader, KIND_CKPT_JOIN, to_bytes(&body));
-        Ok(CkptOutcome::InProgress)
+        let due =
+            self.cfg.ckpt_interval != 0 && self.ckpt_calls.is_multiple_of(self.cfg.ckpt_interval);
+        // Only a due call serializes the application state, straight into
+        // the head of a body sized to the last wave's.
+        let open = due.then(|| {
+            let epoch = self.last_ckpt_epoch + 1;
+            let mut body = Vec::with_capacity(self.last_body_len);
+            CheckpointData::encode_head(epoch, app_state, &mut body);
+            (CkptCounts { epoch, sent: self.intra_sent, arrived: self.intra_arrived }, body)
+        });
+        self.drive(ctx, Input::Call(open))?;
+        Ok(if due { CkptOutcome::InProgress } else { CkptOutcome::NotDue })
     }
 
     fn checkpoint_poll(&mut self, ctx: &mut FtCtx<'_>) -> Result<bool> {
-        // Replication barrier liveness: a partner killed mid-wave lost the
-        // pushed frame with its mailbox. Re-push every still-unacked slot
-        // so the restarted incarnation stores the copy and acks.
-        if let Some(r) = &mut self.repl {
-            if r.last_push.elapsed() >= REPL_RETRY && !r.awaiting.is_empty() {
-                r.last_push = Instant::now();
-                let epoch = r.epoch;
-                let due: Vec<Replica> = r
-                    .pushes
-                    .iter()
-                    .filter(|p| r.awaiting.contains(&(p.partner, p.owner)))
-                    .cloned()
-                    .collect();
-                for p in &due {
-                    self.push(ctx, epoch, p);
-                }
-            }
-        }
-        if self.ckpt_state == CkptState::Committed {
-            self.ckpt_state = CkptState::Idle;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        self.drive(ctx, Input::Tick)?;
+        Ok(matches!(self.wave.member, Member::Resumed { .. }))
     }
 
     fn restored_app_state(&mut self) -> Option<Vec<u8>> {

@@ -126,8 +126,7 @@ pub struct RuntimeConfig {
     /// Flight-recorder capacity in events per rank. `None` (the default)
     /// disables event recording entirely; `Some(cap)` gives every rank a ring
     /// of the newest `cap` protocol events for watchdog dumps and
-    /// Chrome-trace export. Requires the `flight-recorder` cargo feature
-    /// (default-on) to have any effect.
+    /// Chrome-trace export.
     pub flight_recorder: Option<usize>,
     /// When true (the default), `RankStats::on_send` digests every payload
     /// into the determinism chains. Workloads that never run a determinism

@@ -14,19 +14,13 @@
 //! event value is built lazily, so a disabled recorder evaluates nothing.
 //! When enabled, one `parking_lot` mutex lock plus a ring push per event —
 //! the lock is uncontended (only the owning rank writes; readers appear only
-//! at dump/export time). Building without the `flight-recorder` cargo
-//! feature compiles `record` down to an empty inline function, so the no-op
-//! path is also a compile-time configuration CI can pin.
+//! at dump/export time).
 
 use crate::types::RankId;
-#[cfg(feature = "flight-recorder")]
 use parking_lot::Mutex;
-#[cfg(feature = "flight-recorder")]
 use std::collections::VecDeque;
 use std::fmt;
-#[cfg(feature = "flight-recorder")]
 use std::sync::Arc;
-#[cfg(feature = "flight-recorder")]
 use std::time::Instant;
 
 /// Checkpoint lifecycle phase, in protocol order.
@@ -385,7 +379,6 @@ pub struct RankTrace {
 /// A full run's recorded events, one trace per rank.
 pub type FlightLog = Vec<RankTrace>;
 
-#[cfg(feature = "flight-recorder")]
 struct Ring {
     cap: usize,
     next_seq: u64,
@@ -393,14 +386,12 @@ struct Ring {
     buf: VecDeque<TimedEvent>,
 }
 
-#[cfg(feature = "flight-recorder")]
 struct RecorderShared {
     start: Instant,
     ring: Mutex<Ring>,
     status: Mutex<Option<(u64, String)>>,
 }
 
-#[cfg(feature = "flight-recorder")]
 impl RecorderShared {
     fn new(start: Instant, cap: usize) -> Self {
         RecorderShared {
@@ -446,54 +437,37 @@ impl RecorderShared {
 /// no-ops on a disabled handle (the default configuration).
 #[derive(Clone)]
 pub struct Recorder {
-    #[cfg(feature = "flight-recorder")]
     shared: Option<Arc<RecorderShared>>,
 }
 
 impl Recorder {
     /// A handle that records nothing.
     pub fn disabled() -> Self {
-        Recorder {
-            #[cfg(feature = "flight-recorder")]
-            shared: None,
-        }
+        Recorder { shared: None }
     }
 
     /// Is this handle actually recording?
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "flight-recorder")]
-        {
-            self.shared.is_some()
-        }
-        #[cfg(not(feature = "flight-recorder"))]
-        {
-            false
-        }
+        self.shared.is_some()
     }
 
     /// Record one event. The closure runs only when recording is enabled, so
     /// a disabled recorder costs a single branch and builds nothing.
     #[inline]
     pub fn record(&self, f: impl FnOnce() -> Event) {
-        #[cfg(feature = "flight-recorder")]
         if let Some(s) = &self.shared {
             s.push(f());
         }
-        #[cfg(not(feature = "flight-recorder"))]
-        let _ = f;
     }
 
     /// Publish a status line (current watermarks / queue state) for the
     /// watchdog dump. Called from slow blocking waits, never the hot path.
     pub fn set_status(&self, line: impl FnOnce() -> String) {
-        #[cfg(feature = "flight-recorder")]
         if let Some(s) = &self.shared {
             let t = s.t_us();
             *s.status.lock() = Some((t, line()));
         }
-        #[cfg(not(feature = "flight-recorder"))]
-        let _ = line;
     }
 }
 
@@ -506,72 +480,37 @@ impl fmt::Debug for Recorder {
 /// Run-wide collector: owns one ring per rank and produces handles, the
 /// post-run [`FlightLog`], and the watchdog dump.
 pub struct FlightRecorder {
-    #[cfg(feature = "flight-recorder")]
     rings: Vec<Arc<RecorderShared>>,
 }
 
 impl FlightRecorder {
     /// Recorder for `ranks` ranks with `capacity` events retained per rank.
-    /// Without the `flight-recorder` cargo feature this is always disabled.
     pub fn new(ranks: usize, capacity: usize) -> Self {
-        #[cfg(feature = "flight-recorder")]
-        {
-            let start = Instant::now();
-            FlightRecorder {
-                rings: (0..ranks).map(|_| Arc::new(RecorderShared::new(start, capacity))).collect(),
-            }
-        }
-        #[cfg(not(feature = "flight-recorder"))]
-        {
-            let _ = (ranks, capacity);
-            FlightRecorder {}
+        let start = Instant::now();
+        FlightRecorder {
+            rings: (0..ranks).map(|_| Arc::new(RecorderShared::new(start, capacity))).collect(),
         }
     }
 
     /// A collector that records nothing and hands out disabled handles.
     pub fn disabled() -> Self {
-        FlightRecorder {
-            #[cfg(feature = "flight-recorder")]
-            rings: Vec::new(),
-        }
+        FlightRecorder { rings: Vec::new() }
     }
 
     /// Is recording active?
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "flight-recorder")]
-        {
-            !self.rings.is_empty()
-        }
-        #[cfg(not(feature = "flight-recorder"))]
-        {
-            false
-        }
+        !self.rings.is_empty()
     }
 
     /// The recording handle for `rank` (shared across its incarnations — a
     /// restarted rank keeps appending to the same track).
     pub fn handle(&self, rank: RankId) -> Recorder {
-        #[cfg(feature = "flight-recorder")]
-        {
-            Recorder { shared: self.rings.get(rank.idx()).map(Arc::clone) }
-        }
-        #[cfg(not(feature = "flight-recorder"))]
-        {
-            let _ = rank;
-            Recorder::disabled()
-        }
+        Recorder { shared: self.rings.get(rank.idx()).map(Arc::clone) }
     }
 
     /// Snapshot every rank's retained events (oldest first per rank).
     pub fn snapshot(&self) -> FlightLog {
-        #[cfg(feature = "flight-recorder")]
-        {
-            self.rings.iter().enumerate().map(|(i, r)| r.trace(i as u32)).collect()
-        }
-        #[cfg(not(feature = "flight-recorder"))]
-        {
-            Vec::new()
-        }
+        self.rings.iter().enumerate().map(|(i, r)| r.trace(i as u32)).collect()
     }
 
     /// Human-readable dump for hang diagnostics: per rank, the last
@@ -627,7 +566,7 @@ impl fmt::Debug for FlightRecorder {
     }
 }
 
-#[cfg(all(test, feature = "flight-recorder"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -744,20 +683,15 @@ mod tests {
         let fr = FlightRecorder::new(1, 4);
         assert!(!fr.handle(RankId(7)).is_enabled());
     }
-}
-
-#[cfg(all(test, not(feature = "flight-recorder")))]
-mod nofeature_tests {
-    use super::*;
 
     #[test]
-    fn everything_is_a_noop() {
-        let fr = FlightRecorder::new(4, 128);
-        assert!(!fr.enabled(), "feature off: new() builds a disabled collector");
+    fn disabled_recorder_is_a_noop() {
+        let fr = FlightRecorder::disabled();
+        assert!(!fr.enabled());
         let rec = fr.handle(RankId(0));
         assert!(!rec.is_enabled());
-        rec.record(|| Event::RankDone);
-        rec.set_status(|| "x".into());
+        rec.record(|| panic!("a disabled recorder builds no event"));
+        rec.set_status(|| panic!("nor a status line"));
         assert!(fr.snapshot().is_empty());
         assert!(fr.dump(8).contains("disabled"));
     }

@@ -522,59 +522,76 @@ impl Spawner {
         };
         let recorder = self.flight.handle(me);
         let name = format!("rank-{me}-e{epoch}");
+        // A panicking rank ends the run at once, with the panic message, in
+        // both modes: nothing else would report it, and its peers would
+        // wait for the deadlock timeout. Injected kills return
+        // `MpiError::Killed`; they never unwind.
+        let on_panic = Arc::clone(&self.failure);
         std::thread::Builder::new()
             .name(name)
             .spawn(move || {
-                let t0 = Instant::now();
-                let kill = failure.kill_flag(me);
-                let mut inner = RankInner::new(
-                    me,
-                    cfg,
-                    epoch,
-                    mailbox,
-                    router,
-                    kill,
-                    Arc::clone(&global_done),
-                    Arc::clone(&failure),
-                );
-                inner.recorder = recorder;
-                inner.stats.digest_payloads = inner.cfg.payload_digests;
-                inner.recorder.record(|| Event::RankStart { epoch });
-                let layer = provider.make_layer(me, epoch);
-                let mut rank = Rank::new(inner, layer);
-                rank.inner.stats.restarts = epoch;
+                let run = std::panic::AssertUnwindSafe(move || {
+                    let t0 = Instant::now();
+                    let kill = failure.kill_flag(me);
+                    let mut inner = RankInner::new(
+                        me,
+                        cfg,
+                        epoch,
+                        mailbox,
+                        router,
+                        kill,
+                        Arc::clone(&global_done),
+                        Arc::clone(&failure),
+                    );
+                    inner.recorder = recorder;
+                    inner.stats.digest_payloads = inner.cfg.payload_digests;
+                    inner.recorder.record(|| Event::RankStart { epoch });
+                    let layer = provider.make_layer(me, epoch);
+                    let mut rank = Rank::new(inner, layer);
+                    rank.inner.stats.restarts = epoch;
 
-                let result = {
-                    let started = {
-                        let mut ctx = FtCtx { inner: &mut rank.inner };
-                        rank.ft.on_start(&mut ctx)
-                    };
-                    started.and_then(|_| (app)(&mut rank))
-                };
-
-                match result {
-                    Ok(output) => {
-                        {
+                    let result = {
+                        let started = {
                             let mut ctx = FtCtx { inner: &mut rank.inner };
-                            let _ = rank.ft.on_app_done(&mut ctx);
+                            rank.ft.on_start(&mut ctx)
+                        };
+                        started.and_then(|_| (app)(&mut rank))
+                    };
+
+                    match result {
+                        Ok(output) => {
+                            {
+                                let mut ctx = FtCtx { inner: &mut rank.inner };
+                                let _ = rank.ft.on_app_done(&mut ctx);
+                            }
+                            rank.inner.recorder.record(|| Event::RankDone);
+                            rank.inner.stats.total_time = t0.elapsed();
+                            failure.set_stats(me, rank.inner.stats.clone());
+                            failure.report(RuntimeEvent::Done { rank: me, output });
+                            linger(&mut rank);
                         }
-                        rank.inner.recorder.record(|| Event::RankDone);
-                        rank.inner.stats.total_time = t0.elapsed();
-                        failure.set_stats(me, rank.inner.stats.clone());
-                        failure.report(RuntimeEvent::Done { rank: me, output });
-                        linger(&mut rank);
+                        Err(MpiError::Killed) => {
+                            rank.inner.recorder.record(|| Event::RankKilled);
+                            failure.set_stats(me, rank.inner.stats.clone());
+                            failure.report(RuntimeEvent::Killed { rank: me });
+                        }
+                        Err(e) => {
+                            rank.inner.recorder.record(|| Event::RankError);
+                            rank.inner.stats.total_time = t0.elapsed();
+                            failure.set_stats(me, rank.inner.stats.clone());
+                            failure
+                                .report(RuntimeEvent::Error { rank: me, message: e.to_string() });
+                        }
                     }
-                    Err(MpiError::Killed) => {
-                        rank.inner.recorder.record(|| Event::RankKilled);
-                        failure.set_stats(me, rank.inner.stats.clone());
-                        failure.report(RuntimeEvent::Killed { rank: me });
-                    }
-                    Err(e) => {
-                        rank.inner.recorder.record(|| Event::RankError);
-                        rank.inner.stats.total_time = t0.elapsed();
-                        failure.set_stats(me, rank.inner.stats.clone());
-                        failure.report(RuntimeEvent::Error { rank: me, message: e.to_string() });
-                    }
+                });
+                if let Err(panic) = std::panic::catch_unwind(run) {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "a non-string payload".into());
+                    let message = format!("rank {me} panicked: {what}");
+                    on_panic.report(RuntimeEvent::Error { rank: me, message });
                 }
             })
             .expect("spawn rank thread")

@@ -95,6 +95,29 @@ fn app_error_is_reported_not_hung() {
 }
 
 #[test]
+fn rank_panic_ends_the_run_with_its_message() {
+    let start = std::time::Instant::now();
+    let report =
+        Runtime::builder(RuntimeConfig::new(2).with_deadlock_timeout(Duration::from_secs(30)))
+            .app(Arc::new(|rank: &mut Rank| {
+                rank.barrier(COMM_WORLD)?;
+                if rank.world_rank() == 0 {
+                    panic!("synthetic rank panic");
+                }
+                // Blocks until the run is torn down: nothing will send.
+                let _ = rank.recv_bytes(COMM_WORLD, 0u32, 1)?;
+                Ok(vec![])
+            }))
+            .launch()
+            .unwrap();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "the panic took {took:?} to end the run");
+    let panicked =
+        |(r, m): &(RankId, String)| *r == RankId(0) && m.contains("synthetic rank panic");
+    assert!(report.errors.iter().any(panicked), "{:?}", report.errors);
+}
+
+#[test]
 fn run_report_ok_propagates_errors() {
     let report = Runtime::builder(RuntimeConfig::new(1))
         .app(Arc::new(|_rank: &mut Rank| Err(MpiError::app("boom"))))
