@@ -78,7 +78,6 @@ impl HydeeProvider {
             // Send-determinism based: no identifiers in matching.
             enforce_ident: false,
             replay_policy: ReplayPolicy::Coordinated { coordinator: RankId(world as u32) },
-            free_logs_on_checkpoint: false,
             // The HydEE baseline models single-copy stable storage; partner
             // replication is an SPBC-side storage upgrade, so keep it off to
             // preserve the comparison.

@@ -3,6 +3,7 @@
 
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
+use mini_mpi::recorder::Event;
 use mini_mpi::wire::to_bytes;
 use spbc_baselines::{coordinator_service, HydeeConfig, HydeeProvider};
 use spbc_core::{ClusterMap, Metrics, SpbcConfig, SpbcProvider};
@@ -31,13 +32,20 @@ fn ring_app(iters: u64) -> impl Fn(&mut Rank) -> Result<Vec<u8>> + Send + Sync +
     }
 }
 
-fn run_hydee(world: usize, iters: u64, plans: Vec<FailurePlan>) -> (RunReport, Arc<HydeeProvider>) {
+fn run_hydee(
+    world: usize,
+    iters: u64,
+    ckpt_interval: u64,
+    plans: Vec<FailurePlan>,
+) -> (RunReport, Arc<HydeeProvider>) {
     let provider = Arc::new(HydeeProvider::new(
         ClusterMap::blocks(world, 2),
-        HydeeConfig { ckpt_interval: 4, ..Default::default() },
+        HydeeConfig { ckpt_interval, ..Default::default() },
     ));
-    let cfg =
-        RuntimeConfig::new(world).with_services(1).with_deadlock_timeout(Duration::from_secs(10));
+    let cfg = RuntimeConfig::new(world)
+        .with_services(1)
+        .with_deadlock_timeout(Duration::from_secs(10))
+        .with_flight_recorder(1 << 14);
     let report = Runtime::builder(cfg)
         .provider(provider.clone())
         .app(Arc::new(ring_app(iters)))
@@ -58,45 +66,62 @@ fn hydee_failure_free_matches_native() {
         .unwrap()
         .ok()
         .unwrap();
-    let (hydee, provider) = run_hydee(6, 10, vec![]);
+    let (hydee, provider) = run_hydee(6, 10, 4, vec![]);
     assert_eq!(native.outputs, hydee.outputs);
     let m = provider.metrics();
     assert_eq!(Metrics::get(&m.coordinator_grants), 0, "coordinator idle without failures");
 }
 
+/// Rank 2's cluster {0, 1, 2} dies past its checkpoint at call 8 with a
+/// replay owed whatever the timing. A ring rank finishes iteration `k` only
+/// once its predecessor started it, so while that cluster waited in its
+/// wave (all three had finished iteration 7), rank 5 could have sent rank 0
+/// at most seqnum 11 (iteration 10's). When rank 2 starts iteration 15
+/// (its 16th failure point) rank 0 has finished iteration 12, so it had
+/// received seqnum 13: rank 5's log owes it at least 12 and 13.
 #[test]
 fn hydee_recovers_correctly_through_coordinator() {
     let native = Runtime::builder(RuntimeConfig::new(6))
-        .app(Arc::new(ring_app(12)))
+        .app(Arc::new(ring_app(16)))
         .launch()
         .unwrap()
         .ok()
         .unwrap();
-    let (hydee, provider) = run_hydee(6, 12, vec![FailurePlan::nth(RankId(2), 7)]);
+    let (hydee, provider) = run_hydee(6, 16, 8, vec![FailurePlan::nth(RankId(2), 16)]);
     assert_eq!(native.outputs, hydee.outputs, "HydEE recovery must be correct");
     assert_eq!(hydee.failures_handled, 1);
     let m = provider.metrics();
-    let grants = Metrics::get(&m.coordinator_grants);
+    let (grants, replayed) = (Metrics::get(&m.coordinator_grants), Metrics::get(&m.replayed_msgs));
+    assert!(replayed > 0, "rank 5 owes the restarted rank 0 a replay");
     assert!(grants > 0, "replay must go through the coordinator");
-    // Every queued replay (from the log or the ordering fence) takes one
-    // grant; stale grants after a re-rollback can add a few more.
-    assert!(grants >= Metrics::get(&m.replayed_msgs));
+    // Every replay (from the log or the ordering fence) takes one grant;
+    // stale grants after a re-rollback can add a few more.
+    assert!(grants >= replayed);
+    // Coordinated replays are recorded like windowed ones.
+    let flight = hydee.flight.expect("flight recorder on");
+    assert!(flight.iter().all(|t| t.dropped == 0), "the recorder evicted events");
+    let events = flight.iter().flat_map(|t| &t.events);
+    let replays = events.filter(|e| matches!(e.event, Event::Replay { .. })).count();
+    assert_eq!(replays as u64, replayed, "one Event::Replay per replayed message");
 }
 
 #[test]
 fn hydee_replay_is_serialized_spbc_is_not() {
     // Same failure under both protocols; compare coordinator involvement.
-    let plans = || vec![FailurePlan::nth(RankId(0), 7)];
-    let (_, hydee_provider) = run_hydee(6, 12, plans());
+    // Rank 0 starts iteration 12 having received seqnum 12 from rank 5,
+    // past the at most 11 its checkpoint at call 8 holds (see above): a
+    // replay is owed under HydEE's clustering too.
+    let plans = || vec![FailurePlan::nth(RankId(0), 13)];
+    let (_, hydee_provider) = run_hydee(6, 16, 8, plans());
 
     let spbc_provider = Arc::new(SpbcProvider::new(
         ClusterMap::blocks(6, 3),
-        SpbcConfig { ckpt_interval: 4, ..Default::default() },
+        SpbcConfig { ckpt_interval: 8, ..Default::default() },
     ));
     let report =
         Runtime::builder(RuntimeConfig::new(6).with_deadlock_timeout(Duration::from_secs(10)))
             .provider(spbc_provider.clone())
-            .app(Arc::new(ring_app(12)))
+            .app(Arc::new(ring_app(16)))
             .plans(plans())
             .launch()
             .unwrap()

@@ -11,11 +11,16 @@ use mini_mpi::wire::{Decode, Encode, Reader};
 // The wave kinds below (JOIN, REPORT, POLL, COMMIT, ACK, RESUME, and the
 // storage kinds BLOB, BLOB_ACK, CHUNK_REQ and RELEASE) are the inputs and
 // outputs of the transition table in `wave.rs` (DESIGN.md §5, "The
-// checkpoint wave as a transition table").
+// checkpoint wave as a transition table"); ROLLBACK, LASTMSG, the GRANT
+// kinds and LOG_GC are those of `recovery.rs` ("Recovery as a transition
+// table").
 
-/// `kind` value of [`Rollback`].
+/// `kind` value of [`Rollback`]: sent to every other cluster's rank at a
+/// restart, and mirrored once per peer epoch by a restarted rank that
+/// receives one (the recovery table's `Start` and ROLLBACK rows).
 pub const KIND_ROLLBACK: u16 = 1;
-/// `kind` value of [`LastMessage`].
+/// `kind` value of [`LastMessage`]: the answer to each [`Rollback`] (the
+/// recovery table's LASTMSG row).
 pub const KIND_LASTMSG: u16 = 2;
 /// `kind` value of [`CkptJoin`]: a member opens a wave (member
 /// `Idle`/`Resumed` → `Quiescing`).
@@ -42,12 +47,14 @@ pub const KIND_CKPT_ACK: u16 = 7;
 /// `Resumed`.
 pub const KIND_CKPT_RESUME: u16 = 8;
 /// Coordinated replay (HydEE model): replayer asks permission to re-send its
-/// next logged message (body: Lamport timestamp of that message).
+/// next logged message (body: Lamport timestamp of that message). Grant
+/// `Idle` → `Requested` in the recovery table.
 pub const KIND_GRANT_REQ: u16 = 10;
-/// Coordinated replay: coordinator grants the request (empty body).
+/// Coordinated replay: coordinator grants the request (empty body); the
+/// recovery table's GRANT rows.
 pub const KIND_GRANT: u16 = 11;
-/// Coordinated replay: replayer reports the granted replay as delivered
-/// (empty body).
+/// Coordinated replay: replayer reports the granted replay as sent, or
+/// releases a grant it cannot use (empty body). Grant → `Idle`.
 pub const KIND_GRANT_DONE: u16 = 12;
 /// `kind` value of [`CkptBlob`]: a committing rank pushes one replica frame
 /// to a partner rank in another cluster for replicated storage
@@ -66,7 +73,8 @@ pub const KIND_CKPT_CHUNK_REQ: u16 = 16;
 /// `kind` value of [`LogGc`]: a receiver whose cluster resumed from wave N
 /// tells an out-of-cluster sender which log entries no checkpoint the store
 /// still retains (N, durable on every member, and up) can ever ask for
-/// again.
+/// again. Sent by the wave's RESUME; taken by the recovery table's LOG_GC
+/// row.
 pub const KIND_LOG_GC: u16 = 17;
 /// `kind` value of a member's partner-copy release (body: checkpoint epoch
 /// N). Sent after the member's wave N resumed, at its next checkpoint call,

@@ -34,6 +34,7 @@ pub mod log;
 pub mod metrics;
 pub mod pattern;
 pub mod protocol;
+mod recovery;
 pub mod replay;
 pub mod sampler;
 pub mod store;

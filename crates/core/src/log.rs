@@ -95,6 +95,20 @@ struct Chunked<T, const N: usize> {
     len: usize,
 }
 
+/// A copy (for tests that explore recovery orders) keeps each chunk
+/// allocated whole.
+#[cfg(test)]
+impl<T: Copy, const N: usize> Clone for Chunked<T, N> {
+    fn clone(&self) -> Self {
+        let chunks = self.chunks.iter().map(|c| {
+            let mut copy = Vec::with_capacity(N);
+            copy.extend_from_slice(c);
+            copy
+        });
+        Chunked { chunks: chunks.collect(), head: self.head, len: self.len }
+    }
+}
+
 impl<T: Copy, const N: usize> Chunked<T, N> {
     fn new() -> Self {
         Chunked { chunks: VecDeque::new(), head: 0, len: 0 }
@@ -201,6 +215,7 @@ impl<T: Copy, const N: usize> Chunked<T, N> {
 /// The retained window of one outgoing channel. Records are strictly
 /// seqnum-ordered (debug-asserted in [`MessageLog::append`]), so every
 /// lookup is a binary search, never a scan.
+#[cfg_attr(test, derive(Clone))]
 struct Ring {
     chan: ChannelId,
     /// Highest seqnum a GC notice has released: the receiver's cluster can
@@ -346,6 +361,7 @@ pub struct Held {
 /// communicators, and `replay_set` touches only the channels that can
 /// contribute.
 #[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
 pub struct MessageLog {
     /// `by_dst[d]` holds the rings of the channels to rank `d`.
     by_dst: Vec<Vec<Ring>>,

@@ -10,44 +10,41 @@
 //! * **Checkpoint** — leader-coordinated intra-cluster checkpoint with
 //!   message-counting quiescence; the checkpoint captures application state,
 //!   per-channel sequence counters, the unexpected queue (channel state) and
-//!   the log cut (line 13-15).
+//!   the log cut (line 13-15); the wave is `wave.rs`'s transition function.
 //! * **Recovery** — restore the newest checkpoint *every* cluster member
-//!   holds, announce `Rollback(LR)` per channel (lines 16-20), answer
-//!   `LastMessage` so re-execution skips messages the receiver already has
-//!   (lines 21-26), and replay logged messages per channel in seqnum order
-//!   with the §5.2.2 pre-post window. No process-to-process synchronization
-//!   is needed during replay — the property SPBC gains over HydEE.
+//!   holds; `recovery.rs`'s transition function does the rest (lines 16-26:
+//!   Rollback, LastMessage, per-channel replay with the §5.2.2 window), with
+//!   no process-to-process synchronization during replay.
 
 use crate::cluster::ClusterMap;
 use crate::ctrl::{
-    CkptBlob, CkptBlobAck, CkptChunkReq, CkptCounts, LastMessage, LastMessageChannel, LogGc,
-    Rollback, RollbackChannel, KIND_CKPT_ACK, KIND_CKPT_BLOB, KIND_CKPT_BLOB_ACK,
-    KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL, KIND_CKPT_RELEASE,
-    KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_GRANT_DONE, KIND_GRANT_REQ, KIND_LASTMSG,
-    KIND_LOG_GC, KIND_ROLLBACK,
+    CkptBlob, CkptBlobAck, CkptChunkReq, CkptCounts, KIND_CKPT_ACK, KIND_CKPT_BLOB,
+    KIND_CKPT_BLOB_ACK, KIND_CKPT_CHUNK_REQ, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL,
+    KIND_CKPT_RELEASE, KIND_CKPT_REPORT, KIND_CKPT_RESUME, KIND_GRANT, KIND_LASTMSG, KIND_LOG_GC,
+    KIND_ROLLBACK,
 };
 use crate::hist::Phase;
 use crate::log::MessageLog;
 use crate::metrics::Metrics;
-use crate::replay::{ReplayEngine, DEFAULT_REPLAY_WINDOW};
+use crate::recovery::{self as rec, marks, Recovery};
+use crate::replay::DEFAULT_REPLAY_WINDOW;
 use crate::store::{CheckpointData, SharedStore};
 use crate::wave::{Action, Input, Member, Wave};
 use bytes::Bytes;
 use mini_mpi::envelope::{CtrlMsg, Envelope, Message};
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::ft::{ArrivalAction, CkptOutcome, FtCtx, FtLayer, FtProvider, SendAction};
-use mini_mpi::hash::FxHashMap;
 use mini_mpi::matching::{Arrived, ArrivedBody};
 use mini_mpi::recorder::{Event, WritePhase};
 use mini_mpi::request::RecvSpec;
-use mini_mpi::types::{ChannelId, CommId, RankId};
+use mini_mpi::types::{ChannelId, RankId};
 use mini_mpi::wire::{from_bytes, to_bytes};
 use parking_lot::Mutex;
 use spbc_ckptstore::{
     Adoption, CdcParams, CkptStoreService, EcScheme, LoadOutcome, PutStats, Replica, SetMap,
     StoreConfig,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -355,16 +352,8 @@ pub struct SpbcLayer {
     metrics: Arc<Metrics>,
     cfg: SpbcConfig,
 
-    /// `LS` of Algorithm 1: per outgoing channel, the last seqnum the
-    /// receiver confirmed having; re-sends at or below it are suppressed.
-    ls: FxHashMap<(RankId, CommId), u64>,
-    /// Exceptions to `LS` suppression: envelopes the receiver saw whose
-    /// payload never arrived (interrupted rendezvous) — must be re-sent.
-    ls_exceptions: FxHashMap<(RankId, CommId), BTreeSet<u64>>,
-    /// Incoming seqnums at or below the watermark whose payload is still
-    /// owed to us — deliver instead of dropping as duplicate.
-    missing: FxHashMap<(RankId, CommId), BTreeSet<u64>>,
-    replay: ReplayEngine,
+    /// Rollback, LastMessage and replay: the recovery half of Algorithm 1.
+    recovery: Recovery,
     restored_app: Option<Vec<u8>>,
 
     ckpt_calls: u64,
@@ -375,17 +364,6 @@ pub struct SpbcLayer {
     wave: Wave,
     /// Length of the last committed body: the next wave's buffer capacity.
     last_body_len: usize,
-
-    /// Highest restart epoch of each peer whose Rollback we have already
-    /// mirrored with our own (terminates the mutual exchange under
-    /// concurrent cluster failures).
-    answered_rollback: HashMap<RankId, u32>,
-
-    /// Coordinated policy: destination of the replay we requested a grant
-    /// for, if any.
-    awaiting_grant: Option<RankId>,
-    /// Coordinated policy: rendezvous token of the granted in-flight replay.
-    granted_token: Option<u64>,
 
     /// The replicated checkpoint-storage service: where every committed
     /// checkpoint lives, and the only source a restart reads.
@@ -405,8 +383,11 @@ impl SpbcLayer {
         service: Arc<CkptStoreService>,
     ) -> Self {
         let cluster = clusters.cluster_of(me);
-        let mut replay = ReplayEngine::new(cfg.replay_window);
-        replay.set_metrics(Arc::clone(&metrics));
+        let window = cfg.replay_window;
+        let coordinator = match cfg.replay_policy {
+            ReplayPolicy::Windowed => None,
+            ReplayPolicy::Coordinated { coordinator } => Some(coordinator),
+        };
         let partners = clusters.replica_partners(me, cfg.replicas);
         // Under erasure coding the partners hold parity frames only, which
         // their keep window bounds: nothing to release.
@@ -419,10 +400,7 @@ impl SpbcLayer {
             log: store.slot(me),
             metrics,
             cfg,
-            ls: FxHashMap::default(),
-            ls_exceptions: FxHashMap::default(),
-            missing: FxHashMap::default(),
-            replay,
+            recovery: Recovery::new(me, coordinator, window),
             restored_app: None,
             ckpt_calls: 0,
             intra_sent: 0,
@@ -430,9 +408,6 @@ impl SpbcLayer {
             last_ckpt_epoch: 0,
             wave,
             last_body_len: 0,
-            answered_rollback: HashMap::new(),
-            awaiting_grant: None,
-            granted_token: None,
             service,
             partners,
         }
@@ -446,52 +421,6 @@ impl SpbcLayer {
         ctx.recorder().record(|| Event::CkptPhaseDone { epoch, phase: phase.name(), us });
     }
 
-    /// Release queued replays according to the configured policy.
-    fn pump_replay(&mut self, ctx: &mut FtCtx<'_>) {
-        match self.cfg.replay_policy {
-            ReplayPolicy::Windowed => self.replay.pump(ctx),
-            ReplayPolicy::Coordinated { coordinator } => {
-                if self.awaiting_grant.is_some() {
-                    return;
-                }
-                let Some((dst, ts)) = self.replay.peek_next() else { return };
-                self.awaiting_grant = Some(dst);
-                self.ctrl(ctx, coordinator, KIND_GRANT_REQ, to_bytes(&ts));
-            }
-        }
-    }
-
-    /// Coordinated policy: a grant arrived — re-send the head message.
-    fn on_grant(&mut self, ctx: &mut FtCtx<'_>) -> Result<()> {
-        let ReplayPolicy::Coordinated { coordinator } = self.cfg.replay_policy else {
-            return Err(MpiError::InvalidState("grant under windowed policy".into()));
-        };
-        let Some(dst) = self.awaiting_grant else {
-            // The queue we requested for was purged (peer rolled back again);
-            // release the grant immediately.
-            self.ctrl(ctx, coordinator, KIND_GRANT_DONE, Vec::new());
-            return Ok(());
-        };
-        match self.replay.pop_front_of(dst) {
-            None => {
-                self.awaiting_grant = None;
-                self.ctrl(ctx, coordinator, KIND_GRANT_DONE, Vec::new());
-                self.pump_replay(ctx);
-            }
-            Some(msg) => match ctx.ft_send_message(msg) {
-                None => {
-                    self.awaiting_grant = None;
-                    self.ctrl(ctx, coordinator, KIND_GRANT_DONE, Vec::new());
-                    self.pump_replay(ctx);
-                }
-                Some(token) => {
-                    self.granted_token = Some(token);
-                }
-            },
-        }
-        Ok(())
-    }
-
     fn ctrl(&self, ctx: &mut FtCtx<'_>, to: RankId, kind: u16, body: Vec<u8>) {
         Metrics::add(&self.metrics.ctrl_msgs, 1);
         ctx.send_ctrl(to, kind, body);
@@ -499,162 +428,6 @@ impl SpbcLayer {
 
     fn is_intra(&self, peer: RankId) -> bool {
         self.clusters.cluster_of(peer) == self.cluster
-    }
-
-    /// Build and send the Rollback announcement for every rank outside my
-    /// cluster (Algorithm 1 lines 19-20, broadened to all potential channels
-    /// since the restarted rank cannot know which peers hold logs for it).
-    fn send_rollback_all(&mut self, ctx: &mut FtCtx<'_>) {
-        let peers: Vec<RankId> = self.clusters.other_ranks(self.me).collect();
-        for peer in peers {
-            let body = self.rollback_for(ctx, peer);
-            self.ctrl(ctx, peer, KIND_ROLLBACK, body);
-        }
-    }
-
-    /// Seqnums at or below the `(src, comm)` watermark whose payload is
-    /// still owed to me.
-    fn owed_from(&self, src: RankId, comm: CommId) -> Vec<u64> {
-        self.missing.get(&(src, comm)).map(|s| s.iter().copied().collect()).unwrap_or_default()
-    }
-
-    /// My Rollback announcement to `peer`: the state of every channel from
-    /// it to me (Algorithm 1 line 20).
-    fn rollback_for(&self, ctx: &FtCtx<'_>, peer: RankId) -> Vec<u8> {
-        let from_peer = ctx.recv_seen().iter().filter(|(&(src, _), _)| src == peer);
-        let channels = from_peer
-            .map(|(&(_, comm), &lr)| RollbackChannel {
-                comm: comm.0,
-                lr,
-                missing: self.owed_from(peer, comm),
-            })
-            .collect();
-        to_bytes(&Rollback { epoch: ctx.epoch(), channels })
-    }
-
-    /// Handle a peer's Rollback: purge dangling rendezvous state, reply
-    /// LastMessage, queue the replay set (Algorithm 1 lines 21-24).
-    fn on_rollback(&mut self, ctx: &mut FtCtx<'_>, from: RankId, rb: Rollback) -> Result<()> {
-        ctx.recorder().record(|| Event::RollbackRecv { from, epoch: rb.epoch });
-        // 1. The peer's old incarnation is gone: its announced-but-unshipped
-        //    payloads will never arrive from it — remember them as "owed".
-        let purged = ctx.purge_rdv_from_peer(from);
-        for env in &purged {
-            self.missing.entry((from, env.comm)).or_default().insert(env.seqnum);
-        }
-        //    And our own in-flight rendezvous towards it will never be CTSed.
-        let cancelled = ctx.cancel_pending_rdv_to(from);
-        self.replay.forget_dst(from, &cancelled);
-        //    Under the coordinated policy, release any grant held for it.
-        if self.awaiting_grant == Some(from) {
-            self.awaiting_grant = None;
-            if self.granted_token.take().is_none() {
-                // A grant may still be in flight for the stale request; the
-                // on_grant path handles it by releasing immediately.
-            }
-            if let ReplayPolicy::Coordinated { coordinator } = self.cfg.replay_policy {
-                self.ctrl(ctx, coordinator, KIND_GRANT_DONE, Vec::new());
-            }
-        }
-
-        //    The restart also invalidates any suppression watermark learned
-        //    from the peer's previous incarnation: its receive state has
-        //    regressed to exactly the `lr` values it announces here.
-        //    Keeping the old LS would suppress regenerated sends the new
-        //    incarnation never received (overlapping-failure deadlock).
-        self.ls.retain(|&(peer, _), _| peer != from);
-        self.ls_exceptions.retain(|&(peer, _), _| peer != from);
-        for ch in &rb.channels {
-            let comm = CommId(ch.comm);
-            self.ls.insert((from, comm), ch.lr);
-            //    Announced-but-lost payloads below the new watermark that
-            //    our log cannot replay (we restarted too and will regenerate
-            //    them) must bypass the fresh LS when re-sent.
-            for &s in &ch.missing {
-                let chan = ChannelId::new(self.me, from, comm);
-                if self.log.lock().find(chan, s).is_none() {
-                    self.ls_exceptions.entry((from, comm)).or_default().insert(s);
-                }
-            }
-        }
-
-        // 2. LastMessage reply: what we already received from the peer
-        //    (suppression watermark), with pending-payload exceptions.
-        let mut lm = LastMessage::default();
-        let comms: BTreeSet<CommId> =
-            ctx.recv_seen().keys().filter(|&&(src, _)| src == from).map(|&(_, c)| c).collect();
-        for comm in comms {
-            lm.channels.push(LastMessageChannel {
-                comm: comm.0,
-                last_recv: ctx.last_seen_on(from, comm),
-                incomplete: self.owed_from(from, comm),
-            });
-        }
-        self.ctrl(ctx, from, KIND_LASTMSG, to_bytes(&lm));
-
-        // 3. Replay set from our log, per channel in seqnum order, globally
-        //    in send order; flow-controlled by the pre-post window.
-        let listed = |chan: ChannelId| rb.channels.iter().find(|c| c.comm == chan.comm.0);
-        let lr_of = |chan| listed(chan).map_or(0, |c| c.lr);
-        let missing_of = |chan| listed(chan).map(|c| c.missing.clone()).unwrap_or_default();
-        let set = self
-            .log
-            .lock()
-            .try_replay_set(from, &lr_of, &missing_of)
-            .map_err(|e| MpiError::InvalidState(format!("rollback from rank {from}: {e}")))?;
-        if !set.is_empty() || self.replay.has_queued(from) {
-            Metrics::add(&self.metrics.replayed_msgs, set.len() as u64);
-            Metrics::add(
-                &self.metrics.replayed_bytes,
-                set.iter().map(|m| m.payload.len() as u64).sum(),
-            );
-            ctx.recorder().record(|| Event::ReplayQueued { dst: from, msgs: set.len() as u64 });
-            self.replay.set_queue(from, set);
-            self.pump_replay(ctx);
-        }
-
-        // 4. Concurrent failures: if we have ourselves restarted, the peer's
-        //    fresh incarnation may never have seen our own Rollback — mirror
-        //    it once per peer epoch.
-        if ctx.epoch() > 0 {
-            let answered = self.answered_rollback.entry(from).or_insert(0);
-            if *answered < rb.epoch {
-                *answered = rb.epoch;
-                let body = self.rollback_for(ctx, from);
-                self.ctrl(ctx, from, KIND_ROLLBACK, body);
-            }
-        }
-        Ok(())
-    }
-
-    /// Handle the LastMessage reply: set `LS`, schedule replay of payloads
-    /// the peer is owed from before our checkpoint, and exempt the rest from
-    /// suppression (Algorithm 1 lines 25-26 plus the rendezvous refinement).
-    fn on_lastmessage(&mut self, ctx: &mut FtCtx<'_>, from: RankId, lm: LastMessage) -> Result<()> {
-        for ch in lm.channels {
-            let comm = CommId(ch.comm);
-            self.ls.insert((from, comm), ch.last_recv);
-            ctx.recorder().record(|| Event::LsSet { peer: from, comm: ch.comm, ls: ch.last_recv });
-            for s in ch.incomplete {
-                let sent_so_far = ctx.last_sent_on(from, comm);
-                if s <= sent_so_far {
-                    // Sent before our restart point (or re-sent already):
-                    // replay straight from the log.
-                    let chan = ChannelId::new(self.me, from, comm);
-                    if let Some(m) = self.log.lock().find(chan, s) {
-                        Metrics::add(&self.metrics.replayed_msgs, 1);
-                        Metrics::add(&self.metrics.replayed_bytes, m.payload.len() as u64);
-                        self.replay.enqueue(from, m);
-                    }
-                } else {
-                    // Will be regenerated by re-execution: exempt from LS
-                    // suppression.
-                    self.ls_exceptions.entry((from, comm)).or_default().insert(s);
-                }
-            }
-        }
-        self.pump_replay(ctx);
-        Ok(())
     }
 
     /// Step the wave with `input` and execute the actions. An action that
@@ -729,6 +502,48 @@ impl SpbcLayer {
         Ok(None)
     }
 
+    /// Step recovery with `input` and execute its actions depth-first: a
+    /// replay send's [`rec::Input::Sent`] is stepped, and its actions run,
+    /// before the rest of the step that sent it. Returns the send or arrival
+    /// verdict (`true` for Forward/Deliver).
+    fn recover(&mut self, ctx: &mut FtCtx<'_>, input: rec::Input) -> Result<bool> {
+        let (mut todo, mut next, mut pass) = (VecDeque::new(), Some(input), true);
+        loop {
+            if let Some(input) = next.take() {
+                let state = std::mem::take(&mut self.recovery);
+                let (state, actions) = state.step(&mut self.log.lock(), input, Instant::now())?;
+                self.recovery = state;
+                actions.into_iter().rev().for_each(|a| todo.push_front(a));
+            }
+            let Some(action) = todo.pop_front() else { return Ok(pass) };
+            match action {
+                rec::Action::Ctrl(to, kind, body) => self.ctrl(ctx, to, kind, body),
+                rec::Action::Record(event) => ctx.recorder().record(|| event),
+                rec::Action::Count(counter, n) => Metrics::add(counter(&self.metrics), n),
+                rec::Action::Forward | rec::Action::Deliver => pass = true,
+                rec::Action::Suppress | rec::Action::Drop => pass = false,
+                rec::Action::ReplaySend { msg, frac, drained_us } => {
+                    // Chaos window: a survivor dying part-way through its
+                    // replay. The kill flag is set and the rank unwinds at
+                    // its next runtime call; without `Sent`, nothing more
+                    // is replayed here.
+                    if ctx.chaos_replay_hook(frac) {
+                        continue;
+                    }
+                    let (dst, comm, seqnum) = (msg.env.dst, msg.env.comm.0, msg.env.seqnum);
+                    ctx.recorder().record(|| Event::Replay { dst, comm, seqnum });
+                    Metrics::add(&self.metrics.replayed_msgs, 1);
+                    Metrics::add(&self.metrics.replayed_bytes, msg.payload.len() as u64);
+                    if let Some(us) = drained_us {
+                        ctx.recorder().record(|| Event::ReplayDrained { dst });
+                        self.metrics.phase.record(Phase::RestoreReplay, us);
+                    }
+                    next = Some(rec::Input::Sent(ctx.ft_send_message(msg)));
+                }
+            }
+        }
+    }
+
     /// Member: capture the cut of wave `epoch` (Algorithm 1 line 15),
     /// finish `body` with it, and encode and commit it locally.
     fn encode_cut(&mut self, ctx: &mut FtCtx<'_>, epoch: u64, mut body: Vec<u8>) -> Result<Input> {
@@ -754,11 +569,7 @@ impl SpbcLayer {
         }
         // Payloads still owed from before (restored missing entries not yet
         // re-delivered) remain owed at this cut.
-        for (&(src, comm), seqs) in &self.missing {
-            for &s in seqs {
-                missing_markers.push((ChannelId::new(src, self.me, comm), s));
-            }
-        }
+        missing_markers.extend(self.recovery.owed());
         let log = self.log.lock();
         let (log_lens, log_order) = (log.lengths(), log.order_counter());
         drop(log);
@@ -903,9 +714,9 @@ impl FtLayer for SpbcLayer {
         let target = self.service.common_epoch(&members)?;
         let ck = if target == 0 { None } else { Some(self.load_cut(ctx, target)?) };
         ctx.recorder().record(|| Event::Rollback { epoch: ctx.epoch(), restored_ckpt: target });
-        if let Some(ck) = ck {
+        let (seen, owed) = if let Some(ck) = ck {
             ctx.set_send_seq(ck.send_seq);
-            ctx.set_recv_seen(ck.recv_seen);
+            ctx.set_recv_seen(ck.recv_seen.clone());
             ctx.restore_comms(ck.comms);
             ctx.set_lamport(ck.lamport);
             let restored: Vec<Arrived> = ck
@@ -914,9 +725,6 @@ impl FtLayer for SpbcLayer {
                 .map(|m| Arrived { env: m.env, body: ArrivedBody::Eager(m.payload) })
                 .collect();
             ctx.restore_unexpected(restored);
-            for (chan, seq) in ck.missing {
-                self.missing.entry((chan.src, chan.comm)).or_default().insert(seq);
-            }
             let entries = {
                 let mut log = self.log.lock();
                 log.truncate_to(&ck.log_lens, ck.log_order);
@@ -928,14 +736,16 @@ impl FtLayer for SpbcLayer {
             self.intra_arrived = ck.intra_arrived;
             self.last_ckpt_epoch = ck.ckpt_epoch;
             self.restored_app = Some(ck.app_state);
+            (ck.recv_seen, ck.missing)
         } else {
             // No checkpoint yet: restart from the initial state; everything
             // sent so far will be replayed (LR defaults to 0) or regenerated.
             self.log.lock().truncate_to(&HashMap::new(), 0);
             ctx.restore_unexpected(Vec::new());
-        }
-        self.send_rollback_all(ctx);
-        Ok(())
+            (HashMap::new(), Vec::new())
+        };
+        let peers = self.clusters.other_ranks(self.me).collect();
+        self.recover(ctx, rec::Input::Start { epoch: ctx.epoch(), peers, seen, owed }).map(drop)
     }
 
     fn on_send(&mut self, ctx: &mut FtCtx<'_>, env: &Envelope, payload: &Bytes) -> SendAction {
@@ -944,27 +754,9 @@ impl FtLayer for SpbcLayer {
             self.intra_sent += 1;
             return SendAction::Forward;
         }
-        // Decide the route first: a `Message` is built only when the
-        // replay path needs one.
-        let key = (dst, env.comm);
-        let ls = self.ls.get(&key).copied().unwrap_or(0);
-        let (via_replay, action) = if env.seqnum <= ls {
-            // Receiver already has this message — unless its payload never
-            // arrived (interrupted rendezvous exception), in which case it
-            // goes through the replay path to keep channel order.
-            let owed = self.ls_exceptions.get_mut(&key).is_some_and(|s| s.remove(&env.seqnum));
-            if !owed {
-                Metrics::add(&self.metrics.suppressed_sends, 1);
-            }
-            (owed, SendAction::Suppress)
-        } else if self.replay.has_queued(dst) {
-            // Ordering fence: never let a fresh envelope overtake queued
-            // replays on the same destination.
-            (true, SendAction::Suppress)
-        } else {
-            (false, SendAction::Forward)
-        };
-
+        // One channel lookup decides whether recovery holds the send: a
+        // `Message` is built only then.
+        let held = self.recovery.holds(env);
         // Inter-cluster: log in the sender's memory (line 6).
         self.log.lock().append_send(env, payload);
         Metrics::add(&self.metrics.logged_msgs, 1);
@@ -975,11 +767,12 @@ impl FtLayer for SpbcLayer {
             seqnum: env.seqnum,
             bytes: env.plen,
         });
-        if via_replay {
-            self.replay.enqueue(dst, Message { env: *env, payload: payload.clone() });
-            self.pump_replay(ctx);
+        let msg = || Message { env: *env, payload: payload.clone() };
+        match held.then(|| self.recover(ctx, rec::Input::Send(msg()))) {
+            None | Some(Ok(true)) => SendAction::Forward,
+            Some(Ok(false)) => SendAction::Suppress,
+            Some(Err(e)) => panic!("{e}"),
         }
-        action
     }
 
     fn on_arrival(&mut self, ctx: &mut FtCtx<'_>, env: &Envelope) -> ArrivalAction {
@@ -988,27 +781,13 @@ impl FtLayer for SpbcLayer {
             return ArrivalAction::Deliver;
         }
         let lr = ctx.last_seen_on(env.src, env.comm);
-        if env.seqnum <= lr {
-            let owed =
-                self.missing.get_mut(&(env.src, env.comm)).is_some_and(|s| s.remove(&env.seqnum));
-            if owed {
-                ArrivalAction::Deliver
-            } else {
-                Metrics::add(&self.metrics.dropped_duplicates, 1);
-                ArrivalAction::Drop
-            }
-        } else if env.seqnum == lr + 1 {
-            ArrivalAction::Deliver
-        } else {
-            // Contiguity violated: a predecessor on this channel was lost in
-            // a crash window (sent to the dead incarnation's mailbox) and
-            // this message raced ahead of the sender's Rollback processing.
-            // Everything from lr+1 on is in the sender's log; its replay
-            // re-delivers the whole suffix in order — accepting this message
-            // now would advance the watermark past the lost predecessor and
-            // the replay would be mistaken for a duplicate.
-            Metrics::add(&self.metrics.dropped_out_of_order, 1);
-            ArrivalAction::Drop
+        if env.seqnum == lr + 1 {
+            return ArrivalAction::Deliver;
+        }
+        match self.recover(ctx, rec::Input::Arrival(*env, lr)) {
+            Ok(true) => ArrivalAction::Deliver,
+            Ok(false) => ArrivalAction::Drop,
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -1018,13 +797,20 @@ impl FtLayer for SpbcLayer {
 
     fn on_ctrl(&mut self, ctx: &mut FtCtx<'_>, msg: CtrlMsg) -> Result<()> {
         match msg.kind {
+            // The peer's old incarnation is gone: purge the rendezvous state
+            // it left (announced payloads it will never ship, transfers to it
+            // that will never be CTSed) before recovery takes its Rollback.
             KIND_ROLLBACK => {
-                let rb: Rollback = from_bytes(&msg.data)?;
-                self.on_rollback(ctx, msg.from, rb)
+                let (from, rb) = (msg.from, from_bytes(&msg.data)?);
+                let purged = ctx.purge_rdv_from_peer(from);
+                let cancelled = ctx.cancel_pending_rdv_to(from);
+                let seen = marks(ctx.recv_seen(), from);
+                self.recover(ctx, rec::Input::Rollback { from, rb, purged, cancelled, seen })
+                    .map(drop)
             }
             KIND_LASTMSG => {
-                let lm: LastMessage = from_bytes(&msg.data)?;
-                self.on_lastmessage(ctx, msg.from, lm)
+                let lm = from_bytes(&msg.data)?;
+                self.recover(ctx, rec::Input::LastMessage(msg.from, lm)).map(drop)
             }
             KIND_CKPT_JOIN => self.drive(ctx, Input::Join(msg.from, from_bytes(&msg.data)?)),
             KIND_CKPT_REPORT => self.drive(ctx, Input::Report(msg.from, from_bytes(&msg.data)?)),
@@ -1080,35 +866,16 @@ impl FtLayer for SpbcLayer {
                 self.drive(ctx, Input::BlobAck(msg.from, RankId(ack.owner), ack.epoch))
             }
             KIND_LOG_GC => {
-                let gc: LogGc = from_bytes(&msg.data)?;
-                let dst = msg.from;
-                let mut log = self.log.lock();
-                Metrics::max(&self.metrics.log_live_bytes, log.peak_bytes());
-                for (comm, upto) in gc.channels {
-                    let (entries, bytes) = log.gc(ChannelId::new(self.me, dst, CommId(comm)), upto);
-                    Metrics::add(&self.metrics.log_pruned_msgs, entries);
-                    Metrics::add(&self.metrics.log_pruned_bytes, bytes);
-                    ctx.recorder().record(|| Event::LogGc { dst, comm, upto, entries });
-                }
-                Ok(())
+                Metrics::max(&self.metrics.log_live_bytes, self.log.lock().peak_bytes());
+                self.recover(ctx, rec::Input::LogGc(msg.from, from_bytes(&msg.data)?)).map(drop)
             }
-            KIND_GRANT => self.on_grant(ctx),
+            KIND_GRANT => self.recover(ctx, rec::Input::Grant).map(drop),
             other => Err(MpiError::invalid(format!("unknown SPBC ctrl kind {other}"))),
         }
     }
 
     fn on_transfer_complete(&mut self, ctx: &mut FtCtx<'_>, token: u64) -> Result<()> {
-        if self.granted_token == Some(token) {
-            self.granted_token = None;
-            self.awaiting_grant = None;
-            if let ReplayPolicy::Coordinated { coordinator } = self.cfg.replay_policy {
-                self.ctrl(ctx, coordinator, KIND_GRANT_DONE, Vec::new());
-            }
-            self.pump_replay(ctx);
-        } else if self.replay.complete(token) {
-            self.replay.pump(ctx);
-        }
-        Ok(())
+        self.recover(ctx, rec::Input::TransferComplete(token)).map(drop)
     }
 
     fn checkpoint_begin(

@@ -10,240 +10,18 @@
 //! send-order (the §5.2.2 send-order log, materialized by
 //! [`crate::log::MessageLog::replay_set`]); eager replays complete
 //! immediately, rendezvous replays occupy a window slot until their payload
-//! ships.
+//! ships. The queues are per destination, not per channel: a per-channel
+//! queue would reorder replays across communicators.
 //!
 //! While a destination has queued replays, *new* application sends to it must
 //! be appended to its queue rather than transmitted directly — otherwise a
 //! fresh envelope could overtake a windowed replay on the same channel and
 //! the receiver's per-channel duplicate filter would discard the late
 //! replay as stale.
-
-use mini_mpi::envelope::Message;
-use mini_mpi::ft::FtCtx;
-use mini_mpi::recorder::Event;
-use mini_mpi::types::RankId;
-use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::Arc;
-use std::time::Instant;
+//!
+//! The queues and the window are part of the recovery state
+//! (`recovery::Recovery`), whose transition function releases each
+//! message.
 
 /// Default pre-post window (the paper's empirically chosen value).
 pub const DEFAULT_REPLAY_WINDOW: usize = 50;
-
-/// Per-rank replay state.
-pub struct ReplayEngine {
-    queues: BTreeMap<RankId, VecDeque<Message>>,
-    outstanding: HashSet<u64>,
-    window: usize,
-    replayed_msgs: u64,
-    replayed_bytes: u64,
-    /// Messages released in the current replay round (reset when every
-    /// queue drains). Drives [`Self::progress_frac`] for chaos triggers.
-    round_released: u64,
-    /// When each destination's replay queue was (re)installed — the drain
-    /// instant minus this is the `restore_replay` phase duration.
-    queued_at: BTreeMap<RankId, Instant>,
-    /// Observability sink for per-destination drain latencies (optional so
-    /// unit tests can run the engine bare).
-    metrics: Option<Arc<crate::metrics::Metrics>>,
-}
-
-impl ReplayEngine {
-    /// Engine with the given pre-post window (>= 1).
-    pub fn new(window: usize) -> Self {
-        ReplayEngine {
-            queues: BTreeMap::new(),
-            outstanding: HashSet::new(),
-            window: window.max(1),
-            replayed_msgs: 0,
-            replayed_bytes: 0,
-            round_released: 0,
-            queued_at: BTreeMap::new(),
-            metrics: None,
-        }
-    }
-
-    /// Attach the metrics sink the engine reports replay-drain latencies to.
-    pub fn set_metrics(&mut self, metrics: Arc<crate::metrics::Metrics>) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Replace the queue for `dst` with a fresh replay set (a new Rollback
-    /// supersedes any stale entries from a previous recovery of the same
-    /// peer).
-    pub fn set_queue(&mut self, dst: RankId, msgs: Vec<Message>) {
-        self.queues.insert(dst, msgs.into());
-        self.queued_at.insert(dst, Instant::now());
-    }
-
-    /// A destination's queue fully drained: record the replay duration.
-    fn note_drained(&mut self, dst: RankId) {
-        if let (Some(m), Some(t0)) = (&self.metrics, self.queued_at.remove(&dst)) {
-            m.phase.record(crate::hist::Phase::RestoreReplay, t0.elapsed().as_micros() as u64);
-        }
-    }
-
-    /// Append one message to `dst`'s queue (ordering fence for new
-    /// application sends during an active replay).
-    pub fn enqueue(&mut self, dst: RankId, msg: Message) {
-        self.queues.entry(dst).or_default().push_back(msg);
-    }
-
-    /// Is a replay towards `dst` still queued?
-    pub fn has_queued(&self, dst: RankId) -> bool {
-        self.queues.get(&dst).is_some_and(|q| !q.is_empty())
-    }
-
-    /// Total queued messages.
-    pub fn queued_len(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
-    }
-
-    /// In-flight rendezvous replays.
-    pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// A windowed transfer completed (CTS arrived, payload shipped).
-    /// Returns true if the token belonged to this engine.
-    pub fn complete(&mut self, token: u64) -> bool {
-        self.outstanding.remove(&token)
-    }
-
-    /// Peer `dst` restarted again: drop its queue and forget in-flight
-    /// tokens towards it (the caller already cancelled them in the
-    /// transport).
-    pub fn forget_dst(&mut self, dst: RankId, cancelled_tokens: &[u64]) {
-        self.queues.remove(&dst);
-        self.queued_at.remove(&dst);
-        for t in cancelled_tokens {
-            self.outstanding.remove(t);
-        }
-    }
-
-    /// Head of the next non-empty queue (rank order): destination and the
-    /// message's Lamport timestamp. Used by the coordinated (HydEE) policy.
-    pub fn peek_next(&self) -> Option<(RankId, u64)> {
-        self.queues
-            .iter()
-            .find(|(_, q)| !q.is_empty())
-            .map(|(&dst, q)| (dst, q.front().expect("non-empty").env.lamport))
-    }
-
-    /// Pop the head of `dst`'s queue (coordinated policy, after a grant).
-    pub fn pop_front_of(&mut self, dst: RankId) -> Option<Message> {
-        let msg = self.queues.get_mut(&dst)?.pop_front();
-        if msg.is_some() {
-            self.replayed_msgs += 1;
-            self.round_released += 1;
-            self.replayed_bytes += msg.as_ref().map_or(0, |m| m.payload.len() as u64);
-            if !self.has_queued(dst) {
-                self.note_drained(dst);
-            }
-        }
-        msg
-    }
-
-    /// Fraction of the current replay round already released:
-    /// `released / (released + still queued)`. 0.0 before anything moved,
-    /// 1.0 once the round drains. Chaos [`FailureTrigger::ReplayProgress`]
-    /// triggers key on this value.
-    ///
-    /// [`FailureTrigger::ReplayProgress`]: mini_mpi::failure::FailureTrigger
-    pub fn progress_frac(&self) -> f64 {
-        let queued = self.queued_len() as f64;
-        let released = self.round_released as f64;
-        if released + queued == 0.0 {
-            0.0
-        } else {
-            released / (released + queued)
-        }
-    }
-
-    /// Transmit as many queued replays as the window allows.
-    pub fn pump(&mut self, ctx: &mut FtCtx<'_>) {
-        loop {
-            if self.outstanding.len() >= self.window {
-                return;
-            }
-            // First destination with work, in rank order (deterministic).
-            let Some((&dst, _)) = self.queues.iter().find(|(_, q)| !q.is_empty()) else {
-                self.queues.clear();
-                self.round_released = 0;
-                return;
-            };
-            let msg =
-                self.queues.get_mut(&dst).and_then(VecDeque::pop_front).expect("non-empty queue");
-            self.replayed_msgs += 1;
-            self.round_released += 1;
-            self.replayed_bytes += msg.payload.len() as u64;
-            // Chaos window: a *survivor* dying part-way through replaying
-            // its log at a recovering cluster (the "kill during another
-            // cluster's recovery" family). The kill flag is set; the rank
-            // unwinds at its next runtime call, so stop pumping here.
-            if ctx.chaos_replay_hook(self.progress_frac()) {
-                return;
-            }
-            ctx.recorder().record(|| Event::Replay {
-                dst,
-                comm: msg.env.comm.0,
-                seqnum: msg.env.seqnum,
-            });
-            if !self.has_queued(dst) {
-                ctx.recorder().record(|| Event::ReplayDrained { dst });
-                self.note_drained(dst);
-            }
-            if let Some(token) = ctx.ft_send_message(msg) {
-                self.outstanding.insert(token);
-            }
-        }
-    }
-
-    /// Messages replayed so far.
-    pub fn replayed_msgs(&self) -> u64 {
-        self.replayed_msgs
-    }
-
-    /// Bytes replayed so far.
-    pub fn replayed_bytes(&self) -> u64 {
-        self.replayed_bytes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::log::make_msg;
-
-    #[test]
-    fn queue_bookkeeping() {
-        let mut e = ReplayEngine::new(50);
-        assert!(!e.has_queued(RankId(1)));
-        e.set_queue(RankId(1), vec![make_msg(0, 1, 1, b"a"), make_msg(0, 1, 2, b"b")]);
-        e.enqueue(RankId(1), make_msg(0, 1, 3, b"c"));
-        assert!(e.has_queued(RankId(1)));
-        assert_eq!(e.queued_len(), 3);
-        e.set_queue(RankId(1), vec![make_msg(0, 1, 9, b"z")]);
-        assert_eq!(e.queued_len(), 1, "set_queue replaces stale entries");
-    }
-
-    #[test]
-    fn complete_and_forget() {
-        let mut e = ReplayEngine::new(2);
-        e.outstanding.insert(10);
-        e.outstanding.insert(11);
-        assert!(e.complete(10));
-        assert!(!e.complete(10));
-        e.set_queue(RankId(3), vec![make_msg(0, 3, 1, b"x")]);
-        e.forget_dst(RankId(3), &[11]);
-        assert_eq!(e.outstanding_len(), 0);
-        assert!(!e.has_queued(RankId(3)));
-    }
-
-    #[test]
-    fn window_floor_is_one() {
-        let e = ReplayEngine::new(0);
-        assert_eq!(e.window, 1);
-    }
-
-    // pump() needs a live FtCtx; exercised by the recovery integration tests.
-}

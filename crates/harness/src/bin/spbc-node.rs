@@ -13,6 +13,10 @@
 //!           [--plan RANK:NTH]...
 //! ```
 //!
+//! The flight recorder is on: at the first rank error the node writes the
+//! dump to `node-<n>-e<epoch>.flight` beside its stderr, in the run
+//! directory (`--sock`'s).
+//!
 //! Process-mode checkpoint storage is pinned to full blobs (CDC off, EC
 //! off): CAS chunks and parity shards live in process memory and die with
 //! the process, so a respawned node could not resolve them. Full blobs on
@@ -24,9 +28,14 @@ use mini_mpi::types::RankId;
 use mini_mpi::{NodeOpts, Runtime};
 use spbc_apps::{AppParams, Workload};
 use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider, Storage};
+use spbc_harness::proc::flight_path;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Flight-recorder events kept per rank: the dump at a rank error shows the
+/// newest 32 of them.
+const FLIGHT_EVENTS: usize = 256;
 
 fn usage() -> ! {
     eprintln!(
@@ -123,6 +132,8 @@ fn main() {
         epoch: a.epoch,
         first_rank: (a.node as usize * per) as u32,
         hosted: per,
+        // Beside this incarnation's stderr, in the run directory.
+        flight_dump: a.sock.parent().map(|dir| flight_path(dir, a.node as usize, a.epoch)),
     };
     // Full-blob-only storage: the only checkpoint representation a fresh
     // process can restore without the dead incarnation's in-memory state.
@@ -141,7 +152,9 @@ fn main() {
     let params =
         AppParams { iters: a.iters, elems: a.elems, compute: 1, seed: a.seed, sleep_us: 0 };
     let app = a.workload.build(params);
-    let rt_cfg = RuntimeConfig::new(a.world).with_deadlock_timeout(a.timeout);
+    let rt_cfg = RuntimeConfig::new(a.world)
+        .with_deadlock_timeout(a.timeout)
+        .with_flight_recorder(FLIGHT_EVENTS);
     if let Err(e) = Runtime::run_node(rt_cfg, &opts, Arc::new(provider), app, a.plans) {
         eprintln!("spbc-node {}: {e}", a.node);
         std::process::exit(1);

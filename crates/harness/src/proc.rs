@@ -18,9 +18,11 @@
 //! a native in-process baseline of the same seed.
 //!
 //! Each node incarnation writes its stderr to `node-<n>-e<epoch>.stderr` in
-//! the run directory. A run that ends unclean keeps that directory and its
-//! first error carries the directory's path and the tail of every node's
-//! stderr, so a failure in one node is not lost among the others.
+//! the run directory, and at its first rank error its flight-recorder dump
+//! to `node-<n>-e<epoch>.flight`. A run that ends unclean keeps that
+//! directory and its first error carries the directory's path, the tail of
+//! every node's stderr and each node's newest dump, so a failure in one node
+//! is not lost among the others.
 
 use mini_mpi::transport::frame::{read_frame, write_frame, Frame, NodeEvent};
 use spbc_apps::Workload;
@@ -199,14 +201,19 @@ fn stderr_path(dir: &Path, node: usize, epoch: u32) -> PathBuf {
     dir.join(format!("node-{node}-e{epoch}.stderr"))
 }
 
+/// Where node `node`'s incarnation `epoch` writes its flight-recorder dump.
+pub fn flight_path(dir: &Path, node: usize, epoch: u32) -> PathBuf {
+    dir.join(format!("node-{node}-e{epoch}.flight"))
+}
+
 /// How many of a node's incarnations (the newest that wrote anything) an
 /// unclean run's error quotes; a respawn loop must not bury the rest.
 const STDERR_INCARNATIONS: usize = 3;
 
 /// The last [`STDERR_TAIL_LINES`] lines of the newest
 /// [`STDERR_INCARNATIONS`] non-empty stderr files of each node in `dir`
-/// (`epochs[n]` is node `n`'s latest incarnation), each under a header
-/// naming the file.
+/// (`epochs[n]` is node `n`'s latest incarnation), then the node's newest
+/// flight dump, each under a header naming the file.
 fn stderr_tails(dir: &Path, epochs: &[u32]) -> String {
     let mut out = String::new();
     for (node, &last) in epochs.iter().enumerate() {
@@ -235,6 +242,13 @@ fn stderr_tails(dir: &Path, epochs: &[u32]) -> String {
                 out.push('\n');
                 out.push_str(line);
             }
+        }
+        let mut newest = (0..=last).rev().map(|epoch| flight_path(dir, node, epoch));
+        if let Some((dump, path)) =
+            newest.find_map(|p| Some((std::fs::read_to_string(&p).ok()?, p)))
+        {
+            out.push_str(&format!("\n--- node {node} flight dump ({}) ---\n", path.display()));
+            out.push_str(dump.trim_end());
         }
     }
     out

@@ -214,3 +214,44 @@ fn node_killed_on_every_start_hits_the_respawn_cap() {
     assert_eq!(spawns, MAX_RESPAWNS as usize + 1, "node 2's spawns");
     std::fs::remove_dir_all(dir).unwrap();
 }
+
+/// A rank that stalls in node mode leaves its flight dump: node 2 is
+/// replaced by a script that never connects, so the real nodes' ranks wait
+/// on its ranks until their 1 s deadlock timeout. The first node to report
+/// the error has written `node-<n>-e0.flight`, and the run's error quotes
+/// it beside the stderr tails.
+#[test]
+fn a_stalled_rank_leaves_its_flight_dump_in_the_error() {
+    use std::os::unix::fs::PermissionsExt;
+    let script = std::env::temp_dir().join(format!("spbc-mute-node-{}.sh", std::process::id()));
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\ncase \" $* \" in\n  *\" --node 2 \"*) exec sleep 8 ;;\n\
+             esac\nexec '{}' \"$@\"\n",
+            env!("CARGO_BIN_EXE_spbc-node")
+        ),
+    )
+    .unwrap();
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let mut cfg = ProcConfig::new(Workload::MiniGhost, 5);
+    cfg.node_bin = Some(script.clone());
+    cfg.node_timeout = Duration::from_secs(1);
+    cfg.deadline = Duration::from_secs(30);
+    let err = run_multiproc(&cfg).unwrap().ok().unwrap_err();
+    let _ = std::fs::remove_file(&script);
+    assert!(!err.contains("coordinator deadline exceeded"), "{err}");
+    assert!(err.contains("flight dump (") && err.contains(".flight) ---"), "{err}");
+    assert!(err.contains("=== flight recorder dump ==="), "{err}");
+    assert!(err.contains("events recorded"), "{err}");
+    let dir = err
+        .split("(run directory kept: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no run directory in: {err}"));
+    let dir = std::path::Path::new(dir);
+    let dumps = [0, 1, 3].iter().filter(|n| dir.join(format!("node-{n}-e0.flight")).is_file());
+    assert!(dumps.count() >= 1, "no node wrote its dump");
+    assert!(!dir.join("node-2-e0.flight").exists(), "node 2 never ran");
+    std::fs::remove_dir_all(dir).unwrap();
+}

@@ -396,6 +396,10 @@ pub struct NodeOpts {
     pub first_rank: u32,
     /// Number of (contiguous) ranks hosted here.
     pub hosted: usize,
+    /// Where the node writes its flight-recorder dump (the newest 32 events
+    /// of each rank), once, at its first rank error. Needs
+    /// [`RuntimeConfig::flight_recorder`](crate::config::RuntimeConfig).
+    pub flight_dump: Option<std::path::PathBuf>,
 }
 
 impl Runtime {
@@ -461,7 +465,7 @@ impl Runtime {
             provider,
             app,
             service: None,
-            flight,
+            flight: Arc::clone(&flight),
         };
         let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(opts.hosted);
         for (&r, mb) in hosted.iter().zip(mailboxes.drain(..)) {
@@ -469,6 +473,7 @@ impl Runtime {
         }
 
         let poll = Duration::from_millis(25);
+        let mut dump_to = opts.flight_dump.as_ref().filter(|_| flight.enabled());
         let outcome = loop {
             if uds.shutdown_requested() {
                 break Ok(());
@@ -484,6 +489,11 @@ impl Runtime {
                     }
                 }
                 Ok(RuntimeEvent::Error { rank, message }) => {
+                    if let Some(path) = dump_to.take() {
+                        if let Err(e) = std::fs::write(path, flight.dump(32)) {
+                            eprintln!("flight dump {}: {e}", path.display());
+                        }
+                    }
                     // Report and keep pumping: the coordinator decides
                     // whether the run is over.
                     let _ =

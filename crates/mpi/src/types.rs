@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// Ranks are dense integers `0..world_size`. Service ranks (e.g. the HydEE
 /// coordinator) live *above* the world: `world_size..world_size+services`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RankId(pub u32);
 
 impl RankId {
