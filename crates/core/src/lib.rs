@@ -45,4 +45,9 @@ pub use hist::{Hist, HistSnapshot, Phase, PhaseHists, PhaseSnapshot};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use pattern::{PatternId, Patterns};
 pub use protocol::{ReplayPolicy, SpbcConfig, SpbcLayer, SpbcProvider, Storage};
+/// The rows of the recovery transition table: the failure sites
+/// [`mini_mpi::failure::FailureTrigger::AtTransition`] plans name.
+pub use recovery::ROWS as RECOVERY_ROWS;
 pub use sampler::MetricsSampler;
+/// The rows of the checkpoint-wave transition table, as [`RECOVERY_ROWS`].
+pub use wave::ROWS as WAVE_ROWS;

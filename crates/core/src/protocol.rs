@@ -430,13 +430,16 @@ impl SpbcLayer {
         self.clusters.cluster_of(peer) == self.cluster
     }
 
-    /// Step the wave with `input` and execute the actions. An action that
-    /// yields an input (the encoded cut, the replica frames) steps it next.
+    /// Step the wave with `input`, pass the row's failure site, and execute
+    /// the actions. An action that yields an input (the encoded cut, the
+    /// replica frames, the durable copy) steps it next.
     fn drive(&mut self, ctx: &mut FtCtx<'_>, input: Input) -> Result<()> {
         let mut next = Some(input);
         while let Some(input) = next.take() {
-            let (wave, actions) = std::mem::take(&mut self.wave).step(input, Instant::now())?;
+            let (wave, row, actions) =
+                std::mem::take(&mut self.wave).step(input, Instant::now())?;
             self.wave = wave;
+            row.map_or(Ok(()), |row| ctx.chaos_transition(row))?;
             for action in actions {
                 next = self.exec(ctx, action)?.or(next);
             }
@@ -447,7 +450,6 @@ impl SpbcLayer {
     fn exec(&mut self, ctx: &mut FtCtx<'_>, action: Action) -> Result<Option<Input>> {
         match action {
             Action::Ctrl(to, kind, body) => self.ctrl(ctx, to, kind, body),
-            Action::Hook(hook) => ctx.chaos_ckpt_hook(hook)?,
             Action::Record(event) => ctx.recorder().record(|| event),
             Action::Phase(epoch, phase, us) => self.record_phase(ctx, epoch, phase, us),
             Action::Encode(epoch, body) => return self.encode_cut(ctx, epoch, body).map(Some),
@@ -471,7 +473,10 @@ impl SpbcLayer {
             // The ACK means "durable": its RESUME lets storage and the logs
             // drop what the wave covers. What is left of a disk store's
             // write, which ran behind replication, is paid here.
-            Action::Flush => self.service.flush_rank(self.me)?,
+            Action::Flush => {
+                self.service.flush_rank(self.me)?;
+                return Ok(Some(Input::Flushed));
+            }
             Action::Ack(leader, epoch) => {
                 self.ctrl(ctx, leader, KIND_CKPT_ACK, to_bytes(&epoch));
                 Metrics::add(&self.metrics.checkpoints, 1);
@@ -502,17 +507,19 @@ impl SpbcLayer {
         Ok(None)
     }
 
-    /// Step recovery with `input` and execute its actions depth-first: a
-    /// replay send's [`rec::Input::Sent`] is stepped, and its actions run,
-    /// before the rest of the step that sent it. Returns the send or arrival
-    /// verdict (`true` for Forward/Deliver).
+    /// Step recovery with `input`, pass the row's failure site, and execute
+    /// its actions depth-first: a replay send's [`rec::Input::Sent`] is
+    /// stepped, and its actions run, before the rest of the step that sent
+    /// it. Returns the send or arrival verdict (`true` for Forward/Deliver).
     fn recover(&mut self, ctx: &mut FtCtx<'_>, input: rec::Input) -> Result<bool> {
         let (mut todo, mut next, mut pass) = (VecDeque::new(), Some(input), true);
         loop {
             if let Some(input) = next.take() {
                 let state = std::mem::take(&mut self.recovery);
-                let (state, actions) = state.step(&mut self.log.lock(), input, Instant::now())?;
+                let (state, row, actions) =
+                    state.step(&mut self.log.lock(), input, Instant::now())?;
                 self.recovery = state;
+                row.map_or(Ok(()), |row| ctx.chaos_transition(row))?;
                 actions.into_iter().rev().for_each(|a| todo.push_front(a));
             }
             let Some(action) = todo.pop_front() else { return Ok(pass) };
@@ -522,14 +529,7 @@ impl SpbcLayer {
                 rec::Action::Count(counter, n) => Metrics::add(counter(&self.metrics), n),
                 rec::Action::Forward | rec::Action::Deliver => pass = true,
                 rec::Action::Suppress | rec::Action::Drop => pass = false,
-                rec::Action::ReplaySend { msg, frac, drained_us } => {
-                    // Chaos window: a survivor dying part-way through its
-                    // replay. The kill flag is set and the rank unwinds at
-                    // its next runtime call; without `Sent`, nothing more
-                    // is replayed here.
-                    if ctx.chaos_replay_hook(frac) {
-                        continue;
-                    }
+                rec::Action::ReplaySend { msg, drained_us } => {
                     let (dst, comm, seqnum) = (msg.env.dst, msg.env.comm.0, msg.env.seqnum);
                     ctx.recorder().record(|| Event::Replay { dst, comm, seqnum });
                     Metrics::add(&self.metrics.replayed_msgs, 1);
@@ -768,9 +768,11 @@ impl FtLayer for SpbcLayer {
             bytes: env.plen,
         });
         let msg = || Message { env: *env, payload: payload.clone() };
+        // A chaos kill at the row sends nothing: the raised kill flag
+        // unwinds the rank at its next runtime call.
         match held.then(|| self.recover(ctx, rec::Input::Send(msg()))) {
             None | Some(Ok(true)) => SendAction::Forward,
-            Some(Ok(false)) => SendAction::Suppress,
+            Some(Ok(false) | Err(MpiError::Killed)) => SendAction::Suppress,
             Some(Err(e)) => panic!("{e}"),
         }
     }
@@ -786,7 +788,7 @@ impl FtLayer for SpbcLayer {
         }
         match self.recover(ctx, rec::Input::Arrival(*env, lr)) {
             Ok(true) => ArrivalAction::Deliver,
-            Ok(false) => ArrivalAction::Drop,
+            Ok(false) | Err(MpiError::Killed) => ArrivalAction::Drop,
             Err(e) => panic!("{e}"),
         }
     }

@@ -1,6 +1,7 @@
 //! Recovery (Algorithm 1, lines 16-26, with the rendezvous refinements of
 //! DESIGN.md §5) as one pure function, [`Recovery::step`]: `(state, log,
-//! input, now)` to the next state and the [`Action`]s the layer executes.
+//! input, now)` to the next state, the row of [`ROWS`] it took, and the
+//! [`Action`]s the layer executes.
 //! It reads no runtime and no clock: what it needs from the runtime arrives
 //! in the input, and the sender log is the one structure it reads and
 //! writes. An input the state cannot take is an error naming both. DESIGN.md
@@ -21,6 +22,22 @@ use mini_mpi::wire::to_bytes;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
+
+/// The rows of recovery's transition table, one per input: every step that
+/// emits an action takes its input's row, and the layer passes a failure
+/// site there. A step that emits nothing (a completion of no replay's
+/// transfer, a grant request's rendezvous token) takes none.
+pub const ROWS: &[&str] = &[
+    "recovery/Start",
+    "recovery/Rollback",
+    "recovery/LastMessage",
+    "recovery/Grant",
+    "recovery/Sent",
+    "recovery/TransferComplete",
+    "recovery/LogGc",
+    "recovery/Send",
+    "recovery/Arrival",
+];
 
 /// A rank's watermarks on the channels to or from one peer, per communicator.
 pub type Marks = BTreeMap<CommId, u64>;
@@ -97,12 +114,10 @@ pub enum Input {
 pub enum Action {
     /// A recovery control frame (counted in `ctrl_msgs`).
     Ctrl(RankId, u16, Vec<u8>),
-    /// Re-send a queued message; yields [`Input::Sent`]. `frac` of the
-    /// round is released (the chaos replay hook's input), and `drained_us`
-    /// is set when this empties a queue a Rollback filled (`restore_replay`).
+    /// Re-send a queued message; yields [`Input::Sent`]. `drained_us` is
+    /// set when this empties a queue a Rollback filled (`restore_replay`).
     ReplaySend {
         msg: Message,
-        frac: f64,
         drained_us: Option<u64>,
     },
     /// The send verdicts.
@@ -137,8 +152,6 @@ pub struct Recovery {
     /// Rendezvous replays holding a window slot.
     outstanding: BTreeSet<u64>,
     window: usize,
-    /// Messages released this round (reset when every queue drains).
-    released: u64,
 }
 
 impl Recovery {
@@ -166,14 +179,26 @@ impl Recovery {
         })
     }
 
-    /// The state after `input` at `now`, and what the layer must do for it.
+    /// The state after `input` at `now`, the row it took (`None` when it
+    /// emits nothing), and what the layer must do for it.
     pub fn step(
         mut self,
         log: &mut MessageLog,
         input: Input,
         now: Instant,
-    ) -> Result<(Recovery, Out)> {
+    ) -> Result<(Recovery, Option<&'static str>, Out)> {
         let mut out = Vec::new();
+        let row = match input {
+            Input::Start { .. } => "recovery/Start",
+            Input::Rollback { .. } => "recovery/Rollback",
+            Input::LastMessage(..) => "recovery/LastMessage",
+            Input::Grant => "recovery/Grant",
+            Input::Sent(_) => "recovery/Sent",
+            Input::TransferComplete(_) => "recovery/TransferComplete",
+            Input::LogGc(..) => "recovery/LogGc",
+            Input::Send(_) => "recovery/Send",
+            Input::Arrival(..) => "recovery/Arrival",
+        };
         match input {
             Input::Start { epoch, .. } if self.epoch != 0 || epoch == 0 => {
                 return Err(self.refuse(&format!("Start(epoch {epoch})")));
@@ -327,7 +352,8 @@ impl Recovery {
                 }
             }
         }
-        Ok((self, out))
+        let row = (!out.is_empty()).then_some(row);
+        Ok((self, row, out))
     }
 
     /// Release queued replays: under the window, the next message, in rank
@@ -337,7 +363,7 @@ impl Recovery {
         match (self.coordinator, head) {
             (None, _) if self.outstanding.len() >= self.window => {}
             (None, Some((dst, _))) => out.extend(self.release(dst, now)),
-            (None, None) => (self.queues, self.released) = (BTreeMap::new(), 0),
+            (None, None) => self.queues = BTreeMap::new(),
             (Some(coordinator), Some((dst, lamport))) if self.grant == Grant::Idle => {
                 self.grant = Grant::Requested(dst);
                 out.push(Action::Ctrl(coordinator, KIND_GRANT_REQ, to_bytes(&lamport)));
@@ -352,10 +378,7 @@ impl Recovery {
         let msg = q.0.pop_front()?;
         let drained = if q.0.is_empty() { q.1.take() } else { None };
         let drained_us = drained.map(|t0| now.saturating_duration_since(t0).as_micros() as u64);
-        self.released += 1;
-        let left: usize = self.queues.values().map(|q| q.0.len()).sum();
-        let frac = self.released as f64 / (self.released as usize + left) as f64;
-        Some(Action::ReplaySend { msg, frac, drained_us })
+        Some(Action::ReplaySend { msg, drained_us })
     }
 
     /// The granted replay left: release the grant and request the next.
@@ -422,6 +445,23 @@ mod tests {
     use mini_mpi::wire::from_bytes;
 
     const COORDINATOR: RankId = RankId(9);
+
+    thread_local! {
+        /// The rows this thread's steps took.
+        static TAKEN: std::cell::RefCell<BTreeSet<&'static str>> = Default::default();
+    }
+
+    /// A step's outcome, checking that it takes a listed row exactly when
+    /// it emits.
+    fn checked(step: Result<(Recovery, Option<&'static str>, Out)>) -> Result<(Recovery, Out)> {
+        let (rec, row, out) = step?;
+        assert_eq!(row.is_some(), !out.is_empty(), "{row:?}: {out:?}");
+        if let Some(row) = row {
+            assert!(ROWS.contains(&row), "{row} is not in ROWS");
+            TAKEN.with(|t| t.borrow_mut().insert(row));
+        }
+        Ok((rec, out))
+    }
 
     fn r(i: usize) -> RankId {
         RankId(i as u32)
@@ -499,7 +539,7 @@ mod tests {
             seen: HashMap::from([((r(1 - me), COMM_WORLD), seen)]),
             owed: owed.iter().map(|&s| (chan, s)).collect(),
         };
-        let (rec, out) = rec.step(&mut log, start, Instant::now()).expect("start");
+        let (rec, out) = checked(rec.step(&mut log, start, Instant::now())).expect("start");
         let (seen, regen) = (Marks::from([(COMM_WORLD, seen)]), regen.iter().copied().collect());
         (Node { rec, log, seen, rdv: Vec::new(), regen, got: Vec::new() }, out)
     }
@@ -517,7 +557,7 @@ mod tests {
                 if let Some(input) = next.take() {
                     let n = &mut self.nodes[i];
                     let (rec, out) =
-                        std::mem::take(&mut n.rec).step(&mut n.log, input, self.now)?;
+                        checked(std::mem::take(&mut n.rec).step(&mut n.log, input, self.now))?;
                     n.rec = rec;
                     out.into_iter().rev().for_each(|a| todo.push_front(a));
                 }
@@ -772,7 +812,7 @@ mod tests {
     }
 
     fn step(rec: Recovery, log: &mut MessageLog, input: Input) -> (Recovery, Vec<Action>) {
-        rec.step(log, input, Instant::now()).unwrap_or_else(|e| panic!("{e}"))
+        checked(rec.step(log, input, Instant::now())).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn sends(out: &[Action]) -> Vec<u64> {
@@ -829,8 +869,8 @@ mod tests {
         assert!(matches!(out.as_slice(), [Action::Suppress]), "fenced: {out:?}");
         let out;
         (rec, out) = step(rec, &mut log, Input::TransferComplete(20));
-        let Action::ReplaySend { frac, drained_us, .. } = &out[0] else { panic!("{out:?}") };
-        assert_eq!((sends(&out), *frac, *drained_us), (vec![4], 0.75, None));
+        let Action::ReplaySend { drained_us, .. } = &out[0] else { panic!("{out:?}") };
+        assert_eq!((sends(&out), *drained_us), (vec![4], None));
         let out;
         (rec, out) = step(rec, &mut log, Input::TransferComplete(99));
         assert!(out.is_empty(), "not a replay token");
@@ -843,8 +883,8 @@ mod tests {
         (rec, out) = step(rec, &mut log, rollback(&rb, vec![21]));
         assert_eq!(sends(&out), [4]);
         let (rec, out) = step(rec, &mut log, Input::Sent(None));
-        let Action::ReplaySend { frac, drained_us, .. } = &out[0] else { panic!("{out:?}") };
-        assert_eq!((sends(&out), *frac, drained_us.is_some()), (vec![5], 1.0, true));
+        let Action::ReplaySend { drained_us, .. } = &out[0] else { panic!("{out:?}") };
+        assert_eq!((sends(&out), drained_us.is_some()), (vec![5], true));
         let (rec, out) = step(rec, &mut log, Input::Sent(None));
         assert!(out.is_empty() && !rec.holds(&msg(1, (0, 6)).env));
     }
@@ -885,5 +925,23 @@ mod tests {
         let (rec, out) = step(rec, &mut log, rollback(2, vec![8]));
         assert_eq!(ctrl_kinds(&out), [KIND_GRANT_DONE, KIND_LASTMSG, KIND_GRANT_REQ]);
         assert_eq!(rec.grant, Grant::Requested(r(0)));
+    }
+
+    /// The row list cannot rot: every row a step takes is listed (checked
+    /// in `checked`), and the explorer and the policy tests take every
+    /// listed row. No test here sends a log-GC notice: one step takes it.
+    #[test]
+    fn every_listed_row_is_taken() {
+        every_order_of_a_concurrent_recovery_delivers_each_message_once();
+        the_window_holds_rendezvous_replays_and_fences_fresh_sends();
+        coordinated_replays_take_one_grant_each();
+        let mut log = MessageLog::new();
+        log.append(msg(0, (0, 1)));
+        let gc = Input::LogGc(r(1), LogGc { channels: vec![(0, 1)] });
+        step(fresh(false), &mut log, gc);
+        let taken = TAKEN.with(|t| t.borrow().clone());
+        let untaken: Vec<_> = ROWS.iter().filter(|r| !taken.contains(*r)).collect();
+        assert!(untaken.is_empty(), "never taken: {untaken:?}");
+        assert_eq!(taken.len(), ROWS.len(), "ROWS lists a row twice");
     }
 }

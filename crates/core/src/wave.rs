@@ -1,8 +1,8 @@
 //! One checkpoint wave (Algorithm 1, lines 13-15) as two state machines and
 //! one pure function, [`Wave::step`]: `(state, input, now)` to the next
-//! state and the [`Action`]s the layer executes. It reads no clock, store or
-//! runtime; an input the state cannot take is an error naming both.
-//! DESIGN.md §5 has the transition table.
+//! state, the row of [`ROWS`] it took, and the [`Action`]s the layer
+//! executes. It reads no clock, store or runtime; an input the state cannot
+//! take is an error naming both. DESIGN.md §5 has the transition table.
 
 use crate::ctrl::{
     CkptCounts, LogGc, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL, KIND_CKPT_REPORT,
@@ -10,7 +10,6 @@ use crate::ctrl::{
 };
 use crate::hist::Phase;
 use mini_mpi::error::{MpiError, Result};
-use mini_mpi::failure::CkptHook;
 use mini_mpi::recorder::{CkptPhase, Event};
 use mini_mpi::types::RankId;
 use mini_mpi::wire::to_bytes;
@@ -21,6 +20,31 @@ use std::time::Instant;
 
 /// µs a member waits for BLOB_ACKs before re-pushing (to partners killed mid-wave).
 pub const REPL_RETRY_US: u64 = 250_000;
+
+/// The rows of the wave's transition table, `side/state/input`: every step
+/// that emits an action takes one, and the layer passes a failure site
+/// there. `member/Idle/Call(open)` opens a wave from `Resumed` too (its
+/// RELEASE first); a step that emits nothing (a call that is not due, an
+/// idle tick, a duplicate BLOB_ACK) takes none.
+pub const ROWS: &[Row] = &[
+    "member/Idle/Call(open)",
+    "member/Resumed/Call",
+    "member/Quiescing/Poll",
+    "member/Quiescing/Commit",
+    "member/Writing/Encoded",
+    "member/Writing/Replicas",
+    "member/Replicating/BlobAck",
+    "member/Replicating/ChunkReq",
+    "member/Replicating/Tick",
+    "member/Flushing/Flushed",
+    "member/AwaitingResume/Resume",
+    "leader/Counting/Join",
+    "leader/Counting/Report",
+    "leader/Committing/Ack",
+];
+
+/// A row of [`ROWS`].
+pub type Row = &'static str;
 
 /// The log-GC notices of a member's committed cut
 /// ([`crate::store::CheckpointData::log_gc_notices`]), sent at RESUME.
@@ -50,6 +74,8 @@ pub enum Member {
     Writing { epoch: u64, notices: Option<Notices> },
     /// Frames pushed; awaiting every BLOB_ACK.
     Replicating(Repl),
+    /// Transient, within one step: the own copy is being made durable.
+    Flushing { epoch: u64, notices: Notices, since: Instant },
     /// Own copy durable, ACK sent; awaiting RESUME.
     AwaitingResume { epoch: u64, notices: Notices, since: Instant },
     /// RESUME received. The next call, not RESUME, releases the partners'
@@ -94,6 +120,8 @@ pub enum Input {
     BlobAck(RankId, RankId, u64),
     /// `(partner, owner, epoch, missing)` of a CHUNK_REQ.
     ChunkReq(RankId, RankId, u64, Vec<u32>),
+    /// [`Action::Flush`] made the own copy durable.
+    Flushed,
 }
 
 /// What the layer does for a transition, in order.
@@ -101,8 +129,6 @@ pub enum Input {
 pub enum Action {
     /// A wave control frame (counted in `ctrl_msgs`).
     Ctrl(RankId, u16, Vec<u8>),
-    /// A chaos kill point.
-    Hook(CkptHook),
     Record(Event),
     /// `(epoch, phase, µs)`.
     Phase(u64, Phase, u64),
@@ -116,7 +142,7 @@ pub enum Action {
     Push(u64, Replica),
     /// `(partner, epoch, manifest, missing)`: send the chunks it lacks.
     Chunks(RankId, u64, Arc<Vec<u8>>, Vec<u32>),
-    /// Wait until the own copy is durable.
+    /// Wait until the own copy is durable; yields [`Input::Flushed`].
     Flush,
     /// Send the leader the ACK; one more checkpoint committed.
     Ack(RankId, u64),
@@ -150,93 +176,105 @@ impl Wave {
         Wave { members, replicate, release, ..Wave::default() }
     }
 
-    /// The state after `input` at `now`, and what the layer must do for it.
-    pub fn step(mut self, input: Input, now: Instant) -> Result<(Wave, Out)> {
+    /// The state after `input` at `now`, the row it took (`None` when it
+    /// emits nothing), and what the layer must do for it.
+    pub fn step(mut self, input: Input, now: Instant) -> Result<(Wave, Option<Row>, Out)> {
         let mut out = Vec::new();
+        let row;
         if matches!(input, Input::Join(..) | Input::Report(..) | Input::Ack(..)) {
             let state = std::mem::take(&mut self.leader);
-            self.leader = self.lead(state, input, &mut out)?;
+            (self.leader, row) = self.lead(state, input, &mut out)?;
         } else {
             let state = std::mem::take(&mut self.member);
-            self.member = self.serve(state, input, now, &mut out)?;
+            (self.member, row) = self.serve(state, input, now, &mut out)?;
         }
-        Ok((self, out))
+        let row = (!out.is_empty()).then_some(row);
+        Ok((self, row, out))
     }
 
-    fn serve(&self, state: Member, input: Input, now: Instant, out: &mut Out) -> Result<Member> {
+    fn serve(&self, s: Member, input: Input, now: Instant, out: &mut Out) -> Result<(Member, Row)> {
         use Member::*;
-        Ok(match (state, input) {
+        Ok(match (s, input) {
             (s @ (Idle | Resumed { .. }), Input::Call(open)) => {
                 if let (Resumed { epoch, .. }, true) = (&s, self.release) {
                     out.push(Action::Release(*epoch));
                 }
-                let Some((c, body)) = open else { return Ok(Idle) };
-                out.push(Action::Hook(CkptHook::WaveOpen));
+                let Some((c, body)) = open else { return Ok((Idle, "member/Resumed/Call")) };
                 out.push(Action::Record(Event::Ckpt { epoch: c.epoch, phase: CkptPhase::Init }));
                 out.push(Action::Ctrl(self.members[0], KIND_CKPT_JOIN, to_bytes(&c)));
-                Quiescing { epoch: c.epoch, opened: now, body }
+                (Quiescing { epoch: c.epoch, opened: now, body }, "member/Idle/Call(open)")
             }
             (s @ Quiescing { epoch, .. }, Input::Poll(c)) if c.epoch == epoch => {
                 out.push(Action::Ctrl(self.members[0], KIND_CKPT_REPORT, to_bytes(&c)));
-                s
+                (s, "member/Quiescing/Poll")
             }
             (Quiescing { epoch, opened, body }, Input::Commit(e)) if e == epoch => {
-                out.push(Action::Hook(CkptHook::Write));
                 out.push(Action::Phase(epoch, Phase::Quiesce, us(opened, now)));
                 out.push(Action::Encode(epoch, body));
-                Writing { epoch, notices: None }
+                (Writing { epoch, notices: None }, "member/Quiescing/Commit")
             }
             (Writing { epoch, notices: None }, Input::Encoded(notices, sealed, logical)) => {
                 out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Written }));
-                if !self.replicate {
-                    return Ok(self.ack(epoch, notices, now, out));
-                }
-                out.push(Action::Hook(CkptHook::Replicate));
-                out.push(Action::Replicate(epoch, sealed, logical));
-                Writing { epoch, notices: Some(notices) }
+                let next = if self.replicate {
+                    out.push(Action::Replicate(epoch, sealed, logical));
+                    Writing { epoch, notices: Some(notices) }
+                } else {
+                    self.flush(epoch, notices, now, out)
+                };
+                (next, "member/Writing/Encoded")
             }
             (Writing { epoch, notices: Some(notices) }, Input::Replicas(pushes)) => {
                 if pushes.is_empty() {
-                    return Ok(self.ack(epoch, notices, now, out));
+                    return Ok((self.flush(epoch, notices, now, out), "member/Writing/Replicas"));
                 }
                 out.extend(pushes.iter().map(|r| Action::Push(epoch, r.clone())));
                 let awaiting = pushes.iter().map(|r| (r.partner, r.owner)).collect();
                 let (started, last_push) = (now, now);
-                Replicating(Repl { epoch, notices, started, last_push, awaiting, pushes })
+                let r = Repl { epoch, notices, started, last_push, awaiting, pushes };
+                (Replicating(r), "member/Writing/Replicas")
             }
             (Replicating(mut r), Input::BlobAck(partner, owner, e))
                 if e == r.epoch && r.awaiting.contains(&(partner, owner)) =>
             {
                 r.awaiting.remove(&(partner, owner));
                 out.push(Action::Record(Event::CkptReplAck { partner, epoch: e }));
-                if !r.awaiting.is_empty() {
-                    return Ok(Replicating(r));
-                }
-                out.push(Action::Phase(e, Phase::Replicate, us(r.started, now)));
-                self.ack(e, r.notices, now, out)
+                let next = if r.awaiting.is_empty() {
+                    out.push(Action::Phase(e, Phase::Replicate, us(r.started, now)));
+                    self.flush(e, r.notices, now, out)
+                } else {
+                    Replicating(r)
+                };
+                (next, "member/Replicating/BlobAck")
             }
             (Replicating(r), Input::ChunkReq(partner, owner, e, missing)) if e == r.epoch => {
                 if let Some(p) = r.pushes.iter().find(|p| p.owner == owner) {
                     out.push(Action::Chunks(partner, e, Arc::clone(&p.frame), missing));
                 }
-                Replicating(r)
+                (Replicating(r), "member/Replicating/ChunkReq")
             }
             // A retry's duplicate, or a finished wave's (its retry timer
             // re-pushed the current frames anyway).
-            (s, Input::BlobAck(..) | Input::ChunkReq(..)) => s,
+            (s, Input::BlobAck(..) | Input::ChunkReq(..)) => (s, ""),
             (Replicating(mut r), Input::Tick) if us(r.last_push, now) >= REPL_RETRY_US => {
                 let due = r.pushes.iter().filter(|p| r.awaiting.contains(&(p.partner, p.owner)));
                 out.extend(due.map(|p| Action::Push(r.epoch, p.clone())));
                 r.last_push = now;
-                Replicating(r)
+                (Replicating(r), "member/Replicating/Tick")
             }
-            (s, Input::Tick) if !matches!(s, Idle | Writing { .. }) => s,
+            (s, Input::Tick) if !matches!(s, Idle | Writing { .. } | Flushing { .. }) => (s, ""),
+            // The own copy is durable: ACK, and wait for RESUME, so that no
+            // post-commit send lands in a sibling's still-open cut.
+            (Flushing { epoch, notices, since }, Input::Flushed) => {
+                out.push(Action::Ack(self.members[0], epoch));
+                out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Ack }));
+                (AwaitingResume { epoch, notices, since }, "member/Flushing/Flushed")
+            }
             (AwaitingResume { epoch, notices, since }, Input::Resume(e)) if e == epoch => {
                 out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Resume }));
                 out.push(Action::Phase(epoch, Phase::CommitBarrier, us(since, now)));
                 out.push(Action::GcLocal(epoch));
                 out.push(Action::LogGc(notices));
-                Resumed { epoch }
+                (Resumed { epoch }, "member/AwaitingResume/Resume")
             }
             (state, input) => {
                 let state = match state {
@@ -249,11 +287,15 @@ impl Wave {
         })
     }
 
-    fn lead(&self, state: Leader, input: Input, out: &mut Out) -> Result<Leader> {
+    fn lead(&self, state: Leader, input: Input, out: &mut Out) -> Result<(Leader, Row)> {
         use Leader::*;
         let state = match (state, &input) {
             (Idle, Input::Join(_, c)) => Counting { epoch: c.epoch, counts: BTreeMap::new() },
             (state, _) => state,
+        };
+        let row = match input {
+            Input::Join(..) => "leader/Counting/Join",
+            _ => "leader/Counting/Report",
         };
         Ok(match (state, input) {
             // Once every member is heard from, COMMIT if the counters
@@ -263,23 +305,23 @@ impl Wave {
             {
                 counts.insert(from, (c.sent, c.arrived));
                 if counts.len() < self.members.len() {
-                    return Ok(Counting { epoch, counts });
+                    return Ok((Counting { epoch, counts }, row));
                 }
                 let (sent, arrived) = counts.values().fold((0, 0), |(s, a), c| (s + c.0, a + c.1));
                 if sent == arrived {
                     self.broadcast(KIND_CKPT_COMMIT, epoch, out);
-                    return Ok(Committing { epoch, acked: BTreeSet::new() });
+                    return Ok((Committing { epoch, acked: BTreeSet::new() }, row));
                 }
                 self.broadcast(KIND_CKPT_POLL, epoch, out);
-                Counting { epoch, counts: BTreeMap::new() }
+                (Counting { epoch, counts: BTreeMap::new() }, row)
             }
             (Committing { epoch, mut acked }, Input::Ack(from, e)) if e == epoch => {
                 acked.insert(from);
-                if acked.len() < self.members.len() {
-                    return Ok(Committing { epoch, acked });
+                if acked.len() == self.members.len() {
+                    self.broadcast(KIND_CKPT_RESUME, epoch, out);
+                    return Ok((Idle, "leader/Committing/Ack"));
                 }
-                self.broadcast(KIND_CKPT_RESUME, epoch, out);
-                Idle
+                (Committing { epoch, acked }, "leader/Committing/Ack")
             }
             (state, input) => return Err(refuse(format!("leader {state:?}"), &input)),
         })
@@ -289,14 +331,10 @@ impl Wave {
         out.extend(self.members.iter().map(|&m| Action::Ctrl(m, kind, to_bytes(&epoch))));
     }
 
-    /// Member: make the own copy durable, ACK, and wait for RESUME, so that
-    /// no post-commit send lands in a sibling's still-open cut.
-    fn ack(&self, epoch: u64, notices: Notices, now: Instant, out: &mut Out) -> Member {
+    /// Member: make the own copy durable; the commit barrier starts.
+    fn flush(&self, epoch: u64, notices: Notices, now: Instant, out: &mut Out) -> Member {
         out.push(Action::Flush);
-        out.push(Action::Hook(CkptHook::CommitBarrier));
-        out.push(Action::Ack(self.members[0], epoch));
-        out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Ack }));
-        Member::AwaitingResume { epoch, notices, since: now }
+        Member::Flushing { epoch, notices, since: now }
     }
 }
 
@@ -330,10 +368,6 @@ mod tests {
             Action::Ctrl(_, KIND_CKPT_COMMIT, _) => "commit",
             Action::Ctrl(_, KIND_CKPT_RESUME, _) => "resume",
             Action::Ctrl(..) => "ctrl?",
-            Action::Hook(CkptHook::WaveOpen) => "hook:open",
-            Action::Hook(CkptHook::Write) => "hook:write",
-            Action::Hook(CkptHook::Replicate) => "hook:replicate",
-            Action::Hook(CkptHook::CommitBarrier) => "hook:barrier",
             Action::Record(Event::Ckpt { phase: CkptPhase::Init, .. }) => "ckpt:init",
             Action::Record(Event::Ckpt { phase: CkptPhase::Written, .. }) => "ckpt:written",
             Action::Record(Event::Ckpt { phase: CkptPhase::Ack, .. }) => "ckpt:ack",
@@ -357,8 +391,20 @@ mod tests {
         actions.iter().map(tag).collect()
     }
 
+    thread_local! {
+        /// The rows this thread's steps took.
+        static TAKEN: std::cell::RefCell<BTreeSet<&'static str>> = Default::default();
+    }
+
+    /// Step, checking that a step takes a listed row exactly when it emits.
     fn step(w: Wave, input: Input, now: Instant) -> (Wave, Vec<Action>) {
-        w.step(input, now).unwrap_or_else(|e| panic!("{e}"))
+        let (w, row, actions) = w.step(input, now).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(row.is_some(), !actions.is_empty(), "{row:?}: {actions:?}");
+        if let Some(row) = row {
+            assert!(ROWS.contains(&row), "{row} is not in ROWS");
+            TAKEN.with(|t| t.borrow_mut().insert(row));
+        }
+        (w, actions)
     }
 
     /// A 3-member cluster (rank 0 leads) whose leader-bound messages
@@ -436,6 +482,7 @@ mod tests {
                             m,
                             Input::Encoded(Notices::new(), Arc::new(Vec::new()), 0),
                         )),
+                        Action::Flush => queue.push_front((m, Input::Flushed)),
                         _ => {}
                     }
                 }
@@ -460,17 +507,14 @@ mod tests {
         if c.pending.is_empty() {
             *leaves += 1;
             let member = [
-                "hook:open",
                 "ckpt:init",
                 "join",
                 "report",
                 "report",
-                "hook:write",
                 "quiesce",
                 "encode",
                 "ckpt:written",
                 "flush",
-                "hook:barrier",
                 "ack",
                 "ckpt:ack",
                 "ckpt:resume",
@@ -518,7 +562,7 @@ mod tests {
         let (w, _) = step(w, Input::Join(r(0), CkptCounts { epoch, sent: 0, arrived: 0 }), t0);
         let (w, _) = step(w, Input::Commit(epoch), t0);
         let (w, a) = step(w, Input::Encoded(Notices::new(), Arc::new(Vec::new()), 0), t0);
-        assert_eq!(tags(&a), ["ckpt:written", "hook:replicate", "replicate"]);
+        assert_eq!(tags(&a), ["ckpt:written", "replicate"]);
         let (w, a) = step(w, Input::Replicas(vec![replica(5, 0), replica(6, 0)]), t0);
         assert_eq!(tags(&a), ["push", "push"]);
         w
@@ -559,13 +603,14 @@ mod tests {
                 let want: &[&str] = match (fresh, seen.len()) {
                     (false, _) => &[],
                     (true, 1) => &["repl-ack"],
-                    (true, _) => {
-                        &["repl-ack", "replicate", "flush", "hook:barrier", "ack", "ckpt:ack"]
-                    }
+                    (true, _) => &["repl-ack", "replicate", "flush"],
                 };
                 assert_eq!(tags(&a), want, "{order:?} at {i}");
                 if want.len() > 1 {
                     acked_at = Some(i);
+                    let (next, a) = step(w, Input::Flushed, t0);
+                    assert_eq!(tags(&a), ["ack", "ckpt:ack"], "{order:?} at {i}");
+                    w = next;
                 }
             }
             assert!(acked_at.is_some(), "{order:?}");
@@ -597,6 +642,7 @@ mod tests {
         let (w, a) = step(w, Input::ChunkReq(r(6), r(0), 2, vec![1]), t0);
         assert!(a.is_empty());
         let (w, _) = step(w, Input::BlobAck(r(6), r(0), 3), t0);
+        let (w, _) = step(w, Input::Flushed, t0);
         let (_, a) = step(w, Input::ChunkReq(r(6), r(0), 3, vec![1]), t0);
         assert!(a.is_empty(), "the barrier is gone");
     }
@@ -611,6 +657,7 @@ mod tests {
             w.release = release;
             let (w, _) = step(w, Input::BlobAck(r(5), r(0), 1), t0);
             let (w, _) = step(w, Input::BlobAck(r(6), r(0), 1), t0);
+            let (w, _) = step(w, Input::Flushed, t0);
             let (w, _) = step(w, Input::Resume(1), t0);
             let (w, a) = step(w, Input::Tick, t0);
             assert!(a.is_empty() && matches!(w.member, Member::Resumed { .. }));
@@ -645,6 +692,7 @@ mod tests {
                 ("resume-stale", Input::Resume(0)),
                 ("blob-ack", Input::BlobAck(r(5), r(0), 0)),
                 ("chunk-req", Input::ChunkReq(r(5), r(0), 0, Vec::new())),
+                ("flushed", Input::Flushed),
             ]
         };
         let base = Wave::new(vec![r(0), r(1)], true, true);
@@ -664,6 +712,11 @@ mod tests {
                 vec!["replicas"],
             ),
             ("Replicating", replicating(1, t0), vec!["tick"]),
+            (
+                "Flushing",
+                with(Member::Flushing { epoch: 1, notices: notices.clone(), since: t0 }),
+                vec!["flushed"],
+            ),
             (
                 "AwaitingResume",
                 with(Member::AwaitingResume { epoch: 1, notices, since: t0 }),
@@ -705,5 +758,20 @@ mod tests {
                 assert_eq!(got.is_ok(), ok, "{state:?} / {input}: {:?}", got.err());
             }
         }
+    }
+
+    /// The row list cannot rot: every row a step takes is listed (checked
+    /// in `step`), and the explorers and the replication tests take every
+    /// listed row.
+    #[test]
+    fn every_listed_row_is_taken() {
+        every_delivery_order_commits_each_member_once();
+        every_order_of_blob_acks_commits_once();
+        retries_and_chunk_requests_follow_the_barrier();
+        the_call_after_resume_releases_the_partner_copies();
+        let taken = TAKEN.with(|t| t.borrow().clone());
+        let untaken: Vec<_> = ROWS.iter().filter(|r| !taken.contains(*r)).collect();
+        assert!(untaken.is_empty(), "never taken: {untaken:?}");
+        assert_eq!(taken.len(), ROWS.len(), "ROWS lists a row twice");
     }
 }

@@ -7,19 +7,26 @@
 //! ```
 //!
 //! * `--seeds N` — base seeds 0..N (default 8). Each seed expands to
-//!   9 families × 2 workloads = 18 schedules, so `--seeds 8` runs 144.
-//! * `--seed S` — base seed S only.
+//!   6 seeded families × 2 workloads = 12 schedules, and the `transitions`
+//!   family adds one schedule per transition-table row, 1st and 2nd
+//!   occurrence, and workload (92), once: `--seeds 8` runs 96 + 92.
+//! * `--seed S` — base seed S only (and the `transitions` family whole).
 //! * `--short` — CI-sized workloads (fewer iterations, smaller state).
 //! * `--family NAME` — restrict to one family
-//!   (`spread`, `same-cluster-repeat`, `during-recovery`, `ckpt-phases`,
-//!   `delta-chain`, `cas-gc`, `ec-rebuild`, `proc-kill`, `log-gc`).
+//!   (`spread`, `same-cluster-repeat`, `during-recovery`, `ec-rebuild`,
+//!   `proc-kill`, `log-gc`, `transitions`).
 //! * `--pinned` — additionally run the pinned regression schedules.
 //! * `--repeat N` — run each selected schedule N times instead of once,
 //!   without minimizing, and print its failure count: the rate of a
 //!   schedule that fails only now and then
-//!   (`--family proc-kill --seed 7 --repeat 20`).
+//!   (`--family proc-kill --seed 7 --repeat 20`; under `transitions`, seed
+//!   S is that family's S-th schedule).
 //!
-//! Exit status 0 iff every run passed.
+//! When the `transitions` family ran, the row × workload matrix follows the
+//! summary: *killed & bitwise*, *killed & FAILED* or *never fired*, each
+//! never-fired row with its reason. Exit status 0 iff every run passed,
+//! every plan of a seeded or pinned schedule fired, and every row that
+//! never fired has a known reason.
 
 use spbc_harness::chaos::{self, ChaosConfig, Family};
 
@@ -83,8 +90,8 @@ fn main() {
                 chaos::Verdict::Pass => {
                     eprintln!("chaos: PASS pinned family={}", schedule.family)
                 }
-                chaos::Verdict::Fail { reason, .. } => {
-                    eprintln!("chaos: FAIL pinned family={} — {reason}", schedule.family);
+                failed => {
+                    eprintln!("chaos: FAIL pinned family={} — {failed}", schedule.family);
                     failures += 1;
                 }
             }
@@ -108,7 +115,7 @@ fn main() {
             }
         }
     } else {
-        let report = chaos::run_campaign_over(seeds, &families, cfg);
+        let report = chaos::run_campaign_over(seeds, &families, cfg.clone());
         total += report.total;
         failures += report.failures.len();
         println!(
@@ -117,6 +124,13 @@ fn main() {
         );
         for case in &report.failures {
             println!("{}", case.reproducer());
+        }
+        if !report.matrix.workloads.is_empty() {
+            println!("transition matrix:\n{}", report.matrix.render(&cfg));
+            for (row, workload) in report.matrix.unexplained(&cfg) {
+                println!("chaos: FAIL row {row} never fired on {workload:?}, for no known reason");
+                failures += 1;
+            }
         }
     }
     if failures > 0 {

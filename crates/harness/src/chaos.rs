@@ -1,64 +1,37 @@
 //! Chaos failure-schedule engine: seeded randomized failure campaigns that
-//! permanently fuzz the protocol's fragile windows.
+//! permanently fuzz the protocol's fragile windows, and a kill at every row
+//! of its transition tables.
 //!
-//! A *schedule* is a set of [`FailurePlan`]s generated from a seed by one of
-//! nine scenario families:
-//!
-//! * [`Family::Spread`] — overlapping failures landing in different
-//!   clusters across the execution;
-//! * [`Family::SameClusterRepeat`] — a cluster killed again the moment it
-//!   finishes recovering (via [`FailureTrigger::AfterRecovery`] on its own
-//!   ranks);
-//! * [`Family::DuringRecovery`] — survivors killed while *another* cluster
-//!   recovers: an `AfterRecovery` trigger on a different cluster plus a
-//!   [`FailureTrigger::ReplayProgress`] kill of a replaying sender — the
-//!   window of the rendezvous-rebind race;
-//! * [`Family::CkptPhases`] — kills keyed to the checkpoint protocol's own
-//!   phases ([`CkptHook::WaveOpen`], [`CkptHook::Write`],
-//!   [`CkptHook::Replicate`], [`CkptHook::CommitBarrier`]) — the window of
-//!   the commit-barrier race;
-//! * [`Family::DeltaChain`] — kills timed so restore has to materialize a
-//!   wave built on earlier ones (several waves committed before the
-//!   failure, so the restored wave is an `SPBCCKP4` manifest whose chunks
-//!   were inserted by earlier waves), plus kills mid-replication of a
-//!   later wave's manifest;
-//! * [`Family::CasGc`] — kills landing *inside* a commit (after chunks are
-//!   inserted into the content-addressed store, before the wave's resume)
-//!   while surviving ranks finish the wave and their storage GC prunes
-//!   older epochs: a chunk refcounted by several ranks/epochs must never
-//!   be dropped while any checkpoint still references it;
-//! * [`Family::EcRebuild`] — node-loss kills inside one erasure-coded
-//!   redundancy set (up to the parity budget `m`, one possibly
-//!   mid-parity-push): each victim's node-local checkpoint copies are
-//!   wiped with it, so restore must decode the lost blobs back from the
-//!   set's survivors plus parity, bitwise;
-//! * [`Family::ProcKill`] — real process deaths: the run executes as one
-//!   `spbc-node` OS process per cluster ([`crate::proc`]), plans abort the
-//!   whole hosting process and the schedule may `kill -9` another node
-//!   outright — recovery restores from shared disk into a fresh address
-//!   space;
-//! * [`Family::LogGc`] — kills around receiver-checkpoint log GC
-//!   (`KIND_LOG_GC`), after at least one wave so senders have already
-//!   pruned to that wave's cut: the *receiver* cluster dies right after the
-//!   RESUME that sent its notices, or inside the commit barrier of the next
-//!   wave (restart from the pruned-to wave must still find its replay
-//!   suffix), or the *sender* cluster dies after pruning and rolls its log
-//!   back to a cut at the pruned prefix, followed by the receiver.
+//! A *schedule* is a set of [`FailurePlan`]s generated by one of the seven
+//! [`Family`]s. Six are seeded scenarios: overlapping kills in different
+//! clusters ([`Family::Spread`]), a cluster killed again while it recovers
+//! ([`Family::SameClusterRepeat`], via [`FailureTrigger::AfterRecovery`]),
+//! survivors killed while another cluster recovers
+//! ([`Family::DuringRecovery`]), node-loss kills inside one erasure-coded
+//! redundancy set ([`Family::EcRebuild`]), real `spbc-node` process deaths
+//! ([`Family::ProcKill`], [`crate::proc`]), and kills around
+//! receiver-checkpoint log GC ([`Family::LogGc`]). The seventh,
+//! [`Family::Transitions`], is not seeded: one schedule per row of the wave
+//! and recovery tables ([`spbc_core::WAVE_ROWS`],
+//! [`spbc_core::RECOVERY_ROWS`]), its 1st and 2nd occurrence, and workload,
+//! each a [`FailureTrigger::AtTransition`] kill; it runs once per campaign
+//! and fills the [`Matrix`] of which rows a kill landed in.
 //!
 //! Every schedule runs under SPBC and is verified **bitwise** against a
-//! native (fault-free) execution of the same workload. A failing schedule is
-//! handed to [`minimize`], which greedily drops and advances triggers until
-//! no smaller schedule still fails, and the campaign prints the minimal
-//! reproducer (seed + schedule) alongside a flight-recorder dump.
+//! native (fault-free) execution of the same workload, and every plan it
+//! names must fire. A failing schedule is handed to [`minimize`], which
+//! greedily drops and advances triggers until no smaller schedule still
+//! fails, and the campaign prints the minimal reproducer (seed + schedule)
+//! alongside a flight-recorder dump.
 //!
 //! Determinism: the RNG is a SplitMix64 stream seeded from the campaign
 //! seed, so a printed seed reproduces its schedule exactly on any machine.
 
 use crate::obs::TRACE_RING_CAPACITY;
-use mini_mpi::failure::{CkptHook, FailurePlan, FailureTrigger};
+use mini_mpi::failure::{FailurePlan, FailureTrigger};
 use mini_mpi::prelude::*;
 use spbc_apps::{AppParams, Workload};
-use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider};
+use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider, RECOVERY_ROWS, WAVE_ROWS};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -88,59 +61,48 @@ impl Rng {
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
-
-    /// Uniform element of a non-empty slice.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
 }
 
-/// The nine scenario families a campaign cycles through.
+/// The seven scenario families a campaign runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
+    // The discriminants salt the seeded families' RNG streams.
     /// Overlapping failures in different clusters.
-    Spread,
+    Spread = 1,
     /// Repeated kills of the same cluster, back to back.
-    SameClusterRepeat,
+    SameClusterRepeat = 2,
     /// Kills landing during another cluster's recovery (including a
-    /// replaying survivor dying mid-replay).
-    DuringRecovery,
-    /// Kills keyed to checkpoint-protocol phases.
-    CkptPhases,
-    /// Kills timed so restore materializes a manifest whose chunks earlier
-    /// waves inserted, plus kills mid-replication of a later wave.
-    DeltaChain,
-    /// Kills landing mid-commit while other ranks' storage GC prunes —
-    /// the refcount window of the content-addressed chunk store.
-    CasGc,
+    /// survivor dying as it serves a ROLLBACK).
+    DuringRecovery = 3,
     /// Node-loss kills inside one redundancy set (local copies wiped):
     /// restore must erasure-decode the lost blobs from set survivors +
     /// parity.
-    EcRebuild,
+    EcRebuild = 7,
     /// Real process deaths: the run executes as one `spbc-node` OS process
     /// per cluster ([`crate::proc`]), plans abort the entire hosting
     /// process, and the schedule may additionally `kill -9` a node from
     /// outside. Recovery crosses a genuine process boundary — restore comes
     /// off shared disk into a fresh address space.
-    ProcKill,
+    ProcKill = 8,
     /// Kills around receiver-checkpoint log GC: the receiver right after
-    /// the RESUME that sent its notices or inside a later wave's commit
-    /// barrier, or the sender after it pruned, then the receiver.
-    LogGc,
+    /// the RESUME that sent its notices, or the sender after it pruned,
+    /// then the receiver.
+    LogGc = 9,
+    /// A kill at every row of the transition tables: once per campaign,
+    /// not per seed.
+    Transitions = 10,
 }
 
 impl Family {
     /// Every family, in campaign order.
-    pub const ALL: [Family; 9] = [
+    pub const ALL: [Family; 7] = [
         Family::Spread,
         Family::SameClusterRepeat,
         Family::DuringRecovery,
-        Family::CkptPhases,
-        Family::DeltaChain,
-        Family::CasGc,
         Family::EcRebuild,
         Family::ProcKill,
         Family::LogGc,
+        Family::Transitions,
     ];
 
     /// The family `spbc-chaos --family NAME` selects.
@@ -155,12 +117,10 @@ impl fmt::Display for Family {
             Family::Spread => "spread",
             Family::SameClusterRepeat => "same-cluster-repeat",
             Family::DuringRecovery => "during-recovery",
-            Family::CkptPhases => "ckpt-phases",
-            Family::DeltaChain => "delta-chain",
-            Family::CasGc => "cas-gc",
             Family::EcRebuild => "ec-rebuild",
             Family::ProcKill => "proc-kill",
             Family::LogGc => "log-gc",
+            Family::Transitions => "transitions",
         };
         f.write_str(s)
     }
@@ -254,20 +214,16 @@ pub struct Schedule {
 }
 
 /// Generate the schedule for `(seed, family, workload)` under `cfg`.
-/// Deterministic: the RNG stream is derived from all three.
+/// Deterministic: the RNG stream is derived from all three. The
+/// `transitions` family is not seeded: `seed` picks one of
+/// [`transitions`]' schedules.
 pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig) -> Schedule {
-    let salt = match family {
-        Family::Spread => 1,
-        Family::SameClusterRepeat => 2,
-        Family::DuringRecovery => 3,
-        Family::CkptPhases => 4,
-        Family::DeltaChain => 5,
-        Family::CasGc => 6,
-        Family::EcRebuild => 7,
-        Family::ProcKill => 8,
-        Family::LogGc => 9,
-    };
-    let mut rng = Rng::new(seed.wrapping_mul(0x0100_0000_01b3) ^ salt ^ (workload as u64) << 32);
+    if family == Family::Transitions {
+        let all = transitions(workload, cfg);
+        return all[(seed % all.len() as u64) as usize].clone();
+    }
+    let mut rng =
+        Rng::new(seed.wrapping_mul(0x0100_0000_01b3) ^ family as u64 ^ (workload as u64) << 32);
     let span = cfg.iters.saturating_sub(4).max(1);
     let nth = |rng: &mut Rng| 2 + rng.below(span);
     let mut kills: Vec<(u32, u64)> = Vec::new();
@@ -300,82 +256,17 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
         Family::DuringRecovery => {
             // Kill cluster a; the instant a respawns, kill a rank of a
             // *different* cluster b (so b dies while a is still rolling
-            // back / replaying); plus a survivor in cluster s that dies
-            // part-way through replaying its log.
+            // back / replaying); plus a survivor in cluster s that dies as
+            // it serves the 1st or 2nd ROLLBACK it receives (each restarted
+            // rank sends it one).
             let a = rng.below(cfg.clusters as u64) as usize;
             let b = (a + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
             let s = (a + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
-            let frac = 0.1 + 0.2 * rng.below(5) as f64;
             vec![
                 FailurePlan::nth(cfg.rank_in(a, &mut rng), nth(&mut rng)),
                 FailurePlan::after_recovery(cfg.rank_in(b, &mut rng), a, 1),
-                FailurePlan::at_replay_progress(cfg.rank_in(s, &mut rng), frac),
+                FailurePlan::at_transition(cfg.rank_in(s, &mut rng), ROLLBACK, 1 + rng.below(2)),
             ]
-        }
-        Family::CkptPhases => {
-            // 1-2 kills keyed to checkpoint phases, plus possibly one plain
-            // failure-point kill to stack a recovery on top of a wave.
-            const HOOKS: [CkptHook; 4] =
-                [CkptHook::WaveOpen, CkptHook::Write, CkptHook::Replicate, CkptHook::CommitBarrier];
-            let n = 1 + rng.below(2) as usize;
-            let mut plans: Vec<FailurePlan> = (0..n)
-                .map(|_| {
-                    let c = rng.below(cfg.clusters as u64) as usize;
-                    let hook = *rng.pick(&HOOKS);
-                    FailurePlan::at_phase(cfg.rank_in(c, &mut rng), hook, 1 + rng.below(3))
-                })
-                .collect();
-            if rng.below(2) == 1 {
-                let c = rng.below(cfg.clusters as u64) as usize;
-                plans.push(FailurePlan::nth(cfg.rank_in(c, &mut rng), nth(&mut rng)));
-            }
-            plans
-        }
-        Family::DeltaChain => {
-            // The restored wave must build on earlier ones: the kill lands
-            // only after at least two waves committed, so the restored
-            // manifest names chunks earlier waves inserted into the store
-            // (under partner repair if the local copy died with the rank).
-            let after_two_waves = 2 * cfg.ckpt_interval + 1;
-            let late_span = cfg.iters.saturating_sub(after_two_waves + 2).max(1);
-            let late = |rng: &mut Rng| after_two_waves + rng.below(late_span);
-            let a = rng.below(cfg.clusters as u64) as usize;
-            let mut plans = vec![FailurePlan::nth(cfg.rank_in(a, &mut rng), late(&mut rng))];
-            if rng.below(2) == 1 {
-                // And/or die mid-replication of wave 2+: its push carries a
-                // manifest of mostly already-held chunks, and the partner
-                // must still end up with a restorable copy.
-                let b = (a + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
-                plans.push(FailurePlan::at_phase(
-                    cfg.rank_in(b, &mut rng),
-                    CkptHook::Replicate,
-                    2 + rng.below(2),
-                ));
-            }
-            plans
-        }
-        Family::CasGc => {
-            // Refcount window of the content-addressed store: a rank dies
-            // *inside* a commit — its chunks are inserted and registered,
-            // its wave never resumes — while the surviving ranks commit the
-            // wave and their RESUME-time GC prunes earlier epochs. Chunks
-            // shared across ranks (or with the victim's still-referenced
-            // epochs) must survive every prune. A later plain kill then
-            // forces a restore that materializes a V4 manifest against the
-            // post-GC store — any wrongly-freed chunk turns it into a loud
-            // "lost everywhere" failure.
-            let a = rng.below(cfg.clusters as u64) as usize;
-            let hook = if rng.below(2) == 0 { CkptHook::Write } else { CkptHook::Replicate };
-            let mut plans =
-                vec![FailurePlan::at_phase(cfg.rank_in(a, &mut rng), hook, 2 + rng.below(2))];
-            let after_two_waves = 2 * cfg.ckpt_interval + 1;
-            let late_span = cfg.iters.saturating_sub(after_two_waves + 2).max(1);
-            let b = (a + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
-            plans.push(FailurePlan::nth(
-                cfg.rank_in(b, &mut rng),
-                after_two_waves + rng.below(late_span),
-            ));
-            plans
         }
         Family::EcRebuild => {
             // Node-loss kills inside ONE redundancy set, never more than
@@ -383,7 +274,7 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
             // copies are wiped with it (the oracle runs this family with
             // `lose_local_on_failure`), so restore must erasure-decode the
             // lost blobs from the set's survivors plus parity. One kill may
-            // land mid-parity-push (`CkptHook::Replicate`) — the window
+            // land mid-parity-push (at the encoded wave's row) — the window
             // where this wave's shards are not yet durable and restore
             // falls back to the previous wave's parity.
             let per = cfg.ranks_per_cluster();
@@ -398,15 +289,11 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
             let kills = 1 + rng.below(budget as u64) as usize;
             let mut plans = Vec::new();
             for k in 0..kills.min(members.len()) {
-                let v = members.remove(rng.below(members.len() as u64) as usize);
+                let v = RankId(members.remove(rng.below(members.len() as u64) as usize));
                 if k == 0 && rng.below(2) == 1 {
-                    plans.push(FailurePlan::at_phase(
-                        RankId(v),
-                        CkptHook::Replicate,
-                        1 + rng.below(2),
-                    ));
+                    plans.push(FailurePlan::at_transition(v, ENCODED, 1 + rng.below(2)));
                 } else {
-                    plans.push(FailurePlan::nth(RankId(v), nth(&mut rng)));
+                    plans.push(FailurePlan::nth(v, nth(&mut rng)));
                 }
             }
             plans
@@ -440,38 +327,103 @@ pub fn generate(seed: u64, family: Family, workload: Workload, cfg: &ChaosConfig
             let n = 1 + rng.below(waves.saturating_sub(1).max(1));
             let r = rng.below(cfg.clusters as u64) as usize;
             let s = (r + 1 + rng.below(cfg.clusters as u64 - 1) as usize) % cfg.clusters;
-            match rng.below(3) {
+            if rng.below(2) == 0 {
                 // Receiver dies at the first failure point after wave n's
                 // RESUME: notices sent, then it rolls back to wave n, its
                 // `lr` exactly at the senders' floors.
-                0 => vec![FailurePlan::nth(cfg.rank_in(r, &mut rng), cfg.ckpt_interval * n + 1)],
-                // Receiver dies inside wave n+1's commit barrier, before
-                // that wave's notices go out: it restarts from n (or n+1,
-                // once every member's copy is durable), and its replay
-                // suffix must still be in logs pruned to exactly n.
-                1 => vec![FailurePlan::at_phase(
-                    cfg.rank_in(r, &mut rng),
-                    CkptHook::CommitBarrier,
-                    n + 1,
-                )],
+                vec![FailurePlan::nth(cfg.rank_in(r, &mut rng), cfg.ckpt_interval * n + 1)]
+            } else {
                 // Sender dies one iteration later — wave n's notices have
                 // pruned its log up to the very cut it now truncates to —
                 // and the receiver dies while the sender re-executes.
-                _ => vec![
+                vec![
                     FailurePlan::nth(cfg.rank_in(s, &mut rng), cfg.ckpt_interval * n + 2),
                     FailurePlan::after_recovery(cfg.rank_in(r, &mut rng), s, 1),
-                ],
+                ]
             }
         }
+        Family::Transitions => unreachable!("not seeded"),
     };
     Schedule { seed, family, workload, plans, kills }
 }
 
-/// Why a schedule failed verification.
+const ROLLBACK: &str = "recovery/Rollback";
+const ENCODED: &str = "member/Writing/Encoded";
+
+/// The `transitions` family on `workload`: for each row of the two tables
+/// and its 1st and 2nd occurrence, one schedule (its seed is its index).
+/// A wave row's victim is a cluster leader, which takes every wave row. A
+/// recovery row's schedule first kills a rank `x` of another cluster at the
+/// last failure point before the first wave past mid-run, so that its
+/// cluster rolls back a whole interval and each survivor replays it
+/// several messages; the row's victims are a survivor, which serves `x`'s
+/// recovery, and `x` itself, which restarts.
+pub fn transitions(workload: Workload, cfg: &ChaosConfig) -> Vec<Schedule> {
+    let rows = WAVE_ROWS.iter().chain(RECOVERY_ROWS);
+    let per = cfg.ranks_per_cluster();
+    let cases = rows.enumerate().flat_map(|(i, &row)| [(i, row, 1), (i, row, 2)]);
+    cases
+        .enumerate()
+        .map(|(seed, (i, row, nth))| {
+            let victim = RankId(((i + nth as usize) % cfg.clusters * per) as u32);
+            let mut plans = vec![FailurePlan::at_transition(victim, row, nth)];
+            if row.starts_with("recovery/") {
+                let x = RankId(((victim.idx() + per + 1) % cfg.world) as u32);
+                let before_wave = (cfg.iters / 2 / cfg.ckpt_interval + 1) * cfg.ckpt_interval;
+                plans.insert(0, FailurePlan::nth(x, before_wave));
+                plans.push(FailurePlan::at_transition(x, row, nth));
+            }
+            let (seed, family) = (seed as u64, Family::Transitions);
+            Schedule { seed, family, workload, plans, kills: vec![] }
+        })
+        .collect()
+}
+
+/// Why no `transitions` schedule's kill can land in `row` under `cfg`, or
+/// may miss it on a given run; `None` for every row one always reaches.
+pub fn unreachable_row(row: &str, cfg: &ChaosConfig) -> Option<&'static str> {
+    let ec = !matches!(cfg.ec_scheme.trim(), "" | "off");
+    Some(match row {
+        "member/Quiescing/Poll" | "leader/Counting/Report" => {
+            "the workloads call their checkpoint with no intra-cluster message in flight: \
+             the JOINs balance, and no POLL round follows"
+        }
+        "member/Replicating/ChunkReq" => {
+            "the chunk store is shared by every rank, so no partner lacks a chunk (ROADMAP 3(ii))"
+        }
+        "member/Replicating/Tick" => {
+            "a re-push needs a partner dead mid-wave for REPL_RETRY_US (250 ms), and no \
+             schedule kills the victim's partners"
+        }
+        "member/Resumed/Call" if ec => {
+            "under erasure coding the partners hold parity only: nothing to release"
+        }
+        "member/Replicating/BlobAck" if ec => {
+            "under erasure coding only the last of a set to encode pushes parity and awaits \
+             BLOB_ACKs; timing decides whether that is the victim"
+        }
+        "recovery/Grant" => "grants exist under the coordinated (HydEE) replay policy only",
+        "recovery/TransferComplete" => {
+            "every replayed message is below the 16 KiB eager threshold: no replay takes a \
+             rendezvous"
+        }
+        "recovery/Send" | "recovery/Arrival" => {
+            "timing decides: a restarted rank's regenerated send is held at it (Send) when the \
+             LASTMSG setting LS came first, else dropped as a duplicate at its peer (Arrival)"
+        }
+        _ => return None,
+    })
+}
+
+/// How a schedule's run ended.
 #[derive(Clone, Debug)]
 pub enum Verdict {
-    /// Run completed and matched the native baseline bitwise.
+    /// Run completed, matched the native baseline bitwise, and every plan
+    /// fired.
     Pass,
+    /// Run completed bitwise, but these plans never fired: it tested less
+    /// than its schedule names.
+    Unfired(Vec<FailurePlan>),
     /// Run errored, hung (watchdog), or diverged from the baseline.
     Fail {
         /// Human-readable cause.
@@ -484,33 +436,44 @@ pub enum Verdict {
 impl Verdict {
     /// Is this a failure?
     pub fn failed(&self) -> bool {
-        matches!(self, Verdict::Fail { .. })
+        !matches!(self, Verdict::Pass)
     }
+
+    fn fail(reason: String) -> Verdict {
+        Verdict::Fail { reason, flight_dump: None }
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Verdict::Pass => f.write_str("pass"),
+            Verdict::Unfired(plans) => write!(f, "plan never fired: {plans:?}"),
+            Verdict::Fail { reason, .. } => f.write_str(reason),
+        }
+    }
+}
+
+/// The ranks whose outputs differ from the native ones.
+fn diverged(native: &[Vec<u8>], outputs: &[Vec<u8>]) -> Vec<usize> {
+    (0..native.len()).filter(|&i| native.get(i) != outputs.get(i)).collect()
 }
 
 /// Runs schedules and memoizes the native baselines per `(workload, seed)`.
 pub struct Oracle {
     cfg: ChaosConfig,
     baselines: HashMap<(Workload, u64), Vec<Vec<u8>>>,
-    /// Total SPBC runs executed (campaign + minimization).
-    pub runs: u64,
 }
 
 impl Oracle {
     /// Oracle over `cfg`.
     pub fn new(cfg: ChaosConfig) -> Self {
-        Oracle { cfg, baselines: HashMap::new(), runs: 0 }
+        Oracle { cfg, baselines: HashMap::new() }
     }
 
     /// The campaign configuration.
     pub fn cfg(&self) -> &ChaosConfig {
         &self.cfg
-    }
-
-    fn runtime_cfg(&self) -> RuntimeConfig {
-        RuntimeConfig::new(self.cfg.world)
-            .with_deadlock_timeout(self.cfg.timeout)
-            .with_flight_recorder(TRACE_RING_CAPACITY)
     }
 
     fn baseline(&mut self, workload: Workload, seed: u64) -> Result<Vec<Vec<u8>>> {
@@ -527,32 +490,36 @@ impl Oracle {
     }
 
     /// Run `schedule` under SPBC and verify bitwise against the native
-    /// baseline of the same workload and seed. Proc-kill schedules run as
-    /// real processes ([`Self::run_proc`]); everything else in-process.
+    /// baseline of the same workload and seed, and that every plan fired.
+    /// Proc-kill schedules run as real processes ([`crate::proc`]);
+    /// everything else in-process.
     pub fn run(&mut self, schedule: &Schedule) -> Verdict {
-        if schedule.family == Family::ProcKill {
-            return self.run_proc(schedule);
-        }
-        self.run_plans_with(
-            schedule.workload,
-            schedule.seed,
-            &schedule.plans,
-            schedule.family == Family::EcRebuild,
-        )
-    }
-
-    /// Run `schedule` in multi-process mode ([`crate::proc`]): one
-    /// `spbc-node` OS process per cluster, plans aborting the entire hosting
-    /// process and external SIGKILLs landing from outside, verified bitwise
-    /// against the same in-process native baseline.
-    pub fn run_proc(&mut self, schedule: &Schedule) -> Verdict {
         let native = match self.baseline(schedule.workload, schedule.seed) {
             Ok(n) => n,
-            Err(e) => {
-                return Verdict::Fail { reason: format!("native baseline: {e}"), flight_dump: None }
-            }
+            Err(e) => return Verdict::fail(format!("native baseline: {e}")),
         };
-        self.runs += 1;
+        let run = if schedule.family == Family::ProcKill {
+            self.run_proc(schedule)
+        } else {
+            self.run_in_process(schedule)
+        };
+        match run {
+            Err(failed) => failed,
+            Ok(r) if r.outputs != native => {
+                let ranks = diverged(&native, &r.outputs);
+                let reason = format!("outputs diverge from native at ranks {ranks:?}");
+                Verdict::Fail { reason, flight_dump: r.flight_dump }
+            }
+            Ok(r) if !r.unfired.is_empty() => Verdict::Unfired(r.unfired),
+            Ok(_) => Verdict::Pass,
+        }
+    }
+
+    /// One `spbc-node` OS process per cluster, plans aborting the entire
+    /// hosting process and external SIGKILLs landing from outside. Each plan
+    /// aborts its node once, so fewer node respawns than plans means one
+    /// never fired (which one, the respawn count cannot tell).
+    fn run_proc(&self, schedule: &Schedule) -> std::result::Result<Run, Verdict> {
         let pc = crate::proc::ProcConfig {
             world: self.cfg.world,
             clusters: self.cfg.clusters,
@@ -580,58 +547,22 @@ impl Oracle {
                 .collect(),
             node_bin: None,
         };
-        match crate::proc::run_multiproc(&pc) {
-            Err(e) => Verdict::Fail { reason: format!("proc coordinator: {e}"), flight_dump: None },
-            Ok(r) if !r.errors.is_empty() => {
-                let (rank, msg) = &r.errors[0];
-                Verdict::Fail { reason: format!("rank {rank} error: {msg}"), flight_dump: None }
-            }
-            Ok(r) if r.outputs != native => {
-                let diverged: Vec<usize> = native
-                    .iter()
-                    .zip(&r.outputs)
-                    .enumerate()
-                    .filter(|(_, (a, b))| a != b)
-                    .map(|(i, _)| i)
-                    .collect();
-                Verdict::Fail {
-                    reason: format!(
-                        "outputs diverge from native at ranks {diverged:?} \
-                         ({} node respawns)",
-                        r.respawns
-                    ),
-                    flight_dump: None,
-                }
-            }
-            Ok(_) => Verdict::Pass,
+        let r = crate::proc::run_multiproc(&pc)
+            .map_err(|e| Verdict::fail(format!("proc coordinator: {e}")))?;
+        if let Some((rank, msg)) = r.errors.first() {
+            return Err(Verdict::fail(format!("rank {rank} error: {msg}")));
         }
+        let unfired = if r.respawns < pc.plans.len() { schedule.plans.clone() } else { vec![] };
+        Ok(Run { outputs: r.outputs, unfired, flight_dump: None })
     }
 
-    /// [`Self::run`] with an explicit plan set (the minimizer's probe).
-    pub fn run_plans(&mut self, workload: Workload, seed: u64, plans: &[FailurePlan]) -> Verdict {
-        self.run_plans_with(workload, seed, plans, false)
-    }
-
-    /// [`Self::run_plans`] with node-loss semantics: a crashed rank loses its
-    /// node-local checkpoints, so restore must erasure-rebuild from the set.
-    /// When the config has no EC scheme, node-loss runs force `xor` — a
-    /// node-loss schedule without parity would (correctly, but uselessly)
-    /// always fail.
-    pub fn run_plans_with(
-        &mut self,
-        workload: Workload,
-        seed: u64,
-        plans: &[FailurePlan],
-        node_loss: bool,
-    ) -> Verdict {
-        let native = match self.baseline(workload, seed) {
-            Ok(n) => n,
-            Err(e) => {
-                return Verdict::Fail { reason: format!("native baseline: {e}"), flight_dump: None }
-            }
-        };
-        self.runs += 1;
-        let params = self.cfg.params(seed);
+    /// With node-loss semantics under the ec-rebuild family: a crashed rank
+    /// loses its node-local checkpoints, so restore must erasure-rebuild
+    /// from the set. When the config has no EC scheme, node-loss runs force
+    /// `xor` — a node-loss schedule without parity would (correctly, but
+    /// uselessly) always fail.
+    fn run_in_process(&self, schedule: &Schedule) -> std::result::Result<Run, Verdict> {
+        let node_loss = schedule.family == Family::EcRebuild;
         let ec_scheme = if node_loss && matches!(self.cfg.ec_scheme.trim(), "" | "off") {
             "xor".to_string()
         } else {
@@ -649,36 +580,30 @@ impl Oracle {
                 ..Default::default()
             },
         ));
-        let report = Runtime::builder(self.runtime_cfg())
+        let rt = RuntimeConfig::new(self.cfg.world)
+            .with_deadlock_timeout(self.cfg.timeout)
+            .with_flight_recorder(TRACE_RING_CAPACITY);
+        let r = Runtime::builder(rt)
             .provider(provider)
-            .app(workload.build(params))
-            .plans(plans.iter().cloned())
-            .launch();
-        match report {
-            Err(e) => Verdict::Fail { reason: format!("runtime: {e}"), flight_dump: None },
-            Ok(r) if !r.errors.is_empty() => {
-                let (rank, msg) = &r.errors[0];
-                Verdict::Fail {
-                    reason: format!("rank {rank} error: {msg}"),
-                    flight_dump: r.flight_dump.or_else(|| r.flight.as_ref().map(dump_flight)),
-                }
-            }
-            Ok(r) if r.outputs != native => {
-                let diverged: Vec<usize> = native
-                    .iter()
-                    .zip(&r.outputs)
-                    .enumerate()
-                    .filter(|(_, (a, b))| a != b)
-                    .map(|(i, _)| i)
-                    .collect();
-                Verdict::Fail {
-                    reason: format!("outputs diverge from native at ranks {diverged:?}"),
-                    flight_dump: r.flight.as_ref().map(dump_flight),
-                }
-            }
-            Ok(_) => Verdict::Pass,
+            .app(schedule.workload.build(self.cfg.params(schedule.seed)))
+            .plans(schedule.plans.iter().cloned())
+            .launch()
+            .map_err(|e| Verdict::fail(format!("runtime: {e}")))?;
+        let flight_dump = r.flight.as_ref().map(dump_flight);
+        if let Some((rank, msg)) = r.errors.first() {
+            let reason = format!("rank {rank} error: {msg}");
+            return Err(Verdict::Fail { reason, flight_dump: r.flight_dump.or(flight_dump) });
         }
+        Ok(Run { outputs: r.outputs, unfired: r.unfired, flight_dump })
     }
+}
+
+/// What a completed run leaves to judge.
+struct Run {
+    outputs: Vec<Vec<u8>>,
+    /// The plans that never fired.
+    unfired: Vec<FailurePlan>,
+    flight_dump: Option<String>,
 }
 
 /// Compact text dump of a flight log: the tail of each rank's event ring.
@@ -703,18 +628,15 @@ fn dump_flight(log: &mini_mpi::recorder::FlightLog) -> String {
 /// when it is already minimal. Every step strictly decreases a positive
 /// quantity, so minimization terminates.
 pub fn advance(t: &FailureTrigger) -> Option<FailureTrigger> {
-    match *t {
-        FailureTrigger::NthFailurePoint { nth } if nth > 1 => {
-            Some(FailureTrigger::NthFailurePoint { nth: nth - 1 })
-        }
-        FailureTrigger::CkptPhase { phase, nth } if nth > 1 => {
-            Some(FailureTrigger::CkptPhase { phase, nth: nth - 1 })
-        }
-        FailureTrigger::ReplayProgress { frac } if frac > 0.1 => {
-            Some(FailureTrigger::ReplayProgress { frac: frac / 2.0 })
-        }
-        FailureTrigger::AfterRecovery { of_cluster, nth } if nth > 1 => {
-            Some(FailureTrigger::AfterRecovery { of_cluster, nth: nth - 1 })
+    let mut t = t.clone();
+    match &mut t {
+        FailureTrigger::NthFailurePoint { nth }
+        | FailureTrigger::AtTransition { nth, .. }
+        | FailureTrigger::AfterRecovery { nth, .. }
+            if *nth > 1 =>
+        {
+            *nth -= 1;
+            Some(t)
         }
         _ => None,
     }
@@ -780,21 +702,111 @@ pub struct FailureCase {
 impl FailureCase {
     /// The complete reproducer, ready to paste into a bug report.
     pub fn reproducer(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "CHAOS FAILURE seed={} family={} workload={:?}\n  reason: {}\n",
-            self.schedule.seed, self.schedule.family, self.schedule.workload, self.reason
-        ));
-        out.push_str(&format!("  original schedule ({} triggers):\n", self.schedule.plans.len()));
-        for p in &self.schedule.plans {
-            out.push_str(&format!("    {p:?}\n"));
+        let s = &self.schedule;
+        let list = |plans: &[FailurePlan]| {
+            let lines = plans.iter().map(|p| format!("    {p:?}\n")).collect::<String>();
+            format!("({} triggers):\n{lines}", plans.len())
+        };
+        format!(
+            "CHAOS FAILURE seed={} family={} workload={:?}\n  reason: {}\n  original schedule \
+             {}  minimal schedule {}{}",
+            s.seed,
+            s.family,
+            s.workload,
+            self.reason,
+            list(&s.plans),
+            list(&self.minimized),
+            self.flight_dump.as_deref().unwrap_or_default()
+        )
+    }
+}
+
+/// What the `transitions` family saw at one row on one workload; a later
+/// variant wins over an earlier one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Cell {
+    /// No schedule's kill landed in the row.
+    NeverFired,
+    /// A kill landed in the row, and every run with one restored bitwise.
+    Bitwise,
+    /// A run of the row's schedules failed.
+    Failed,
+}
+
+/// The `transitions` family's result: per row, per workload, a [`Cell`].
+#[derive(Debug, Default)]
+pub struct Matrix {
+    /// The workloads, in column order.
+    pub workloads: Vec<Workload>,
+    /// Each row with its cells, in table order.
+    pub rows: Vec<(&'static str, Vec<Cell>)>,
+}
+
+impl Matrix {
+    fn new(workloads: &[Workload]) -> Self {
+        let cells = vec![Cell::NeverFired; workloads.len()];
+        let rows = WAVE_ROWS.iter().chain(RECOVERY_ROWS).map(|&r| (r, cells.clone())).collect();
+        Matrix { workloads: workloads.to_vec(), rows }
+    }
+
+    /// Fold in one run of a `transitions` schedule: its row fired unless
+    /// every plan naming the row is among the unfired ones.
+    fn note(&mut self, schedule: &Schedule, verdict: &Verdict) {
+        let row_of = |p: &FailurePlan| match p.trigger {
+            FailureTrigger::AtTransition { row, .. } => Some(row),
+            _ => None,
+        };
+        let cell = match verdict {
+            Verdict::Fail { .. } => Cell::Failed,
+            Verdict::Unfired(unfired)
+                if schedule.plans.iter().all(|p| row_of(p).is_none() || unfired.contains(p)) =>
+            {
+                Cell::NeverFired
+            }
+            _ => Cell::Bitwise,
+        };
+        let row = schedule.plans.iter().find_map(row_of);
+        let col = self.workloads.iter().position(|&w| w == schedule.workload);
+        if let (Some((_, cells)), Some(col)) =
+            (self.rows.iter_mut().find(|r| Some(r.0) == row), col)
+        {
+            cells[col] = cells[col].max(cell);
         }
-        out.push_str(&format!("  minimal schedule ({} triggers):\n", self.minimized.len()));
-        for p in &self.minimized {
-            out.push_str(&format!("    {p:?}\n"));
+    }
+
+    /// `(row, workload)` of each row that never fired on a workload with no
+    /// reason known for it: a table row nothing can kill in, unexplained.
+    pub fn unexplained(&self, cfg: &ChaosConfig) -> Vec<(&'static str, Workload)> {
+        let cells =
+            self.rows.iter().flat_map(|(r, c)| c.iter().zip(&self.workloads).map(|x| (*r, x)));
+        cells
+            .filter(|(row, (cell, _))| {
+                **cell == Cell::NeverFired && unreachable_row(row, cfg).is_none()
+            })
+            .map(|(row, (_, &w))| (row, w))
+            .collect()
+    }
+
+    /// The matrix as a table, each never-fired row with its reason.
+    pub fn render(&self, cfg: &ChaosConfig) -> String {
+        let mut out = format!("{:<30}", "row");
+        for w in &self.workloads {
+            out.push_str(&format!(" {:<18}", format!("{w:?}")));
         }
-        if let Some(d) = &self.flight_dump {
-            out.push_str(d);
+        for (row, cells) in &self.rows {
+            out.push_str(&format!("\n{row:<30}"));
+            for cell in cells {
+                let cell = match cell {
+                    Cell::Bitwise => "killed & bitwise",
+                    Cell::Failed => "killed & FAILED",
+                    Cell::NeverFired => "never fired",
+                };
+                out.push_str(&format!(" {cell:<18}"));
+            }
+            if cells.contains(&Cell::NeverFired) {
+                let reason = unreachable_row(row, cfg).unwrap_or("NO REASON KNOWN");
+                out.push_str(&format!(" ({reason})"));
+            }
         }
         out
     }
@@ -805,66 +817,85 @@ impl FailureCase {
 pub struct CampaignReport {
     /// Schedules executed.
     pub total: u64,
-    /// Schedules that passed bitwise verification.
+    /// Schedules that passed bitwise verification (and, `transitions` aside,
+    /// fired every plan).
     pub passed: u64,
     /// Minimized failures.
     pub failures: Vec<FailureCase>,
+    /// The `transitions` family's matrix (empty when it did not run).
+    pub matrix: Matrix,
 }
 
-/// Run `seeds` base seeds × every family × every configured workload
-/// (`seeds × Family::ALL.len() × workloads.len()` schedules), minimizing
-/// every failure.
+/// Run `seeds` base seeds × every seeded family × every configured
+/// workload, plus the `transitions` family once, minimizing every failure.
 /// Progress goes to stderr; the returned report holds the reproducers.
 pub fn run_campaign(seeds: u64, cfg: ChaosConfig) -> CampaignReport {
     run_campaign_over(0..seeds, &Family::ALL, cfg)
 }
 
-/// [`run_campaign`] over the given base seeds and families.
+/// [`run_campaign`] over the given base seeds and families. A
+/// `transitions` schedule whose row never fired passes: the
+/// [`Matrix`] shows it, and [`Matrix::unexplained`] names it unless a
+/// reason is known.
 pub fn run_campaign_over(
     seeds: std::ops::Range<u64>,
     families: &[Family],
     cfg: ChaosConfig,
 ) -> CampaignReport {
     let workloads = cfg.workloads.clone();
-    let mut oracle = Oracle::new(cfg);
-    let mut report = CampaignReport::default();
-    for seed in seeds {
-        for &family in families {
-            for &workload in &workloads {
-                let schedule = generate(seed, family, workload, oracle.cfg());
-                report.total += 1;
-                match oracle.run(&schedule) {
-                    Verdict::Pass => {
-                        report.passed += 1;
-                        eprintln!(
-                            "chaos: PASS seed={seed} family={family} workload={workload:?} \
-                             triggers={}",
-                            schedule.plans.len()
-                        );
-                    }
-                    Verdict::Fail { reason, flight_dump } => {
-                        eprintln!(
-                            "chaos: FAIL seed={seed} family={family} workload={workload:?} — \
-                             {reason}; minimizing"
-                        );
-                        let minimized = if family == Family::ProcKill {
-                            minimize(&schedule.plans, |cand| {
-                                let probe = Schedule { plans: cand.to_vec(), ..schedule.clone() };
-                                oracle.run_proc(&probe).failed()
-                            })
-                        } else {
-                            let node_loss = family == Family::EcRebuild;
-                            minimize(&schedule.plans, |cand| {
-                                oracle.run_plans_with(workload, seed, cand, node_loss).failed()
-                            })
-                        };
-                        let case = FailureCase { schedule, reason, minimized, flight_dump };
-                        eprint!("{}", case.reproducer());
-                        report.failures.push(case);
-                    }
-                }
+    let mut schedules = Vec::new();
+    for &family in families {
+        for &workload in &workloads {
+            if family == Family::Transitions {
+                schedules.extend(transitions(workload, &cfg));
+            } else {
+                schedules.extend(seeds.clone().map(|s| generate(s, family, workload, &cfg)));
             }
         }
+    }
+    let matrix =
+        Matrix::new(if families.contains(&Family::Transitions) { &workloads } else { &[] });
+    let mut report = CampaignReport { matrix, ..CampaignReport::default() };
+    let mut oracle = Oracle::new(cfg);
+    for schedule in schedules {
+        let (seed, family, workload) = (schedule.seed, schedule.family, schedule.workload);
+        report.total += 1;
+        let mut verdict = oracle.run(&schedule);
+        if family == Family::Transitions {
+            report.matrix.note(&schedule, &verdict);
+            // A row no kill reached passes: the matrix shows it.
+            if let Verdict::Unfired(_) = verdict {
+                verdict = Verdict::Pass;
+            }
+        }
+        let (reason, minimized, flight_dump) = match verdict {
+            Verdict::Pass => {
+                report.passed += 1;
+                let n = schedule.plans.len();
+                eprintln!(
+                    "chaos: PASS seed={seed} family={family} workload={workload:?} triggers={n}"
+                );
+                continue;
+            }
+            // A window that drifted: nothing to shrink.
+            unfired @ Verdict::Unfired(_) => (unfired.to_string(), schedule.plans.clone(), None),
+            Verdict::Fail { reason, flight_dump } => {
+                eprintln!(
+                    "chaos: FAIL seed={seed} family={family} workload={workload:?} — {reason}; \
+                     minimizing"
+                );
+                // Only a run that fails, not one whose plan never fired,
+                // still reproduces the failure.
+                let minimized = minimize(&schedule.plans, |cand| {
+                    let probe = Schedule { plans: cand.to_vec(), ..schedule.clone() };
+                    matches!(oracle.run(&probe), Verdict::Fail { .. })
+                });
+                (reason, minimized, flight_dump)
+            }
+        };
+        let case = FailureCase { schedule, reason, minimized, flight_dump };
+        eprint!("{}", case.reproducer());
+        report.failures.push(case);
     }
     report
 }
@@ -875,9 +906,10 @@ pub fn run_campaign_over(
 pub fn repeat(oracle: &mut Oracle, schedule: &Schedule, n: u64) -> u64 {
     let mut failed = 0;
     for i in 0..n {
-        if let Verdict::Fail { reason, .. } = oracle.run(schedule) {
+        let verdict = oracle.run(schedule);
+        if verdict.failed() {
             eprintln!(
-                "chaos: FAIL repeat {}/{n} seed={} family={} workload={:?} — {reason}",
+                "chaos: FAIL repeat {}/{n} seed={} family={} workload={:?} — {verdict}",
                 i + 1,
                 schedule.seed,
                 schedule.family,
@@ -889,43 +921,45 @@ pub fn repeat(oracle: &mut Oracle, schedule: &Schedule, n: u64) -> u64 {
     failed
 }
 
-/// The pinned regression schedules: seeds and families that exercise the
-/// exact windows of two races fixed earlier in this repo's history, kept
-/// hot so they can never silently return.
+/// The pinned regression schedules: hand-written schedules that exercise
+/// the exact windows of races fixed earlier in this repo's history, kept
+/// hot so they can never silently return. Each names transition-table rows
+/// or failure points, and every plan must fire.
 pub mod pinned {
     use super::*;
 
-    /// Commit-barrier race window: a member killed *between* sending its
-    /// `CKPT_ACK` and receiving the leader's `CKPT_RESUME` (plus a second
-    /// cluster dying inside the write phase of the same wave).
+    const FLUSHED: &str = "member/Flushing/Flushed";
+    const COMMIT: &str = "member/Quiescing/Commit";
+
+    /// A hand-written (not generated) MiniGhost schedule.
+    fn pin(family: Family, plans: Vec<FailurePlan>) -> Schedule {
+        let (seed, workload, kills) = (u64::MAX, Workload::MiniGhost, Vec::new());
+        Schedule { seed, family, workload, plans, kills }
+    }
+
+    fn at(rank: u32, row: &'static str, nth: u64) -> FailurePlan {
+        FailurePlan::at_transition(RankId(rank), row, nth)
+    }
+
+    fn nth(rank: u32, nth: u64) -> FailurePlan {
+        FailurePlan::nth(RankId(rank), nth)
+    }
+
+    /// Commit-barrier race window: a member killed inside the commit
+    /// barrier — its copy durable, its `CKPT_ACK` not yet sent — (plus a
+    /// second cluster dying at the COMMIT of the next wave).
     pub fn commit_barrier() -> Schedule {
-        Schedule {
-            seed: u64::MAX, // hand-written, not generated
-            family: Family::CkptPhases,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::at_phase(RankId(2), CkptHook::CommitBarrier, 1),
-                FailurePlan::at_phase(RankId(5), CkptHook::Write, 2),
-            ],
-            kills: Vec::new(),
-        }
+        pin(Family::Transitions, vec![at(2, FLUSHED, 1), at(5, COMMIT, 2)])
     }
 
     /// Rendezvous-rebind race window: a cluster dies, and while survivors
-    /// replay their logs at it, one of the replaying senders is killed
-    /// mid-replay and another cluster dies outright.
+    /// replay their logs at it, one of the senders that owes it a replay
+    /// dies at the first ROLLBACK it serves, nothing replayed yet, and a
+    /// third cluster dies while the second one recovers.
     pub fn rendezvous_rebind() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::DuringRecovery,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::nth(RankId(0), 5),
-                FailurePlan::at_replay_progress(RankId(4), 0.3),
-                FailurePlan::after_recovery(RankId(6), 0, 1),
-            ],
-            kills: Vec::new(),
-        }
+        let after = FailurePlan::after_recovery(RankId(6), 2, 1);
+        let plans = vec![nth(0, 5), at(4, "recovery/Rollback", 1), after];
+        pin(Family::DuringRecovery, plans)
     }
 
     /// Delta-chain restore window: a rank dies after three checkpoint waves
@@ -934,35 +968,17 @@ pub mod pinned {
     /// partners), while a second cluster dies mid-replication of a later
     /// wave.
     pub fn delta_chain() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::DeltaChain,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::nth(RankId(1), 14),
-                FailurePlan::at_phase(RankId(6), CkptHook::Replicate, 3),
-            ],
-            kills: Vec::new(),
-        }
+        pin(Family::Transitions, vec![nth(1, 14), at(6, ENCODED, 3)])
     }
 
-    /// CAS refcount window: rank 2 dies inside its second wave's write —
-    /// chunks inserted and registered, the wave never resumed on it — while
-    /// the other ranks commit the wave and their RESUME-time GC prunes
-    /// epoch 1. Rank 5 then dies much later, forcing a restore that
+    /// CAS refcount window: rank 2 dies at its second wave's COMMIT — its
+    /// siblings insert and register their chunks, the wave never resumes —
+    /// while the other clusters commit the wave and their RESUME-time GC
+    /// prunes epoch 1. Rank 5 then dies much later, forcing a restore that
     /// materializes a `SPBCCKP4` manifest against the post-GC store: any
     /// chunk freed while a checkpoint still referenced it fails loudly.
     pub fn cas_gc() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::CasGc,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::at_phase(RankId(2), CkptHook::Write, 2),
-                FailurePlan::nth(RankId(5), 14),
-            ],
-            kills: Vec::new(),
-        }
+        pin(Family::Transitions, vec![at(2, COMMIT, 2), nth(5, 14)])
     }
 
     /// Erasure-rebuild window: node-loss kills inside one redundancy set.
@@ -972,16 +988,7 @@ pub mod pinned {
     /// push of a wave — the window where the new parity shard is staged but
     /// not yet durable at the partner.
     pub fn ec_rebuild() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::EcRebuild,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::nth(RankId(2), 10),
-                FailurePlan::at_phase(RankId(3), CkptHook::Replicate, 2),
-            ],
-            kills: Vec::new(),
-        }
+        pin(Family::EcRebuild, vec![nth(2, 10), at(3, ENCODED, 2)])
     }
 
     /// Log-GC windows, all in one run of four waves (iterations 4, 8, 12,
@@ -994,18 +1001,8 @@ pub mod pinned {
     /// to the very cut it truncates to, and cluster 1 dies again while
     /// cluster 0 re-executes.
     pub fn log_gc() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::LogGc,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::nth(RankId(4), 9),
-                FailurePlan::at_phase(RankId(2), CkptHook::CommitBarrier, 3),
-                FailurePlan::nth(RankId(0), 14),
-                FailurePlan::after_recovery(RankId(3), 0, 1),
-            ],
-            kills: Vec::new(),
-        }
+        let after = FailurePlan::after_recovery(RankId(3), 0, 1);
+        pin(Family::LogGc, vec![nth(4, 9), at(2, FLUSHED, 3), nth(0, 14), after])
     }
 
     /// The first wave that prunes: cluster 1 (rank 2) dies at the first
@@ -1013,32 +1010,17 @@ pub mod pinned {
     /// released its senders' logs up to cut 1. It restarts from wave 1 with
     /// every `lr` exactly at its senders' floors.
     pub fn log_gc_first_wave() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::LogGc,
-            workload: Workload::MiniGhost,
-            plans: vec![FailurePlan::nth(RankId(2), 5)],
-            kills: Vec::new(),
-        }
+        pin(Family::LogGc, vec![nth(2, 5)])
     }
 
     /// A kill inside wave n+1's commit barrier, n = 1: rank 5 dies after
     /// its own copy of wave 2 is durable, before its ACK, and rank 4 dies
-    /// on reaching wave 2's write, whichever comes first. Rank 4 never
+    /// on reaching wave 2's COMMIT, whichever comes first. Rank 4 never
     /// holds wave 2 before its kill, so cluster 2 restarts from wave 1 at
     /// least once, with its senders' logs pruned to exactly cut 1 and rank
     /// 5's durable, never-acked wave 2 beside it in the store.
     pub fn log_gc_commit_barrier() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::LogGc,
-            workload: Workload::MiniGhost,
-            plans: vec![
-                FailurePlan::at_phase(RankId(5), CkptHook::CommitBarrier, 2),
-                FailurePlan::at_phase(RankId(4), CkptHook::Write, 2),
-            ],
-            kills: Vec::new(),
-        }
+        pin(Family::LogGc, vec![at(5, FLUSHED, 2), at(4, COMMIT, 2)])
     }
 
     /// Process-kill window: two `spbc-node` processes (clusters 0 and 2)
@@ -1047,13 +1029,7 @@ pub mod pinned {
     /// the coordinator respawns the node one epoch up and recovery restores
     /// from shared disk — bitwise against the in-process native baseline.
     pub fn proc_kill() -> Schedule {
-        Schedule {
-            seed: u64::MAX,
-            family: Family::ProcKill,
-            workload: Workload::MiniGhost,
-            plans: vec![FailurePlan::nth(RankId(1), 6), FailurePlan::nth(RankId(5), 9)],
-            kills: vec![(3, 200)],
-        }
+        Schedule { kills: vec![(3, 200)], ..pin(Family::ProcKill, vec![nth(1, 6), nth(5, 9)]) }
     }
 
     /// The node-mode hang schedule: `proc-kill` seed 7 on AMG under
@@ -1062,12 +1038,12 @@ pub mod pinned {
     /// 363 ms. It hung now and then (a survivor or a restarted rank
     /// waiting on a collective-tag message until the deadlock timeout).
     pub fn proc_kill_amg() -> Schedule {
+        let plans = vec![nth(2, 5), nth(6, 5)];
         Schedule {
             seed: 7,
-            family: Family::ProcKill,
             workload: Workload::Amg,
-            plans: vec![FailurePlan::nth(RankId(2), 5), FailurePlan::nth(RankId(6), 5)],
             kills: vec![(2, 363)],
+            ..pin(Family::ProcKill, plans)
         }
     }
 }
@@ -1105,13 +1081,35 @@ mod tests {
     fn families_differ() {
         let cfg = ChaosConfig::short();
         let spread = generate(3, Family::Spread, Workload::MiniGhost, &cfg);
-        let phases = generate(3, Family::CkptPhases, Workload::MiniGhost, &cfg);
-        assert_ne!(format!("{:?}", spread.plans), format!("{:?}", phases.plans));
+        let during = generate(3, Family::DuringRecovery, Workload::MiniGhost, &cfg);
+        assert_ne!(format!("{:?}", spread.plans), format!("{:?}", during.plans));
         assert!(spread
             .plans
             .iter()
             .all(|p| matches!(p.trigger, FailureTrigger::NthFailurePoint { .. })));
-        assert!(phases.plans.iter().any(|p| matches!(p.trigger, FailureTrigger::CkptPhase { .. })));
+        let at_rollback = FailureTrigger::AtTransition { row: ROLLBACK, nth: 1 };
+        assert!(during.plans.iter().any(|p| {
+            matches!(p.trigger, FailureTrigger::AtTransition { row: ROLLBACK, .. })
+                && advance(&p.trigger).is_none_or(|t| t == at_rollback)
+        }));
+    }
+
+    /// One `transitions` schedule per row, occurrence and workload, each
+    /// naming its row's victims, and `generate` picks them by seed.
+    #[test]
+    fn transitions_cover_every_row_twice() {
+        let cfg = ChaosConfig::short();
+        let all = transitions(Workload::Amg, &cfg);
+        assert_eq!(all.len(), 2 * (WAVE_ROWS.len() + RECOVERY_ROWS.len()));
+        for (i, s) in all.iter().enumerate() {
+            assert_eq!(s.seed, i as u64);
+            let row = WAVE_ROWS.iter().chain(RECOVERY_ROWS).nth(i / 2).unwrap();
+            let want = FailureTrigger::AtTransition { row, nth: 1 + i as u64 % 2 };
+            let victims = s.plans.iter().filter(|p| p.trigger == want).count();
+            assert_eq!(victims, if row.starts_with("recovery/") { 2 } else { 1 }, "{s:?}");
+            let again = generate(i as u64, Family::Transitions, Workload::Amg, &cfg);
+            assert_eq!(format!("{again:?}"), format!("{s:?}"));
+        }
     }
 
     /// The acceptance demo: an intentionally broken oracle (fails whenever
@@ -1124,8 +1122,8 @@ mod tests {
         let schedule = vec![
             FailurePlan::nth(RankId(0), 9),
             FailurePlan::nth(RankId(3), 4),
-            FailurePlan::at_phase(RankId(1), CkptHook::CommitBarrier, 3),
-            FailurePlan::at_replay_progress(RankId(5), 0.8),
+            FailurePlan::at_transition(RankId(1), "member/Flushing/Flushed", 3),
+            FailurePlan::at_transition(RankId(5), "recovery/Sent", 4),
             FailurePlan::after_recovery(RankId(6), 0, 2),
             FailurePlan::nth(RankId(7), 12),
         ];
@@ -1145,36 +1143,30 @@ mod tests {
     #[test]
     fn minimizer_is_monotone_on_trigger_predicates() {
         // Oracle keyed on a *trigger property* rather than a rank: fails iff
-        // some CommitBarrier trigger is present. Dropping must keep it;
+        // some commit-barrier trigger is present. Dropping must keep it;
         // advancing must stop before breaking it.
+        const FLUSHED: &str = "member/Flushing/Flushed";
         let failing = |plans: &[FailurePlan]| {
-            plans.iter().any(|p| {
-                matches!(
-                    p.trigger,
-                    FailureTrigger::CkptPhase { phase: CkptHook::CommitBarrier, .. }
-                )
-            })
+            plans
+                .iter()
+                .any(|p| matches!(p.trigger, FailureTrigger::AtTransition { row: FLUSHED, .. }))
         };
         let schedule = vec![
             FailurePlan::nth(RankId(2), 5),
-            FailurePlan::at_phase(RankId(6), CkptHook::CommitBarrier, 2),
-            FailurePlan::at_phase(RankId(3), CkptHook::WaveOpen, 1),
+            FailurePlan::at_transition(RankId(6), FLUSHED, 2),
+            FailurePlan::at_transition(RankId(3), "member/Idle/Call(open)", 1),
         ];
         let min = minimize(&schedule, |c| failing(c));
         assert_eq!(min.len(), 1);
         assert!(failing(&min), "monotone");
-        assert!(matches!(
-            min[0].trigger,
-            FailureTrigger::CkptPhase { phase: CkptHook::CommitBarrier, nth: 1 }
-        ));
+        assert_eq!(min[0].trigger, FailureTrigger::AtTransition { row: FLUSHED, nth: 1 });
     }
 
     #[test]
     fn advance_terminates() {
         for mut t in [
             FailureTrigger::NthFailurePoint { nth: 40 },
-            FailureTrigger::CkptPhase { phase: CkptHook::Write, nth: 9 },
-            FailureTrigger::ReplayProgress { frac: 0.9 },
+            FailureTrigger::AtTransition { row: "recovery/Sent", nth: 9 },
             FailureTrigger::AfterRecovery { of_cluster: 3, nth: 7 },
         ] {
             let mut steps = 0;

@@ -124,6 +124,7 @@ mod tests {
             errors: Vec::new(),
             flight: None,
             flight_dump: None,
+            unfired: Vec::new(),
         }
     }
 

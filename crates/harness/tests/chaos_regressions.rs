@@ -12,13 +12,17 @@ use spbc_apps::Workload;
 use spbc_ckptstore::{CkptStoreService, EcScheme, SetMap, StoreConfig};
 use spbc_harness::chaos::{self, ChaosConfig, Family, Oracle, Verdict};
 
+/// The schedule restores bitwise, and every plan it names fires.
 fn assert_passes(oracle: &mut Oracle, schedule: &chaos::Schedule) {
-    if let Verdict::Fail { reason, flight_dump } = oracle.run(schedule) {
+    let verdict = oracle.run(schedule);
+    if verdict.failed() {
+        let dump = match &verdict {
+            Verdict::Fail { flight_dump: Some(d), .. } => d.as_str(),
+            _ => "",
+        };
         panic!(
-            "pinned schedule {:?}/{} failed: {reason}\n{}",
-            schedule.workload,
-            schedule.family,
-            flight_dump.unwrap_or_default()
+            "pinned schedule {:?}/{} failed: {verdict}\n{dump}",
+            schedule.workload, schedule.family
         );
     }
 }
@@ -40,9 +44,9 @@ fn pinned_rendezvous_rebind_race() {
 }
 
 /// The replay-resume hang found by the first chaos campaign (seed 1,
-/// during-recovery, Amg): a cluster killed at 50% replay progress towards a
-/// still-recovering cluster; its restarted incarnation must resume the
-/// interrupted replay.
+/// during-recovery, Amg): a cluster killed half-way through its replay
+/// towards a still-recovering cluster (rank 2 dies after its third replayed
+/// message); its restarted incarnation must resume the interrupted replay.
 #[test]
 fn pinned_replay_resume_after_replayer_death() {
     let mut oracle = Oracle::new(ChaosConfig::short());
@@ -52,7 +56,7 @@ fn pinned_replay_resume_after_replayer_death() {
         workload: Workload::Amg,
         plans: vec![
             FailurePlan::nth(RankId(6), 3),
-            FailurePlan::at_replay_progress(RankId(2), 0.5),
+            FailurePlan::at_transition(RankId(2), "recovery/Sent", 3),
         ],
         kills: Vec::new(),
     };
@@ -202,13 +206,18 @@ fn pinned_log_gc_commit_barrier() {
     assert_passes(&mut oracle, &chaos::pinned::log_gc_commit_barrier());
 }
 
-/// A fixed-seed campaign slice: every family, both workloads, seeds 0-1.
-/// Bitwise identical to native on every schedule.
+/// A fixed-seed campaign slice: every seeded family on both workloads,
+/// seeds 0-1, and the `transitions` family whole. Bitwise identical to
+/// native on every schedule, every seeded plan fired, and every row no kill
+/// landed in has a known reason.
 #[test]
 fn fixed_seed_campaign_slice() {
     std::env::set_var("SPBC_NODE_BIN", env!("CARGO_BIN_EXE_spbc-node"));
-    let report = chaos::run_campaign(2, ChaosConfig::short());
-    assert_eq!(report.total, 36);
+    let cfg = ChaosConfig::short();
+    let report = chaos::run_campaign(2, cfg.clone());
+    let rows = spbc_core::WAVE_ROWS.len() + spbc_core::RECOVERY_ROWS.len();
+    assert_eq!(report.total, 2 * 6 * 2 + rows as u64 * 2 * 2);
+    assert_eq!(report.matrix.unexplained(&cfg), [], "\n{}", report.matrix.render(&cfg));
     assert!(
         report.failures.is_empty(),
         "campaign failures:\n{}",

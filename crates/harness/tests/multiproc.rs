@@ -250,8 +250,21 @@ fn a_stalled_rank_leaves_its_flight_dump_in_the_error() {
         .and_then(|rest| rest.split(')').next())
         .unwrap_or_else(|| panic!("no run directory in: {err}"));
     let dir = std::path::Path::new(dir);
-    let dumps = [0, 1, 3].iter().filter(|n| dir.join(format!("node-{n}-e0.flight")).is_file());
-    assert!(dumps.count() >= 1, "no node wrote its dump");
+    let dumps: Vec<_> = [0u32, 1, 3]
+        .into_iter()
+        .filter_map(|n| {
+            Some((n, std::fs::read_to_string(dir.join(format!("node-{n}-e0.flight"))).ok()?))
+        })
+        .collect();
+    assert!(!dumps.is_empty(), "no node wrote its dump");
+    // Node n hosts ranks 2n and 2n + 1: its dump has a section for each,
+    // and for no other rank.
+    for (n, dump) in &dumps {
+        let sections: Vec<&str> =
+            dump.lines().filter_map(|l| l.strip_prefix("-- rank ")?.split(':').next()).collect();
+        let hosted = [(2 * n).to_string(), (2 * n + 1).to_string()];
+        assert_eq!(sections, hosted, "node {n}'s dump:\n{dump}");
+    }
     assert!(!dir.join("node-2-e0.flight").exists(), "node 2 never ran");
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -1,37 +1,20 @@
 //! Failure injection: chaos triggers, kill flags, and runtime events.
 //!
 //! The chaos engine generalizes the original "rank r dies at its nth failure
-//! point" model into [`FailureTrigger`]s that can land a kill inside the
-//! protocol's most fragile windows: a checkpoint wave opening, the local
-//! write, the replication push, the commit barrier, mid-replay, or right
-//! after (even *during*) another cluster's recovery. Rank threads and
-//! protocol layers ask the shared controller at every [`FailureSite`] they
-//! pass whether they must die there.
+//! point" model into [`FailureTrigger`]s that can land a kill at any row of
+//! a protocol layer's transition tables ([`FailureTrigger::AtTransition`]:
+//! SPBC's rows are `spbc_core::WAVE_ROWS` and `spbc_core::RECOVERY_ROWS`),
+//! or right after (even *during*) another cluster's recovery. Rank threads
+//! and protocol layers ask the shared controller at every [`FailureSite`]
+//! they pass whether they must die there; a row costs a rank no plan names
+//! one relaxed atomic load.
 
 use crate::types::RankId;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Protocol-layer checkpoint phases chaos triggers can key on. The names are
-/// generic on purpose — any coordinated-checkpointing layer maps its own
-/// state machine onto them (SPBC does in `spbc-core`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CkptHook {
-    /// A checkpoint wave is opening on this rank (declared due, before any
-    /// coordination message is sent).
-    WaveOpen,
-    /// The local checkpoint is about to be written (quiescence reached,
-    /// commit order received).
-    Write,
-    /// The sealed checkpoint is about to be pushed to replica partners.
-    Replicate,
-    /// Inside the commit barrier: checkpoint written (and replicated), about
-    /// to ACK and block for the leader's resume broadcast.
-    CommitBarrier,
-}
 
 /// When a planned crash fires.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,19 +27,13 @@ pub enum FailureTrigger {
         nth: u64,
     },
     /// The `nth` time (1-based, counted over the whole run, across
-    /// incarnations) the victim passes checkpoint phase `phase`.
-    CkptPhase {
-        /// The targeted protocol phase.
-        phase: CkptHook,
-        /// Which passage of that phase triggers the crash (1-based).
+    /// incarnations) the victim takes transition-table row `row`, after the
+    /// step and before any of its actions run.
+    AtTransition {
+        /// The row, as the protocol layer names it.
+        row: &'static str,
+        /// Which passage of that row triggers the crash (1-based).
         nth: u64,
-    },
-    /// The victim dies while *serving a replay*: fires once its replay
-    /// engine has released at least `frac` (0.0..=1.0) of the messages
-    /// queued for the current recovery round.
-    ReplayProgress {
-        /// Progress fraction at or beyond which the crash fires.
-        frac: f64,
     },
     /// The victim dies at the first failure site it passes after cluster
     /// `of_cluster` has been respawned for the `nth` time — i.e. while that
@@ -88,14 +65,9 @@ impl FailurePlan {
         FailurePlan { rank, trigger: FailureTrigger::NthFailurePoint { nth } }
     }
 
-    /// `rank` dies the `nth` time it passes checkpoint phase `phase`.
-    pub fn at_phase(rank: RankId, phase: CkptHook, nth: u64) -> Self {
-        FailurePlan { rank, trigger: FailureTrigger::CkptPhase { phase, nth } }
-    }
-
-    /// `rank` dies once it has released `frac` of a replay round it serves.
-    pub fn at_replay_progress(rank: RankId, frac: f64) -> Self {
-        FailurePlan { rank, trigger: FailureTrigger::ReplayProgress { frac } }
+    /// `rank` dies the `nth` time it takes row `row`.
+    pub fn at_transition(rank: RankId, row: &'static str, nth: u64) -> Self {
+        FailurePlan { rank, trigger: FailureTrigger::AtTransition { row, nth } }
     }
 
     /// `rank` dies at its first failure site after cluster `of_cluster`'s
@@ -115,16 +87,10 @@ pub enum FailureSite {
         /// This incarnation's failure-point count.
         occurrence: u64,
     },
-    /// A protocol checkpoint phase; passages are counted by the controller.
-    CkptPhase {
-        /// Which phase is being passed.
-        hook: CkptHook,
-    },
-    /// Replay progress: the rank has released `frac` of its current replay
-    /// round.
-    ReplayProgress {
-        /// Released fraction (0.0..=1.0).
-        frac: f64,
+    /// A transition-table row; passages are counted by the controller.
+    Transition {
+        /// The row taken.
+        row: &'static str,
     },
 }
 
@@ -158,16 +124,35 @@ pub enum RuntimeEvent {
     },
 }
 
+/// The plans not yet fired.
+#[derive(Default)]
+struct Pending {
+    /// Each with how often its victim has taken its row so far (counted for
+    /// [`FailureTrigger::AtTransition`] plans only).
+    plans: Vec<(FailurePlan, u64)>,
+    /// Fired [`FailureTrigger::AfterRecovery`] plans: their victims die at
+    /// the next failure site they pass.
+    armed: Vec<FailurePlan>,
+    /// Respawn count per cluster (the runtime reports each recovery).
+    recoveries: HashMap<usize, u64>,
+}
+
+impl Pending {
+    /// Whether a row `rank` takes can matter: a pending `AtTransition` plan
+    /// names it, or it is armed.
+    fn watches(&self, rank: RankId) -> bool {
+        let at_row = |p: &FailurePlan| matches!(p.trigger, FailureTrigger::AtTransition { .. });
+        self.armed.iter().any(|p| p.rank == rank)
+            || self.plans.iter().any(|(p, _)| p.rank == rank && at_row(p))
+    }
+}
+
 /// State shared between the failure controller, the runtime and the ranks.
 pub struct FailureShared {
-    plans: Mutex<Vec<FailurePlan>>,
-    /// Cumulative per-(rank, hook) checkpoint-phase passage counts.
-    ckpt_counts: Mutex<HashMap<(RankId, CkptHook), u64>>,
-    /// Respawn count per cluster (the runtime reports each recovery).
-    recoveries: Mutex<HashMap<usize, u64>>,
-    /// Victims of fired [`FailureTrigger::AfterRecovery`] plans: they die at
-    /// the next failure site they pass.
-    armed: Mutex<HashSet<RankId>>,
+    pending: Mutex<Pending>,
+    /// Per rank: [`Pending::watches`], so that a row costs every other rank
+    /// one relaxed load.
+    watched: Vec<AtomicBool>,
     events: Sender<RuntimeEvent>,
     kill_flags: Vec<Arc<AtomicBool>>,
     stats: Vec<Mutex<Option<Box<crate::stats::RankStats>>>>,
@@ -177,10 +162,8 @@ impl FailureShared {
     /// Build shared state for `total_ranks` ranks reporting on `events`.
     pub fn new(total_ranks: usize, events: Sender<RuntimeEvent>) -> Self {
         FailureShared {
-            plans: Mutex::new(Vec::new()),
-            ckpt_counts: Mutex::new(HashMap::new()),
-            recoveries: Mutex::new(HashMap::new()),
-            armed: Mutex::new(HashSet::new()),
+            pending: Mutex::new(Pending::default()),
+            watched: (0..total_ranks).map(|_| AtomicBool::new(false)).collect(),
             events,
             kill_flags: (0..total_ranks).map(|_| Arc::new(AtomicBool::new(false))).collect(),
             stats: (0..total_ranks).map(|_| Mutex::new(None)).collect(),
@@ -200,85 +183,69 @@ impl FailureShared {
 
     /// Register a crash plan.
     pub fn schedule(&self, plan: FailurePlan) {
-        self.plans.lock().push(plan);
+        let mut pending = self.pending.lock();
+        let rank = plan.rank;
+        pending.plans.push((plan, 0));
+        self.watched[rank.idx()].store(pending.watches(rank), Ordering::Relaxed);
     }
 
     /// Called at each failure site a rank passes; returns `true` when the
     /// rank must crash now. Fired plans are removed so re-execution after
     /// recovery does not crash again on the same plan.
     pub fn should_fail_at(&self, rank: RankId, site: FailureSite) -> bool {
-        // Armed AfterRecovery victims die at the very next site they pass.
-        if self.armed.lock().remove(&rank) {
-            return true;
-        }
-        let site_count = match site {
-            FailureSite::FailurePoint { occurrence } => occurrence,
-            FailureSite::CkptPhase { hook } => {
-                let mut counts = self.ckpt_counts.lock();
-                let c = counts.entry((rank, hook)).or_insert(0);
-                *c += 1;
-                *c
+        if let FailureSite::Transition { .. } = site {
+            if !self.watched[rank.idx()].load(Ordering::Relaxed) {
+                return false;
             }
-            FailureSite::ReplayProgress { .. } => 0,
+        }
+        let mut pending = self.pending.lock();
+        let fired = if let Some(i) = pending.armed.iter().position(|p| p.rank == rank) {
+            pending.armed.remove(i);
+            true
+        } else {
+            let mut fire = None;
+            for (i, (p, passed)) in pending.plans.iter_mut().enumerate() {
+                let hit = p.rank == rank
+                    && match (&p.trigger, site) {
+                        (
+                            FailureTrigger::NthFailurePoint { nth },
+                            FailureSite::FailurePoint { occurrence },
+                        ) => *nth == occurrence,
+                        (
+                            FailureTrigger::AtTransition { row, nth },
+                            FailureSite::Transition { row: r },
+                        ) if *row == r => {
+                            *passed += 1;
+                            *passed == *nth
+                        }
+                        _ => false,
+                    };
+                fire = fire.or(hit.then_some(i));
+            }
+            fire.map(|i| pending.plans.remove(i)).is_some()
         };
-        let mut plans = self.plans.lock();
-        let pos = plans.iter().position(|p| {
-            p.rank == rank
-                && match (&p.trigger, site) {
-                    (FailureTrigger::NthFailurePoint { nth }, FailureSite::FailurePoint { .. }) => {
-                        *nth == site_count
-                    }
-                    (FailureTrigger::CkptPhase { phase, nth }, FailureSite::CkptPhase { hook }) => {
-                        *phase == hook && *nth == site_count
-                    }
-                    (
-                        FailureTrigger::ReplayProgress { frac },
-                        FailureSite::ReplayProgress { frac: progress },
-                    ) => progress >= *frac,
-                    _ => false,
-                }
-        });
-        match pos {
-            Some(i) => {
-                plans.remove(i);
-                true
-            }
-            None => false,
+        if fired {
+            self.watched[rank.idx()].store(pending.watches(rank), Ordering::Relaxed);
         }
+        fired
     }
 
-    /// Compatibility wrapper: the classic per-incarnation failure-point
-    /// check.
-    pub fn should_fail(&self, rank: RankId, occurrence: u64) -> bool {
-        self.should_fail_at(rank, FailureSite::FailurePoint { occurrence })
-    }
-
-    /// The runtime respawned cluster `cluster`: bump its recovery count and
-    /// arm every [`FailureTrigger::AfterRecovery`] plan that names this
+    /// The runtime is respawning cluster `cluster`: bump its recovery count
+    /// and arm every [`FailureTrigger::AfterRecovery`] plan that names this
     /// recovery. Armed victims die at the next failure site they pass —
     /// while the recovery is still in progress.
     pub fn note_recovery(&self, cluster: usize) {
-        let mut recoveries = self.recoveries.lock();
-        let count = recoveries.entry(cluster).or_insert(0);
+        let mut pending = self.pending.lock();
+        let count = pending.recoveries.entry(cluster).or_insert(0);
         *count += 1;
-        let count = *count;
-        drop(recoveries);
-        let mut plans = self.plans.lock();
-        let mut armed = self.armed.lock();
-        plans.retain(|p| {
-            if let FailureTrigger::AfterRecovery { of_cluster, nth } = p.trigger {
-                if of_cluster == cluster && nth == count {
-                    armed.insert(p.rank);
-                    return false;
-                }
-            }
-            true
-        });
-    }
-
-    /// How often `cluster` has been respawned so far.
-    pub fn recoveries_of(&self, cluster: usize) -> u64 {
-        self.recoveries.lock().get(&cluster).copied().unwrap_or(0)
+        let arms = FailureTrigger::AfterRecovery { of_cluster: cluster, nth: *count };
+        let (armed, rest) =
+            std::mem::take(&mut pending.plans).into_iter().partition(|(p, _)| p.trigger == arms);
+        pending.plans = rest;
+        for (p, _) in armed {
+            self.watched[p.rank.idx()].store(true, Ordering::Relaxed);
+            pending.armed.push(p);
+        }
     }
 
     /// Report an event to the runtime (best-effort; the main loop may be
@@ -302,9 +269,12 @@ impl FailureShared {
         self.kill_flags[rank.idx()].store(false, Ordering::SeqCst);
     }
 
-    /// Any crash plans still pending (armed victims count)?
-    pub fn plans_pending(&self) -> bool {
-        !self.plans.lock().is_empty() || !self.armed.lock().is_empty()
+    /// The plans that have not fired (armed victims that did not die yet
+    /// count): a schedule that ends with any of them tested less than it
+    /// names.
+    pub fn unfired(&self) -> Vec<FailurePlan> {
+        let pending = self.pending.lock();
+        pending.plans.iter().map(|(p, _)| p.clone()).chain(pending.armed.iter().cloned()).collect()
     }
 }
 
@@ -313,55 +283,58 @@ mod tests {
     use super::*;
     use crossbeam_channel::unbounded;
 
+    fn point(occurrence: u64) -> FailureSite {
+        FailureSite::FailurePoint { occurrence }
+    }
+
     #[test]
     fn plan_fires_once() {
         let (tx, _rx) = unbounded();
         let f = FailureShared::new(4, tx);
         f.schedule(FailurePlan::nth(RankId(2), 3));
-        assert!(!f.should_fail(RankId(2), 1));
-        assert!(!f.should_fail(RankId(1), 3));
-        assert!(f.should_fail(RankId(2), 3));
+        assert!(!f.should_fail_at(RankId(2), point(1)));
+        assert!(!f.should_fail_at(RankId(1), point(3)));
+        assert!(f.should_fail_at(RankId(2), point(3)));
         // Re-execution passes the same point again: must not re-fire.
-        assert!(!f.should_fail(RankId(2), 3));
-        assert!(!f.plans_pending());
+        assert!(!f.should_fail_at(RankId(2), point(3)));
+        assert!(f.unfired().is_empty());
     }
 
     #[test]
-    fn ckpt_phase_counts_passages() {
+    fn at_transition_counts_passages_of_watched_ranks_only() {
         let (tx, _rx) = unbounded();
         let f = FailureShared::new(4, tx);
-        f.schedule(FailurePlan::at_phase(RankId(1), CkptHook::CommitBarrier, 2));
-        let site = FailureSite::CkptPhase { hook: CkptHook::CommitBarrier };
+        let plan = FailurePlan::at_transition(RankId(1), "member/Flushing/Flushed", 2);
+        f.schedule(plan.clone());
+        let site = FailureSite::Transition { row: "member/Flushing/Flushed" };
+        assert!(!f.watched[0].load(Ordering::Relaxed) && f.watched[1].load(Ordering::Relaxed));
         assert!(!f.should_fail_at(RankId(1), site), "first passage survives");
-        // A different hook or rank does not advance the count.
-        assert!(!f.should_fail_at(RankId(1), FailureSite::CkptPhase { hook: CkptHook::Write }));
+        // A different row or rank does not advance the count.
+        let other = FailureSite::Transition { row: "member/Quiescing/Commit" };
+        assert!(!f.should_fail_at(RankId(1), other));
         assert!(!f.should_fail_at(RankId(0), site));
+        assert_eq!(f.unfired(), [plan]);
         assert!(f.should_fail_at(RankId(1), site), "second passage dies");
         assert!(!f.should_fail_at(RankId(1), site), "fired plans are removed");
-    }
-
-    #[test]
-    fn replay_progress_threshold() {
-        let (tx, _rx) = unbounded();
-        let f = FailureShared::new(2, tx);
-        f.schedule(FailurePlan::at_replay_progress(RankId(0), 0.5));
-        assert!(!f.should_fail_at(RankId(0), FailureSite::ReplayProgress { frac: 0.2 }));
-        assert!(f.should_fail_at(RankId(0), FailureSite::ReplayProgress { frac: 0.5 }));
-        assert!(!f.should_fail_at(RankId(0), FailureSite::ReplayProgress { frac: 0.9 }));
+        assert!(!f.watched[1].load(Ordering::Relaxed), "nothing left to watch");
+        assert!(f.unfired().is_empty());
     }
 
     #[test]
     fn after_recovery_arms_victim() {
         let (tx, _rx) = unbounded();
         let f = FailureShared::new(4, tx);
-        f.schedule(FailurePlan::after_recovery(RankId(3), 0, 2));
+        let plan = FailurePlan::after_recovery(RankId(3), 0, 2);
+        f.schedule(plan.clone());
         f.note_recovery(0);
-        assert!(!f.should_fail(RankId(3), 1), "first recovery does not arm (nth=2)");
+        assert!(!f.should_fail_at(RankId(3), point(1)), "first recovery does not arm (nth=2)");
+        assert!(!f.watched[3].load(Ordering::Relaxed));
         f.note_recovery(0);
-        assert_eq!(f.recoveries_of(0), 2);
-        assert!(f.should_fail(RankId(3), 2), "armed victim dies at its next site");
-        assert!(!f.should_fail(RankId(3), 3), "armed state consumed");
-        assert!(!f.plans_pending());
+        assert_eq!(f.unfired(), [plan], "armed, not yet dead");
+        let row = FailureSite::Transition { row: "recovery/Rollback" };
+        assert!(f.should_fail_at(RankId(3), row), "armed victim dies at its next row");
+        assert!(!f.should_fail_at(RankId(3), point(3)), "armed state consumed");
+        assert!(f.unfired().is_empty());
     }
 
     #[test]

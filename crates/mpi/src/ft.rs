@@ -14,7 +14,7 @@
 
 use crate::envelope::{CtrlMsg, Envelope, Message};
 use crate::error::{MpiError, Result};
-use crate::failure::{CkptHook, FailureSite, RuntimeEvent};
+use crate::failure::{FailureSite, RuntimeEvent};
 use crate::inner::RankInner;
 use crate::matching::Arrived;
 use crate::request::RecvSpec;
@@ -213,36 +213,19 @@ impl<'a> FtCtx<'a> {
         self.inner.send_ctrl(to, kind, data);
     }
 
-    /// Chaos-engine hook: the protocol layer is passing checkpoint phase
-    /// `hook`. When a [`crate::failure::FailureTrigger::CkptPhase`] plan
-    /// targets this passage, the crash is reported, the rank's own kill flag
-    /// raised, and `Err(Killed)` returned for prompt unwinding.
-    pub fn chaos_ckpt_hook(&mut self, hook: CkptHook) -> Result<()> {
-        if self.inner.failure.should_fail_at(self.inner.me, FailureSite::CkptPhase { hook }) {
-            self.chaos_die();
+    /// Chaos-engine site: the protocol layer took transition-table row
+    /// `row` and is about to run its actions. When a
+    /// [`crate::failure::FailureTrigger::AtTransition`] plan targets this
+    /// passage (or the rank is armed), the crash is reported, the rank's own
+    /// kill flag raised, and `Err(Killed)` returned for prompt unwinding.
+    pub fn chaos_transition(&mut self, row: &'static str) -> Result<()> {
+        let inner = &mut *self.inner;
+        if inner.failure.should_fail_at(inner.me, FailureSite::Transition { row }) {
+            inner.failure.report(RuntimeEvent::Failure { rank: inner.me });
+            inner.kill.store(true, std::sync::atomic::Ordering::SeqCst);
             return Err(MpiError::Killed);
         }
         Ok(())
-    }
-
-    /// Chaos-engine hook: this rank's replay engine has released fraction
-    /// `frac` (0.0..=1.0) of its current replay round. Returns `true` when a
-    /// [`crate::failure::FailureTrigger::ReplayProgress`] plan fires — the
-    /// caller should stop pumping; the raised kill flag unwinds the rank at
-    /// its next progress check even from non-`Result` contexts.
-    pub fn chaos_replay_hook(&mut self, frac: f64) -> bool {
-        if self.inner.failure.should_fail_at(self.inner.me, FailureSite::ReplayProgress { frac }) {
-            self.chaos_die();
-            return true;
-        }
-        false
-    }
-
-    /// Report the injected crash and raise our own kill flag (the runtime
-    /// will kill the rest of the cluster when it processes the event).
-    fn chaos_die(&mut self) {
-        self.inner.failure.report(RuntimeEvent::Failure { rank: self.inner.me });
-        self.inner.kill.store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Transmit an application message on behalf of the protocol (log

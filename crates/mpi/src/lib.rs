@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::config::{Perturb, RuntimeConfig, Topology, TransportKind};
     pub use crate::datatype::{ReduceOp, Scalar};
     pub use crate::error::{MpiError, Result};
-    pub use crate::failure::{CkptHook, FailurePlan, FailureTrigger};
+    pub use crate::failure::{FailurePlan, FailureTrigger};
     pub use crate::rank::Rank;
     pub use crate::request::{RequestId, Status};
     pub use crate::runtime::{RunBuilder, RunReport, Runtime};

@@ -513,10 +513,11 @@ impl FlightRecorder {
         self.rings.iter().enumerate().map(|(i, r)| r.trace(i as u32)).collect()
     }
 
-    /// Human-readable dump for hang diagnostics: per rank, the last
-    /// checkpoint-phase event, the published stall status (channel
-    /// watermarks), and the newest `tail` events.
-    pub fn dump(&self, tail: usize) -> String {
+    /// Human-readable dump for hang diagnostics: per rank of `ranks` (a
+    /// node's hosted ranks, or the whole world), the last checkpoint-phase
+    /// event, the published stall status (channel watermarks), and the
+    /// newest `tail` events.
+    pub fn dump(&self, tail: usize, ranks: std::ops::Range<u32>) -> String {
         let log = self.snapshot();
         let mut out = String::new();
         out.push_str("=== flight recorder dump ===\n");
@@ -524,7 +525,7 @@ impl FlightRecorder {
             out.push_str("(recorder disabled)\n");
             return out;
         }
-        for t in &log {
+        for t in log.iter().filter(|t| ranks.contains(&t.rank)) {
             let total = t.dropped + t.events.len() as u64;
             out.push_str(&format!(
                 "-- rank {}: {} events recorded ({} evicted)\n",
@@ -619,7 +620,7 @@ mod tests {
         assert!(!rec.is_enabled());
         rec.record(|| panic!("closure must not run when disabled"));
         assert!(fr.snapshot().is_empty());
-        assert!(fr.dump(8).contains("disabled"));
+        assert!(fr.dump(8, 0..2).contains("disabled"));
     }
 
     #[test]
@@ -630,7 +631,7 @@ mod tests {
         rec.record(|| Event::CkptPhaseDone { epoch: 3, phase: "encode", us: 42 });
         rec.record(|| Event::Stall { what: "checkpoint".into() });
         rec.set_status(|| "send_seq=[1/c0=>5]".into());
-        let dump = fr.dump(8);
+        let dump = fr.dump(8, 0..2);
         assert!(dump.contains("rank 0"));
         assert!(dump.contains("ckpt e3 Init"));
         assert!(dump.contains("last completed phase:"), "{dump}");
@@ -639,6 +640,8 @@ mod tests {
         assert!(dump.contains("send_seq=[1/c0=>5]"));
         assert!(dump.contains("rank 1"), "every rank appears, even if idle");
         assert!(dump.contains("last completed phase: none"), "idle rank has no phase: {dump}");
+        let hosted = fr.dump(8, 1..2);
+        assert!(hosted.contains("rank 1") && !hosted.contains("rank 0"), "{hosted}");
     }
 
     #[test]
@@ -693,6 +696,6 @@ mod tests {
         rec.record(|| panic!("a disabled recorder builds no event"));
         rec.set_status(|| panic!("nor a status line"));
         assert!(fr.snapshot().is_empty());
-        assert!(fr.dump(8).contains("disabled"));
+        assert!(fr.dump(8, 0..2).contains("disabled"));
     }
 }

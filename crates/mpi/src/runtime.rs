@@ -54,6 +54,9 @@ pub struct RunReport {
     /// The hang watchdog's human-readable dump, captured when the run ended
     /// in error with the recorder enabled.
     pub flight_dump: Option<String>,
+    /// The failure plans that never fired (armed victims that never died
+    /// count): a run that ends with any tested less than its schedule names.
+    pub unfired: Vec<FailurePlan>,
 }
 
 impl RunReport {
@@ -252,6 +255,7 @@ impl Runtime {
             errors: Vec::new(),
             flight: None,
             flight_dump: None,
+            unfired: Vec::new(),
         };
         let mut done = vec![false; world];
         let mut done_count = 0usize;
@@ -302,16 +306,18 @@ impl Runtime {
                     // intra-cluster channels have no log to recover from.
                     let fresh: Vec<_> =
                         victims.iter().map(|&v| spawner.router.replace(v)).collect();
+                    // Arm AfterRecovery chaos triggers before the respawn,
+                    // so that no armed victim serves this recovery's first
+                    // Rollback unarmed: its recovery (rollback handshake,
+                    // replay) is only beginning, and armed victims land in
+                    // it.
+                    failure.note_recovery(cluster);
                     for (&v, rx) in victims.iter().zip(fresh) {
                         failure.revive(v);
                         epochs[v.idx()] += 1;
                         report.restarts[v.idx()] = epochs[v.idx()];
                         handles[v.idx()] = Some(spawner.spawn(v, epochs[v.idx()], rx));
                     }
-                    // Arm AfterRecovery chaos triggers: the cluster is
-                    // respawned but its recovery (rollback handshake, replay)
-                    // is only beginning — armed victims land mid-recovery.
-                    failure.note_recovery(cluster);
                 }
                 Ok(RuntimeEvent::Error { rank, message }) => {
                     report.errors.push((rank, message));
@@ -349,7 +355,7 @@ impl Runtime {
             // recent protocol events and published watermark status so the
             // failure mode is an interleaving, not a bare timeout.
             if flight.enabled() {
-                let dump = flight.dump(32);
+                let dump = flight.dump(32, 0..total as u32);
                 eprintln!("{dump}");
                 report.flight_dump = Some(dump);
             }
@@ -367,6 +373,7 @@ impl Runtime {
             let _ = h.join();
         }
         report.wall_time = start.elapsed();
+        report.unfired = failure.unfired();
         // Stats come back through a side channel written at thread exit.
         for (i, slot) in spawner.failure.stats_slots().iter().enumerate().take(world) {
             if let Some(s) = slot.lock().take() {
@@ -442,8 +449,8 @@ impl Runtime {
             world,
         )?);
         let transport: Arc<dyn Transport> = Arc::clone(&uds) as Arc<dyn Transport>;
-        let hosted: Vec<RankId> =
-            (0..opts.hosted).map(|i| RankId(opts.first_rank + i as u32)).collect();
+        let ranks = opts.first_rank..opts.first_rank + opts.hosted as u32;
+        let hosted: Vec<RankId> = ranks.clone().map(RankId).collect();
         let mut mailboxes: Vec<Box<dyn Mailbox>> =
             hosted.iter().map(|&r| transport.open(r)).collect();
         let router = Arc::new(Router::over(transport));
@@ -490,7 +497,7 @@ impl Runtime {
                 }
                 Ok(RuntimeEvent::Error { rank, message }) => {
                     if let Some(path) = dump_to.take() {
-                        if let Err(e) = std::fs::write(path, flight.dump(32)) {
+                        if let Err(e) = std::fs::write(path, flight.dump(32, ranks.clone())) {
                             eprintln!("flight dump {}: {e}", path.display());
                         }
                     }
@@ -621,8 +628,10 @@ fn linger(rank: &mut Rank) {
             return;
         }
         match rank.inner.mailbox.recv_timeout(rank.inner.cfg.poll_interval) {
-            Ok(pkt) => {
-                if let Err(e) = handle_packet(&mut rank.inner, rank.ft.as_mut(), pkt) {
+            Ok(pkt) => match handle_packet(&mut rank.inner, rank.ft.as_mut(), pkt) {
+                // An injected kill raised the flag: the next turn reports it.
+                Ok(()) | Err(MpiError::Killed) => {}
+                Err(e) => {
                     // A lingering rank still serves recovery (replay from its
                     // log): a failure there ends the run, it is not silence.
                     let me = rank.inner.me;
@@ -631,7 +640,7 @@ fn linger(rank: &mut Rank) {
                         .report(RuntimeEvent::Error { rank: me, message: e.to_string() });
                     return;
                 }
-            }
+            },
             Err(RecvTimeoutErr::Timeout) => {}
             Err(RecvTimeoutErr::Disconnected) => return,
         }
