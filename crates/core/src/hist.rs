@@ -176,9 +176,12 @@ impl HistSnapshot {
 /// Checkpoint-lifecycle phases timed by the protocol layer.
 ///
 /// The write-side phases cover one wave in protocol order; the
-/// restore-side phases cover one rollback. Names (from [`Phase::name`])
-/// are the stable keys used in JSONL, OpenMetrics, chrome-trace span args,
-/// and `spbc-report` tables.
+/// restore-side phases cover one rollback. `Quiesce`, `Replicate` and
+/// `CommitBarrier` are the time a member spends in a wave state
+/// (`wave::Member::phase`); the others are times measured inside
+/// one step (store stats, and the per-peer replay drain). Names (from
+/// [`Phase::name`]) are the stable keys used in JSONL, OpenMetrics,
+/// chrome-trace span names, and `spbc-report` tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // variants are documented by the name table below
 pub enum Phase {

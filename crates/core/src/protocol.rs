@@ -35,7 +35,7 @@ use mini_mpi::envelope::{CtrlMsg, Envelope, Message};
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::ft::{ArrivalAction, CkptOutcome, FtCtx, FtLayer, FtProvider, SendAction};
 use mini_mpi::matching::{Arrived, ArrivedBody};
-use mini_mpi::recorder::{Event, WritePhase};
+use mini_mpi::recorder::Event;
 use mini_mpi::request::RecvSpec;
 use mini_mpi::types::{ChannelId, RankId};
 use mini_mpi::wire::{from_bytes, to_bytes};
@@ -362,6 +362,8 @@ pub struct SpbcLayer {
     last_ckpt_epoch: u64,
     /// The checkpoint wave, as member and (on the leader) as coordinator.
     wave: Wave,
+    /// The member's open phase `(phase, epoch, since)`.
+    phase: Option<(Phase, u64, Instant)>,
     /// Length of the last committed body: the next wave's buffer capacity.
     last_body_len: usize,
 
@@ -407,6 +409,7 @@ impl SpbcLayer {
             intra_arrived: 0,
             last_ckpt_epoch: 0,
             wave,
+            phase: None,
             last_body_len: 0,
             service,
             partners,
@@ -415,7 +418,7 @@ impl SpbcLayer {
 
     /// Record one phase latency sample into the run-wide histograms and the
     /// flight recorder (so a hang dump names the last completed phase and
-    /// the chrome trace can attach latencies to the wave's write span).
+    /// the chrome trace draws its span).
     fn record_phase(&self, ctx: &mut FtCtx<'_>, epoch: u64, phase: Phase, us: u64) {
         self.metrics.phase.record(phase, us);
         ctx.recorder().record(|| Event::CkptPhaseDone { epoch, phase: phase.name(), us });
@@ -430,16 +433,20 @@ impl SpbcLayer {
         self.clusters.cluster_of(peer) == self.cluster
     }
 
-    /// Step the wave with `input`, pass the row's failure site, and execute
-    /// the actions. An action that yields an input (the encoded cut, the
-    /// replica frames, the durable copy) steps it next.
+    /// Step the wave with `input`, record the row and pass its failure
+    /// site, close the phase the step left, and execute the actions. An
+    /// action that yields an input (the encoded cut, the replica frames,
+    /// the durable copy) steps it next.
     fn drive(&mut self, ctx: &mut FtCtx<'_>, input: Input) -> Result<()> {
         let mut next = Some(input);
         while let Some(input) = next.take() {
-            let (wave, row, actions) =
-                std::mem::take(&mut self.wave).step(input, Instant::now())?;
+            let now = Instant::now();
+            let (wave, row, actions) = std::mem::take(&mut self.wave).step(input, now)?;
             self.wave = wave;
-            row.map_or(Ok(()), |row| ctx.chaos_transition(row))?;
+            row.map_or(Ok(()), |(row, epoch)| ctx.transition(row, epoch))?;
+            if let Some((epoch, phase, us)) = clock(&mut self.phase, &self.wave.member, now) {
+                self.record_phase(ctx, epoch, phase, us);
+            }
             for action in actions {
                 next = self.exec(ctx, action)?.or(next);
             }
@@ -451,7 +458,6 @@ impl SpbcLayer {
         match action {
             Action::Ctrl(to, kind, body) => self.ctrl(ctx, to, kind, body),
             Action::Record(event) => ctx.recorder().record(|| event),
-            Action::Phase(epoch, phase, us) => self.record_phase(ctx, epoch, phase, us),
             Action::Encode(epoch, body) => return self.encode_cut(ctx, epoch, body).map(Some),
             Action::Replicate(epoch, sealed, logical) => {
                 // The store picks each partner's frame: the blob, its
@@ -519,7 +525,7 @@ impl SpbcLayer {
                 let (state, row, actions) =
                     state.step(&mut self.log.lock(), input, Instant::now())?;
                 self.recovery = state;
-                row.map_or(Ok(()), |row| ctx.chaos_transition(row))?;
+                row.map_or(Ok(()), |row| ctx.transition(row, ctx.epoch().into()))?;
                 actions.into_iter().rev().for_each(|a| todo.push_front(a));
             }
             let Some(action) = todo.pop_front() else { return Ok(pass) };
@@ -611,15 +617,13 @@ impl SpbcLayer {
         Metrics::add(&self.metrics.cas_hits_cross_rank, stats.cas_hit_chunks_cross_rank as u64);
         Metrics::add(&self.metrics.cas_hit_bytes, stats.cas_hit_bytes);
         Metrics::set(&self.metrics.cas_unique_bytes, self.service.cas().unique_bytes());
-        let (bytes, phase) = (sealed.len() as u64, WritePhase::Submitted);
-        ctx.recorder().record(|| Event::CkptWrite { epoch, bytes, logical, phase });
+        let bytes = sealed.len() as u64;
+        ctx.recorder().record(|| Event::CkptWrite { epoch, bytes, logical });
         let rec = ctx.recorder().clone();
         let metrics = Arc::clone(&self.metrics);
         let is_async = self.service.writes_off_thread(self.me);
         let written = move |res: &Result<PutStats>, hidden: Duration| {
             let Ok(put) = res else { return };
-            let phase = WritePhase::Completed;
-            rec.record(|| Event::CkptWrite { epoch, bytes, logical, phase });
             let done = |phase: Phase, us: u64| {
                 metrics.phase.record(phase, us);
                 rec.record(|| Event::CkptPhaseDone { epoch, phase: phase.name(), us });
@@ -687,6 +691,24 @@ impl SpbcLayer {
         // CRC-verified: the service returns the unsealed body.
         from_bytes(&body)
     }
+}
+
+/// Move the open wave phase `open` to `member`'s at `now`. When the phase
+/// changed, returns the closed one's `(epoch, phase, µs)`.
+fn clock(
+    open: &mut Option<(Phase, u64, Instant)>,
+    member: &Member,
+    now: Instant,
+) -> Option<(u64, Phase, u64)> {
+    let phase = member.phase();
+    if phase == open.map(|(p, epoch, _)| (p, epoch)) {
+        return None;
+    }
+    let closed = open.take().map(|(p, epoch, since)| {
+        (epoch, p, now.saturating_duration_since(since).as_micros() as u64)
+    });
+    *open = phase.map(|(p, epoch)| (p, epoch, now));
+    closed
 }
 
 impl FtLayer for SpbcLayer {
@@ -914,5 +936,59 @@ impl FtLayer for SpbcLayer {
         // Shutdown durability: the last wave's disk write must be on
         // stable storage before the rank reports success.
         self.service.flush_rank(self.me)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wave::Notices;
+
+    /// Each phase sample is the gap between the steps that open and close
+    /// it: quiesce from the opening call to COMMIT, replicate from the
+    /// pushes to the last BLOB_ACK, and the commit barrier from the step
+    /// that flushes (the last BLOB_ACK, or the replicas when none are owed)
+    /// to RESUME.
+    #[test]
+    fn phase_clock_samples_the_gap_between_steps() {
+        let t0 = Instant::now();
+        let c = |epoch| CkptCounts { epoch, sent: 0, arrived: 0 };
+        let encoded = || Input::Encoded(Notices::new(), Arc::new(Vec::new()), 0);
+        let (me, partner) = (RankId(0), RankId(5));
+        let frame = Arc::new(vec![1]);
+        let replica = Replica { partner, owner: me, frame, logical: 1 };
+        let steps = [
+            (10, Input::Call(Some((c(1), Vec::new())))),
+            (13, Input::Join(me, c(1))),
+            (17, Input::Commit(1)),
+            (24, encoded()),
+            (30, Input::Replicas(vec![replica])),
+            (41, Input::BlobAck(partner, me, 1)),
+            (43, Input::Flushed),
+            (44, Input::Ack(me, 1)),
+            (60, Input::Resume(1)),
+            (70, Input::Call(Some((c(2), Vec::new())))),
+            (71, Input::Join(me, c(2))),
+            (75, Input::Commit(2)),
+            (80, encoded()),
+            (82, Input::Replicas(Vec::new())),
+            (83, Input::Flushed),
+            (90, Input::Resume(2)),
+        ];
+        let (mut wave, mut open, mut samples) = (Wave::new(vec![me], true, true), None, Vec::new());
+        for (ms, input) in steps {
+            let now = t0 + Duration::from_millis(ms);
+            wave = wave.step(input, now).unwrap().0;
+            samples.extend(clock(&mut open, &wave.member, now));
+        }
+        let want = [
+            (1, Phase::Quiesce, 7_000),
+            (1, Phase::Replicate, 11_000),
+            (1, Phase::CommitBarrier, 19_000),
+            (2, Phase::Quiesce, 5_000),
+            (2, Phase::CommitBarrier, 8_000),
+        ];
+        assert_eq!(samples, want);
+        assert!(open.is_none());
     }
 }

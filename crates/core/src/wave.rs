@@ -2,7 +2,8 @@
 //! one pure function, [`Wave::step`]: `(state, input, now)` to the next
 //! state, the row of [`ROWS`] it took, and the [`Action`]s the layer
 //! executes. It reads no clock, store or runtime; an input the state cannot
-//! take is an error naming both. DESIGN.md §5 has the transition table.
+//! take is an error naming both. A timed phase is the time a member spends
+//! in a state ([`Member::phase`]). DESIGN.md §5 has the transition table.
 
 use crate::ctrl::{
     CkptCounts, LogGc, KIND_CKPT_COMMIT, KIND_CKPT_JOIN, KIND_CKPT_POLL, KIND_CKPT_REPORT,
@@ -10,16 +11,17 @@ use crate::ctrl::{
 };
 use crate::hist::Phase;
 use mini_mpi::error::{MpiError, Result};
-use mini_mpi::recorder::{CkptPhase, Event};
+use mini_mpi::recorder::Event;
 use mini_mpi::types::RankId;
 use mini_mpi::wire::to_bytes;
 use spbc_ckptstore::Replica;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// µs a member waits for BLOB_ACKs before re-pushing (to partners killed mid-wave).
-pub const REPL_RETRY_US: u64 = 250_000;
+/// How long a member waits for BLOB_ACKs before re-pushing (to partners
+/// killed mid-wave).
+pub const REPL_RETRY: Duration = Duration::from_millis(250);
 
 /// The rows of the wave's transition table, `side/state/input`: every step
 /// that emits an action takes one, and the layer passes a failure site
@@ -46,6 +48,9 @@ pub const ROWS: &[Row] = &[
 /// A row of [`ROWS`].
 pub type Row = &'static str;
 
+/// A row a step took, and the epoch of the wave it belongs to.
+pub type Taken = (Row, u64);
+
 /// The log-GC notices of a member's committed cut
 /// ([`crate::store::CheckpointData::log_gc_notices`]), sent at RESUME.
 pub type Notices = BTreeMap<RankId, LogGc>;
@@ -56,31 +61,56 @@ pub type Notices = BTreeMap<RankId, LogGc>;
 pub struct Repl {
     pub epoch: u64,
     pub notices: Notices,
-    pub started: Instant,
     pub last_push: Instant,
     pub awaiting: BTreeSet<(RankId, RankId)>,
     pub pushes: Vec<Replica>,
 }
 
-/// The member side. `opened`, `Repl::started` and `since` time the quiesce,
-/// replicate and commit-barrier phases.
+/// The member side.
 #[derive(Clone, Debug, Default)]
 pub enum Member {
     #[default]
     Idle,
     /// JOIN sent, the application state in `body`'s head; awaiting COMMIT.
-    Quiescing { epoch: u64, opened: Instant, body: Vec<u8> },
+    Quiescing { epoch: u64, body: Vec<u8> },
     /// Transient, within one COMMIT: encoding (no `notices` yet), then replicas.
     Writing { epoch: u64, notices: Option<Notices> },
     /// Frames pushed; awaiting every BLOB_ACK.
     Replicating(Repl),
     /// Transient, within one step: the own copy is being made durable.
-    Flushing { epoch: u64, notices: Notices, since: Instant },
+    Flushing { epoch: u64, notices: Notices },
     /// Own copy durable, ACK sent; awaiting RESUME.
-    AwaitingResume { epoch: u64, notices: Notices, since: Instant },
+    AwaitingResume { epoch: u64, notices: Notices },
     /// RESUME received. The next call, not RESUME, releases the partners'
     /// older copies: a run that ends at a RESUME keeps the previous wave.
     Resumed { epoch: u64 },
+}
+
+impl Member {
+    /// The timed phase of wave `epoch` this state is in: a phase runs from
+    /// the step that enters its states to the step that leaves them.
+    pub fn phase(&self) -> Option<(Phase, u64)> {
+        let phase = match self {
+            Member::Quiescing { .. } => Phase::Quiesce,
+            Member::Replicating(_) => Phase::Replicate,
+            Member::Flushing { .. } | Member::AwaitingResume { .. } => Phase::CommitBarrier,
+            _ => return None,
+        };
+        Some((phase, self.epoch()))
+    }
+
+    /// The wave this state belongs to (0 when idle).
+    fn epoch(&self) -> u64 {
+        match *self {
+            Member::Idle => 0,
+            Member::Replicating(ref r) => r.epoch,
+            Member::Quiescing { epoch, .. }
+            | Member::Writing { epoch, .. }
+            | Member::Flushing { epoch, .. }
+            | Member::AwaitingResume { epoch, .. }
+            | Member::Resumed { epoch } => epoch,
+        }
+    }
 }
 
 /// The leader side (`Idle` on a rank that leads nothing).
@@ -124,14 +154,26 @@ pub enum Input {
     Flushed,
 }
 
+impl Input {
+    /// The wave an input names, if it names one.
+    fn epoch(&self) -> Option<u64> {
+        match *self {
+            Input::Call(Some((ref c, _))) | Input::Poll(ref c) => Some(c.epoch),
+            Input::Join(_, ref c) | Input::Report(_, ref c) => Some(c.epoch),
+            Input::Ack(_, e) | Input::Commit(e) | Input::Resume(e) => Some(e),
+            Input::BlobAck(_, _, e) | Input::ChunkReq(_, _, e, _) => Some(e),
+            Input::Call(None) | Input::Tick | Input::Encoded(..) => None,
+            Input::Replicas(_) | Input::Flushed => None,
+        }
+    }
+}
+
 /// What the layer does for a transition, in order.
 #[derive(Clone, Debug)]
 pub enum Action {
     /// A wave control frame (counted in `ctrl_msgs`).
     Ctrl(RankId, u16, Vec<u8>),
     Record(Event),
-    /// `(epoch, phase, µs)`.
-    Phase(u64, Phase, u64),
     /// Capture the cut, finish the body, encode and commit it locally;
     /// yields [`Input::Encoded`].
     Encode(u64, Vec<u8>),
@@ -166,20 +208,17 @@ pub struct Wave {
     pub leader: Leader,
 }
 
-fn us(from: Instant, now: Instant) -> u64 {
-    now.saturating_duration_since(from).as_micros() as u64
-}
-
 impl Wave {
     /// `replicate` when the rank has partners, `release` when they keep full copies.
     pub fn new(members: Vec<RankId>, replicate: bool, release: bool) -> Self {
         Wave { members, replicate, release, ..Wave::default() }
     }
 
-    /// The state after `input` at `now`, the row it took (`None` when it
-    /// emits nothing), and what the layer must do for it.
-    pub fn step(mut self, input: Input, now: Instant) -> Result<(Wave, Option<Row>, Out)> {
+    /// The state after `input` at `now`, the row it took with its wave
+    /// (`None` when it emits nothing), and what the layer must do for it.
+    pub fn step(mut self, input: Input, now: Instant) -> Result<(Wave, Option<Taken>, Out)> {
         let mut out = Vec::new();
+        let epoch = input.epoch().unwrap_or(self.member.epoch());
         let row;
         if matches!(input, Input::Join(..) | Input::Report(..) | Input::Ack(..)) {
             let state = std::mem::take(&mut self.leader);
@@ -188,7 +227,7 @@ impl Wave {
             let state = std::mem::take(&mut self.member);
             (self.member, row) = self.serve(state, input, now, &mut out)?;
         }
-        let row = (!out.is_empty()).then_some(row);
+        let row = (!out.is_empty()).then_some((row, epoch));
         Ok((self, row, out))
     }
 
@@ -200,37 +239,33 @@ impl Wave {
                     out.push(Action::Release(*epoch));
                 }
                 let Some((c, body)) = open else { return Ok((Idle, "member/Resumed/Call")) };
-                out.push(Action::Record(Event::Ckpt { epoch: c.epoch, phase: CkptPhase::Init }));
                 out.push(Action::Ctrl(self.members[0], KIND_CKPT_JOIN, to_bytes(&c)));
-                (Quiescing { epoch: c.epoch, opened: now, body }, "member/Idle/Call(open)")
+                (Quiescing { epoch: c.epoch, body }, "member/Idle/Call(open)")
             }
             (s @ Quiescing { epoch, .. }, Input::Poll(c)) if c.epoch == epoch => {
                 out.push(Action::Ctrl(self.members[0], KIND_CKPT_REPORT, to_bytes(&c)));
                 (s, "member/Quiescing/Poll")
             }
-            (Quiescing { epoch, opened, body }, Input::Commit(e)) if e == epoch => {
-                out.push(Action::Phase(epoch, Phase::Quiesce, us(opened, now)));
+            (Quiescing { epoch, body }, Input::Commit(e)) if e == epoch => {
                 out.push(Action::Encode(epoch, body));
                 (Writing { epoch, notices: None }, "member/Quiescing/Commit")
             }
             (Writing { epoch, notices: None }, Input::Encoded(notices, sealed, logical)) => {
-                out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Written }));
                 let next = if self.replicate {
                     out.push(Action::Replicate(epoch, sealed, logical));
                     Writing { epoch, notices: Some(notices) }
                 } else {
-                    self.flush(epoch, notices, now, out)
+                    flush(epoch, notices, out)
                 };
                 (next, "member/Writing/Encoded")
             }
             (Writing { epoch, notices: Some(notices) }, Input::Replicas(pushes)) => {
                 if pushes.is_empty() {
-                    return Ok((self.flush(epoch, notices, now, out), "member/Writing/Replicas"));
+                    return Ok((flush(epoch, notices, out), "member/Writing/Replicas"));
                 }
                 out.extend(pushes.iter().map(|r| Action::Push(epoch, r.clone())));
                 let awaiting = pushes.iter().map(|r| (r.partner, r.owner)).collect();
-                let (started, last_push) = (now, now);
-                let r = Repl { epoch, notices, started, last_push, awaiting, pushes };
+                let r = Repl { epoch, notices, last_push: now, awaiting, pushes };
                 (Replicating(r), "member/Writing/Replicas")
             }
             (Replicating(mut r), Input::BlobAck(partner, owner, e))
@@ -238,12 +273,8 @@ impl Wave {
             {
                 r.awaiting.remove(&(partner, owner));
                 out.push(Action::Record(Event::CkptReplAck { partner, epoch: e }));
-                let next = if r.awaiting.is_empty() {
-                    out.push(Action::Phase(e, Phase::Replicate, us(r.started, now)));
-                    self.flush(e, r.notices, now, out)
-                } else {
-                    Replicating(r)
-                };
+                let next =
+                    if r.awaiting.is_empty() { flush(e, r.notices, out) } else { Replicating(r) };
                 (next, "member/Replicating/BlobAck")
             }
             (Replicating(r), Input::ChunkReq(partner, owner, e, missing)) if e == r.epoch => {
@@ -255,7 +286,7 @@ impl Wave {
             // A retry's duplicate, or a finished wave's (its retry timer
             // re-pushed the current frames anyway).
             (s, Input::BlobAck(..) | Input::ChunkReq(..)) => (s, ""),
-            (Replicating(mut r), Input::Tick) if us(r.last_push, now) >= REPL_RETRY_US => {
+            (Replicating(mut r), Input::Tick) if now >= r.last_push + REPL_RETRY => {
                 let due = r.pushes.iter().filter(|p| r.awaiting.contains(&(p.partner, p.owner)));
                 out.extend(due.map(|p| Action::Push(r.epoch, p.clone())));
                 r.last_push = now;
@@ -264,14 +295,11 @@ impl Wave {
             (s, Input::Tick) if !matches!(s, Idle | Writing { .. } | Flushing { .. }) => (s, ""),
             // The own copy is durable: ACK, and wait for RESUME, so that no
             // post-commit send lands in a sibling's still-open cut.
-            (Flushing { epoch, notices, since }, Input::Flushed) => {
+            (Flushing { epoch, notices }, Input::Flushed) => {
                 out.push(Action::Ack(self.members[0], epoch));
-                out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Ack }));
-                (AwaitingResume { epoch, notices, since }, "member/Flushing/Flushed")
+                (AwaitingResume { epoch, notices }, "member/Flushing/Flushed")
             }
-            (AwaitingResume { epoch, notices, since }, Input::Resume(e)) if e == epoch => {
-                out.push(Action::Record(Event::Ckpt { epoch, phase: CkptPhase::Resume }));
-                out.push(Action::Phase(epoch, Phase::CommitBarrier, us(since, now)));
+            (AwaitingResume { epoch, notices }, Input::Resume(e)) if e == epoch => {
                 out.push(Action::GcLocal(epoch));
                 out.push(Action::LogGc(notices));
                 (Resumed { epoch }, "member/AwaitingResume/Resume")
@@ -330,12 +358,12 @@ impl Wave {
     fn broadcast(&self, kind: u16, epoch: u64, out: &mut Out) {
         out.extend(self.members.iter().map(|&m| Action::Ctrl(m, kind, to_bytes(&epoch))));
     }
+}
 
-    /// Member: make the own copy durable; the commit barrier starts.
-    fn flush(&self, epoch: u64, notices: Notices, now: Instant, out: &mut Out) -> Member {
-        out.push(Action::Flush);
-        Member::Flushing { epoch, notices, since: now }
-    }
+/// Member: make the own copy durable; the commit barrier starts.
+fn flush(epoch: u64, notices: Notices, out: &mut Out) -> Member {
+    out.push(Action::Flush);
+    Member::Flushing { epoch, notices }
 }
 
 fn refuse(state: String, input: &Input) -> MpiError {
@@ -353,7 +381,6 @@ mod tests {
     use super::*;
     use mini_mpi::wire::from_bytes;
     use std::collections::VecDeque;
-    use std::time::Duration;
 
     fn r(i: u32) -> RankId {
         RankId(i)
@@ -368,13 +395,8 @@ mod tests {
             Action::Ctrl(_, KIND_CKPT_COMMIT, _) => "commit",
             Action::Ctrl(_, KIND_CKPT_RESUME, _) => "resume",
             Action::Ctrl(..) => "ctrl?",
-            Action::Record(Event::Ckpt { phase: CkptPhase::Init, .. }) => "ckpt:init",
-            Action::Record(Event::Ckpt { phase: CkptPhase::Written, .. }) => "ckpt:written",
-            Action::Record(Event::Ckpt { phase: CkptPhase::Ack, .. }) => "ckpt:ack",
-            Action::Record(Event::Ckpt { phase: CkptPhase::Resume, .. }) => "ckpt:resume",
             Action::Record(Event::CkptReplAck { .. }) => "repl-ack",
             Action::Record(_) => "record?",
-            Action::Phase(_, p, _) => p.name(),
             Action::Encode(..) => "encode",
             Action::Replicate(..) => "replicate",
             Action::Push(..) => "push",
@@ -397,14 +419,30 @@ mod tests {
     }
 
     /// Step, checking that a step takes a listed row exactly when it emits.
-    fn step(w: Wave, input: Input, now: Instant) -> (Wave, Vec<Action>) {
+    fn step_row(w: Wave, input: Input, now: Instant) -> (Wave, Option<Row>, Vec<Action>) {
         let (w, row, actions) = w.step(input, now).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(row.is_some(), !actions.is_empty(), "{row:?}: {actions:?}");
+        let row = row.map(|(row, _)| row);
         if let Some(row) = row {
             assert!(ROWS.contains(&row), "{row} is not in ROWS");
             TAKEN.with(|t| t.borrow_mut().insert(row));
         }
+        (w, row, actions)
+    }
+
+    fn step(w: Wave, input: Input, now: Instant) -> (Wave, Vec<Action>) {
+        let (w, _, actions) = step_row(w, input, now);
         (w, actions)
+    }
+
+    /// The member's phase after every step that changed it.
+    type Trail = Vec<Option<(Phase, u64)>>;
+
+    fn note(trail: &mut Trail, w: &Wave) {
+        let phase = w.member.phase();
+        if trail.last() != Some(&phase) {
+            trail.push(phase);
+        }
     }
 
     /// A 3-member cluster (rank 0 leads) whose leader-bound messages
@@ -421,6 +459,7 @@ mod tests {
         counters: Vec<(u64, u64)>,
         member_trace: Vec<Vec<&'static str>>,
         leader_trace: Vec<&'static str>,
+        trails: Vec<Trail>,
     }
 
     impl Cluster {
@@ -434,6 +473,7 @@ mod tests {
                 counters: vec![(0, 0), (2, 0), (0, 0)],
                 member_trace: vec![Vec::new(); 3],
                 leader_trace: Vec::new(),
+                trails: vec![vec![None]; 3],
             }
         }
 
@@ -443,9 +483,12 @@ mod tests {
             while let Some((m, input)) = queue.pop_front() {
                 let lead = matches!(input, Input::Join(..) | Input::Report(..) | Input::Ack(..));
                 self.now += Duration::from_millis(1);
-                let (w, actions) = step(std::mem::take(&mut self.waves[m]), input, self.now);
+                let (w, row, actions) =
+                    step_row(std::mem::take(&mut self.waves[m]), input, self.now);
+                note(&mut self.trails[m], &w);
                 self.waves[m] = w;
                 let trace = if lead { &mut self.leader_trace } else { &mut self.member_trace[m] };
+                trace.extend(row.filter(|_| !lead));
                 trace.extend(tags(&actions));
                 for a in actions {
                     match a {
@@ -507,23 +550,27 @@ mod tests {
         if c.pending.is_empty() {
             *leaves += 1;
             let member = [
-                "ckpt:init",
+                "member/Idle/Call(open)",
                 "join",
+                "member/Quiescing/Poll",
                 "report",
+                "member/Quiescing/Poll",
                 "report",
-                "quiesce",
+                "member/Quiescing/Commit",
                 "encode",
-                "ckpt:written",
+                "member/Writing/Encoded",
                 "flush",
+                "member/Flushing/Flushed",
                 "ack",
-                "ckpt:ack",
-                "ckpt:resume",
-                "commit_barrier",
+                "member/AwaitingResume/Resume",
                 "gc",
                 "log-gc",
             ];
+            let phases =
+                [None, Some((Phase::Quiesce, 1)), None, Some((Phase::CommitBarrier, 1)), None];
             for (m, w) in c.waves.iter().enumerate() {
                 assert_eq!(c.member_trace[m], member, "member {m}");
+                assert_eq!(c.trails[m], phases, "member {m}");
                 assert!(matches!(w.member, Member::Resumed { epoch: 1 }), "{:?}", w.member);
                 assert!(matches!(w.leader, Leader::Idle), "{:?}", w.leader);
             }
@@ -540,7 +587,8 @@ mod tests {
 
     /// Every order in which the leader can receive JOINs, REPORTs and ACKs
     /// (and the members can call) commits every member once, then resumes
-    /// it, with the same events, hooks and timers on every member.
+    /// it, with the same rows and actions on every member, which passes
+    /// quiesce, then the commit barrier, once each.
     #[test]
     fn every_delivery_order_commits_each_member_once() {
         let mut leaves = 0;
@@ -555,16 +603,25 @@ mod tests {
         Replica { partner: r(partner), owner: r(owner), frame, logical: 10 }
     }
 
-    /// A one-member cluster at wave `epoch`, its two replica frames pushed.
+    /// A one-member cluster at wave `epoch`, its two replica frames pushed:
+    /// it passed quiesce and entered replicate.
     fn replicating(epoch: u64, t0: Instant) -> Wave {
+        let mut trail = vec![None];
         let open = Some((CkptCounts { epoch, sent: 0, arrived: 0 }, Vec::new()));
         let (w, _) = step(Wave::new(vec![r(0)], true, true), Input::Call(open), t0);
+        note(&mut trail, &w);
         let (w, _) = step(w, Input::Join(r(0), CkptCounts { epoch, sent: 0, arrived: 0 }), t0);
+        note(&mut trail, &w);
         let (w, _) = step(w, Input::Commit(epoch), t0);
+        note(&mut trail, &w);
         let (w, a) = step(w, Input::Encoded(Notices::new(), Arc::new(Vec::new()), 0), t0);
-        assert_eq!(tags(&a), ["ckpt:written", "replicate"]);
+        note(&mut trail, &w);
+        assert_eq!(tags(&a), ["replicate"]);
         let (w, a) = step(w, Input::Replicas(vec![replica(5, 0), replica(6, 0)]), t0);
+        note(&mut trail, &w);
         assert_eq!(tags(&a), ["push", "push"]);
+        let want = [None, Some((Phase::Quiesce, epoch)), None, Some((Phase::Replicate, epoch))];
+        assert_eq!(trail, want);
         w
     }
 
@@ -586,7 +643,8 @@ mod tests {
 
     /// Every order of k = 2 BLOB_ACKs, mixed with a duplicate, a stale and
     /// a future epoch and an unknown slot: the wave ACKs exactly once, at
-    /// the second distinct current ACK, and then resumes.
+    /// the second distinct current ACK, and then resumes, leaving replicate
+    /// for the commit barrier once.
     #[test]
     fn every_order_of_blob_acks_commits_once() {
         let t0 = Instant::now();
@@ -595,33 +653,39 @@ mod tests {
         assert_eq!(orders.len(), 720);
         for order in orders {
             let mut w = replicating(1, t0);
+            let mut trail = vec![w.member.phase()];
             let (mut seen, mut acked_at) = (BTreeSet::new(), None);
             for (i, &(p, o, e)) in order.iter().enumerate() {
                 let (next, a) = step(w, Input::BlobAck(r(p), r(o), e), t0);
                 w = next;
+                note(&mut trail, &w);
                 let fresh = (o, e) == (0, 1) && seen.insert(p);
                 let want: &[&str] = match (fresh, seen.len()) {
                     (false, _) => &[],
                     (true, 1) => &["repl-ack"],
-                    (true, _) => &["repl-ack", "replicate", "flush"],
+                    (true, _) => &["repl-ack", "flush"],
                 };
                 assert_eq!(tags(&a), want, "{order:?} at {i}");
                 if want.len() > 1 {
                     acked_at = Some(i);
                     let (next, a) = step(w, Input::Flushed, t0);
-                    assert_eq!(tags(&a), ["ack", "ckpt:ack"], "{order:?} at {i}");
+                    assert_eq!(tags(&a), ["ack"], "{order:?} at {i}");
                     w = next;
+                    note(&mut trail, &w);
                 }
             }
             assert!(acked_at.is_some(), "{order:?}");
             assert!(matches!(w.member, Member::AwaitingResume { epoch: 1, .. }));
             let (w, a) = step(w, Input::Resume(1), t0);
-            assert_eq!(tags(&a), ["ckpt:resume", "commit_barrier", "gc", "log-gc"]);
+            note(&mut trail, &w);
+            assert_eq!(tags(&a), ["gc", "log-gc"]);
             assert!(matches!(w.member, Member::Resumed { epoch: 1 }));
+            let want = [Some((Phase::Replicate, 1)), Some((Phase::CommitBarrier, 1)), None];
+            assert_eq!(trail, want, "{order:?}");
         }
     }
 
-    /// Unacked frames are re-pushed once `REPL_RETRY_US` passed; a
+    /// Unacked frames are re-pushed once `REPL_RETRY` passed; a
     /// CHUNK_REQ of the open wave is answered from its manifest, a stale
     /// one is not.
     #[test]
@@ -631,7 +695,7 @@ mod tests {
         let (w, a) = step(w, Input::Tick, t0 + Duration::from_millis(100));
         assert!(a.is_empty());
         let (w, _) = step(w, Input::BlobAck(r(5), r(0), 3), t0);
-        let retry = t0 + Duration::from_micros(REPL_RETRY_US);
+        let retry = t0 + REPL_RETRY;
         let (w, a) = step(w, Input::Tick, retry);
         assert!(matches!(a.as_slice(), [Action::Push(3, p)] if p.partner == r(6)), "{a:?}");
         let (w, a) = step(w, Input::Tick, retry + Duration::from_millis(1));
@@ -702,7 +766,7 @@ mod tests {
             ("Idle", with(Member::Idle), vec!["call", "open"]),
             (
                 "Quiescing",
-                with(Member::Quiescing { epoch: 1, opened: t0, body: Vec::new() }),
+                with(Member::Quiescing { epoch: 1, body: Vec::new() }),
                 vec!["tick", "poll", "commit"],
             ),
             ("Writing", with(Member::Writing { epoch: 1, notices: None }), vec!["encoded"]),
@@ -714,12 +778,12 @@ mod tests {
             ("Replicating", replicating(1, t0), vec!["tick"]),
             (
                 "Flushing",
-                with(Member::Flushing { epoch: 1, notices: notices.clone(), since: t0 }),
+                with(Member::Flushing { epoch: 1, notices: notices.clone() }),
                 vec!["flushed"],
             ),
             (
                 "AwaitingResume",
-                with(Member::AwaitingResume { epoch: 1, notices, since: t0 }),
+                with(Member::AwaitingResume { epoch: 1, notices }),
                 vec!["tick", "resume"],
             ),
             ("Resumed", with(Member::Resumed { epoch: 1 }), vec!["call", "open", "tick"]),

@@ -4,7 +4,7 @@
 //! them is acknowledged — otherwise the `m`-loss guarantee silently shrinks.
 
 use mini_mpi::prelude::*;
-use mini_mpi::recorder::{CkptPhase, Event};
+use mini_mpi::recorder::Event;
 use mini_mpi::wire::to_bytes;
 use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider};
 use std::collections::BTreeMap;
@@ -68,7 +68,7 @@ fn encoder_commits_only_after_every_parity_ack() {
             match ev.event {
                 Event::CkptReplPush { epoch, .. } => waves.entry(epoch).or_default().0 += 1,
                 Event::CkptReplAck { epoch, .. } => *acks.entry(epoch).or_default() += 1,
-                Event::Ckpt { epoch, phase: CkptPhase::Ack } => {
+                Event::Row { row: "member/Flushing/Flushed", epoch } => {
                     let seen = acks.get(&epoch).copied().unwrap_or(0);
                     waves.entry(epoch).or_default().1.get_or_insert(seen);
                 }

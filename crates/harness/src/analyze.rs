@@ -166,13 +166,12 @@ pub fn compare(
 }
 
 /// The slowest checkpoint wave in a Chrome trace, with its per-phase
-/// breakdown (critical path): parsed from the `<phase>_us` args the trace
-/// writer attaches to `ckpt-write e<epoch>` spans.
+/// breakdown: the durations of one rank's `phase` spans of one wave.
 #[derive(Debug, Default)]
 pub struct SlowestWave {
     /// Epoch of the slowest wave.
     pub epoch: u64,
-    /// Rank (trace tid) that owned the span.
+    /// Rank (trace tid) that took it.
     pub tid: u64,
     /// Phase durations, slowest first.
     pub phases: Vec<(String, u64)>,
@@ -180,37 +179,45 @@ pub struct SlowestWave {
     pub total_us: u64,
 }
 
-/// Scan a Chrome trace for the `ckpt-write` span with the largest summed
-/// phase time. `None` when the trace holds no phase-annotated write spans.
+/// Scan a Chrome trace for the wave with the largest summed phase time.
+/// A wave is one rank's epoch in one incarnation (counted by the track's
+/// `rank-start` instants), so a wave re-taken after a restart is its own,
+/// and a restore phase belongs to no wave. `None` when the trace holds no
+/// wave phase spans.
 pub fn slowest_wave(trace_json: &str) -> Option<SlowestWave> {
     let doc = parse(trace_json).ok()?;
     let events = doc.get("traceEvents")?.as_arr()?;
-    let mut best: Option<SlowestWave> = None;
+    let mut starts: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut begun: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut waves: BTreeMap<(u64, u32, u64), BTreeMap<String, u64>> = BTreeMap::new();
     for ev in events {
-        if ev.get("ph").and_then(Json::as_str) != Some("b") {
-            continue;
+        let field = |key| ev.get(key).and_then(Json::as_str).unwrap_or("");
+        let tid = ev.get("tid").and_then(Json::as_num).unwrap_or(0.0) as u64;
+        let ts = ev.get("ts").and_then(Json::as_num).unwrap_or(0.0);
+        match (field("ph"), field("cat")) {
+            ("i", _) if field("name") == "rank-start" => *starts.entry(tid).or_default() += 1,
+            ("b", "phase") => _ = begun.insert(field("id"), ts),
+            ("e", "phase") => {
+                let Some(begin) = begun.remove(field("id")) else { continue };
+                let Some((phase, epoch)) = field("name").rsplit_once(" e") else { continue };
+                let Ok(epoch) = epoch.parse() else { continue };
+                if phase.starts_with("restore_") {
+                    continue;
+                }
+                let wave = (tid, starts.get(&tid).copied().unwrap_or(0), epoch);
+                *waves.entry(wave).or_default().entry(phase.into()).or_default() +=
+                    (ts - begin) as u64;
+            }
+            _ => {}
         }
-        let name = ev.get("name").and_then(Json::as_str).unwrap_or("");
-        let Some(epoch) = name.strip_prefix("ckpt-write e").and_then(|e| e.parse().ok()) else {
-            continue;
-        };
-        let Some(Json::Obj(args)) = ev.get("args") else { continue };
-        let mut phases: Vec<(String, u64)> = args
-            .iter()
-            .filter_map(|(k, v)| {
-                let phase = k.strip_suffix("_us")?;
-                Some((phase.to_string(), v.as_num()? as u64))
-            })
-            .collect();
-        if phases.is_empty() {
-            continue;
-        }
+    }
+    let mut best: Option<SlowestWave> = None;
+    for ((tid, _, epoch), phases) in waves {
+        let mut phases: Vec<(String, u64)> = phases.into_iter().collect();
         phases.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let total_us = phases.iter().map(|&(_, us)| us).sum();
-        let tid = ev.get("tid").and_then(Json::as_num).unwrap_or(0.0) as u64;
-        let wave = SlowestWave { epoch, tid, phases, total_us };
-        if best.as_ref().is_none_or(|b| wave.total_us > b.total_us) {
-            best = Some(wave);
+        if best.as_ref().is_none_or(|b| total_us > b.total_us) {
+            best = Some(SlowestWave { epoch, tid, phases, total_us });
         }
     }
     best
@@ -316,6 +323,7 @@ impl TextTableBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mini_mpi::recorder::{Event, RankTrace, TimedEvent};
     use spbc_core::Metrics;
 
     /// A summary row with phase data, rendered exactly like the harness
@@ -392,17 +400,60 @@ mod tests {
         assert!(compare(&cur, &base, 50.0, 0).is_empty(), "no baseline, no gate");
     }
 
+    fn te(t_us: u64, seq: u64, event: Event) -> TimedEvent {
+        TimedEvent { t_us, seq, event }
+    }
+
+    fn done(t_us: u64, seq: u64, epoch: u64, phase: &'static str, us: u64) -> TimedEvent {
+        te(t_us, seq, Event::CkptPhaseDone { epoch, phase, us })
+    }
+
     #[test]
-    fn slowest_wave_reads_span_args() {
-        let trace = r#"{"traceEvents":[
-            {"ph":"b","pid":0,"tid":3,"ts":10,"id":"ckpt-write r3","name":"ckpt-write e1","cat":"ckptstore","args":{"physical":10,"logical":20,"dedup":2.0,"encode_us":7,"commit_barrier_us":5}},
-            {"ph":"b","pid":0,"tid":4,"ts":10,"id":"ckpt-write r4","name":"ckpt-write e2","cat":"ckptstore","args":{"physical":10,"logical":20,"dedup":2.0,"encode_us":70,"write_us":30}}
-        ],"displayTimeUnit":"ms"}"#;
-        let w = slowest_wave(trace).expect("wave found");
+    fn slowest_wave_sums_phase_spans() {
+        let log = vec![
+            RankTrace {
+                rank: 3,
+                events: vec![done(20, 0, 1, "encode", 7), done(30, 1, 1, "commit_barrier", 5)],
+                ..RankTrace::default()
+            },
+            RankTrace {
+                rank: 4,
+                events: vec![done(80, 0, 2, "encode", 70), done(90, 1, 2, "write", 30)],
+                ..RankTrace::default()
+            },
+        ];
+        let w = slowest_wave(&spbc_trace::chrome_trace(&log)).expect("wave found");
         assert_eq!(w.epoch, 2);
         assert_eq!(w.tid, 4);
         assert_eq!(w.total_us, 100);
         assert_eq!(w.phases[0], ("encode".to_string(), 70));
+        assert!(slowest_wave(&spbc_trace::chrome_trace(&Vec::new())).is_none());
+    }
+
+    /// A rank takes wave 2, restarts, restores wave 2 and re-takes wave 3.
+    /// The restore is no wave's, and the first incarnation's wave 3 (cut
+    /// short by the kill) is not the second's.
+    #[test]
+    fn restore_and_restart_split_waves() {
+        let log = vec![RankTrace {
+            rank: 2,
+            events: vec![
+                te(0, 0, Event::RankStart { epoch: 0 }),
+                done(100, 1, 2, "quiesce", 40),
+                done(120, 2, 2, "commit_barrier", 20),
+                done(150, 3, 3, "quiesce", 30),
+                te(160, 4, Event::RankKilled),
+                te(200, 5, Event::RankStart { epoch: 1 }),
+                done(300, 6, 2, "restore_load", 90),
+                done(310, 7, 2, "restore_materialize", 10),
+                done(400, 8, 3, "quiesce", 35),
+                done(430, 9, 3, "commit_barrier", 30),
+            ],
+            ..RankTrace::default()
+        }];
+        let w = slowest_wave(&spbc_trace::chrome_trace(&log)).expect("wave found");
+        assert_eq!((w.epoch, w.total_us), (3, 65), "{w:?}");
+        assert_eq!(w.phases, [("quiesce".to_string(), 35), ("commit_barrier".to_string(), 30)]);
     }
 
     #[test]

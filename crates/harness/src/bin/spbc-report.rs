@@ -106,7 +106,7 @@ fn main() {
                         println!("  {phase:<20} {us:>10} us");
                     }
                 }
-                None => println!("\nslowest wave: no phase-annotated ckpt-write spans in trace"),
+                None => println!("\nslowest wave: no wave phase spans in trace"),
             },
             Err(e) => {
                 eprintln!("spbc-report: cannot read {trace_path}: {e}");

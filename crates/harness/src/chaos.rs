@@ -392,7 +392,7 @@ pub fn unreachable_row(row: &str, cfg: &ChaosConfig) -> Option<&'static str> {
             "the chunk store is shared by every rank, so no partner lacks a chunk (ROADMAP 3(ii))"
         }
         "member/Replicating/Tick" => {
-            "a re-push needs a partner dead mid-wave for REPL_RETRY_US (250 ms), and no \
+            "a re-push needs a partner dead mid-wave for REPL_RETRY (250 ms), and no \
              schedule kills the victim's partners"
         }
         "member/Resumed/Call" if ec => {

@@ -213,13 +213,16 @@ impl<'a> FtCtx<'a> {
         self.inner.send_ctrl(to, kind, data);
     }
 
-    /// Chaos-engine site: the protocol layer took transition-table row
-    /// `row` and is about to run its actions. When a
-    /// [`crate::failure::FailureTrigger::AtTransition`] plan targets this
-    /// passage (or the rank is armed), the crash is reported, the rank's own
-    /// kill flag raised, and `Err(Killed)` returned for prompt unwinding.
-    pub fn chaos_transition(&mut self, row: &'static str) -> Result<()> {
+    /// The protocol layer took transition-table row `row` of wave (or
+    /// restart) `epoch` and is about to run its actions: record it as
+    /// [`crate::recorder::Event::Row`], then pass the row's failure site.
+    /// When a [`crate::failure::FailureTrigger::AtTransition`] plan targets
+    /// this passage (or the rank is armed), the crash is reported, the
+    /// rank's own kill flag raised, and `Err(Killed)` returned for prompt
+    /// unwinding.
+    pub fn transition(&mut self, row: &'static str, epoch: u64) -> Result<()> {
         let inner = &mut *self.inner;
+        inner.recorder.record(|| crate::recorder::Event::Row { row, epoch });
         if inner.failure.should_fail_at(inner.me, FailureSite::Transition { row }) {
             inner.failure.report(RuntimeEvent::Failure { rank: inner.me });
             inner.kill.store(true, std::sync::atomic::Ordering::SeqCst);

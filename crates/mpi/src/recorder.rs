@@ -5,7 +5,8 @@
 //! protocol did; they cannot say *in what order*. When a recovery goes wrong
 //! the interleaving is the bug, so every rank records its protocol decisions
 //! — sends (and suppressions), arrival dispositions, control messages, log
-//! appends and truncations, checkpoint phases, rollback and replay progress —
+//! appends and truncations, the transition-table rows it takes, phase
+//! latencies, rollback and replay progress —
 //! into a ring buffer the runtime can dump when quiescence stalls
 //! ([`FlightRecorder::dump`]) or export as a Chrome trace after the run
 //! (`spbc-trace`).
@@ -22,30 +23,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Checkpoint lifecycle phase, in protocol order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CkptPhase {
-    /// Member announced itself to the leader (`KIND_CKPT_JOIN` sent).
-    Init,
-    /// Local checkpoint persisted (commit received, state written).
-    Written,
-    /// Commit acknowledged to the leader (`KIND_CKPT_ACK` sent).
-    Ack,
-    /// Leader's resume barrier released this member (`KIND_CKPT_RESUME`).
-    Resume,
-}
-
-/// Lifecycle of an asynchronous checkpoint write (spbc-ckptstore).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WritePhase {
-    /// Blob handed to the background writer; the rank resumes immediately.
-    Submitted,
-    /// Background writer made the blob durable (recorded from the writer
-    /// thread, possibly long after the rank moved on — that gap is the
-    /// hidden latency).
-    Completed,
-}
 
 /// What the matching layer did with an arriving envelope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,12 +122,14 @@ pub enum Event {
         /// Entries dropped.
         entries: u64,
     },
-    /// Checkpoint wave phase transition.
-    Ckpt {
-        /// Checkpoint wave epoch.
+    /// The protocol layer took a row of its transition table (a wave or a
+    /// recovery step that emitted actions).
+    Row {
+        /// The row, `side/state/input`.
+        row: &'static str,
+        /// The wave's epoch, or the incarnation's restart epoch for a
+        /// recovery row.
         epoch: u64,
-        /// Phase reached.
-        phase: CkptPhase,
     },
     /// This rank restarted and announced Rollback to its peers.
     Rollback {
@@ -201,17 +180,17 @@ pub enum Event {
         /// The operation that stalled ("wait", "checkpoint", ...).
         what: String,
     },
-    /// Asynchronous local checkpoint write progress (spbc-ckptstore).
+    /// A wave's local checkpoint write was submitted to the store; its
+    /// duration is the wave's `write` phase.
     CkptWrite {
         /// Checkpoint wave epoch.
         epoch: u64,
-        /// Sealed blob size actually written (full or delta).
+        /// Sealed size written: a CDC manifest with its new chunks, or a
+        /// full blob.
         bytes: u64,
         /// Serialized checkpoint body size (what a full write would cost;
-        /// `bytes < logical` means the delta path deduplicated chunks).
+        /// `bytes < logical` means CDC deduplicated chunks).
         logical: u64,
-        /// Submitted (rank side) or Completed (writer side).
-        phase: WritePhase,
     },
     /// Checkpoint blob pushed to a partner rank for replicated storage.
     CkptReplPush {
@@ -311,7 +290,7 @@ impl fmt::Display for Event {
             Event::LogGc { dst, comm, upto, entries } => {
                 write!(f, "log-gc ->{dst} c{comm} upto=s{upto} dropped={entries}")
             }
-            Event::Ckpt { epoch, phase } => write!(f, "ckpt e{epoch} {phase:?}"),
+            Event::Row { row, epoch } => write!(f, "{row} e{epoch}"),
             Event::Rollback { epoch, restored_ckpt } => {
                 write!(f, "rollback e{epoch} restored-ckpt={restored_ckpt}")
             }
@@ -321,8 +300,8 @@ impl fmt::Display for Event {
             Event::Replay { dst, comm, seqnum } => write!(f, "replay ->{dst} c{comm} s{seqnum}"),
             Event::ReplayDrained { dst } => write!(f, "replay-drained ->{dst}"),
             Event::Stall { what } => write!(f, "STALL in {what}"),
-            Event::CkptWrite { epoch, bytes, logical, phase } => {
-                write!(f, "ckpt-write e{epoch} {bytes}B/{logical}B {phase:?}")
+            Event::CkptWrite { epoch, bytes, logical } => {
+                write!(f, "ckpt-write e{epoch} {bytes}B/{logical}B")
             }
             Event::CkptReplPush { partner, epoch, bytes } => {
                 write!(f, "repl-push ->{partner} e{epoch} {bytes}B")
@@ -514,9 +493,9 @@ impl FlightRecorder {
     }
 
     /// Human-readable dump for hang diagnostics: per rank of `ranks` (a
-    /// node's hosted ranks, or the whole world), the last checkpoint-phase
-    /// event, the published stall status (channel watermarks), and the
-    /// newest `tail` events.
+    /// node's hosted ranks, or the whole world), the last transition-table
+    /// row it took, the last phase it completed, the published stall status
+    /// (channel watermarks), and the newest `tail` events.
     pub fn dump(&self, tail: usize, ranks: std::ops::Range<u32>) -> String {
         let log = self.snapshot();
         let mut out = String::new();
@@ -531,24 +510,16 @@ impl FlightRecorder {
                 "-- rank {}: {} events recorded ({} evicted)\n",
                 t.rank, total, t.dropped
             ));
-            let last_ckpt = t.events.iter().rev().find(|e| matches!(e.event, Event::Ckpt { .. }));
-            match last_ckpt {
-                Some(e) => {
-                    out.push_str(&format!("   last ckpt phase: [{}us] {}\n", e.t_us, e.event))
-                }
-                None => out.push_str("   last ckpt phase: none\n"),
-            }
-            // Finer-grained than the protocol phase above: which *timed*
-            // lifecycle stage last finished, so a stuck wave points at the
-            // stage after it.
-            let last_done =
-                t.events.iter().rev().find(|e| matches!(e.event, Event::CkptPhaseDone { .. }));
-            match last_done {
-                Some(e) => {
-                    out.push_str(&format!("   last completed phase: [{}us] {}\n", e.t_us, e.event))
-                }
-                None => out.push_str("   last completed phase: none\n"),
-            }
+            // The last row names the wave or recovery transition a wedged
+            // rank took last; the last completed phase, the timed stage
+            // before it.
+            let last = |what: &str, is: fn(&Event) -> bool| {
+                let found = t.events.iter().rev().find(|e| is(&e.event));
+                let at = found.map_or("none".into(), |e| format!("[{}us] {}", e.t_us, e.event));
+                format!("   last {what}: {at}\n")
+            };
+            out.push_str(&last("row", |e| matches!(e, Event::Row { .. })));
+            out.push_str(&last("completed phase", |e| matches!(e, Event::CkptPhaseDone { .. })));
             if let Some((t_us, line)) = &t.status {
                 out.push_str(&format!("   status @{t_us}us: {line}\n"));
             }
@@ -601,7 +572,7 @@ mod tests {
         for s in 0..40u64 {
             a.record(|| send(s));
             if s % 2 == 0 {
-                b.record(|| Event::Ckpt { epoch: s, phase: CkptPhase::Init });
+                b.record(|| Event::Row { row: "member/Idle/Call(open)", epoch: s });
             }
         }
         for t in fr.snapshot() {
@@ -624,16 +595,20 @@ mod tests {
     }
 
     #[test]
-    fn dump_names_ckpt_phase_and_status() {
+    fn dump_names_last_row_phase_and_status() {
         let fr = FlightRecorder::new(2, 16);
         let rec = fr.handle(RankId(0));
-        rec.record(|| Event::Ckpt { epoch: 3, phase: CkptPhase::Init });
+        rec.record(|| Event::Row { row: "member/Idle/Call(open)", epoch: 3 });
         rec.record(|| Event::CkptPhaseDone { epoch: 3, phase: "encode", us: 42 });
         rec.record(|| Event::Stall { what: "checkpoint".into() });
         rec.set_status(|| "send_seq=[1/c0=>5]".into());
         let dump = fr.dump(8, 0..2);
         assert!(dump.contains("rank 0"));
-        assert!(dump.contains("ckpt e3 Init"));
+        assert!(
+            dump.contains("last row: [") && dump.contains("member/Idle/Call(open) e3"),
+            "{dump}"
+        );
+        assert!(dump.contains("last row: none"), "idle rank took no row: {dump}");
         assert!(dump.contains("last completed phase:"), "{dump}");
         assert!(dump.contains("ckpt-phase e3 encode 42us"), "{dump}");
         assert!(dump.contains("STALL in checkpoint"));
@@ -647,10 +622,7 @@ mod tests {
     #[test]
     fn storage_events_render() {
         let cases: Vec<(Event, &str)> = vec![
-            (
-                Event::CkptWrite { epoch: 2, bytes: 24, logical: 64, phase: WritePhase::Submitted },
-                "ckpt-write e2 24B/64B Submitted",
-            ),
+            (Event::CkptWrite { epoch: 2, bytes: 24, logical: 64 }, "ckpt-write e2 24B/64B"),
             (
                 Event::CkptReplPush { partner: RankId(5), epoch: 2, bytes: 64 },
                 "repl-push ->5 e2 64B",
@@ -675,6 +647,7 @@ mod tests {
                 Event::CkptPhaseDone { epoch: 2, phase: "commit_barrier", us: 1500 },
                 "ckpt-phase e2 commit_barrier 1500us",
             ),
+            (Event::Row { row: "member/Flushing/Flushed", epoch: 2 }, "member/Flushing/Flushed e2"),
         ];
         for (ev, want) in cases {
             assert_eq!(ev.to_string(), want);

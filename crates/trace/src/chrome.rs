@@ -2,18 +2,22 @@
 //!
 //! Converts a [`FlightLog`] into the Chrome trace-event JSON format (the
 //! `{"traceEvents":[...]}` object form), loadable in Perfetto or
-//! `chrome://tracing`. Each rank is a named thread track (`tid` = rank);
-//! checkpoint rounds are synchronous duration spans (`ph` `B`/`E`), while
-//! replay windows, asynchronous checkpoint writes, and replication
-//! push→ack exchanges are async spans (`ph` `b`/`e`, one id per logical
-//! flow, so overlapping flows don't fight over the thread stack), and every
-//! other protocol event is a thread-scoped instant (`ph` `i`) carrying its
-//! fields as `args`. The write/replication spans make the storage overlap
-//! visible: a `ckpt-write` span stretching past the `ckpt` round is exactly
-//! the disk latency the async writer hid from the commit barrier.
+//! `chrome://tracing`. Each rank is a named thread track (`tid` = rank).
+//! Every span is async (`ph` `b`/`e`, one id per flow), so overlapping
+//! flows don't fight over the thread stack:
+//! * each `CkptPhaseDone` is one span `"<phase> e<epoch>"` (cat `phase`)
+//!   ending at its record and as long as its sample: the wave's quiesce,
+//!   replicate and commit-barrier spans tile it, and a disk store's `write`
+//!   runs beside replicate;
+//! * replay windows per destination, and replication push→ack exchanges
+//!   per partner.
+//!
+//! Every other event is a thread-scoped instant (`ph` `i`) carrying its
+//! display text as `args`: a transition-table row is named by its row, and
+//! a `ckpt-write` submit carries its physical and logical bytes and dedup.
 
 use crate::json::escape;
-use mini_mpi::recorder::{CkptPhase, Event, FlightLog, RankTrace, TimedEvent, WritePhase};
+use mini_mpi::recorder::{Event, FlightLog, RankTrace, TimedEvent};
 
 /// One emitted trace-event line.
 struct Emit {
@@ -35,18 +39,6 @@ pub fn chrome_trace(log: &FlightLog) -> String {
 
 fn emit_rank(trace: &RankTrace, out: &mut Vec<Emit>) {
     let tid = trace.rank;
-    // Pre-scan the whole event list for per-epoch phase latencies so they
-    // can ride as args on the wave's `ckpt-write` span even though most
-    // phases (replicate, commit-barrier) finish *after* that span opens.
-    // BTreeMaps keep the rendered arg order deterministic; a re-committed
-    // epoch overwrites, keeping the newest sample.
-    let mut phase_us: std::collections::BTreeMap<u64, std::collections::BTreeMap<&str, u64>> =
-        std::collections::BTreeMap::new();
-    for ev in &trace.events {
-        if let Event::CkptPhaseDone { epoch, phase, us } = &ev.event {
-            phase_us.entry(*epoch).or_default().insert(phase, *us);
-        }
-    }
     out.push(Emit {
         t_us: 0,
         body: format!(
@@ -55,44 +47,26 @@ fn emit_rank(trace: &RankTrace, out: &mut Vec<Emit>) {
         ),
     });
 
-    // Open synchronous span (checkpoint round), if any: (name, begin ts).
-    let mut open_ckpt: Option<String> = None;
-    // Open async spans (replay windows, checkpoint writes, replication
-    // exchanges): (id, name, cat) tuples still awaiting their end.
-    let mut open_async: Vec<(String, String, &'static str)> = Vec::new();
+    // Open async spans (replay windows, replication exchanges): (id, name,
+    // cat) tuples still awaiting their end.
+    let mut open_async: OpenAsync = Vec::new();
     let mut last_ts = 0u64;
 
     for ev in &trace.events {
         last_ts = last_ts.max(ev.t_us);
         match &ev.event {
-            Event::Ckpt { epoch, phase } => {
-                let name = format!("ckpt e{epoch}");
-                match phase {
-                    CkptPhase::Init => {
-                        // A re-entered round (previous one never resumed)
-                        // must close the stale span first — `B` events on one
-                        // tid form a stack.
-                        if open_ckpt.take().is_some() {
-                            out.push(end_sync(tid, ev.t_us));
-                        }
-                        open_ckpt = Some(name.clone());
-                        out.push(begin_sync(tid, ev.t_us, &name, "ckpt"));
-                    }
-                    CkptPhase::Resume => {
-                        if open_ckpt.take().is_some() {
-                            out.push(end_sync(tid, ev.t_us));
-                        }
-                        out.push(instant(tid, ev, "ckpt-resume", "ckpt"));
-                    }
-                    CkptPhase::Written | CkptPhase::Ack => {
-                        out.push(instant(
-                            tid,
-                            ev,
-                            if *phase == CkptPhase::Written { "ckpt-written" } else { "ckpt-ack" },
-                            "ckpt",
-                        ));
-                    }
-                }
+            Event::CkptPhaseDone { epoch, phase, us } => {
+                let (id, name) =
+                    (format!("{phase} r{tid} #{}", ev.seq), format!("{phase} e{epoch}"));
+                out.push(edge("b", tid, ev.t_us.saturating_sub(*us), &id, &name, "phase"));
+                out.push(edge("e", tid, ev.t_us, &id, &name, "phase"));
+            }
+            Event::Row { row, .. } => out.push(instant(tid, ev, row, "row", "")),
+            Event::CkptWrite { bytes, logical, .. } => {
+                let dedup = if *bytes > 0 { *logical as f64 / *bytes as f64 } else { 1.0 };
+                let args =
+                    format!(",\"physical\":{bytes},\"logical\":{logical},\"dedup\":{dedup:.2}");
+                out.push(instant(tid, ev, "ckpt-write", "ckptstore", &args));
             }
             Event::ReplayQueued { dst, .. } => {
                 let id = format!("replay r{tid}->r{dst}");
@@ -100,51 +74,12 @@ fn emit_rank(trace: &RankTrace, out: &mut Vec<Emit>) {
                 // A fresh Rollback supersedes the active window for the same
                 // destination: close it before opening the new one.
                 open_span(&mut open_async, out, tid, ev.t_us, id, name, "replay");
-                out.push(instant(tid, ev, "replay-queued", "replay"));
+                out.push(instant(tid, ev, "replay-queued", "replay", ""));
             }
             Event::ReplayDrained { dst } => {
                 let id = format!("replay r{tid}->r{dst}");
                 close_span(&mut open_async, out, tid, ev.t_us, &id);
-                out.push(instant(tid, ev, "replay-drained", "replay"));
-            }
-            Event::CkptWrite { epoch, bytes, logical, phase } => {
-                // One write in flight per rank: the double-buffered writer
-                // holds at most one queued + one running job, and a second
-                // Submitted before Completed means coalescing replaced the
-                // older job (the superseding open_span closes its span).
-                let id = format!("ckpt-write r{tid}");
-                match phase {
-                    WritePhase::Submitted => {
-                        let name = format!("ckpt-write e{epoch}");
-                        // Dedup accounting on the span itself: bytes written
-                        // vs full-write equivalent.
-                        let dedup = if *bytes > 0 { *logical as f64 / *bytes as f64 } else { 1.0 };
-                        let mut args = format!(
-                            "{{\"physical\":{bytes},\"logical\":{logical},\"dedup\":{dedup:.2}"
-                        );
-                        if let Some(phases) = phase_us.get(epoch) {
-                            for (phase, us) in phases {
-                                args.push_str(&format!(",\"{phase}_us\":{us}"));
-                            }
-                        }
-                        args.push('}');
-                        open_span_with_args(
-                            &mut open_async,
-                            out,
-                            tid,
-                            ev.t_us,
-                            id,
-                            name,
-                            "ckptstore",
-                            Some(&args),
-                        );
-                        out.push(instant(tid, ev, "ckpt-write-submit", "ckptstore"));
-                    }
-                    WritePhase::Completed => {
-                        close_span(&mut open_async, out, tid, ev.t_us, &id);
-                        out.push(instant(tid, ev, "ckpt-write-done", "ckptstore"));
-                    }
-                }
+                out.push(instant(tid, ev, "replay-drained", "replay", ""));
             }
             Event::CkptReplPush { partner, .. } => {
                 // Push→ack flow per partner; a retry re-push supersedes the
@@ -152,27 +87,23 @@ fn emit_rank(trace: &RankTrace, out: &mut Vec<Emit>) {
                 let id = format!("repl r{tid}->r{partner}");
                 let name = format!("repl->r{partner}");
                 open_span(&mut open_async, out, tid, ev.t_us, id, name, "ckptstore");
-                out.push(instant(tid, ev, "repl-push", "ckptstore"));
+                out.push(instant(tid, ev, "repl-push", "ckptstore", ""));
             }
             Event::CkptReplAck { partner, .. } => {
                 let id = format!("repl r{tid}->r{partner}");
                 close_span(&mut open_async, out, tid, ev.t_us, &id);
-                out.push(instant(tid, ev, "repl-ack", "ckptstore"));
+                out.push(instant(tid, ev, "repl-ack", "ckptstore", ""));
             }
             other => {
                 let (name, cat) = classify(other);
-                out.push(instant(tid, ev, name, cat));
+                out.push(instant(tid, ev, name, cat, ""));
             }
         }
     }
 
     // Balance: close anything still open at the trace's end.
-    let close_ts = last_ts + 1;
-    if open_ckpt.take().is_some() {
-        out.push(end_sync(tid, close_ts));
-    }
     for (id, name, cat) in open_async {
-        out.push(end_async(tid, close_ts, &id, &name, cat));
+        out.push(edge("e", tid, last_ts + 1, &id, &name, cat));
     }
 }
 
@@ -180,8 +111,8 @@ fn emit_rank(trace: &RankTrace, out: &mut Vec<Emit>) {
 type OpenAsync = Vec<(String, String, &'static str)>;
 
 /// Begin an async span, superseding any still-open span with the same id (a
-/// re-queued replay window, a coalesced write, a re-pushed replica) — Chrome
-/// requires `b`/`e` balance per id.
+/// re-queued replay window, a re-pushed replica) — Chrome requires `b`/`e`
+/// balance per id.
 fn open_span(
     open: &mut OpenAsync,
     out: &mut Vec<Emit>,
@@ -191,24 +122,8 @@ fn open_span(
     name: String,
     cat: &'static str,
 ) {
-    open_span_with_args(open, out, tid, ts, id, name, cat, None);
-}
-
-/// [`open_span`] with an optional pre-rendered JSON `args` object attached
-/// to the begin event (e.g. the ckpt-write span's dedup accounting).
-#[allow(clippy::too_many_arguments)]
-fn open_span_with_args(
-    open: &mut OpenAsync,
-    out: &mut Vec<Emit>,
-    tid: u32,
-    ts: u64,
-    id: String,
-    name: String,
-    cat: &'static str,
-    args: Option<&str>,
-) {
     close_span(open, out, tid, ts, &id);
-    out.push(begin_async(tid, ts, &id, &name, cat, args));
+    out.push(edge("b", tid, ts, &id, &name, cat));
     open.push((id, name, cat));
 }
 
@@ -216,31 +131,16 @@ fn open_span_with_args(
 fn close_span(open: &mut OpenAsync, out: &mut Vec<Emit>, tid: u32, ts: u64, id: &str) {
     if let Some(i) = open.iter().position(|(oid, _, _)| oid == id) {
         let (oid, oname, ocat) = open.remove(i);
-        out.push(end_async(tid, ts, &oid, &oname, ocat));
+        out.push(edge("e", tid, ts, &oid, &oname, ocat));
     }
 }
 
-fn begin_sync(tid: u32, ts: u64, name: &str, cat: &str) -> Emit {
+/// An async span's begin (`ph` `b`) or end (`e`).
+fn edge(ph: &str, tid: u32, ts: u64, id: &str, name: &str, cat: &str) -> Emit {
     Emit {
         t_us: ts,
         body: format!(
-            "{{\"ph\":\"B\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"name\":{},\"cat\":{}}}",
-            escape(name),
-            escape(cat)
-        ),
-    }
-}
-
-fn end_sync(tid: u32, ts: u64) -> Emit {
-    Emit { t_us: ts, body: format!("{{\"ph\":\"E\",\"pid\":0,\"tid\":{tid},\"ts\":{ts}}}") }
-}
-
-fn begin_async(tid: u32, ts: u64, id: &str, name: &str, cat: &str, args: Option<&str>) -> Emit {
-    let args = args.map(|a| format!(",\"args\":{a}")).unwrap_or_default();
-    Emit {
-        t_us: ts,
-        body: format!(
-            "{{\"ph\":\"b\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"id\":{},\"name\":{},\"cat\":{}{args}}}",
+            "{{\"ph\":\"{ph}\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"id\":{},\"name\":{},\"cat\":{}}}",
             escape(id),
             escape(name),
             escape(cat)
@@ -248,23 +148,13 @@ fn begin_async(tid: u32, ts: u64, id: &str, name: &str, cat: &str, args: Option<
     }
 }
 
-fn end_async(tid: u32, ts: u64, id: &str, name: &str, cat: &str) -> Emit {
-    Emit {
-        t_us: ts,
-        body: format!(
-            "{{\"ph\":\"e\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"id\":{},\"name\":{},\"cat\":{}}}",
-            escape(id),
-            escape(name),
-            escape(cat)
-        ),
-    }
-}
-
-fn instant(tid: u32, ev: &TimedEvent, name: &str, cat: &str) -> Emit {
+/// A thread-scoped instant; `args` are extra pre-rendered `,"key":value`
+/// pairs after the event's sequence number and display text.
+fn instant(tid: u32, ev: &TimedEvent, name: &str, cat: &str, args: &str) -> Emit {
     Emit {
         t_us: ev.t_us,
         body: format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"name\":{},\"cat\":{},\"args\":{{\"seq\":{},\"detail\":{}}}}}",
+            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"name\":{},\"cat\":{},\"args\":{{\"seq\":{},\"detail\":{}{args}}}}}",
             ev.t_us,
             escape(name),
             escape(cat),
@@ -299,10 +189,10 @@ fn classify(ev: &Event) -> (&'static str, &'static str) {
         Event::CkptRebuild { .. } => ("ckpt-rebuild", "ckptstore"),
         Event::CkptGc { .. } => ("ckpt-gc", "ckptstore"),
         Event::CkptRelease { .. } => ("ckpt-release", "ckptstore"),
-        Event::CkptPhaseDone { .. } => ("ckpt-phase", "ckpt"),
-        // Span-forming kinds are handled by the caller; keep a fallback so
-        // the match stays exhaustive.
-        Event::Ckpt { .. }
+        // Span-forming and argument-carrying kinds are handled by the
+        // caller; keep a fallback so the match stays exhaustive.
+        Event::Row { .. }
+        | Event::CkptPhaseDone { .. }
         | Event::ReplayQueued { .. }
         | Event::ReplayDrained { .. }
         | Event::CkptWrite { .. }
@@ -323,10 +213,19 @@ mod tests {
         TimedEvent { t_us, seq, event }
     }
 
+    fn row(row: &'static str, epoch: u64) -> Event {
+        Event::Row { row, epoch }
+    }
+
+    fn done(epoch: u64, phase: &'static str, us: u64) -> Event {
+        Event::CkptPhaseDone { epoch, phase, us }
+    }
+
     /// A synthetic two-rank timeline exercising every span kind: a complete
-    /// checkpoint round, an interrupted one, a drained replay window and a
-    /// superseded one, an async checkpoint write overlapping the resume, and
-    /// a replication push→ack exchange (one acked, one left hanging).
+    /// wave whose phase spans tile it, with a disk write that ends inside
+    /// its replicate span, an interrupted wave, a drained replay window and
+    /// a superseded one, and a replication push→ack exchange (one acked, one
+    /// left hanging).
     fn synthetic_log() -> FlightLog {
         vec![
             RankTrace {
@@ -348,48 +247,33 @@ mod tests {
                         },
                     ),
                     te(6, 2, Event::LogAppend { dst: RankId(1), comm: 0, seqnum: 1, bytes: 64 }),
-                    te(10, 3, Event::Ckpt { epoch: 1, phase: CkptPhase::Init }),
-                    te(12, 19, Event::CkptPhaseDone { epoch: 1, phase: "encode", us: 7 }),
-                    te(
-                        13,
-                        14,
-                        Event::CkptWrite {
-                            epoch: 1,
-                            bytes: 32,
-                            logical: 96,
-                            phase: WritePhase::Submitted,
-                        },
-                    ),
-                    te(14, 4, Event::Ckpt { epoch: 1, phase: CkptPhase::Written }),
-                    te(14, 15, Event::CkptReplPush { partner: RankId(1), epoch: 1, bytes: 96 }),
-                    te(16, 16, Event::CkptReplAck { partner: RankId(1), epoch: 1 }),
-                    te(15, 5, Event::Ckpt { epoch: 1, phase: CkptPhase::Ack }),
-                    te(20, 6, Event::Ckpt { epoch: 1, phase: CkptPhase::Resume }),
-                    // Recorded *after* the write span opened: the pre-scan
-                    // must still attach it to the e1 span args.
-                    te(21, 20, Event::CkptPhaseDone { epoch: 1, phase: "commit_barrier", us: 5 }),
-                    // The background write outlives the checkpoint round —
-                    // the hidden-latency overlap the trace must show.
-                    te(
-                        25,
-                        17,
-                        Event::CkptWrite {
-                            epoch: 1,
-                            bytes: 32,
-                            logical: 96,
-                            phase: WritePhase::Completed,
-                        },
-                    ),
+                    te(10, 3, row("member/Idle/Call(open)", 1)),
+                    te(12, 4, row("member/Quiescing/Commit", 1)),
+                    te(12, 5, done(1, "quiesce", 2)),
+                    te(13, 6, done(1, "encode", 1)),
+                    te(13, 7, Event::CkptWrite { epoch: 1, bytes: 32, logical: 96 }),
+                    te(13, 8, row("member/Writing/Encoded", 1)),
+                    te(14, 9, row("member/Writing/Replicas", 1)),
+                    te(14, 10, Event::CkptReplPush { partner: RankId(1), epoch: 1, bytes: 96 }),
+                    // The disk write, submitted at 13, is done inside the
+                    // replicate span.
+                    te(15, 11, done(1, "write", 2)),
+                    te(16, 12, Event::CkptReplAck { partner: RankId(1), epoch: 1 }),
+                    te(16, 13, row("member/Replicating/BlobAck", 1)),
+                    te(16, 14, done(1, "replicate", 2)),
+                    te(17, 15, row("member/Flushing/Flushed", 1)),
+                    te(20, 16, row("member/AwaitingResume/Resume", 1)),
+                    te(20, 17, done(1, "commit_barrier", 4)),
                     te(26, 18, Event::CkptGc { pruned: 1, keep_from: 1 }),
-                    te(27, 21, Event::LogGc { dst: RankId(1), comm: 0, upto: 1, entries: 1 }),
-                    te(30, 7, Event::ReplayQueued { dst: RankId(1), msgs: 2 }),
-                    te(31, 8, Event::Replay { dst: RankId(1), comm: 0, seqnum: 1 }),
-                    te(32, 9, Event::Replay { dst: RankId(1), comm: 0, seqnum: 2 }),
-                    te(33, 10, Event::ReplayDrained { dst: RankId(1) }),
+                    te(27, 19, Event::LogGc { dst: RankId(1), comm: 0, upto: 1, entries: 1 }),
+                    te(30, 20, Event::ReplayQueued { dst: RankId(1), msgs: 2 }),
+                    te(31, 21, Event::Replay { dst: RankId(1), comm: 0, seqnum: 1 }),
+                    te(32, 22, Event::Replay { dst: RankId(1), comm: 0, seqnum: 2 }),
+                    te(33, 23, Event::ReplayDrained { dst: RankId(1) }),
                     // Superseded window: re-queued, never drained.
-                    te(40, 11, Event::ReplayQueued { dst: RankId(1), msgs: 1 }),
-                    te(41, 12, Event::ReplayQueued { dst: RankId(1), msgs: 3 }),
-                    te(50, 13, Event::RankDone),
+                    te(40, 24, Event::ReplayQueued { dst: RankId(1), msgs: 1 }),
+                    te(41, 25, Event::ReplayQueued { dst: RankId(1), msgs: 3 }),
+                    te(50, 26, Event::RankDone),
                 ],
             },
             RankTrace {
@@ -399,10 +283,12 @@ mod tests {
                 events: vec![
                     te(2, 2, Event::RankStart { epoch: 1 }),
                     te(3, 3, Event::Rollback { epoch: 1, restored_ckpt: 1 }),
-                    te(4, 7, Event::CkptRepair { epoch: 1, from: RankId(0) }),
+                    te(4, 4, Event::CkptRepair { epoch: 1, from: RankId(0) }),
+                    te(4, 5, done(1, "restore_load", 1)),
+                    te(5, 6, row("recovery/Start", 1)),
                     te(
                         7,
-                        4,
+                        7,
                         Event::Arrival {
                             src: RankId(0),
                             comm: 0,
@@ -413,12 +299,12 @@ mod tests {
                     ),
                     te(15, 8, Event::CkptReplStore { owner: RankId(0), epoch: 1, bytes: 96 }),
                     // Rank 0's wave resumed: its older copy here goes.
-                    te(22, 10, Event::CkptRelease { owner: RankId(0), pruned: 1, keep_from: 1 }),
-                    // Interrupted checkpoint: Init with no Resume, and a
-                    // replica push the dead partner never acked.
-                    te(45, 5, Event::Ckpt { epoch: 2, phase: CkptPhase::Init }),
-                    te(46, 9, Event::CkptReplPush { partner: RankId(0), epoch: 2, bytes: 96 }),
-                    te(58, 6, Event::Stall { what: "wait".into() }),
+                    te(22, 9, Event::CkptRelease { owner: RankId(0), pruned: 1, keep_from: 1 }),
+                    // Interrupted wave: opened, never resumed, and a replica
+                    // push the dead partner never acked.
+                    te(45, 10, row("member/Idle/Call(open)", 2)),
+                    te(46, 11, Event::CkptReplPush { partner: RankId(0), epoch: 2, bytes: 96 }),
+                    te(58, 12, Event::Stall { what: "wait".into() }),
                 ],
             },
         ]
@@ -446,28 +332,36 @@ mod tests {
         assert_eq!(names, vec!["rank 0", "rank 1"]);
     }
 
+    /// `(begin, end)` of the async span named `name`.
+    fn span(doc: &Json, name: &str) -> (f64, f64) {
+        let ts = |ph: &str| {
+            trace_events(doc)
+                .iter()
+                .find(|e| {
+                    e.get("ph").and_then(Json::as_str) == Some(ph)
+                        && e.get("name").and_then(Json::as_str) == Some(name)
+                })
+                .and_then(|e| e.get("ts")?.as_num())
+                .unwrap_or_else(|| panic!("no {ph} of {name}"))
+        };
+        (ts("b"), ts("e"))
+    }
+
     #[test]
     fn spans_are_balanced() {
         let out = chrome_trace(&synthetic_log());
         let doc = parse(&out).unwrap();
-        // Synchronous B/E: per tid, stack discipline — depth never negative,
-        // zero at the end.
-        let mut depth: HashMap<u64, i64> = HashMap::new();
-        // Async b/e: per id, open exactly balances close.
+        // The disk write ends inside the replicate span: spans overlap.
+        let (write, replicate) = (span(&doc, "write e1"), span(&doc, "replicate e1"));
+        assert!(replicate.0 < write.1 && write.1 < replicate.1, "{write:?} {replicate:?}");
+        // Async b/e: per id, open exactly balances close, and an end never
+        // precedes its begin.
         let mut async_open: HashMap<String, i64> = HashMap::new();
         for e in trace_events(&doc) {
             let ph = e.get("ph").and_then(Json::as_str).unwrap();
+            // Every span is async: the thread stack holds none.
+            assert!(!matches!(ph, "B" | "E"), "a synchronous span: {e:?}");
             match ph {
-                "B" => {
-                    let tid = e.get("tid").and_then(Json::as_num).unwrap() as u64;
-                    *depth.entry(tid).or_default() += 1;
-                }
-                "E" => {
-                    let tid = e.get("tid").and_then(Json::as_num).unwrap() as u64;
-                    let d = depth.entry(tid).or_default();
-                    *d -= 1;
-                    assert!(*d >= 0, "E without matching B on tid {tid}");
-                }
                 "b" => {
                     let id = e.get("id").and_then(Json::as_str).unwrap().to_string();
                     *async_open.entry(id).or_default() += 1;
@@ -481,7 +375,6 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(depth.values().all(|&d| d == 0), "unbalanced B/E: {depth:?}");
         assert!(async_open.values().all(|&d| d == 0), "unbalanced b/e: {async_open:?}");
     }
 
@@ -494,13 +387,14 @@ mod tests {
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "events sorted by ts");
         let span_names: Vec<&str> = evs
             .iter()
-            .filter(|e| matches!(e.get("ph").and_then(Json::as_str), Some("B" | "b")))
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("b"))
             .filter_map(|e| e.get("name")?.as_str())
             .collect();
-        assert!(span_names.contains(&"ckpt e1"), "{span_names:?}");
-        assert!(span_names.contains(&"ckpt e2"), "interrupted round still opens");
+        for phase in ["quiesce", "encode", "write", "replicate", "commit_barrier", "restore_load"] {
+            let name = format!("{phase} e1");
+            assert!(span_names.contains(&name.as_str()), "{name}: {span_names:?}");
+        }
         assert!(span_names.contains(&"replay->r1"), "{span_names:?}");
-        assert!(span_names.contains(&"ckpt-write e1"), "{span_names:?}");
         assert!(span_names.contains(&"repl->r1"), "{span_names:?}");
         assert!(span_names.contains(&"repl->r0"), "unacked push still opens");
         let instants: Vec<&str> = evs
@@ -510,27 +404,33 @@ mod tests {
             .collect();
         assert!(instants.contains(&"log-gc"), "{instants:?}");
         assert!(instants.contains(&"ckpt-release"), "{instants:?}");
+        // Rows are instants named by their row, an interrupted wave's too.
+        let opened = instants.iter().filter(|&&i| i == "member/Idle/Call(open)").count();
+        assert_eq!(opened, 2, "{instants:?}");
+        assert!(instants.contains(&"recovery/Start"), "{instants:?}");
     }
 
     #[test]
-    fn ckpt_write_span_carries_dedup_args() {
+    fn ckpt_write_instant_carries_dedup_args() {
         let out = chrome_trace(&synthetic_log());
         let doc = parse(&out).unwrap();
-        let span = trace_events(&doc)
+        let submit = trace_events(&doc)
             .iter()
             .find(|e| {
-                e.get("ph").and_then(Json::as_str) == Some("b")
-                    && e.get("name").and_then(Json::as_str) == Some("ckpt-write e1")
+                e.get("ph").and_then(Json::as_str) == Some("i")
+                    && e.get("name").and_then(Json::as_str) == Some("ckpt-write")
             })
-            .expect("ckpt-write span present");
-        let args = span.get("args").expect("span has args");
+            .expect("ckpt-write instant present");
+        assert_eq!(submit.get("ts").and_then(Json::as_num), Some(13.0));
+        let args = submit.get("args").expect("instant has args");
         assert_eq!(args.get("physical").and_then(Json::as_num), Some(32.0));
         assert_eq!(args.get("logical").and_then(Json::as_num), Some(96.0));
         assert_eq!(args.get("dedup").and_then(Json::as_num), Some(3.0));
-        // Phase latencies ride on the same span — including the commit
-        // barrier, which completed after the span opened.
-        assert_eq!(args.get("encode_us").and_then(Json::as_num), Some(7.0));
-        assert_eq!(args.get("commit_barrier_us").and_then(Json::as_num), Some(5.0));
+        // Each phase span ends at its record and is as long as its sample:
+        // the commit barrier runs from the last BLOB_ACK to RESUME.
+        assert_eq!(span(&doc, "commit_barrier e1"), (16.0, 20.0));
+        assert_eq!(span(&doc, "quiesce e1"), (10.0, 12.0));
+        assert_eq!(span(&doc, "replicate e1"), (14.0, 16.0));
     }
 
     #[test]

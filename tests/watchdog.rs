@@ -1,6 +1,6 @@
 //! Hang watchdog: a forced quiescence stall must end in a flight-recorder
-//! dump that names the stuck ranks and their last checkpoint-phase events —
-//! not a bare timeout.
+//! dump that names the stuck ranks and the last transition-table row each
+//! took — not a bare timeout.
 //!
 //! The stall: a single 4-rank cluster with `ckpt_interval: 1`. Ranks 0–2
 //! reach the coordinated checkpoint on their first boundary; rank 3 never
@@ -50,11 +50,19 @@ fn quiescence_stall_produces_flight_dump() {
     for r in 0..world {
         assert!(dump.contains(&format!("-- rank {r}:")), "rank {r} missing from dump:\n{dump}");
     }
-    // The ranks that entered the wave recorded its Init phase; the dump
-    // surfaces the last checkpoint-phase event per rank.
-    assert!(dump.contains("ckpt e1 Init"), "dump names the checkpoint phase:\n{dump}");
+    // The ranks that entered the wave took its opening row last; the dump
+    // surfaces the last row per rank.
+    let rank = |r: usize| {
+        let from = dump.find(&format!("-- rank {r}:")).unwrap();
+        let to = dump[from + 1..].find("-- rank ").map_or(dump.len(), |i| from + 1 + i);
+        &dump[from..to]
+    };
+    for r in 0..3 {
+        let last = rank(r).lines().find(|l| l.trim_start().starts_with("last row:")).unwrap();
+        assert!(last.ends_with("member/Idle/Call(open) e1"), "rank {r}'s last row:\n{dump}");
+    }
     // Rank 3 never checkpointed.
-    assert!(dump.contains("last ckpt phase: none"), "rank 3 has no ckpt event:\n{dump}");
+    assert!(rank(3).contains("last row: none"), "rank 3 took no row:\n{dump}");
     // The stuck ranks published watermark status lines while waiting.
     assert!(
         dump.contains("checkpoint coordination"),
@@ -64,11 +72,11 @@ fn quiescence_stall_produces_flight_dump() {
     // The full event log also rides on the report for programmatic use.
     let flight = report.flight.expect("flight log present when the recorder is on");
     assert_eq!(flight.len(), world);
-    let ckpt_tracks = flight
+    let row_tracks = flight
         .iter()
         .filter(|t| {
-            t.events.iter().any(|e| matches!(e.event, spbc::mpi::recorder::Event::Ckpt { .. }))
+            t.events.iter().any(|e| matches!(e.event, spbc::mpi::recorder::Event::Row { .. }))
         })
         .count();
-    assert!(ckpt_tracks >= 1, "at least the wave initiator recorded a ckpt phase");
+    assert!(row_tracks >= 1, "at least the wave initiator recorded a row");
 }
