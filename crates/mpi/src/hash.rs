@@ -1,9 +1,9 @@
 //! A minimal Fx-style hasher for small fixed-width keys on hot paths.
 //!
-//! The matching engine hashes a `(CommId, RankId, Tag)` key on every send,
-//! receive and arrival; with the standard library's SipHash that single hash
-//! costs more than the rest of an indexed match combined and erases the
-//! index's win at small queue depths. Channel keys are program-controlled
+//! The matching engine hashes a `(CommId, RankId, Tag)` or `(CommId, Tag)`
+//! key on every receive and arrival; with the standard library's SipHash
+//! that single hash costs more than the rest of an indexed match combined
+//! and erases the index's win at small queue depths. Channel keys are program-controlled
 //! (communicator ids, ranks, tags), not attacker-controlled, so a fast
 //! non-cryptographic mix is appropriate.
 

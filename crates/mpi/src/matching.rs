@@ -16,20 +16,39 @@
 //!
 //! # Indexing
 //!
-//! Both queues are **channel-indexed** rather than linear. Envelopes always
-//! carry a concrete `(comm, src, tag)`, so the unexpected queue buckets by
-//! that triple; posted requests bucket the same way when fully concrete,
-//! with wildcard (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`) requests on a separate
-//! side-list. Every entry carries a stamp from a global monotonic counter
-//! (post order / arrival order), so MPI's cross-queue ordering reduces to
-//! comparing the best in-bucket candidate with the best wildcard-list
-//! candidate and taking the smaller stamp. The FT admissibility predicate
-//! only ever scans inside a candidate bucket (entries there already pass the
-//! base `(comm, src, tag)` check), which keeps SPBC's pattern-ID veto from
-//! degrading lookups to full-queue scans. Exact-match traffic — the common
-//! case for stencil and collective traffic — costs O(1) hash lookup plus the
-//! (normally empty) veto scan, independent of queue depth; see
-//! `reference::ReferenceMatchEngine` for the semantics oracle and
+//! Both queues are indexed so that a lookup touches only entries that could
+//! match it:
+//!
+//! * **Posted receives.** A fully concrete receive lives in a bucket keyed by
+//!   `(comm, src, tag)`; a receive with a source or tag wildcard lives on one
+//!   side-list.
+//! * **Unexpected arrivals.** Every envelope is concrete. Arrivals are
+//!   grouped by `(comm, tag)`, and a group holds one FIFO per source. An
+//!   exact receive, and an `MPI_ANY_SOURCE` receive or probe with a concrete
+//!   tag (AMG's `Iprobe`), cost one hash lookup plus a scan of that group's
+//!   sources. Only `MPI_ANY_TAG` walks every group.
+//!
+//! Every entry carries a stamp from a monotonic counter (post order /
+//! arrival order), so MPI's global ordering reduces to taking the smallest
+//! stamp among a few candidates: for an arrival, the first admissible entry
+//! of its exact bucket and of the side-list; for a post, the first
+//! admissible entry of each FIFO it accepts. The FT admissibility predicate
+//! only scans inside a candidate bucket or FIFO, which keeps SPBC's
+//! pattern-ID veto from degrading lookups to full-queue scans.
+//!
+//! # Bound
+//!
+//! A drained bucket or group stays in its map, so a persistent channel
+//! (MiniGhost's named halos) reuses its allocation on every message. Once a
+//! map's drained entries outnumber its live ones by [`SWEEP_SLACK`], one
+//! pass drops them all. Each map therefore holds at most `2 × live +
+//! SWEEP_SLACK` keys, and a sweep costs amortized O(1) per drained key.
+//! Keeping every drained key does not work here: collectives
+//! (`collectives.rs`, `coll_tag`) give every call a fresh tag, so such an
+//! index grows by about one key per peer per collective, and a wildcard
+//! lookup that walks it costs O(collectives ever run).
+//!
+//! See `reference::ReferenceMatchEngine` for the semantics oracle and
 //! `crates/mpi/tests/proptest_matching.rs` for the differential test.
 
 use crate::envelope::Envelope;
@@ -37,7 +56,9 @@ use crate::hash::FxHashMap;
 use crate::request::{RecvSpec, RequestId};
 use crate::types::{CommId, RankId, Source, Tag, TagSel};
 use bytes::Bytes;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::hash::Hash;
 
 /// Payload-or-placeholder of an arrived envelope.
 #[derive(Clone, Debug)]
@@ -68,8 +89,18 @@ impl Arrived {
     }
 }
 
-/// Exact-match bucket key: every envelope's concrete coordinates.
+/// Posted-bucket key: a fully concrete receive's coordinates.
 type ChanKey = (CommId, RankId, Tag);
+
+/// Unexpected-group key: an envelope's coordinates less its source.
+type GroupKey = (CommId, Tag);
+
+/// How many drained queues a map may keep beyond its live ones before one
+/// pass drops them. It exceeds a stencil's channel count (MiniGhost has 6
+/// faces, a 27-point stencil 26 neighbours), so persistent channels that all
+/// drain at the end of an iteration keep their allocations.
+#[doc(hidden)]
+pub const SWEEP_SLACK: usize = 64;
 
 /// A posted receive plus its position in global post order.
 struct PostedEntry {
@@ -83,6 +114,138 @@ struct UnexpEntry {
     arrived: Arrived,
 }
 
+/// A map value that drains to empty and refills.
+trait Queue: Default {
+    fn is_empty(&self) -> bool;
+}
+
+impl Queue for VecDeque<PostedEntry> {
+    fn is_empty(&self) -> bool {
+        VecDeque::is_empty(self)
+    }
+}
+
+/// The unexpected arrivals on one `(comm, tag)`: one FIFO per source that
+/// has sent on it, each in stamp order. A drained FIFO stays for its
+/// source's next message, so a group holds at most one per rank.
+#[derive(Default)]
+struct Group {
+    /// Entries across every FIFO.
+    len: usize,
+    fifos: Vec<(RankId, VecDeque<UnexpEntry>)>,
+}
+
+impl Queue for Group {
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Group {
+    fn push(&mut self, entry: UnexpEntry) {
+        let src = entry.arrived.env.src;
+        let fifo = match self.fifos.iter().position(|(s, _)| *s == src) {
+            Some(i) => &mut self.fifos[i].1,
+            None => {
+                self.fifos.push((src, VecDeque::new()));
+                &mut self.fifos.last_mut().expect("just pushed").1
+            }
+        };
+        fifo.push_back(entry);
+        self.len += 1;
+    }
+
+    /// `spec`'s earliest admissible arrival here, as `(fifo, position,
+    /// entry)`: each accepted source offers its first admissible entry, and
+    /// the smallest stamp wins.
+    fn first(
+        &self,
+        spec: &RecvSpec,
+        admissible: &dyn Fn(&RecvSpec, &Envelope) -> bool,
+    ) -> Option<(usize, usize, &UnexpEntry)> {
+        let mut best: Option<(usize, usize, &UnexpEntry)> = None;
+        for (f, (src, fifo)) in self.fifos.iter().enumerate() {
+            if !spec.src.accepts(*src) {
+                continue;
+            }
+            if let Some((i, e)) =
+                fifo.iter().enumerate().find(|(_, e)| admissible(spec, &e.arrived.env))
+            {
+                if best.is_none_or(|(_, _, b)| e.stamp < b.stamp) {
+                    best = Some((f, i, e));
+                }
+            }
+        }
+        best
+    }
+
+    fn remove(&mut self, fifo: usize, pos: usize) -> UnexpEntry {
+        self.len -= 1;
+        self.fifos[fifo].1.remove(pos).expect("position valid")
+    }
+}
+
+/// Queues by key. A drained queue keeps its key and allocation until
+/// drained queues outnumber live ones by [`SWEEP_SLACK`]; then one pass
+/// drops every drained queue.
+struct Buckets<K, Q> {
+    map: FxHashMap<K, Q>,
+    /// How many of `map`'s queues are empty.
+    drained: usize,
+}
+
+impl<K, Q> Default for Buckets<K, Q> {
+    fn default() -> Self {
+        Buckets { map: FxHashMap::default(), drained: 0 }
+    }
+}
+
+impl<K: Hash + Eq, Q: Queue> Buckets<K, Q> {
+    /// The queue at `key`, about to take an entry; created if absent.
+    fn fill(&mut self, key: K) -> &mut Q {
+        match self.map.entry(key) {
+            Entry::Occupied(o) => {
+                let q = o.into_mut();
+                if q.is_empty() {
+                    self.drained -= 1;
+                }
+                q
+            }
+            Entry::Vacant(v) => v.insert(Q::default()),
+        }
+    }
+
+    /// Run `take` on the queue at `key`. A `Some` means it removed an entry;
+    /// if that drained the queue, count it and sweep when due.
+    fn take<R>(&mut self, key: &K, take: impl FnOnce(&mut Q) -> Option<R>) -> Option<R> {
+        let q = self.map.get_mut(key)?;
+        let got = take(q)?;
+        if q.is_empty() {
+            self.drained += 1;
+            if self.drained > self.map.len() - self.drained + SWEEP_SLACK {
+                self.sweep();
+            }
+        }
+        Some(got)
+    }
+
+    /// Drop every drained queue.
+    fn sweep(&mut self) {
+        self.map.retain(|_, q| !q.is_empty());
+        self.drained = 0;
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.drained = 0;
+    }
+
+    /// `(held, live)` keys, counted from the queues themselves.
+    fn counts(&self) -> (usize, usize) {
+        (self.map.len(), self.map.values().filter(|q| !q.is_empty()).count())
+    }
+}
+
 /// Midpoint of the stamp space: normal posts count up from here, re-posts at
 /// the front (`post_front`) count down, so a front-posted request outranks
 /// everything already queued without renumbering.
@@ -92,7 +255,7 @@ const STAMP_ORIGIN: u64 = 1 << 63;
 pub struct MatchEngine {
     /// Fully concrete posted receives, bucketed by `(comm, src, tag)`; each
     /// bucket is stamp-ordered.
-    posted_exact: FxHashMap<ChanKey, VecDeque<PostedEntry>>,
+    posted_exact: Buckets<ChanKey, VecDeque<PostedEntry>>,
     /// Posted receives with a source or tag wildcard, stamp-ordered.
     posted_wild: VecDeque<PostedEntry>,
     posted_count: usize,
@@ -100,8 +263,8 @@ pub struct MatchEngine {
     next_post_back: u64,
     /// Stamp for the next `post_front` (counts down from [`STAMP_ORIGIN`]).
     next_post_front: u64,
-    /// Unexpected arrivals bucketed by `(comm, src, tag)`; stamp-ordered.
-    unexpected: FxHashMap<ChanKey, VecDeque<UnexpEntry>>,
+    /// Unexpected arrivals grouped by `(comm, tag)`.
+    unexpected: Buckets<GroupKey, Group>,
     unexpected_count: usize,
     next_arrival: u64,
 }
@@ -109,12 +272,12 @@ pub struct MatchEngine {
 impl Default for MatchEngine {
     fn default() -> Self {
         MatchEngine {
-            posted_exact: FxHashMap::default(),
+            posted_exact: Buckets::default(),
             posted_wild: VecDeque::new(),
             posted_count: 0,
             next_post_back: STAMP_ORIGIN,
             next_post_front: STAMP_ORIGIN,
-            unexpected: FxHashMap::default(),
+            unexpected: Buckets::default(),
             unexpected_count: 0,
             next_arrival: 0,
         }
@@ -155,72 +318,57 @@ impl MatchEngine {
         // One bucket probe: bucket entries pass the base check by
         // construction, only the FT predicate can veto. "First posted that
         // accepts" = the smaller stamp of the bucket and wildcard candidates
-        // (every accepting entry lives in exactly one of them). An emptied
-        // bucket is kept — its capacity is reused by the next post on the
-        // same channel, and map size stays bounded by the channels in use.
-        if let Some(bucket) = self.posted_exact.get_mut(&key) {
-            if let Some((idx, stamp)) = bucket
+        // (every accepting entry lives in exactly one of them).
+        let exact = self.posted_exact.take(&key, |bucket| {
+            let (idx, stamp) = bucket
                 .iter()
                 .enumerate()
                 .find(|(_, e)| admissible(&e.entry.1, env))
-                .map(|(i, e)| (i, e.stamp))
-            {
-                if wild_cand.is_none_or(|(ws, _)| stamp < ws) {
-                    let e = bucket.remove(idx).expect("index valid");
-                    self.posted_count -= 1;
-                    return Some(e.entry.0);
-                }
+                .map(|(i, e)| (i, e.stamp))?;
+            if wild_cand.is_some_and(|(ws, _)| ws < stamp) {
+                return None;
             }
-        }
-        let (_, idx) = wild_cand?;
-        let e = self.posted_wild.remove(idx).expect("index valid");
+            bucket.remove(idx)
+        });
+        let e = match exact {
+            Some(e) => e,
+            None => self.posted_wild.remove(wild_cand?.1).expect("index valid"),
+        };
         self.posted_count -= 1;
         Some(e.entry.0)
     }
 
     /// Queue an arrival that matched nothing.
     pub fn push_unexpected(&mut self, arrived: Arrived) {
-        let key = (arrived.env.comm, arrived.env.src, arrived.env.tag);
+        let key = (arrived.env.comm, arrived.env.tag);
         let stamp = self.next_arrival;
         self.next_arrival += 1;
-        self.unexpected.entry(key).or_default().push_back(UnexpEntry { stamp, arrived });
+        self.unexpected.fill(key).push(UnexpEntry { stamp, arrived });
         self.unexpected_count += 1;
     }
 
-    /// First admissible unexpected entry for `spec`: `(bucket key, index in
-    /// bucket, stamp)` of the earliest arrival that matches.
+    /// `spec`'s earliest admissible unexpected entry, and its group's key.
     fn find_unexpected(
         &self,
         spec: &RecvSpec,
         admissible: &dyn Fn(&RecvSpec, &Envelope) -> bool,
-    ) -> Option<(ChanKey, usize, u64)> {
-        if let Some(key) = Self::exact_key(spec) {
-            // One bucket holds every acceptable envelope.
-            let bucket = self.unexpected.get(&key)?;
-            return bucket
+    ) -> Option<(GroupKey, &UnexpEntry)> {
+        match spec.tag {
+            TagSel::Tag(tag) => {
+                let key = (spec.comm, tag);
+                let (_, _, e) = self.unexpected.map.get(&key)?.first(spec, admissible)?;
+                Some((key, e))
+            }
+            // `MPI_ANY_TAG`: every group on the communicator competes and
+            // the earliest stamp wins — the one lookup that walks the map.
+            TagSel::Any => self
+                .unexpected
+                .map
                 .iter()
-                .enumerate()
-                .find(|(_, e)| admissible(spec, &e.arrived.env))
-                .map(|(i, e)| (key, i, e.stamp));
+                .filter(|((comm, _), _)| *comm == spec.comm)
+                .filter_map(|(&key, g)| g.first(spec, admissible).map(|(_, _, e)| (key, e)))
+                .min_by_key(|(_, e)| e.stamp),
         }
-        // Wildcard spec: the earliest admissible entry of each acceptable
-        // bucket competes; "first arrived that it accepts" is the global
-        // minimum stamp. Costs O(#channels) bucket probes, not O(#messages).
-        let mut best: Option<(ChanKey, usize, u64)> = None;
-        for (&key, bucket) in &self.unexpected {
-            let (comm, src, tag) = key;
-            if comm != spec.comm || !spec.src.accepts(src) || !spec.tag.accepts(tag) {
-                continue;
-            }
-            if let Some((i, e)) =
-                bucket.iter().enumerate().find(|(_, e)| admissible(spec, &e.arrived.env))
-            {
-                if best.is_none_or(|(_, _, s)| e.stamp < s) {
-                    best = Some((key, i, e.stamp));
-                }
-            }
-        }
-        best
     }
 
     /// Try to match a newly posted request against the unexpected queue.
@@ -233,9 +381,15 @@ impl MatchEngine {
         spec: &RecvSpec,
         admissible: &dyn Fn(&RecvSpec, &Envelope) -> bool,
     ) -> Option<Arrived> {
-        let (key, idx, _) = self.find_unexpected(spec, admissible)?;
-        let bucket = self.unexpected.get_mut(&key).expect("bucket exists");
-        let entry = bucket.remove(idx).expect("index valid");
+        // A concrete tag names its group; `MPI_ANY_TAG` has to find it.
+        let key = match spec.tag {
+            TagSel::Tag(tag) => (spec.comm, tag),
+            TagSel::Any => self.find_unexpected(spec, admissible)?.0,
+        };
+        let entry = self.unexpected.take(&key, |g| {
+            let (f, i, _) = g.first(spec, admissible)?;
+            Some(g.remove(f, i))
+        })?;
         self.unexpected_count -= 1;
         Some(entry.arrived)
     }
@@ -246,7 +400,7 @@ impl MatchEngine {
         self.next_post_back += 1;
         let entry = PostedEntry { stamp, entry: (id, spec) };
         match Self::exact_key(&spec) {
-            Some(key) => self.posted_exact.entry(key).or_default().push_back(entry),
+            Some(key) => self.posted_exact.fill(key).push_back(entry),
             None => self.posted_wild.push_back(entry),
         }
         self.posted_count += 1;
@@ -260,7 +414,7 @@ impl MatchEngine {
         self.next_post_front -= 1;
         let entry = PostedEntry { stamp: self.next_post_front, entry: (id, spec) };
         match Self::exact_key(&spec) {
-            Some(key) => self.posted_exact.entry(key).or_default().push_front(entry),
+            Some(key) => self.posted_exact.fill(key).push_front(entry),
             None => self.posted_wild.push_front(entry),
         }
         self.posted_count += 1;
@@ -271,20 +425,20 @@ impl MatchEngine {
     /// Returned envelopes are in arrival order.
     pub fn purge_rts_from(&mut self, src: RankId) -> Vec<Envelope> {
         let mut purged: Vec<(u64, Envelope)> = Vec::new();
-        self.unexpected.retain(|&(_, bsrc, _), bucket| {
-            if bsrc != src {
-                return true;
+        for group in self.unexpected.map.values_mut() {
+            for (_, fifo) in group.fifos.iter_mut().filter(|(s, _)| *s == src) {
+                fifo.retain(|e| {
+                    if e.arrived.is_pending_rts() {
+                        purged.push((e.stamp, e.arrived.env));
+                        false
+                    } else {
+                        true
+                    }
+                });
             }
-            bucket.retain(|e| {
-                if e.arrived.is_pending_rts() {
-                    purged.push((e.stamp, e.arrived.env));
-                    false
-                } else {
-                    true
-                }
-            });
-            !bucket.is_empty()
-        });
+            group.len = group.fifos.iter().map(|(_, fifo)| fifo.len()).sum();
+        }
+        self.unexpected.sweep();
         self.unexpected_count -= purged.len();
         purged.sort_by_key(|&(stamp, _)| stamp);
         purged.into_iter().map(|(_, env)| env).collect()
@@ -297,18 +451,14 @@ impl MatchEngine {
     /// both announcements reached the *same* incarnation, the earlier token
     /// is the dead one.
     pub fn rebind_rts(&mut self, env: &Envelope, token: u64) -> Option<u64> {
-        let key = (env.comm, env.src, env.tag);
-        let bucket = self.unexpected.get_mut(&key)?;
-        for e in bucket.iter_mut() {
-            if e.arrived.env.seqnum == env.seqnum {
-                if let ArrivedBody::Rts { token: old } = &mut e.arrived.body {
-                    let stale = *old;
-                    *old = token;
-                    return Some(stale);
-                }
+        let group = self.unexpected.map.get_mut(&(env.comm, env.tag))?;
+        let (_, fifo) = group.fifos.iter_mut().find(|(s, _)| *s == env.src)?;
+        fifo.iter_mut().filter(|e| e.arrived.env.seqnum == env.seqnum).find_map(|e| {
+            match &mut e.arrived.body {
+                ArrivedBody::Rts { token: old } => Some(std::mem::replace(old, token)),
+                ArrivedBody::Eager(_) => None,
             }
-        }
-        None
+        })
     }
 
     /// Probe: first unexpected envelope matching `spec` (in arrival order),
@@ -318,8 +468,7 @@ impl MatchEngine {
         spec: &RecvSpec,
         admissible: &dyn Fn(&RecvSpec, &Envelope) -> bool,
     ) -> Option<&Envelope> {
-        let (key, idx, _) = self.find_unexpected(spec, admissible)?;
-        Some(&self.unexpected[&key][idx].arrived.env)
+        self.find_unexpected(spec, admissible).map(|(_, e)| &e.arrived.env)
     }
 
     /// Number of posted, unmatched receive requests.
@@ -332,10 +481,18 @@ impl MatchEngine {
         self.unexpected_count
     }
 
+    /// Keys of the posted-bucket map and of the unexpected-group map, each as
+    /// `(held, live)`: a drained key counts in `held` only. Sweeps keep
+    /// `held ≤ 2 × live + SWEEP_SLACK`.
+    #[doc(hidden)]
+    pub fn bucket_counts(&self) -> [(usize, usize); 2] {
+        [self.posted_exact.counts(), self.unexpected.counts()]
+    }
+
     /// Iterate the posted queue in post order (diagnostics).
     pub fn posted_iter(&self) -> impl Iterator<Item = &(RequestId, RecvSpec)> {
         let mut all: Vec<&PostedEntry> =
-            self.posted_exact.values().flatten().chain(self.posted_wild.iter()).collect();
+            self.posted_exact.map.values().flatten().chain(self.posted_wild.iter()).collect();
         all.sort_by_key(|e| e.stamp);
         all.into_iter().map(|e| &e.entry)
     }
@@ -343,7 +500,12 @@ impl MatchEngine {
     /// Iterate the unexpected queue in arrival order (checkpoint
     /// serialization — restore depends on this order).
     pub fn unexpected_iter(&self) -> impl Iterator<Item = &Arrived> {
-        let mut all: Vec<&UnexpEntry> = self.unexpected.values().flatten().collect();
+        let mut all: Vec<&UnexpEntry> = self
+            .unexpected
+            .map
+            .values()
+            .flat_map(|g| g.fifos.iter().flat_map(|(_, f)| f))
+            .collect();
         all.sort_by_key(|e| e.stamp);
         all.into_iter().map(|e| &e.arrived)
     }
@@ -353,13 +515,10 @@ impl MatchEngine {
     /// [`MatchEngine::unexpected_iter`].
     pub fn restore_unexpected(&mut self, entries: Vec<Arrived>) {
         self.unexpected.clear();
-        self.unexpected_count = entries.len();
+        self.unexpected_count = 0;
         self.next_arrival = 0;
         for arrived in entries {
-            let key = (arrived.env.comm, arrived.env.src, arrived.env.tag);
-            let stamp = self.next_arrival;
-            self.next_arrival += 1;
-            self.unexpected.entry(key).or_default().push_back(UnexpEntry { stamp, arrived });
+            self.push_unexpected(arrived);
         }
     }
 
@@ -382,7 +541,7 @@ pub mod reference {
     //! identical random streams and requires identical decisions in identical
     //! order. Not for production use — every operation is O(queue length).
 
-    use super::{Arrived, Envelope, RecvSpec, RequestId};
+    use super::{Arrived, ArrivedBody, Envelope, RecvSpec, RequestId};
     use crate::types::RankId;
     use std::collections::VecDeque;
 
@@ -453,6 +612,18 @@ pub mod reference {
                 }
             });
             purged
+        }
+
+        /// Linear-scan equivalent of [`super::MatchEngine::rebind_rts`].
+        pub fn rebind_rts(&mut self, env: &Envelope, token: u64) -> Option<u64> {
+            self.unexpected.iter_mut().find_map(|a| {
+                let same = (a.env.comm, a.env.src, a.env.tag, a.env.seqnum)
+                    == (env.comm, env.src, env.tag, env.seqnum);
+                match &mut a.body {
+                    ArrivedBody::Rts { token: old } if same => Some(std::mem::replace(old, token)),
+                    _ => None,
+                }
+            })
         }
 
         /// Linear-scan equivalent of [`super::MatchEngine::probe`].
@@ -679,6 +850,49 @@ mod tests {
         let got = m.match_post(&spec(Source::Rank(RankId(2)), TagSel::Tag(2)), &all).unwrap();
         assert_eq!(got.env.src, RankId(2));
         assert_eq!(m.unexpected_len(), 100);
+    }
+
+    #[test]
+    fn fresh_collective_tags_leave_small_maps() {
+        // Collectives tag every call afresh (`coll_tag`). Each cycle drains
+        // one unexpected group and one posted bucket on a tag it never uses
+        // again, around an AMG-style `Iprobe(ANY_SOURCE)` on a standing tag.
+        let mut m = MatchEngine::new();
+        m.push_unexpected(arrived(env(3, 300, 1)));
+        let amg_probe = spec(Source::Any, TagSel::Tag(300));
+        for cycle in 0..10_000u32 {
+            let tag = 0x4000_0000 | cycle;
+            let seq = u64::from(cycle);
+            m.push_unexpected(arrived(env(1, tag, seq)));
+            assert!(m.match_post(&spec(Source::Rank(RankId(1)), TagSel::Tag(tag)), &all).is_some());
+            assert_eq!(m.probe(&amg_probe, &all).map(|e| e.src), Some(RankId(3)));
+            m.post(RequestId(seq), spec(Source::Rank(RankId(2)), TagSel::Tag(tag)));
+            assert_eq!(m.match_arrival(&env(2, tag, seq), &all), Some(RequestId(seq)));
+        }
+        assert_eq!((m.posted_len(), m.unexpected_len()), (0, 1));
+        let [(posted, _), (groups, _)] = m.bucket_counts();
+        assert!(posted <= SWEEP_SLACK, "{posted} posted buckets after 10 000 fresh tags");
+        assert!(groups <= SWEEP_SLACK + 2, "{groups} unexpected groups after 10 000 fresh tags");
+    }
+
+    #[test]
+    fn persistent_channels_keep_their_queues() {
+        // MiniGhost's named halos drain every bucket at the end of an
+        // iteration; with fewer channels than `SWEEP_SLACK` no sweep drops
+        // them, so each keeps its key and allocation.
+        let mut m = MatchEngine::new();
+        for iter in 0..100u64 {
+            for face in 0..6u32 {
+                m.post(
+                    RequestId(u64::from(face)),
+                    spec(Source::Rank(RankId(face)), TagSel::Tag(face)),
+                );
+            }
+            for face in 0..6u32 {
+                assert!(m.match_arrival(&env(face, face, iter), &all).is_some());
+            }
+        }
+        assert_eq!(m.bucket_counts(), [(6, 0), (0, 0)]);
     }
 
     #[test]
