@@ -118,28 +118,24 @@ fn matching(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-send bookkeeping cost in `RankStats::on_send`, payload digest on
-/// (the default) vs off (`RuntimeConfig::with_payload_digests(false)`). The
-/// FNV-1a digest is the only O(payload) term on the send path; with it off
-/// the chains witness only `(tag, plen, ident)` order at O(1) per send.
+/// Per-send bookkeeping cost in `RankStats::on_send`: counters, two chain
+/// folds and the payload digest (the low word of `util::hash128`), the only
+/// O(payload) term on the send path. Sizes: a small control payload, a
+/// `ff-halo` 1 KiB face and a `ckpt-store` 256 KiB face.
 fn stats(c: &mut Criterion) {
     use mini_mpi::stats::RankStats;
     use mini_mpi::types::{ChannelId, RankId};
 
     let mut g = c.benchmark_group("stats_on_send");
     g.measurement_time(Duration::from_secs(4));
-    for &size in &[64usize, 4096, 64 * 1024] {
+    for &size in &[64usize, 1024, 256 * 1024] {
         let payload = vec![7u8; size];
         let chan = ChannelId::new(RankId(0), RankId(1), COMM_WORLD);
         g.throughput(Throughput::Bytes(size as u64));
-        for digests in [true, false] {
-            let name = if digests { "digest_on" } else { "digest_off" };
-            g.bench_with_input(BenchmarkId::new(name, size), &size, |b, _| {
-                let mut s = RankStats::new(RankId(0), 2);
-                s.digest_payloads = digests;
-                b.iter(|| s.on_send(chan, 1, std::hint::black_box(&payload), (0, 1)))
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("on_send", size), &size, |b, _| {
+            let mut s = RankStats::new(RankId(0), 2);
+            b.iter(|| s.on_send(chan, 1, std::hint::black_box(&payload), (0, 1)))
+        });
     }
     g.finish();
 }

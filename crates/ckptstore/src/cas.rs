@@ -36,25 +36,29 @@
 //! names.
 //!
 //! **The address is an index, not a security boundary.** [`ChunkHash::of`]
-//! is a hand-rolled, unkeyed 128-bit multiply-rotate hash (four xxh64-style
-//! lanes, both output words folded from every lane) running at memory
-//! speed. Collision *resistance* would buy nothing: an address from outside
-//! the process is hashed again before it enters the store
+//! is [`hash128`], a hand-rolled, unkeyed 128-bit multiply-rotate hash (four
+//! xxh64-style lanes, both output words folded from every lane) running at
+//! memory speed; its low word is also the runtime's payload digest.
+//! Collision *resistance* would buy nothing: an address from outside the
+//! process is hashed again before it enters the store
 //! ([`CasStore::commit_insert`] hashes every payload it is given, a partner
 //! adoption hashes every inline payload), an address the process computed
 //! itself is not hashed twice, and every hit is byte-compared against the
-//! stored body — so a collision fails the commit loudly and can never
-//! substitute content, and every stored body hashes to its key. The same
-//! hash is the integrity check on read: every inline payload of a V4 blob
-//! and every body returned by a store lookup is re-hashed against its
-//! manifest address ([`crate::chunk::CasView`]), which is how a bit-flip
-//! anywhere in a V4 body is detected on load.
+//! stored body once — by the commit itself, or by the reuse walk's
+//! [`CasStore::matches_stamped`] when the commit still finds the very entry
+//! that compare saw (same insert stamp) — so a collision fails the commit
+//! loudly and can never substitute content, and every stored body hashes to
+//! its key. The same hash is the integrity check on read: every inline
+//! payload of a V4 blob and every body returned by a store lookup is
+//! re-hashed against its manifest address ([`crate::chunk::CasView`]),
+//! which is how a bit-flip anywhere in a V4 body is detected on load.
 //!
 //! [`sha256`] (FIPS 180-4, hand-rolled because the workspace vendors no
 //! cryptographic dependency) is on no store path; it is kept only for the
 //! benchmark's `ckptstore.cas.sha256_mb_s` row.
 
 use mini_mpi::hash::FxHashMap;
+use mini_mpi::util::hash128;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::RwLock;
@@ -149,91 +153,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 // Chunk hashes
 // ---------------------------------------------------------------------------
 
-// xxh64's primes: odd 64-bit multipliers with well-spread bits.
-const P1: u64 = 0x9E37_79B1_85EB_CA87;
-const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const P3: u64 = 0x1656_67B1_9E37_79F9;
-const P4: u64 = 0x85EB_CA77_C2B2_AE63;
-const P5: u64 = 0x27D4_EB2F_1656_67C5;
-
-/// Bytes consumed per step: one little-endian u64 per lane.
-const STRIPE: usize = 32;
-
-/// One lane step; for a fixed `acc` it is a bijection of `input`, and for a
-/// fixed `input` a bijection of `acc`, so a lane never forgets a difference.
-#[inline(always)]
-fn round(acc: u64, input: u64) -> u64 {
-    acc.wrapping_add(input.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
-}
-
-/// Fold one lane into an output word.
-#[inline(always)]
-fn merge(h: u64, lane: u64) -> u64 {
-    (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
-}
-
-/// Final bijective bit mix (xorshift-multiply).
-#[inline(always)]
-fn avalanche(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
-}
-
-#[inline(always)]
-fn stripe(v: &mut [u64; 4], s: &[u8]) {
-    for (i, lane) in v.iter_mut().enumerate() {
-        let word = u64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8-byte word"));
-        *lane = round(*lane, word);
-    }
-}
-
-/// The 128-bit chunk address: four independent xxh64-style lanes over
-/// 32-byte stripes (the tail zero-padded into one last stripe; the length
-/// is mixed into the output, so padding is unambiguous), then two output
-/// words each folded from all four lanes in a different order and with
-/// different rotations, with the length and the low word mixed into the
-/// high one.
-fn hash128(data: &[u8]) -> [u8; 16] {
-    let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-    let mut stripes = data.chunks_exact(STRIPE);
-    for s in &mut stripes {
-        stripe(&mut v, s);
-    }
-    let rem = stripes.remainder();
-    if !rem.is_empty() {
-        let mut last = [0u8; STRIPE];
-        last[..rem.len()].copy_from_slice(rem);
-        stripe(&mut v, &last);
-    }
-    let len = data.len() as u64;
-    let mut lo = v[0]
-        .rotate_left(1)
-        .wrapping_add(v[1].rotate_left(7))
-        .wrapping_add(v[2].rotate_left(12))
-        .wrapping_add(v[3].rotate_left(18));
-    let mut hi = v[3]
-        .rotate_left(5)
-        .wrapping_add(v[2].rotate_left(23))
-        .wrapping_add(v[1].rotate_left(37))
-        .wrapping_add(v[0].rotate_left(49))
-        ^ P5;
-    for &lane in &v {
-        lo = merge(lo, lane);
-    }
-    for &lane in v.iter().rev() {
-        hi = merge(hi, lane.rotate_left(17));
-    }
-    let lo = avalanche(lo ^ len.wrapping_mul(P5));
-    let hi = avalanche(hi ^ len.rotate_left(32) ^ lo.wrapping_mul(P3));
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&lo.to_le_bytes());
-    out[8..].copy_from_slice(&hi.to_le_bytes());
-    out
-}
-
 /// Content address of a chunk: a 128-bit non-cryptographic hash of its
 /// bytes. An index, not a security boundary — see the module docs for why
 /// every collision fails loudly instead of substituting content.
@@ -243,7 +162,7 @@ pub struct ChunkHash(pub [u8; 16]);
 impl ChunkHash {
     /// Hash chunk bytes into their content address.
     pub fn of(bytes: &[u8]) -> Self {
-        ChunkHash(hash128(bytes))
+        ChunkHash(hash128(bytes).to_le_bytes())
     }
 }
 
@@ -309,11 +228,18 @@ impl fmt::Display for Refused {
     }
 }
 
+/// The insert stamp of a store entry: a sequence number set when the entry
+/// is created and never reused. Entry bytes never change, so an entry found
+/// again under the same stamp holds the bytes an earlier compare saw.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Stamp(u64);
+
 struct Entry {
     bytes: Vec<u8>,
     refs: u64,
     /// The rank that first stored this content.
     first_owner: u32,
+    stamp: Stamp,
 }
 
 /// One registered manifest: the references it holds, and which of its
@@ -334,22 +260,26 @@ struct Inner {
     regs: FxHashMap<(u32, u32), BTreeMap<u64, Registration>>,
     /// Bytes of every stored body, kept by every insert and final decref.
     unique_bytes: u64,
+    /// The stamp the next new entry gets.
+    next_stamp: u64,
 }
 
 impl Inner {
     /// Incref/insert one manifest occurrence. The address is taken as
     /// matching `bytes` (see [`CasStore::commit_addressed`]); a hit is
-    /// byte-compared against the stored body. `Ok(None)`: the chunk has no
-    /// bytes here and is not stored.
+    /// byte-compared against the stored body unless `compared` is that
+    /// entry's stamp. `Ok(None)`: the chunk has no bytes here and is not
+    /// stored.
     fn take_ref(
         &mut self,
         index: usize,
         hash: &ChunkHash,
         bytes: Option<&[u8]>,
+        compared: Option<Stamp>,
         owner: u32,
     ) -> Result<Option<(ChunkFate, u64)>, String> {
         if let Some(e) = self.chunks.get_mut(hash) {
-            if bytes.is_some_and(|b| b != e.bytes.as_slice()) {
+            if compared != Some(e.stamp) && bytes.is_some_and(|b| b != e.bytes.as_slice()) {
                 return Err(format!(
                     "cas: chunk {index} content mismatch on hash hit {hash:?} \
                      (corruption or hash collision)"
@@ -366,7 +296,9 @@ impl Inner {
         let Some(b) = bytes else {
             return Ok(None);
         };
-        self.chunks.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner });
+        let stamp = Stamp(self.next_stamp);
+        self.next_stamp += 1;
+        self.chunks.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner, stamp });
         self.unique_bytes += b.len() as u64;
         Ok(Some((ChunkFate::New, b.len() as u64)))
     }
@@ -437,22 +369,28 @@ impl CasStore {
                 ));
             }
         }
-        self.commit_addressed(holder, owner, epoch, manifest).map_err(|r| r.to_string())
+        self.commit_addressed(holder, owner, epoch, manifest, &[]).map_err(|r| r.to_string())
     }
 
     /// [`commit_insert`](Self::commit_insert) for a manifest whose every
     /// `Some` payload is already known to hash to its address — hashed from
     /// those bytes by the caller, or byte-compared against this store's
-    /// entry for it — so it is not hashed again. Every hit is still
-    /// byte-compared. The walk visits every chunk: it either registers the
-    /// whole manifest or takes no reference at all and says why, listing
-    /// *every* index that has no bytes and is not stored.
+    /// entry for it — so it is not hashed again. Every hit is byte-compared,
+    /// except one that finds the very entry a [`matches_stamped`] call
+    /// already compared these bytes against: `stamps[i]`, where present, is
+    /// the stamp that call returned for index `i` (`stamps` may be shorter
+    /// than `manifest`, or empty). The walk visits every chunk: it either
+    /// registers the whole manifest or takes no reference at all and says
+    /// why, listing *every* index that has no bytes and is not stored.
+    ///
+    /// [`matches_stamped`]: Self::matches_stamped
     pub(crate) fn commit_addressed(
         &self,
         holder: u32,
         owner: u32,
         epoch: u64,
         manifest: &[(ChunkHash, Option<&[u8]>)],
+        stamps: &[Option<Stamp>],
     ) -> Result<CommitStats, Refused> {
         let mut inner = self.inner.write().expect(POISONED);
         let mut stats = CommitStats::default();
@@ -460,7 +398,8 @@ impl CasStore {
         let mut inserted = Vec::new();
         let mut missing = Vec::new();
         for (i, (hash, bytes)) in manifest.iter().enumerate() {
-            match inner.take_ref(i, hash, *bytes, owner) {
+            let compared = stamps.get(i).copied().flatten();
+            match inner.take_ref(i, hash, *bytes, compared, owner) {
                 Ok(Some((fate, len))) => {
                     match fate {
                         ChunkFate::New => {
@@ -549,7 +488,15 @@ impl CasStore {
     /// Whether the store holds `hash` with exactly these bytes (one byte
     /// compare, no copy and no hash).
     pub fn matches(&self, hash: &ChunkHash, bytes: &[u8]) -> bool {
-        self.inner.read().expect(POISONED).chunks.get(hash).is_some_and(|e| e.bytes == bytes)
+        self.matches_stamped(hash, bytes).is_some()
+    }
+
+    /// [`matches`](Self::matches), returning the matched entry's stamp so a
+    /// later [`commit_addressed`](Self::commit_addressed) of the same bytes
+    /// can skip its compare while that entry lives.
+    pub(crate) fn matches_stamped(&self, hash: &ChunkHash, bytes: &[u8]) -> Option<Stamp> {
+        let inner = self.inner.read().expect(POISONED);
+        inner.chunks.get(hash).filter(|e| e.bytes == bytes).map(|e| e.stamp)
     }
 
     /// Whether the store currently holds content for `hash`.
@@ -837,6 +784,38 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("do not match"), "{err}");
         assert_eq!(cas.unique_chunks(), 0, "failed commit must not mutate the store");
+    }
+
+    /// A reuse-walk stamp vouches only for the entry it was taken from: once
+    /// that entry is gone and other bytes sit under the same address, the
+    /// commit compares again and refuses, changing nothing.
+    #[test]
+    fn a_stamp_skips_the_compare_only_for_its_own_entry() {
+        let cas = CasStore::new();
+        let clean: &[u8] = b"clean chunk";
+        let h = ChunkHash::of(clean);
+        cas.commit_addressed(0, 0, 1, &[(h, Some(clean))], &[]).unwrap();
+        let stamp = cas.matches_stamped(&h, clean).expect("the walk's compare");
+        assert!(cas.unregister(0, 0, 1));
+        let planted: &[u8] = b"other bytes";
+        cas.commit_addressed(1, 1, 1, &[(h, Some(planted))], &[]).unwrap();
+        let before = (cas.unique_chunks(), cas.unique_bytes());
+
+        let err = cas.commit_addressed(0, 0, 2, &[(h, Some(clean))], &[Some(stamp)]).unwrap_err();
+        assert!(matches!(&err, Refused::Mismatch(e) if e.contains("content mismatch")), "{err}");
+        assert_eq!((cas.unique_chunks(), cas.unique_bytes()), before);
+        assert_eq!(cas.get(&h).as_deref(), Some(planted));
+        assert_eq!(cas.inserted_by(0, 0, 2, &[h]), None);
+        // The planted entry took no extra reference: its one owner frees it.
+        assert!(cas.unregister(1, 1, 1));
+        assert_eq!(cas.unique_chunks(), 0);
+
+        // The live entry's own stamp does skip the compare: the caller
+        // vouches that these are the bytes that stamp's compare saw.
+        cas.commit_addressed(1, 1, 1, &[(h, Some(planted))], &[]).unwrap();
+        let live = cas.matches_stamped(&h, planted).expect("stored");
+        assert_ne!(live, stamp, "stamps are never reused");
+        assert!(cas.commit_addressed(0, 0, 2, &[(h, Some(clean))], &[Some(live)]).is_ok());
     }
 
     #[test]

@@ -229,10 +229,11 @@ pub struct Cuts {
 /// * the bytes left from here, capped at `max`, number the same in both
 ///   bodies — `first_cut` depends on the remaining length only through
 ///   `cap = min(remaining, max)`, and on the bytes only up to the cut;
-/// * `same(hash, bytes)` confirms the new bytes under that span equal the
-///   stored bytes of `hash`. The caller byte-compares against its store,
-///   whose entries hash to their keys, so the confirmed bytes hash to
-///   `hash` and cut where the old bytes did.
+/// * `same(cut, bytes)` confirms the new bytes under that `prev` chunk's
+///   span equal the stored bytes of its hash. The caller byte-compares
+///   against its store, whose entries hash to their keys, so the confirmed
+///   bytes hash to `cut.hash` and cut where the old bytes did. A `true` means
+///   the returned cuts hold that very chunk at `cut.start`.
 ///
 /// Otherwise it runs `first_cut` and hashes the chunk, as `chunk_spans`
 /// plus `ChunkHash::of` would. A stale hint (another rank's, a body before
@@ -242,7 +243,7 @@ pub fn chunk_reusing(
     data: &[u8],
     params: CdcParams,
     prev: &Cuts,
-    mut same: impl FnMut(&ChunkHash, &[u8]) -> bool,
+    mut same: impl FnMut(&Cut, &[u8]) -> bool,
 ) -> Cuts {
     let p = params.normalized();
     let (hard, easy) = p.masks();
@@ -257,7 +258,7 @@ pub fn chunk_reusing(
             c.start == start
                 && (1..=rest).contains(&c.len)
                 && rest.min(p.max) == prev.body_len.saturating_sub(start).min(p.max)
-                && same(&c.hash, &data[c.span()])
+                && same(c, &data[c.span()])
         });
         let cut = match reused {
             Some(c) => *c,

@@ -362,7 +362,8 @@ impl CkptStoreService {
     /// the bytes are unchanged ([`chunk_reusing`]), so a clean chunk is
     /// neither scanned nor hashed; every other chunk is hashed once, here.
     /// Those addresses are therefore known to match their bytes, and the
-    /// insert only byte-compares hits.
+    /// insert byte-compares only the hits the reuse walk did not already
+    /// compare against the same entry (its stamp).
     fn encode_commit_cdc(
         &self,
         rank: RankId,
@@ -370,16 +371,27 @@ impl CkptStoreService {
         body: &[u8],
     ) -> Result<(Vec<u8>, EncodeStats)> {
         let stores = self.stores(rank)?;
-        let cuts = chunk_reusing(body, self.cfg.cdc_params, &stores.cuts.lock(), |h, b| {
-            self.cas().matches(h, b)
+        // `(start, stamp)` of every reused chunk, in body order.
+        let mut compared = Vec::new();
+        let cuts = chunk_reusing(body, self.cfg.cdc_params, &stores.cuts.lock(), |c, b| {
+            let stamp = self.cas().matches_stamped(&c.hash, b);
+            compared.extend(stamp.map(|s| (c.start, s)));
+            stamp.is_some()
         });
-        let manifest: Vec<(ChunkHash, Option<&[u8]>)> =
-            cuts.cuts.iter().map(|c| (c.hash, Some(&body[c.span()]))).collect();
+        let mut compared = compared.into_iter().peekable();
+        let (manifest, stamps): (Addressed<'_>, Vec<_>) = cuts
+            .cuts
+            .iter()
+            .map(|c| {
+                let stamp = compared.next_if(|&(start, _)| start == c.start).map(|(_, s)| s);
+                ((c.hash, Some(&body[c.span()])), stamp)
+            })
+            .unzip();
         // Insert + register atomically: re-commits of the same epoch after
         // a rollback replace the old registration without a refcount dip.
         let cas_stats = self
             .cas()
-            .commit_addressed(rank.0, rank.0, epoch, &manifest)
+            .commit_addressed(rank.0, rank.0, epoch, &manifest, &stamps)
             .map_err(|r| MpiError::Codec(r.to_string()))?;
         let mut parts: Vec<V4Chunk<'_>> = cuts
             .cuts
@@ -538,7 +550,7 @@ impl CkptStoreService {
         if chunk::is_cas(frame) {
             let view = CasView::parse(frame)?;
             let manifest = addressed(&view)?;
-            match self.cas().commit_addressed(holder.0, owner.0, epoch, &manifest) {
+            match self.cas().commit_addressed(holder.0, owner.0, epoch, &manifest, &[]) {
                 Ok(_) => {}
                 Err(Refused::Missing(idx)) => return Ok(Adoption::Missing(idx)),
                 Err(refused) => return Err(MpiError::Codec(refused.to_string())),
@@ -722,7 +734,7 @@ impl CkptStoreService {
         let view = CasView::parse(blob)?;
         if self.cas().inserted_by(rank.0, rank.0, epoch, &view.hashes()).is_none() {
             self.cas()
-                .commit_addressed(rank.0, rank.0, epoch, &addressed(&view)?)
+                .commit_addressed(rank.0, rank.0, epoch, &addressed(&view)?, &[])
                 .map_err(|r| MpiError::Codec(r.to_string()))?;
         }
         chunk::manifest_only_v4(blob)

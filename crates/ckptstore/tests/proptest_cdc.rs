@@ -169,8 +169,8 @@ fn cut_and_store(cas: &CasStore, owner: u32, data: &[u8], p: CdcParams, keep_pct
 /// chunks it reused.
 fn check_reuse(new: &[u8], p: CdcParams, hint: &Cuts, cas: &CasStore) -> usize {
     let mut reused = 0;
-    let cuts = chunk_reusing(new, p, hint, |h, b| {
-        let same = cas.matches(h, b);
+    let cuts = chunk_reusing(new, p, hint, |c, b| {
+        let same = cas.matches(&c.hash, b);
         reused += same as usize;
         same
     });

@@ -128,10 +128,6 @@ pub struct RuntimeConfig {
     /// of the newest `cap` protocol events for watchdog dumps and
     /// Chrome-trace export.
     pub flight_recorder: Option<usize>,
-    /// When true (the default), `RankStats::on_send` digests every payload
-    /// into the determinism chains. Workloads that never run a determinism
-    /// check can turn this off to take payload hashing out of the send path.
-    pub payload_digests: bool,
     /// The fabric carrying packets between ranks. Defaults from
     /// `$SPBC_TRANSPORT` so existing suites can run over the wire path
     /// unchanged; see [`TransportKind`].
@@ -150,7 +146,6 @@ impl RuntimeConfig {
             poll_interval: Duration::from_micros(200),
             perturb: None,
             flight_recorder: None,
-            payload_digests: true,
             transport: TransportKind::from_env(),
         }
     }
@@ -158,12 +153,6 @@ impl RuntimeConfig {
     /// Builder-style: enable the flight recorder with `cap` events per rank.
     pub fn with_flight_recorder(mut self, cap: usize) -> Self {
         self.flight_recorder = Some(cap);
-        self
-    }
-
-    /// Builder-style: enable or disable payload digesting in send statistics.
-    pub fn with_payload_digests(mut self, on: bool) -> Self {
-        self.payload_digests = on;
         self
     }
 

@@ -561,7 +561,6 @@ impl Spawner {
                         Arc::clone(&failure),
                     );
                     inner.recorder = recorder;
-                    inner.stats.digest_payloads = inner.cfg.payload_digests;
                     inner.recorder.record(|| Event::RankStart { epoch });
                     let layer = provider.make_layer(me, epoch);
                     let mut rank = Rank::new(inner, layer);

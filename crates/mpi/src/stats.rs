@@ -1,8 +1,8 @@
 //! Per-rank communication statistics and determinism chains.
 
+use crate::hash::FxHashMap;
 use crate::types::{ChannelId, RankId};
-use crate::util::{chain_u64, fnv1a};
-use std::collections::HashMap;
+use crate::util::hash128;
 use std::time::Duration;
 
 /// Rolling hash + count capturing the ordered sequence of sends somewhere
@@ -10,20 +10,29 @@ use std::time::Duration;
 /// sequence iff both `hash` and `count` agree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct SendChain {
-    /// Folded FNV-1a hash over `(tag, plen, payload digest, ident)` tuples.
+    /// Folded hash over `(tag, plen, payload digest, ident)` tuples.
     pub hash: u64,
     /// Number of sends folded in.
     pub count: u64,
+}
+
+/// Fold one word into a chain state. For a fixed state it is a bijection of
+/// the word (xor, odd multiply and rotate are each invertible), and for a
+/// fixed word a bijection of the state, so a chain that differs in any one
+/// word stays different through every later fold.
+#[inline(always)]
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
 }
 
 impl SendChain {
     /// Fold one send into the chain.
     pub fn push(&mut self, tag: u32, plen: u64, payload_digest: u64, ident: (u32, u32)) {
         let mut h = if self.count == 0 { 0xcbf29ce484222325 } else { self.hash };
-        h = chain_u64(h, tag as u64);
-        h = chain_u64(h, plen);
-        h = chain_u64(h, payload_digest);
-        h = chain_u64(h, ((ident.0 as u64) << 32) | ident.1 as u64);
+        h = fold(h, tag as u64);
+        h = fold(h, plen);
+        h = fold(h, payload_digest);
+        h = fold(h, ((ident.0 as u64) << 32) | ident.1 as u64);
         self.hash = h;
         self.count += 1;
     }
@@ -51,17 +60,12 @@ pub struct RankStats {
     /// Wall-clock of the rank's whole execution (filled by the runtime).
     pub total_time: Duration,
     /// Per-channel send chains (channel-determinism witness).
-    pub channel_chains: HashMap<ChannelId, SendChain>,
+    pub channel_chains: FxHashMap<ChannelId, SendChain>,
     /// Per-process send chain over all channels in program order
     /// (send-determinism witness).
     pub process_chain: SendChain,
     /// Number of times this rank was restarted by recovery.
     pub restarts: u32,
-    /// When true (the default), sends fold an FNV-1a digest of the payload
-    /// into the determinism chains. Turning it off (see
-    /// `RuntimeConfig::payload_digests`) takes payload hashing out of the
-    /// send path; the chains then witness only `(tag, plen, ident)` order.
-    pub digest_payloads: bool,
 }
 
 impl RankStats {
@@ -75,10 +79,9 @@ impl RankStats {
             recv_msgs: vec![0; world],
             comm_time: Duration::ZERO,
             total_time: Duration::ZERO,
-            channel_chains: HashMap::new(),
+            channel_chains: FxHashMap::default(),
             process_chain: SendChain::default(),
             restarts: 0,
-            digest_payloads: true,
         }
     }
 
@@ -89,10 +92,9 @@ impl RankStats {
             self.sent_bytes[peer] += payload.len() as u64;
             self.sent_msgs[peer] += 1;
         }
-        // Digest once, fold into both chains. Gated: executions compared by a
-        // determinism checker must agree on the flag or their chains diverge
-        // trivially.
-        let digest = if self.digest_payloads { fnv1a(payload) } else { 0 };
+        // Digest once, fold into both chains. The digest is the low word of
+        // the hash that also addresses checkpoint chunks.
+        let digest = hash128(payload) as u64;
         self.channel_chains.entry(chan).or_default().push(tag, payload.len() as u64, digest, ident);
         self.process_chain.push(tag, payload.len() as u64, digest, ident);
     }
@@ -192,25 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn digest_gate_changes_chain_but_not_counts() {
-        let mut with = RankStats::new(RankId(0), 2);
-        let mut without = RankStats::new(RankId(0), 2);
-        without.digest_payloads = false;
-        with.on_send(chan(0, 1), 1, b"payload", (0, 0));
-        without.on_send(chan(0, 1), 1, b"payload", (0, 0));
-        assert_ne!(with.process_chain, without.process_chain);
-        assert_eq!(with.process_chain.count, without.process_chain.count);
-        assert_eq!(with.sent_bytes, without.sent_bytes);
-        // Ungated chains still witness order: a reorder flips the hash even
-        // with digesting off.
-        let mut a = RankStats::new(RankId(0), 3);
-        let mut b = RankStats::new(RankId(0), 3);
-        a.digest_payloads = false;
-        b.digest_payloads = false;
-        a.on_send(chan(0, 1), 1, b"x", (0, 0));
-        a.on_send(chan(0, 1), 2, b"x", (0, 0));
-        b.on_send(chan(0, 1), 2, b"x", (0, 0));
-        b.on_send(chan(0, 1), 1, b"x", (0, 0));
+    fn payload_bytes_change_chain_but_not_counts() {
+        let mut a = RankStats::new(RankId(0), 2);
+        let mut b = RankStats::new(RankId(0), 2);
+        a.on_send(chan(0, 1), 1, b"payload", (0, 0));
+        b.on_send(chan(0, 1), 1, b"paYload", (0, 0));
+        assert_ne!(a.process_chain, b.process_chain);
         assert_ne!(a.channel_chains, b.channel_chains);
+        assert_eq!(a.process_chain.count, b.process_chain.count);
+        assert_eq!(a.sent_bytes, b.sent_bytes);
     }
 }

@@ -1,13 +1,8 @@
 //! Small shared utilities.
 
-/// FNV-1a 64-bit hash over a byte slice.
-///
-/// Used for payload digests in the determinism chains; not cryptographic.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_seeded(0xcbf29ce484222325, bytes)
-}
-
 /// FNV-1a continuation: fold `bytes` into an existing hash state.
+///
+/// Derives communicator ids (`collectives.rs`); not on the send path.
 pub fn fnv1a_seeded(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -23,6 +18,93 @@ pub fn fnv1a_seeded(mut h: u64, bytes: &[u8]) -> u64 {
 /// straight into the state, making small swapped pairs collide).
 pub fn chain_u64(h: u64, v: u64) -> u64 {
     fnv1a_seeded(h.wrapping_mul(0x100000001b3), &v.to_le_bytes())
+}
+
+// xxh64's primes: odd 64-bit multipliers with well-spread bits.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Bytes consumed per step: one little-endian u64 per lane.
+const STRIPE: usize = 32;
+
+/// One lane step; for a fixed `acc` it is a bijection of `input`, and for a
+/// fixed `input` a bijection of `acc`, so a lane never forgets a difference.
+#[inline(always)]
+fn round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// Fold one lane into an output word.
+#[inline(always)]
+fn merge(h: u64, lane: u64) -> u64 {
+    (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// Final bijective bit mix (xorshift-multiply).
+#[inline(always)]
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+#[inline(always)]
+fn stripe(v: &mut [u64; 4], s: &[u8]) {
+    for (i, lane) in v.iter_mut().enumerate() {
+        let word = u64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+        *lane = round(*lane, word);
+    }
+}
+
+/// A 128-bit non-cryptographic content hash at memory speed: four
+/// independent xxh64-style lanes over 32-byte stripes (the tail zero-padded
+/// into one last stripe; the length is mixed into the output, so padding is
+/// unambiguous), then two output words each folded from all four lanes in a
+/// different order and with different rotations, with the length and the
+/// low word mixed into the high one.
+///
+/// The checkpoint store's chunk addresses are these bytes in little-endian
+/// order, and the low 64 bits are the payload digest of the determinism
+/// chains ([`crate::stats`]). The low word never depends on the high one.
+#[inline]
+pub fn hash128(data: &[u8]) -> u128 {
+    let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = data.chunks_exact(STRIPE);
+    for s in &mut stripes {
+        stripe(&mut v, s);
+    }
+    let rem = stripes.remainder();
+    if !rem.is_empty() {
+        let mut last = [0u8; STRIPE];
+        last[..rem.len()].copy_from_slice(rem);
+        stripe(&mut v, &last);
+    }
+    let len = data.len() as u64;
+    let mut lo = v[0]
+        .rotate_left(1)
+        .wrapping_add(v[1].rotate_left(7))
+        .wrapping_add(v[2].rotate_left(12))
+        .wrapping_add(v[3].rotate_left(18));
+    let mut hi = v[3]
+        .rotate_left(5)
+        .wrapping_add(v[2].rotate_left(23))
+        .wrapping_add(v[1].rotate_left(37))
+        .wrapping_add(v[0].rotate_left(49))
+        ^ P5;
+    for &lane in &v {
+        lo = merge(lo, lane);
+    }
+    for &lane in v.iter().rev() {
+        hi = merge(hi, lane.rotate_left(17));
+    }
+    let lo = avalanche(lo ^ len.wrapping_mul(P5));
+    let hi = avalanche(hi ^ len.rotate_left(32) ^ lo.wrapping_mul(P3));
+    (hi as u128) << 64 | lo as u128
 }
 
 /// A tiny xorshift PRNG for perturbation delays (self-contained so the
@@ -65,9 +147,19 @@ mod tests {
 
     #[test]
     fn fnv_is_deterministic_and_sensitive() {
-        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+        assert_eq!(fnv1a_seeded(1, b"abc"), fnv1a_seeded(1, b"abc"));
+        assert_ne!(fnv1a_seeded(1, b"abc"), fnv1a_seeded(1, b"abd"));
         assert_ne!(chain_u64(1, 2), chain_u64(2, 1));
+    }
+
+    #[test]
+    fn hash128_low_word_tells_bytes_and_lengths_apart() {
+        // The payload digest is the low word: it must distinguish lengths
+        // and bytes on its own.
+        let lo = |d: &[u8]| hash128(d) as u64;
+        assert_ne!(lo(b""), lo(&[0]));
+        assert_ne!(lo(b"abc"), lo(b"abd"));
+        assert_eq!(hash128(b"abc"), hash128(b"abc"));
     }
 
     #[test]
